@@ -64,6 +64,7 @@ from .backtrace.messages import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..gc.outrefs import OutrefEntry
     from ..net.message import Message, Payload
     from ..site.site import Site
 
@@ -105,13 +106,18 @@ class Collector:
 
     # -- triggers / quiescence -----------------------------------------------------
 
-    def check_triggers(self) -> List[ObjectId]:
+    def check_triggers(
+        self, suspected_outrefs: Optional[List["OutrefEntry"]] = None
+    ) -> List[ObjectId]:
         """Scan for suspects past threshold; start collection activity.
 
         Called by the site after every local trace commit *and* after every
         skipped incremental tick, mirroring the paper's section 4.3 trigger
-        placement.  Returns the roots for which new activity started (used
-        by tests and the tuner).
+        placement.  ``suspected_outrefs`` is the outref table's suspected
+        entries in target order when the caller has just walked the table
+        (a trace commit does); backends that want them read the table
+        themselves when it is None.  Returns the roots for which new
+        activity started (used by tests and the tuner).
         """
         return []
 
@@ -214,14 +220,18 @@ class BackTracingCollector(Collector):
     def _on_back_outcome(self, message: "Message") -> None:
         self.engine.handle_back_outcome(message.src, message.payload)
 
-    def check_triggers(self) -> List[ObjectId]:
+    def check_triggers(
+        self, suspected_outrefs: Optional[List["OutrefEntry"]] = None
+    ) -> List[ObjectId]:
         """Start a back trace from each suspected outref past its threshold."""
         site = self.site
         started: List[ObjectId] = []
         if not site.config.enable_backtracing:
             return started
-        # suspected_entries() is already deterministically ordered by target.
-        for entry in site.outrefs.suspected_entries():
+        if suspected_outrefs is None:
+            suspected_outrefs = site.outrefs.suspected_entries()
+        # Either way deterministically ordered by target.
+        for entry in suspected_outrefs:
             if entry.distance > entry.back_threshold:
                 # A still-valid cached Live verdict answers the trigger
                 # without consuming this check's trace budget: re-tracing

@@ -264,7 +264,8 @@ class TerminationCollector(Collector):
 
     # -- initiation (section 4.3 trigger timing, owner side) -----------------------
 
-    def check_triggers(self) -> List[ObjectId]:
+    def check_triggers(self, suspected_outrefs=None) -> List[ObjectId]:
+        # Trials start from suspected *inrefs*; the outref list is not used.
         site = self.site
         if not site.config.enable_backtracing:
             return []
@@ -558,8 +559,14 @@ class TerminationCollector(Collector):
             oid = stack.pop()
             if oid in state.rescued:
                 continue
+            obj = site.heap.maybe_get(oid)
+            if obj is None:
+                # Swept by an overlapping trial since our mark phase: this
+                # trial's view of the member set is stale.
+                state.dirty = True
+                continue
             state.rescued.add(oid)
-            for ref in site.heap.get(oid).iter_refs():
+            for ref in obj.iter_refs():
                 if ref.site == site.site_id:
                     if ref in state.members and ref not in state.rescued:
                         stack.append(ref)

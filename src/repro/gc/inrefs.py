@@ -14,7 +14,7 @@ cleaned it since the last local trace.  Otherwise it is *suspected*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId, TraceId
@@ -27,9 +27,11 @@ class _SourceMap(dict):
     """Per-source distance map that notifies its entry on every change.
 
     Tests and scenario builders routinely poke ``entry.sources[site] = d``
-    directly; routing notification through the mapping itself means those
-    writes still advance the table's distance epoch, keeping the incremental
-    trace's dirty tracking airtight.
+    (or ``.update(...)``, ``.clear()``, ...) directly; every mutator is
+    routed through the two notifying primitives below, so those writes still
+    refresh ``entry.distance``, maintain the table's per-source index and
+    advance the epochs the incremental trace and the back-trace verdict
+    cache depend on.
     """
 
     __slots__ = ("entry",)
@@ -43,33 +45,54 @@ class _SourceMap(dict):
         if not added and self.get(site) == distance:
             return
         super().__setitem__(site, distance)
-        if added:
-            self.entry._source_added(site)
-        self.entry._distance_changed()
+        self.entry._sources_changed(added=site if added else None)
 
     def __delitem__(self, site: SiteId) -> None:
         super().__delitem__(site)
-        self.entry._source_removed(site)
-        self.entry._distance_changed()
+        self.entry._sources_changed(removed=site)
 
     def pop(self, site, *default):
         present = site in self
         value = super().pop(site, *default)
         if present:
-            self.entry._source_removed(site)
-            self.entry._distance_changed()
+            self.entry._sources_changed(removed=site)
         return value
 
+    def popitem(self):
+        if not self:
+            raise KeyError("popitem(): source list is empty")
+        site = next(reversed(self))
+        return site, self.pop(site)
 
-@dataclass
+    def clear(self) -> None:
+        for site in list(self):
+            del self[site]
+
+    def update(self, *args, **kwargs) -> None:
+        for site, distance in dict(*args, **kwargs).items():
+            self[site] = distance
+
+    def setdefault(self, site: SiteId, distance: int) -> int:
+        if site not in self:
+            self[site] = distance
+        return self[site]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
+@dataclass(slots=True)
 class InrefEntry:
     """One incoming reference: a local object plus its remote source list.
 
     ``garbage`` and ``barrier_clean`` are properties so that *any* writer --
     the back-trace engine, the transfer barrier, a baseline collector --
-    automatically bumps the owning table's structure epoch; distance changes
-    flow through the three source-list methods and bump the distance epoch.
-    The incremental local trace depends on these notifications.
+    automatically bumps the owning table's structure epoch; source-list
+    changes flow through :class:`_SourceMap` and bump the distance epoch.
+    The incremental local trace depends on these notifications.  A
+    table-owned entry reaches its table through ``_table``; a free-standing
+    one (``_table`` None) only keeps its own epoch.
     """
 
     target: ObjectId
@@ -87,51 +110,42 @@ class InrefEntry:
     # recreated entry can never reproduce an epoch a cached back-trace
     # verdict snapshotted from its predecessor.
     epoch: int = 0
+    # Estimated distance: the minimum over the per-source estimates, kept
+    # current by ``_sources_changed`` (read-only for everyone else).
+    distance: int = field(default=INFINITE_DISTANCE, init=False)
     _garbage: bool = field(default=False, repr=False)
     _barrier_clean: bool = field(default=False, repr=False)
-    _on_structure_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_distance_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _next_epoch: Optional[Callable[[], int]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_source_added: Optional[Callable[[SiteId], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _on_source_removed: Optional[Callable[[SiteId], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    _table: Optional["InrefTable"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.sources, _SourceMap):
             self.sources = _SourceMap(self, self.sources)
-
-    def _bump_epoch(self) -> None:
-        if self._next_epoch is not None:
-            self.epoch = self._next_epoch()
-        else:
-            self.epoch += 1
+        if self.sources:
+            self.distance = min(self.sources.values())
 
     def _structure_changed(self) -> None:
-        self._bump_epoch()
-        if self._on_structure_change is not None:
-            self._on_structure_change()
+        table = self._table
+        if table is None:
+            self.epoch += 1
+        else:
+            table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
+            table._structure_epoch += 1
 
-    def _distance_changed(self) -> None:
-        self._bump_epoch()
-        if self._on_distance_change is not None:
-            self._on_distance_change()
-
-    def _source_added(self, site: SiteId) -> None:
-        if self._on_source_added is not None:
-            self._on_source_added(site)
-
-    def _source_removed(self, site: SiteId) -> None:
-        if self._on_source_removed is not None:
-            self._on_source_removed(site)
+    def _sources_changed(
+        self, added: Optional[SiteId] = None, removed: Optional[SiteId] = None
+    ) -> None:
+        sources = self.sources
+        self.distance = min(sources.values()) if sources else INFINITE_DISTANCE
+        table = self._table
+        if table is None:
+            self.epoch += 1
+            return
+        if added is not None:
+            table._index_source_added(self.target, added)
+        elif removed is not None:
+            table._index_source_removed(self.target, removed)
+        table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
+        table._distance_epoch += 1
 
     @property
     def garbage(self) -> bool:
@@ -151,20 +165,19 @@ class InrefEntry:
     def barrier_clean(self, value: bool) -> None:
         if value != self._barrier_clean:
             self._barrier_clean = value
+            table = self._table
+            if table is not None:
+                if value:
+                    table._barrier_flagged.add(self.target)
+                else:
+                    table._barrier_flagged.discard(self.target)
             self._structure_changed()
-
-    @property
-    def distance(self) -> int:
-        """Estimated distance: minimum over the per-source estimates."""
-        if not self.sources:
-            return INFINITE_DISTANCE
-        return min(self.sources.values())
 
     def is_clean(self, threshold: int) -> bool:
         """Clean iff within the suspicion threshold or barrier-cleaned."""
-        if self.garbage:
+        if self._garbage:
             return False
-        return self.barrier_clean or self.distance <= threshold
+        return self._barrier_clean or self.distance <= threshold
 
     def is_suspected(self, threshold: int) -> bool:
         return not self.is_clean(threshold)
@@ -198,6 +211,22 @@ class InrefEntry:
         return not self.sources
 
 
+class InrefScan(NamedTuple):
+    """What one pass over the inref table tells a local trace.
+
+    ``clean_roots`` and ``suspected_targets`` are in increasing
+    ``(distance, target)`` order (the trace order of section 3) and leave out
+    garbage-flagged entries.  ``clean_after_reset`` is each entry's
+    classification once the trace's commit has expired the barrier cleans:
+    within the threshold and not garbage-flagged.
+    """
+
+    clean_roots: List[Tuple[ObjectId, int]]
+    suspected_targets: List[ObjectId]
+    distances: Dict[ObjectId, int]
+    clean_after_reset: Dict[ObjectId, bool]
+
+
 class InrefTable:
     """All inrefs of one site, keyed by the referenced local object."""
 
@@ -214,6 +243,9 @@ class InrefTable:
         # source site -> inref targets listing it; lets the full-update prune
         # in gc.update touch only inrefs sourced from the sender.
         self._by_source: Dict[SiteId, Set[ObjectId]] = {}
+        # Targets whose entry is barrier-cleaned right now, so that expiring
+        # the flags after a local trace costs the flagged entries only.
+        self._barrier_flagged: Set[ObjectId] = set()
 
     # -- mutation epochs --------------------------------------------------------
     #
@@ -233,13 +265,6 @@ class InrefTable:
 
     def bump_structure(self) -> None:
         self._structure_epoch += 1
-
-    def bump_distance(self) -> None:
-        self._distance_epoch += 1
-
-    def _advance_entry_epoch(self) -> int:
-        self._entry_epoch_counter += 1
-        return self._entry_epoch_counter
 
     @property
     def suspicion_threshold(self) -> int:
@@ -314,19 +339,13 @@ class InrefTable:
             )
         entry = self._entries.get(target)
         if entry is None:
+            self._entry_epoch_counter += 1
             entry = InrefEntry(
-                target=target, back_threshold=self.initial_back_threshold
+                target=target,
+                back_threshold=self.initial_back_threshold,
+                epoch=self._entry_epoch_counter,
+                _table=self,
             )
-            entry._on_structure_change = self.bump_structure
-            entry._on_distance_change = self.bump_distance
-            entry._next_epoch = self._advance_entry_epoch
-            entry._on_source_added = lambda site: self._index_source_added(
-                target, site
-            )
-            entry._on_source_removed = lambda site: self._index_source_removed(
-                target, site
-            )
-            entry.epoch = self._advance_entry_epoch()
             self._entries[target] = entry
             self._order_dirty = True
             self.bump_structure()
@@ -338,6 +357,7 @@ class InrefTable:
         if entry is not None:
             for source in list(entry.sources):
                 self._index_source_removed(target, source)
+            self._barrier_flagged.discard(target)
             self.bump_structure()
 
     def remove_source(self, target: ObjectId, source: SiteId) -> None:
@@ -348,6 +368,7 @@ class InrefTable:
         entry.remove_source(source)
         if entry.empty:
             del self._entries[target]
+            self._barrier_flagged.discard(target)
             self.bump_structure()
 
     # -- views used by the collector ----------------------------------------------
@@ -357,10 +378,33 @@ class InrefTable:
         self._ensure_order()
         return [target for target, entry in self._entries.items() if not entry.garbage]
 
-    def entries_by_distance(self) -> List[InrefEntry]:
-        """Entries ordered by increasing distance (trace order of section 3)."""
-        return sorted(
-            self._entries.values(), key=lambda entry: (entry.distance, entry.target)
+    def scan_for_trace(self) -> InrefScan:
+        """Everything a local trace reads off this table, in one pass."""
+        self._ensure_order()
+        threshold = self._suspicion_threshold
+        clean_keys: List[Tuple[int, ObjectId]] = []
+        suspected_keys: List[Tuple[int, ObjectId]] = []
+        distances: Dict[ObjectId, int] = {}
+        clean_after_reset: Dict[ObjectId, bool] = {}
+        for target, entry in self._entries.items():
+            distance = entry.distance
+            distances[target] = distance
+            within = distance <= threshold
+            if entry._garbage:
+                clean_after_reset[target] = False
+                continue
+            clean_after_reset[target] = within
+            if within or entry._barrier_clean:
+                clean_keys.append((distance, target))
+            else:
+                suspected_keys.append((distance, target))
+        clean_keys.sort()
+        suspected_keys.sort()
+        return InrefScan(
+            clean_roots=[(target, distance) for distance, target in clean_keys],
+            suspected_targets=[target for _, target in suspected_keys],
+            distances=distances,
+            clean_after_reset=clean_after_reset,
         )
 
     def clean_entries(self) -> List[InrefEntry]:
@@ -379,8 +423,16 @@ class InrefTable:
 
     def reset_barrier_cleans(self) -> None:
         """Called when a local trace completes: barrier cleans expire."""
-        for entry in self._entries.values():
-            entry.barrier_clean = False
+        flagged = self._barrier_flagged
+        if not flagged:
+            return
+        # Sorted: the order the table is walked in, hence the order the
+        # entry epochs are handed out in.
+        for target in sorted(flagged):
+            entry = self._entries.get(target)
+            if entry is not None:
+                entry.barrier_clean = False
+        flagged.clear()  # targets flagged through an entry already removed
 
     def garbage_targets(self) -> List[ObjectId]:
         return [t for t, e in self._entries.items() if e.garbage]

@@ -45,8 +45,8 @@ from ..core.distance import (
 from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names
 from ..store.heap import Heap
-from .inrefs import InrefTable
-from .outrefs import OutrefTable
+from .inrefs import InrefScan, InrefTable
+from .outrefs import OutrefEntry, OutrefTable
 from .update import UpdateDeltaPayload, UpdatePayload
 
 
@@ -66,21 +66,25 @@ class LocalTraceResult:
     suspected_objects: Set[ObjectId] = field(default_factory=set)
     outsets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     insets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
-    # outref target -> (is_clean, distance); targets absent here and in
-    # ``kept_pinned`` are trimmed.
+    # outref target -> (is_clean, distance); targets absent here are trimmed
+    # (``removals``) unless the insert barrier pins them.
     outref_states: Dict[ObjectId, Tuple[bool, int]] = field(default_factory=dict)
-    kept_pinned: Set[ObjectId] = field(default_factory=set)
     removals: List[ObjectId] = field(default_factory=list)
-    snapshot_outrefs: Set[ObjectId] = field(default_factory=set)
     snapshot_objects: Set[ObjectId] = field(default_factory=set)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
-
-    @property
-    def live_objects(self) -> Set[ObjectId]:
-        return self.clean_objects | self.suspected_objects
+    # The inref table as compute read it: each inref's distance, and its
+    # classification once commit has expired the barrier cleans.  The
+    # incremental planner vets later ticks against both, which is sound only
+    # for a result committed with nothing interleaved (see ``commit``).
+    inref_distances: Dict[ObjectId, int] = field(default_factory=dict)
+    inref_clean: Dict[ObjectId, bool] = field(default_factory=dict)
+    # The committed table's suspected outrefs in target order, for the
+    # back-trace trigger check; None when commit had no cause to walk the
+    # outref table.
+    suspected_outrefs: Optional[List[OutrefEntry]] = None
 
 
 @dataclass
@@ -88,16 +92,50 @@ class _TraceCache:
     """The last committed trace plus the state it was committed against.
 
     ``epochs`` is (heap mutation, inref structure, inref distance, outref
-    mutation) captured at the end of commit; ``inref_distances`` and
-    ``inref_clean`` record each inref's distance and classification so a
-    distance-epoch bump can be vetted entry by entry.
+    mutation) captured at the end of commit; the result's
+    ``inref_distances`` and ``inref_clean`` record each inref's distance and
+    classification so a distance-epoch bump can be vetted entry by entry.
     """
 
     result: LocalTraceResult
     epochs: Tuple[int, int, int, int]
     variable_outrefs: FrozenSet[ObjectId]
-    inref_distances: Dict[ObjectId, int]
-    inref_clean: Dict[ObjectId, bool]
+
+
+class _TraceCells:
+    """Interned counter cells for the per-trace accounting (see
+    :meth:`MetricsRecorder.cell`; a cell creates its counter on first add,
+    exactly as ``incr`` did, so first-touch order is unchanged)."""
+
+    __slots__ = (
+        "local_traces",
+        "traces_full",
+        "traces_fast_path",
+        "traces_skipped",
+        "clean_objects_scanned",
+        "suspected_objects_scanned",
+        "objects_scanned",
+        "objects_swept",
+        "unions_computed",
+        "union_memo_hits",
+        "full_refreshes",
+        "deltas_sent",
+    )
+
+    def __init__(self, metrics: MetricsRecorder):
+        cell = metrics.cell
+        self.local_traces = cell("gc.local_traces")
+        self.traces_full = cell("gc.traces_full")
+        self.traces_fast_path = cell("gc.traces_fast_path")
+        self.traces_skipped = cell("gc.traces_skipped")
+        self.clean_objects_scanned = cell("gc.clean_objects_scanned")
+        self.suspected_objects_scanned = cell("gc.suspected_objects_scanned")
+        self.objects_scanned = cell("gc.objects_scanned")
+        self.objects_swept = cell("gc.objects_swept")
+        self.unions_computed = cell("backinfo.unions_computed")
+        self.union_memo_hits = cell("backinfo.union_memo_hits")
+        self.full_refreshes = cell(names.UPDATE_FULL_REFRESHES)
+        self.deltas_sent = cell(names.UPDATE_DELTAS_SENT)
 
 
 class LocalCollector:
@@ -116,6 +154,7 @@ class LocalCollector:
         self.outrefs = outrefs
         self.config = config
         self.metrics = metrics or MetricsRecorder()
+        self._cells = _TraceCells(self.metrics)
         # What the last update chain told each destination: dst -> (outref
         # target -> last shipped distance).  Legacy mode uses it as the
         # changed-distance dedup (the former ``_last_reported_distance``);
@@ -183,12 +222,14 @@ class LocalCollector:
         # Distance epoch moved: vet each entry.  The structure epoch being
         # unchanged guarantees the entry *set* matches the cache.
         threshold = self.inrefs.suspicion_threshold
+        cached_clean = cache.result.inref_clean
+        cached_distances = cache.result.inref_distances
         any_changed = False
         for entry in self.inrefs.entries():
             clean_now = entry.is_clean(threshold)
-            if clean_now != cache.inref_clean.get(entry.target):
+            if clean_now != cached_clean.get(entry.target):
                 return "full"
-            if entry.distance != cache.inref_distances.get(entry.target):
+            if entry.distance != cached_distances.get(entry.target):
                 if clean_now:
                     return "full"
                 any_changed = True
@@ -199,15 +240,13 @@ class LocalCollector:
                 result=cache.result,
                 epochs=now,
                 variable_outrefs=cache.variable_outrefs,
-                inref_distances=cache.inref_distances,
-                inref_clean=cache.inref_clean,
             )
             return "skip"
         return "fast"
 
     def record_skip(self) -> None:
         """Book-keeping for a tick resolved without any trace."""
-        self.metrics.incr("gc.traces_skipped")
+        self._cells.traces_skipped.add()
 
     def predict_quiet_ticks(self, variable_outrefs: Iterable[ObjectId] = ()) -> int:
         """How many upcoming gc ticks provably send nothing, absent new input.
@@ -252,22 +291,52 @@ class LocalCollector:
     def compute(
         self, variable_outrefs: Iterable[ObjectId] = (), mode: str = "full"
     ) -> LocalTraceResult:
-        """Decide the outcome of a local trace without changing any state."""
+        """Decide the outcome of a local trace without changing any state.
+
+        Reads each table once: :meth:`InrefTable.scan_for_trace` yields the
+        clean roots, the suspected inrefs and the two per-inref maps, and
+        :meth:`OutrefTable.scan_for_trace` the outref snapshot and the pins.
+        """
         self._epochs_at_compute = self._current_epochs()
+        scan = self.inrefs.scan_for_trace()
+        # Sorted target order, so ``result.removals`` is sorted by construction.
+        snapshot_outref_order, pinned = self.outrefs.scan_for_trace()
+        result = LocalTraceResult(
+            mode=mode,
+            variable_outrefs=frozenset(variable_outrefs),
+            snapshot_objects=self.heap.object_id_set(),
+            inref_distances=scan.distances,
+            inref_clean=scan.clean_after_reset,
+        )
         if mode == "fast":
-            return self._compute_fast(variable_outrefs)
-        result = LocalTraceResult()
+            self._reuse_cached_trace(result)
+        else:
+            self._trace_heap(result, scan, pinned, variable_outrefs)
+
+        # Phase 3: reconcile outrefs.  A suspected outref sits one past the
+        # nearest inref of its inset.
+        states = result.outref_states
+        inref_distance = scan.distances
+        for target, inset in result.insets.items():
+            distances = [inref_distance.get(i, 0) for i in inset]
+            states[target] = (False, 1 + (min(distances) if distances else 0))
+        result.removals = [
+            target
+            for target in snapshot_outref_order
+            if target not in states and target not in pinned
+        ]
+        return result
+
+    def _trace_heap(
+        self,
+        result: LocalTraceResult,
+        scan: InrefScan,
+        pinned: Set[ObjectId],
+        variable_outrefs: Iterable[ObjectId],
+    ) -> None:
+        """Phases 1 and 2 of a full trace: the clean and the suspected trace."""
         result.forced_full = self._periodic_full_due
-        result.variable_outrefs = frozenset(variable_outrefs)
         self._periodic_full_due = False
-        # targets() is maintained in sorted target order; iterating the list
-        # (not the set) below keeps ``result.removals`` sorted by construction.
-        snapshot_outref_order = self.outrefs.targets()
-        result.snapshot_outrefs = set(snapshot_outref_order)
-        result.snapshot_objects = self.heap.object_id_set()
-        # Read the (possibly tuner-adjusted) live threshold off the table,
-        # not the static config (see repro.core.tuning).
-        threshold = self.inrefs.suspicion_threshold
 
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
         # clean inrefs at their estimated distances.
@@ -275,14 +344,7 @@ class LocalCollector:
             (oid, 0) for oid in sorted(self.heap.persistent_roots)
         ]
         roots.extend((oid, 0) for oid in sorted(self.heap.variable_roots))
-        suspected_targets: List[ObjectId] = []
-        for entry in self.inrefs.entries_by_distance():
-            if entry.garbage:
-                continue
-            if entry.is_clean(threshold):
-                roots.append((entry.target, entry.distance))
-            else:
-                suspected_targets.append(entry.target)
+        roots.extend(scan.clean_roots)
         # Kernel ladder: all three produce identical results (the twin tests
         # assert byte-equality); pick the cheapest that applies.  The vector
         # kernel's fixed numpy costs only amortise past a minimum heap size
@@ -302,66 +364,40 @@ class LocalCollector:
         result.clean_phase = clean_phase
         result.clean_objects = clean_phase.clean_objects
 
-        # Phase 2: suspected trace computing outsets/insets.
-        clean_outrefs = set(clean_phase.outref_distances)
-        pinned = {
-            entry.target for entry in self.outrefs.entries() if entry.pin_count > 0
-        }
-
-        def is_clean_outref(target: ObjectId) -> bool:
-            return target in clean_outrefs or target in pinned
-
+        # Phase 2: suspected trace computing outsets/insets.  An outref is
+        # clean when the clean phase reached it or the insert barrier pins it.
+        clean_outrefs = clean_phase.outref_distances
+        clean_or_pinned = clean_outrefs.keys() | pinned if pinned else clean_outrefs
         env = TraceEnvironment(
             heap=self.heap,
             clean_objects=result.clean_objects,
-            is_clean_outref=is_clean_outref,
+            is_clean_outref=clean_or_pinned.__contains__,
         )
         if self.config.backinfo_algorithm == "independent":
-            backinfo = compute_outsets_independent(env, suspected_targets)
+            backinfo = compute_outsets_independent(env, scan.suspected_targets)
         else:
-            backinfo = compute_outsets_bottom_up(env, suspected_targets)
+            backinfo = compute_outsets_bottom_up(env, scan.suspected_targets)
         result.backinfo = backinfo
         result.suspected_objects = backinfo.visited_objects
         result.outsets = backinfo.outsets
         result.insets = invert_outsets(backinfo.outsets)
-
-        # Phase 3: reconcile outrefs.
-        inref_distance = {
-            entry.target: entry.distance for entry in self.inrefs.entries()
-        }
-        for target, distance in clean_phase.outref_distances.items():
+        for target, distance in clean_outrefs.items():
             result.outref_states[target] = (True, distance)
-        for target, inset in result.insets.items():
-            distances = [inref_distance.get(i, 0) for i in inset]
-            distance = 1 + (min(distances) if distances else 0)
-            result.outref_states[target] = (False, distance)
-        result.kept_pinned = pinned - set(result.outref_states)
-        for target in snapshot_outref_order:
-            if target not in result.outref_states and target not in result.kept_pinned:
-                result.removals.append(target)
+        self._record_full_trace(result)
 
-        self._record_metrics(result)
-        return result
-
-    def _compute_fast(self, variable_outrefs: Iterable[ObjectId]) -> LocalTraceResult:
-        """Distance-only reconciliation against the cached committed trace.
+    def _reuse_cached_trace(self, result: LocalTraceResult) -> None:
+        """The fast path's stand-in for phases 1 and 2: no object is scanned.
 
         Valid only when :meth:`plan_trace` returned ``"fast"``: the heap, the
         table structures, the classifications, and all *clean* inref
         distances are unchanged, so reachability (clean/suspected sets),
-        outsets, insets, and clean-outref distances can be reused verbatim.
-        Only suspected outref distances -- ``1 + min`` over their insets'
-        inref distances, exactly phase 3 of the full trace -- are recomputed.
-        No object is scanned.
+        outsets, insets, and clean-outref distances are those of the cached
+        committed trace.  Only suspected outref distances move, and phase 3
+        recomputes exactly those.
         """
         cache = self._cached
         assert cache is not None, "fast trace without a cached result"
         prev = cache.result
-        result = LocalTraceResult(mode="fast")
-        result.variable_outrefs = frozenset(variable_outrefs)
-        snapshot_outref_order = self.outrefs.targets()
-        result.snapshot_outrefs = set(snapshot_outref_order)
-        result.snapshot_objects = self.heap.object_id_set()
         result.clean_objects = prev.clean_objects.copy()
         result.suspected_objects = prev.suspected_objects.copy()
         result.outsets = dict(prev.outsets)
@@ -371,25 +407,10 @@ class LocalCollector:
         for target, (clean, distance) in prev.outref_states.items():
             if clean:
                 result.outref_states[target] = (True, distance)
-        inref_distance = {
-            entry.target: entry.distance for entry in self.inrefs.entries()
-        }
-        for target, inset in result.insets.items():
-            distances = [inref_distance.get(i, 0) for i in inset]
-            distance = 1 + (min(distances) if distances else 0)
-            result.outref_states[target] = (False, distance)
-        pinned = {
-            entry.target for entry in self.outrefs.entries() if entry.pin_count > 0
-        }
-        result.kept_pinned = pinned - set(result.outref_states)
-        for target in snapshot_outref_order:
-            if target not in result.outref_states and target not in result.kept_pinned:
-                result.removals.append(target)
-        self.metrics.incr("gc.local_traces")
-        self.metrics.incr("gc.traces_fast_path")
-        return result
+        self._cells.local_traces.add()
+        self._cells.traces_fast_path.add()
 
-    def _assert_update_order(self, entries: List) -> None:
+    def _assert_update_order(self) -> None:
         """Debug-mode check of the maintained-sorted iteration invariant.
 
         ``_build_updates`` used to ``sorted()`` the table (and the removal
@@ -397,7 +418,7 @@ class LocalCollector:
         deterministic target order on mutation, so a regression here would
         silently reorder wire messages.  Compiled out under ``-O``.
         """
-        targets = [entry.target for entry in entries]
+        targets = self.outrefs.targets()
         assert targets == sorted(targets), "outref iteration order invariant broken"
 
     def _build_updates(self, result: LocalTraceResult) -> None:
@@ -428,7 +449,7 @@ class LocalCollector:
         removals_by_site: Dict[SiteId, List[ObjectId]] = {}
         entries = list(self.outrefs.entries())
         if __debug__:
-            self._assert_update_order(entries)
+            self._assert_update_order()
         for entry in entries:
             target = entry.target
             shipped = self._shipped.setdefault(target.site, {})
@@ -471,13 +492,12 @@ class LocalCollector:
             # Nothing in the table moved since the last build: every diff
             # would be empty.  A quiescent steady-state tick ends here.
             return
-        entries = list(self.outrefs.entries())
+        # The commit's one walk over the outref table: the per-site view the
+        # diff below needs and the suspected list the trigger check wants.
+        current, result.suspected_outrefs = self.outrefs.scan_committed()
         if __debug__:
-            self._assert_update_order(entries)
+            self._assert_update_order()
             assert result.removals == sorted(result.removals)
-        current: Dict[SiteId, Dict[ObjectId, int]] = {}
-        for entry in entries:
-            current.setdefault(entry.target.site, {})[entry.target] = entry.distance
         # Outrefs the trace trimmed must be reported even when they were
         # never shipped in an update: the peer learned of us as a source
         # through the *insert protocol*, so the shipped-state diff alone
@@ -500,28 +520,29 @@ class LocalCollector:
                 result.updates_by_site[site] = UpdatePayload(
                     distances=tuple(cur.items()), removals=(), full=True
                 )
-                self.metrics.incr(names.UPDATE_FULL_REFRESHES)
+                self._cells.full_refreshes.add()
             else:
-                adds = tuple(
-                    (target, distance)
-                    for target, distance in cur.items()
-                    if target not in shipped
-                )
-                changes = tuple(
-                    (target, distance)
-                    for target, distance in cur.items()
-                    if target in shipped and shipped[target] != distance
-                )
-                removal_set = {t for t in shipped if t not in cur}
-                removal_set.update(explicit)
-                if not adds and not changes and not removal_set:
+                if not explicit and cur == shipped:
                     continue
+                adds: List[Tuple[ObjectId, int]] = []
+                changes: List[Tuple[ObjectId, int]] = []
+                for target, distance in cur.items():
+                    shipped_distance = shipped.get(target)
+                    if shipped_distance is None:
+                        adds.append((target, distance))
+                    elif shipped_distance != distance:
+                        changes.append((target, distance))
+                removal_set = shipped.keys() - cur.keys()
+                removal_set.update(explicit)
                 result.updates_by_site[site] = UpdateDeltaPayload(
-                    adds=adds, distances=changes, removals=tuple(sorted(removal_set))
+                    adds=tuple(adds),
+                    distances=tuple(changes),
+                    removals=tuple(sorted(removal_set)),
                 )
-                self.metrics.incr(names.UPDATE_DELTAS_SENT)
+                self._cells.deltas_sent.add()
+            # ``cur`` is this walk's own dict: the shipped state can keep it.
             if cur:
-                self._shipped[site] = dict(cur)
+                self._shipped[site] = cur
             else:
                 self._shipped.pop(site, None)
         self._shipped_epoch = outrefs_epoch
@@ -537,7 +558,7 @@ class LocalCollector:
         """
         entries = list(self.outrefs.entries())
         if __debug__:
-            self._assert_update_order(entries)
+            self._assert_update_order()
         distances = tuple(
             (entry.target, entry.distance)
             for entry in entries
@@ -550,21 +571,23 @@ class LocalCollector:
                 self._shipped.pop(dst, None)
         return UpdatePayload(distances=distances, removals=(), full=True)
 
-    def _record_metrics(self, result: LocalTraceResult) -> None:
-        metrics = self.metrics
-        metrics.incr("gc.local_traces")
-        metrics.incr("gc.traces_full")
-        if result.clean_phase is not None:
-            metrics.incr("gc.clean_objects_scanned", result.clean_phase.objects_scanned)
-            metrics.incr("gc.objects_scanned", result.clean_phase.objects_scanned)
-        if result.backinfo is not None:
-            metrics.incr("gc.suspected_objects_scanned", result.backinfo.objects_scanned)
-            metrics.incr("gc.objects_scanned", result.backinfo.objects_scanned)
-            metrics.incr("backinfo.unions_computed", result.backinfo.unions_computed)
-            metrics.incr("backinfo.union_memo_hits", result.backinfo.union_memo_hits)
-            metrics.observe("backinfo.distinct_outsets", result.backinfo.distinct_outsets)
-        inset_units = sum(len(inset) for inset in result.insets.values())
-        metrics.observe("backinfo.inset_storage_units", inset_units)
+    def _record_full_trace(self, result: LocalTraceResult) -> None:
+        cells = self._cells
+        clean_phase, backinfo = result.clean_phase, result.backinfo
+        cells.local_traces.add()
+        cells.traces_full.add()
+        cells.clean_objects_scanned.add(clean_phase.objects_scanned)
+        cells.objects_scanned.add(clean_phase.objects_scanned)
+        cells.suspected_objects_scanned.add(backinfo.objects_scanned)
+        cells.objects_scanned.add(backinfo.objects_scanned)
+        cells.unions_computed.add(backinfo.unions_computed)
+        cells.union_memo_hits.add(backinfo.union_memo_hits)
+        observe = self.metrics.observe
+        observe("backinfo.distinct_outsets", backinfo.distinct_outsets)
+        observe(
+            "backinfo.inset_storage_units",
+            sum(len(inset) for inset in result.insets.values()),
+        )
 
     # -- commit --------------------------------------------------------------------
 
@@ -584,55 +607,50 @@ class LocalCollector:
         # commit -- only possible for non-atomic traces -- makes the computed
         # result unsafe to cache: the next tick must retrace.
         interleaved = self._current_epochs() != self._epochs_at_compute
+        outrefs = self.outrefs
+        inrefs = self.inrefs
         # Rewrite outref entries.
         for target in result.removals:
-            entry = self.outrefs.get(target)
+            entry = outrefs.get(target)
             if entry is None:
                 continue
             if entry.pin_count > 0:
                 # Pinned since computation started: retain (insert barrier).
                 continue
-            self.outrefs.remove(target)
-        for target, (clean, distance) in result.outref_states.items():
-            entry = self.outrefs.get(target)
-            if entry is None:
-                # Trimmed concurrently is impossible (we are the only
-                # remover); but a brand-new entry may exist -- ensure() it.
-                entry = self.outrefs.ensure(target, clean=clean, distance=distance)
-            entry.apply_trace_state(
-                clean=clean,
-                distance=distance,
-                inset=result.insets.get(target, frozenset()),
-            )
-            entry.barrier_clean = False
-            entry.reached_by_last_trace = True
+            outrefs.remove(target)
+        outrefs.install_trace_states(result.outref_states, result.insets)
         # Entries created after the snapshot (insert protocol) keep their
         # clean birth state; nothing to do for them.
 
         # Refresh per-inref outsets (the dual view the transfer barrier uses).
-        for entry in self.inrefs.entries():
-            entry.outset = result.outsets.get(entry.target, frozenset())
+        outsets = result.outsets
+        no_outset: FrozenSet[ObjectId] = frozenset()
+        for entry in inrefs.entries():
+            entry.outset = outsets.get(entry.target, no_outset)
 
         # Inref barrier flags expire with this trace...
-        self.inrefs.reset_barrier_cleans()
+        inrefs.reset_barrier_cleans()
         # ...except those that must be replayed onto the new copy.
+        threshold = inrefs.suspicion_threshold
         for inref_target in replay_barrier_inrefs:
-            entry = self.inrefs.get(inref_target)
+            entry = inrefs.get(inref_target)
             if entry is not None:
                 entry.barrier_clean = True
-            for outref_target in result.outsets.get(inref_target, frozenset()):
-                out_entry = self.outrefs.get(outref_target)
+                result.inref_clean[inref_target] = entry.is_clean(threshold)
+            for outref_target in outsets.get(inref_target, no_outset):
+                out_entry = outrefs.get(outref_target)
                 if out_entry is not None:
                     out_entry.barrier_clean = True
 
         # Sweep the heap: only objects that existed when the trace computed
         # may die; objects allocated during a non-atomic trace window were
         # born reachable and survive unconditionally.
-        live = result.live_objects
-        dead = result.snapshot_objects - live
+        dead = result.snapshot_objects.difference(
+            result.clean_objects, result.suspected_objects
+        )
         swept = self.heap.sweep_ids(dead)
         result.swept = swept
-        self.metrics.incr("gc.objects_swept", len(swept))
+        self._cells.objects_swept.add(len(swept))
 
         # Build outgoing updates from the committed table state.
         self._build_updates(result)
@@ -640,18 +658,13 @@ class LocalCollector:
         if result.mode == "full":
             self._ticks_since_full = 0
         if self.config.incremental_traces and not interleaved:
-            threshold = self.inrefs.suspicion_threshold
+            # No epoch moved since compute read the inref table, so the
+            # result's two inref maps (the replayed barrier cleans patched in
+            # above) describe the committed table.
             self._cached = _TraceCache(
                 result=result,
                 epochs=self._current_epochs(),
                 variable_outrefs=result.variable_outrefs,
-                inref_distances={
-                    entry.target: entry.distance for entry in self.inrefs.entries()
-                },
-                inref_clean={
-                    entry.target: entry.is_clean(threshold)
-                    for entry in self.inrefs.entries()
-                },
             )
         else:
             self._cached = None

@@ -18,17 +18,18 @@ the insert barrier pins it (section 6.1.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId, TraceId
 
 
-@dataclass
+@dataclass(slots=True)
 class OutrefEntry:
     """One outgoing reference: a remote object id plus collector state.
 
-    ``barrier_clean`` is a property and pin/unpin notify the owning table, so
+    ``barrier_clean`` is a property and pin/unpin notify the owning table
+    (through ``_table``; a free-standing entry only keeps its own epoch), so
     every semantically relevant change bumps the table's mutation epoch for
     the incremental local trace.  ``traced_clean``/``distance``/``inset`` are
     written only by the local trace commit itself and stay plain fields.
@@ -41,46 +42,20 @@ class OutrefEntry:
     inset: FrozenSet[ObjectId] = frozenset()
     visited: Set[TraceId] = field(default_factory=set)
     back_threshold: int = 0
-    reached_by_last_trace: bool = True
     # Per-entry mutation epoch for the back-trace verdict cache; fed from the
     # owning table's monotonic counter so recreated entries never alias (see
     # InrefEntry.epoch for the full rationale).
     epoch: int = 0
     _barrier_clean: bool = field(default=False, repr=False)
-    _on_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-    _next_epoch: Optional[Callable[[], int]] = field(
-        default=None, repr=False, compare=False
-    )
+    _table: Optional["OutrefTable"] = field(default=None, repr=False, compare=False)
 
     def _changed(self) -> None:
-        if self._next_epoch is not None:
-            self.epoch = self._next_epoch()
-        else:
+        table = self._table
+        if table is None:
             self.epoch += 1
-        if self._on_change is not None:
-            self._on_change()
-
-    def apply_trace_state(
-        self, clean: bool, distance: int, inset: FrozenSet[ObjectId]
-    ) -> None:
-        """Install a local trace's verdict for this outref (commit phase).
-
-        Bumps the entry epoch only when a value actually changes, so a
-        quiescent site's periodic full traces leave cached back-trace
-        verdicts valid.
-        """
-        if (
-            clean == self.traced_clean
-            and distance == self.distance
-            and inset == self.inset
-        ):
-            return
-        self.traced_clean = clean
-        self.distance = distance
-        self.inset = inset
-        self._changed()
+        else:
+            table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
+            table._mutation_epoch += 1
 
     @property
     def barrier_clean(self) -> bool:
@@ -134,10 +109,6 @@ class OutrefTable:
     def bump(self) -> None:
         self._mutation_epoch += 1
 
-    def _advance_entry_epoch(self) -> int:
-        self._entry_epoch_counter += 1
-        return self._entry_epoch_counter
-
     # -- basic access -----------------------------------------------------------
 
     def get(self, target: ObjectId) -> Optional[OutrefEntry]:
@@ -181,15 +152,15 @@ class OutrefTable:
             )
         entry = self._entries.get(target)
         if entry is None:
+            self._entry_epoch_counter += 1
             entry = OutrefEntry(
                 target=target,
                 distance=distance,
                 traced_clean=clean,
                 back_threshold=self.initial_back_threshold,
+                epoch=self._entry_epoch_counter,
+                _table=self,
             )
-            entry._on_change = self.bump
-            entry._next_epoch = self._advance_entry_epoch
-            entry.epoch = self._advance_entry_epoch()
             self._entries[target] = entry
             self._order_dirty = True
             self.bump()
@@ -198,6 +169,75 @@ class OutrefTable:
     def remove(self, target: ObjectId) -> None:
         if self._entries.pop(target, None) is not None:
             self.bump()
+
+    # -- the local trace's passes over the table --------------------------------
+    #
+    # One pass per phase: compute reads the table once, commit installs the
+    # trace's verdicts on the entries it names and then walks the table once
+    # for everything that wants the committed state.
+
+    def scan_for_trace(self) -> Tuple[List[ObjectId], Set[ObjectId]]:
+        """All targets in (sorted) table order, and the pinned ones."""
+        self._ensure_order()
+        pinned = {
+            target for target, entry in self._entries.items() if entry.pin_count > 0
+        }
+        return list(self._entries), pinned
+
+    def install_trace_states(
+        self,
+        states: Dict[ObjectId, Tuple[bool, int]],
+        insets: Dict[ObjectId, FrozenSet[ObjectId]],
+    ) -> None:
+        """Install a local trace's verdict on every outref it reached.
+
+        ``states`` maps target -> (clean, distance); suspected outrefs find
+        their inset in ``insets``.  An entry's epoch moves only when a value
+        actually changes, so a quiescent site's periodic full traces leave
+        cached back-trace verdicts valid.  Barrier cleans expire.
+        """
+        entries = self._entries
+        no_inset: FrozenSet[ObjectId] = frozenset()
+        for target, (clean, distance) in states.items():
+            entry = entries.get(target)
+            if entry is None:
+                # Trimmed concurrently is impossible (the trace is the only
+                # remover); but the trace may have reached a reference whose
+                # entry is yet to be created.
+                entry = self.ensure(target, clean=clean, distance=distance)
+            inset = insets.get(target, no_inset)
+            if (
+                clean != entry.traced_clean
+                or distance != entry.distance
+                or inset != entry.inset
+            ):
+                entry.traced_clean = clean
+                entry.distance = distance
+                entry.inset = inset
+                entry._changed()
+            if entry._barrier_clean:
+                entry.barrier_clean = False
+
+    def scan_committed(
+        self,
+    ) -> Tuple[Dict[SiteId, Dict[ObjectId, int]], List[OutrefEntry]]:
+        """Per target site, target -> distance; and the suspected entries.
+
+        Both in deterministic (target) order, off one walk of the table.
+        """
+        self._ensure_order()
+        by_site: Dict[SiteId, Dict[ObjectId, int]] = {}
+        suspected: List[OutrefEntry] = []
+        for target, entry in self._entries.items():
+            site = target.site
+            per_site = by_site.get(site)
+            if per_site is None:
+                per_site = by_site[site] = {}
+            per_site[target] = entry.distance
+            # ``entry.is_suspected``, without the two property calls.
+            if not (entry.traced_clean or entry._barrier_clean or entry.pin_count > 0):
+                suspected.append(entry)
+        return by_site, suspected
 
     # -- views ---------------------------------------------------------------------
 

@@ -47,6 +47,10 @@ class UpdatePayload(Payload):
     full: bool = False
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "UpdatePayload":
+        """This payload as the reliable channel stamps it."""
+        return UpdatePayload(self.distances, self.removals, self.full, seq)
+
     def size_units(self) -> int:
         return max(1, len(self.distances) + len(self.removals))
 
@@ -79,6 +83,10 @@ class UpdateDeltaPayload(Payload):
     seq: int = -1
 
     full = False  # class attribute: deltas never carry full-refresh semantics
+
+    def with_seq(self, seq: int) -> "UpdateDeltaPayload":
+        """This payload as the reliable channel stamps it."""
+        return UpdateDeltaPayload(self.adds, self.distances, self.removals, seq)
 
     def size_units(self) -> int:
         return max(1, len(self.adds) + len(self.distances) + len(self.removals))

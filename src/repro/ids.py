@@ -5,13 +5,18 @@ References *are* object ids: a reference held at site P pointing to an object
 owned by site R is simply R's object id stored inside one of P's objects.
 
 All id types are small immutable values that hash and sort deterministically,
-which keeps the discrete-event simulation replayable.
+which keeps the discrete-event simulation replayable.  They are named tuples:
+every dict/set probe and every ``sorted()`` on an id runs the C tuple
+``hash``/``==``/``<`` instead of generated Python methods, which is what the
+collector's tables spend most of their time on.  The price is that ids of
+*different* types with equal fields compare (and hash) equal --
+``TraceId("P", 0) == FrameId("P", 0) == ("P", 0)`` -- so no container may mix
+id types (none does; ``tests/unit/test_ids_config.py`` audits it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 # Sites are identified by short strings ("P", "Q", ...) in examples and by
 # generated names ("s00", "s01", ...) in workloads.  Using strings keeps
@@ -19,8 +24,7 @@ from typing import Union
 SiteId = str
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(NamedTuple):
     """Globally unique name of an object: owning site + per-site serial.
 
     An :class:`ObjectId` doubles as a *reference*.  ``ObjectId.site`` tells
@@ -38,8 +42,7 @@ class ObjectId:
         return f"{self.site}.{self.serial}"
 
 
-@dataclass(frozen=True, order=True)
-class TraceId:
+class TraceId(NamedTuple):
     """Unique id of one distributed back trace.
 
     The initiating site assigns the id (site + a local sequence number), as
@@ -54,8 +57,7 @@ class TraceId:
         return f"bt:{self.initiator}:{self.seq}"
 
 
-@dataclass(frozen=True, order=True)
-class FrameId:
+class FrameId(NamedTuple):
     """Identifies one activation frame of a back trace at one site."""
 
     site: SiteId

@@ -182,6 +182,8 @@ class Site:
         self._mutation_seq: Dict[SiteId, int] = {}
         self._update_seq: Dict[SiteId, int] = {}
         self._pending_updates: Dict[SiteId, Dict[int, Tuple[int, EventHandle]]] = {}
+        # dst -> event label of its retransmission timers.
+        self._retransmit_labels: Dict[SiteId, str] = {}
         self._mutation_dedup: Dict[SiteId, DedupWindow] = {}
         self._update_dedup: Dict[SiteId, DedupWindow] = {}
         # Peers whose retransmission chain was abandoned: their view of our
@@ -408,7 +410,7 @@ class Site:
         self._flush_desynced_peers(
             skip={dst for dst, p in result.updates_by_site.items() if p.full}
         )
-        self.check_backtrace_triggers()
+        self.check_backtrace_triggers(result.suspected_outrefs)
 
     # -- reliable update channel (at-least-once, section 4.6 hardening) ----------------
 
@@ -425,7 +427,7 @@ class Site:
             return
         seq = self._update_seq.get(dst, 0) + 1
         self._update_seq[dst] = seq
-        payload = replace(payload, seq=seq)
+        payload = payload.with_seq(seq)
         pending = self._pending_updates.setdefault(dst, {})
         if payload.full:
             # A full update is a complete state transfer: it supersedes every
@@ -434,16 +436,23 @@ class Site:
             for old_seq in [s for s in pending if s < seq]:
                 pending.pop(old_seq)[1].cancel()
         delay = self.config.update_retransmit_timeout * (2 ** min(attempts, 3))
+        label = self._retransmit_labels.get(dst)
+        if label is None:
+            label = self._retransmit_labels[dst] = (
+                f"update-retransmit:{self.site_id}->{dst}"
+            )
         timer = self.scheduler.schedule(
             delay,
-            lambda: self._retransmit_update(dst, seq),
-            label=f"update-retransmit:{self.site_id}->{dst}",
+            self._retransmit_update,
+            label=label,
             site=self.site_id,
+            arg=(dst, seq),
         )
         pending[seq] = (attempts, timer)
         self.send(dst, payload)
 
-    def _retransmit_update(self, dst: SiteId, seq: int) -> None:
+    def _retransmit_update(self, chain: Tuple[SiteId, int]) -> None:
+        dst, seq = chain
         pending = self._pending_updates.get(dst)
         if pending is None or seq not in pending:
             return  # acked (or absorbed by a full) in the meantime
@@ -499,16 +508,17 @@ class Site:
 
     # -- suspicion triggering (section 4.3) -----------------------------------------------
 
-    def check_backtrace_triggers(self) -> List[ObjectId]:
+    def check_backtrace_triggers(self, suspected_outrefs=None) -> List[ObjectId]:
         """Run the cycle collector's suspicion-trigger scan.
 
         For the default back tracer this starts a back trace from each
         suspected outref past its threshold; other backends start their own
         collection activity.  The historical name is kept -- this is the
-        section 4.3 trigger placement, called after every local trace or
-        skipped tick.
+        section 4.3 trigger placement, called after every local trace (which
+        passes on the suspected outrefs its commit just listed) or skipped
+        tick.
         """
-        return self.cycle_collector.check_triggers()
+        return self.cycle_collector.check_triggers(suspected_outrefs)
 
     def quiet_gc_ticks(self) -> int:
         """Lower bound on upcoming gc ticks that provably send nothing.

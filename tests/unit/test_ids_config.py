@@ -1,12 +1,26 @@
 """Unit tests for identifiers and configuration validation."""
 
 import dataclasses
+import gc
+import pickle
+import types
 
 import pytest
 
+from repro import Simulation
 from repro.config import GcConfig, NetworkConfig, SimulationConfig
+from repro.core.backtrace.messages import BackCall
 from repro.errors import ConfigError
 from repro.ids import FrameId, ObjectId, TraceId, coerce_object_id, parse_object_id
+from repro.net.message import Message
+from repro.net.wire import WireCodec
+from repro.workloads import build_chain_across_sites, build_ring_cycle
+
+ID_TYPES = [
+    (ObjectId, ("site", "serial"), "P.3"),
+    (TraceId, ("initiator", "seq"), "bt:P:3"),
+    (FrameId, ("site", "seq"), "fr:P:3"),
+]
 
 
 def test_object_id_round_trip():
@@ -39,6 +53,115 @@ def test_trace_and_frame_ids_hashable_and_distinct():
     assert TraceId("P", 0) != TraceId("Q", 0)
     assert FrameId("P", 0) != FrameId("P", 1)
     assert len({TraceId("P", 0), TraceId("P", 0)}) == 1
+
+
+# -- value semantics of the three (tuple-backed) id types ----------------------
+
+
+@pytest.mark.parametrize("cls,fields,text", ID_TYPES)
+def test_id_construction_fields_and_text(cls, fields, text):
+    positional = cls("P", 3)
+    by_keyword = cls(**dict(zip(fields, ("P", 3))))
+    assert positional == by_keyword
+    assert tuple(getattr(positional, name) for name in fields) == ("P", 3)
+    # The texts logs, exports and digests are built from.
+    assert str(positional) == text
+    first, second = fields
+    assert repr(positional) == f"{cls.__name__}({first}='P', {second}=3)"
+    assert f"{positional}" == text
+
+
+@pytest.mark.parametrize("cls,fields,text", ID_TYPES)
+def test_id_hash_eq_and_order(cls, fields, text):
+    assert cls("P", 3) == cls("P", 3) and hash(cls("P", 3)) == hash(cls("P", 3))
+    assert cls("P", 3) != cls("P", 4) and cls("P", 3) != cls("Q", 3)
+    assert len({cls("P", 3), cls("P", 3), cls("Q", 3)}) == 2
+    shuffled = [cls("Q", 1), cls("P", 10), cls("P", 2), cls("Q", 0)]
+    assert sorted(shuffled) == [cls("P", 2), cls("P", 10), cls("Q", 0), cls("Q", 1)]
+    assert cls("P", 9) < cls("Q", 0) and cls("P", 2) < cls("P", 10)
+
+
+@pytest.mark.parametrize("cls,fields,text", ID_TYPES)
+def test_ids_are_immutable(cls, fields, text):
+    value = cls("P", 3)
+    for name in fields + ("anything_else",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("cls,fields,text", ID_TYPES)
+def test_ids_pickle_round_trip(cls, fields, text):
+    value = cls("P", 3)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(value, protocol))
+        assert clone == value and type(clone) is cls
+
+
+def test_ids_wire_round_trip():
+    codec = WireCodec(["P", "Q", "R"])
+    call = BackCall(
+        trace_id=TraceId("P", 7), target=ObjectId("Q", 8), reply_to=FrameId("R", 9), seq=1
+    )
+    batch = [(2.5, Message(src="P", dst="Q", payload=call, uid=1))]
+    [(_, message)] = codec.unpack_blob(codec.pack_routed(batch))
+    unpacked = message.payload
+    assert unpacked == call
+    assert type(unpacked.trace_id) is TraceId
+    assert type(unpacked.target) is ObjectId
+    assert type(unpacked.reply_to) is FrameId
+
+
+def test_ids_of_different_types_compare_equal():
+    # The price of tuple-backed ids, stated so nobody is surprised by it...
+    assert TraceId("P", 0) == FrameId("P", 0) == ObjectId("P", 0) == ("P", 0)
+    assert len({TraceId("P", 0), FrameId("P", 0)}) == 1
+
+
+def _id_kind(key):
+    if type(key) in (ObjectId, TraceId, FrameId):
+        return type(key).__name__
+    if type(key) is tuple and len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], int):
+        return "plain (str, int) tuple"
+    return None
+
+
+def _audit_id_containers(root) -> set:
+    """Every dict/set reachable from ``root`` holds ids of one type only;
+    returns the id kinds met."""
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, frontier, met = {id(root)}, [root], set()
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            if id(referent) in seen or isinstance(referent, opaque):
+                continue
+            seen.add(id(referent))
+            frontier.append(referent)
+            if isinstance(referent, (dict, set, frozenset)):
+                kinds = {_id_kind(key) for key in referent} - {None}
+                assert len(kinds) <= 1, (kinds, referent)
+                met |= kinds
+    return met
+
+
+def test_no_container_mixes_id_types():
+    # ...and the invariant that makes it harmless: no set and no dict of a
+    # simulation holds ids of two types (plain ``(site, n)`` tuples count as
+    # a type of their own).  Audited with a back trace in flight, when the
+    # engine's frame and trace tables are populated, and again at the end.
+    sim = Simulation(SimulationConfig(seed=3))
+    sites = ["P", "Q", "R"]
+    sim.add_sites(sites, auto_gc=True)
+    build_ring_cycle(sim, sites, objects_per_site=2).make_garbage(sim)
+    build_ring_cycle(sim, sites)
+    build_chain_across_sites(sim, sites + sites + sites)
+    while not any(sim.site(s).collector_stats()["active_traces"] for s in sites):
+        sim.run_for(1.0)
+        assert sim.now < 1500.0, "no back trace started"
+    met = _audit_id_containers(sim)
+    sim.run_for(1500.0)
+    met |= _audit_id_containers(sim)
+    assert met >= {"ObjectId", "TraceId", "FrameId"}
 
 
 def test_gc_config_defaults_valid():

@@ -104,13 +104,140 @@ def test_garbage_flag_is_never_clean():
     assert table.garbage_targets() == [entry.target]
 
 
-def test_entries_by_distance_ordering():
-    table = make_inrefs()
+def test_trace_scan_orders_roots_by_distance():
+    table = make_inrefs(threshold=4)
     table.ensure(ObjectId("R", 0), source="P", distance=9)
     table.ensure(ObjectId("R", 1), source="P", distance=2)
     table.ensure(ObjectId("R", 2), source="P", distance=5)
-    distances = [e.distance for e in table.entries_by_distance()]
-    assert distances == [2, 5, 9]
+    table.ensure(ObjectId("R", 3), source="P", distance=1)
+    table.ensure(ObjectId("R", 4), source="P", distance=1).garbage = True
+    table.ensure(ObjectId("R", 5), source="P", distance=7).barrier_clean = True
+    scan = table.scan_for_trace()
+    # Increasing (distance, target); garbage-flagged entries are no roots;
+    # a barrier clean makes a far inref a root until the trace commits.
+    assert scan.clean_roots == [
+        (ObjectId("R", 3), 1),
+        (ObjectId("R", 1), 2),
+        (ObjectId("R", 5), 7),
+    ]
+    assert scan.suspected_targets == [ObjectId("R", 2), ObjectId("R", 0)]
+    assert scan.distances == {ObjectId("R", n): d for n, d in enumerate([9, 2, 5, 1, 1, 7])}
+    assert scan.clean_after_reset == {
+        ObjectId("R", n): clean
+        for n, clean in enumerate([False, True, False, True, False, False])
+    }
+
+
+# -- source-list mutators ---------------------------------------------------------
+#
+# Every way of changing ``entry.sources`` must refresh ``entry.distance``,
+# advance the entry epoch and the table's distance epoch, and keep the
+# per-source index (``targets_from_source``) in step.
+
+
+def _sourced_entry():
+    table = make_inrefs()
+    target = ObjectId("R", 0)
+    entry = table.ensure(target, source="P", distance=5)
+    return table, target, entry
+
+
+def _epochs(table, entry):
+    return entry.epoch, table.distance_epoch
+
+
+def test_sources_update_notifies():
+    table, target, entry = _sourced_entry()
+    before = _epochs(table, entry)
+    entry.sources.update({"Q": 2}, S=9)
+    assert entry.distance == 2
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("Q") == [target]
+    assert table.targets_from_source("S") == [target]
+
+
+def test_sources_ior_notifies():
+    table, target, entry = _sourced_entry()
+    before = _epochs(table, entry)
+    entry.sources |= {"Q": 1}
+    assert entry.sources == {"P": 5, "Q": 1} and entry.sources.entry is entry
+    assert entry.distance == 1
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("Q") == [target]
+
+
+def test_sources_setdefault_notifies_only_when_it_adds():
+    table, target, entry = _sourced_entry()
+    before = _epochs(table, entry)
+    assert entry.sources.setdefault("P", 1) == 5
+    assert _epochs(table, entry) == before
+    assert entry.sources.setdefault("Q", 3) == 3
+    assert entry.distance == 3
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("Q") == [target]
+    with pytest.raises(TypeError):
+        entry.sources.setdefault("S")  # a source needs a distance
+
+
+def test_sources_clear_notifies():
+    table, target, entry = _sourced_entry()
+    entry.add_source("Q", 2)
+    before = _epochs(table, entry)
+    entry.sources.clear()
+    assert entry.empty and entry.distance == INFINITE_DISTANCE
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("P") == table.targets_from_source("Q") == []
+
+
+def test_sources_popitem_notifies():
+    table, target, entry = _sourced_entry()
+    entry.add_source("Q", 2)
+    before = _epochs(table, entry)
+    assert entry.sources.popitem() == ("Q", 2)
+    assert entry.distance == 5
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("Q") == []
+    entry.sources.popitem()
+    with pytest.raises(KeyError):
+        entry.sources.popitem()
+
+
+def test_sources_pop_and_del_notify():
+    table, target, entry = _sourced_entry()
+    entry.add_source("Q", 2)
+    entry.add_source("S", 1)
+    before = _epochs(table, entry)
+    assert entry.sources.pop("S") == 1
+    assert entry.sources.pop("S", None) is None
+    del entry.sources["Q"]
+    assert entry.distance == 5
+    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.targets_from_source("Q") == table.targets_from_source("S") == []
+
+
+def test_rewriting_a_source_with_its_own_distance_is_silent():
+    table, target, entry = _sourced_entry()
+    before = _epochs(table, entry)
+    entry.sources["P"] = 5
+    entry.sources.update(P=5)
+    assert _epochs(table, entry) == before
+
+
+def test_reset_barrier_cleans_touches_only_flagged_entries():
+    table = make_inrefs(threshold=4)
+    flagged = table.ensure(ObjectId("R", 0), source="P", distance=9)
+    other = table.ensure(ObjectId("R", 1), source="P", distance=9)
+    gone = table.ensure(ObjectId("R", 2), source="P", distance=9)
+    flagged.barrier_clean = True
+    gone.barrier_clean = True
+    table.remove(gone.target)
+    other_epoch, structure = other.epoch, table.structure_epoch
+    table.reset_barrier_cleans()
+    assert not flagged.barrier_clean
+    assert other.epoch == other_epoch
+    assert table.structure_epoch == structure + 1
+    table.reset_barrier_cleans()  # nothing flagged: nothing moves
+    assert table.structure_epoch == structure + 1
 
 
 # -- outrefs ---------------------------------------------------------------------
@@ -173,3 +300,41 @@ def test_suspected_entries_view():
     table.ensure(ObjectId("R", 1), clean=True)
     assert [e.target for e in table.suspected_entries()] == [ObjectId("R", 0)]
     assert [e.target for e in table.clean_entries()] == [ObjectId("R", 1)]
+
+
+# -- the local trace's passes over the outref table -----------------------------
+
+
+def test_install_trace_states_moves_epochs_only_on_change():
+    table = make_outrefs()
+    near, far = ObjectId("R", 0), ObjectId("R", 1)
+    table.ensure(near)
+    table.ensure(far).barrier_clean = True
+    inset = frozenset({ObjectId("P", 7)})
+    table.install_trace_states({near: (True, 2), far: (False, 6)}, {far: inset})
+    assert (table.get(near).traced_clean, table.get(near).distance) == (True, 2)
+    assert (table.get(far).traced_clean, table.get(far).distance) == (False, 6)
+    assert table.get(far).inset == inset and not table.get(far).barrier_clean
+    epochs = (table.get(near).epoch, table.get(far).epoch, table.mutation_epoch)
+    table.install_trace_states({near: (True, 2), far: (False, 6)}, {far: inset})
+    assert (table.get(near).epoch, table.get(far).epoch, table.mutation_epoch) == epochs
+    # A reference the trace reached before its entry existed is created.
+    new = ObjectId("R", 2)
+    table.install_trace_states({new: (True, 1)}, {})
+    assert table.get(new).traced_clean and table.mutation_epoch > epochs[2]
+
+
+def test_scans_are_in_target_order():
+    table = make_outrefs()
+    for site, serial, clean in (("R", 1, False), ("Q", 5, True), ("R", 0, False), ("Q", 2, False)):
+        table.ensure(ObjectId(site, serial), clean=clean, distance=serial + 1)
+    table.get(ObjectId("Q", 2)).pin()
+    order, pinned = table.scan_for_trace()
+    assert order == sorted(order) and len(order) == 4
+    assert pinned == {ObjectId("Q", 2)}
+    by_site, suspected = table.scan_committed()
+    assert list(by_site) == ["Q", "R"]
+    assert by_site["Q"] == {ObjectId("Q", 2): 3, ObjectId("Q", 5): 6}
+    assert list(by_site["R"]) == [ObjectId("R", 0), ObjectId("R", 1)]
+    assert suspected == table.suspected_entries()
+    assert [e.target for e in suspected] == [ObjectId("R", 0), ObjectId("R", 1)]

@@ -253,6 +253,60 @@ def test_suspected_cycle_objects_survive_sweep():
     assert c.heap.contains(a.oid) and c.heap.contains(b.oid)
 
 
+# -- what commit may reuse of compute's pass over the inref table -------------
+
+
+def _planner_view_of_the_table(c):
+    """The incremental planner's reference: what a walk of the committed
+    table reads (the definition the cached maps must agree with)."""
+    threshold = c.inrefs.suspicion_threshold
+    entries = list(c.inrefs.entries())
+    return (
+        {e.target: e.distance for e in entries},
+        {e.target: e.is_clean(threshold) for e in entries},
+    )
+
+
+def _inref_mix(c):
+    near, far, flagged, dead = (c.heap.alloc() for _ in range(4))
+    c.inrefs.ensure(near.oid, source="P", distance=2)
+    c.inrefs.ensure(far.oid, source="P", distance=9)
+    c.inrefs.ensure(flagged.oid, source="P", distance=9).barrier_clean = True
+    c.inrefs.ensure(dead.oid, source="P", distance=1).garbage = True
+    return near, far, flagged, dead
+
+
+def test_commit_caches_computes_inref_maps_when_nothing_interleaved():
+    c = make_collector(threshold=4)
+    _inref_mix(c)
+    c.run()
+    cached = c._cached.result
+    assert (cached.inref_distances, cached.inref_clean) == _planner_view_of_the_table(c)
+    assert c.plan_trace() == "skip"
+
+
+def test_replayed_barrier_clean_is_patched_into_the_cached_classification():
+    c = make_collector(threshold=4)
+    near, far, flagged, dead = _inref_mix(c)
+    result = c.compute()
+    # Not interleaved: the flag predates compute.  Its replay keeps the inref
+    # clean on the new tables, and the cache must say so.
+    c.commit(result, replay_barrier_inrefs=[flagged.oid])
+    cached = c._cached.result
+    assert cached.inref_clean[flagged.oid] is True
+    assert (cached.inref_distances, cached.inref_clean) == _planner_view_of_the_table(c)
+
+
+def test_interleaved_commit_caches_nothing():
+    c = make_collector(threshold=4)
+    near, far, flagged, dead = _inref_mix(c)
+    result = c.compute()
+    c.inrefs.require(far.oid).sources["P"] = 1  # lands in the trace window
+    c.commit(result)
+    assert c._cached is None
+    assert c.plan_trace() == "full"
+
+
 # -- quiet-tick prediction (the parallel planner's lookahead source) ---------
 
 

@@ -233,3 +233,37 @@ def test_stats_export_shape():
         "trials_aborted": 0,
         "active_member_trials": 0,
     }
+
+
+# -- overlapping trials ------------------------------------------------------
+
+
+def test_member_swept_by_an_overlapping_trial_dirties_the_rescue(monkeypatch):
+    """Perf-ledger finding: ``cycle_waves`` under this backend, seed 5.
+
+    Two trials overlap on site s026; the first one's collect sweeps an
+    object the second still lists as a member, and the second's rescue walk
+    used to die on ``heap.get`` (``UnknownObjectError``).  It must instead
+    mark its state dirty, skip the member, and let the run finish: every
+    structure swept, the oracle never seeing a live object go.
+    """
+    from benchmarks.ledger import scenarios
+
+    monkeypatch.setattr(
+        scenarios,
+        "SimulationConfig",
+        lambda **kwargs: SimulationConfig(
+            gc=GcConfig(collector="termination"), **kwargs
+        ),
+    )
+    scenario = scenarios.CycleWaves(5, smoke=True)
+    oracle = Oracle(scenario.sim)
+    scenarios.advance(scenario, until=scenario.warm_until)
+    scenario.at_boundary(scenario.warm_until)
+    scenarios.advance(
+        scenario,
+        step=scenario.audit_interval,
+        on_step=lambda now: oracle.check_safety(),
+    )
+    assert len(scenario.reclaim_ticks) == len(scenario.structures)
+    assert not oracle.garbage_set()
