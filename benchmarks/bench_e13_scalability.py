@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle, snapshot
+from repro.analysis import Oracle, graph_snapshot
 from repro.harness.report import Table
 from repro.workloads import GraphBuilder, build_ring_cycle
 
@@ -165,7 +165,7 @@ def run_steady_state(n_sites, incremental, seed=2, steady_rounds=STEADY_ROUNDS):
         else 0.0,
         "update_messages": delta.get("messages.UpdatePayload", 0),
         "wall_seconds": wall_seconds,
-        "fingerprint": snapshot(sim)["sites"],
+        "fingerprint": graph_snapshot(sim)["sites"],
     }
 
 

@@ -11,15 +11,4 @@ __all__ = [
     "graph_snapshot",
     "graph_diff",
     "to_dot",
-    # deprecated aliases, kept importable via __getattr__
-    "snapshot",
-    "diff_snapshots",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("snapshot", "diff_snapshots"):
-        from . import export
-
-        return getattr(export, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

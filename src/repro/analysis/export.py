@@ -167,27 +167,3 @@ def to_dot(
     lines.append("}")
     return "\n".join(lines)
 
-
-# -- deprecated aliases ------------------------------------------------------
-
-_DEPRECATED = {"snapshot": graph_snapshot, "diff_snapshots": graph_diff}
-
-
-def __getattr__(name: str):
-    """Old export names keep importing, with a :class:`DeprecationWarning`.
-
-    The canonical spellings are ``graph_snapshot`` / ``graph_diff`` (also on
-    the :mod:`repro.metrics` facade).
-    """
-    replacement = _DEPRECATED.get(name)
-    if replacement is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.analysis.export.{name} is deprecated; "
-            f"use {replacement.__name__} (or the repro.metrics facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return replacement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,7 @@ Guidelines the facade encodes:
 
 - **Construct through** :meth:`Simulation.create`.  It picks the sequential
   or sharded-parallel engine from ``config.parallel_workers`` and resolves
-  ``config.gc.collector`` against the backend registry.  Direct
-  ``ParallelSimulation(...)`` or baseline-collector construction still works
-  behind :class:`DeprecationWarning` shims.
+  ``config.gc.collector`` against the backend registry.
 - **Select collectors by name.**  ``GcConfig.collector`` accepts any name in
   :func:`available_collectors`: the paper's ``"backtrace"``, the
   termination-detection rival ``"termination"``, ``"null"`` (local tracing

@@ -39,7 +39,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,10 @@ class FlagCommand(Payload):
         return max(1, len(self.targets))
 
 
-class CentralServiceCollector(DeprecatedDirectInit):
+class CentralServiceCollector:
     """A logically central detector fed by per-site reachability summaries."""
 
-    registry_name = "baseline.central"
-
     def __init__(self, sim: Simulation, service: SiteId):
-        self._warn_if_direct()
         self.sim = sim
         self.service = service
         self._generation = 0
@@ -238,7 +234,7 @@ class CentralServiceCollector(DeprecatedDirectInit):
 
 
 def _driver(sim: Simulation) -> CentralServiceCollector:
-    return CentralServiceCollector._create(sim, sorted(sim.sites)[0])
+    return CentralServiceCollector(sim, sorted(sim.sites)[0])
 
 
 register_collector(

@@ -28,7 +28,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 from .termination import CreditPool, split_credit
 
 
@@ -56,13 +55,10 @@ class SweepCommand(Payload):
     generation: int
 
 
-class GlobalTraceCollector(DeprecatedDirectInit):
+class GlobalTraceCollector:
     """Coordinator-driven global mark-sweep attached to a simulation."""
 
-    registry_name = "baseline.global"
-
     def __init__(self, sim: Simulation, coordinator: SiteId):
-        self._warn_if_direct()
         self.sim = sim
         self.coordinator = coordinator
         self.generation = 0
@@ -182,7 +178,7 @@ class GlobalTraceCollector(DeprecatedDirectInit):
 
 
 def _driver(sim: Simulation) -> GlobalTraceCollector:
-    return GlobalTraceCollector._create(sim, sorted(sim.sites)[0])
+    return GlobalTraceCollector(sim, sorted(sim.sites)[0])
 
 
 register_collector(

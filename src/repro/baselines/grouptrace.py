@@ -31,7 +31,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 from .termination import CreditPool, split_credit
 
 
@@ -75,13 +74,10 @@ class GroupSweep(Payload):
     group_id: int
 
 
-class GroupTraceCollector(DeprecatedDirectInit):
+class GroupTraceCollector:
     """Suspect-seeded group formation and intra-group mark-sweep."""
 
-    registry_name = "baseline.group"
-
     def __init__(self, sim: Simulation, suspicion_threshold: Optional[int] = None):
-        self._warn_if_direct()
         self.sim = sim
         gc = sim.config.gc
         self.suspicion_threshold = (
@@ -330,7 +326,7 @@ class _GroupState:
 
 
 def _driver(sim: Simulation) -> GroupTraceCollector:
-    return GroupTraceCollector._create(sim)
+    return GroupTraceCollector(sim)
 
 
 register_collector(

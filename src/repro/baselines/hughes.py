@@ -38,7 +38,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,10 @@ class ThresholdAnnounce(Payload):
     threshold: float
 
 
-class HughesCollector(DeprecatedDirectInit):
+class HughesCollector:
     """Timestamp propagation + centrally computed global threshold."""
 
-    registry_name = "baseline.hughes"
-
     def __init__(self, sim: Simulation, coordinator: SiteId):
-        self._warn_if_direct()
         self.sim = sim
         self.coordinator = coordinator
         self.inref_stamps: Dict[SiteId, Dict[ObjectId, float]] = {
@@ -213,7 +209,7 @@ class HughesCollector(DeprecatedDirectInit):
 
 
 def _driver(sim: Simulation) -> HughesCollector:
-    return HughesCollector._create(sim, sorted(sim.sites)[0])
+    return HughesCollector(sim, sorted(sim.sites)[0])
 
 
 register_collector(

@@ -29,7 +29,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,10 @@ class PatchRefs(Payload):
     new_id: ObjectId
 
 
-class MigrationCollector(DeprecatedDirectInit):
+class MigrationCollector:
     """Distance-triggered migration of suspected objects."""
 
-    registry_name = "baseline.migration"
-
     def __init__(self, sim: Simulation, migration_threshold: Optional[int] = None):
-        self._warn_if_direct()
         self.sim = sim
         gc = sim.config.gc
         self.migration_threshold = (
@@ -198,7 +194,7 @@ def _migration_insert(ref: ObjectId, holder: SiteId):
 
 
 def _driver(sim: Simulation) -> MigrationCollector:
-    return MigrationCollector._create(sim)
+    return MigrationCollector(sim)
 
 
 register_collector(

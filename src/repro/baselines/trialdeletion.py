@@ -43,7 +43,6 @@ from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .registry import DeprecatedDirectInit
 from .termination import FULL_CREDIT, CreditPool, split_credit
 
 
@@ -102,13 +101,10 @@ class _TrialState:
     green: Dict[SiteId, Set[ObjectId]] = field(default_factory=dict)
 
 
-class TrialDeletionCollector(DeprecatedDirectInit):
+class TrialDeletionCollector:
     """Distributed trial deletion seeded by the distance heuristic."""
 
-    registry_name = "baseline.trial"
-
     def __init__(self, sim: Simulation, suspicion_threshold: Optional[int] = None):
-        self._warn_if_direct()
         self.sim = sim
         gc = sim.config.gc
         self.suspicion_threshold = (
@@ -362,7 +358,7 @@ class TrialDeletionCollector(DeprecatedDirectInit):
 
 
 def _driver(sim: Simulation) -> TrialDeletionCollector:
-    return TrialDeletionCollector._create(sim)
+    return TrialDeletionCollector(sim)
 
 
 register_collector(

@@ -321,8 +321,8 @@ class SimulationConfig:
     ``parallel_workers`` > 1 opts a run into the sharded parallel engine
     (:class:`repro.sim.parallel.ParallelSimulation`): sites are partitioned
     across that many worker processes, each running its own scheduler over
-    its shard's events, synchronized by conservative lookahead windows of
-    width ``network.min_latency``.  ``parallel_workers == 1`` (the default)
+    its shard's events, synchronized by conservative lookahead windows at
+    least ``network.min_latency`` wide.  ``parallel_workers == 1`` (the default)
     is the plain sequential engine, byte-identical to the historical
     behaviour.  ``shard_policy`` chooses how sites map to workers:
     ``"contiguous"`` slices the sorted site list into equal runs (keeps
@@ -336,57 +336,18 @@ class SimulationConfig:
     gc: GcConfig = field(default_factory=GcConfig)
     parallel_workers: int = 1
     shard_policy: str = "contiguous"
-    # Safe-time window planner for the parallel engine.  "demand" (default):
-    # every window reply advertises the shard's earliest-output-time (its
-    # earliest pending event -- quiet GC-tick chains looked through -- plus
-    # its minimum outbound latency) and the coordinator plans the next bound
-    # as min(advertised EOTs, target), jumping quiet stretches in one window
-    # and pipelining the next dispatch when nothing was routed.  "fixed" is
-    # the legacy planner (bound = horizon + min_latency each round) kept for
-    # A/B benchmarking; both produce byte-identical simulation results --
-    # window partitioning never changes what executes, only how often the
-    # coordinator synchronizes.
-    window_planner: str = "demand"
-    # Packed wire format for coordinator<->worker traffic: hot cross-shard
-    # payload kinds ship as struct-packed int records batched per (window,
-    # destination shard) instead of pickled Message objects
-    # (:mod:`repro.net.wire`).  False keeps the legacy pickled lists -- the
-    # overhead-comparison baseline and a debugging aid.
-    packed_wire: bool = True
-    # Shared-memory arena for the flat-graph mirror: the coordinator
-    # pre-sizes one region per site before forking and shard workers re-home
-    # their alive/mark bitmaps (and CSR scratch) into it
-    # (:mod:`repro.store.shm`), letting the coordinator read per-site
-    # resident counts without a broadcast.  Falls back with a RuntimeWarning
-    # where shared memory is unavailable.
-    shared_arena: bool = True
-    # Slots per site region; None auto-sizes from the pre-fork heaps
-    # (8x headroom, power of two, at least 4096).  Outgrowing the region is
-    # safe -- the heap spills back to private buffers with a warning.
+    # Slots per site region of the parallel engine's shared-memory arena;
+    # None auto-sizes from the pre-fork heaps (8x headroom, power of two, at
+    # least 4096).  Outgrowing the region is safe -- the heap spills back to
+    # private buffers with a warning.
     arena_slots_per_site: Optional[int] = None
-    # Direct shard-to-shard data path: cross-shard messages travel as packed
-    # wire records through per-ordered-pair SPSC ring buffers carved out of
-    # the shared arena, so the coordinator's per-window pipe exchange shrinks
-    # to the 24-byte reply trailers plus ring cursors.  ``None`` (default)
-    # follows ``packed_wire`` (rings need the packed record format to write
-    # into shared memory); ``False`` keeps the coordinator-routed path as
-    # the A/B baseline.  Explicitly requesting rings without the packed wire
-    # is a configuration error -- pickled Message objects cannot live in a
-    # byte ring.  A record too large for its ring spills to the legacy pipe
-    # path, so correctness never depends on fitting.
-    direct_rings: Optional[bool] = None
-    # Capacity of each ordered-pair ring in bytes.  W workers allocate W*W
-    # rings, so the shared segment grows by ``workers**2 *
-    # ring_bytes_per_pair``; 64 KiB per pair holds hundreds of packed
-    # records per window on the paper's workloads.
+    # Capacity in bytes of each ordered-pair ring cross-shard records travel
+    # through.  W workers allocate W*W rings, so the shared segment grows by
+    # ``workers**2 * ring_bytes_per_pair``; 64 KiB per pair holds hundreds
+    # of packed records per window on the paper's workloads, and a record
+    # that does not fit spills to the coordinator pipes, so correctness
+    # never depends on fitting.
     ring_bytes_per_pair: int = 65536
-    # Delta-based control plane: ``snapshot()`` ships only site snapshots
-    # whose content digest changed since the last export, and
-    # ``merged_metrics()`` ships only counters whose values moved; the
-    # coordinator caches the merged views and skips the broadcast entirely
-    # when no command has touched worker state since.  False re-ships full
-    # state on every call (the A/B baseline).
-    delta_exports: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int):
@@ -400,26 +361,8 @@ class SimulationConfig:
                 "shard_policy must be 'contiguous' or 'round_robin', "
                 f"got {self.shard_policy!r}"
             )
-        if self.window_planner not in ("demand", "fixed"):
-            raise ConfigError(
-                "window_planner must be 'demand' or 'fixed', "
-                f"got {self.window_planner!r}"
-            )
-        if self.direct_rings and not self.packed_wire:
-            raise ConfigError(
-                "direct_rings=True requires packed_wire=True: shard-to-shard "
-                "rings carry packed wire records, not pickled messages "
-                "(set direct_rings=False for the legacy pickled baseline)"
-            )
         if self.ring_bytes_per_pair < 1024:
             raise ConfigError(
                 "ring_bytes_per_pair must be >= 1024 "
                 f"(got {self.ring_bytes_per_pair})"
             )
-
-    @property
-    def effective_direct_rings(self) -> bool:
-        """Rings requested (explicitly or by default): on unless disabled."""
-        if self.direct_rings is None:
-            return self.packed_wire
-        return self.direct_rings

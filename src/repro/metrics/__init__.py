@@ -12,9 +12,7 @@ that used to live apart:
 - **counter names** -- :mod:`repro.metrics.names`, module-level constants so
   callers stop passing drifting string literals;
 - **graph state** -- :func:`graph_snapshot` / :func:`graph_diff`, re-exported
-  from :mod:`repro.analysis.export` (the old ``snapshot`` /
-  ``diff_snapshots`` names still import from there with a
-  ``DeprecationWarning``).
+  from :mod:`repro.analysis.export`.
 """
 
 from __future__ import annotations

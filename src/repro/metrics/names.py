@@ -146,26 +146,26 @@ TERMINATION_INREFS_FLAGGED = "termination.inrefs_flagged"
 PAR_WINDOWS = "parallel.windows"
 #: Final clock-alignment rounds (one per run_until/run_for).
 PAR_ALIGNS = "parallel.aligns"
-#: Demand-planner windows whose bound beat horizon + min_latency thanks to
-#: advertised earliest-output-times.
+#: Windows whose bound went past horizon + min_latency thanks to advertised
+#: earliest-output-times.
 PAR_EOT_JUMPS = "parallel.eot_jumps"
-#: Demand-planner windows that jumped straight to the target because no
-#: shard could produce cross-shard traffic before it.
+#: Windows that jumped straight to the target because no shard could
+#: produce cross-shard traffic before it.
 PAR_QUIESCENCE_JUMPS = "parallel.quiescence_jumps"
 #: Windows dispatched before the previous window's replies were drained.
 PAR_PIPELINED_WINDOWS = "parallel.pipelined_windows"
 #: Cross-shard messages, whichever path they took (rings + pipes).
 PAR_CROSS_SHARD_MESSAGES = "parallel.cross_shard_messages"
 #: Cross-shard messages that travelled shard-to-shard through the
-#: shared-memory rings (direct_rings), never crossing a coordinator pipe.
+#: shared-memory rings, never crossing a coordinator pipe.
 PAR_RING_MESSAGES = "parallel.ring_messages"
 #: Bytes written into the shard-to-shard rings (frames included).  Counted
 #: separately from the pipe byte counters so ``coordination_stats()`` can
 #: show pipe bytes per window dropping to trailer-plus-cursor size while
 #: the payload traffic moves into shared memory.
 PAR_RING_BYTES = "parallel.ring_bytes"
-#: Cross-shard messages that found their ring full (or the record
-#: oversized) and spilled to the legacy coordinator-routed pipe path.
+#: Cross-shard messages that declined their ring (full, record oversized,
+#: or no shared memory) and spilled to the coordinator-routed pipe path.
 PAR_RING_SPILLS = "parallel.ring_spills"
 
 #: coordination_stats() key -> canonical facade counter name.

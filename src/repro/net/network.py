@@ -183,7 +183,7 @@ class Network:
         # with the latency draw and FIFO clamp already applied sender-side.
         self._shard_sites: Optional[Set[SiteId]] = None
         self._shard_outbox: Optional[List[Tuple[float, Message]]] = None
-        # Direct data path (parallel engine, direct_rings): a callback that
+        # Direct data path (parallel engine): a callback that
         # tries to put a cross-shard message straight into the destination
         # shard's SPSC ring.  True means the message travelled shard-to-
         # shard; False falls through to the coordinator-routed outbox (ring

@@ -904,41 +904,4 @@ class WireCodec:
 
     def unpack_blob(self, blob) -> List[RoutedMessage]:
         """Decode a blob back into (deliver_at, Message) pairs, in order."""
-        view = memoryview(blob)
-        (count,) = _BLOB_PREFIX.unpack_from(view, 0)
-        off = _BLOB_PREFIX.size
-        routed: List[RoutedMessage] = []
-        table = self._sites
-        for _ in range(count):
-            kind, flags, src, dst, uid, deliver_at, length = _HEADER.unpack_from(
-                view, off
-            )
-            off += _HEADER.size
-            if kind == _KIND_PICKLED:
-                payload = pickle.loads(view[off : off + length])
-                off += length
-            else:
-                payload, end = self._unpackers[kind](view, off)
-                if end != off + length:
-                    raise SimulationError(
-                        f"wire record length mismatch for kind {kind}: "
-                        f"decoded {end - off}, framed {length}"
-                    )
-                off = end
-            routed.append(
-                (
-                    deliver_at,
-                    Message(
-                        src=table[src],
-                        dst=table[dst],
-                        payload=payload,
-                        uid=uid,
-                        dup=bool(flags & _FLAG_DUP),
-                    ),
-                )
-            )
-        return routed
-
-    def roundtrip(self, routed: Sequence[RoutedMessage]) -> List[RoutedMessage]:
-        """pack + unpack (test support)."""
-        return self.unpack_blob(self.pack_routed(routed))
+        return [self.unpack_record(entry[-1]) for entry in self.scan_blob(blob)]

@@ -10,7 +10,7 @@ handlers, which makes experiments replayable and test failures minimizable.
 from .scheduler import EventHandle, Scheduler
 from .rng import RngRegistry
 from .simulation import Simulation
-from .parallel import ParallelSimulation, SafeTimePlanner, assign_shards
+from .parallel import ParallelSimulation, assign_shards
 
 __all__ = [
     "EventHandle",
@@ -18,6 +18,5 @@ __all__ = [
     "RngRegistry",
     "Simulation",
     "ParallelSimulation",
-    "SafeTimePlanner",
     "assign_shards",
 ]

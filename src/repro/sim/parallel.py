@@ -4,116 +4,101 @@ The sequential :class:`~repro.sim.simulation.Simulation` executes every
 site's events on one scheduler.  This module partitions the sites across N
 worker processes, each running its own :class:`~repro.sim.scheduler.Scheduler`
 over its shard's events, and synchronizes the shards with conservative
-lookahead in the Chandy--Misra--Bryant style.  Two window planners exist
-(``SimulationConfig.window_planner``); both produce byte-identical
-simulation results, because window boundaries only decide how often the
-coordinator synchronizes, never what executes:
+lookahead in the Chandy--Misra--Bryant style.  Window boundaries only decide
+how often the coordinator synchronizes, never what executes, so a sharded
+run is byte-identical to the sequential run of the same seed -- the
+sequential engine is the reference the equivalence tests compare against.
 
-- **fixed** (the legacy planner): the coordinator repeatedly computes
-  ``safe = min(horizon + lookahead, target)`` where ``horizon`` is the
-  minimum over all shards of the earliest unexecuted event (including
-  cross-shard messages still being routed) and ``lookahead`` is
-  ``NetworkConfig.min_latency``.
-- **demand** (the default): every window reply advertises the shard's
-  *earliest output time* (EOT) -- the earliest instant at which anything
-  the shard still holds could put a message on another shard's doorstep --
-  and the coordinator plans ``safe = min(advertised EOTs, pending-message
-  cascades, target)``.  A shard's EOT is the minimum over its live events
-  of ``event time + shard lookahead``, where the shard lookahead is the
-  tightest per-pair latency floor over its outbound links
-  (:meth:`Network.min_cross_latency`, falling back to ``min_latency``),
-  and provably-quiet GC-tick chains are looked *through*
-  (:meth:`Site.quiet_gc_ticks`): a tick that will skip -- and, in delta
-  mode, a forced full trace that will recompute the cached result and ship
-  nothing -- contributes its first possibly-sending successor instead of
-  itself.  Quiet stretches thus collapse into one window (a *quiescence
-  jump* goes straight to the target), and when a window was dispatched
-  with no routed input the next window command is issued before all
-  replies are drained (*pipelined dispatch*), overlapping worker compute
-  with coordination.
+**Window planning.**  Every window reply advertises the shard's *earliest
+output time* (EOT) -- the earliest instant at which anything the shard still
+holds could put a message on another shard's doorstep -- and the coordinator
+plans ``safe = min(advertised EOTs, pending-message cascades, target)``.  A
+shard's EOT is the minimum over its live events of ``event time + shard
+lookahead``, where the shard lookahead is the tightest per-pair latency
+floor over its outbound links (:meth:`Network.min_cross_latency`, falling
+back to ``NetworkConfig.min_latency``), and provably-quiet GC-tick chains
+are looked *through* (:meth:`Site.quiet_gc_ticks`): a tick that will skip --
+and, in delta mode, a forced full trace that will recompute the cached
+result and ship nothing -- contributes its first possibly-sending successor
+instead of itself.  Quiet stretches thus collapse into one window (a
+*quiescence jump* goes straight to the target), and when a window was
+dispatched with no routed input the next window command is issued before
+all replies are drained (*pipelined dispatch*), overlapping worker compute
+with coordination.
 
 Every shard fires its events *strictly below* ``safe``
-(:meth:`Scheduler.run_until_before`) and hands the coordinator any messages
-addressed outside the shard.
+(:meth:`Scheduler.run_until_before`).
 
-Safety (fixed): an event executed inside a window has timestamp >=
-``horizon``, so any message it sends arrives at ``>= horizon + min_latency
->= safe`` -- beyond every shard's executed frontier.  Safety (demand): any
-message produced during the window traces back to some event that was live
-when the EOTs were computed -- directly, through a cascade of derived
-events (each no earlier than its parent), or through a quiet-tick chain
-perturbed by such an event -- and therefore delivers at or after that
-event's EOT term, hence at or after ``safe``.  Pending cross-shard
-messages awaiting routing contribute ``deliver_at + destination-shard
-lookahead`` terms for the cascades their delivery can start.  Pipelined
-dispatch additionally relies on EOT *monotonicity under no input*: a shard
-that received nothing can only get quieter, so the EOT it advertised one
-window ago still lower-bounds everything it will output, which is why the
-pipeline only engages when the previous window routed zero messages.  The
-coordinator asserts the invariant at runtime: every routed message it
-absorbs must deliver at or after the latest dispatched window bound.  No
-shard can ever receive a message in its past, hence no rollback is needed.
-Progress: every EOT term exceeds the horizon by at least the smallest
-shard lookahead, so each round strictly advances; this requires
-``min_latency > 0`` (with zero lookahead no window has positive width, and
-the engine falls back to the sequential path with a warning).
+Safety: any message produced during the window traces back to some event
+that was live when the EOTs were computed -- directly, through a cascade of
+derived events (each no earlier than its parent), or through a quiet-tick
+chain perturbed by such an event -- and therefore delivers at or after that
+event's EOT term, hence at or after ``safe``.  Cross-shard messages not yet
+handed to their destination shard contribute ``deliver_at +
+destination-shard lookahead`` terms for the cascades their delivery can
+start.  Pipelined dispatch additionally relies on EOT *monotonicity under
+no input*: a shard that received nothing can only get quieter, so the EOT
+it advertised one window ago still lower-bounds everything it will output,
+which is why the pipeline only engages when the previous window routed zero
+messages.  The invariant is asserted at runtime on every cross-shard record:
+it must deliver at or after the window bound in force when it was sent
+(:meth:`ParallelSimulation._absorb` for pipe records,
+:meth:`_RingReader.drain` for ring records).  No shard can ever receive a
+message in its past, hence no rollback is needed.  Progress: every EOT term
+exceeds the horizon by at least the smallest shard lookahead, so each round
+strictly advances; this requires ``min_latency > 0`` (with zero lookahead no
+window has positive width, and the engine falls back to the sequential path
+with a warning).
 
 Determinism: per-ordered-pair network RNG streams
 (``NetworkConfig.pair_rng_streams``, forced on by this engine) make every
 latency/loss draw depend only on the *sender's own* send order; per-site
 event streams are already deterministic; and cross-shard messages are
 injected into the receiving shard in ``(deliver_at, source site, sender
-sequence)`` order.  A parallel run therefore produces the same final heap
-contents, inref/outref tables, and collection survivors as a sequential run
-of the same seed (with ``pair_rng_streams`` set) -- the equivalence tests
-compare full snapshots byte for byte.
+sequence)`` order.
 
-The data plane, in the spirit of the paper's small-messages discipline:
+**The data path** is one protocol, in the spirit of the paper's
+small-messages discipline:
 
-- **Persistent pool** (:class:`ShardWorkerPool`): workers fork once, after
+- *Persistent pool* (:class:`ShardWorkerPool`): workers fork once, after
   the simulation is fully constructed -- the child inherits the whole
   object graph by copy-on-write, prunes its scheduler to its shard
   (:meth:`Scheduler.retain_sites`), and puts its network into shard mode
-  (:meth:`Network.attach_shard`).  From then on windows are driven over
-  long-lived duplex pipes; nothing re-forks, and every byte that crosses a
-  pipe is counted (:meth:`ParallelSimulation.coordination_stats`).
-- **Packed wire format** (:mod:`repro.net.wire`, ``config.packed_wire``):
-  cross-shard messages travel as struct-packed int records batched per
-  (window, destination shard); the coordinator routes by scanning fixed
-  headers without decoding payloads.  Payload kinds outside the hot set
-  fall back to per-record pickling, so the protocol is total.
-- **Shared arena** (:mod:`repro.store.shm`, ``config.shared_arena``): the
-  coordinator pre-sizes one shared-memory region per site before forking;
-  each worker re-homes its heaps' flat-mirror bitmaps (and CSR scratch)
-  into its regions, and the coordinator reads per-site resident counts
-  straight from the region headers instead of broadcasting.
-- **Direct rings** (``config.direct_rings``): cross-shard messages travel
-  as packed records through per-ordered-pair SPSC ring buffers in the
-  shared arena instead of hopping twice through coordinator pipes.  Ring
-  ``(i, j)`` is written only by worker ``i`` and read only by worker
-  ``j``; every cursor (write position, certified read limit, confirmed
-  consumption) rides the existing command/reply exchange, so no shared
-  position is ever read while being written and overflow behaviour is
-  deterministic (a record that does not fit spills to the legacy pipe
-  path).  The per-window pipe exchange thus shrinks to the 24-byte reply
-  trailer plus a few cursor ints each way, and the old dispatch -> drain ->
-  route -> absorb sequence fuses into one round trip per window: workers
-  pull their inbound rings themselves at window start (up to the
-  coordinator-certified limits), *stash* records that are not yet due, and
-  inject due ones in the same ``(deliver_at, source site, sender
-  sequence)`` order the coordinator would have used -- so byte-identity
-  with the sequential engine holds ring or no ring, and the window-floor
-  invariant is asserted at drain time exactly as ``_absorb`` asserts it on
-  the pipe path.  A shard's stashed records fold into its advertised
-  frontier and earliest-output-time, so the window planner sees them just
-  like coordinator-pending messages.
-- **Delta control plane** (``config.delta_exports``): ``snapshot()`` ships
-  only site snapshots whose content digest changed since the last export,
-  ``merged_metrics()`` only counters whose values moved, and both merged
-  views are cached coordinator-side and invalidated by a monotonically
-  increasing state version (bumped by every command that can touch worker
-  state) -- a steady-state poll loop costs one broadcast, not one per
-  call.
+  (:meth:`Network.attach_shard`).  From then on everything travels over
+  long-lived duplex pipes, and every byte that crosses one is counted
+  (:meth:`ParallelSimulation.coordination_stats`).
+- *Packed records* (:mod:`repro.net.wire`): a cross-shard message is a
+  struct-packed int record (payload kinds outside the hot set fall back to
+  a pickled record body, so the format is total); nothing downstream of the
+  sender decodes it until the destination shard injects it.
+- *Rings first, pipe as the spill* (:mod:`repro.store.shm`): the
+  coordinator creates one shared-memory arena before forking -- a region
+  per site for the flat-mirror bitmaps (the coordinator reads resident
+  counts from the region headers instead of broadcasting) and one SPSC
+  ring per ordered worker pair.  A sender puts its record into ring
+  ``(i, j)``; a record that does not fit (ring full, oversized) *spills*:
+  it rides the reply pipe to the coordinator, which checks it against the
+  window floor and forwards it in the destination's next command.  A
+  platform without shared memory (``create_arena`` returns ``None`` with a
+  ``RuntimeWarning``) is simply the case where every record spills.
+- *One command shape*: ``window`` and ``align`` are ``(op, time,
+  spill_blob, limits, consumed)`` -- the spilled records for this shard,
+  the newly certified read limit (and floor to assert) per inbound ring,
+  and the confirmed consumption cursor per outbound ring.  Every cursor
+  rides this exchange, so no shared position is ever read while being
+  written and overflow behaviour is deterministic.  The worker drains its
+  inbound rings up to the limits, *stashes* ring and spill records
+  together, injects the ones due before the window bound in ``(deliver_at,
+  source site, sender sequence)`` order, and runs.  Every reply is
+  ``("ok", payload, spill_blob, meta)`` (or ``("error", traceback)``)
+  where ``meta`` packs the shard's frontier, EOT and events fired -- both
+  folding in the stash -- plus one advertisement per ring written.
+- *Delta control plane*: ``snapshot()`` ships only site snapshots whose
+  content digest changed since the last export, ``merged_metrics()`` only
+  counters whose values moved, and both merged views are cached
+  coordinator-side and invalidated by a monotonically increasing state
+  version (bumped by every command that can touch worker state) -- a
+  steady-state poll loop costs one broadcast, not one per call.
 """
 
 from __future__ import annotations
@@ -125,7 +110,7 @@ import traceback
 import warnings
 from collections import Counter
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import SimulationConfig
 from ..errors import SimulationError
@@ -148,10 +133,6 @@ _INF = float("inf")
 
 #: (deliver_at, message) pairs as prepared sender-side by Network.send.
 RoutedMessage = Tuple[float, Message]
-
-#: Coordinator-side routing entry for a packed record:
-#: (deliver_at, dst index, src index, uid, record bytes).
-_PackedPending = Tuple[float, int, int, int, Any]
 
 
 def assign_shards(
@@ -180,46 +161,6 @@ def assign_shards(
     return [shard for shard in shards if shard]
 
 
-class SafeTimePlanner:
-    """Pure computation of conservative-lookahead windows.
-
-    Kept free of any process machinery so the protocol itself is unit
-    testable: given the shards' earliest pending times, the planner names the
-    exclusive upper bound of the next window, or ``None`` when the target is
-    reached.
-    """
-
-    def __init__(self, lookahead: float):
-        if lookahead <= 0:
-            raise SimulationError(
-                "conservative lookahead requires lookahead > 0 "
-                f"(got {lookahead})"
-            )
-        self.lookahead = lookahead
-
-    def horizon(self, next_times: Iterable[float]) -> float:
-        """Earliest unexecuted work across all shards (inf when idle).
-
-        Accepts any iterable -- the coordinator hot loop passes a generator
-        over its worker handles rather than materialising a list per window.
-        """
-        return min(next_times, default=_INF)
-
-    def window(self, horizon: float, target_excl: float) -> Optional[float]:
-        """Exclusive safe bound of the next window, or None when done.
-
-        Any event at ``horizon`` must fall inside the window, so the bound
-        is strictly above ``horizon`` even when ``lookahead`` underflows
-        against a large timestamp (the ``nextafter`` fallback).
-        """
-        if horizon >= target_excl:
-            return None
-        safe = min(horizon + self.lookahead, target_excl)
-        if safe <= horizon:
-            safe = min(math.nextafter(horizon, _INF), target_excl)
-        return safe
-
-
 # ---------------------------------------------------------------------------
 # Counted duplex channel (both sides of every worker pipe)
 # ---------------------------------------------------------------------------
@@ -230,8 +171,7 @@ class _Channel:
 
     Explicit ``send_bytes(pickle.dumps(...))`` instead of ``Connection.send``
     so both endpoints know exactly how many bytes cross the process boundary
-    -- the coordination-overhead numbers in BENCH_parallel_sim.json come
-    from these counters, in packed and legacy wire modes alike.
+    -- the ledger's ``sim.parallel.pipe_bytes`` row comes from these counters.
     """
 
     __slots__ = ("conn", "bytes_sent", "bytes_recv", "messages_sent")
@@ -267,7 +207,7 @@ class _Stop(Exception):
 
 
 class _RingWriter:
-    """Worker-side producer over its row of outbound rings (direct_rings).
+    """Worker-side producer over its row of outbound rings.
 
     Cross-shard sends are buffered per destination during command execution
     and copied into the rings only when the reply is built
@@ -276,7 +216,8 @@ class _RingWriter:
     advertisements always describe fully written records.  The fit check
     against the coordinator-certified consumption cursor happens at buffer
     time: a record that would not fit (ring full, oversized) is declined
-    immediately and spills to the pipe outbox, deterministically.
+    immediately and spills to the pipe outbox, deterministically.  Without
+    an arena there are no rings and every record is declined.
     """
 
     __slots__ = (
@@ -292,10 +233,13 @@ class _RingWriter:
 
     def __init__(self, arena, codec: WireCodec, my_index: int,
                  index_to_worker: Sequence[int]):
-        workers = arena.ring_workers
+        workers = max(index_to_worker) + 1
         self._codec = codec
         self._index_to_worker = index_to_worker
-        self._rings = [arena.ring(my_index, dst) for dst in range(workers)]
+        self._rings = [
+            arena.ring(my_index, dst) if arena is not None else None
+            for dst in range(workers)
+        ]
         #: Committed (advertised) absolute write position per destination.
         self._write_pos = [0] * workers
         #: Committed position plus everything buffered but not yet copied in.
@@ -309,8 +253,10 @@ class _RingWriter:
         """Try to route one cross-shard message; False means spill to pipe."""
         codec = self._codec
         dst = self._index_to_worker[codec.site_index(message.dst)]
-        record = codec.pack_record(deliver_at, message)
         ring = self._rings[dst]
+        if ring is None:
+            return False
+        record = codec.pack_record(deliver_at, message)
         needed = RING_FRAME_BYTES + len(record)
         if needed > ring.capacity - (self._tentative[dst] - self._consumed[dst]):
             return False
@@ -370,18 +316,20 @@ class _RingReader:
 
     The coordinator certifies read limits in each window/align command; the
     reader drains every newly certified byte range, asserts the window-floor
-    invariant per record (exactly as the coordinator's ``_absorb`` does on
-    the pipe path), and *stashes* records until they fall due.  Due
+    invariant per record (exactly as the coordinator's ``_absorb`` does for
+    spilled records), and *stashes* records until they fall due.  Due
     extraction sorts by ``(deliver_at, source site index, sender sequence)``
     -- the codec's site-index order equals lexicographic SiteId order, so
-    this reproduces the coordinator's deterministic injection order whether
-    a record travelled the ring or spilled to the pipe.
+    the injection order is the same whether a record travelled the ring or
+    spilled to the pipe.
     """
 
     __slots__ = ("_codec", "_rings", "_read_pos", "_stash")
 
     def __init__(self, arena, codec: WireCodec, my_index: int):
-        workers = arena.ring_workers
+        # No arena, no rings: limits are then never certified and the stash
+        # is fed by spill blobs alone.
+        workers = arena.ring_workers if arena is not None else 0
         self._codec = codec
         self._rings = [arena.ring(src, my_index) for src in range(workers)]
         self._read_pos = [0] * workers
@@ -442,7 +390,7 @@ class _RingReader:
 
 
 class _DeltaExporter:
-    """Worker-side state for the delta control plane (``delta_exports``).
+    """Worker-side state for the delta control plane.
 
     Snapshots ship per site only when the content digest moved since the
     last export (:func:`~repro.analysis.export.site_snapshot_delta`);
@@ -515,9 +463,10 @@ def _shard_eot(sim: Simulation, lookahead: float) -> float:
 def _schedule_incoming(sim: Simulation, incoming: List[RoutedMessage]) -> None:
     """Schedule routed-in messages at their sender-fixed delivery times.
 
-    The coordinator pre-sorts ``incoming`` by (deliver_at, source site,
-    sender sequence), so the scheduler's FIFO-within-timestamp tie-breaking
-    reproduces the deterministic order regardless of which shard sent what.
+    ``incoming`` comes sorted by (deliver_at, source site, sender sequence)
+    (:meth:`_RingReader.take_due`), so the scheduler's FIFO-within-timestamp
+    tie-breaking reproduces the deterministic order regardless of which
+    shard sent what.
     """
     deliver = sim.network.deliver_remote
     schedule_at = sim.scheduler.schedule_at
@@ -535,22 +484,14 @@ def _execute(
     sim: Simulation,
     shard: Set[SiteId],
     command: tuple,
-    exporter: Optional[_DeltaExporter] = None,
+    exporter: _DeltaExporter,
 ):
-    """Run one coordinator command; return (payload, events_fired)."""
+    """Run one coordinator command that does not advance time; return its
+    payload."""
     op = command[0]
-    if op == "window":
-        _, safe, incoming = command
-        _schedule_incoming(sim, incoming)
-        return None, sim.scheduler.run_until_before(safe)
-    if op == "align":
-        _, time, incoming = command
-        _schedule_incoming(sim, incoming)
-        sim.scheduler.advance_clock(time)
-        return None, 0
     if op == "site_call":
         _, site_id, method, args, kwargs = command
-        return getattr(sim.site(site_id), method)(*args, **kwargs), 0
+        return getattr(sim.site(site_id), method)(*args, **kwargs)
     if op == "crash":
         site_id = command[1]
         if site_id in shard:
@@ -560,39 +501,31 @@ def _execute(
             # sends to (and in-flight deliveries from) the site are lost,
             # exactly as the sequential engine's shared network would do.
             sim.network.crash(site_id)
-        return None, 0
+        return None
     if op == "recover":
         site_id = command[1]
         if site_id in shard:
             sim.site(site_id).recover()
         else:
             sim.network.recover(site_id)
-        return None, 0
+        return None
     if op == "quiesce":
         for site_id in shard:
             sim.sites[site_id].stop_auto_gc()
-        return None, 0
+        return None
     if op == "snapshot":
-        if exporter is not None:
-            return exporter.snapshot(sim, shard), 0
-        from ..analysis.export import site_snapshot
-
-        return {
-            site_id: site_snapshot(sim.sites[site_id]) for site_id in shard
-        }, 0
+        return exporter.snapshot(sim, shard)
     if op == "metrics":
-        if exporter is not None:
-            return exporter.metrics(sim), 0
-        return dict(sim.metrics._counters), 0
+        return exporter.metrics(sim)
     if op == "outcomes":
-        return list(sim._trace_outcomes), 0
+        return list(sim._trace_outcomes)
     if op == "counts":
-        return sum(len(sim.sites[site_id].heap) for site_id in shard), 0
+        return sum(len(sim.sites[site_id].heap) for site_id in shard)
     if op == "oids":
         oids: List[ObjectId] = []
         for site_id in sorted(shard):
             oids.extend(sim.sites[site_id].heap.object_ids())
-        return oids, 0
+        return oids
     if op == "stop":
         raise _Stop
     raise SimulationError(f"unknown worker command {op!r}")
@@ -602,12 +535,10 @@ def _worker_main(
     conn,
     shard_sites: List[SiteId],
     sim: Simulation,
-    wire_sites: Optional[List[SiteId]],
+    wire_sites: List[SiteId],
+    index_to_worker: List[int],
     arena,
-    demand_eot: bool,
-    worker_index: int = 0,
-    ring_plan: Optional[List[int]] = None,
-    delta_exports: bool = False,
+    worker_index: int,
 ) -> None:
     """Entry point of a forked shard worker.
 
@@ -616,45 +547,35 @@ def _worker_main(
     heaps into the shared arena (when one exists), and then obeys
     coordinator commands.  Every reply is a uniform
     ``("ok", payload, outgoing, meta)`` tuple (or
-    ``("error", traceback_text)``) where ``meta`` packs the shard's new
+    ``("error", traceback_text)``): ``outgoing`` is the blob of packed
+    records that declined their ring, and ``meta`` packs the shard's new
     frontier, its earliest output time, and the events fired
-    (:func:`~repro.net.wire.pack_reply_meta`), so the coordinator always
-    learns the shard's state and pending cross-shard messages in one
-    exchange.  With ``demand_eot`` off (the fixed planner) the EOT scan is
-    skipped entirely and the advertised EOT is ``inf`` -- the legacy
-    planner never reads it, and A/B benchmarks stay cost-fair.  With a wire
-    codec (``wire_sites`` given), ``incoming``/``outgoing`` are packed
-    record blobs instead of pickled RoutedMessage lists.
+    (:func:`~repro.net.wire.pack_reply_meta`) followed by one advertisement
+    per ring written, so the coordinator always learns the shard's state
+    and pending cross-shard messages in one exchange.
 
-    ``ring_plan`` (the packed-wire site index -> worker index table, set
-    only when direct rings are active) switches the data path: cross-shard
-    sends go straight into the destination shard's SPSC ring, window/align
-    commands become ``(op, time, spill_blob, limits, consumed)`` 5-tuples,
-    and the reply meta grows a ring-advertisement section.  The frontier
-    and EOT in the trailer then fold in the stash of drained-but-not-due
-    records, so the coordinator's planner accounts for work that never
-    crossed its pipes.
+    Window/align commands are ``(op, time, spill_blob, limits, consumed)``:
+    the worker adopts the consumption cursors, drains its inbound rings up
+    to the certified limits, stashes those records together with the
+    spilled ones, and injects what is due.  The frontier and EOT in the
+    trailer fold in the stash of drained-but-not-due records, so the
+    coordinator's planner accounts for work that never crossed its pipes.
+    ``index_to_worker`` is the packed-wire site index -> worker index table
+    cross-shard sends are routed by.
     """
     shard = set(shard_sites)
     channel = _Channel(conn)
     outbox: List[RoutedMessage] = []
-    codec = WireCodec(wire_sites) if wire_sites is not None else None
-    lookahead = sim.config.network.min_latency
-    ring_writer: Optional[_RingWriter] = None
-    ring_reader: Optional[_RingReader] = None
+    codec = WireCodec(wire_sites)
+    ring_writer = _RingWriter(arena, codec, worker_index, index_to_worker)
+    ring_reader = _RingReader(arena, codec, worker_index)
     try:
         sim.scheduler.retain_sites(shard)
-        if ring_plan is not None and codec is not None and arena is not None:
-            ring_writer = _RingWriter(arena, codec, worker_index, ring_plan)
-            ring_reader = _RingReader(arena, codec, worker_index)
-            sim.network.attach_shard(shard, outbox, ring_writer.write)
-        else:
-            sim.network.attach_shard(shard, outbox)
-        if demand_eot:
-            bound = sim.network.min_cross_latency(shard)
-            if bound is not None:
-                lookahead = bound
-        if arena is not None and arena.has_site_regions:
+        sim.network.attach_shard(shard, outbox, ring_writer.write)
+        lookahead = sim.network.min_cross_latency(shard)
+        if lookahead is None:
+            lookahead = sim.config.network.min_latency
+        if arena is not None:
             for site_id in shard:
                 sim.sites[site_id].heap.attach_shared_region(
                     arena.region(site_id)
@@ -663,29 +584,34 @@ def _worker_main(
         channel.send(("error", traceback.format_exc()))
         channel.close()
         return
-    exporter = _DeltaExporter(sim) if delta_exports else None
+    exporter = _DeltaExporter(sim)
 
     def packed_outgoing():
-        if codec is None:
-            outgoing = outbox[:]
-        else:
-            outgoing = codec.pack_routed(outbox)
+        outgoing = codec.pack_routed(outbox)
         del outbox[:]
         return outgoing
 
     def reply_meta(fired: int) -> bytes:
         next_time = sim.scheduler.peek_time()
-        eot = _shard_eot(sim, lookahead) if demand_eot else _INF
-        if ring_reader is not None:
-            stash_min = ring_reader.stash_min()
-            if stash_min < next_time:
-                next_time = stash_min
-            if demand_eot and stash_min + lookahead < eot:
-                eot = stash_min + lookahead
-        meta = pack_reply_meta(next_time, eot, fired)
-        if ring_writer is not None:
-            meta += ring_writer.take_meta()
-        return meta
+        eot = _shard_eot(sim, lookahead)
+        stash_min = ring_reader.stash_min()
+        if stash_min < next_time:
+            next_time = stash_min
+        if stash_min + lookahead < eot:
+            eot = stash_min + lookahead
+        return pack_reply_meta(next_time, eot, fired) + ring_writer.take_meta()
+
+    def run_window(op, time, blob, limits, consumed) -> int:
+        """Drain -> stash -> take due -> run: the one window/align protocol."""
+        ring_writer.update_consumed(consumed)
+        ring_reader.drain(limits)
+        ring_reader.stash_blob(blob)
+        if op == "align":
+            _schedule_incoming(sim, ring_reader.take_due(_INF))
+            sim.scheduler.advance_clock(time)
+            return 0
+        _schedule_incoming(sim, ring_reader.take_due(time))
+        return sim.scheduler.run_until_before(time)
 
     channel.send(("ok", None, packed_outgoing(), reply_meta(0)))
     while True:
@@ -694,23 +620,10 @@ def _worker_main(
         except EOFError:
             break
         try:
-            if ring_reader is not None and command[0] in ("window", "align"):
-                op, time_arg, blob, limits, consumed = command
-                ring_writer.update_consumed(consumed)
-                ring_reader.drain(limits)
-                ring_reader.stash_blob(blob)
-                command = (
-                    op,
-                    time_arg,
-                    ring_reader.take_due(time_arg if op == "window" else _INF),
-                )
-            elif codec is not None and command[0] in ("window", "align"):
-                command = (
-                    command[0],
-                    command[1],
-                    codec.unpack_blob(command[2]),
-                )
-            payload, fired = _execute(sim, shard, command, exporter)
+            if command[0] in ("window", "align"):
+                payload, fired = None, run_window(*command)
+            else:
+                payload, fired = _execute(sim, shard, command, exporter), 0
         except _Stop:
             channel.send(
                 ("ok", None, packed_outgoing(), pack_reply_meta(_INF, _INF, 0))
@@ -718,15 +631,13 @@ def _worker_main(
             break
         except Exception:
             del outbox[:]
-            if ring_writer is not None:
-                ring_writer.discard()
+            ring_writer.discard()
             channel.send(("error", traceback.format_exc()))
             continue
         channel.send(("ok", payload, packed_outgoing(), reply_meta(fired)))
     if arena is not None:
-        if arena.has_site_regions:
-            for site_id in shard:
-                sim.sites[site_id].heap.detach_shared_region()
+        for site_id in shard:
+            sim.sites[site_id].heap.detach_shared_region()
         arena.detach()
     channel.close()
 
@@ -750,16 +661,15 @@ class _WorkerHandle:
         "limits_inflight",
     )
 
-    def __init__(
-        self, process, channel: _Channel, shard: Set[SiteId], index: int = 0
-    ):
+    def __init__(self, process, channel: _Channel, shard: Set[SiteId], index: int):
         self.process = process
         self.channel = channel
         self.shard = shard
+        #: The shard as packed-wire site indices (what record headers carry).
         self.shard_indices: Set[int] = set()
         self.index = index
         self.next_time = _INF
-        #: Last advertised earliest-output-time (inf under the fixed planner).
+        #: Last advertised earliest-output-time.
         self.eot = _INF
         #: FIFO of ring-limit tuples sent with window/align commands whose
         #: replies have not been absorbed yet (at most two, pipelining).  A
@@ -785,11 +695,9 @@ class ShardWorkerPool:
         self,
         shards: Sequence[Sequence[SiteId]],
         sim: Simulation,
-        wire_sites: Optional[List[SiteId]],
+        wire_sites: List[SiteId],
+        index_to_worker: List[int],
         arena,
-        demand_eot: bool = False,
-        ring_plan: Optional[List[int]] = None,
-        delta_exports: bool = False,
     ) -> None:
         context = multiprocessing.get_context("fork")
         for index, shard in enumerate(shards):
@@ -801,11 +709,9 @@ class ShardWorkerPool:
                     list(shard),
                     sim,
                     wire_sites,
+                    index_to_worker,
                     arena,
-                    demand_eot,
                     index,
-                    ring_plan,
-                    delta_exports,
                 ),
                 daemon=True,
             )
@@ -814,9 +720,6 @@ class ShardWorkerPool:
             self.workers.append(
                 _WorkerHandle(process, _Channel(parent_conn), set(shard), index)
             )
-
-    def __len__(self) -> int:
-        return len(self.workers)
 
     def __iter__(self):
         return iter(self.workers)
@@ -961,28 +864,9 @@ class ParallelSimulation(Simulation):
     parallelism is impossible: zero ``min_latency``, no fork support, fewer
     than two sites) every call takes the inherited sequential path unchanged.
 
-    Construct through :meth:`Simulation.create`; direct instantiation is
-    deprecated (the factory picks the engine from ``parallel_workers`` and
-    keeps call sites engine-agnostic).
+    Usually constructed through :meth:`Simulation.create`, which picks the
+    engine from ``parallel_workers`` and keeps call sites engine-agnostic.
     """
-
-    #: > 0 while Simulation.create is constructing us (suppresses the
-    #: direct-construction deprecation warning).
-    _factory_depth = 0
-
-    @classmethod
-    def _create(
-        cls,
-        config: Optional[SimulationConfig] = None,
-        *,
-        latency_model: Optional[LatencyModel] = None,
-        fault_plan=None,
-    ) -> "ParallelSimulation":
-        cls._factory_depth += 1
-        try:
-            return cls(config, latency_model=latency_model, fault_plan=fault_plan)
-        finally:
-            cls._factory_depth -= 1
 
     def __init__(
         self,
@@ -990,14 +874,6 @@ class ParallelSimulation(Simulation):
         latency_model: Optional[LatencyModel] = None,
         fault_plan=None,
     ):
-        if ParallelSimulation._factory_depth == 0:
-            warnings.warn(
-                "constructing ParallelSimulation directly is deprecated; "
-                "use Simulation.create(config) (it selects the engine from "
-                "config.parallel_workers)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         config = config or SimulationConfig()
         requested = config.parallel_workers
         fallback = None
@@ -1026,18 +902,16 @@ class ParallelSimulation(Simulation):
         self._pool = ShardWorkerPool()
         self._codec: Optional[WireCodec] = None
         self._arena = None
-        #: Legacy mode: RoutedMessage tuples.  Packed mode: _PackedPending
-        #: tuples.  Both start with deliver_at, so horizon scans are shared.
-        self._pending: List[Any] = []
+        #: Spilled records awaiting their destination's next command:
+        #: (deliver_at, dst site index, record bytes).
+        self._pending: List[Tuple[float, int, Any]] = []
         self._site_to_worker: Dict[SiteId, int] = {}
         self._crashed_sites: Set[SiteId] = set()
         self._proxies: Dict[SiteId, SiteProxy] = {}
         self._fork_counters: Counter = Counter()
         self._fork_outcome_count = 0
-        self._planner = (
-            SafeTimePlanner(config.network.min_latency) if self._parallel else None
-        )
-        self._demand = self._parallel and config.window_planner == "demand"
+        #: The global lookahead floor; every shard lookahead is at least it.
+        self._lookahead = config.network.min_latency
         #: Per-worker outbound latency floor (pending-message cascade terms).
         self._shard_lookahead: List[float] = []
         #: Packed-wire site index -> worker index (built at fork).
@@ -1046,8 +920,7 @@ class ParallelSimulation(Simulation):
         #: a window/align reply must deliver at or after it.
         self._floor: Optional[float] = None
         self._stats = Counter()
-        # -- direct-ring data path (all empty/False until the fork decides) --
-        self._rings_active = False
+        # -- ring cursors (sized at the fork) --------------------------------
         #: src worker x dst worker matrices of absolute ring cursors: what
         #: each producer has advertised written, what each consumer has been
         #: told it may read, and what each consumer has confirmed reading.
@@ -1062,7 +935,6 @@ class ParallelSimulation(Simulation):
         #: born outside a window reply), re-asserted at drain time.
         self._ring_pending: List[Tuple[float, int, int, int, int, float]] = []
         # -- delta control plane --------------------------------------------
-        self._delta_exports = config.delta_exports
         #: Monotonic version of worker-visible state; bumped by every command
         #: that can touch it.  The cached merged snapshot/metrics are valid
         #: exactly while their recorded version equals it.
@@ -1081,10 +953,6 @@ class ParallelSimulation(Simulation):
         """True when runs are (or will be) executed by shard workers."""
         return self._parallel
 
-    @property
-    def _workers(self) -> List[_WorkerHandle]:
-        return self._pool.workers
-
     def _ensure_forked(self) -> None:
         if self._forked or not self._parallel:
             if self._closed:
@@ -1101,112 +969,78 @@ class ParallelSimulation(Simulation):
                 stacklevel=3,
             )
             self._parallel = False
-            self._planner = None
             return
         self._fork_counters = Counter(self.metrics._counters)
         self._fork_outcome_count = len(self._trace_outcomes)
         self._crashed_sites = {
             site_id for site_id, site in self.sites.items() if site.crashed
         }
-        wire_sites = sorted(self.sites) if self.config.packed_wire else None
-        if wire_sites is not None:
-            self._codec = WireCodec(wire_sites)
-        want_rings = (
-            self._codec is not None and self.config.effective_direct_rings
+        wire_sites = sorted(self.sites)
+        self._codec = WireCodec(wire_sites)
+        worker_count = len(shards)
+        # Created before the fork so every worker inherits the mapping; a
+        # post-fork segment would be private to its creator.  Best effort:
+        # None (no shared memory on this platform) leaves every record on
+        # the pipe spill path and every heap in private buffers.
+        self._arena = create_arena(
+            {site_id: site.heap.mirror_slots for site_id, site in self.sites.items()},
+            slot_capacity=self.config.arena_slots_per_site,
+            ring_workers=worker_count,
+            ring_bytes=self.config.ring_bytes_per_pair,
         )
-        if self.config.shared_arena or want_rings:
-            # Created before the fork so every worker inherits the mapping;
-            # a post-fork segment would be private to its creator.  With
-            # shared_arena off but rings on, the arena is rings-only (no
-            # site regions).
-            self._arena = create_arena(
-                (
-                    {
-                        site_id: site.heap.mirror_slots
-                        for site_id, site in self.sites.items()
-                    }
-                    if self.config.shared_arena
-                    else {}
-                ),
-                slot_capacity=self.config.arena_slots_per_site,
-                ring_workers=len(shards) if want_rings else 0,
-                ring_bytes=(
-                    self.config.ring_bytes_per_pair if want_rings else 0
-                ),
-            )
-        # Rings are best-effort like the arena itself: no shared memory on
-        # this platform means the coordinator-routed path carries on.
-        self._rings_active = (
-            want_rings
-            and self._arena is not None
-            and self._arena.ring_workers == len(shards)
-        )
-        if self._rings_active:
-            worker_count = len(shards)
-            self._ring_write_pos = [
-                [0] * worker_count for _ in range(worker_count)
-            ]
-            self._ring_limit_sent = [
-                [0] * worker_count for _ in range(worker_count)
-            ]
-            self._ring_confirmed = [
-                [0] * worker_count for _ in range(worker_count)
-            ]
-        min_latency = self.config.network.min_latency
+        self._ring_write_pos = [[0] * worker_count for _ in range(worker_count)]
+        self._ring_limit_sent = [[0] * worker_count for _ in range(worker_count)]
+        self._ring_confirmed = [[0] * worker_count for _ in range(worker_count)]
         self._shard_lookahead = []
         for shard in shards:
-            bound = (
-                self.network.min_cross_latency(set(shard))
-                if self._demand
-                else None
-            )
-            self._shard_lookahead.append(
-                min_latency if bound is None else bound
-            )
-        if self._codec is not None:
-            # Built before the fork: ring-mode workers route sends through
-            # this table themselves.
-            self._index_to_worker = [0] * len(self.sites)
-            for index, shard in enumerate(shards):
-                for site_id in shard:
-                    self._index_to_worker[self._codec.site_index(site_id)] = (
-                        index
-                    )
+            bound = self.network.min_cross_latency(set(shard))
+            self._shard_lookahead.append(self._lookahead if bound is None else bound)
+        # Built before the fork: workers route their sends through this
+        # table themselves.
+        self._index_to_worker = [0] * len(self.sites)
+        for index, shard in enumerate(shards):
+            for site_id in shard:
+                self._index_to_worker[self._codec.site_index(site_id)] = index
         self._pool.start(
-            shards,
-            self,
-            wire_sites,
-            self._arena,
-            self._demand,
-            ring_plan=self._index_to_worker if self._rings_active else None,
-            delta_exports=self._delta_exports,
+            shards, self, wire_sites, self._index_to_worker, self._arena
         )
         # Flag flips only after every fork: children must see the sequential
         # view of `self` so their internal calls take direct paths.
         self._forked = True
         self._worker_counters = [dict(self._fork_counters) for _ in shards]
         for index, worker in enumerate(self._pool):
-            if self._codec is not None:
-                worker.shard_indices = {
-                    self._codec.site_index(site_id) for site_id in worker.shard
-                }
-            self._absorb(worker, self._pool.recv(worker))
+            worker.shard_indices = {
+                self._codec.site_index(site_id) for site_id in worker.shard
+            }
             for site_id in worker.shard:
                 self._site_to_worker[site_id] = index
+        try:
+            for worker in self._pool:
+                self._absorb(worker, self._pool.recv(worker))
+        except SimulationError:  # a worker failed its bring-up and has exited
+            self._abandon()
+            raise
 
     def close(self) -> None:
         """Stop the shard workers and release the arena.  Idempotent."""
-        if not self._forked or self._closed:
-            self._closed = self._closed or self._forked
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
-            return
-        self._closed = True
-        self._pool.stop()
+        if self._forked and not self._closed:
+            self._closed = True
+            self._pool.stop()
         if self._arena is not None:
             self._arena.close()
             self._arena = None
+
+    def _abandon(self) -> None:
+        """Reap the pool and close, after a window or align failed.
+
+        Some shards ran the window and some did not, so they are no longer
+        at a common time and nothing a later command returned could be
+        trusted.  Terminating the workers also discards whatever replies
+        were still in flight.
+        """
+        self._closed = True
+        self._pool.reap()
+        self.close()
 
     def __enter__(self) -> "ParallelSimulation":
         return self
@@ -1223,126 +1057,111 @@ class ParallelSimulation(Simulation):
     # -- coordinator plumbing ------------------------------------------------
 
     def _absorb(
-        self,
-        worker: _WorkerHandle,
-        reply: tuple,
-        floor: Optional[float] = None,
-        ring_reply: bool = False,
+        self, worker: _WorkerHandle, reply: tuple, window_reply: bool = False
     ):
         """Fold one worker reply into coordinator state; return its payload.
 
-        ``floor`` (set for window/align replies) is the latest dispatched
-        window bound: the conservative-lookahead safety argument guarantees
-        every routed message delivers at or after it, and the coordinator
-        checks that invariant on every absorbed message rather than trusting
-        the planner.
-
-        ``ring_reply`` marks the reply as answering a window/align command
-        that carried ring read limits: absorbing it first *confirms* those
-        limits (the shard has drained past them -- its producers may reuse
-        the space, and the batches stop contributing to the horizon), then
-        parses any ring-advertisement section after the 24-byte trailer into
-        new :attr:`_ring_pending` entries.
+        ``window_reply`` marks the reply as answering a window/align command.
+        Absorbing it first *confirms* the ring read limits that command
+        certified (the shard has drained past them -- its producers may
+        reuse the space, and the batches stop contributing to the horizon).
+        It also puts the latest dispatched window bound in force as the
+        *floor*: the conservative-lookahead safety argument guarantees every
+        cross-shard message sent in a window delivers at or after it, and
+        the invariant is checked on every record rather than trusted to the
+        planner -- here for spilled records, and at drain time
+        (:meth:`_RingReader.drain`) for the ring batches advertised after
+        the 24-byte trailer, which carry the floor along.
         """
         if reply[0] == "error":
             raise SimulationError(f"shard worker failed:\n{reply[1]}")
         _, payload, outgoing, meta = reply
         next_time, eot, fired = unpack_reply_meta(meta)
-        if self._rings_active:
-            if ring_reply and worker.limits_inflight:
-                limits = worker.limits_inflight.pop(0)
-                if limits is not None:
-                    dst_w = worker.index
-                    confirmed = self._ring_confirmed
-                    for src_w, entry in enumerate(limits):
-                        if entry is not None and entry[0] > confirmed[src_w][dst_w]:
-                            confirmed[src_w][dst_w] = entry[0]
-                    if self._ring_pending:
-                        self._ring_pending = [
-                            batch
-                            for batch in self._ring_pending
-                            if not (
-                                batch[4] == dst_w
-                                and limits[batch[3]] is not None
-                                and batch[1] <= limits[batch[3]][0]
-                            )
-                        ]
-            if len(meta) > REPLY_META_BYTES:
-                src_w = worker.index
-                batch_floor = floor if floor is not None else -_INF
-                write_pos_row = self._ring_write_pos[src_w]
-                stats = self._stats
-                for dst_w, count, write_pos, min_deliver in unpack_ring_meta(
-                    meta[REPLY_META_BYTES:]
-                ):
-                    stats["ring_bytes"] += write_pos - write_pos_row[dst_w]
-                    stats["ring_messages"] += count
-                    stats["cross_shard_messages"] += count
-                    write_pos_row[dst_w] = write_pos
-                    self._ring_pending.append(
-                        (min_deliver, write_pos, count, src_w, dst_w,
-                         batch_floor)
+        floor = None
+        stats = self._stats
+        if window_reply:
+            floor = self._floor
+            limits = worker.limits_inflight.pop(0)
+            if limits is not None:
+                dst_w = worker.index
+                confirmed = self._ring_confirmed
+                for src_w, entry in enumerate(limits):
+                    if entry is not None and entry[0] > confirmed[src_w][dst_w]:
+                        confirmed[src_w][dst_w] = entry[0]
+                self._ring_pending = [
+                    batch
+                    for batch in self._ring_pending
+                    if not (
+                        batch[4] == dst_w
+                        and limits[batch[3]] is not None
+                        and batch[1] <= limits[batch[3]][0]
                     )
-        if self._codec is not None:
-            # A blob of packed records: route by scanning headers only.
-            pending_append = self._pending.append
-            stats = self._stats
-            if len(outgoing) > 4:  # more than the empty-blob count prefix
-                stats["payload_bytes"] += len(outgoing)
-            for deliver_at, dst, src, kind, uid, record in self._codec.scan_blob(
-                outgoing
+                ]
+        if len(meta) > REPLY_META_BYTES:
+            src_w = worker.index
+            batch_floor = floor if floor is not None else -_INF
+            write_pos_row = self._ring_write_pos[src_w]
+            for dst_w, count, write_pos, min_deliver in unpack_ring_meta(
+                meta[REPLY_META_BYTES:]
             ):
-                if floor is not None and deliver_at < floor:
-                    raise SimulationError(
-                        "window-safety invariant violated: routed message "
-                        f"delivers at {deliver_at} before the dispatched "
-                        f"window bound {floor}"
-                    )
-                stats["cross_shard_messages"] += 1
-                if kind == 0:
-                    stats["payloads_pickled"] += 1
-                else:
-                    stats["payloads_packed"] += 1
-                if self._rings_active:
-                    # With rings on, every pipe-routed record is one that
-                    # declined its ring (full, or oversized for it).
-                    stats["ring_spills"] += 1
-                pending_append((deliver_at, dst, src, uid, record))
-        elif outgoing:
-            # Legacy wire: the payload cost is what pickling the routed list
-            # costs (it crossed the pipe inside the reply tuple just so).
-            if floor is not None:
-                for deliver_at, _message in outgoing:
-                    if deliver_at < floor:
-                        raise SimulationError(
-                            "window-safety invariant violated: routed "
-                            f"message delivers at {deliver_at} before the "
-                            f"dispatched window bound {floor}"
-                        )
-            self._stats["payload_bytes"] += len(
-                pickle.dumps(outgoing, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            self._stats["cross_shard_messages"] += len(outgoing)
-            self._stats["payloads_pickled"] += len(outgoing)
-            self._pending.extend(outgoing)
+                stats["ring_bytes"] += write_pos - write_pos_row[dst_w]
+                stats["ring_messages"] += count
+                stats["cross_shard_messages"] += count
+                write_pos_row[dst_w] = write_pos
+                self._ring_pending.append(
+                    (min_deliver, write_pos, count, src_w, dst_w, batch_floor)
+                )
+        # Records that declined their ring (full, oversized, or no shared
+        # memory at all): routed by scanning headers only, never decoded.
+        if len(outgoing) > 4:  # more than the empty-blob count prefix
+            stats["payload_bytes"] += len(outgoing)
+        pending_append = self._pending.append
+        for deliver_at, dst, _src, kind, _uid, record in self._codec.scan_blob(
+            outgoing
+        ):
+            if floor is not None and deliver_at < floor:
+                raise SimulationError(
+                    "window-safety invariant violated: routed message "
+                    f"delivers at {deliver_at} before the dispatched "
+                    f"window bound {floor}"
+                )
+            stats["cross_shard_messages"] += 1
+            stats["ring_spills"] += 1
+            if kind == 0:
+                stats["payloads_pickled"] += 1
+            else:
+                stats["payloads_packed"] += 1
+            pending_append((deliver_at, dst, record))
         worker.next_time = next_time
         worker.eot = eot
         return payload, fired
 
     def _broadcast(self, command: tuple) -> Tuple[List[Any], int]:
-        """Send ``command`` to every worker; gather payloads in shard order."""
+        """Send ``command`` to every worker; gather payloads in shard order.
+
+        Every reply is received -- and every good one absorbed -- before a
+        worker's error is raised: a reply left unread would answer the next
+        command instead of its own.
+        """
         if self._closed:
             raise SimulationError("parallel simulation has been closed")
         self._stats["broadcasts"] += 1
         pool = self._pool
         for worker in pool:
             pool.send(worker, command)
+        replies = [pool.recv(worker) for worker in pool]
         payloads: List[Any] = []
         total_fired = 0
-        for worker in pool:
-            payload, fired = self._absorb(worker, pool.recv(worker))
+        failure = None
+        for worker, reply in zip(pool, replies):
+            if reply[0] == "error":
+                failure = failure or reply[1]
+                continue
+            payload, fired = self._absorb(worker, reply)
             payloads.append(payload)
             total_fired += fired
+        if failure is not None:
+            raise SimulationError(f"shard worker failed:\n{failure}")
         return payloads, total_fired
 
     def _site_call(self, site_id: SiteId, method: str, *args, **kwargs):
@@ -1356,38 +1175,24 @@ class ParallelSimulation(Simulation):
         payload, _ = self._absorb(worker, pool.recv(worker))
         return payload
 
-    def _take_pending(self, worker: _WorkerHandle, bound: float):
-        """Remove and return pending messages for a shard due before ``bound``.
+    def _take_pending(self, worker: _WorkerHandle) -> bytes:
+        """Remove the spilled records addressed to a shard; return their blob.
 
-        The result is sorted by (deliver_at, source site, sender sequence):
-        delivery time first, with the paper-prescribed deterministic
-        tie-break for simultaneous cross-shard arrivals.  In packed mode the
-        site index order equals lexicographic SiteId order (the codec's
-        table is sorted), so sorting by source *index* is the same order --
-        and the due records are re-framed into one blob without decoding.
+        Due or not: the worker stashes them next to its ring records and
+        orders both by (deliver_at, source site, sender sequence) when they
+        fall due, so the records are re-framed here without decoding or
+        sorting.
         """
-        due: List[Any] = []
-        rest: List[Any] = []
-        if self._codec is not None:
-            shard_indices = worker.shard_indices
-            for item in self._pending:
-                if item[1] in shard_indices and item[0] < bound:
-                    due.append(item)
-                else:
-                    rest.append(item)
-            self._pending = rest
-            due.sort(key=lambda item: (item[0], item[2], item[3]))
-            return self._codec.pack_blob([item[4] for item in due])
-        shard = worker.shard
+        shard_indices = worker.shard_indices
+        records: List[Any] = []
+        rest: List[Tuple[float, int, Any]] = []
         for item in self._pending:
-            deliver_at, message = item
-            if message.dst in shard and deliver_at < bound:
-                due.append(item)
+            if item[1] in shard_indices:
+                records.append(item[2])
             else:
                 rest.append(item)
         self._pending = rest
-        due.sort(key=lambda item: (item[0], item[1].src, item[1].uid))
-        return due
+        return self._codec.pack_blob(records)
 
     def _ring_limits_for(self, dst_w: int) -> Optional[tuple]:
         """Newly certifiable read limits for worker ``dst_w``, or None.
@@ -1424,67 +1229,49 @@ class ParallelSimulation(Simulation):
             any_new = True
         return tuple(limits) if any_new else None
 
-    def _ring_consumed_for(self, src_w: int) -> tuple:
-        """Confirmed consumption cursors for producer ``src_w``'s rings."""
-        return tuple(self._ring_confirmed[src_w])
-
     def _effective_horizon(self) -> float:
-        horizon = self._planner.horizon(
-            worker.next_time for worker in self._pool
-        )
-        pending = self._pending
-        if pending:
-            # First element is deliver_at in both wire modes.
-            horizon = min(horizon, min(item[0] for item in pending))
+        """Earliest unexecuted work anywhere: shards, spills, ring batches."""
+        horizon = min((worker.next_time for worker in self._pool), default=_INF)
+        if self._pending:
+            horizon = min(horizon, min(item[0] for item in self._pending))
         if self._ring_pending:
             # Advertised ring batches the destination shard has not
-            # confirmed draining yet; their earliest delivery caps the
-            # horizon exactly like coordinator-held pending messages.
+            # confirmed draining yet.
             horizon = min(
                 horizon, min(batch[0] for batch in self._ring_pending)
             )
         return horizon
 
-    def _pending_lookahead(self, item) -> float:
-        """Outbound latency floor of the shard a pending message delivers to."""
-        if self._codec is not None:
-            worker_index = self._index_to_worker[item[1]]
-        else:
-            worker_index = self._site_to_worker[item[1].dst]
-        return self._shard_lookahead[worker_index]
-
     def _plan_bound(self, target_excl: float) -> Optional[float]:
         """Exclusive bound of the next window, or None when the target is hit.
 
-        Fixed planner: ``horizon + min_latency``.  Demand planner: the
-        minimum of every shard's advertised EOT and, for each pending
-        cross-shard message, ``deliver_at + destination-shard lookahead``
-        (the earliest a cascade started by its delivery could leave that
-        shard), clipped to the target.  Jumps past the fixed bound are
-        counted as ``eot_jumps`` (or ``quiescence_jumps`` when the whole
-        remaining span collapses into one window).
+        The minimum of every shard's advertised EOT and, for each
+        cross-shard message its destination has not taken yet (spilled or
+        in a ring), ``deliver_at + destination-shard lookahead`` (the
+        earliest a cascade started by its delivery could leave that shard),
+        clipped to the target.  Bounds past ``horizon + min_latency`` -- all
+        a planner without advertised EOTs could promise -- are counted as
+        ``eot_jumps`` (or ``quiescence_jumps`` when the whole remaining span
+        collapses into one window).
         """
         horizon = self._effective_horizon()
-        if not self._demand:
-            return self._planner.window(horizon, target_excl)
         if horizon >= target_excl:
             return None
         bound = target_excl
         for worker in self._pool:
             if worker.eot < bound:
                 bound = worker.eot
-        for item in self._pending:
-            term = item[0] + self._pending_lookahead(item)
+        shard_lookahead = self._shard_lookahead
+        index_to_worker = self._index_to_worker
+        for deliver_at, dst, _record in self._pending:
+            term = deliver_at + shard_lookahead[index_to_worker[dst]]
             if term < bound:
                 bound = term
         for batch in self._ring_pending:
-            # Same cascade argument as coordinator-held pending messages:
-            # the earliest a cascade started by this batch's delivery could
-            # leave the destination shard.
-            term = batch[0] + self._shard_lookahead[batch[4]]
+            term = batch[0] + shard_lookahead[batch[4]]
             if term < bound:
                 bound = term
-        fixed = min(horizon + self._planner.lookahead, target_excl)
+        fixed = min(horizon + self._lookahead, target_excl)
         if bound >= target_excl:
             bound = target_excl
             if bound > fixed:
@@ -1517,65 +1304,72 @@ class ParallelSimulation(Simulation):
                 candidate = worker.eot
         if candidate <= bound:
             return None
-        if candidate < target_excl and candidate - bound < self._planner.lookahead:
+        if candidate < target_excl and candidate - bound < self._lookahead:
             return None
         return candidate
 
-    def _dispatch_window(self, bound: float) -> Tuple[float, bool]:
-        """Send one window to every worker; True when it routed no messages.
+    def _send_window(self, op: str, time: float) -> bool:
+        """Send one window/align command to every worker; True when it
+        handed the shards no input at all.
 
-        Ring mode fuses the whole dispatch -> drain -> route -> absorb
-        sequence into this one send: the command certifies the worker's
-        inbound ring limits (the worker pulls the records itself), carries
-        the confirmed consumption cursors for its outbound rings, and ships
-        any pipe-spilled records undue-filtered -- the worker's stash holds
-        them until due.  "Routed no messages" then also requires that no
-        new ring bytes were certified, which is what the pipelined-dispatch
-        safety argument needs.
+        The command certifies the worker's inbound ring limits (the worker
+        pulls those records itself), carries the confirmed consumption
+        cursors for its outbound rings, and ships the spilled records
+        addressed to it, due or not -- the worker's stash holds them until
+        due.  "No input" is what the pipelined-dispatch safety argument
+        needs: no spill shipped and no new ring bytes certified.
         """
         pool = self._pool
-        self._stats["windows"] += 1
-        self._floor = bound
-        before = len(self._pending)
-        if not self._rings_active:
-            for worker in pool:
-                pool.send(
-                    worker, ("window", bound, self._take_pending(worker, bound))
-                )
-            return bound, len(self._pending) == before
-        certified = False
+        clean = not self._pending
         for worker in pool:
             limits = self._ring_limits_for(worker.index)
             worker.limits_inflight.append(limits)
             if limits is not None:
-                certified = True
+                clean = False
             pool.send(
                 worker,
                 (
-                    "window",
-                    bound,
-                    self._take_pending(worker, _INF),
+                    op,
+                    time,
+                    self._take_pending(worker),
                     limits,
-                    self._ring_consumed_for(worker.index),
+                    tuple(self._ring_confirmed[worker.index]),
                 ),
             )
-        return bound, not certified and len(self._pending) == before
+        return clean
+
+    def _dispatch_window(self, bound: float) -> Tuple[float, bool]:
+        self._stats["windows"] += 1
+        self._floor = bound
+        return bound, self._send_window("window", bound)
 
     def _advance(self, target: float) -> int:
         """Advance every shard to exactly ``target`` via safe-time windows.
 
         At most two windows are ever in flight: while draining the replies
-        of a window that was dispatched empty, the demand planner may issue
-        the next window early (``pipelined_windows``) so idle workers start
+        of a window that was dispatched empty, the planner may issue the
+        next window early (``pipelined_windows``) so idle workers start
         computing before the slowest reply lands.  Replies are always
         drained in worker order, so window bounds -- and hence all
         coordination counters -- are deterministic, never wall-clock-raced.
+
+        A worker error or a failed safety check in here is final
+        (:meth:`_abandon`): the engine closes before the error propagates.
         """
+        self._state_version += 1
+        try:
+            total_fired = self._run_windows(target)
+        except SimulationError:
+            self._abandon()
+            raise
+        self.scheduler.advance_clock(target)
+        return total_fired
+
+    def _run_windows(self, target: float) -> int:
         target_excl = math.nextafter(target, _INF)
         total_fired = 0
         pool = self._pool
         workers = pool.workers
-        self._state_version += 1
         inflight: List[Tuple[float, bool]] = []
         while True:
             if not inflight:
@@ -1586,13 +1380,11 @@ class ParallelSimulation(Simulation):
             bound, clean = inflight.pop(0)
             for index, worker in enumerate(workers):
                 _, fired = self._absorb(
-                    worker, pool.recv(worker), floor=self._floor,
-                    ring_reply=True,
+                    worker, pool.recv(worker), window_reply=True
                 )
                 total_fired += fired
                 if (
-                    self._demand
-                    and clean
+                    clean
                     and not inflight
                     and not self._pending
                     and not self._ring_pending
@@ -1605,54 +1397,28 @@ class ParallelSimulation(Simulation):
         # Align: park messages due beyond the target in their receiving
         # shards' queues and move every clock (ours included) to the target.
         self._stats["aligns"] += 1
+        self._send_window("align", target)
         for worker in pool:
-            if self._rings_active:
-                limits = self._ring_limits_for(worker.index)
-                worker.limits_inflight.append(limits)
-                pool.send(
-                    worker,
-                    (
-                        "align",
-                        target,
-                        self._take_pending(worker, _INF),
-                        limits,
-                        self._ring_consumed_for(worker.index),
-                    ),
-                )
-            else:
-                pool.send(
-                    worker, ("align", target, self._take_pending(worker, _INF))
-                )
-        for worker in pool:
-            self._absorb(
-                worker, pool.recv(worker), floor=self._floor, ring_reply=True
-            )
-        self.scheduler.advance_clock(target)
+            self._absorb(worker, pool.recv(worker), window_reply=True)
         return total_fired
 
     def coordination_stats(self) -> Dict[str, int]:
         """Counters of coordinator<->worker traffic since the fork.
 
         ``windows``/``aligns`` count synchronization rounds, of which
-        ``eot_jumps``/``quiescence_jumps`` beat the fixed-step bound thanks
-        to advertised earliest-output-times and ``pipelined_windows`` were
-        dispatched before the previous window finished draining (all three
-        stay 0 under ``window_planner="fixed"``); ``bytes_sent``/
-        ``bytes_recv`` are coordinator-side pipe totals (every pickled byte,
-        both wire modes); ``cross_shard_messages`` counts routed messages, of
-        which ``payloads_packed`` used the struct wire format and
-        ``payloads_pickled`` fell back to (or ran as, in legacy mode)
-        per-message pickling.  ``arena_bytes`` is the shared segment size (0
-        without one).
-
-        With direct rings active, ``cross_shard_messages`` splits into
-        ``ring_messages`` (travelled shard-to-shard through shared memory;
-        ``ring_bytes`` counts their framed bytes, which never cross a pipe)
-        and ``ring_spills`` (declined the ring -- full, or oversized -- and
-        took the legacy pipe path; the packed/pickled split describes only
-        those).  ``payload_bytes`` therefore covers pipe-routed payloads
-        alone, which is exactly what shrinks to trailer-plus-cursor size
-        per window.
+        ``eot_jumps``/``quiescence_jumps`` went past ``horizon +
+        min_latency`` thanks to advertised earliest-output-times and
+        ``pipelined_windows`` were dispatched before the previous window
+        finished draining; ``bytes_sent``/``bytes_recv`` are
+        coordinator-side pipe totals (every pickled byte).
+        ``cross_shard_messages`` splits into ``ring_messages`` (travelled
+        shard-to-shard through shared memory; ``ring_bytes`` counts their
+        framed bytes, which never cross a pipe) and ``ring_spills``
+        (declined the ring -- full, oversized, or no shared memory -- and
+        were routed over the pipes: ``payload_bytes`` of blobs, of which
+        ``payloads_packed`` records used the struct format and
+        ``payloads_pickled`` fell back to a pickled body).  ``arena_bytes``
+        is the shared segment size (0 without one).
         """
         stats = dict(self._stats)
         for key in (
@@ -1675,10 +1441,6 @@ class ParallelSimulation(Simulation):
         stats["bytes_sent"] = self._pool.bytes_sent
         stats["bytes_recv"] = self._pool.bytes_recv
         stats["commands_sent"] = self._pool.commands_sent
-        stats["packed_wire"] = int(self._codec is not None)
-        stats["demand_planner"] = int(self._demand)
-        stats["direct_rings"] = int(self._rings_active)
-        stats["delta_exports"] = int(self._delta_exports)
         stats["arena_bytes"] = self._arena.nbytes if self._arena is not None else 0
         return stats
 
@@ -1796,39 +1558,27 @@ class ParallelSimulation(Simulation):
     # -- merged state --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Merged heap/ioref snapshot, same shape as ``analysis.export.snapshot``.
+        """Merged heap/ioref snapshot, same shape as ``graph_snapshot``.
 
-        With ``config.delta_exports`` (the default) the broadcast happens at
-        most once per state version: workers ship only sites whose content
-        digest moved since the last export (``None`` for unchanged ones),
-        the coordinator patches its cached copy, and a repeat call with no
-        intervening state change skips the broadcast entirely.  Treat the
-        result as read-only -- cached site entries are shared between calls.
+        The broadcast happens at most once per state version: workers ship
+        only sites whose content digest moved since the last export
+        (``None`` for unchanged ones), the coordinator patches its cached
+        copy, and a repeat call with no intervening state change skips the
+        broadcast entirely.  Treat the result as read-only -- cached site
+        entries are shared between calls.
         """
         if not self._forked:
             from ..analysis.export import graph_snapshot
 
             return graph_snapshot(self)
-        if not self._delta_exports:
-            payloads, _ = self._broadcast(("snapshot",))
-            merged: Dict[str, Any] = {}
-            for shard_snapshot in payloads:
-                merged.update(shard_snapshot)
-            return {
-                "time": self.now,
-                "sites": {
-                    site_id: merged[site_id] for site_id in sorted(merged)
-                },
-            }
+        cache = self._snapshot_cache
         if self._snapshot_version != self._state_version:
             payloads, _ = self._broadcast(("snapshot",))
-            cache = self._snapshot_cache
             for shard_snapshot in payloads:
                 for site_id, snap in shard_snapshot.items():
                     if snap is not None:
                         cache[site_id] = snap
             self._snapshot_version = self._state_version
-        cache = self._snapshot_cache
         return {
             "time": self.now,
             "sites": {site_id: cache[site_id] for site_id in sorted(cache)},
@@ -1839,25 +1589,13 @@ class ParallelSimulation(Simulation):
 
         Every worker inherited the pre-fork counters at fork time, so the
         merge adds only each worker's post-fork deltas to the baseline once.
-        Observations (value series) are not merged across processes.  With
-        ``config.delta_exports`` the broadcast happens at most once per
-        state version and ships only counters whose values moved; the
-        coordinator keeps each worker's last known values and re-merges
-        from those.
+        Observations (value series) are not merged across processes.  The
+        broadcast happens at most once per state version and ships only
+        counters whose values moved; the coordinator keeps each worker's
+        last known values and re-merges from those.
         """
         if not self._forked:
             return self.metrics
-        if not self._delta_exports:
-            payloads, _ = self._broadcast(("metrics",))
-            merged = Counter(self._fork_counters)
-            for worker_counters in payloads:
-                for name, value in worker_counters.items():
-                    merged[name] += value - self._fork_counters.get(name, 0)
-            recorder = MetricsRecorder()
-            recorder._counters.update(
-                {name: value for name, value in merged.items() if value}
-            )
-            return recorder
         if self._metrics_version != self._state_version:
             payloads, _ = self._broadcast(("metrics",))
             for known, delta in zip(self._worker_counters, payloads):

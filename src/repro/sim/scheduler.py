@@ -11,9 +11,9 @@ C tuple comparison on a float (and at worst an int) and never falls through
 to Python-level ``__lt__``.  This is the per-event hot path of the whole
 simulator -- the sequential engine and every shard worker's inner loop pay
 one push and one pop per event -- and generated dataclass comparisons were
-its single largest interpreter cost (see benchmark E23; the pre-overhaul
-implementation survives as :mod:`repro.sim.legacy_hot_path` and is twinned
-byte-for-byte against this one).
+its single largest interpreter cost (EXPERIMENTS.md E23; the rewrite was
+twinned byte-for-byte against the implementation it replaced, and the
+``hot_path`` golden digests now hold that identity).
 
 Callbacks come in two forms: a plain thunk ``fn()`` or, with the ``arg``
 keyword, ``fn(arg)``.  The second form exists for the network's deliveries

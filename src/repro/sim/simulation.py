@@ -69,8 +69,8 @@ class Simulation:
         Returns a plain sequential :class:`Simulation` unless
         ``config.parallel_workers > 1``, in which case the sharded parallel
         engine is constructed (imported lazily -- most runs never need it).
-        Callers should prefer this over instantiating either class directly;
-        direct ``ParallelSimulation(...)`` construction is deprecated.
+        Callers should prefer this over instantiating either class directly:
+        it keeps call sites engine-agnostic.
         """
         config = config or SimulationConfig()
         target = cls
@@ -78,9 +78,6 @@ class Simulation:
             from .parallel import ParallelSimulation
 
             target = ParallelSimulation
-        creator = getattr(target, "_create", None)
-        if creator is not None:
-            return creator(config, latency_model=latency_model, fault_plan=fault_plan)
         return target(config, latency_model=latency_model, fault_plan=fault_plan)
 
     # -- construction ---------------------------------------------------------------

@@ -26,11 +26,10 @@ in memory both sides can see:
   arena).
 
 The arena optionally carries a second area after the site regions: the
-**ring area** of the direct shard-to-shard data path
-(``SimulationConfig.direct_rings``).  For W workers it holds W*W
-fixed-size byte rings, one per *ordered* worker pair; ring ``(i, j)`` is
-written only by worker ``i`` and read only by worker ``j``, which is what
-makes every ring single-producer single-consumer.  The rings themselves
+**ring area** of the direct shard-to-shard data path.  For W workers it
+holds W*W fixed-size byte rings, one per *ordered* worker pair; ring
+``(i, j)`` is written only by worker ``i`` and read only by worker ``j``,
+which makes every ring single-producer single-consumer.  The rings themselves
 are position-free: all cursors (write positions, certified read limits,
 confirmed consumption) travel through the coordinator's command/reply
 exchange, so no process ever reads a position another process is
@@ -302,11 +301,6 @@ class SharedArena:
     def region(self, site_id: SiteId) -> SiteRegion:
         return self._regions[site_id]
 
-    @property
-    def has_site_regions(self) -> bool:
-        """False for a rings-only arena (``shared_arena=False`` + rings)."""
-        return bool(self._regions)
-
     def ring(self, src_worker: int, dst_worker: int) -> SpscRing:
         """The ring worker ``src_worker`` writes for worker ``dst_worker``."""
         if not (0 <= src_worker < self.ring_workers
@@ -320,8 +314,8 @@ class SharedArena:
     def total_alive(self) -> Optional[int]:
         """Sum of per-site resident counts, or None if any heap spilled.
 
-        Also None for a rings-only arena: without site regions there are no
-        published counts to read, and 0 would be a lie.
+        Also None for an arena built with an empty site table: without site
+        regions there are no published counts to read, and 0 would be a lie.
         """
         if not self._regions:
             return None

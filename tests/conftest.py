@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle
-from repro.workloads import GraphBuilder
+from repro.analysis import Oracle, graph_snapshot
+from repro.net.faults import FaultPlan
+from repro.workloads import (
+    ChurnConfig,
+    GraphBuilder,
+    SiteChurn,
+    build_ring_cycle,
+)
 
 
 def make_sim(
@@ -61,3 +69,68 @@ def builder(sim):
 @pytest.fixture
 def oracle(sim):
     return Oracle(sim)
+
+
+# -- the sharded-engine twin scenario (window planning, ring/pipe data path) --
+
+TWIN_SITES = [f"s{i:02d}" for i in range(12)]
+TWIN_GC = dict(
+    local_trace_period=100.0,
+    local_trace_period_jitter=25.0,
+    suspicion_threshold=2,
+    assumed_cycle_length=2,
+    back_threshold_increment=1,
+    full_trace_every_n=6,
+    full_update_period=3,
+)
+TWIN_NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+TWIN_STORM = FaultPlan.loss(0.15, start=50.0, end=200.0).merge(
+    FaultPlan.duplication(0.2, copies=1, lag=10.0, start=50.0, end=200.0),
+    FaultPlan.reorder_burst(0.3, delay=15.0, start=50.0, end=200.0),
+).named("twin-storm")
+
+
+def run_churn_twin(workers, seed, run_time, gc_rounds, fault_plan=None):
+    """An e13-shaped workload: churn burst + doomed ring, a quiet tail up to
+    ``run_time``, then ``gc_rounds`` explicit GC rounds.
+
+    Returns ``(snapshot_json, outcomes, metrics, stats)`` -- everything a
+    sharded run must share with the sequential run of the seed, plus the
+    sharded run's coordination stats (``None`` for ``workers == 1``).
+    """
+    config = SimulationConfig(
+        seed=seed,
+        gc=GcConfig(**TWIN_GC),
+        network=NetworkConfig(**TWIN_NETWORK),
+        parallel_workers=workers,
+    )
+    sim = Simulation.create(config, fault_plan=fault_plan)
+    sim.add_sites(TWIN_SITES, auto_gc=True)
+    doomed = build_ring_cycle(sim, TWIN_SITES[:4])
+    churn = SiteChurn(sim, TWIN_SITES, ChurnConfig(mean_interval=4.0))
+    churn.start(until=250.0)
+
+    sim.run_for(run_time)
+    sim.quiesce_auto_gc()
+    sim.settle(quiet_time=30.0, max_rounds=3000)
+    doomed.make_garbage(sim)
+    for _ in range(gc_rounds):
+        sim.run_gc_round()
+    sim.settle(quiet_time=30.0, max_rounds=3000)
+
+    outcomes = sim.trace_outcomes
+    if workers > 1:
+        snapshot = json.dumps(sim.snapshot(), sort_keys=True)
+        metrics = dict(sim.merged_metrics()._counters)
+        stats = sim.coordination_stats()
+        sim.close()
+    else:
+        snapshot = json.dumps(graph_snapshot(sim), sort_keys=True)
+        metrics = {k: v for k, v in sim.metrics._counters.items() if v}
+        stats = None
+    return snapshot, outcomes, metrics, stats
+
+
+def pick(stats, keys):
+    """The sub-dict of ``stats`` a pinned-count assertion compares."""
+    return {key: stats[key] for key in keys}

@@ -1,139 +1,111 @@
-"""Direct shard-to-shard rings: byte-identity and data-path accounting.
+"""Rings first, pipe as the spill: byte-identity and data-path accounting.
 
-The coordinator-free data path (``SimulationConfig.direct_rings``) moves
-cross-shard records out of the coordinator pipes into per-ordered-pair SPSC
-rings in shared memory.  Which path a record takes must never change what
-executes: a rings-on run must be byte-identical to a rings-off run and to
-the sequential engine -- same snapshots, same trace outcomes, same merged
-metrics -- at any worker count and under a fault-plan storm.  The
+Cross-shard records travel through per-ordered-pair SPSC rings in shared
+memory; one that does not fit its ring -- or every one, on a platform
+without shared memory -- spills to the coordinator pipes.  Which carrier a
+record takes must never change what executes: a sharded run must be
+byte-identical to the sequential engine -- same snapshots, same trace
+outcomes, same merged metrics -- at any worker count, under a fault-plan
+storm, with all records on the rings, all on the pipes, or mixed.  The
 accounting must also be airtight: every routed message is counted exactly
-once (ring or pipe), rings-on runs actually move the payload traffic off
-the pipes, and the delta control plane changes nothing observable.
+once (ring or spill), and a default run keeps the payload traffic off the
+pipes entirely.  Absolute counts are pinned to what each scenario and seed
+gave at 1ef2097.
 """
 
 import json
+import warnings
 
 import pytest
 
+import repro.sim.parallel as parallel_mod
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
-from repro.net.faults import FaultPlan
-from repro.sim.parallel import ParallelSimulation
+from repro.analysis import graph_snapshot
 from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
 
-SITES = [f"s{i:02d}" for i in range(12)]
-CHURN_UNTIL = 250.0
-GC = dict(
-    local_trace_period=100.0,
-    local_trace_period_jitter=25.0,
-    suspicion_threshold=2,
-    assumed_cycle_length=2,
-    back_threshold_increment=1,
-    full_trace_every_n=6,
-    full_update_period=3,
-)
-NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
-
-STORM = (
-    FaultPlan.loss(0.15, start=50.0, end=200.0)
-    .merge(
-        FaultPlan.duplication(0.2, copies=1, lag=10.0, start=50.0, end=200.0),
-        FaultPlan.reorder_burst(0.3, delay=15.0, start=50.0, end=200.0),
-    )
-    .named("ring-storm")
+from ..conftest import (
+    TWIN_GC,
+    TWIN_NETWORK,
+    TWIN_SITES,
+    TWIN_STORM,
+    pick,
+    run_churn_twin,
 )
 
 
-def _run(workers, direct_rings, seed, fault_plan=None, delta_exports=True,
-         ring_bytes=65536):
-    """One full scenario; returns (snapshot_json, outcomes, metrics, stats)."""
-    config = SimulationConfig(
-        seed=seed,
-        gc=GcConfig(**GC),
-        network=NetworkConfig(**NETWORK),
-        parallel_workers=workers,
-        direct_rings=direct_rings,
-        delta_exports=delta_exports,
-        ring_bytes_per_pair=ring_bytes,
-    )
-    sim = Simulation.create(config, fault_plan=fault_plan)
-    sim.add_sites(SITES, auto_gc=True)
-    doomed = build_ring_cycle(sim, SITES[:4])
-    churn = SiteChurn(sim, SITES, ChurnConfig(mean_interval=4.0))
-    churn.start(until=CHURN_UNTIL)
+def _run(workers, seed, fault_plan=None):
+    return run_churn_twin(workers, seed, 1200.0, 6, fault_plan)
 
-    sim.run_for(1200.0)
-    sim.quiesce_auto_gc()
-    sim.settle(quiet_time=30.0, max_rounds=3000)
-    doomed.make_garbage(sim)
-    for _ in range(6):
-        sim.run_gc_round()
-    sim.settle(quiet_time=30.0, max_rounds=3000)
 
-    if isinstance(sim, ParallelSimulation) and sim.parallel_active:
-        snapshot = json.dumps(sim.snapshot(), sort_keys=True)
-        outcomes = sim.trace_outcomes
-        metrics = dict(sim.merged_metrics()._counters)
-        stats = sim.coordination_stats()
-        sim.close()
-    else:
-        from repro.analysis.export import graph_snapshot
+def _run_piped(monkeypatch, workers, seed, fault_plan=None):
+    """The same scenario on a platform without shared memory."""
 
-        snapshot = json.dumps(graph_snapshot(sim), sort_keys=True)
-        outcomes = sim.trace_outcomes
-        metrics = {k: v for k, v in sim.metrics._counters.items() if v}
-        stats = None
-    return snapshot, outcomes, metrics, stats
+    def create_arena(*args, **kwargs):
+        warnings.warn("no shared memory here", RuntimeWarning)
+        return None
+
+    monkeypatch.setattr(parallel_mod, "create_arena", create_arena)
+    with pytest.warns(RuntimeWarning, match="no shared memory"):
+        return _run(workers, seed, fault_plan)
+
+
+PINNED = {
+    2: dict(windows=147, pipelined_windows=45, cross_shard_messages=374,
+            ring_messages=374, ring_bytes=19913),
+    4: dict(windows=141, pipelined_windows=24, cross_shard_messages=577,
+            ring_messages=577, ring_bytes=30744),
+}
+OFF_THE_PIPES = dict(ring_spills=0, payload_bytes=0, payloads_packed=0,
+                     payloads_pickled=0)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_ring_and_pipe_twins_are_byte_identical(workers):
-    seq_snap, seq_outcomes, seq_metrics, _ = _run(1, None, seed=19)
-    piped = _run(workers, False, seed=19)
-    ringed = _run(workers, True, seed=19)
+def test_ring_and_pipe_twins_are_byte_identical(workers, monkeypatch):
+    seq_snap, seq_outcomes, seq_metrics, _ = _run(1, seed=19)
+    ringed = _run(workers, seed=19)
+    # The pipe twin: no shared memory, so every record declines its ring.
+    piped = _run_piped(monkeypatch, workers, seed=19)
 
-    for snap, outcomes, metrics, _ in (piped, ringed):
+    for snap, outcomes, metrics, _ in (ringed, piped):
         assert snap == seq_snap
         assert outcomes == seq_outcomes
         assert metrics == seq_metrics
 
-    pipe_stats, ring_stats = piped[3], ringed[3]
-    assert pipe_stats["direct_rings"] == 0
-    assert ring_stats["direct_rings"] == 1
-    # Exactly the same messages were routed, whichever path carried them.
-    assert (
-        ring_stats["cross_shard_messages"]
-        == pipe_stats["cross_shard_messages"]
+    ring_stats, pipe_stats = ringed[3], piped[3]
+    # The rings carried all of the traffic: what remains on the pipe per
+    # window is the command/reply framing, not record payloads.
+    assert pick(ring_stats, PINNED[workers]) == PINNED[workers]
+    assert pick(ring_stats, OFF_THE_PIPES) == OFF_THE_PIPES
+    assert ring_stats["arena_bytes"] > 0
+    # Exactly the same messages were routed over the pipes, each counted as
+    # a spill.
+    routed = ring_stats["cross_shard_messages"]
+    all_spilled = dict(
+        cross_shard_messages=routed, ring_spills=routed, payloads_packed=routed,
+        payloads_pickled=0, ring_messages=0, ring_bytes=0, arena_bytes=0,
     )
-    # Conservation: every routed message took exactly one path.
-    assert ring_stats["cross_shard_messages"] == (
-        ring_stats["ring_messages"]
-        + ring_stats["payloads_packed"]
-        + ring_stats["payloads_pickled"]
-    )
-    # The rings actually carried the traffic, and the payload bytes moved
-    # off the pipes with it: what remains on the pipe per window is the
-    # command/reply framing, not record payloads.
-    assert ring_stats["ring_messages"] > 0
-    assert ring_stats["ring_bytes"] > 0
-    assert ring_stats["payload_bytes"] < pipe_stats["payload_bytes"]
-    # The rings-off baseline stays pure.
-    assert pipe_stats["ring_messages"] == 0
-    assert pipe_stats["ring_bytes"] == 0
-    assert pipe_stats["ring_spills"] == 0
+    assert pick(pipe_stats, all_spilled) == all_spilled
+    assert pipe_stats["payload_bytes"] > 0
+    # The carrier never changes the window plan.
+    plan = ("windows", "pipelined_windows", "eot_jumps", "quiescence_jumps")
+    assert pick(pipe_stats, plan) == pick(ring_stats, plan)
 
 
-def test_chaos_storm_twins_across_data_paths():
-    seq_snap, seq_outcomes, _, _ = _run(1, None, seed=23, fault_plan=STORM)
-    for direct_rings in (False, True):
-        snap, outcomes, _, stats = _run(
-            4, direct_rings, seed=23, fault_plan=STORM
-        )
+def test_chaos_storm_twins_across_data_paths(monkeypatch):
+    seq_snap, seq_outcomes, _, _ = _run(1, seed=23, fault_plan=TWIN_STORM)
+    ringed = _run(4, seed=23, fault_plan=TWIN_STORM)
+    piped = _run_piped(monkeypatch, 4, seed=23, fault_plan=TWIN_STORM)
+    for snap, outcomes, _, stats in (ringed, piped):
         assert snap == seq_snap
         assert outcomes == seq_outcomes
-        assert stats["windows"] > 0
+        assert stats["cross_shard_messages"] == 639
+    assert pick(ringed[3], ("windows", "ring_messages")) == dict(
+        windows=137, ring_messages=639
+    )
+    assert piped[3]["ring_spills"] == 639
 
 
-def _run_dense(workers, direct_rings, ring_bytes):
+def _run_dense(workers, ring_bytes):
     """A deliberately chatty workload: frequent full updates over many
     interlocked cycles, dense churn -- enough traffic per window to overflow
     a minimum-size ring."""
@@ -148,25 +120,22 @@ def _run_dense(workers, direct_rings, ring_bytes):
             full_trace_every_n=2,
             full_update_period=1,
         ),
-        network=NetworkConfig(**NETWORK),
+        network=NetworkConfig(**TWIN_NETWORK),
         parallel_workers=workers,
-        direct_rings=direct_rings,
         ring_bytes_per_pair=ring_bytes,
     )
     sim = Simulation.create(config)
-    sim.add_sites(SITES, auto_gc=True)
+    sim.add_sites(TWIN_SITES, auto_gc=True)
     for offset in range(6):
-        build_ring_cycle(sim, SITES[offset:] + SITES[:offset])
-    churn = SiteChurn(sim, SITES, ChurnConfig(mean_interval=0.5))
+        build_ring_cycle(sim, TWIN_SITES[offset:] + TWIN_SITES[:offset])
+    churn = SiteChurn(sim, TWIN_SITES, ChurnConfig(mean_interval=0.5))
     churn.start(until=300.0)
     sim.run_for(400.0)
-    if isinstance(sim, ParallelSimulation) and sim.parallel_active:
+    if workers > 1:
         snapshot = json.dumps(sim.snapshot(), sort_keys=True)
         stats = sim.coordination_stats()
         sim.close()
     else:
-        from repro.analysis.export import graph_snapshot
-
         snapshot = json.dumps(graph_snapshot(sim), sort_keys=True)
         stats = None
     return snapshot, stats
@@ -175,30 +144,16 @@ def _run_dense(workers, direct_rings, ring_bytes):
 def test_tiny_rings_spill_to_the_pipe_and_stay_identical():
     # A ring too small for a window's worth of records forces the overflow
     # path: records spill to the coordinator-routed pipe, and the run must
-    # still be byte-identical -- the two paths are interchangeable per
+    # still be byte-identical -- the two carriers are interchangeable per
     # message.
-    seq_snap, _ = _run_dense(1, None, 1024)
-    snap, stats = _run_dense(2, True, 1024)
+    seq_snap, _ = _run_dense(1, 1024)
+    snap, stats = _run_dense(2, 1024)
     assert snap == seq_snap
-    assert stats["ring_spills"] > 0
-    assert stats["ring_messages"] > 0
-    assert stats["cross_shard_messages"] == (
-        stats["ring_messages"]
-        + stats["payloads_packed"]
-        + stats["payloads_pickled"]
+    pinned = dict(
+        cross_shard_messages=3998, ring_messages=1310, ring_spills=2688,
+        payloads_packed=2688, payloads_pickled=0,
     )
-
-
-def test_full_exports_twin_the_delta_control_plane():
-    # delta_exports changes how snapshots/metrics travel, never what they
-    # contain.
-    delta = _run(2, True, seed=43, delta_exports=True)
-    full = _run(2, True, seed=43, delta_exports=False)
-    assert delta[0] == full[0]
-    assert delta[1] == full[1]
-    assert delta[2] == full[2]
-    assert delta[3]["delta_exports"] == 1
-    assert full[3]["delta_exports"] == 0
+    assert pick(stats, pinned) == pinned
 
 
 def test_snapshot_and_metrics_broadcasts_are_cached_between_advances():
@@ -208,15 +163,15 @@ def test_snapshot_and_metrics_broadcasts_are_cached_between_advances():
     # bumps the state version and forces exactly one fresh broadcast each.
     config = SimulationConfig(
         seed=7,
-        gc=GcConfig(**GC),
-        network=NetworkConfig(**NETWORK),
+        gc=GcConfig(**TWIN_GC),
+        network=NetworkConfig(**TWIN_NETWORK),
         parallel_workers=2,
     )
     sim = Simulation.create(config)
-    sim.add_sites(SITES, auto_gc=True)
-    build_ring_cycle(sim, SITES[:4])
+    sim.add_sites(TWIN_SITES, auto_gc=True)
+    build_ring_cycle(sim, TWIN_SITES[:4])
     sim.run_for(100.0)
-    assert isinstance(sim, ParallelSimulation) and sim.parallel_active
+    assert sim.parallel_active
     try:
         first_snap = sim.snapshot()
         first_metrics = dict(sim.merged_metrics()._counters)

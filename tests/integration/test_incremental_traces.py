@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle, snapshot
+from repro.analysis import Oracle, graph_snapshot
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 SITES = ["s0", "s1", "s2", "s3"]
@@ -47,7 +47,7 @@ def collect_until_clean(sim, oracle, max_rounds=40):
 
 def tables_fingerprint(sim):
     """State fingerprint excluding simulated time (which always advances)."""
-    return snapshot(sim)["sites"]
+    return graph_snapshot(sim)["sites"]
 
 
 def test_steady_state_ticks_skip_and_leave_no_trace():

@@ -40,13 +40,12 @@ GC = dict(
 NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
 
 
-def _build(workers, seed, **overrides):
+def _build(workers, seed):
     config = SimulationConfig(
         seed=seed,
         gc=GcConfig(**GC),
         network=NetworkConfig(**NETWORK),
         parallel_workers=workers,
-        **overrides,
     )
     sim = Simulation.create(config)
     sim.add_sites(SITES, auto_gc=True)
@@ -75,13 +74,13 @@ def _snapshot_bytes(sim):
     return json.dumps(snap, sort_keys=True)
 
 
-def _run_scenario(workers, seed, crash=False, **overrides):
+def _run_scenario(workers, seed, crash=False):
     """The e13-shaped workload: churn + doomed ring + GC rounds.
 
     Returns (snapshot_json, trace_outcomes, churn_ops).  The sequential twin
     (workers == 1) is oracle-audited along the way.
     """
-    sim = _build(workers, seed, **overrides)
+    sim = _build(workers, seed)
     doomed = build_ring_cycle(sim, SITES[:6])
     build_ring_cycle(sim, SITES[::2])  # a live ring that must survive
     churn = SiteChurn(sim, SITES, ChurnConfig(mean_interval=4.0))
@@ -178,11 +177,10 @@ def test_single_shard_degrades_to_sequential_with_warning():
     assert not sim.parallel_active and not sim._forked
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_workers_one_is_byte_identical_to_sequential_engine():
-    # Deliberate direct construction (hence the warning filter): the subject
-    # is the ParallelSimulation class itself on the workers=1 path, which
-    # Simulation.create would never hand back.
+    # Deliberate direct construction: the subject is the ParallelSimulation
+    # class itself on the workers=1 path, which Simulation.create would
+    # never hand back.
     # parallel_workers=1 must take the existing sequential path unchanged:
     # same classes, same RNG streams (pair_rng_streams stays at its default),
     # hence byte-identical final state against a plain Simulation.
@@ -220,15 +218,7 @@ def test_post_fork_guardrails():
     sim.close()  # idempotent
 
 
-# -- wire modes and numpy availability ---------------------------------------
-
-
-def test_legacy_wire_mode_is_byte_identical():
-    # packed_wire=False / shared_arena=False is the pickled-list baseline the
-    # e19 bench compares against; it must stay a perfect twin too.
-    seq = _run_scenario(1, seed=31)
-    legacy = _run_scenario(4, seed=31, packed_wire=False, shared_arena=False)
-    assert legacy == seq
+# -- numpy availability and traffic accounting --------------------------------
 
 
 def test_numpy_free_workers_are_byte_identical(monkeypatch):
@@ -254,18 +244,18 @@ def test_coordination_stats_count_packed_traffic():
     sim.run_for(300.0)
     stats = sim.coordination_stats()
     sim.close()
-    assert stats["packed_wire"] == 1
-    assert stats["windows"] > 0
     assert stats["bytes_sent"] > 0 and stats["bytes_recv"] > 0
-    # Every routed message is accounted exactly once: through the rings or
-    # (spills and ring-off runs) through the pipe packers.
-    assert stats["cross_shard_messages"] == (
-        stats["ring_messages"]
-        + stats["payloads_packed"]
-        + stats["payloads_pickled"]
+    # Pinned at 1ef2097 for this scenario and seed.  Every routed message
+    # is accounted exactly once -- here all 600 through the rings, none
+    # spilled to the pipe packers -- and one round trip per window and
+    # align is all the coordination there is.
+    pinned = dict(
+        windows=56, aligns=1, pipelined_windows=1, commands_sent=228,
+        cross_shard_messages=600, ring_messages=600, ring_spills=0,
+        payload_bytes=0, payloads_packed=0, payloads_pickled=0,
     )
-    # Every hot-path payload kind in this workload has a packed encoding.
-    assert stats["payloads_pickled"] == 0
+    assert {key: stats[key] for key in pinned} == pinned
+    assert stats["commands_sent"] == 4 * (stats["windows"] + stats["aligns"])
 
 
 # -- persistent pool lifecycle -----------------------------------------------
@@ -288,6 +278,62 @@ def test_worker_crash_mid_run_raises_cleanly():
     for worker in sim._pool.workers:
         assert not worker.process.is_alive()
     sim.close()  # idempotent after a crash teardown
+
+
+def test_worker_error_leaves_the_reply_streams_aligned():
+    # A command that fails in the workers must not leave any reply unread:
+    # the next exchange would be handed the stale one (the next
+    # all_object_ids() re-raised the old error, and a following snapshot()
+    # died on the oids payload).
+    sim = _build(2, seed=7)
+    build_ring_cycle(sim, SITES[:4])
+    sim.run_for(20.0)  # forks
+    oids = sim.all_object_ids()
+    snapshot = sim.snapshot()
+    with pytest.raises(SimulationError, match="unknown worker command"):
+        sim._broadcast(("bogus",))
+    assert sim.all_object_ids() == oids
+    sim._state_version += 1  # force a fresh snapshot broadcast
+    assert sim.snapshot() == snapshot
+    assert sim.total_objects() == len(oids)
+    assert sim.run_for(20.0) >= 0  # shards are still at a common time
+    sim.close()
+
+
+def test_failed_window_closes_the_engine():
+    sim = _build(2, seed=8)
+
+    def boom():
+        raise RuntimeError("boom at 30")
+
+    sim.scheduler.schedule_at(30.0, boom, label="boom", site=SITES[0])
+    with pytest.raises(SimulationError, match="boom at 30"):
+        sim.run_for(50.0)
+    # One shard ran the window and one did not: nothing later could be
+    # right, so the pool is reaped and every later call says so.
+    for worker in sim._pool.workers:
+        assert not worker.process.is_alive()
+    for call in (sim.snapshot, sim.all_object_ids, sim.total_objects,
+                 lambda: sim.run_for(1.0)):
+        with pytest.raises(SimulationError, match="closed"):
+            call()
+    sim.close()  # idempotent
+
+
+def test_failed_worker_bring_up_closes_the_engine(monkeypatch):
+    from repro.store.heap import Heap
+
+    def refuse(self, region):
+        raise RuntimeError("no region for you")
+
+    monkeypatch.setattr(Heap, "attach_shared_region", refuse)
+    sim = _build(2, seed=9)
+    with pytest.raises(SimulationError, match="no region for you"):
+        sim.run_for(10.0)
+    for worker in sim._pool.workers:
+        assert not worker.process.is_alive()
+    with pytest.raises(SimulationError, match="closed"):
+        sim.run_for(10.0)
 
 
 def test_close_reaps_children_and_context_manager_closes():

@@ -113,18 +113,6 @@ def test_driver_backend_builds_driver_lazily_without_warning():
     assert sim.collector_driver is driver  # cached, built once
 
 
-# -- deprecation shims ------------------------------------------------------
-
-
-def test_direct_baseline_construction_warns():
-    from repro.baselines.trialdeletion import TrialDeletionCollector
-
-    sim = Simulation.create(SimulationConfig(gc=GcConfig(collector="null")))
-    sim.add_sites(["a", "b"], auto_gc=False)
-    with pytest.warns(DeprecationWarning, match="baseline.trial"):
-        TrialDeletionCollector(sim)
-
-
 # -- the stable facade ------------------------------------------------------
 
 

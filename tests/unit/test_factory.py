@@ -1,10 +1,7 @@
-"""Simulation.create: one front door for both engines, with deprecations."""
+"""Simulation.create: one front door for both engines."""
 
 import warnings
 
-import pytest
-
-import repro.analysis.export as export
 from repro import (
     FaultPlan,
     NetworkConfig,
@@ -38,13 +35,6 @@ def test_create_with_default_config():
     sim.run_for(5.0)
 
 
-def test_direct_parallel_construction_is_deprecated():
-    config = SimulationConfig(seed=1, network=PARALLEL_NETWORK, parallel_workers=2)
-    with pytest.warns(DeprecationWarning, match="Simulation.create"):
-        sim = ParallelSimulation(config)
-    sim.close()
-
-
 def test_create_threads_fault_plan_to_the_network():
     plan = FaultPlan.loss(0.5, end=100.0)
     sim = Simulation.create(SimulationConfig(seed=1), fault_plan=plan)
@@ -56,16 +46,6 @@ def test_create_on_subclass_respects_the_subclass():
     sim = ParallelSimulation.create(config)
     assert isinstance(sim, ParallelSimulation)
     sim.close()
-
-
-# -- old observation-surface names -------------------------------------------
-
-
-def test_old_export_names_warn_but_still_work():
-    with pytest.warns(DeprecationWarning, match="graph_snapshot"):
-        assert export.snapshot is export.graph_snapshot
-    with pytest.warns(DeprecationWarning, match="graph_diff"):
-        assert export.diff_snapshots is export.graph_diff
 
 
 def test_counter_name_constants_match_the_wire_spellings():

@@ -217,22 +217,6 @@ def test_configs_are_frozen():
         GcConfig().suspicion_threshold = 9
 
 
-def test_direct_rings_require_packed_wire():
-    # Rings carry packed records by construction; an explicit opt-in with
-    # the packer disabled is a contradiction, not a silent downgrade.
-    with pytest.raises(ConfigError, match="packed_wire"):
-        SimulationConfig(direct_rings=True, packed_wire=False)
-
-
-def test_direct_rings_default_follows_packed_wire():
-    assert SimulationConfig().effective_direct_rings is True
-    assert SimulationConfig(packed_wire=False).effective_direct_rings is False
-    assert (
-        SimulationConfig(direct_rings=False).effective_direct_rings is False
-    )
-    assert SimulationConfig(direct_rings=True).effective_direct_rings is True
-
-
 def test_ring_bytes_per_pair_must_hold_a_frame():
     with pytest.raises(ConfigError, match="ring_bytes_per_pair"):
         SimulationConfig(ring_bytes_per_pair=512)

@@ -1,16 +1,18 @@
 """Unit tests for the parallel engine's building blocks.
 
 Covers the scheduler features the sharded engine relies on (windowed
-execution, site tagging, heap compaction), the pure safe-time planner, and
-shard assignment -- no worker processes involved.
+execution, site tagging, heap compaction), the coordinator's window planner
+over hand-set shard advertisements, and shard assignment -- no worker
+processes involved.
 """
 
 import math
 
 import pytest
 
-from repro.errors import SchedulerError, SimulationError
-from repro.sim.parallel import SafeTimePlanner, assign_shards
+from repro import NetworkConfig, Simulation, SimulationConfig
+from repro.errors import SchedulerError
+from repro.sim.parallel import _WorkerHandle, assign_shards
 from repro.sim.scheduler import Scheduler
 
 INF = float("inf")
@@ -111,50 +113,57 @@ def test_retain_sites_ignores_cancelled_untagged_events():
 # -- safe-time planner -------------------------------------------------------
 
 
-def test_planner_requires_positive_lookahead():
-    with pytest.raises(SimulationError):
-        SafeTimePlanner(0.0)
+def _coordinator(next_times, lookahead):
+    """An unforked coordinator whose shards advertise ``next_times``."""
+    config = SimulationConfig(
+        network=NetworkConfig(min_latency=lookahead, max_latency=10.0 * lookahead),
+        parallel_workers=len(next_times),
+    )
+    sim = Simulation.create(config)
+    sim._pool.workers = [
+        _WorkerHandle(None, None, set(), index) for index in range(len(next_times))
+    ]
+    sim._shard_lookahead = [lookahead] * len(next_times)
+    _advertise(sim, next_times, lookahead)
+    return sim
 
 
-def test_planner_horizon_accepts_any_iterable():
-    planner = SafeTimePlanner(1.0)
-    # The coordinator passes a generator over its worker handles; the
-    # planner must not require a materialized sequence.
-    assert planner.horizon(t for t in (5.0, 2.0, 9.0)) == 2.0
-    assert planner.horizon(iter([])) == INF
-    assert planner.horizon(map(float, range(3, 7))) == 3.0
+def _advertise(sim, next_times, lookahead):
+    # What a shard holding one live event at its frontier advertises.
+    for worker, next_time in zip(sim._pool.workers, next_times):
+        worker.next_time = next_time
+        worker.eot = next_time + lookahead
 
 
 def test_planner_window_is_horizon_plus_lookahead_clamped():
-    planner = SafeTimePlanner(2.0)
     target = math.nextafter(10.0, INF)
-    assert planner.window(1.0, target) == 3.0
-    assert planner.window(9.5, target) == target  # clamped at the target
-    assert planner.window(target, target) is None  # reached
-    assert planner.window(INF, target) is None  # all shards idle
+    assert _coordinator([1.0, 4.0], 2.0)._plan_bound(target) == 3.0
+    assert _coordinator([9.5, 12.0], 2.0)._plan_bound(target) == target  # clamped
+    assert _coordinator([target, 12.0], 2.0)._plan_bound(target) is None  # reached
+    assert _coordinator([INF, INF], 2.0)._plan_bound(target) is None  # all idle
 
 
 def test_planner_window_always_exceeds_horizon():
     # Lookahead so small it underflows against the horizon's magnitude: the
     # window must still make progress (cover the horizon event).
-    planner = SafeTimePlanner(1e-9)
     horizon = 1e12
-    target = math.nextafter(2e12, INF)
-    safe = planner.window(horizon, target)
-    assert safe is not None and safe > horizon
+    sim = _coordinator([horizon, 1.5e12], 1e-9)
+    assert sim._pool.workers[0].eot == horizon  # the underflow
+    safe = sim._plan_bound(math.nextafter(2e12, INF))
+    assert safe == math.nextafter(horizon, INF)
 
 
 def test_planner_rounds_terminate():
     # Simulate shards whose next-event times advance by at least the window:
     # the loop must reach the target in finitely many rounds, each strictly
     # later than the last.
-    planner = SafeTimePlanner(1.0)
     target = math.nextafter(100.0, INF)
     next_times = [0.0, 0.5, 3.0]
+    sim = _coordinator(next_times, 1.0)
     rounds = 0
     previous_safe = -INF
     while True:
-        safe = planner.window(planner.horizon(next_times), target)
+        safe = sim._plan_bound(target)
         if safe is None:
             break
         assert safe > previous_safe
@@ -162,9 +171,33 @@ def test_planner_rounds_terminate():
         # Every shard executes its events below `safe`; its next event lands
         # at or beyond the window bound.
         next_times = [max(t, safe) for t in next_times]
+        _advertise(sim, next_times, 1.0)
         rounds += 1
         assert rounds < 1000
     assert rounds > 0
+
+
+def test_planner_counts_bounds_past_the_fixed_step_as_jumps():
+    # EOTs further out than horizon + min_latency (quiet GC ticks looked
+    # through) let the bound jump; an undelivered cross-shard record pulls
+    # it back to deliver_at + the destination shard's lookahead.
+    target = math.nextafter(100.0, INF)
+    sim = _coordinator([1.0, 4.0], 2.0)
+    sim._index_to_worker = [0, 1]
+    for worker in sim._pool.workers:
+        worker.eot = 50.0
+    assert sim._plan_bound(target) == 50.0
+    assert sim._stats["eot_jumps"] == 1
+    sim._pending.append((20.0, 1, b""))
+    assert sim._plan_bound(target) == 22.0
+    sim._pending.clear()
+    sim._ring_pending.append((30.0, 64, 1, 0, 1, -INF))
+    assert sim._plan_bound(target) == 32.0
+    sim._ring_pending.clear()
+    for worker in sim._pool.workers:
+        worker.eot = INF
+    assert sim._plan_bound(target) == target
+    assert sim._stats["quiescence_jumps"] == 1
 
 
 # -- shard assignment --------------------------------------------------------
@@ -185,17 +218,7 @@ def test_more_workers_than_sites_collapses():
     assert shards == [["a"], ["b"]]
 
 
-# -- window planner selection and quiet-tick gates ---------------------------
-
-
-def test_window_planner_config_validation():
-    from repro.config import SimulationConfig
-    from repro.errors import ConfigError
-
-    assert SimulationConfig().window_planner == "demand"
-    assert SimulationConfig(window_planner="fixed").window_planner == "fixed"
-    with pytest.raises(ConfigError):
-        SimulationConfig(window_planner="eager")
+# -- quiet-tick gates --------------------------------------------------------
 
 
 def test_site_quiet_gc_ticks_follows_collector_prediction():

@@ -297,7 +297,6 @@ def test_ring_area_carves_distinct_pair_slices():
     arena = _arena(slot_capacity=8, ring_workers=2, ring_bytes=2048)
     try:
         assert arena.ring_workers == 2 and arena.ring_bytes == 2048
-        assert arena.has_site_regions
         # Each ordered pair gets its own slice; a write to (0, 1) is
         # invisible to (1, 0) and never corrupts the site regions.
         forward, backward = arena.ring(0, 1), arena.ring(1, 0)
@@ -313,12 +312,10 @@ def test_ring_area_carves_distinct_pair_slices():
 
 
 def test_rings_only_arena_has_no_site_regions():
-    # shared_arena=False + direct_rings=True builds an arena with an empty
-    # site table: ring slices exist, but there are no published counts and
-    # total_alive must say so rather than report 0.
+    # An arena with an empty site table: ring slices exist, but there are
+    # no published counts and total_alive must say so rather than report 0.
     arena = SharedArena([], ring_workers=2, ring_bytes=1024)
     try:
-        assert not arena.has_site_regions
         assert arena.total_alive() is None
         assert arena.alive_counts() is None
         ring = arena.ring(1, 0)
