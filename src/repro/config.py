@@ -336,33 +336,14 @@ class SimulationConfig:
     gc: GcConfig = field(default_factory=GcConfig)
     parallel_workers: int = 1
     shard_policy: str = "contiguous"
-    # Slots per site region of the parallel engine's shared-memory arena;
-    # None auto-sizes from the pre-fork heaps (8x headroom, power of two, at
-    # least 4096).  Outgrowing the region is safe -- the heap spills back to
-    # private buffers with a warning.
-    arena_slots_per_site: Optional[int] = None
-    # Capacity in bytes of each ordered-pair ring cross-shard records travel
-    # through.  W workers allocate W*W rings, so the shared segment grows by
-    # ``workers**2 * ring_bytes_per_pair``; 64 KiB per pair holds hundreds
-    # of packed records per window on the paper's workloads, and a record
-    # that does not fit spills to the coordinator pipes, so correctness
-    # never depends on fitting.
-    ring_bytes_per_pair: int = 65536
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an int")
         if not isinstance(self.parallel_workers, int) or self.parallel_workers < 1:
             raise ConfigError("parallel_workers must be an int >= 1")
-        if self.arena_slots_per_site is not None and self.arena_slots_per_site < 8:
-            raise ConfigError("arena_slots_per_site must be >= 8")
         if self.shard_policy not in ("contiguous", "round_robin"):
             raise ConfigError(
                 "shard_policy must be 'contiguous' or 'round_robin', "
                 f"got {self.shard_policy!r}"
-            )
-        if self.ring_bytes_per_pair < 1024:
-            raise ConfigError(
-                "ring_bytes_per_pair must be >= 1024 "
-                f"(got {self.ring_bytes_per_pair})"
             )

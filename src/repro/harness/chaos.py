@@ -104,9 +104,9 @@ def _apply_edge(sim: Simulation, action: str, data) -> None:
         # manually, so silence it again.
         sim.site(data).stop_auto_gc()
     elif action == "partition":
-        sim.network.partition(*[set(group) for group in data])
+        sim.partition(*[set(group) for group in data])
     elif action == "heal_partition":
-        sim.network.heal_partition()
+        sim.heal_partition()
 
 
 def _reconcile_counters(sim: Simulation, result: ChaosResult) -> None:
@@ -166,7 +166,6 @@ def run_chaos_case(
     live_rings: int = 2,
     collect_rounds_bound: int = 40,
     gc: Optional[GcConfig] = None,
-    parallel_workers: int = 1,
 ) -> ChaosResult:
     """Run one audited chaos case; never raises for protocol failures.
 
@@ -179,7 +178,6 @@ def run_chaos_case(
         seed=seed,
         gc=gc or GcConfig(),
         network=NetworkConfig(pair_rng_streams=True),
-        parallel_workers=parallel_workers,
     )
     sim = Simulation.create(config, fault_plan=plan)
     site_ids = [f"s{index}" for index in range(n_sites)]
@@ -275,9 +273,6 @@ def run_chaos_case(
         result.violations.append(f"{len(in_flight)} messages still in flight")
         result.counters_ok = False
     _reconcile_counters(sim, result)
-    close = getattr(sim, "close", None)
-    if close is not None:
-        close()
     return result
 
 

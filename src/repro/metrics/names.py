@@ -154,19 +154,8 @@ PAR_EOT_JUMPS = "parallel.eot_jumps"
 PAR_QUIESCENCE_JUMPS = "parallel.quiescence_jumps"
 #: Windows dispatched before the previous window's replies were drained.
 PAR_PIPELINED_WINDOWS = "parallel.pipelined_windows"
-#: Cross-shard messages, whichever path they took (rings + pipes).
+#: Cross-shard messages routed through the coordinator pipes.
 PAR_CROSS_SHARD_MESSAGES = "parallel.cross_shard_messages"
-#: Cross-shard messages that travelled shard-to-shard through the
-#: shared-memory rings, never crossing a coordinator pipe.
-PAR_RING_MESSAGES = "parallel.ring_messages"
-#: Bytes written into the shard-to-shard rings (frames included).  Counted
-#: separately from the pipe byte counters so ``coordination_stats()`` can
-#: show pipe bytes per window dropping to trailer-plus-cursor size while
-#: the payload traffic moves into shared memory.
-PAR_RING_BYTES = "parallel.ring_bytes"
-#: Cross-shard messages that declined their ring (full, record oversized,
-#: or no shared memory) and spilled to the coordinator-routed pipe path.
-PAR_RING_SPILLS = "parallel.ring_spills"
 
 #: coordination_stats() key -> canonical facade counter name.
 PARALLEL_STAT_NAMES = {
@@ -176,7 +165,4 @@ PARALLEL_STAT_NAMES = {
     "quiescence_jumps": PAR_QUIESCENCE_JUMPS,
     "pipelined_windows": PAR_PIPELINED_WINDOWS,
     "cross_shard_messages": PAR_CROSS_SHARD_MESSAGES,
-    "ring_messages": PAR_RING_MESSAGES,
-    "ring_bytes": PAR_RING_BYTES,
-    "ring_spills": PAR_RING_SPILLS,
 }

@@ -24,10 +24,10 @@ delivery).  Disable ``fifo_per_pair`` to exercise true per-pair reordering.
 Crash and partition windows are *schedules*, not send-time rules: the driver
 (the chaos harness, or any experiment loop) applies them via
 :meth:`FaultPlan.schedule_edges` by calling ``site.crash()`` /
-``site.recover()`` / ``network.partition()`` at the listed times.  This keeps
+``site.recover()`` / ``sim.partition()`` at the listed times.  This keeps
 the network layer free of global coordination, which is what lets fault plans
-run unchanged on the sharded parallel engine (where crash/recover must be
-broadcast to workers by the coordinator).
+run unchanged on the sharded parallel engine (where the coordinator
+broadcasts crash/recover/partition/heal to its workers).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import random
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import NetworkConfig
-from ..errors import UnknownSiteError
+from ..errors import SimulationError, UnknownSiteError
 from ..ids import SiteId
 from ..metrics import MetricsRecorder, names
 from ..sim.rng import RngRegistry
@@ -183,12 +183,10 @@ class Network:
         # with the latency draw and FIFO clamp already applied sender-side.
         self._shard_sites: Optional[Set[SiteId]] = None
         self._shard_outbox: Optional[List[Tuple[float, Message]]] = None
-        # Direct data path (parallel engine): a callback that
-        # tries to put a cross-shard message straight into the destination
-        # shard's SPSC ring.  True means the message travelled shard-to-
-        # shard; False falls through to the coordinator-routed outbox (ring
-        # full, oversized record).
-        self._ring_writer: Optional[Callable[[float, Message], bool]] = None
+        # Set on the sharded engine's coordinator once its workers forked:
+        # the live networks are then the workers' copies and this one only
+        # answers pre-fork reads (see mark_forked_away).
+        self._forked_away = False
         # The per-pair link cache (the hot-path fast lane; see module
         # docstring for the invalidation contract).
         self._links: Dict[Tuple[SiteId, SiteId], _Link] = {}
@@ -223,10 +221,12 @@ class Network:
 
     def crash(self, site_id: SiteId) -> None:
         """Messages to/from a crashed site are lost (counted as drops)."""
+        self._require_live("Simulation.site(site_id).crash()")
         self._crashed.add(site_id)
         self._invalidate_links()
 
     def recover(self, site_id: SiteId) -> None:
+        self._require_live("Simulation.site(site_id).recover()")
         self._crashed.discard(site_id)
         self._invalidate_links()
 
@@ -238,6 +238,7 @@ class Network:
 
         Sites not named in any group form one additional implicit group.
         """
+        self._require_live("Simulation.partition()")
         mapping: Dict[SiteId, int] = {}
         for index, group in enumerate(groups):
             for site_id in group:
@@ -249,6 +250,7 @@ class Network:
         self._invalidate_links()
 
     def heal_partition(self) -> None:
+        self._require_live("Simulation.heal_partition()")
         self._partition = None
         self._invalidate_links()
 
@@ -330,16 +332,14 @@ class Network:
         self,
         sites: Set[SiteId],
         outbox: List[Tuple[float, Message]],
-        ring_writer: Optional[Callable[[float, Message], bool]] = None,
     ) -> None:
         """Enter shard mode: this network instance serves only ``sites``.
 
         Called inside a forked worker process.  Sends whose destination is
         outside the shard are fully prepared sender-side (metrics, loss,
-        latency draw, FIFO clamp) and then handed to ``ring_writer`` (the
-        direct shard-to-shard path; it may decline) or parked in ``outbox``
-        for the coordinator to route, instead of being scheduled on the
-        local scheduler.  Requires per-pair RNG streams, otherwise latency
+        latency draw, FIFO clamp) and then parked in ``outbox`` for the
+        coordinator to route, instead of being scheduled on the local
+        scheduler.  Requires per-pair RNG streams, otherwise latency
         draws would depend on the global send interleaving the shards no
         longer share.  (Fault plans are fine: their randomness is always
         per-pair.)
@@ -348,12 +348,24 @@ class Network:
             raise UnknownSiteError(
                 "shard mode requires NetworkConfig.pair_rng_streams"
             )
-        if self._partition is not None:
-            raise UnknownSiteError("shard mode does not support partitions")
         self._shard_sites = set(sites)
         self._shard_outbox = outbox
-        self._ring_writer = ring_writer
         self._invalidate_links()
+
+    def mark_forked_away(self) -> None:
+        """Coordinator side of the fork: this copy no longer reaches a site.
+
+        A crash or partition applied here would be silently lost -- the
+        shard workers never see it -- so those mutators raise from now on.
+        """
+        self._forked_away = True
+
+    def _require_live(self, instead: str) -> None:
+        if self._forked_away:
+            raise SimulationError(
+                "this Network is the coordinator's pre-fork copy; shard "
+                f"workers would never see the change -- call {instead}"
+            )
 
     @property
     def shard_sites(self) -> Optional[Set[SiteId]]:
@@ -478,15 +490,7 @@ class Network:
         self, link: _Link, cells: _KindCells, message: Message, deliver_at: float
     ) -> None:
         if not link.local:
-            # Cross-shard: delivery time is already fixed sender-side.  Try
-            # the direct ring to the destination shard first; a declined
-            # write (ring full, oversized record) spills to the coordinator-
-            # routed outbox, so the two paths are interchangeable per
-            # message.
-            if self._ring_writer is not None and self._ring_writer(
-                deliver_at, message
-            ):
-                return
+            # Cross-shard: delivery time is already fixed sender-side.
             self._shard_outbox.append((deliver_at, message))
             return
         self._in_flight[message.uid] = message

@@ -77,12 +77,6 @@ _BLOB_PREFIX = struct.Struct("<I")
 #: earliest_output_time, events_fired).  IEEE doubles carry +inf exactly,
 #: which is the idle/unknown value for both time fields.
 _REPLY_META = struct.Struct("<ddq")
-REPLY_META_BYTES = _REPLY_META.size
-#: One per-destination ring advertisement in a reply's optional ring
-#: section: (dst worker u16, records written u32, new absolute write
-#: position i64, earliest deliver_at among them f64).
-_RING_META_ENTRY = struct.Struct("<HIqd")
-_RING_META_COUNT = struct.Struct("<H")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -121,43 +115,8 @@ def pack_reply_meta(next_time: float, eot: float, fired: int) -> bytes:
 
 
 def unpack_reply_meta(data) -> Tuple[float, float, int]:
-    """Inverse of :func:`pack_reply_meta`: ``(next_time, eot, fired)``.
-
-    Accepts a bare 24-byte trailer or a trailer followed by a ring section
-    (:func:`pack_ring_meta`); only the fixed head is decoded here.
-    """
-    return _REPLY_META.unpack_from(data, 0)
-
-
-#: One ring advertisement: (dst_worker, count, write_pos, min_deliver).
-RingMetaEntry = Tuple[int, int, int, float]
-
-
-def pack_ring_meta(entries: Sequence[RingMetaEntry]) -> bytes:
-    """Encode a reply's ring advertisements; empty entries encode as b''.
-
-    Appended after the fixed reply trailer, so a reply with no ring writes
-    stays exactly :data:`REPLY_META_BYTES` long -- the coordinator detects
-    the section by the trailer having trailing bytes at all.
-    """
-    if not entries:
-        return b""
-    return _RING_META_COUNT.pack(len(entries)) + b"".join(
-        _RING_META_ENTRY.pack(*entry) for entry in entries
-    )
-
-
-def unpack_ring_meta(data) -> Tuple[RingMetaEntry, ...]:
-    """Inverse of :func:`pack_ring_meta` over the post-trailer bytes."""
-    if not len(data):
-        return ()
-    (count,) = _RING_META_COUNT.unpack_from(data, 0)
-    offset = _RING_META_COUNT.size
-    entries = []
-    for _ in range(count):
-        entries.append(_RING_META_ENTRY.unpack_from(data, offset))
-        offset += _RING_META_ENTRY.size
-    return tuple(entries)
+    """Inverse of :func:`pack_reply_meta`: ``(next_time, eot, fired)``."""
+    return _REPLY_META.unpack(data)
 
 
 class _Unpackable(Exception):
@@ -862,18 +821,6 @@ class WireCodec:
             end = off + _HEADER.size + length
             yield deliver_at, dst, src, kind, uid, view[off:end]
             off = end
-
-    def scan_record(self, record) -> Tuple[float, int, int, int, int]:
-        """``(deliver_at, dst, src, kind, uid)`` of one framed record.
-
-        The ring-drain counterpart of :meth:`scan_blob`: rings carry bare
-        records (the ring frames them itself), so routing metadata is read
-        straight off the fixed header without any blob prefix.
-        """
-        kind, _flags, src, dst, uid, deliver_at, _length = _HEADER.unpack_from(
-            record, 0
-        )
-        return deliver_at, dst, src, kind, uid
 
     def unpack_record(self, record) -> RoutedMessage:
         """Decode one self-contained record into its (deliver_at, Message)."""

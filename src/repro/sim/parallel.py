@@ -42,8 +42,7 @@ it advertised one window ago still lower-bounds everything it will output,
 which is why the pipeline only engages when the previous window routed zero
 messages.  The invariant is asserted at runtime on every cross-shard record:
 it must deliver at or after the window bound in force when it was sent
-(:meth:`ParallelSimulation._absorb` for pipe records,
-:meth:`_RingReader.drain` for ring records).  No shard can ever receive a
+(:meth:`ParallelSimulation._absorb`).  No shard can ever receive a
 message in its past, hence no rollback is needed.  Progress: every EOT term
 exceeds the horizon by at least the smallest shard lookahead, so each round
 strictly advances; this requires ``min_latency > 0`` (with zero lookahead no
@@ -71,28 +70,18 @@ small-messages discipline:
   struct-packed int record (payload kinds outside the hot set fall back to
   a pickled record body, so the format is total); nothing downstream of the
   sender decodes it until the destination shard injects it.
-- *Rings first, pipe as the spill* (:mod:`repro.store.shm`): the
-  coordinator creates one shared-memory arena before forking -- a region
-  per site for the flat-mirror bitmaps (the coordinator reads resident
-  counts from the region headers instead of broadcasting) and one SPSC
-  ring per ordered worker pair.  A sender puts its record into ring
-  ``(i, j)``; a record that does not fit (ring full, oversized) *spills*:
-  it rides the reply pipe to the coordinator, which checks it against the
-  window floor and forwards it in the destination's next command.  A
-  platform without shared memory (``create_arena`` returns ``None`` with a
-  ``RuntimeWarning``) is simply the case where every record spills.
-- *One command shape*: ``window`` and ``align`` are ``(op, time,
-  spill_blob, limits, consumed)`` -- the spilled records for this shard,
-  the newly certified read limit (and floor to assert) per inbound ring,
-  and the confirmed consumption cursor per outbound ring.  Every cursor
-  rides this exchange, so no shared position is ever read while being
-  written and overflow behaviour is deterministic.  The worker drains its
-  inbound rings up to the limits, *stashes* ring and spill records
-  together, injects the ones due before the window bound in ``(deliver_at,
-  source site, sender sequence)`` order, and runs.  Every reply is
-  ``("ok", payload, spill_blob, meta)`` (or ``("error", traceback)``)
-  where ``meta`` packs the shard's frontier, EOT and events fired -- both
-  folding in the stash -- plus one advertisement per ring written.
+- *One carrier, one command shape*: every cross-shard record rides the
+  pipes.  ``window`` and ``align`` are ``(op, time, blob)`` -- the records
+  addressed to this shard, due or not -- and every reply is ``("ok",
+  payload, blob, trailer)`` (or ``("error", traceback)``): the records the
+  shard sent, and 24 bytes packing its frontier, EOT and events fired.
+  The coordinator routes by scanning record headers, asserts the window
+  floor on each record (:meth:`ParallelSimulation._absorb`, the one place)
+  and forwards it in the destination's next command.  The worker *stashes*
+  what it receives, injects the records due before the window bound in
+  ``(deliver_at, source site, sender sequence)`` order, and runs; its
+  frontier and EOT fold in the stash.  ``total_objects()`` after the fork
+  is one ``counts`` broadcast.
 - *Delta control plane*: ``snapshot()`` ships only site snapshots whose
   content digest changed since the last export, ``merged_metrics()`` only
   counters whose values moved, and both merged views are cached
@@ -118,15 +107,7 @@ from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names as metric_names
 from ..net.latency import LatencyModel
 from ..net.message import Message
-from ..net.wire import (
-    REPLY_META_BYTES,
-    WireCodec,
-    pack_reply_meta,
-    pack_ring_meta,
-    unpack_reply_meta,
-    unpack_ring_meta,
-)
-from ..store.shm import RING_FRAME_BYTES, create_arena
+from ..net.wire import WireCodec, pack_reply_meta, unpack_reply_meta
 from .simulation import Simulation
 
 _INF = float("inf")
@@ -206,163 +187,28 @@ class _Stop(Exception):
     """Internal: the worker was asked to shut down."""
 
 
-class _RingWriter:
-    """Worker-side producer over its row of outbound rings.
+class _RecordStash:
+    """Worker-side holding area for routed-in records that are not due yet.
 
-    Cross-shard sends are buffered per destination during command execution
-    and copied into the rings only when the reply is built
-    (:meth:`take_meta`), so a command that fails mid-way discards its ring
-    writes exactly as it discards its pipe outbox, and a reply's ring
-    advertisements always describe fully written records.  The fit check
-    against the coordinator-certified consumption cursor happens at buffer
-    time: a record that would not fit (ring full, oversized) is declined
-    immediately and spills to the pipe outbox, deterministically.  Without
-    an arena there are no rings and every record is declined.
+    The coordinator ships a shard its records as soon as it has them, due
+    or not; they wait here.  Due extraction sorts by ``(deliver_at, source
+    site index, sender sequence)`` -- the codec's site-index order equals
+    lexicographic SiteId order, so the injection order is the sequential
+    engine's tie-break whatever order the records arrived in.
     """
 
-    __slots__ = (
-        "_codec",
-        "_index_to_worker",
-        "_rings",
-        "_write_pos",
-        "_tentative",
-        "_consumed",
-        "_buffered",
-        "_batch_min",
-    )
+    __slots__ = ("_codec", "_stash")
 
-    def __init__(self, arena, codec: WireCodec, my_index: int,
-                 index_to_worker: Sequence[int]):
-        workers = max(index_to_worker) + 1
+    def __init__(self, codec: WireCodec):
         self._codec = codec
-        self._index_to_worker = index_to_worker
-        self._rings = [
-            arena.ring(my_index, dst) if arena is not None else None
-            for dst in range(workers)
-        ]
-        #: Committed (advertised) absolute write position per destination.
-        self._write_pos = [0] * workers
-        #: Committed position plus everything buffered but not yet copied in.
-        self._tentative = [0] * workers
-        #: Latest coordinator-certified consumption cursor per destination.
-        self._consumed = [0] * workers
-        self._buffered: List[List[bytes]] = [[] for _ in range(workers)]
-        self._batch_min = [_INF] * workers
-
-    def write(self, deliver_at: float, message: Message) -> bool:
-        """Try to route one cross-shard message; False means spill to pipe."""
-        codec = self._codec
-        dst = self._index_to_worker[codec.site_index(message.dst)]
-        ring = self._rings[dst]
-        if ring is None:
-            return False
-        record = codec.pack_record(deliver_at, message)
-        needed = RING_FRAME_BYTES + len(record)
-        if needed > ring.capacity - (self._tentative[dst] - self._consumed[dst]):
-            return False
-        self._buffered[dst].append(record)
-        self._tentative[dst] += needed
-        if deliver_at < self._batch_min[dst]:
-            self._batch_min[dst] = deliver_at
-        return True
-
-    def update_consumed(self, consumed: Sequence[int]) -> None:
-        """Adopt the coordinator-certified consumption cursors (monotonic)."""
-        own = self._consumed
-        for dst, pos in enumerate(consumed):
-            if pos > own[dst]:
-                own[dst] = pos
-
-    def discard(self) -> None:
-        """Drop buffered records (the failed-command path, like the outbox)."""
-        for dst, pending in enumerate(self._buffered):
-            if pending:
-                del pending[:]
-                self._tentative[dst] = self._write_pos[dst]
-                self._batch_min[dst] = _INF
-
-    def take_meta(self) -> bytes:
-        """Flush buffered records into the rings; return the advertisement.
-
-        Every entry names the destination worker, the record count, the new
-        absolute write position, and the batch's earliest ``deliver_at`` (the
-        coordinator folds it into its horizon until the batch is absorbed by
-        the destination shard).  Empty when nothing was sent: the reply then
-        stays exactly trailer-sized.
-        """
-        entries = []
-        for dst, pending in enumerate(self._buffered):
-            if not pending:
-                continue
-            ring = self._rings[dst]
-            pos = self._write_pos[dst]
-            consumed = self._consumed[dst]
-            for record in pending:
-                pos = ring.try_write(record, pos, consumed)
-                if pos is None:  # pragma: no cover - fit was pre-checked
-                    raise SimulationError(
-                        "ring write certified to fit did not fit"
-                    )
-            count = len(pending)
-            del pending[:]
-            self._write_pos[dst] = pos
-            entries.append((dst, count, pos, self._batch_min[dst]))
-            self._batch_min[dst] = _INF
-        return pack_ring_meta(entries)
-
-
-class _RingReader:
-    """Worker-side consumer over its column of inbound rings, plus the stash.
-
-    The coordinator certifies read limits in each window/align command; the
-    reader drains every newly certified byte range, asserts the window-floor
-    invariant per record (exactly as the coordinator's ``_absorb`` does for
-    spilled records), and *stashes* records until they fall due.  Due
-    extraction sorts by ``(deliver_at, source site index, sender sequence)``
-    -- the codec's site-index order equals lexicographic SiteId order, so
-    the injection order is the same whether a record travelled the ring or
-    spilled to the pipe.
-    """
-
-    __slots__ = ("_codec", "_rings", "_read_pos", "_stash")
-
-    def __init__(self, arena, codec: WireCodec, my_index: int):
-        # No arena, no rings: limits are then never certified and the stash
-        # is fed by spill blobs alone.
-        workers = arena.ring_workers if arena is not None else 0
-        self._codec = codec
-        self._rings = [arena.ring(src, my_index) for src in range(workers)]
-        self._read_pos = [0] * workers
         #: (deliver_at, src index, uid, record bytes), unordered until due.
         self._stash: List[Tuple[float, int, int, bytes]] = []
 
-    def drain(self, limits) -> None:
-        """Read every inbound ring up to its newly certified limit."""
-        if limits is None:
-            return
-        scan = self._codec.scan_record
-        stash_append = self._stash.append
-        for src, entry in enumerate(limits):
-            if entry is None:
-                continue
-            limit, check_floor = entry
-            records = self._rings[src].read(self._read_pos[src], limit)
-            self._read_pos[src] = limit
-            for record in records:
-                deliver_at, _dst, src_site, _kind, uid = scan(record)
-                if deliver_at < check_floor:
-                    raise SimulationError(
-                        "window-safety invariant violated: ring record "
-                        f"delivers at {deliver_at} before its window floor "
-                        f"{check_floor}"
-                    )
-                stash_append((deliver_at, src_site, uid, record))
-
     def stash_blob(self, blob) -> None:
-        """Stash pipe-spilled records; they sort together with ring ones.
+        """Stash the records of one command.
 
-        No floor check here: spilled records already passed the
-        coordinator's ``_absorb`` assertion before being routed back out.
+        No floor check here: every record already passed the coordinator's
+        ``_absorb`` assertion before being routed back out.
         """
         stash_append = self._stash.append
         for deliver_at, _dst, src_site, _kind, uid, record in (
@@ -464,7 +310,7 @@ def _schedule_incoming(sim: Simulation, incoming: List[RoutedMessage]) -> None:
     """Schedule routed-in messages at their sender-fixed delivery times.
 
     ``incoming`` comes sorted by (deliver_at, source site, sender sequence)
-    (:meth:`_RingReader.take_due`), so the scheduler's FIFO-within-timestamp
+    (:meth:`_RecordStash.take_due`), so the scheduler's FIFO-within-timestamp
     tie-breaking reproduces the deterministic order regardless of which
     shard sent what.
     """
@@ -509,6 +355,12 @@ def _execute(
         else:
             sim.network.recover(site_id)
         return None
+    if op == "partition":
+        sim.network.partition(*command[1])
+        return None
+    if op == "heal_partition":
+        sim.network.heal_partition()
+        return None
     if op == "quiesce":
         for site_id in shard:
             sim.sites[site_id].stop_auto_gc()
@@ -536,50 +388,36 @@ def _worker_main(
     shard_sites: List[SiteId],
     sim: Simulation,
     wire_sites: List[SiteId],
-    index_to_worker: List[int],
-    arena,
-    worker_index: int,
 ) -> None:
     """Entry point of a forked shard worker.
 
     The child inherited the fully built simulation by fork; it prunes the
-    scheduler to its shard, puts the network into shard mode, re-homes its
-    heaps into the shared arena (when one exists), and then obeys
-    coordinator commands.  Every reply is a uniform
+    scheduler to its shard, puts the network into shard mode, and then
+    obeys coordinator commands.  Every reply is a uniform
     ``("ok", payload, outgoing, meta)`` tuple (or
     ``("error", traceback_text)``): ``outgoing`` is the blob of packed
-    records that declined their ring, and ``meta`` packs the shard's new
-    frontier, its earliest output time, and the events fired
-    (:func:`~repro.net.wire.pack_reply_meta`) followed by one advertisement
-    per ring written, so the coordinator always learns the shard's state
-    and pending cross-shard messages in one exchange.
+    records the command sent to other shards, and ``meta`` packs the
+    shard's new frontier, its earliest output time, and the events fired
+    (:func:`~repro.net.wire.pack_reply_meta`), so the coordinator always
+    learns the shard's state and pending cross-shard messages in one
+    exchange.
 
-    Window/align commands are ``(op, time, spill_blob, limits, consumed)``:
-    the worker adopts the consumption cursors, drains its inbound rings up
-    to the certified limits, stashes those records together with the
-    spilled ones, and injects what is due.  The frontier and EOT in the
-    trailer fold in the stash of drained-but-not-due records, so the
-    coordinator's planner accounts for work that never crossed its pipes.
-    ``index_to_worker`` is the packed-wire site index -> worker index table
-    cross-shard sends are routed by.
+    Window/align commands are ``(op, time, blob)``: the worker stashes the
+    records and injects what is due.  The frontier and EOT in the trailer
+    fold in the stash of received-but-not-due records, so the coordinator's
+    planner accounts for work it has already handed over.
     """
     shard = set(shard_sites)
     channel = _Channel(conn)
     outbox: List[RoutedMessage] = []
     codec = WireCodec(wire_sites)
-    ring_writer = _RingWriter(arena, codec, worker_index, index_to_worker)
-    ring_reader = _RingReader(arena, codec, worker_index)
+    stash = _RecordStash(codec)
     try:
         sim.scheduler.retain_sites(shard)
-        sim.network.attach_shard(shard, outbox, ring_writer.write)
+        sim.network.attach_shard(shard, outbox)
         lookahead = sim.network.min_cross_latency(shard)
         if lookahead is None:
             lookahead = sim.config.network.min_latency
-        if arena is not None:
-            for site_id in shard:
-                sim.sites[site_id].heap.attach_shared_region(
-                    arena.region(site_id)
-                )
     except Exception:
         channel.send(("error", traceback.format_exc()))
         channel.close()
@@ -594,23 +432,21 @@ def _worker_main(
     def reply_meta(fired: int) -> bytes:
         next_time = sim.scheduler.peek_time()
         eot = _shard_eot(sim, lookahead)
-        stash_min = ring_reader.stash_min()
+        stash_min = stash.stash_min()
         if stash_min < next_time:
             next_time = stash_min
         if stash_min + lookahead < eot:
             eot = stash_min + lookahead
-        return pack_reply_meta(next_time, eot, fired) + ring_writer.take_meta()
+        return pack_reply_meta(next_time, eot, fired)
 
-    def run_window(op, time, blob, limits, consumed) -> int:
-        """Drain -> stash -> take due -> run: the one window/align protocol."""
-        ring_writer.update_consumed(consumed)
-        ring_reader.drain(limits)
-        ring_reader.stash_blob(blob)
+    def run_window(op, time, blob) -> int:
+        """Stash -> take due -> run: the one window/align protocol."""
+        stash.stash_blob(blob)
         if op == "align":
-            _schedule_incoming(sim, ring_reader.take_due(_INF))
+            _schedule_incoming(sim, stash.take_due(_INF))
             sim.scheduler.advance_clock(time)
             return 0
-        _schedule_incoming(sim, ring_reader.take_due(time))
+        _schedule_incoming(sim, stash.take_due(time))
         return sim.scheduler.run_until_before(time)
 
     channel.send(("ok", None, packed_outgoing(), reply_meta(0)))
@@ -631,14 +467,9 @@ def _worker_main(
             break
         except Exception:
             del outbox[:]
-            ring_writer.discard()
             channel.send(("error", traceback.format_exc()))
             continue
         channel.send(("ok", payload, packed_outgoing(), reply_meta(fired)))
-    if arena is not None:
-        for site_id in shard:
-            sim.sites[site_id].heap.detach_shared_region()
-        arena.detach()
     channel.close()
 
 
@@ -655,26 +486,19 @@ class _WorkerHandle:
         "channel",
         "shard",
         "shard_indices",
-        "index",
         "next_time",
         "eot",
-        "limits_inflight",
     )
 
-    def __init__(self, process, channel: _Channel, shard: Set[SiteId], index: int):
+    def __init__(self, process, channel: _Channel, shard: Set[SiteId]):
         self.process = process
         self.channel = channel
         self.shard = shard
         #: The shard as packed-wire site indices (what record headers carry).
         self.shard_indices: Set[int] = set()
-        self.index = index
         self.next_time = _INF
         #: Last advertised earliest-output-time.
         self.eot = _INF
-        #: FIFO of ring-limit tuples sent with window/align commands whose
-        #: replies have not been absorbed yet (at most two, pipelining).  A
-        #: reply to such a command confirms its limits as consumed.
-        self.limits_inflight: List[Optional[tuple]] = []
 
 
 class ShardWorkerPool:
@@ -696,29 +520,19 @@ class ShardWorkerPool:
         shards: Sequence[Sequence[SiteId]],
         sim: Simulation,
         wire_sites: List[SiteId],
-        index_to_worker: List[int],
-        arena,
     ) -> None:
         context = multiprocessing.get_context("fork")
-        for index, shard in enumerate(shards):
+        for shard in shards:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    list(shard),
-                    sim,
-                    wire_sites,
-                    index_to_worker,
-                    arena,
-                    index,
-                ),
+                args=(child_conn, list(shard), sim, wire_sites),
                 daemon=True,
             )
             process.start()
             child_conn.close()
             self.workers.append(
-                _WorkerHandle(process, _Channel(parent_conn), set(shard), index)
+                _WorkerHandle(process, _Channel(parent_conn), set(shard))
             )
 
     def __iter__(self):
@@ -901,8 +715,7 @@ class ParallelSimulation(Simulation):
         self._closed = False
         self._pool = ShardWorkerPool()
         self._codec: Optional[WireCodec] = None
-        self._arena = None
-        #: Spilled records awaiting their destination's next command:
+        #: Cross-shard records awaiting their destination's next command:
         #: (deliver_at, dst site index, record bytes).
         self._pending: List[Tuple[float, int, Any]] = []
         self._site_to_worker: Dict[SiteId, int] = {}
@@ -920,20 +733,6 @@ class ParallelSimulation(Simulation):
         #: a window/align reply must deliver at or after it.
         self._floor: Optional[float] = None
         self._stats = Counter()
-        # -- ring cursors (sized at the fork) --------------------------------
-        #: src worker x dst worker matrices of absolute ring cursors: what
-        #: each producer has advertised written, what each consumer has been
-        #: told it may read, and what each consumer has confirmed reading.
-        self._ring_write_pos: List[List[int]] = []
-        self._ring_limit_sent: List[List[int]] = []
-        self._ring_confirmed: List[List[int]] = []
-        #: Advertised-but-unabsorbed ring batches:
-        #: (min_deliver, end_pos, count, src worker, dst worker, floor).
-        #: Each contributes to the horizon until the destination shard
-        #: confirms having drained past ``end_pos``; ``floor`` is the window
-        #: bound in force when the batch was advertised (-inf for batches
-        #: born outside a window reply), re-asserted at drain time.
-        self._ring_pending: List[Tuple[float, int, int, int, int, float]] = []
         # -- delta control plane --------------------------------------------
         #: Monotonic version of worker-visible state; bumped by every command
         #: that can touch it.  The cached merged snapshot/metrics are valid
@@ -977,36 +776,19 @@ class ParallelSimulation(Simulation):
         }
         wire_sites = sorted(self.sites)
         self._codec = WireCodec(wire_sites)
-        worker_count = len(shards)
-        # Created before the fork so every worker inherits the mapping; a
-        # post-fork segment would be private to its creator.  Best effort:
-        # None (no shared memory on this platform) leaves every record on
-        # the pipe spill path and every heap in private buffers.
-        self._arena = create_arena(
-            {site_id: site.heap.mirror_slots for site_id, site in self.sites.items()},
-            slot_capacity=self.config.arena_slots_per_site,
-            ring_workers=worker_count,
-            ring_bytes=self.config.ring_bytes_per_pair,
-        )
-        self._ring_write_pos = [[0] * worker_count for _ in range(worker_count)]
-        self._ring_limit_sent = [[0] * worker_count for _ in range(worker_count)]
-        self._ring_confirmed = [[0] * worker_count for _ in range(worker_count)]
         self._shard_lookahead = []
         for shard in shards:
             bound = self.network.min_cross_latency(set(shard))
             self._shard_lookahead.append(self._lookahead if bound is None else bound)
-        # Built before the fork: workers route their sends through this
-        # table themselves.
         self._index_to_worker = [0] * len(self.sites)
         for index, shard in enumerate(shards):
             for site_id in shard:
                 self._index_to_worker[self._codec.site_index(site_id)] = index
-        self._pool.start(
-            shards, self, wire_sites, self._index_to_worker, self._arena
-        )
+        self._pool.start(shards, self, wire_sites)
         # Flag flips only after every fork: children must see the sequential
         # view of `self` so their internal calls take direct paths.
         self._forked = True
+        self.network.mark_forked_away()
         self._worker_counters = [dict(self._fork_counters) for _ in shards]
         for index, worker in enumerate(self._pool):
             worker.shard_indices = {
@@ -1022,13 +804,10 @@ class ParallelSimulation(Simulation):
             raise
 
     def close(self) -> None:
-        """Stop the shard workers and release the arena.  Idempotent."""
+        """Stop the shard workers.  Idempotent."""
         if self._forked and not self._closed:
             self._closed = True
             self._pool.stop()
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
 
     def _abandon(self) -> None:
         """Reap the pool and close, after a window or align failed.
@@ -1040,7 +819,6 @@ class ParallelSimulation(Simulation):
         """
         self._closed = True
         self._pool.reap()
-        self.close()
 
     def __enter__(self) -> "ParallelSimulation":
         return self
@@ -1061,58 +839,20 @@ class ParallelSimulation(Simulation):
     ):
         """Fold one worker reply into coordinator state; return its payload.
 
-        ``window_reply`` marks the reply as answering a window/align command.
-        Absorbing it first *confirms* the ring read limits that command
-        certified (the shard has drained past them -- its producers may
-        reuse the space, and the batches stop contributing to the horizon).
-        It also puts the latest dispatched window bound in force as the
-        *floor*: the conservative-lookahead safety argument guarantees every
-        cross-shard message sent in a window delivers at or after it, and
-        the invariant is checked on every record rather than trusted to the
-        planner -- here for spilled records, and at drain time
-        (:meth:`_RingReader.drain`) for the ring batches advertised after
-        the 24-byte trailer, which carry the floor along.
+        ``window_reply`` marks the reply as answering a window/align
+        command, which puts the latest dispatched window bound in force as
+        the *floor*: the conservative-lookahead safety argument guarantees
+        every cross-shard message sent in a window delivers at or after it,
+        and the invariant is checked on every record here rather than
+        trusted to the planner.  Records are routed by scanning headers
+        only, never decoded.
         """
         if reply[0] == "error":
             raise SimulationError(f"shard worker failed:\n{reply[1]}")
         _, payload, outgoing, meta = reply
         next_time, eot, fired = unpack_reply_meta(meta)
-        floor = None
+        floor = self._floor if window_reply else None
         stats = self._stats
-        if window_reply:
-            floor = self._floor
-            limits = worker.limits_inflight.pop(0)
-            if limits is not None:
-                dst_w = worker.index
-                confirmed = self._ring_confirmed
-                for src_w, entry in enumerate(limits):
-                    if entry is not None and entry[0] > confirmed[src_w][dst_w]:
-                        confirmed[src_w][dst_w] = entry[0]
-                self._ring_pending = [
-                    batch
-                    for batch in self._ring_pending
-                    if not (
-                        batch[4] == dst_w
-                        and limits[batch[3]] is not None
-                        and batch[1] <= limits[batch[3]][0]
-                    )
-                ]
-        if len(meta) > REPLY_META_BYTES:
-            src_w = worker.index
-            batch_floor = floor if floor is not None else -_INF
-            write_pos_row = self._ring_write_pos[src_w]
-            for dst_w, count, write_pos, min_deliver in unpack_ring_meta(
-                meta[REPLY_META_BYTES:]
-            ):
-                stats["ring_bytes"] += write_pos - write_pos_row[dst_w]
-                stats["ring_messages"] += count
-                stats["cross_shard_messages"] += count
-                write_pos_row[dst_w] = write_pos
-                self._ring_pending.append(
-                    (min_deliver, write_pos, count, src_w, dst_w, batch_floor)
-                )
-        # Records that declined their ring (full, oversized, or no shared
-        # memory at all): routed by scanning headers only, never decoded.
         if len(outgoing) > 4:  # more than the empty-blob count prefix
             stats["payload_bytes"] += len(outgoing)
         pending_append = self._pending.append
@@ -1126,7 +866,6 @@ class ParallelSimulation(Simulation):
                     f"window bound {floor}"
                 )
             stats["cross_shard_messages"] += 1
-            stats["ring_spills"] += 1
             if kind == 0:
                 stats["payloads_pickled"] += 1
             else:
@@ -1176,12 +915,11 @@ class ParallelSimulation(Simulation):
         return payload
 
     def _take_pending(self, worker: _WorkerHandle) -> bytes:
-        """Remove the spilled records addressed to a shard; return their blob.
+        """Remove the pending records addressed to a shard; return their blob.
 
-        Due or not: the worker stashes them next to its ring records and
-        orders both by (deliver_at, source site, sender sequence) when they
-        fall due, so the records are re-framed here without decoding or
-        sorting.
+        Due or not: the worker stashes them and orders them by (deliver_at,
+        source site, sender sequence) when they fall due, so the records
+        are re-framed here without decoding or sorting.
         """
         shard_indices = worker.shard_indices
         records: List[Any] = []
@@ -1194,60 +932,19 @@ class ParallelSimulation(Simulation):
         self._pending = rest
         return self._codec.pack_blob(records)
 
-    def _ring_limits_for(self, dst_w: int) -> Optional[tuple]:
-        """Newly certifiable read limits for worker ``dst_w``, or None.
-
-        One slot per source worker: ``(limit, check_floor)`` when that ring
-        has bytes beyond the last certified limit, else None.  The check
-        floor is the weakest (minimum) floor over the pending batches the
-        new range covers -- each record must deliver at or after it, which
-        the worker re-asserts at drain time.  Certifying advances
-        ``_ring_limit_sent`` immediately; the batches retire only when the
-        worker's reply confirms the drain.
-        """
-        limit_sent = self._ring_limit_sent
-        write_pos = self._ring_write_pos
-        limits: List[Optional[Tuple[int, float]]] = []
-        any_new = False
-        for src_w in range(len(limit_sent)):
-            new_limit = write_pos[src_w][dst_w]
-            old_limit = limit_sent[src_w][dst_w]
-            if new_limit <= old_limit:
-                limits.append(None)
-                continue
-            check_floor = _INF
-            for batch in self._ring_pending:
-                if (
-                    batch[3] == src_w
-                    and batch[4] == dst_w
-                    and batch[1] > old_limit
-                    and batch[5] < check_floor
-                ):
-                    check_floor = batch[5]
-            limits.append((new_limit, check_floor))
-            limit_sent[src_w][dst_w] = new_limit
-            any_new = True
-        return tuple(limits) if any_new else None
-
     def _effective_horizon(self) -> float:
-        """Earliest unexecuted work anywhere: shards, spills, ring batches."""
+        """Earliest unexecuted work anywhere: shards and pending records."""
         horizon = min((worker.next_time for worker in self._pool), default=_INF)
         if self._pending:
             horizon = min(horizon, min(item[0] for item in self._pending))
-        if self._ring_pending:
-            # Advertised ring batches the destination shard has not
-            # confirmed draining yet.
-            horizon = min(
-                horizon, min(batch[0] for batch in self._ring_pending)
-            )
         return horizon
 
     def _plan_bound(self, target_excl: float) -> Optional[float]:
         """Exclusive bound of the next window, or None when the target is hit.
 
         The minimum of every shard's advertised EOT and, for each
-        cross-shard message its destination has not taken yet (spilled or
-        in a ring), ``deliver_at + destination-shard lookahead`` (the
+        cross-shard message its destination has not taken yet,
+        ``deliver_at + destination-shard lookahead`` (the
         earliest a cascade started by its delivery could leave that shard),
         clipped to the target.  Bounds past ``horizon + min_latency`` -- all
         a planner without advertised EOTs could promise -- are counted as
@@ -1265,10 +962,6 @@ class ParallelSimulation(Simulation):
         index_to_worker = self._index_to_worker
         for deliver_at, dst, _record in self._pending:
             term = deliver_at + shard_lookahead[index_to_worker[dst]]
-            if term < bound:
-                bound = term
-        for batch in self._ring_pending:
-            term = batch[0] + shard_lookahead[batch[4]]
             if term < bound:
                 bound = term
         fixed = min(horizon + self._lookahead, target_excl)
@@ -1312,30 +1005,19 @@ class ParallelSimulation(Simulation):
         """Send one window/align command to every worker; True when it
         handed the shards no input at all.
 
-        The command certifies the worker's inbound ring limits (the worker
-        pulls those records itself), carries the confirmed consumption
-        cursors for its outbound rings, and ships the spilled records
-        addressed to it, due or not -- the worker's stash holds them until
-        due.  "No input" is what the pipelined-dispatch safety argument
-        needs: no spill shipped and no new ring bytes certified.
+        The command ships the records addressed to the shard, due or not --
+        the worker's stash holds them until due.  "No input" is what the
+        pipelined-dispatch safety argument needs: no record shipped.
+
+        A blob larger than the OS pipe buffer blocks this send until the
+        worker reads it, and it will: a worker is parked in recv unless a
+        window is in flight, and a window dispatched over one in flight
+        (pipelining) carries an empty blob.
         """
         pool = self._pool
         clean = not self._pending
         for worker in pool:
-            limits = self._ring_limits_for(worker.index)
-            worker.limits_inflight.append(limits)
-            if limits is not None:
-                clean = False
-            pool.send(
-                worker,
-                (
-                    op,
-                    time,
-                    self._take_pending(worker),
-                    limits,
-                    tuple(self._ring_confirmed[worker.index]),
-                ),
-            )
+            pool.send(worker, (op, time, self._take_pending(worker)))
         return clean
 
     def _dispatch_window(self, bound: float) -> Tuple[float, bool]:
@@ -1387,7 +1069,6 @@ class ParallelSimulation(Simulation):
                     clean
                     and not inflight
                     and not self._pending
-                    and not self._ring_pending
                     and index + 1 < len(workers)
                 ):
                     candidate = self._pipeline_bound(target_excl, bound)
@@ -1411,14 +1092,9 @@ class ParallelSimulation(Simulation):
         ``pipelined_windows`` were dispatched before the previous window
         finished draining; ``bytes_sent``/``bytes_recv`` are
         coordinator-side pipe totals (every pickled byte).
-        ``cross_shard_messages`` splits into ``ring_messages`` (travelled
-        shard-to-shard through shared memory; ``ring_bytes`` counts their
-        framed bytes, which never cross a pipe) and ``ring_spills``
-        (declined the ring -- full, oversized, or no shared memory -- and
-        were routed over the pipes: ``payload_bytes`` of blobs, of which
-        ``payloads_packed`` records used the struct format and
-        ``payloads_pickled`` fell back to a pickled body).  ``arena_bytes``
-        is the shared segment size (0 without one).
+        ``cross_shard_messages`` records crossed the pipes in
+        ``payload_bytes`` of blobs, of which ``payloads_packed`` used the
+        struct format and ``payloads_pickled`` fell back to a pickled body.
         """
         stats = dict(self._stats)
         for key in (
@@ -1433,15 +1109,14 @@ class ParallelSimulation(Simulation):
             "payloads_packed",
             "payloads_pickled",
             "payload_bytes",
-            "ring_messages",
-            "ring_bytes",
-            "ring_spills",
         ):
             stats.setdefault(key, 0)
         stats["bytes_sent"] = self._pool.bytes_sent
         stats["bytes_recv"] = self._pool.bytes_recv
         stats["commands_sent"] = self._pool.commands_sent
-        stats["arena_bytes"] = self._arena.nbytes if self._arena is not None else 0
+        # benchmarks/ledger/metrics.py indexes these four keys of the removed
+        # second carrier; zeros until a benchmark PR retires its rows.
+        stats.update(ring_messages=0, ring_bytes=0, ring_spills=0, arena_bytes=0)
         return stats
 
     def coordination_metrics(self) -> MetricsRecorder:
@@ -1555,6 +1230,18 @@ class ParallelSimulation(Simulation):
         self._state_version += 1
         self._broadcast(("recover", site_id))
 
+    def partition(self, *groups) -> None:
+        if not self._forked:
+            return super().partition(*groups)
+        self._state_version += 1
+        self._broadcast(("partition", groups))
+
+    def heal_partition(self) -> None:
+        if not self._forked:
+            return super().heal_partition()
+        self._state_version += 1
+        self._broadcast(("heal_partition",))
+
     # -- merged state --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -1630,15 +1317,6 @@ class ParallelSimulation(Simulation):
     def total_objects(self) -> int:
         if not self._forked:
             return super().total_objects()
-        if self._arena is not None:
-            # Workers publish per-site resident counts into their region
-            # headers on every alloc/sweep, and they are parked in recv
-            # between exchanges -- a direct read, no broadcast.  Any heap
-            # that spilled its region invalidates the fast path (None).
-            total = self._arena.total_alive()
-            if total is not None:
-                self._stats["arena_count_reads"] += 1
-                return total
         payloads, _ = self._broadcast(("counts",))
         return sum(payloads)
 

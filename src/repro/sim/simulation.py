@@ -191,6 +191,15 @@ class Simulation:
         for site in self.sites.values():
             site.stop_auto_gc()
 
+    # -- network faults ------------------------------------------------------------------
+
+    def partition(self, *groups) -> None:
+        """Split the network (see :meth:`Network.partition`), on any engine."""
+        self.network.partition(*groups)
+
+    def heal_partition(self) -> None:
+        self.network.heal_partition()
+
     # -- controlled GC -----------------------------------------------------------------------
 
     def run_gc_round(self, settle_time: float = 50.0) -> None:

@@ -28,13 +28,11 @@ sweep; traces read it without building any per-trace set keyed by ObjectId.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
 from .objects import HeapObject
-from .shm import FLAG_CSR_LOCAL, FLAG_SLOTS_OVERFLOW
 
 try:  # numpy is an optional extra (pip install .[fast])
     import numpy as np
@@ -84,10 +82,6 @@ class Heap:
         self._succ_remote: List[List[ObjectId]] = []
         self._slot_refs: List[int] = []
         self._free: List[int] = []
-        # Shared-memory backing (parallel engine): when attached, ``_alive``
-        # and ``_mark`` are memoryviews over a SiteRegion instead of private
-        # bytearrays, and the region header mirrors the resident count.
-        self._region = None
         # Structural epoch for the CSR snapshot: bumped only on changes to
         # slots or adjacency (not roots/pins, which churn far more often).
         self._graph_epoch = 0
@@ -125,15 +119,10 @@ class Heap:
             idx = self._free.pop()
             self._oids[idx] = oid
         else:
-            region = self._region
-            if region is not None and len(self._oids) >= region.slot_capacity:
-                self._spill_shared_region()
             idx = len(self._oids)
             self._oids.append(oid)
-            if self._region is None:
-                self._alive.append(0)
-                self._mark.append(0)
-            # else: the region's slots are pre-zeroed at creation
+            self._alive.append(0)
+            self._mark.append(0)
             self._succ_local.append([])
             self._succ_remote.append([])
             self._slot_refs.append(0)
@@ -222,84 +211,6 @@ class Heap:
             self._oids,
         )
 
-    # -- shared-memory backing (parallel engine) --------------------------------
-
-    def attach_shared_region(self, region) -> bool:
-        """Re-home the alive/mark bitmaps into a shared-memory region.
-
-        Called by a shard worker just after the fork (see
-        :mod:`repro.store.shm` for the ownership rules).  The current bitmap
-        contents are copied into the region -- which this heap now owns
-        exclusively -- and the header's resident count is published.
-        Returns False (leaving the heap untouched) if the heap already
-        exceeds the region's slot capacity.
-        """
-        n = len(self._oids)
-        if n > region.slot_capacity:
-            region.set_flag(FLAG_SLOTS_OVERFLOW)
-            return False
-        if n:
-            region.alive[:n] = bytes(self._alive[:n])
-            region.mark[:n] = bytes(self._mark[:n])
-        self._alive = region.alive
-        self._mark = region.mark
-        self._region = region
-        region.set_alive_count(len(self._objects))
-        self._csr = None  # rebuild into the region's CSR area
-        self._csr_epoch = -1
-        return True
-
-    def detach_shared_region(self) -> None:
-        """Copy the bitmaps back to private buffers and drop every view.
-
-        Workers call this on shutdown (before the arena itself detaches) so
-        no memoryview exports outlive the shared segment.
-        """
-        region = self._region
-        if region is None:
-            return
-        n = len(self._oids)
-        self._alive = bytearray(region.alive[:n])
-        self._mark = bytearray(region.mark[:n])
-        self._region = None
-        self._csr = None  # its arrays may view the region's CSR area
-        self._csr_epoch = -1
-
-    def _spill_shared_region(self) -> None:
-        """Outgrew the region: fall back to private buffers, flag, and warn."""
-        region = self._region
-        n = len(self._oids)
-        self._alive = bytearray(region.alive[:n])
-        self._mark = bytearray(region.mark[:n])
-        self._region = None
-        self._csr = None
-        self._csr_epoch = -1
-        region.set_flag(FLAG_SLOTS_OVERFLOW)
-        warnings.warn(
-            f"heap {self.site_id!r} outgrew its shared-memory region "
-            f"({n} slots >= capacity {region.slot_capacity}); continuing "
-            "with private buffers",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    def _publish_alive_count(self) -> None:
-        if self._region is not None:
-            self._region.set_alive_count(len(self._objects))
-
-    @property
-    def shared_region_attached(self) -> bool:
-        return self._region is not None
-
-    @property
-    def mirror_slots(self) -> int:
-        """Slots the flat mirror occupies (resident + dead interned oids).
-
-        This -- not ``len(heap)`` -- is what a shared region must be sized
-        against, since interned slots are never compacted.
-        """
-        return len(self._oids)
-
     @property
     def graph_epoch(self) -> int:
         return self._graph_epoch
@@ -307,9 +218,7 @@ class Heap:
     def csr_graph(self) -> Optional[FlatCsr]:
         """The mirror as int64 CSR arrays (numpy only; None without it).
 
-        Rebuilt lazily when the graph epoch moved; when a shared region is
-        attached and the arrays fit its CSR area they are built there
-        (zero-copy views), otherwise in private numpy memory.
+        Rebuilt lazily when the graph epoch moved.
         """
         if np is None:
             return None
@@ -320,14 +229,7 @@ class Heap:
         remote_lens = [len(s) for s in self._succ_remote]
         edges = sum(local_lens)
         remote_edges = sum(remote_lens)
-        words = 2 * (n + 1) + edges + remote_edges
-        region = self._region
-        if region is not None and words * 8 <= region.csr_bytes:
-            buf = np.frombuffer(region.csr, dtype=np.int64, count=words)
-        else:
-            buf = np.empty(words, dtype=np.int64)
-            if region is not None:
-                region.set_flag(FLAG_CSR_LOCAL)
+        buf = np.empty(2 * (n + 1) + edges + remote_edges, dtype=np.int64)
         indptr = buf[: n + 1]
         indices = buf[n + 1 : n + 1 + edges]
         r_indptr = buf[n + 1 + edges : 2 * (n + 1) + edges]
@@ -414,7 +316,6 @@ class Heap:
         self.objects_allocated += 1
         if persistent_root:
             self._persistent_roots.add(oid)
-        self._publish_alive_count()
         self.bump_epoch()
         return obj
 
@@ -560,7 +461,6 @@ class Heap:
             deleted.append(oid)
         self.objects_collected += len(deleted)
         if deleted:
-            self._publish_alive_count()
             self.bump_epoch()
         return deleted
 
@@ -570,7 +470,6 @@ class Heap:
         if obj is not None:
             self._oid_set.discard(oid)
             self._retire(obj)
-            self._publish_alive_count()
             self.bump_epoch()
         self._persistent_roots.discard(oid)
         self._variable_roots.pop(oid, None)

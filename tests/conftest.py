@@ -71,7 +71,7 @@ def oracle(sim):
     return Oracle(sim)
 
 
-# -- the sharded-engine twin scenario (window planning, ring/pipe data path) --
+# -- the sharded-engine twin scenario (window planning) ----------------------
 
 TWIN_SITES = [f"s{i:02d}" for i in range(12)]
 TWIN_GC = dict(

@@ -23,7 +23,7 @@ from repro.analysis import Oracle
 from repro.analysis.export import graph_snapshot as export_snapshot
 from repro.errors import SimulationError
 from repro.sim.parallel import ParallelSimulation
-from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
+from repro.workloads import ChurnConfig, GraphBuilder, SiteChurn, build_ring_cycle
 
 SITES = [f"s{i:02d}" for i in range(16)]
 CHURN_UNTIL = 400.0
@@ -40,15 +40,15 @@ GC = dict(
 NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
 
 
-def _build(workers, seed):
+def _build(workers, seed, sites=SITES, gc=GC):
     config = SimulationConfig(
         seed=seed,
-        gc=GcConfig(**GC),
+        gc=GcConfig(**gc),
         network=NetworkConfig(**NETWORK),
         parallel_workers=workers,
     )
     sim = Simulation.create(config)
-    sim.add_sites(SITES, auto_gc=True)
+    sim.add_sites(sites, auto_gc=True)
     return sim
 
 
@@ -72,6 +72,17 @@ def _snapshot_bytes(sim):
     else:
         snap = export_snapshot(sim)
     return json.dumps(snap, sort_keys=True)
+
+
+def _final_state(sim):
+    """(snapshot_json, sorted non-zero counters) of either engine; closes it."""
+    snapshot = _snapshot_bytes(sim)
+    if isinstance(sim, ParallelSimulation):
+        counters = sim.merged_metrics()._counters
+        sim.close()
+    else:
+        counters = sim.metrics._counters
+    return snapshot, sorted((name, n) for name, n in counters.items() if n)
 
 
 def _run_scenario(workers, seed, crash=False):
@@ -147,6 +158,59 @@ def test_parallel_fault_injection_matches_sequential():
     assert par_ops == seq_ops
 
 
+def _run_partitioned(workers, start, heal):
+    sites = [f"s{i}" for i in range(6)]
+    sim = _build(workers, 5, sites, gc={})
+    SiteChurn(sim, sites, ChurnConfig()).start(until=900.0)
+    if start:
+        sim.run_until(start)
+    sim.partition(set(sites[:3]), set(sites[3:]))
+    sim.run_until(heal)
+    sim.heal_partition()
+    sim.run_until(900.0)
+    return _final_state(sim)
+
+
+@pytest.mark.parametrize(
+    "start, heal, drops", [(300.0, 600.0, 150), (0.0, 300.0, 70)]
+)
+def test_partitions_reach_the_shard_workers(start, heal, drops):
+    # A partition applied after the fork is broadcast to the workers (it
+    # used to change only the coordinator's stale network: zero drops);
+    # one applied before the first run is inherited through the fork.
+    seq = _run_partitioned(1, start, heal)
+    assert dict(seq[1])["messages.dropped.partition"] == drops
+    for workers in (2, 4):
+        assert _run_partitioned(workers, start, heal) == seq
+
+
+def _run_wide_roots(workers):
+    """Each root holds 6,000 references to objects on the site two away, so
+    the first full update to that site is one ~84 KB record."""
+    sites = [f"s{i}" for i in range(4)]
+    sim = _build(workers, 5, sites, gc={})
+    builder = GraphBuilder(sim)
+    for index, site_id in enumerate(sites):
+        root = builder.obj(site_id, root=True)
+        for target in builder.objs(sites[(index + 2) % 4], 6000):
+            builder.link(root, target)
+    sim.run_for(1500.0)
+    stats = sim.coordination_stats() if workers > 1 else None
+    return _final_state(sim), stats
+
+
+def test_records_larger_than_the_pipe_buffer_cross_intact():
+    # Pipe back-pressure: a command or reply blob bigger than the OS pipe
+    # buffer blocks its writer until the other end reads, so it only works
+    # because coordinator and workers never write to each other at once.
+    seq, _ = _run_wide_roots(1)
+    for workers in (2, 4):
+        state, stats = _run_wide_roots(workers)
+        assert state == seq
+        assert stats["cross_shard_messages"] == 8
+        assert stats["payload_bytes"] > 4 * 80_000
+
+
 # -- fallback and guardrail behaviour ----------------------------------------
 
 
@@ -210,6 +274,9 @@ def test_post_fork_guardrails():
     with pytest.raises(AttributeError, match="snapshot"):
         proxy.heap
     assert proxy.crashed is False
+    # The coordinator's own network is a stale pre-fork copy now.
+    with pytest.raises(SimulationError, match=r"Simulation\.partition\(\)"):
+        sim.network.partition({SITES[0]})
     with pytest.raises(SimulationError, match="max_events"):
         sim.run_for(10.0, max_events=100)
     sim.close()
@@ -223,9 +290,7 @@ def test_post_fork_guardrails():
 
 def test_numpy_free_workers_are_byte_identical(monkeypatch):
     # Simulate the no-numpy install: the vector kernel and CSR mirror are
-    # gone, the packed wire and arena degrade gracefully (the arena itself
-    # is pure stdlib), and the twins must still match a numpy-enabled
-    # sequential run.  Patching before the fork makes every worker inherit
+    # gone, and the twins must still match a numpy-enabled sequential run.  Patching before the fork makes every worker inherit
     # the numpy-free view.
     import repro.core.distance as distance_mod
     import repro.store.heap as heap_mod
@@ -245,17 +310,52 @@ def test_coordination_stats_count_packed_traffic():
     stats = sim.coordination_stats()
     sim.close()
     assert stats["bytes_sent"] > 0 and stats["bytes_recv"] > 0
-    # Pinned at 1ef2097 for this scenario and seed.  Every routed message
-    # is accounted exactly once -- here all 600 through the rings, none
-    # spilled to the pipe packers -- and one round trip per window and
-    # align is all the coordination there is.
+    # The plan and the message count are pinned at 1ef2097 for this
+    # scenario and seed; the byte count is what those 600 records pack to.
+    # Every routed message is accounted exactly once -- all 600 struct
+    # packed, none pickled -- and one round trip per window and align is
+    # all the coordination there is.
     pinned = dict(
         windows=56, aligns=1, pipelined_windows=1, commands_sent=228,
-        cross_shard_messages=600, ring_messages=600, ring_spills=0,
-        payload_bytes=0, payloads_packed=0, payloads_pickled=0,
+        cross_shard_messages=600, payloads_packed=600, payloads_pickled=0,
+        payload_bytes=30348,
     )
     assert {key: stats[key] for key in pinned} == pinned
     assert stats["commands_sent"] == 4 * (stats["windows"] + stats["aligns"])
+
+
+def test_snapshot_and_metrics_broadcasts_are_cached_between_advances():
+    # Delta control plane: polling the same quiescent state again must not
+    # touch the workers at all -- the second snapshot()/merged_metrics()
+    # pair is served from the version-gated cache.  Advancing the clock
+    # bumps the state version and forces exactly one fresh broadcast each.
+    sim = _build(2, seed=7)
+    build_ring_cycle(sim, SITES[:4])
+    sim.run_for(100.0)
+    assert sim.parallel_active
+    try:
+        first_snap = sim.snapshot()
+        first_metrics = dict(sim.merged_metrics()._counters)
+        before = sim.coordination_stats()["broadcasts"]
+        again_snap = sim.snapshot()
+        again_metrics = dict(sim.merged_metrics()._counters)
+        unchanged = sim.coordination_stats()["broadcasts"]
+        # Identical answers, zero new broadcasts.
+        assert again_snap == first_snap
+        assert again_metrics == first_metrics
+        assert unchanged == before
+        # An advance invalidates both caches: one broadcast per export kind.
+        sim.run_for(50.0)
+        baseline = sim.coordination_stats()["broadcasts"]
+        sim.snapshot()
+        sim.merged_metrics()
+        after_refresh = sim.coordination_stats()["broadcasts"]
+        assert after_refresh == baseline + 2
+        sim.snapshot()
+        sim.merged_metrics()
+        assert sim.coordination_stats()["broadcasts"] == after_refresh
+    finally:
+        sim.close()
 
 
 # -- persistent pool lifecycle -----------------------------------------------
@@ -321,14 +421,14 @@ def test_failed_window_closes_the_engine():
 
 
 def test_failed_worker_bring_up_closes_the_engine(monkeypatch):
-    from repro.store.heap import Heap
+    from repro.net.network import Network
 
-    def refuse(self, region):
-        raise RuntimeError("no region for you")
+    def refuse(self, sites, outbox):
+        raise RuntimeError("no shard for you")
 
-    monkeypatch.setattr(Heap, "attach_shared_region", refuse)
+    monkeypatch.setattr(Network, "attach_shard", refuse)
     sim = _build(2, seed=9)
-    with pytest.raises(SimulationError, match="no region for you"):
+    with pytest.raises(SimulationError, match="no shard for you"):
         sim.run_for(10.0)
     for worker in sim._pool.workers:
         assert not worker.process.is_alive()

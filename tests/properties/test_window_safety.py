@@ -3,8 +3,7 @@
 The conservative-lookahead safety argument says every message routed out of
 a safe-time window delivers at or after the window's dispatched bound.  The
 engine enforces exactly that invariant at runtime on every cross-shard
-record (:meth:`ParallelSimulation._absorb` for spilled ones,
-:meth:`_RingReader.drain` for ring ones), so these trials drive the
+record (:meth:`ParallelSimulation._absorb`), so these trials drive the
 planner across randomized latency configurations -- homogeneous
 uniform bands and heterogeneous zoned topologies, with the global
 ``min_latency`` floor set to the model's true minimum -- and a planner bug
@@ -24,9 +23,7 @@ from repro.errors import SimulationError
 from repro.gc.update import UpdateRefreshRequest
 from repro.net.latency import UniformLatency, ZonedLatency
 from repro.net.message import Message
-from repro.net.wire import WireCodec, pack_reply_meta
-from repro.sim.parallel import _RingReader
-from repro.store.shm import SharedArena
+from repro.net.wire import pack_reply_meta
 from repro.workloads import ChurnConfig, SiteChurn
 
 SITES = [f"s{i}" for i in range(8)]
@@ -89,7 +86,7 @@ def _forged_record(codec, deliver_at):
 
 
 def test_absorb_rejects_a_message_below_the_window_floor():
-    """The runtime invariant check actually fires on a spilled (pipe) record."""
+    """The runtime invariant check actually fires on a forged record."""
     config = SimulationConfig(
         seed=3,
         network=NetworkConfig(
@@ -106,24 +103,6 @@ def test_absorb_rejects_a_message_below_the_window_floor():
     blob = sim._codec.pack_blob([_forged_record(sim._codec, 5.0)])
     forged = ("ok", None, blob, pack_reply_meta(inf, inf, 0))
     sim._floor = 100.0
-    worker.limits_inflight.append(None)  # as if a window had been dispatched
     with pytest.raises(SimulationError, match="window-safety"):
         sim._absorb(worker, forged, window_reply=True)
     sim.close()
-
-
-def test_ring_drain_rejects_a_record_below_its_check_floor():
-    """The same check on the ring side: drain asserts the certified floor."""
-    codec = WireCodec(["A", "B", "C", "D"])
-    arena = SharedArena([], ring_workers=2, ring_bytes=1024)
-    try:
-        limit = arena.ring(0, 1).try_write(_forged_record(codec, 5.0), 0, 0)
-        reader = _RingReader(arena, codec, 1)
-        with pytest.raises(SimulationError, match="window-safety"):
-            reader.drain(((limit, 100.0), None))
-        # At or above the floor the record is stashed, not rejected.
-        reader = _RingReader(arena, codec, 1)
-        reader.drain(((limit, 5.0), None))
-        assert reader.stash_min() == 5.0
-    finally:
-        arena.close()

@@ -9,8 +9,15 @@ assert-based validator these tests lean on after every mutation batch.
 
 import random
 
+import pytest
+
 from repro import GcConfig
-from repro.core.distance import trace_clean_phase, trace_clean_phase_flat
+from repro.core.distance import (
+    np,
+    trace_clean_phase,
+    trace_clean_phase_flat,
+    trace_clean_phase_vector,
+)
 from repro.gc.inrefs import InrefTable
 from repro.gc.outrefs import OutrefTable
 from repro.ids import ObjectId
@@ -143,3 +150,107 @@ def test_flat_kernel_is_byte_identical_to_legacy_kernel():
         assert legacy.objects_scanned == flat.objects_scanned
         assert legacy.edges_examined == flat.edges_examined
         heap.check_flat_mirror()
+
+
+# -- CSR snapshot and vectorized kernel ---------------------------------------
+
+
+@pytest.mark.skipif(np is None, reason="numpy unavailable")
+def test_csr_cache_invalidates_on_graph_changes():
+    heap = Heap("P")
+    a = heap.alloc(persistent_root=True)
+    b = heap.alloc()
+    first = heap.csr_graph()
+    assert heap.csr_graph() is first  # cached while the graph is unchanged
+    a.add_ref(b.oid)
+    second = heap.csr_graph()
+    assert second is not first
+    assert second.indptr[-1] == 1
+
+
+def _random_heap(rng):
+    """An adversarial local graph: dead interned slots, dangling refs,
+    multi-edges, remote refs, plus root sets that overlap and miss."""
+    heap = Heap("P")
+    objs = [heap.alloc(persistent_root=rng.random() < 0.2) for _ in range(40)]
+    for obj in objs:
+        for _ in range(rng.randrange(4)):
+            target = rng.choice(objs)
+            obj.add_ref(target.oid)
+        if rng.random() < 0.4:
+            obj.add_ref(ObjectId(rng.choice(["Q", "R"]), rng.randrange(6)))
+    dead = rng.sample(objs, 8)
+    heap.sweep_ids([d.oid for d in dead])
+    alive = [o for o in objs if o not in dead]
+    roots = []
+    for obj in rng.sample(alive, 12):
+        roots.append((obj.oid, rng.randrange(4)))
+    if roots:
+        # Duplicate root at a different (larger) distance: min must win.
+        roots.append((roots[0][0], roots[0][1] + 2))
+    roots.append((ObjectId("Q", 1), 0))  # remote root: ignored
+    roots.append((ObjectId("P", 10_000), 1))  # unknown local id: ignored
+    variable_outrefs = [ObjectId("Q", rng.randrange(6)) for _ in range(2)]
+    return heap, roots, variable_outrefs
+
+
+def _as_tuple(result):
+    return (
+        result.clean_objects,
+        result.outref_distances,
+        result.clean_variable_outrefs,
+        result.objects_scanned,
+        result.edges_examined,
+    )
+
+
+@pytest.mark.skipif(np is None, reason="numpy unavailable")
+def test_vector_kernel_matches_both_sequential_kernels():
+    for seed in range(25):
+        rng = random.Random(seed)
+        heap, roots, variable_outrefs = _random_heap(rng)
+        legacy = trace_clean_phase(heap, roots, variable_outrefs)
+        flat = trace_clean_phase_flat(heap, roots, variable_outrefs)
+        vector = trace_clean_phase_vector(heap, roots, variable_outrefs)
+        assert _as_tuple(flat) == _as_tuple(legacy)
+        assert _as_tuple(vector) == _as_tuple(legacy), f"seed {seed}"
+        # The mark bitmap is restored: a second run gives the same answer.
+        again = trace_clean_phase_vector(heap, roots, variable_outrefs)
+        assert _as_tuple(again) == _as_tuple(legacy)
+
+
+def test_vector_kernel_without_numpy_falls_back(monkeypatch):
+    import repro.core.distance as distance_mod
+
+    heap = Heap("P")
+    root = heap.alloc(persistent_root=True)
+    leaf = heap.alloc()
+    root.add_ref(leaf.oid)
+    monkeypatch.setattr(distance_mod, "np", None)
+    result = trace_clean_phase_vector(heap, [(root.oid, 0)])
+    assert result.objects_scanned == 2
+
+
+@pytest.mark.skipif(np is None, reason="numpy unavailable")
+def test_vector_kernel_bails_out_on_deep_narrow_graphs():
+    from repro.core.distance import _NARROW_PROBE_LEVELS
+
+    heap = Heap("P")
+    chain = [heap.alloc() for _ in range(_NARROW_PROBE_LEVELS * 4)]
+    for holder, target in zip(chain, chain[1:]):
+        holder.add_ref(target.oid)
+    chain[-1].add_ref(ObjectId("Q", 0))
+    roots = [(chain[0].oid, 0)]
+    expected = _as_tuple(trace_clean_phase_flat(heap, roots))
+
+    # A width-1 chain triggers the narrow-frontier bailout: identical
+    # result (marks restored, outref distance intact), plus a backoff so
+    # the next traces skip numpy entirely.
+    got = _as_tuple(trace_clean_phase_vector(heap, roots))
+    assert got == expected
+    assert heap.vector_kernel_backoff > 0
+
+    remaining = heap.vector_kernel_backoff
+    again = _as_tuple(trace_clean_phase_vector(heap, roots))
+    assert again == expected
+    assert heap.vector_kernel_backoff == remaining - 1

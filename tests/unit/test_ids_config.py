@@ -215,8 +215,3 @@ def test_simulation_config_rejects_non_int_seed():
 def test_configs_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         GcConfig().suspicion_threshold = 9
-
-
-def test_ring_bytes_per_pair_must_hold_a_frame():
-    with pytest.raises(ConfigError, match="ring_bytes_per_pair"):
-        SimulationConfig(ring_bytes_per_pair=512)

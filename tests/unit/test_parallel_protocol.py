@@ -120,9 +120,7 @@ def _coordinator(next_times, lookahead):
         parallel_workers=len(next_times),
     )
     sim = Simulation.create(config)
-    sim._pool.workers = [
-        _WorkerHandle(None, None, set(), index) for index in range(len(next_times))
-    ]
+    sim._pool.workers = [_WorkerHandle(None, None, set()) for _ in next_times]
     sim._shard_lookahead = [lookahead] * len(next_times)
     _advertise(sim, next_times, lookahead)
     return sim
@@ -191,9 +189,6 @@ def test_planner_counts_bounds_past_the_fixed_step_as_jumps():
     sim._pending.append((20.0, 1, b""))
     assert sim._plan_bound(target) == 22.0
     sim._pending.clear()
-    sim._ring_pending.append((30.0, 64, 1, 0, 1, -INF))
-    assert sim._plan_bound(target) == 32.0
-    sim._ring_pending.clear()
     for worker in sim._pool.workers:
         worker.eot = INF
     assert sim._plan_bound(target) == target

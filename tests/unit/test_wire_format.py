@@ -369,48 +369,23 @@ def test_reply_meta_packs_infinities_exactly():
     assert next_time == inf and eot == inf and fired == 0
 
 
-# -- ring meta and bare records ----------------------------------------------
-
-
-def test_ring_meta_roundtrip_and_empty_section():
-    from repro.net.wire import (
-        REPLY_META_BYTES,
-        pack_reply_meta,
-        pack_ring_meta,
-        unpack_reply_meta,
-        unpack_ring_meta,
-    )
-
-    entries = [(0, 3, 1024, 12.5), (2, 1, 96, float("inf"))]
-    section = pack_ring_meta(entries)
-    assert unpack_ring_meta(section) == tuple(entries)
-    # No ring traffic -> no section at all: the reply meta stays the bare
-    # 24-byte trailer and the coordinator detects the rings by extra length.
-    assert pack_ring_meta([]) == b""
-    trailer = pack_reply_meta(1.0, 2.0, 3) + section
-    assert len(trailer) > REPLY_META_BYTES
-    assert unpack_reply_meta(trailer) == (1.0, 2.0, 3)
-    assert unpack_ring_meta(trailer[REPLY_META_BYTES:]) == tuple(entries)
+# -- bare records -------------------------------------------------------------
 
 
 def test_bare_record_scan_and_unpack_roundtrip():
-    # Rings carry bare records (the ring frames them itself): scan_record
-    # must agree with the scan_blob header fields, and unpack_record must
-    # reproduce the routed message exactly.
+    # The worker stash holds bare records cut out of a blob: the scanned
+    # header fields must be the message's, the view the record itself, and
+    # unpack_record must reproduce the routed message exactly.
     codec = WireCodec(SITES)
     message = Message(
         src="w03", dst="w07", payload=UpdateAck(seq=9), uid=41, dup=True
     )
     record = codec.pack_record(6.25, message)
-    deliver_at, dst, src, kind, uid = codec.scan_record(record)
-    assert (deliver_at, uid) == (6.25, 41)
-    assert codec.sites[src] == "w03" and codec.sites[dst] == "w07"
-    [(b_at, b_dst, b_src, b_kind, b_uid, view)] = list(
+    [(deliver_at, dst, src, _kind, uid, view)] = list(
         codec.scan_blob(codec.pack_blob([record]))
     )
-    assert (b_at, b_dst, b_src, b_kind, b_uid) == (
-        deliver_at, dst, src, kind, uid,
-    )
+    assert (deliver_at, uid) == (6.25, 41)
+    assert codec.sites[src] == "w03" and codec.sites[dst] == "w07"
     assert bytes(view) == record
     assert codec.unpack_record(record) == (6.25, message)
 
