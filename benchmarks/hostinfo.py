@@ -1,8 +1,7 @@
 """Host provenance header shared by every pinned-JSON bench writer.
 
 Wall-clock numbers are only interpretable next to the host that produced
-them: a 1-core container cannot show parallel speedup, and a numpy-free
-install runs the flat kernel instead of the vectorized one.  Every
+them: a 1-core container cannot show parallel speedup.  Every
 ``BENCH_*.json`` embeds this header so the pinned numbers stay honest.
 """
 

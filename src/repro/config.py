@@ -176,19 +176,11 @@ class GcConfig:
     # mirror of the local object graph (interned ids, append-only adjacency
     # arrays with a free-list) and the clean phase runs over int arrays with
     # a reusable bytearray mark bitmap instead of per-trace ObjectId sets.
+    # Large heaps sweep the same mirror a frontier at a time in set algebra,
+    # chosen by size and shape (``repro.core.distance``), not by an option.
     # Byte-identical trace results; False selects the legacy kernel (twin
     # runs, debugging).
     flat_kernel: bool = True
-    # Vectorized clean phase: when numpy is importable (optional extra
-    # ``pip install .[fast]``) and the heap is at least
-    # ``vector_kernel_min_objects`` objects, the clean phase runs as
-    # level-synchronous numpy frontier sweeps over a cached CSR snapshot of
-    # the flat mirror (:func:`repro.core.distance.trace_clean_phase_vector`)
-    # instead of the per-object DFS.  Byte-identical results; the threshold
-    # exists because the kernel's fixed numpy costs lose to the flat DFS on
-    # tiny heaps.  Ignored when ``flat_kernel`` is False or numpy is absent.
-    vector_kernel: bool = True
-    vector_kernel_min_objects: int = 512
     # Exponential-backoff re-initiation of timed-out back traces: when a
     # trace completes Live only because some frame or outcome timed out
     # (section 4.6's conservative assumption), re-tracing the same root
@@ -252,8 +244,6 @@ class GcConfig:
             )
         if self.update_retransmit_timeout <= 0:
             raise ConfigError("update_retransmit_timeout must be > 0")
-        if self.vector_kernel_min_objects < 0:
-            raise ConfigError("vector_kernel_min_objects must be >= 0")
         if self.update_retransmit_limit < 0:
             raise ConfigError("update_retransmit_limit must be >= 0")
         if (

@@ -26,11 +26,6 @@ from typing import Dict, Iterable, List, Set, Tuple
 from ..ids import ObjectId
 from ..store.heap import Heap
 
-try:  # numpy is an optional extra (pip install .[fast])
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 
 @dataclass
 class CleanPhaseResult:
@@ -155,15 +150,20 @@ def trace_clean_phase_flat(
     return result
 
 
-#: Shape gate for the vector kernel.  Level-synchronous BFS pays a fixed
-#: numpy cost per *level*, so a deep narrow graph (a chain: one object per
-#: level) is its worst case -- thousands of tiny array operations doing the
-#: work a scalar DFS finishes in one pass.  When the average frontier width
-#: over the first ``_NARROW_PROBE_LEVELS`` levels stays below
-#: ``_NARROW_MIN_WIDTH``, the kernel abandons the sweep (restoring the mark
-#: bitmap), reruns the trace on the flat scalar kernel, and skips numpy for
-#: the next ``_NARROW_BACKOFF_TRACES`` traces on that heap before probing
-#: again -- so a heap that later widens gets the vector path back.
+#: Size gate for the frontier kernel: below this many resident objects a
+#: full trace stays on the flat DFS, whose fixed costs are lower (applied in
+#: ``LocalCollector._trace_heap``).
+FRONTIER_MIN_OBJECTS = 512
+
+#: Shape gate for the frontier kernel.  A level-synchronous sweep pays a
+#: fixed cost per *level* (a handful of set constructions), so a deep narrow
+#: graph (a chain: one object per level) is its worst case -- thousands of
+#: tiny set operations doing the work a scalar DFS finishes in one pass.
+#: When the average frontier width over the first ``_NARROW_PROBE_LEVELS``
+#: levels stays below ``_NARROW_MIN_WIDTH``, the kernel abandons the sweep,
+#: reruns the trace on the flat scalar kernel, and skips the sweep for the
+#: next ``_NARROW_BACKOFF_TRACES`` traces on that heap before probing again
+#: -- so a heap that later widens gets the frontier path back.
 _NARROW_PROBE_LEVELS = 64
 _NARROW_MIN_WIDTH = 8
 _NARROW_BACKOFF_TRACES = 128
@@ -174,7 +174,7 @@ def trace_clean_phase_vector(
     roots: Iterable[Tuple[ObjectId, int]],
     variable_outrefs: Iterable[ObjectId] = (),
 ) -> CleanPhaseResult:
-    """The clean phase as numpy frontier sweeps over the CSR mirror.
+    """The clean phase as frontier sweeps in set algebra over the live mirror.
 
     Same contract as :func:`trace_clean_phase` / the flat kernel: identical
     clean set, outref distances, and cost counters.  The equivalence
@@ -183,23 +183,25 @@ def trace_clean_phase_vector(
     clean roots that reach it, because roots run in ascending distance
     order and marked objects are never re-entered.  Level-synchronous BFS
     per distinct root distance computes exactly those labels, so every
-    outref distance (``1 + label`` of a holder, minimised over holders via
-    ``np.minimum.at``) matches, and the counters are order-independent
-    (scanned = number marked, edges = summed degree of marked objects).
+    outref distance (``1 + label`` of a holder, minimised over holders)
+    matches, and the counters are order-independent (scanned = number
+    marked, edges = summed degree of marked objects).
 
-    Falls back to the flat kernel when numpy is unavailable, and bails out
-    to it mid-sweep when the graph turns out to be deep and narrow (see
-    ``_NARROW_PROBE_LEVELS``); either way the caller sees the identical
-    result.  The mark bitmap is borrowed from the heap as a writable uint8
-    view and restored to all-zero before returning; no view outlives the
-    call (the heap's buffers must stay resizable).
+    One level is ``set().union(*rows of the frontier) - marked``: the union
+    hashes each successor slot once in C, and the *binary* difference
+    iterates the new frontier, where ``-=`` / ``difference_update`` would
+    iterate the whole marked set per level.  The rows are the mirror's own
+    adjacency lists, current by construction, so nothing is rebuilt when
+    the graph changes; the edge count and the clean set come from what the
+    heap maintains minus the rows left unmarked, after a clean phase few.
+
+    Bails out to the flat kernel mid-sweep when the graph turns out to be
+    deep and narrow (see ``_NARROW_PROBE_LEVELS``); the caller sees the
+    identical result.  The heap's mark bitmap is never touched.
     """
     backoff = heap.vector_kernel_backoff
     if backoff > 0:
         heap.vector_kernel_backoff = backoff - 1
-        return trace_clean_phase_flat(heap, roots, variable_outrefs)
-    csr = heap.csr_graph() if np is not None else None
-    if csr is None:
         return trace_clean_phase_flat(heap, roots, variable_outrefs)
     root_list = list(roots)
 
@@ -210,106 +212,61 @@ def trace_clean_phase_vector(
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
 
-    idx_map, alive_buf, _succ_local, _succ_remote, mark_buf, oids = (
-        heap.flat_graph()
-    )
-    n = len(oids)
-    indptr, indices, r_indptr, r_indices, r_oids = csr
-    alive = np.frombuffer(alive_buf, dtype=np.uint8, count=n)
-    mark = np.frombuffer(mark_buf, dtype=np.uint8, count=n)
+    idx_map, _, succ_local, succ_remote, _, oids = heap.flat_graph()
+    alive, remote_rows, slot_total = heap.frontier_graph()
 
     by_distance: Dict[int, List[int]] = {}
-    site_id = heap.site_id
     for root, root_distance in root_list:
-        if root.site != site_id:
-            continue
-        ridx = idx_map.get(root)
-        if ridx is not None:
+        ridx = idx_map.get(root)  # only local ids are ever interned
+        if ridx in alive:
             by_distance.setdefault(root_distance, []).append(ridx)
 
-    no_hit = np.iinfo(np.int64).max
-    remote_min = np.full(len(r_oids), no_hit, dtype=np.int64)
-    marked_chunks: List["np.ndarray"] = []
+    # A successor slot can only name a dead index while one is interned.
+    dangling = len(idx_map) != len(alive)
+    row_of = succ_local.__getitem__
+    distances_get = distances.get
+    marked: Set[int] = set()
     levels = 0
-    marked_total = 0
     for root_distance in sorted(by_distance):
-        seeds = np.array(by_distance[root_distance], dtype=np.int64)
-        seeds = seeds[(alive[seeds] != 0) & (mark[seeds] == 0)]
-        if not seeds.size:
-            continue
-        frontier = np.unique(seeds)
-        level_chunks: List["np.ndarray"] = []
-        while frontier.size:
-            mark[frontier] = 1
-            level_chunks.append(frontier)
+        # Everything this group marks has label ``root_distance``.
+        outref_distance = root_distance + 1
+        frontier = set(by_distance[root_distance]) - marked
+        while frontier:
+            marked |= frontier
             levels += 1
-            marked_total += int(frontier.size)
             if (
                 levels >= _NARROW_PROBE_LEVELS
-                and marked_total < levels * _NARROW_MIN_WIDTH
+                and len(marked) < levels * _NARROW_MIN_WIDTH
             ):
-                for chunk in marked_chunks:
-                    mark[chunk] = 0
-                for chunk in level_chunks:
-                    mark[chunk] = 0
                 heap.vector_kernel_backoff = _NARROW_BACKOFF_TRACES
                 return trace_clean_phase_flat(heap, root_list, variable_outrefs)
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if not total:
-                break
-            # Ragged gather: for each frontier node, its slice of `indices`.
-            offsets = np.repeat(starts, counts) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(counts) - counts, counts)
-            )
-            succ = indices[offsets]
-            succ = succ[(alive[succ] != 0) & (mark[succ] == 0)]
-            frontier = np.unique(succ)
-        level = (
-            level_chunks[0]
-            if len(level_chunks) == 1
-            else np.concatenate(level_chunks)
-        )
-        marked_chunks.append(level)
-        # Everything marked at this level has label `root_distance`, so its
-        # remote references see a candidate distance of root_distance + 1.
-        rstarts = r_indptr[level]
-        rcounts = r_indptr[level + 1] - rstarts
-        rtotal = int(rcounts.sum())
-        if rtotal:
-            roffsets = np.repeat(rstarts, rcounts) + (
-                np.arange(rtotal, dtype=np.int64)
-                - np.repeat(np.cumsum(rcounts) - rcounts, rcounts)
-            )
-            np.minimum.at(remote_min, r_indices[roffsets], root_distance + 1)
+            # Only the rows that hold a remote reference are visited.
+            for i in remote_rows.keys() & frontier:
+                for ref in remote_rows[i]:
+                    current = distances_get(ref)
+                    if current is None or outref_distance < current:
+                        distances[ref] = outref_distance
+            frontier = set().union(*map(row_of, frontier)) - marked
+            if dangling:
+                frontier &= alive
 
-    if marked_chunks:
-        marked = (
-            marked_chunks[0]
-            if len(marked_chunks) == 1
-            else np.concatenate(marked_chunks)
+    result.objects_scanned = len(marked)
+    unmarked = alive - marked
+    if len(unmarked) < len(marked):
+        # How a clean phase usually ends: few rows left out, so start from
+        # what the heap maintains and take those rows back out.
+        clean = heap.object_id_set()
+        edges = slot_total
+        for i in unmarked:
+            clean.discard(oids[i])
+            edges -= len(succ_local[i]) + len(succ_remote[i])
+    else:
+        clean = set(map(oids.__getitem__, marked))
+        edges = sum(map(len, map(row_of, marked))) + sum(
+            len(remote_rows[i]) for i in remote_rows.keys() & marked
         )
-        result.objects_scanned = int(marked.size)
-        result.edges_examined = int(
-            (indptr[marked + 1] - indptr[marked]).sum()
-            + (r_indptr[marked + 1] - r_indptr[marked]).sum()
-        )
-        if marked.size == len(heap):
-            result.clean_objects = heap.object_id_set()
-        else:
-            clean_add = result.clean_objects.add
-            for i in marked.tolist():
-                clean_add(oids[i])
-        mark[marked] = 0
-
-    for rid in np.flatnonzero(remote_min != no_hit).tolist():
-        ref = r_oids[rid]
-        value = int(remote_min[rid])
-        current = distances.get(ref)
-        if current is None or value < current:
-            distances[ref] = value
+    result.clean_objects = clean
+    result.edges_examined = edges
     return result
 
 

@@ -36,8 +36,8 @@ from ..core.backinfo import (
     invert_outsets,
 )
 from ..core.distance import (
+    FRONTIER_MIN_OBJECTS,
     CleanPhaseResult,
-    np as _np,
     trace_clean_phase,
     trace_clean_phase_flat,
     trace_clean_phase_vector,
@@ -346,17 +346,13 @@ class LocalCollector:
         roots.extend((oid, 0) for oid in sorted(self.heap.variable_roots))
         roots.extend(scan.clean_roots)
         # Kernel ladder: all three produce identical results (the twin tests
-        # assert byte-equality); pick the cheapest that applies.  The vector
-        # kernel's fixed numpy costs only amortise past a minimum heap size
-        # AND a minimum frontier width -- it self-demotes to the flat kernel
-        # on deep narrow graphs (see the shape gate in repro.core.distance).
+        # assert byte-equality); pick the cheapest that applies.  The
+        # frontier kernel's per-level costs only amortise past a minimum heap
+        # size AND a minimum frontier width -- it self-demotes to the flat
+        # kernel on deep narrow graphs (see the gates in repro.core.distance).
         if not self.config.flat_kernel:
             kernel = trace_clean_phase
-        elif (
-            self.config.vector_kernel
-            and _np is not None
-            and len(self.heap) >= self.config.vector_kernel_min_objects
-        ):
+        elif len(self.heap) >= FRONTIER_MIN_OBJECTS:
             kernel = trace_clean_phase_vector
         else:
             kernel = trace_clean_phase_flat

@@ -530,13 +530,16 @@ class Site:
         channels are inert -- no desynced peer to repair in
         ``_flush_desynced_peers`` and no trigger-eligible suspect (the
         cycle collector's side-effect-free prediction).  Zero whenever in
-        doubt; under-prediction costs a window, never correctness.
+        doubt; under-prediction costs a window, never correctness.  Both
+        predictions are free of side effects, so the O(1) epoch compare goes
+        first and the outref-table scan runs only when it answers non-zero.
         """
         if self.crashed or self._tracing or self._desynced_peers:
             return 0
-        if not self.cycle_collector.predict_quiet():
+        quiet = self.collector.predict_quiet_ticks(self._variable_outrefs)
+        if quiet and not self.cycle_collector.predict_quiet():
             return 0
-        return self.collector.predict_quiet_ticks(self._variable_outrefs)
+        return quiet
 
     def _trace_outcome(self, trace_id: TraceId, verdict: TraceOutcome) -> None:
         if self.on_trace_outcome is not None:

@@ -9,8 +9,9 @@ safe when a mutator stashes a reference and reuses it later.
 Flat-graph mirror
 -----------------
 Alongside the ``oid -> HeapObject`` map the heap maintains a dense
-integer-indexed mirror of the local object graph for the flat trace kernel
-(:func:`repro.core.distance.trace_clean_phase_flat`):
+integer-indexed mirror of the local object graph for the flat and frontier
+trace kernels (:func:`repro.core.distance.trace_clean_phase_flat` /
+``trace_clean_phase_vector``):
 
 - local object ids are *interned* to dense indices (``_idx`` / ``_oids``);
 - per-index adjacency is split into ``_succ_local`` (int indices of local
@@ -20,7 +21,12 @@ integer-indexed mirror of the local object graph for the flat trace kernel
 - a dangling local reference (its target already swept -- ids are never
   reused, so it can never resurrect) keeps the target's index interned but
   dead; an index returns to the free-list only once it is dead *and* no
-  adjacency slot points at it (``_slot_refs``), so indices never alias.
+  adjacency slot points at it (``_slot_refs``), so indices never alias;
+- for the frontier kernel, three facts kept current in O(1) per change:
+  ``_alive_set`` (the alive indices as a set), ``_remote_rows`` (index ->
+  its ``_succ_remote`` row, the list itself, for the rows holding any
+  remote reference) and ``_slot_total`` (adjacency slots, local plus
+  remote, over all rows -- a dead row is empty).
 
 The mirror is maintained on every allocation, reference add/remove, and
 sweep; traces read it without building any per-trace set keyed by ObjectId.
@@ -28,33 +34,12 @@ sweep; traces read it without building any per-trace set keyed by ObjectId.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
 from .objects import HeapObject
-
-try:  # numpy is an optional extra (pip install .[fast])
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
-
-class FlatCsr(NamedTuple):
-    """Dense CSR snapshot of the mirror for the vectorized kernel.
-
-    ``indptr``/``indices`` give each slot's local successor indices
-    (duplicates preserved, dead slots have empty rows);
-    ``r_indptr``/``r_indices`` do the same for remote references against
-    the interned ``r_oids`` table.  Valid while the heap's graph epoch is
-    unchanged; :meth:`Heap.csr_graph` rebuilds lazily.
-    """
-
-    indptr: "np.ndarray"
-    indices: "np.ndarray"
-    r_indptr: "np.ndarray"
-    r_indices: "np.ndarray"
-    r_oids: List[ObjectId]
 
 
 class Heap:
@@ -82,15 +67,13 @@ class Heap:
         self._succ_remote: List[List[ObjectId]] = []
         self._slot_refs: List[int] = []
         self._free: List[int] = []
-        # Structural epoch for the CSR snapshot: bumped only on changes to
-        # slots or adjacency (not roots/pins, which churn far more often).
-        self._graph_epoch = 0
-        self._csr: Optional[FlatCsr] = None
-        self._csr_epoch = -1
-        # Set by the vector clean-phase kernel when this heap's graph turned
-        # out too deep-and-narrow for level-synchronous BFS: counts down the
-        # traces to route straight to the flat scalar kernel before probing
-        # the vector path again (see repro.core.distance).
+        self._alive_set: Set[int] = set()
+        self._remote_rows: Dict[int, List[ObjectId]] = {}
+        self._slot_total = 0
+        # Set by the frontier clean-phase kernel when this heap's graph turned
+        # out too deep-and-narrow for level-synchronous sweeps: counts down
+        # the traces to route straight to the flat scalar kernel before
+        # probing the frontier path again (see repro.core.distance).
         self.vector_kernel_backoff = 0
 
     # -- mutation epoch ---------------------------------------------------------
@@ -114,7 +97,6 @@ class Heap:
         idx = self._idx.get(oid)
         if idx is not None:
             return idx
-        self._graph_epoch += 1
         if self._free:
             idx = self._free.pop()
             self._oids[idx] = oid
@@ -141,16 +123,19 @@ class Heap:
         self._free.append(idx)
 
     def _edge_added(self, holder_idx: int, target: ObjectId) -> None:
-        self._graph_epoch += 1
+        self._slot_total += 1
         if target.site == self.site_id:
             tidx = self._intern(target)
             self._succ_local[holder_idx].append(tidx)
             self._slot_refs[tidx] += 1
         else:
-            self._succ_remote[holder_idx].append(target)
+            row = self._succ_remote[holder_idx]
+            if not row:
+                self._remote_rows[holder_idx] = row
+            row.append(target)
 
     def _edge_removed(self, holder_idx: int, target: ObjectId) -> None:
-        self._graph_epoch += 1
+        self._slot_total -= 1
         if target.site == self.site_id:
             # Duplicate occurrences are interchangeable; drop the first.
             tidx = self._idx[target]
@@ -158,7 +143,10 @@ class Heap:
             self._slot_refs[tidx] -= 1
             self._maybe_release(tidx)
         else:
-            self._succ_remote[holder_idx].remove(target)
+            row = self._succ_remote[holder_idx]
+            row.remove(target)
+            if not row:
+                del self._remote_rows[holder_idx]
 
     def _note_ref_added(self, obj: HeapObject, target: ObjectId) -> None:
         """Called by :meth:`HeapObject.add_ref` (the object knows its heap)."""
@@ -173,12 +161,15 @@ class Heap:
 
     def _retire(self, obj: HeapObject) -> None:
         """Drop a dying object from the mirror (keep its index while held)."""
-        self._graph_epoch += 1
         idx = obj.index
         obj.index = -1
         self._alive[idx] = 0
+        self._alive_set.discard(idx)
         local = self._succ_local[idx]
-        self._succ_remote[idx].clear()
+        remote = self._succ_remote[idx]
+        self._slot_total -= len(local) + len(remote)
+        self._remote_rows.pop(idx, None)
+        remote.clear()
         for tidx in local:
             self._slot_refs[tidx] -= 1
             if tidx != idx:
@@ -211,60 +202,10 @@ class Heap:
             self._oids,
         )
 
-    @property
-    def graph_epoch(self) -> int:
-        return self._graph_epoch
-
-    def csr_graph(self) -> Optional[FlatCsr]:
-        """The mirror as int64 CSR arrays (numpy only; None without it).
-
-        Rebuilt lazily when the graph epoch moved.
-        """
-        if np is None:
-            return None
-        if self._csr is not None and self._csr_epoch == self._graph_epoch:
-            return self._csr
-        n = len(self._oids)
-        local_lens = [len(s) for s in self._succ_local]
-        remote_lens = [len(s) for s in self._succ_remote]
-        edges = sum(local_lens)
-        remote_edges = sum(remote_lens)
-        buf = np.empty(2 * (n + 1) + edges + remote_edges, dtype=np.int64)
-        indptr = buf[: n + 1]
-        indices = buf[n + 1 : n + 1 + edges]
-        r_indptr = buf[n + 1 + edges : 2 * (n + 1) + edges]
-        r_indices = buf[2 * (n + 1) + edges :]
-        indptr[0] = 0
-        if n:
-            np.cumsum(local_lens, out=indptr[1:])
-        if edges:
-            indices[:] = np.fromiter(
-                (t for row in self._succ_local for t in row),
-                dtype=np.int64,
-                count=edges,
-            )
-        r_indptr[0] = 0
-        if n:
-            np.cumsum(remote_lens, out=r_indptr[1:])
-        # Remote ObjectIds interned in first-seen slot order: deterministic
-        # given the mirror, and only ever consumed order-insensitively.
-        r_oids: List[ObjectId] = []
-        r_map: Dict[ObjectId, int] = {}
-        if remote_edges:
-            fill = r_indices
-            pos = 0
-            for row in self._succ_remote:
-                for target in row:
-                    rid = r_map.get(target)
-                    if rid is None:
-                        rid = len(r_oids)
-                        r_map[target] = rid
-                        r_oids.append(target)
-                    fill[pos] = rid
-                    pos += 1
-        self._csr = FlatCsr(indptr, indices, r_indptr, r_indices, r_oids)
-        self._csr_epoch = self._graph_epoch
-        return self._csr
+    def frontier_graph(self) -> Tuple[Set[int], Dict[int, List[ObjectId]], int]:
+        """What the frontier kernel reads beside :meth:`flat_graph`, no copies:
+        ``(alive_set, remote_rows, slot_total)``.  Read-only by convention."""
+        return self._alive_set, self._remote_rows, self._slot_total
 
     def check_flat_mirror(self) -> None:
         """Assert mirror == object map (test/debug support; O(V+E))."""
@@ -281,10 +222,18 @@ class Heap:
             want_remote = sorted(self._succ_remote[idx])
             have_remote = sorted(r for r in obj.ref_view if r.site != self.site_id)
             assert want_remote == have_remote, f"remote adjacency drift: {oid}"
-        alive_count = sum(1 for b in self._alive if b)
-        assert alive_count == len(self._objects), "alive bitmap drift"
+        alive = {idx for idx, b in enumerate(self._alive) if b}
+        assert len(alive) == len(self._objects), "alive bitmap drift"
+        assert alive == self._alive_set, "alive set drift"
         assert not any(self._mark), "mark bitmap not zeroed after trace"
+        slot_refs = Counter(t for row in self._succ_local for t in row)
+        slots = 0
         for idx, oid in enumerate(self._oids):
+            assert slot_refs[idx] == self._slot_refs[idx], f"slot refcount drift: {idx}"
+            local, remote = self._succ_local[idx], self._succ_remote[idx]
+            slots += len(local) + len(remote)
+            # The kernel reads the row list itself, so an edit shows at once.
+            assert self._remote_rows.get(idx) is (remote or None), f"remote row {idx}"
             if oid is None:
                 assert not self._alive[idx] and not self._slot_refs[idx]
             else:
@@ -292,6 +241,10 @@ class Heap:
                 assert self._alive[idx] or self._slot_refs[idx] > 0, (
                     f"dead unreferenced index kept: {oid}"
                 )
+            assert self._alive[idx] or not (local or remote), f"dead row kept: {idx}"
+        assert len(self._idx) == len(self._oids) - len(self._free), "intern drift"
+        assert len(self._remote_rows) == sum(map(bool, self._succ_remote)), "stray row"
+        assert slots == self._slot_total, "slot total drift"
 
     # -- allocation -----------------------------------------------------------
 
@@ -309,6 +262,7 @@ class Heap:
         idx = self._intern(oid)
         obj.index = idx
         self._alive[idx] = 1
+        self._alive_set.add(idx)
         for ref in obj.ref_view:
             self._edge_added(idx, ref)
         self._objects[oid] = obj

@@ -285,21 +285,7 @@ def test_post_fork_guardrails():
     sim.close()  # idempotent
 
 
-# -- numpy availability and traffic accounting --------------------------------
-
-
-def test_numpy_free_workers_are_byte_identical(monkeypatch):
-    # Simulate the no-numpy install: the vector kernel and CSR mirror are
-    # gone, and the twins must still match a numpy-enabled sequential run.  Patching before the fork makes every worker inherit
-    # the numpy-free view.
-    import repro.core.distance as distance_mod
-    import repro.store.heap as heap_mod
-
-    seq = _run_scenario(1, seed=41)
-    monkeypatch.setattr(distance_mod, "np", None)
-    monkeypatch.setattr(heap_mod, "np", None)
-    numpy_free = _run_scenario(4, seed=41)
-    assert numpy_free == seq
+# -- traffic accounting --------------------------------------------------------
 
 
 def test_coordination_stats_count_packed_traffic():

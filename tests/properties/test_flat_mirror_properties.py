@@ -1,0 +1,120 @@
+"""Property test: the flat mirror's maintained facts under interleaved mutation.
+
+The frontier clean-phase kernel reads three facts the heap keeps current in
+O(1) per change -- the alive index set, the rows holding remote references
+and the adjacency-slot total -- instead of rebuilding anything per trace.
+Hypothesis drives one heap through random interleavings of every operation
+that touches the mirror, audits it with ``check_flat_mirror`` after each
+step, and then requires the frontier, flat and legacy kernels to agree on
+all five result fields for adversarial root lists.
+"""
+
+from __future__ import annotations
+
+from dataclasses import astuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.distance import (
+    trace_clean_phase,
+    trace_clean_phase_flat,
+    trace_clean_phase_vector,
+)
+from repro.ids import ObjectId
+from repro.store.heap import Heap
+
+(
+    ALLOC,
+    ALLOC_REFS,
+    ADD_LOCAL,
+    ADD_REMOTE,
+    ADD_FUTURE,
+    ADD_AGAIN,
+    REMOVE,
+    SWEEP,
+    DELETE,
+) = range(9)
+
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            # Allocation and linking weigh more than deletion, so graphs grow.
+            [ALLOC] * 3
+            + [ALLOC_REFS] * 2
+            + [ADD_LOCAL] * 4
+            + [ADD_REMOTE] * 2
+            + [ADD_FUTURE, ADD_AGAIN, REMOVE, REMOVE, SWEEP, DELETE]
+        ),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+    ),
+    min_size=1,
+    max_size=60,
+)
+root_picks = st.lists(
+    st.tuples(st.integers(0, 1 << 16), st.integers(0, 5)), max_size=8
+)
+
+
+def _apply(heap, known, op, a, b, c):
+    """One mutation; ``known`` lists every local id ever allocated (dead
+    ones included, so edges dangle and sweeps repeat)."""
+    remote = ObjectId("QR"[b % 2], c % 5)
+    if op == ALLOC or not known:
+        known.append(heap.alloc(persistent_root=a % 4 == 0).oid)
+        return
+    holder = known[a % len(known)]
+    target = known[b % len(known)]
+    if op == ALLOC_REFS:
+        # Local (maybe dead), remote, and a duplicate, in one constructor call.
+        known.append(heap.alloc(refs=[target, remote, target][: 1 + c % 3]).oid)
+    elif op == SWEEP:
+        heap.sweep_ids([holder, target, known[c % len(known)]])
+    elif op == DELETE:
+        heap.delete(holder)
+    elif heap.contains(holder):
+        obj = heap.get(holder)
+        if op == ADD_LOCAL:
+            obj.add_ref(target)
+        elif op == ADD_REMOTE:
+            obj.add_ref(remote)
+        elif op == ADD_FUTURE:
+            # An id the heap has not handed out yet: interned dead now,
+            # brought alive in place by a later alloc.
+            obj.add_ref(ObjectId("P", len(known) + b % 3))
+        elif obj.ref_view:
+            ref = obj.ref_view[b % len(obj.ref_view)]
+            if op == ADD_AGAIN:
+                obj.add_ref(ref)
+            else:
+                obj.remove_ref(ref)
+
+
+@given(ops, root_picks, st.lists(st.integers(0, 4), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
+    script, picks, variable
+):
+    heap = Heap("P")
+    known = []
+    for op, a, b, c in script:
+        _apply(heap, known, op, a, b, c)
+        heap.check_flat_mirror()
+
+    # Several distance groups over live and dead ids, a duplicate root at a
+    # second distance, a remote root and a never-allocated local one.
+    roots = [(known[k % len(known)], distance) for k, distance in picks]
+    roots.extend((oid, distance + 2) for oid, distance in roots[:2])
+    roots.append((ObjectId("Q", 1), 0))
+    roots.append((ObjectId("P", 10_000), 1))
+    variable_outrefs = [ObjectId("Q", k) for k in variable]
+
+    legacy = astuple(trace_clean_phase(heap, roots, variable_outrefs))
+    flat = astuple(trace_clean_phase_flat(heap, roots, variable_outrefs))
+    frontier = astuple(trace_clean_phase_vector(heap, roots, variable_outrefs))
+    assert flat == legacy
+    assert frontier == legacy
+    assert heap.vector_kernel_backoff == 0  # the frontier kernel itself answered
+    heap.check_flat_mirror()

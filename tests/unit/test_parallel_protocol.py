@@ -237,3 +237,42 @@ def test_crashed_site_advertises_no_quiet_ticks():
     assert site.quiet_gc_ticks() > 0
     site.crash()
     assert site.quiet_gc_ticks() == 0
+
+
+def test_moved_epochs_answer_zero_without_scanning_the_outref_table(monkeypatch):
+    from ..conftest import make_sim
+
+    sim = make_sim(auto_gc=False)
+    site = sim.site("P")
+    site.run_local_trace()
+    scans = []
+    scan = site.outrefs.suspected_entries
+    monkeypatch.setattr(
+        site.outrefs, "suspected_entries", lambda: scans.append(1) or scan()
+    )
+    assert site.quiet_gc_ticks() > 0
+    assert scans  # epochs current: the table is what is left to ask
+    del scans[:]
+    site.heap.alloc()
+    assert site.quiet_gc_ticks() == 0
+    assert not scans  # the O(1) epoch compare answered first
+
+
+def test_quiet_site_with_trigger_eligible_suspect_advertises_no_quiet_ticks():
+    from repro.workloads.topology import GraphBuilder
+
+    from ..conftest import make_sim
+
+    sim = make_sim(auto_gc=False)
+    builder = GraphBuilder(sim)
+    held, remote = builder.obj("P"), builder.obj("Q")
+    builder.link(held, remote)
+    site = sim.site("P")
+    # Q claims a reference to `held` from far beyond the back threshold.
+    site.inrefs.ensure(held, source="Q", distance=20)
+    site.run_local_trace()
+    entry = site.outrefs.get(remote)
+    assert entry.is_suspected and entry.distance > entry.back_threshold
+    # Every epoch matches the cached trace, so only the table scan says no.
+    assert site.collector.predict_quiet_ticks(site._variable_outrefs) > 0
+    assert site.quiet_gc_ticks() == 0
