@@ -100,7 +100,9 @@ class Collector:
         duplicates suppressed by :meth:`Site.receive`.  Backends whose
         redeliveries are not idempotent (e.g. credit-carrying termination
         messages -- a duplicated ack would double-recover credit) declare
-        them here instead of re-implementing dedup.
+        them here instead of re-implementing dedup.  Every sequenced payload
+        carries a ``seq`` field (``-1`` = unstamped) and a ``with_seq(seq)``
+        returning the stamped copy; the site checks for it at construction.
         """
         return ()
 

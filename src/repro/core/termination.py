@@ -87,6 +87,9 @@ class TrialMark(Payload):
     credit: Fraction = Fraction(0)
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "TrialMark":
+        return TrialMark(self.trial, self.targets, self.credit, seq)
+
     def size_units(self) -> int:
         return max(1, len(self.targets))
 
@@ -100,6 +103,9 @@ class TrialRescueStart(Payload):
     credit: Fraction = Fraction(0)
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "TrialRescueStart":
+        return TrialRescueStart(self.trial, self.member_sites, self.credit, seq)
+
 
 @dataclass(frozen=True)
 class TrialRescue(Payload):
@@ -110,6 +116,11 @@ class TrialRescue(Payload):
     member_sites: Tuple[SiteId, ...]
     credit: Fraction = Fraction(0)
     seq: int = -1
+
+    def with_seq(self, seq: int) -> "TrialRescue":
+        return TrialRescue(
+            self.trial, self.targets, self.member_sites, self.credit, seq
+        )
 
     def size_units(self) -> int:
         return max(1, len(self.targets))
@@ -126,6 +137,11 @@ class TrialAck(Payload):
     dirty: bool = False
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "TrialAck":
+        return TrialAck(
+            self.trial, self.phase, self.credit, self.joined, self.dirty, seq
+        )
+
 
 @dataclass(frozen=True)
 class TrialCollect(Payload):
@@ -134,6 +150,9 @@ class TrialCollect(Payload):
     trial: TrialKey
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "TrialCollect":
+        return TrialCollect(self.trial, seq)
+
 
 @dataclass(frozen=True)
 class TrialAbort(Payload):
@@ -141,6 +160,9 @@ class TrialAbort(Payload):
 
     trial: TrialKey
     seq: int = -1
+
+    def with_seq(self, seq: int) -> "TrialAbort":
+        return TrialAbort(self.trial, seq)
 
 
 TRIAL_PAYLOADS = (

@@ -51,6 +51,12 @@ class InsertRequest(Payload):
     #: worse, release a pin twice -- so receivers suppress replays by seq.
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "InsertRequest":
+        """This payload as :meth:`Site.send` stamps it."""
+        return InsertRequest(
+            self.target, self.pin_holder, self.release_owner_custody, seq
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class InsertDone(Payload):
@@ -59,6 +65,9 @@ class InsertDone(Payload):
     target: ObjectId
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "InsertDone":
+        return InsertDone(self.target, seq)
+
 
 @dataclass(frozen=True, slots=True)
 class UnpinRequest(Payload):
@@ -66,3 +75,6 @@ class UnpinRequest(Payload):
 
     target: ObjectId
     seq: int = -1
+
+    def with_seq(self, seq: int) -> "UnpinRequest":
+        return UnpinRequest(self.target, seq)

@@ -20,7 +20,11 @@ from __future__ import annotations
 from typing import Any, Dict, Union
 
 from . import names
-from .counters import CounterCell, MetricsRecorder, Snapshot
+from .counters import (
+    CounterCell,
+    MetricsRecorder,
+    Snapshot,
+)
 
 
 def counter_diff(

@@ -9,6 +9,16 @@ Observations are named value series (``backinfo.outsets_distinct``) with
 summary statistics.  A :class:`Snapshot` freezes the current state so a
 benchmark can diff before/after an operation of interest.
 
+The counter store is an exact ``dict`` and must stay one.  CPython's
+specialized subscript, store and method-call paths apply to ``type(x) is
+dict`` only; on a subclass such as ``collections.Counter`` the same update
+costs about twice as much (EXPERIMENTS E27), and a simulated message pays
+eight of them.  No writer relies on a default for missing names: every
+update is ``store[name] = store.get(name, 0) + n``, so first and later
+increments cost the same two C dict operations, and a counter exists from
+its first touch on, in first-touch order (snapshots and the ledger's
+``counter_order_digest`` depend on that order).
+
 Hot paths do not call :meth:`MetricsRecorder.incr` with a freshly built
 f-string per event; they hold an interned :class:`CounterCell` from
 :meth:`MetricsRecorder.cell` instead.  A cell is a pre-resolved (store,
@@ -18,12 +28,13 @@ the *same* counter store that ``incr``/``count``/``snapshot`` use, so the
 two APIs are freely mixable per name: creating a cell never creates a
 counter entry (only ``add`` does, exactly as only ``incr`` did), and
 snapshots remain name- and insertion-order-identical whichever API wrote a
-given counter.
+given counter.  The network, which updates eight counters per message,
+goes one step further and writes the store directly under the cells'
+interned names (:class:`repro.net.network._KindCells`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
@@ -38,7 +49,7 @@ class CounterCell:
 
     __slots__ = ("_counts", "name")
 
-    def __init__(self, counts: Counter, name: str):
+    def __init__(self, counts: Dict[str, int], name: str):
         self._counts = counts
         self.name = name
 
@@ -78,16 +89,16 @@ class Snapshot:
 class MetricsRecorder:
     """Mutable sink for counters and observations."""
 
-    _counters: Counter = field(default_factory=Counter)
+    _counters: Dict[str, int] = field(default_factory=dict)
     _observations: Dict[str, List[float]] = field(default_factory=dict)
     _cells: Dict[str, CounterCell] = field(default_factory=dict)
 
     # -- counters ---------------------------------------------------------
 
     def incr(self, name: str, amount: int = 1) -> None:
-        # get/setitem instead of ``+=``: Counter's Python-level __missing__
-        # never runs, so first and subsequent increments cost the same two
-        # C dict operations (and match CounterCell.add exactly).
+        # get/setitem instead of ``+=``: a plain dict has no default for a
+        # missing name, and this way first and subsequent increments cost
+        # the same two C dict operations (and match CounterCell.add exactly).
         counters = self._counters
         counters[name] = counters.get(name, 0) + amount
 
@@ -119,14 +130,6 @@ class MetricsRecorder:
         return sum(self.counts_with_prefix(prefix).values())
 
     # -- messages ---------------------------------------------------------
-
-    def record_message(self, kind: str, units: int = 1) -> None:
-        """Count one sent message of the given payload kind."""
-        counters = self._counters
-        name = f"messages.{kind}"
-        counters[name] = counters.get(name, 0) + 1
-        counters["messages.total"] = counters.get("messages.total", 0) + 1
-        counters["messages.units"] = counters.get("messages.units", 0) + units
 
     def message_count(self, kind: str) -> int:
         return self._counters.get(f"messages.{kind}", 0)

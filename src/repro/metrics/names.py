@@ -35,7 +35,7 @@ MSG_DUPLICATED = "messages.duplicated"
 
 @lru_cache(maxsize=None)
 def msg_sent(kind: str) -> str:
-    """Original sends of one payload kind (written by record_message)."""
+    """Original sends of one payload kind (written by ``Network.send``)."""
     return f"messages.{kind}"
 
 

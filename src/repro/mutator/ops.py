@@ -30,6 +30,9 @@ class MutatorHop(Payload):
     #: replayed hop would fork a phantom second mutator at the destination.
     seq: int = -1
 
+    def with_seq(self, seq: int) -> "MutatorHop":
+        return MutatorHop(self.mutator, self.target, seq)
+
     def carried_refs(self) -> Tuple[ObjectId, ...]:
         # The mutator will stand at ``target`` on arrival; until then the
         # object must stay alive even if all stored paths to it are cut.
@@ -52,6 +55,9 @@ class RemoteCopy(Payload):
     #: replayed copy would double-store the reference and double-release
     #: the sender's insert pin.
     seq: int = -1
+
+    def with_seq(self, seq: int) -> "RemoteCopy":
+        return RemoteCopy(self.ref, self.dest_holder, self.pin_holder, seq)
 
     def carried_refs(self) -> Tuple[ObjectId, ...]:
         # Both ends are held by the mutator while the copy is in flight.

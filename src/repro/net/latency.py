@@ -32,6 +32,19 @@ class LatencyModel(ABC):
     def sample(self, rng: random.Random, src: SiteId, dst: SiteId) -> float:
         """Return a non-negative delivery delay."""
 
+    def sampler(self, src: SiteId, dst: SiteId) -> Callable[[random.Random], float]:
+        """:meth:`sample` with the ordered pair bound: ``draw(rng) -> delay``.
+
+        The network resolves this once per link and calls it per message.
+        The returned function must consume exactly the draws ``sample``
+        would, and return exactly its value; this default does so by calling
+        it, so a model that defines only ``sample`` needs nothing more.  A
+        model that overrides this to skip a call layer must override it
+        again wherever it overrides ``sample``.
+        """
+        sample = self.sample
+        return lambda rng: sample(rng, src, dst)
+
     def min_delay(self, src: SiteId, dst: SiteId) -> Optional[float]:
         """Lower bound on :meth:`sample` for this ordered pair, or ``None``.
 
@@ -69,6 +82,13 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random, src: SiteId, dst: SiteId) -> float:
         return rng.uniform(self.low, self.high)
+
+    def sampler(self, src: SiteId, dst: SiteId) -> Callable[[random.Random], float]:
+        # The expression ``Random.uniform`` evaluates, minus two call
+        # layers: same draw, same bits.
+        low = self.low
+        span = self.high - low
+        return lambda rng: low + span * rng.random()
 
     def min_delay(self, src: SiteId, dst: SiteId) -> Optional[float]:
         return self.low

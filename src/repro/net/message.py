@@ -12,7 +12,7 @@ reply, and report messages by this name to check the paper's 2E + N bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from ..ids import SiteId
 
@@ -56,9 +56,23 @@ class Payload:
 _envelope_counter = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class _Envelope(NamedTuple):
+    src: SiteId
+    dst: SiteId
+    payload: Payload
+    uid: int
+    dup: bool
+
+
+class Message(_Envelope):
     """An addressed payload in flight.
+
+    An immutable value: nothing may mutate a message between send and
+    delivery, and equality, hash and repr go by field.  It is a named tuple
+    because the network builds one per message sent -- construction and
+    field reads are C tuple operations -- and this subclass only adds what a
+    named tuple cannot declare: a ``uid`` default drawn from the module
+    counter, so every envelope built without one is unique.
 
     ``dup`` marks an envelope injected by fault-plan duplication
     (:mod:`repro.net.faults`): the copy travels and delivers like any other
@@ -67,11 +81,19 @@ class Message:
     reconcile per payload kind.  Each copy gets its own ``uid``.
     """
 
-    src: SiteId
-    dst: SiteId
-    payload: Payload
-    uid: int = field(default_factory=lambda: next(_envelope_counter))
-    dup: bool = False
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: SiteId,
+        dst: SiteId,
+        payload: Payload,
+        uid: Optional[int] = None,
+        dup: bool = False,
+    ):
+        if uid is None:
+            uid = next(_envelope_counter)
+        return tuple.__new__(cls, (src, dst, payload, uid, dup))
 
     @property
     def kind(self) -> str:

@@ -23,10 +23,16 @@ map, per-pair RNG memo, FIFO floor dict, f-string counter names) is
 collapsed into one :class:`_Link` struct per ordered pair, built on first
 use and cached in ``_links``.  A link caches everything about the pair that
 only changes at topology events -- the destination's deliver function, the
-pair's latency and fault RNG streams, the prefiltered fault rules, the
-cached crash/partition verdict, the FIFO floor, and per-payload-kind
-interned :class:`~repro.metrics.counters.CounterCell` handles -- so a clean
-send costs one dict hit plus cell adds.  Every mutation that could change
+pair's latency sampler and its latency and fault RNG streams, the
+prefiltered fault rules, the cached crash/partition verdict, the FIFO floor,
+and per-payload-class accounting (:class:`_KindCells`) -- so a clean send
+costs one link lookup, one accounting call, one envelope and one scheduler
+push, and a clean delivery one link lookup and one accounting call.  Every
+delivery is scheduled by exactly one ``Scheduler.schedule_at(time,
+self._deliver, "deliver:{Kind}", dst, message)`` call: the perf ledger's
+tracer (``benchmarks/ledger/tracer.py``) wraps that call, ``Network.send``
+and ``Site.send`` / ``Site.receive`` to attribute time, so those seams are
+part of the contract.  Every mutation that could change
 any of that (``register``, ``crash``, ``recover``, ``partition``,
 ``heal_partition``, ``attach_shard``) drops the whole cache; links rebuild
 lazily with rule-for-rule identical behaviour.  RNG streams survive
@@ -43,6 +49,7 @@ from ..config import NetworkConfig
 from ..errors import SimulationError, UnknownSiteError
 from ..ids import SiteId
 from ..metrics import MetricsRecorder, names
+from ..metrics.names import MSG_DELIVERED, MSG_TOTAL, MSG_UNITS
 from ..sim.rng import RngRegistry
 from ..sim.scheduler import Scheduler
 from .faults import FaultPlan
@@ -51,22 +58,31 @@ from .message import Message, Payload
 
 DeliverFn = Callable[[Message], None]
 
+_ORIGINAL_ONLY = (None,)
+"""The lags of a send the fault plan did not duplicate: the original alone."""
+
 
 class _KindCells:
-    """Interned counter cells for one (payload kind, ordered pair).
+    """Per-(payload class, ordered pair) accounting: one call per send, one
+    per delivery.
 
-    Resolved once per (link, kind); the per-send accounting then runs
-    entirely on cached cells.  The ``add`` call order in :meth:`Network.send`
-    reproduces the historical ``incr`` order exactly, so counter insertion
-    order (and hence snapshots) stays byte-identical.
+    Resolved once per (link, class).  The two hot methods write the
+    recorder's store directly instead of going through one
+    :class:`~repro.metrics.counters.CounterCell` ``add`` per counter; they
+    perform the historical ``incr`` sequence name for name and in order, so
+    counter first-touch order (and hence snapshots) stays byte-identical.
+    The names they hold are the recorder's interned strings (``cell(n).name``)
+    -- a private f-string per (link, class) would keep thousands of equal
+    copies alive.  The cold outcomes (drops, duplicate copies) stay cells.
     """
 
     __slots__ = (
-        "sent",
-        "units",
-        "involve_src",
-        "involve_dst",
-        "delivered",
+        "_counts",
+        "_sent",
+        "_units",
+        "_involve_src",
+        "_involve_dst",
+        "_delivered",
         "dropped",
         "duplicated",
         "dup_delivered",
@@ -74,18 +90,46 @@ class _KindCells:
         "deliver_label",
     )
 
-    def __init__(self, metrics: MetricsRecorder, kind: str, src: SiteId, dst: SiteId):
+    def __init__(
+        self, metrics: MetricsRecorder, payload_class: type, src: SiteId, dst: SiteId
+    ):
+        kind = payload_class.kind()
         cell = metrics.cell
-        self.sent = cell(names.msg_sent(kind))
-        self.units = cell(f"units.{kind}")
-        self.involve_src = cell(f"involve.{kind}.{src}")
-        self.involve_dst = cell(f"involve.{kind}.{dst}")
-        self.delivered = cell(names.msg_delivered_kind(kind))
+        self._counts = metrics._counters
+        self._sent = cell(names.msg_sent(kind)).name
+        self._units = cell(f"units.{kind}").name
+        self._involve_src = cell(f"involve.{kind}.{src}").name
+        self._involve_dst = cell(f"involve.{kind}.{dst}").name
+        self._delivered = cell(names.msg_delivered_kind(kind)).name
         self.dropped = cell(names.msg_dropped_kind(kind))
         self.duplicated = cell(names.msg_duplicated(kind))
         self.dup_delivered = cell(names.msg_dup_delivered(kind))
         self.dup_dropped = cell(names.msg_dup_dropped(kind))
         self.deliver_label = "deliver:" + kind
+
+    def count_send(self, units: int) -> None:
+        """One original send: the per-kind count, the totals, then per-kind
+        size units and per-site attribution (which sites a protocol
+        involves and what it really ships; E6)."""
+        counts = self._counts
+        get = counts.get
+        name = self._sent
+        counts[name] = get(name, 0) + 1
+        counts[MSG_TOTAL] = get(MSG_TOTAL, 0) + 1
+        counts[MSG_UNITS] = get(MSG_UNITS, 0) + units
+        name = self._units
+        counts[name] = get(name, 0) + units
+        name = self._involve_src
+        counts[name] = get(name, 0) + 1
+        name = self._involve_dst
+        counts[name] = get(name, 0) + 1
+
+    def count_delivered(self) -> None:
+        """One original delivery."""
+        counts = self._counts
+        counts[MSG_DELIVERED] = counts.get(MSG_DELIVERED, 0) + 1
+        name = self._delivered
+        counts[name] = counts.get(name, 0) + 1
 
 
 class _Link:
@@ -101,6 +145,7 @@ class _Link:
         "deliver",
         "blocked",
         "rng",
+        "draw_latency",
         "fault_rng",
         "fault_rules",
         "fifo",
@@ -116,6 +161,7 @@ class _Link:
         deliver: DeliverFn,
         blocked: Optional[str],
         rng: random.Random,
+        draw_latency: Callable[[random.Random], float],
         fault_rng: Optional[random.Random],
         fault_rules: Optional[tuple],
         fifo: bool,
@@ -130,13 +176,17 @@ class _Link:
         #: that could change it invalidates the link cache.
         self.blocked = blocked
         self.rng = rng
+        #: The latency model's sampler for this pair (``draw(rng) -> delay``).
+        self.draw_latency = draw_latency
         self.fault_rng = fault_rng
         self.fault_rules = fault_rules
         self.fifo = fifo
         self.last_delivery = last_delivery
         #: False only in shard mode when ``dst`` lives on another shard.
         self.local = local
-        self.kind_cells: Dict[str, _KindCells] = {}
+        #: Keyed by payload class: the kind string is computed once, where
+        #: the entry is built, not per message.
+        self.kind_cells: Dict[type, _KindCells] = {}
 
 
 class Network:
@@ -190,11 +240,8 @@ class Network:
         # The per-pair link cache (the hot-path fast lane; see module
         # docstring for the invalidation contract).
         self._links: Dict[Tuple[SiteId, SiteId], _Link] = {}
-        # Pair-independent cells, interned once.
+        # Pair-independent cells of the drop path, interned once.
         cell = metrics.cell
-        self._cell_total = cell(names.MSG_TOTAL)
-        self._cell_units = cell(names.MSG_UNITS)
-        self._cell_delivered = cell(names.MSG_DELIVERED)
         self._cell_lost = cell(names.MSG_LOST)
         self._reason_cells = {
             reason: cell(names.msg_dropped_reason(reason))
@@ -299,6 +346,7 @@ class Network:
             deliver=deliver,
             blocked=self._blocked(src, dst),
             rng=self._rng_for(src, dst),
+            draw_latency=self._latency.sampler(src, dst),
             fault_rng=fault_rng,
             fault_rules=fault_rules,
             fifo=self._config.fifo_per_pair,
@@ -424,25 +472,24 @@ class Network:
     # -- sending ------------------------------------------------------------
 
     def send(self, src: SiteId, dst: SiteId, payload: Payload) -> None:
-        """Send ``payload`` from ``src`` to ``dst`` (counted even if lost)."""
-        link = self._links.get((src, dst))
-        if link is None:
+        """Send ``payload`` from ``src`` to ``dst`` (counted even if lost).
+
+        A clean send costs one link lookup, one accounting call, one
+        envelope and one scheduler push.
+        """
+        try:
+            link = self._links[src, dst]
+        except KeyError:
             link = self._build_link(src, dst)
-        message = Message(src=src, dst=dst, payload=payload)
-        kind = message.kind
-        cells = link.kind_cells.get(kind)
-        if cells is None:
-            cells = link.kind_cells[kind] = _KindCells(self._metrics, kind, src, dst)
-        # Accounting in the historical incr order: the per-kind send count,
-        # the totals, then per-kind size units and per-site attribution
-        # (which sites a protocol involves and what it really ships; E6).
-        units = payload.size_units()
-        cells.sent.add()
-        self._cell_total.add()
-        self._cell_units.add(units)
-        cells.units.add(units)
-        cells.involve_src.add()
-        cells.involve_dst.add()
+        try:
+            cells = link.kind_cells[payload.__class__]
+        except KeyError:
+            cells = link.kind_cells[payload.__class__] = _KindCells(
+                self._metrics, payload.__class__, src, dst
+            )
+        cells.count_send(payload.size_units())
+        # Every send draws an envelope uid, dropped or not.
+        message = Message(src, dst, payload)
 
         if link.blocked is not None:
             self._drop(cells, False, link.blocked)
@@ -451,9 +498,10 @@ class Network:
         if self._drop_probability and rng.random() < self._drop_probability:
             self._drop(cells, False, "loss")
             return
-        now = self._scheduler.now
+        scheduler = self._scheduler
+        now = scheduler.now
         extra_delay = 0.0
-        duplicate_lags: Tuple[float, ...] = ()
+        lags = _ORIGINAL_ONLY
         fault_window = self._fault_window
         if fault_window is not None and fault_window[0] <= now < fault_window[1]:
             fate = self._faults.roll(
@@ -463,70 +511,61 @@ class Network:
                 self._drop(cells, False, "fault")
                 return
             extra_delay = fate.extra_delay
-            duplicate_lags = fate.duplicate_lags
+            lags = (None, *fate.duplicate_lags)
 
-        deliver_at = now + self._latency.sample(rng, src, dst) + extra_delay
-        if link.fifo:
-            floor = link.last_delivery
-            if deliver_at < floor:
-                deliver_at = floor
-            link.last_delivery = deliver_at
-        self._dispatch(link, cells, message, deliver_at)
-        for lag in duplicate_lags:
-            # A fresh envelope per copy: its own uid (in-flight tracking and
-            # cross-shard routing need distinct keys) and the dup marker for
-            # separate accounting.
-            copy = Message(src=src, dst=dst, payload=payload, dup=True)
-            cells.duplicated.add()
-            copy_at = deliver_at + lag
+        # The original (lag None), then one copy per fault-plan duplicate,
+        # each ``lag`` behind the original's delivery.  A copy is a fresh
+        # envelope: its own uid (in-flight tracking and cross-shard routing
+        # need distinct keys) and the dup marker for separate accounting.
+        for lag in lags:
+            if lag is None:
+                deliver_at = now + link.draw_latency(rng) + extra_delay
+            else:
+                message = Message(src, dst, payload, None, True)
+                cells.duplicated.add()
+                deliver_at = original_at + lag
             if link.fifo:
                 floor = link.last_delivery
-                if copy_at < floor:
-                    copy_at = floor
-                link.last_delivery = copy_at
-            self._dispatch(link, cells, copy, copy_at)
-
-    def _dispatch(
-        self, link: _Link, cells: _KindCells, message: Message, deliver_at: float
-    ) -> None:
-        if not link.local:
-            # Cross-shard: delivery time is already fixed sender-side.
-            self._shard_outbox.append((deliver_at, message))
-            return
-        self._in_flight[message.uid] = message
-        self._scheduler.schedule_at(
-            deliver_at,
-            self._deliver,
-            label=cells.deliver_label,
-            site=message.dst,
-            arg=message,
-        )
+                if deliver_at < floor:
+                    deliver_at = floor
+                link.last_delivery = deliver_at
+            if lag is None:
+                original_at = deliver_at
+            if link.local:
+                self._in_flight[message.uid] = message
+                scheduler.schedule_at(
+                    deliver_at, self._deliver, cells.deliver_label, dst, message
+                )
+            else:
+                # Cross-shard: delivery time is already fixed sender-side.
+                self._shard_outbox.append((deliver_at, message))
 
     def in_flight_messages(self):
         """Messages scheduled but not yet delivered (oracle support)."""
         return list(self._in_flight.values())
 
     def _deliver(self, message: Message) -> None:
-        self._in_flight.pop(message.uid, None)
-        src = message.src
-        dst = message.dst
-        link = self._links.get((src, dst))
-        if link is None:
+        src, dst, payload, uid, dup = message
+        self._in_flight.pop(uid, None)
+        try:
+            link = self._links[src, dst]
+        except KeyError:
             # First traffic on this pair since an invalidation (or, on a
             # shard, an inbound pair whose sender lives elsewhere).
             link = self._build_link(src, dst)
-        kind = message.kind
-        cells = link.kind_cells.get(kind)
-        if cells is None:
-            cells = link.kind_cells[kind] = _KindCells(self._metrics, kind, src, dst)
+        try:
+            cells = link.kind_cells[payload.__class__]
+        except KeyError:
+            cells = link.kind_cells[payload.__class__] = _KindCells(
+                self._metrics, payload.__class__, src, dst
+            )
         # Crashes/partitions that arose while the message was in flight also
         # destroy it -- the destination never processes it.
         if link.blocked is not None:
-            self._drop(cells, message.dup, link.blocked)
+            self._drop(cells, dup, link.blocked)
             return
-        if message.dup:
+        if dup:
             cells.dup_delivered.add()
         else:
-            self._cell_delivered.add()
-            cells.delivered.add()
+            cells.count_delivered()
         link.deliver(message)

@@ -841,11 +841,11 @@ class WireCodec:
         return (
             deliver_at,
             Message(
-                src=self._sites[src],
-                dst=self._sites[dst],
-                payload=payload,
-                uid=uid,
-                dup=bool(flags & _FLAG_DUP),
+                self._sites[src],
+                self._sites[dst],
+                payload,
+                uid,
+                bool(flags & _FLAG_DUP),
             ),
         )
 

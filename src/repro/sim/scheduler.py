@@ -8,7 +8,9 @@ effects can change behaviour between runs.
 The heap holds ``(time, seq, event)`` tuples rather than order-comparable
 event objects: ``seq`` is unique, so every sift comparison is decided by the
 C tuple comparison on a float (and at worst an int) and never falls through
-to Python-level ``__lt__``.  This is the per-event hot path of the whole
+to Python-level ``__lt__``.  The event riding third *is* the
+:class:`EventHandle` the caller gets back, so a push allocates one record
+and one tuple.  This is the per-event hot path of the whole
 simulator -- the sequential engine and every shard worker's inner loop pay
 one push and one pop per event -- and generated dataclass comparisons were
 its single largest interpreter cost (EXPERIMENTS.md E23; the rewrite was
@@ -57,80 +59,57 @@ _NO_ARG = object()
 """Sentinel: the event's callback is a plain thunk, fire it as ``fn()``."""
 
 
-class _Event:
-    """Mutable per-event record riding third in the heap tuples.
+class EventHandle:
+    """One scheduled event: returned by :meth:`Scheduler.schedule`, and the
+    record the queue itself holds (third in the heap tuples), so a push
+    allocates one object.
 
-    Not order-comparable -- the heap never compares it, because the
-    ``(time, seq)`` tuple prefix is unique.  ``fn is None`` doubles as the
-    cancelled/consumed mark, exactly as the legacy dataclass used its
-    ``callback`` field.
+    Public surface: :attr:`time`, :attr:`cancelled`, :meth:`cancel`.  Not
+    order-comparable -- the heap never compares it, because the
+    ``(time, seq)`` tuple prefix is unique.  ``_fn is None`` doubles as the
+    cancelled/consumed mark.
     """
 
-    __slots__ = ("time", "seq", "fn", "arg", "label", "owner", "site")
+    __slots__ = ("time", "_fn", "_arg", "_label", "_site", "_owner")
 
-    def __init__(self, time, seq, fn, arg, label, owner, site):
+    def __init__(self, time, fn, arg, label, site, owner):
+        #: Simulated time at which the event will fire (or would have).
         self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.arg = arg
-        self.label = label
-        self.owner = owner
-        self.site = site
+        self._fn = fn
+        self._arg = arg
+        self._label = label
+        self._site = site
+        self._owner = owner
 
     @property
     def cancelled(self) -> bool:
-        return self.fn is None
-
-    def cancel(self) -> None:
-        if self.fn is None:
-            return
-        self.fn = None
-        self.arg = None
-        if self.owner is not None:
-            self.owner._note_cancelled()
-
-
-#: A heap entry: C-comparable key prefix, then the event record.
-_Entry = Tuple[float, int, _Event]
-
-
-class EventHandle:
-    """Returned by :meth:`Scheduler.schedule`; allows cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event):
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event will fire (or would have)."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._fn is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is a no-op."""
-        self._event.cancel()
+        if self._fn is None:
+            return
+        self._fn = None
+        self._arg = None
+        self._owner._note_cancelled()
+
+
+#: A heap entry: C-comparable key prefix, then the event record.
+_Entry = Tuple[float, int, EventHandle]
 
 
 class Scheduler:
     """A discrete-event scheduler: simulated clock plus a timed callback queue."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time.  A plain attribute because the per-message
+        #: path reads it; only the run loops here may move it.
+        self.now = 0.0
         self._seq = 0
         self._queue: List[_Entry] = []
         self._events_fired = 0
         self._live_events = 0
         self._cancelled_events = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -168,7 +147,7 @@ class Scheduler:
         """
         if delay < 0:
             raise SchedulerError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, callback, label, site, arg)
+        return self._push(self.now + delay, callback, label, site, arg)
 
     def schedule_at(
         self,
@@ -185,9 +164,9 @@ class Scheduler:
         network's per-pair FIFO clamp by landing a delivery fractionally
         before an earlier one scheduled for the same instant.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulerError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         return self._push(time, callback, label, site, arg)
 
@@ -201,10 +180,10 @@ class Scheduler:
     ) -> EventHandle:
         seq = self._seq
         self._seq = seq + 1
-        event = _Event(time, seq, callback, arg, label, self, site)
+        event = EventHandle(time, callback, arg, label, site, self)
         heapq.heappush(self._queue, (time, seq, event))
         self._live_events += 1
-        return EventHandle(event)
+        return event
 
     # -- cancellation bookkeeping / compaction ------------------------------
 
@@ -224,7 +203,7 @@ class Scheduler:
         seq) keys, and ``heapify`` restores the heap invariant over exactly
         that comparable set.
         """
-        self._queue = [entry for entry in self._queue if entry[2].fn is not None]
+        self._queue = [entry for entry in self._queue if entry[2]._fn is not None]
         heapq.heapify(self._queue)
         self._cancelled_events = 0
 
@@ -239,7 +218,7 @@ class Scheduler:
         amortized cost stays O(1) per cancelled event.
         """
         queue = self._queue
-        while queue and queue[0][2].fn is None:
+        while queue and queue[0][2]._fn is None:
             heapq.heappop(queue)
             self._cancelled_events -= 1
 
@@ -255,9 +234,9 @@ class Scheduler:
         would diverge from the sequential engine.
         """
         untagged = [
-            entry[2].label or "<unlabelled>"
+            entry[2]._label or "<unlabelled>"
             for entry in self._queue
-            if entry[2].fn is not None and entry[2].site is None
+            if entry[2]._fn is not None and entry[2]._site is None
         ]
         if untagged:
             raise SchedulerError(
@@ -267,7 +246,7 @@ class Scheduler:
         kept = [
             entry
             for entry in self._queue
-            if entry[2].fn is not None and entry[2].site in sites
+            if entry[2]._fn is not None and entry[2]._site in sites
         ]
         heapq.heapify(kept)
         self._queue = kept
@@ -303,8 +282,8 @@ class Scheduler:
         order, not firing order; callers reduce (min), they do not replay.
         """
         for _time, _seq, event in self._queue:
-            if event.fn is not None:
-                yield event.time, event.label, event.site
+            if event._fn is not None:
+                yield event.time, event._label, event._site
 
     # -- execution ----------------------------------------------------------
 
@@ -313,18 +292,18 @@ class Scheduler:
         queue = self._queue
         while queue:
             time, _seq, event = heapq.heappop(queue)
-            fn = event.fn
+            fn = event._fn
             if fn is None:
                 self._cancelled_events -= 1
                 continue
-            self._now = time
-            event.fn = None
+            self.now = time
+            event._fn = None
             self._live_events -= 1
             self._events_fired += 1
-            if event.arg is _NO_ARG:
+            if event._arg is _NO_ARG:
                 fn()
             else:
-                fn(event.arg)
+                fn(event._arg)
             return True
         return False
 
@@ -340,7 +319,7 @@ class Scheduler:
         while queue:
             head = queue[0]
             event = head[2]
-            fn = event.fn
+            fn = event._fn
             if fn is None:
                 heapq.heappop(queue)
                 self._cancelled_events -= 1
@@ -352,21 +331,21 @@ class Scheduler:
             # Inline firing (the body of step()): the head was just
             # inspected, popping it again through step() would re-test it.
             heapq.heappop(queue)
-            self._now = head[0]
-            event.fn = None
+            self.now = head[0]
+            event._fn = None
             self._live_events -= 1
             self._events_fired += 1
-            if event.arg is _NO_ARG:
+            if event._arg is _NO_ARG:
                 fn()
             else:
-                fn(event.arg)
+                fn(event._arg)
             fired += 1
             # The callback may have cancelled enough events to trigger a
             # compaction (which rebuilds the queue list): re-read it.
             queue = self._queue
         self._prune_cancelled_heads()
         if not (max_events is not None and fired >= max_events):
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
         return fired
 
     def run_until_before(self, bound: float) -> int:
@@ -384,7 +363,7 @@ class Scheduler:
         while queue:
             head = queue[0]
             event = head[2]
-            fn = event.fn
+            fn = event._fn
             if fn is None:
                 heapq.heappop(queue)
                 self._cancelled_events -= 1
@@ -392,14 +371,14 @@ class Scheduler:
             if head[0] >= bound:
                 break
             heapq.heappop(queue)
-            self._now = head[0]
-            event.fn = None
+            self.now = head[0]
+            event._fn = None
             self._live_events -= 1
             self._events_fired += 1
-            if event.arg is _NO_ARG:
+            if event._arg is _NO_ARG:
                 fn()
             else:
-                fn(event.arg)
+                fn(event._arg)
             fired += 1
             # Compaction inside the callback rebuilds the list: re-read it.
             queue = self._queue
@@ -412,11 +391,11 @@ class Scheduler:
         Complements :meth:`run_until_before` at the end of a windowed
         advance; never moves the clock backwards.
         """
-        self._now = max(self._now, time)
+        self.now = max(self.now, time)
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Fire events within the next ``duration`` time units."""
-        return self.run_until(self._now + duration, max_events=max_events)
+        return self.run_until(self.now + duration, max_events=max_events)
 
     def drain(self, max_events: int = 1_000_000) -> int:
         """Fire events until the queue is empty (bounded by ``max_events``)."""

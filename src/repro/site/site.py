@@ -19,7 +19,6 @@ system.  It also owns the site-local policies the paper describes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -62,7 +61,8 @@ OutcomeCallback = Callable[[SiteId, TraceId, TraceOutcome], None]
 #: number by :meth:`Site.send` and deduplicated by :meth:`Site.receive`.  A
 #: replayed delivery of any of these is *not* idempotent on its own: inserts
 #: re-run the transfer barrier and double-release pins, remote copies
-#: double-store references, hops fork phantom mutators.
+#: double-store references, hops fork phantom mutators.  Like everything
+#: :meth:`Site.send` may stamp, each has a ``seq`` field and ``with_seq()``.
 _SEQUENCED_MUTATIONS = (InsertRequest, InsertDone, UnpinRequest, RemoteCopy, MutatorHop)
 
 
@@ -217,6 +217,11 @@ class Site:
         self._sequenced = _SEQUENCED_MUTATIONS + tuple(
             self.cycle_collector.sequenced_payload_types()
         )
+        for payload_type in self._sequenced:
+            if not callable(getattr(payload_type, "with_seq", None)):
+                raise TypeError(
+                    f"sequenced payload {payload_type.__name__} has no with_seq()"
+                )
         # Per-concrete-payload-type dispatch table: (handler, is_sequenced,
         # is_bundle), resolved lazily by one real isinstance walk per type,
         # then reused for every send/receive of that type.  Cleared whenever
@@ -255,7 +260,7 @@ class Site:
         if entry[1] and payload.seq < 0:
             seq = self._mutation_seq.get(dst, 0) + 1
             self._mutation_seq[dst] = seq
-            payload = replace(payload, seq=seq)
+            payload = payload.with_seq(seq)
         if self._sender is not None:
             self._sender.send(dst, payload)
         else:
@@ -276,7 +281,7 @@ class Site:
         handler, is_sequenced, is_bundle = entry
         if is_bundle:
             for inner in payload.payloads:
-                self.receive(Message(src=message.src, dst=message.dst, payload=inner))
+                self.receive(Message(message.src, message.dst, inner))
             return
         if is_sequenced and payload.seq > 0:
             window = self._mutation_dedup.setdefault(message.src, DedupWindow())

@@ -7,12 +7,31 @@ site's heap or ioref tables moved; targeted tests force duplicates through a
 live protocol exchange with a 100%-duplication fault plan.
 """
 
+import dataclasses
 import json
+from fractions import Fraction
+
+import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
+from repro.core.collector import NullCollector
+from repro.core.termination import (
+    TRIAL_PAYLOADS,
+    TrialAbort,
+    TrialAck,
+    TrialCollect,
+    TrialMark,
+    TrialRescue,
+    TrialRescueStart,
+)
+from repro.gc.insert import InsertDone, InsertRequest, UnpinRequest
+from repro.ids import ObjectId
 from repro.metrics import graph_snapshot, names
+from repro.mutator.ops import MutatorHop, RemoteCopy
 from repro.net.faults import FaultPlan
+from repro.net.message import Payload
+from repro.site.site import _SEQUENCED_MUTATIONS, Site
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 GC = GcConfig(suspicion_threshold=1, assumed_cycle_length=2, back_threshold_increment=1)
@@ -136,3 +155,49 @@ def test_collection_is_correct_when_every_message_is_duplicated():
         assert sim.site(member.site).heap.contains(member)
     suppressed = sim.metrics.counts_with_prefix("protocol.dup_suppressed.")
     assert suppressed, "duplication plan produced no suppressed duplicates"
+
+
+# -- the stamping contract: every sequenced payload has with_seq() ------------------
+
+
+def test_with_seq_stamps_exactly_what_dataclasses_replace_would():
+    oid, other = ObjectId("Q", 3), ObjectId("R", 5)
+    trial = ("P", 2)
+    samples = [
+        InsertRequest(target=oid, pin_holder="R", release_owner_custody=True),
+        InsertDone(target=oid),
+        UnpinRequest(target=oid),
+        RemoteCopy(ref=oid, dest_holder=other, pin_holder="P"),
+        MutatorHop(mutator="m1", target=oid),
+        TrialMark(trial=trial, targets=(oid, other), credit=Fraction(1, 4)),
+        TrialRescueStart(trial=trial, member_sites=("P", "Q"), credit=Fraction(1, 8)),
+        TrialRescue(
+            trial=trial, targets=(oid,), member_sites=("P",), credit=Fraction(1, 2)
+        ),
+        TrialAck(
+            trial=trial, phase="mark", credit=Fraction(3, 4), joined=True, dirty=True
+        ),
+        TrialCollect(trial=trial),
+        TrialAbort(trial=trial),
+    ]
+    assert {type(p) for p in samples} == set(_SEQUENCED_MUTATIONS + TRIAL_PAYLOADS)
+    for payload in samples:
+        stamped = payload.with_seq(9)
+        assert type(stamped) is type(payload)
+        assert stamped == dataclasses.replace(payload, seq=9)
+        assert payload.seq == -1  # the original is untouched
+
+
+def test_site_rejects_a_sequenced_payload_type_without_with_seq():
+    class Unstampable(Payload):
+        seq = -1
+
+    class Backend(NullCollector):
+        def sequenced_payload_types(self):
+            return (Unstampable,)
+
+    sim = Simulation(SimulationConfig(seed=1, gc=GC))
+    with pytest.raises(TypeError, match="Unstampable has no with_seq"):
+        Site(
+            "P", sim.scheduler, sim.network, GC, auto_gc=False, collector_factory=Backend
+        )

@@ -1,12 +1,20 @@
 """Remaining small-surface tests: latency model validation, remote-copy
 case 2, and heap sweep properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
+from repro.net.latency import (
+    ConstantLatency,
+    ExponentialLatency,
+    LatencyModel,
+    UniformLatency,
+    ZonedLatency,
+)
 from repro.sim.rng import RngRegistry
 from repro.store.heap import Heap
 from repro.workloads import GraphBuilder
@@ -202,3 +210,40 @@ def test_zoned_latency_validation(bands):
 
     with pytest.raises(ConfigError):
         ZonedLatency({}, **bands)
+
+
+# -- sampler(src, dst): same bits, same draws as sample() ------------------------------
+
+
+class _SampleOnly(LatencyModel):
+    """A custom model as users write them: ``sample`` and nothing else."""
+
+    def sample(self, rng, src, dst):
+        return (2.0 if src < dst else 3.0) + rng.random() + rng.random()
+
+
+_ZONES = {"A": 0, "B": 0, "C": 1}
+SAMPLER_CASES = {
+    "constant": (ConstantLatency(2.5), ("A", "B")),
+    "uniform": (UniformLatency(1.0, 4.0), ("A", "B")),
+    "uniform-degenerate": (UniformLatency(3.0, 3.0), ("A", "B")),
+    "exponential": (ExponentialLatency(base=0.5, mean=2.0), ("A", "B")),
+    "zoned-mapping-intra": (ZonedLatency(_ZONES), ("A", "B")),
+    "zoned-mapping-cross": (ZonedLatency(_ZONES), ("B", "C")),
+    "zoned-callable-intra": (ZonedLatency(_ZONES.get), ("B", "A")),
+    "zoned-callable-cross": (ZonedLatency(_ZONES.get), ("C", "A")),
+    "sample-only-subclass": (_SampleOnly(), ("A", "B")),
+    "sample-only-subclass-reversed": (_SampleOnly(), ("B", "A")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_draws_the_same_bits_as_sample(case):
+    model, (src, dst) = SAMPLER_CASES[case]
+    via_sampler, via_sample = random.Random(91), random.Random(91)
+    draw = model.sampler(src, dst)
+    for _ in range(10_000):
+        # == on floats: bit-for-bit the same delay, not merely close.
+        assert draw(via_sampler) == model.sample(via_sample, src, dst)
+    # ...and the same number of draws consumed.
+    assert via_sampler.getstate() == via_sample.getstate()

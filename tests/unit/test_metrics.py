@@ -1,6 +1,6 @@
 """Unit tests for the metrics recorder and snapshots."""
 
-from repro.metrics import MetricsRecorder
+from repro.metrics import MetricsRecorder, names
 
 
 def test_incr_and_count():
@@ -20,14 +20,15 @@ def test_prefix_queries():
     assert metrics.total_with_prefix("gc.") == 5
 
 
-def test_record_message_aggregates():
+def test_message_count_reads_the_per_kind_send_counter():
     metrics = MetricsRecorder()
-    metrics.record_message("Ping", units=3)
-    metrics.record_message("Ping")
-    metrics.record_message("Pong")
+    metrics.incr(names.msg_sent("Ping"), 2)
+    metrics.incr(names.msg_sent("Pong"))
+    metrics.incr(names.MSG_TOTAL, 3)
     assert metrics.message_count("Ping") == 2
-    assert metrics.count("messages.total") == 3
-    assert metrics.count("messages.units") == 5
+    assert metrics.message_count("Pong") == 1
+    assert metrics.message_count("Never") == 0
+    assert metrics.count(names.MSG_TOTAL) == 3
 
 
 def test_observations_and_stats():

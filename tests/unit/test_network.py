@@ -7,6 +7,7 @@ import pytest
 from repro.config import NetworkConfig
 from repro.errors import UnknownSiteError
 from repro.metrics import MetricsRecorder
+from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.net.message import Payload
 from repro.net.network import Network
@@ -19,7 +20,7 @@ class Ping(Payload):
     n: int = 0
 
 
-def make_net(config=None, latency=None, sites=("A", "B", "C")):
+def make_net(config=None, latency=None, sites=("A", "B", "C"), fault_plan=None):
     sched = Scheduler()
     metrics = MetricsRecorder()
     net = Network(
@@ -28,6 +29,7 @@ def make_net(config=None, latency=None, sites=("A", "B", "C")):
         metrics,
         config=config or NetworkConfig(),
         latency_model=latency or ConstantLatency(1.0),
+        fault_plan=fault_plan,
     )
     inboxes = {s: [] for s in sites}
     for s in sites:
@@ -198,3 +200,62 @@ def test_min_cross_latency_unknown_model_or_no_outside_is_none():
     assert net.min_cross_latency({"A"}) is None
     _, net, _, _ = make_net(latency=UniformLatency(2.0, 4.0))
     assert net.min_cross_latency({"A", "B", "C"}) is None
+
+
+# -- accounting: first-touch order is part of byte identity -----------------------
+
+
+@dataclass(frozen=True)
+class Pong(Payload):
+    pass
+
+
+@dataclass(frozen=True)
+class Bulk(Payload):
+    def size_units(self):
+        return 3
+
+
+def test_counter_first_touch_order_is_pinned():
+    """Counters are created by their first increment, and snapshots (and the
+    ledger's ``counter_order_digest``) keep that order: the per-send and
+    per-delivery accounting may be batched, never reordered.  The literal
+    was recorded before the accounting became one call per send."""
+    assert type(MetricsRecorder()._counters) is dict
+    sched, net, _, metrics = make_net(
+        sites=("A", "B"),
+        fault_plan=FaultPlan.duplication(1.0, copies=1, lag=0.5, start=5.0, end=6.0),
+    )
+    net.send("A", "B", Ping(1))
+    net.send("B", "A", Pong())
+    sched.run_until(5.0)
+    net.send("A", "B", Bulk())  # inside the fault window: one duplicate copy
+    sched.run_until(10.0)
+    net.crash("B")
+    net.send("A", "B", Ping(2))  # dropped at send: destination crashed
+    sched.drain()
+    assert list(metrics.snapshot().counters.items()) == [
+        ("messages.Ping", 2),
+        ("messages.total", 4),
+        ("messages.units", 6),
+        ("units.Ping", 2),
+        ("involve.Ping.A", 2),
+        ("involve.Ping.B", 2),
+        ("messages.Pong", 1),
+        ("units.Pong", 1),
+        ("involve.Pong.B", 1),
+        ("involve.Pong.A", 1),
+        ("messages.delivered", 3),
+        ("messages.delivered.Ping", 1),
+        ("messages.delivered.Pong", 1),
+        ("messages.Bulk", 1),
+        ("units.Bulk", 3),
+        ("involve.Bulk.A", 1),
+        ("involve.Bulk.B", 1),
+        ("messages.duplicated.Bulk", 1),
+        ("messages.delivered.Bulk", 1),
+        ("messages.dup_delivered.Bulk", 1),
+        ("messages.lost", 1),
+        ("messages.dropped.Ping", 1),
+        ("messages.dropped.crash", 1),
+    ]
