@@ -8,21 +8,19 @@ system around it from 8 to 64 sites, measuring back-trace messages and the
 set of sites the cycle collection involves.  Flat lines = scalability.
 """
 
-import time
-
 import pytest
 
-from repro import GcConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle, graph_snapshot
+from repro import Simulation, SimulationConfig
+from repro.analysis import Oracle
 from repro.harness.report import Table
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 N_CYCLES = 4
 
 
-def _build_system(n_sites, seed, gc):
+def _build_system(n_sites, seed):
     sites = [f"s{i:02d}" for i in range(n_sites)]
-    sim = Simulation(SimulationConfig(seed=seed, gc=gc))
+    sim = Simulation(SimulationConfig(seed=seed))
     sim.add_sites(sites, auto_gc=False)
     # The garbage: four 2-site cycles on the first 8 sites (fixed).
     cycles = [
@@ -40,7 +38,7 @@ def _build_system(n_sites, seed, gc):
 
 
 def run_system(n_sites, seed=2):
-    sim, cycles = _build_system(n_sites, seed, GcConfig())
+    sim, cycles = _build_system(n_sites, seed)
     for _ in range(2):
         sim.run_gc_round()
     for cycle in cycles:
@@ -109,131 +107,3 @@ def test_e13_scalability_series(benchmark, record_table):
 def test_e13_wall_time(benchmark, n_sites):
     stats = benchmark.pedantic(run_system, args=(n_sites,), rounds=1, iterations=1)
     assert stats["rounds"] is not None
-
-
-# -- incremental local traces on the e13 steady state ---------------------------
-#
-# After the cycles are collected the system is quiescent: every further gc
-# tick re-scans an unchanged heap.  The incremental planner resolves those
-# ticks as skips (plus one forced full trace per site every
-# ``full_trace_every_n`` ticks), so steady-state scanning cost drops by
-# roughly that factor while the table state stays byte-identical.
-
-STEADY_ROUNDS = 24
-
-
-def run_steady_state(n_sites, incremental, seed=2, steady_rounds=STEADY_ROUNDS):
-    gc = GcConfig(incremental_traces=incremental)
-    sim, cycles = _build_system(n_sites, seed, gc)
-    for _ in range(2):
-        sim.run_gc_round()
-    for cycle in cycles:
-        cycle.make_garbage(sim)
-    oracle = Oracle(sim)
-    for _ in range(60):
-        sim.run_gc_round()
-        oracle.check_safety()
-        if not oracle.garbage_set():
-            break
-    assert not oracle.garbage_set()
-
-    before = sim.metrics.snapshot()
-    started = time.perf_counter()
-    for _ in range(steady_rounds):
-        sim.run_gc_round()
-    wall_seconds = time.perf_counter() - started
-    delta = sim.metrics.snapshot().diff(before)
-    oracle.check_safety()
-
-    ticks = steady_rounds * n_sites
-    skipped = delta.get("gc.traces_skipped", 0)
-    fast = delta.get("gc.traces_fast_path", 0)
-    objects_scanned = delta.get("gc.objects_scanned", 0)
-    return {
-        "mode": "incremental" if incremental else "full",
-        "ticks": ticks,
-        "skipped": skipped,
-        "fast_path": fast,
-        "full": delta.get("gc.traces_full", 0),
-        "resolved_cheaply": (skipped + fast) / ticks,
-        "objects_scanned": objects_scanned,
-        # Clean-phase throughput: how fast the hot scan loop chews through
-        # objects (tracks the effect of micro-optimisations in
-        # repro.core.distance on otherwise identical work).
-        "objects_scanned_per_sec": objects_scanned / wall_seconds
-        if wall_seconds > 0
-        else 0.0,
-        "update_messages": delta.get("messages.UpdatePayload", 0),
-        "wall_seconds": wall_seconds,
-        "fingerprint": graph_snapshot(sim)["sites"],
-    }
-
-
-def test_e13_incremental_steady_state(benchmark, record_table):
-    def run():
-        return {
-            incremental: run_steady_state(16, incremental)
-            for incremental in (True, False)
-        }
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    inc, full = stats[True], stats[False]
-    table = Table(
-        f"E13b: steady-state gc ticks ({STEADY_ROUNDS} rounds, 16 sites)",
-        [
-            "mode",
-            "ticks",
-            "skip",
-            "fast",
-            "full",
-            "objects scanned",
-            "scanned/s",
-            "wall (s)",
-        ],
-    )
-    for row in (full, inc):
-        table.add_row(
-            row["mode"],
-            row["ticks"],
-            row["skipped"],
-            row["fast_path"],
-            row["full"],
-            row["objects_scanned"],
-            f"{row['objects_scanned_per_sec']:.0f}",
-            f"{row['wall_seconds']:.3f}",
-        )
-    record_table("e13b_incremental_steady_state", table)
-
-    # Acceptance: >=70% of ticks resolve without a full trace, scanning
-    # drops >=3x, and the final table state is byte-identical across modes.
-    assert inc["resolved_cheaply"] >= 0.70
-    assert inc["objects_scanned"] * 3 <= full["objects_scanned"]
-    assert inc["fingerprint"] == full["fingerprint"]
-
-
-if __name__ == "__main__":
-    # Standalone mode: emit the steady-state comparison as JSON so the repo
-    # can pin the headline numbers (see BENCH_incremental_trace.json).
-    import json
-    import sys
-
-    try:
-        from .hostinfo import host_header
-    except ImportError:
-        from hostinfo import host_header
-
-    results = {"host": host_header()}
-    results |= {
-        "incremental" if inc else "full": {
-            key: value
-            for key, value in run_steady_state(16, inc).items()
-            if key != "fingerprint"
-        }
-        for inc in (True, False)
-    }
-    results["objects_scanned_ratio"] = (
-        results["full"]["objects_scanned"]
-        / max(1, results["incremental"]["objects_scanned"])
-    )
-    json.dump(results, sys.stdout, indent=2)
-    print()

@@ -1,26 +1,19 @@
-"""E17 -- Clean-path cost of the fault-injection layer and update hardening.
+"""E17 -- Clean-path cost of the fault-injection layer.
 
 The fault plan hook sits on ``Network.send``, so it is consulted on every
 message of every run -- including perfectly healthy ones.  This bench prices
 that on the e13-shaped steady-state workload (site churn plus ring cycles on
-16 sites with auto GC, then explicit collection rounds), run three ways:
+16 sites with auto GC, then explicit collection rounds), run two ways:
 
 - ``off``    -- the default configuration, ``fault_plan=None`` (the plan
   hook is a single None check per send);
 - ``armed``  -- the same run with a fault plan attached whose only window
   lies entirely in the past: ``FaultPlan.roll`` walks its rules on every
-  send but never fires, pricing the consultation itself;
-- ``legacy`` -- ``reliable_updates=False``, no plan: the pre-hardening
-  update protocol, reported so the cost of the at-least-once channel (one
-  ack plus one timer per update) is visible next to the fault-layer cost.
+  send but never fires, pricing the consultation itself.
 
-The acceptance bar is on the fault layer: ``armed`` over ``off`` must stay
-under 3% wall clock (pinned in ``BENCH_chaos_overhead.json``).  The ack
-traffic of the hardened channel is a protocol change, not a hook tax, and is
-reported unbounded -- its runs also legitimately diverge from ``legacy`` in
-event order, because every extra ack advances the shared latency stream.
-``armed`` vs ``off``, by contrast, must be byte-identical: an idle plan
-draws zero fault randomness.
+The acceptance bar: ``armed`` over ``off`` must stay under 3% wall clock
+(pinned in ``BENCH_chaos_overhead.json``) and must be byte-identical -- an
+idle plan draws zero fault randomness.
 """
 
 import time
@@ -55,7 +48,7 @@ STALE_PLAN = FaultPlan.loss(1.0, start=0.0, end=0.5).merge(
 
 
 def run_mode(mode, seed=3, run_for=RUN_FOR):
-    gc = GcConfig(**GC, reliable_updates=(mode != "legacy"))
+    gc = GcConfig(**GC)
     plan = STALE_PLAN if mode == "armed" else None
     sim = Simulation.create(SimulationConfig(seed=seed, gc=gc), fault_plan=plan)
     sites = [f"s{i:02d}" for i in range(N_SITES)]
@@ -106,7 +99,7 @@ def run_comparison(run_for=RUN_FOR, repeats=5):
     """
     stats = {}
     for _ in range(repeats):
-        for mode in ("off", "armed", "legacy"):
+        for mode in ("off", "armed"):
             row = run_mode(mode, run_for=run_for)
             best = stats.get(mode)
             if best is None or row["wall_seconds"] < best["wall_seconds"]:
@@ -114,8 +107,8 @@ def run_comparison(run_for=RUN_FOR, repeats=5):
     return stats
 
 
-def overhead_pct(stats, mode, base="off"):
-    baseline = stats[base]["wall_seconds"]
+def overhead_pct(stats, mode):
+    baseline = stats["off"]["wall_seconds"]
     return 100.0 * (stats[mode]["wall_seconds"] - baseline) / baseline
 
 
@@ -125,16 +118,13 @@ def test_e17_fault_layer_is_inert_on_the_clean_path():
     assert stats["off"]["survivors"] == stats["armed"]["survivors"]
     assert stats["off"]["messages"] == stats["armed"]["messages"]
     assert stats["armed"]["dropped"] == 0
-    # The hardened channel's only extra clean-path traffic is acks; a
-    # healthy run never retransmits.  (Survivors are NOT compared against
-    # ``legacy``: the ack messages advance the shared network latency
-    # stream, so the runs diverge in event order -- legitimately.)
+    # The update channel's only extra clean-path traffic is acks; a healthy
+    # run never retransmits.
     assert stats["off"]["retransmits"] == 0
     assert stats["off"]["acks"] > 0
-    assert stats["legacy"]["acks"] == 0
 
 
-@pytest.mark.parametrize("mode", ["off", "armed", "legacy"])
+@pytest.mark.parametrize("mode", ["off", "armed"])
 def test_e17_wall_time(benchmark, mode):
     stats = benchmark.pedantic(
         run_mode, args=(mode,), kwargs={"run_for": 300.0}, rounds=1, iterations=1
@@ -164,7 +154,6 @@ if __name__ == "__main__":
     }
     results["run_for"] = run_for
     results["fault_layer_overhead_pct"] = overhead_pct(stats, "armed")
-    results["hardening_overhead_pct"] = overhead_pct(stats, "off", base="legacy")
     results["armed_byte_identical"] = (
         stats["off"]["survivors"] == stats["armed"]["survivors"]
     )

@@ -172,7 +172,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         seed=args.seed,
         network=NetworkConfig(pair_rng_streams=True),
         parallel_workers=args.workers,
-        shard_policy=args.shard_policy,
     )
     sim = Simulation.create(config)
     sites = [f"s{i:03d}" for i in range(args.sites)]
@@ -303,9 +302,6 @@ def main(argv=None) -> int:
     )
     scale.add_argument("--sites", type=int, default=64)
     scale.add_argument("--workers", type=int, default=1)
-    scale.add_argument(
-        "--shard-policy", choices=("contiguous", "round_robin"), default="contiguous"
-    )
     scale.add_argument("--duration", type=float, default=2000.0)
     chaos = sub.add_parser(
         "chaos", help="fault-injection matrix with oracle auditing (E17)"

@@ -90,9 +90,7 @@ class BackTraceEngine:
         self.metrics = metrics or MetricsRecorder()
         self.on_outcome = on_outcome
         self.on_outcome_applied = on_outcome_applied
-        self.cache: Optional[VerdictCache] = None
-        if config.backtrace_cache:
-            self.cache = VerdictCache(inrefs, outrefs, metrics=self.metrics)
+        self.cache = VerdictCache(inrefs, outrefs, metrics=self.metrics)
         self._frames: Dict[FrameId, Frame] = {}
         self._active_by_ioref: Dict[IorefKey, Set[FrameId]] = {}
         self._frames_by_trace: Dict[TraceId, Set[FrameId]] = {}
@@ -152,9 +150,7 @@ class BackTraceEngine:
 
     def cached_live(self, outref_target: ObjectId) -> bool:
         """True iff a still-valid cached Live verdict covers this outref."""
-        return self.cache is not None and self.cache.lookup(
-            (OUTREF, outref_target), self.scheduler.now
-        )
+        return self.cache.lookup((OUTREF, outref_target), self.scheduler.now)
 
     def has_active_trace_from(self, outref_target: ObjectId) -> bool:
         return outref_target in self._active_roots
@@ -253,8 +249,7 @@ class BackTraceEngine:
         there must return Live, and any cached verdict whose footprint
         includes the ioref is purged."""
         key = (kind, target)
-        if self.cache is not None:
-            self.cache.invalidate_ioref(key)
+        self.cache.invalidate_ioref(key)
         with self._batched():
             frame_ids = list(self._active_by_ioref.get(key, ()))
             for frame_id in frame_ids:
@@ -279,11 +274,7 @@ class BackTraceEngine:
                 self._flush_outbox()
 
     def _send(self, dst: SiteId, payload: Payload) -> None:
-        if (
-            self.config.backtrace_batch_calls
-            and self._batch_depth > 0
-            and isinstance(payload, (BackCall, BackReply))
-        ):
+        if self._batch_depth > 0 and isinstance(payload, (BackCall, BackReply)):
             self._outbox.append((dst, payload))
         else:
             self.send(dst, payload)
@@ -372,17 +363,16 @@ class BackTraceEngine:
         if trace_id in entry.visited:
             self._answer(trace_id, parent_local, parent_remote, TraceOutcome.GARBAGE)
             return
-        if self.cache is not None:
-            expiry = self.cache.lookup_expiry((OUTREF, target), self.scheduler.now)
-            if expiry is not None:
-                self._answer(
-                    trace_id,
-                    parent_local,
-                    parent_remote,
-                    TraceOutcome.LIVE,
-                    cache_expires=expiry,
-                )
-                return
+        expiry = self.cache.lookup_expiry((OUTREF, target), self.scheduler.now)
+        if expiry is not None:
+            self._answer(
+                trace_id,
+                parent_local,
+                parent_remote,
+                TraceOutcome.LIVE,
+                cache_expires=expiry,
+            )
+            return
         if self._try_coalesce(trace_id, (OUTREF, target), parent_local, parent_remote):
             return
         record = self._ensure_record(trace_id)
@@ -419,13 +409,12 @@ class BackTraceEngine:
         if trace_id in entry.visited:
             self._answer(trace_id, parent_local, None, TraceOutcome.GARBAGE)
             return
-        if self.cache is not None:
-            expiry = self.cache.lookup_expiry((INREF, target), self.scheduler.now)
-            if expiry is not None:
-                self._answer(
-                    trace_id, parent_local, None, TraceOutcome.LIVE, cache_expires=expiry
-                )
-                return
+        expiry = self.cache.lookup_expiry((INREF, target), self.scheduler.now)
+        if expiry is not None:
+            self._answer(
+                trace_id, parent_local, None, TraceOutcome.LIVE, cache_expires=expiry
+            )
+            return
         if self._try_coalesce(trace_id, (INREF, target), parent_local, None):
             return
         record = self._ensure_record(trace_id)
@@ -470,8 +459,6 @@ class BackTraceEngine:
         ids, so no cycle of mutually parked traces (and hence no deadlock of
         timeouts resolving each other to Live) can form.
         """
-        if not self.config.backtrace_coalesce:
-            return False
         host: Optional[Frame] = None
         for frame_id in self._active_by_ioref.get(key, ()):
             frame = self._frames.get(frame_id)
@@ -718,8 +705,9 @@ class BackTraceEngine:
         A Live that leaned on a conservative timeout (section 4.6) carries no
         evidence: re-initiating at the fixed suspicion cadence would hammer a
         partitioned or crashed site.  Each consecutive timeout doubles the
-        wait before the same root may start a new trace, up to the cap; any
-        grounded verdict resets the ladder.
+        wait before the same root may start a new trace, from
+        ``backtrace_timeout`` up to eight times that; any grounded verdict
+        resets the ladder.
         """
         record = self._records.get(trace_id)
         root = record.root_outref if record is not None else None
@@ -727,9 +715,8 @@ class BackTraceEngine:
             return
         if verdict.is_live and timed_out:
             attempts = self._retry_state.get(root, (0, 0.0))[0] + 1
-            base = self.config.effective_retry_backoff
-            cap = self.config.effective_retry_backoff_cap
-            delay = min(base * (2 ** (attempts - 1)), cap)
+            base = self.config.backtrace_timeout
+            delay = min(base * (2 ** (attempts - 1)), 8.0 * base)
             self._retry_state[root] = (attempts, self.scheduler.now + delay)
             self.metrics.incr(names.BACKTRACE_COMPLETED_TIMEOUT_LIVE)
             self.metrics.incr(names.BACKTRACE_RETRIES_BACKED_OFF)
@@ -774,11 +761,7 @@ class BackTraceEngine:
             entry = self.outrefs.get(target)
             if entry is not None:
                 entry.visited.discard(trace_id)
-        if (
-            verdict.is_live
-            and self.cache is not None
-            and (record.visited_inrefs or record.visited_outrefs)
-        ):
+        if verdict.is_live and (record.visited_inrefs or record.visited_outrefs):
             keys: List[IorefKey] = [
                 (INREF, target) for target in sorted(record.visited_inrefs)
             ]

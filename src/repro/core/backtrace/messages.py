@@ -6,11 +6,10 @@ reference traversed, plus one :class:`BackOutcome` per participant in the
 report phase -- 2E + N messages in total for a cycle with E traversed
 inter-site references and N participating sites.
 
-With ``GcConfig.backtrace_batch_calls`` the calls (and immediate replies) a
-single engine activation fans out to one destination ship as a
-:class:`BackCallBatch` / :class:`BackReplyBatch`: one physical message whose
-``size_units`` still charges every logical call, so bandwidth accounting and
-the 2E bound on *logical* steps are unchanged.
+The calls (and immediate replies) a single engine activation fans out to
+one destination ship as a :class:`BackCallBatch` / :class:`BackReplyBatch`:
+one physical message whose ``size_units`` still charges every logical call,
+so bandwidth accounting and the 2E bound on *logical* steps are unchanged.
 """
 
 from __future__ import annotations

@@ -61,6 +61,10 @@ def trace_clean_phase(
     Each object is visited once.  Because roots are processed smallest
     distance first, the distance recorded for an outref on first encounter is
     already the minimum, mirroring the paper's ordering argument.
+
+    This is the paper-literal reference over ``ObjectId`` sets.  Local traces
+    run the flat and frontier kernels below; the kernel tests hold both to
+    this function's result, and the central-service baseline calls it.
     """
     result = CleanPhaseResult()
     for target in variable_outrefs:

@@ -49,7 +49,7 @@ Safety under concurrency and faults:
   idempotent: a replayed ack would double-recover it), declared via
   :meth:`Collector.sequenced_payload_types`;
 - a lost message starves the credit pool; the initiator's trial timer
-  (``GcConfig.effective_trial_timeout``) then aborts the trial --
+  (``GcConfig.backtrace_timeout``) then aborts the trial --
   collecting nothing is always safe, and the still-suspected inref
   re-triggers after an exponential back-off.  Crashes wipe site state via
   :meth:`Collector.on_recover`; a member that lost its state answers any
@@ -317,7 +317,7 @@ class TerminationCollector(Collector):
         state = _InitiatorTrial(suspect=suspect)
         state.pool.reset()
         state.timer = site.scheduler.schedule(
-            site.config.effective_trial_timeout,
+            site.config.backtrace_timeout,
             lambda: self._on_timeout(trial),
             label=f"trial-timeout:{site.site_id}",
             site=site.site_id,
@@ -362,7 +362,7 @@ class TerminationCollector(Collector):
         must not see phantom events).  Dropping is safe: a later
         rescue-phase message finds no state and answers dirty.
         """
-        horizon = 4.0 * self.site.config.effective_trial_timeout
+        horizon = 4.0 * self.site.config.backtrace_timeout
         now = self.site.scheduler.now
         stale = [
             trial
@@ -504,7 +504,7 @@ class TerminationCollector(Collector):
         self._abort_trial(trial, state)
 
     def _push_backoff(self, suspect: ObjectId) -> None:
-        base = self.site.config.effective_trial_backoff
+        base = self.site.config.backtrace_timeout
         held = self._not_before.get(suspect)
         delay = base if held is None else min(held[1] * 2.0, 8.0 * base)
         self._not_before[suspect] = (self.site.scheduler.now + delay, delay)

@@ -38,7 +38,6 @@ from ..core.backinfo import (
 from ..core.distance import (
     FRONTIER_MIN_OBJECTS,
     CleanPhaseResult,
-    trace_clean_phase,
     trace_clean_phase_flat,
     trace_clean_phase_vector,
 )
@@ -57,9 +56,6 @@ class LocalTraceResult:
     # "full" or "fast" (distance-only reconciliation reusing the cached
     # reachability sets); skipped ticks never produce a result at all.
     mode: str = "full"
-    # True when this full trace was forced by the incremental safety net
-    # (``full_trace_every_n``); it then also sends a full update refresh.
-    forced_full: bool = False
     # The variable-held outrefs the trace was computed against (cache key).
     variable_outrefs: FrozenSet[ObjectId] = frozenset()
     clean_objects: Set[ObjectId] = field(default_factory=set)
@@ -156,30 +152,23 @@ class LocalCollector:
         self.metrics = metrics or MetricsRecorder()
         self._cells = _TraceCells(self.metrics)
         # What the last update chain told each destination: dst -> (outref
-        # target -> last shipped distance).  Legacy mode uses it as the
-        # changed-distance dedup (the former ``_last_reported_distance``);
-        # delta mode additionally diffs the committed table against it to
-        # build :class:`UpdateDeltaPayload`s, so it must be re-based whenever
-        # a full state transfer goes out (see :meth:`build_full_update`).
+        # target -> last shipped distance).  The committed table is diffed
+        # against it to build :class:`UpdateDeltaPayload`s, so it must be
+        # re-based whenever a full state transfer goes out (see
+        # :meth:`build_full_update`).
         self._shipped: Dict[SiteId, Dict[ObjectId, int]] = {}
         # Outref mutation epoch as of the last delta build: when unchanged
         # (and no periodic refresh is due) no entry can have moved, so the
         # whole diff is skipped -- a quiescent tick builds nothing at all.
         self._shipped_epoch: Optional[int] = None
         # Full traces committed so far; every ``full_update_period``-th one
-        # sends the periodic full refresh in delta mode.
+        # sends the periodic full refresh.
         self._full_traces_run = 0
         self.traces_run = 0
         # Incremental-trace state (the mutation-epoch / dirty-tracking layer).
         self._cached: Optional[_TraceCache] = None
         self._ticks_since_full = 0
-        self._periodic_full_due = False
         self._epochs_at_compute: Optional[Tuple[int, int, int, int]] = None
-
-    @property
-    def _delta_mode(self) -> bool:
-        """Deltas require the reliable channel's ordering guarantees."""
-        return self.config.delta_updates and self.config.reliable_updates
 
     # -- incremental planning ----------------------------------------------------
 
@@ -207,10 +196,7 @@ class LocalCollector:
         """
         self._ticks_since_full += 1
         cache = self._cached
-        if not self.config.incremental_traces or cache is None:
-            return "full"
-        if self._ticks_since_full > self.config.full_trace_every_n:
-            self._periodic_full_due = True
+        if cache is None or self._ticks_since_full > self.config.full_trace_every_n:
             return "full"
         now = self._current_epochs()
         if (now[0], now[1], now[3]) != (cache.epochs[0], cache.epochs[1], cache.epochs[3]):
@@ -256,10 +242,10 @@ class LocalCollector:
         earliest-output-time scan cannot simply call it): with every
         mutation epoch equal to the cached trace's and the variable-root set
         unchanged, the next ``full_trace_every_n - _ticks_since_full`` ticks
-        resolve as skips.  In delta mode the budget-exhausting *forced full*
-        is looked through as well: with the shipped epoch also current, its
-        recomputation equals the cache and :meth:`_build_delta_updates`
-        ships nothing -- unless that full lands on the periodic
+        resolve as skips.  The budget-exhausting *forced full* is looked
+        through as well: with the shipped epoch also current, its
+        recomputation equals the cache and :meth:`_build_updates` ships
+        nothing -- unless that full lands on the periodic
         full-refresh cadence, which is where the prediction stops.  The
         count is a conservative lower bound, never exact: any event that
         perturbs the site before a predicted tick fires makes later ticks
@@ -267,14 +253,14 @@ class LocalCollector:
         such perturbations to the perturbing event instead.
         """
         cache = self._cached
-        if not self.config.incremental_traces or cache is None:
+        if cache is None:
             return 0
         if self._current_epochs() != cache.epochs:
             return 0
         if frozenset(variable_outrefs) != cache.variable_outrefs:
             return 0
         quiet = max(0, self.config.full_trace_every_n - self._ticks_since_full)
-        if self._delta_mode and self._shipped_epoch == self.outrefs.mutation_epoch:
+        if self._shipped_epoch == self.outrefs.mutation_epoch:
             # Each silent forced full resets the skip budget: one full tick
             # plus a fresh run of skips, repeated until a full lands on the
             # refresh cadence ((_full_traces_run - 1) % period == 0 at
@@ -335,9 +321,6 @@ class LocalCollector:
         variable_outrefs: Iterable[ObjectId],
     ) -> None:
         """Phases 1 and 2 of a full trace: the clean and the suspected trace."""
-        result.forced_full = self._periodic_full_due
-        self._periodic_full_due = False
-
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
         # clean inrefs at their estimated distances.
         roots: List[Tuple[ObjectId, int]] = [
@@ -345,14 +328,13 @@ class LocalCollector:
         ]
         roots.extend((oid, 0) for oid in sorted(self.heap.variable_roots))
         roots.extend(scan.clean_roots)
-        # Kernel ladder: all three produce identical results (the twin tests
-        # assert byte-equality); pick the cheapest that applies.  The
-        # frontier kernel's per-level costs only amortise past a minimum heap
-        # size AND a minimum frontier width -- it self-demotes to the flat
-        # kernel on deep narrow graphs (see the gates in repro.core.distance).
-        if not self.config.flat_kernel:
-            kernel = trace_clean_phase
-        elif len(self.heap) >= FRONTIER_MIN_OBJECTS:
+        # Kernel ladder: both rungs produce what the paper-literal
+        # ``trace_clean_phase`` does (the twin tests assert byte-equality);
+        # pick the cheaper.  The frontier kernel's per-level costs only
+        # amortise past a minimum heap size AND a minimum frontier width --
+        # it self-demotes to the flat kernel on deep narrow graphs (see the
+        # gates in repro.core.distance).
+        if len(self.heap) >= FRONTIER_MIN_OBJECTS:
             kernel = trace_clean_phase_vector
         else:
             kernel = trace_clean_phase_flat
@@ -422,61 +404,12 @@ class LocalCollector:
 
         Runs against the reconciled outref table, so that a full update's
         "complete list" semantics cannot miss entries created while a
-        non-atomic trace was computing.  Legacy mode (``delta_updates`` off
-        or unreliable channel) sends changed distances plus removals, with a
-        full list every ``full_update_period``-th trace and on every forced
-        full.  Delta mode ships :class:`UpdateDeltaPayload` diffs against the
-        per-destination shipped state and reserves full state transfers for
-        every ``full_update_period``-th *full* trace (the reliable channel
-        and the gap-triggered refresh cover loss, so the periodic cadence can
-        be much sparser).
+        non-atomic trace was computing.  Ships :class:`UpdateDeltaPayload`
+        diffs against the per-destination shipped state and reserves full
+        state transfers for every ``full_update_period``-th *full* trace (the
+        acknowledged channel and the gap-triggered refresh cover loss, so the
+        periodic cadence can be sparse).
         """
-        if self._delta_mode:
-            self._build_delta_updates(result)
-        else:
-            self._build_legacy_updates(result)
-
-    def _build_legacy_updates(self, result: LocalTraceResult) -> None:
-        full_refresh = (
-            self.traces_run % self.config.full_update_period == 0
-            or result.forced_full
-        )
-        distances_by_site: Dict[SiteId, List[Tuple[ObjectId, int]]] = {}
-        removals_by_site: Dict[SiteId, List[ObjectId]] = {}
-        entries = list(self.outrefs.entries())
-        if __debug__:
-            self._assert_update_order()
-        for entry in entries:
-            target = entry.target
-            shipped = self._shipped.setdefault(target.site, {})
-            if full_refresh or shipped.get(target) != entry.distance:
-                distances_by_site.setdefault(target.site, []).append(
-                    (target, entry.distance)
-                )
-                shipped[target] = entry.distance
-        # result.removals is already sorted (built from the ordered snapshot).
-        if __debug__:
-            assert result.removals == sorted(result.removals)
-        for target in result.removals:
-            if target not in self.outrefs:  # actually removed (not pinned)
-                removals_by_site.setdefault(target.site, []).append(target)
-                shipped = self._shipped.get(target.site)
-                if shipped is not None:
-                    shipped.pop(target, None)
-        sites = set(distances_by_site) | set(removals_by_site)
-        if full_refresh:
-            # A site that holds *no* outrefs toward a previous target would
-            # normally go silent; explicit removals already cover the known
-            # cases, so nothing extra is required here.
-            pass
-        for site in sorted(sites):
-            result.updates_by_site[site] = UpdatePayload(
-                distances=tuple(distances_by_site.get(site, ())),
-                removals=tuple(removals_by_site.get(site, ())),
-                full=full_refresh,
-            )
-
-    def _build_delta_updates(self, result: LocalTraceResult) -> None:
         if result.mode == "full":
             self._full_traces_run += 1
         full_refresh = (
@@ -513,9 +446,7 @@ class LocalCollector:
                     continue
                 # Complete list; the receiver-side prune replaces explicit
                 # removals, and the payload re-anchors a desynced peer.
-                result.updates_by_site[site] = UpdatePayload(
-                    distances=tuple(cur.items()), removals=(), full=True
-                )
+                result.updates_by_site[site] = UpdatePayload(tuple(cur.items()))
                 self._cells.full_refreshes.add()
             else:
                 if not explicit and cur == shipped:
@@ -547,10 +478,8 @@ class LocalCollector:
         """The complete current outref list toward ``dst`` (idempotent).
 
         The site layer sends these for retransmissions, desynced-peer repair,
-        and refresh requests.  In delta mode the shipped state is re-based on
-        the transfer so subsequent deltas diff against what the peer now
-        holds; legacy mode leaves the changed-distance dedup untouched
-        (historical behaviour).
+        and refresh requests.  The shipped state is re-based on the transfer
+        so subsequent deltas diff against what the peer now holds.
         """
         entries = list(self.outrefs.entries())
         if __debug__:
@@ -560,12 +489,11 @@ class LocalCollector:
             for entry in entries
             if entry.target.site == dst
         )
-        if self._delta_mode:
-            if distances:
-                self._shipped[dst] = dict(distances)
-            else:
-                self._shipped.pop(dst, None)
-        return UpdatePayload(distances=distances, removals=(), full=True)
+        if distances:
+            self._shipped[dst] = dict(distances)
+        else:
+            self._shipped.pop(dst, None)
+        return UpdatePayload(distances)
 
     def _record_full_trace(self, result: LocalTraceResult) -> None:
         cells = self._cells
@@ -653,7 +581,7 @@ class LocalCollector:
         self.traces_run += 1
         if result.mode == "full":
             self._ticks_since_full = 0
-        if self.config.incremental_traces and not interleaved:
+        if not interleaved:
             # No epoch moved since compute read the inref table, so the
             # result's two inref maps (the replayed barrier cleans patched in
             # above) describe the committed table.

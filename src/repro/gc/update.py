@@ -9,16 +9,20 @@ After a local trace, a site reports to each target site:
   folds them into the per-source distance of the matching inref, driving the
   distance heuristic forward).
 
-Normally only *changed* distances are sent (the paper's optimization).  Every
-``full_update_period``-th trace a site instead sends a **full** update: the
-complete list of outrefs it holds toward the target.  Full updates are
-idempotent state transfers in the spirit of the fault-tolerant reference
-listing of [ML94]: they resynchronize a target that missed earlier messages
-(crash, partition, drop) without acknowledgement machinery.  On receiving a
-full update the target also prunes this source from any inref *not* listed --
-which is safe because the sender builds the list from its committed table at
-send time, and per-pair FIFO delivery means no insert from the same sender
-can be outstanding behind it.
+There is one protocol.  Normally only what *changed* since the previous
+update to that target travels, as an :class:`UpdateDeltaPayload` (the paper's
+optimization).  Every ``full_update_period``-th full trace -- and on every
+retransmission, gap repair or recovery -- a site instead sends an
+:class:`UpdatePayload`: the complete list of outrefs it holds toward the
+target.  These are idempotent state transfers in the spirit of the
+fault-tolerant reference listing of [ML94]: they resynchronize a target that
+missed earlier messages (crash, partition, drop).  On receiving one the
+target also prunes this source from any inref *not* listed -- which is safe
+because the sender builds the list from its committed table at send time,
+and per-pair FIFO delivery means no insert from the same sender can be
+outstanding behind it.  Both kinds ride one at-least-once channel: contiguous
+per-(sender, target) sequence numbers, :class:`UpdateAck`, receiver-side
+duplicate suppression.
 """
 
 from __future__ import annotations
@@ -33,40 +37,41 @@ from .inrefs import InrefTable
 
 @dataclass(frozen=True, slots=True)
 class UpdatePayload(Payload):
-    """One post-trace update batch to a single target site.
+    """The complete list of outrefs the sender holds toward one target site.
+
+    A full state transfer: the receiver sets the listed distances, prunes the
+    sender from every inref not listed, and re-anchors its delta chain here.
 
     ``seq`` is the at-least-once channel sequence number stamped by the
-    sending site (``GcConfig.reliable_updates``): contiguous per
-    (sender, target) pair, acknowledged with :class:`UpdateAck`, and used by
-    the receiver to suppress duplicate deliveries.  ``-1`` marks a payload
-    outside the reliable channel (direct construction, reliability off).
+    sending site: contiguous per (sender, target) pair, acknowledged with
+    :class:`UpdateAck`, and used by the receiver to suppress duplicate
+    deliveries.  ``-1`` marks a payload not yet stamped (direct construction).
     """
 
     distances: Tuple[Tuple[ObjectId, int], ...] = ()
-    removals: Tuple[ObjectId, ...] = ()
-    full: bool = False
     seq: int = -1
+
+    full = True  # class attribute, mirrored by UpdateDeltaPayload.full = False
 
     def with_seq(self, seq: int) -> "UpdatePayload":
         """This payload as the reliable channel stamps it."""
-        return UpdatePayload(self.distances, self.removals, self.full, seq)
+        return UpdatePayload(self.distances, seq)
 
     def size_units(self) -> int:
-        return max(1, len(self.distances) + len(self.removals))
+        return max(1, len(self.distances))
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateDeltaPayload(Payload):
     """Only what changed since the previous update to this target site.
 
-    ``GcConfig.delta_updates``: instead of re-listing distances for every
-    surviving outref, the sender diffs its committed outref table against
-    the per-destination *shipped* state (what the last update chain said)
-    and transmits ``adds`` (outrefs the peer has not been told distances
-    for), ``distances`` (changed estimates), and ``removals``.  Deltas only
-    make sense applied **in order on top of the state they were diffed
-    against**, so they require the reliable update channel: ``seq`` numbers
-    are contiguous with the full updates on the same (sender, dst) pair and
+    Instead of re-listing distances for every surviving outref, the sender
+    diffs its committed outref table against the per-destination *shipped*
+    state (what the last update chain said) and transmits ``adds`` (outrefs
+    the peer has not been told distances for), ``distances`` (changed
+    estimates), and ``removals``.  Deltas only make sense applied **in order
+    on top of the state they were diffed against**: ``seq`` numbers are
+    contiguous with the full updates on the same (sender, dst) pair and
     the receiver applies a delta only when ``seq`` is exactly one past its
     anchor (the last in-order update).  Anything else is a *gap*: the
     receiver discards the delta, requests a state transfer with
@@ -117,34 +122,39 @@ class UpdateAck(Payload):
     seq: int
 
 
+def _set_distances(
+    inrefs: InrefTable, source: SiteId, distances: Tuple[Tuple[ObjectId, int], ...]
+) -> bool:
+    """Fold ``source``'s distance estimates into the matching inrefs.
+
+    News about an inref the receiver does not hold, or does not list
+    ``source`` for, is stale (the reference was already dropped): ignored.
+    """
+    changed = False
+    for target, distance in distances:
+        entry = inrefs.get(target)
+        if entry is None or source not in entry.sources:
+            continue
+        if entry.sources[source] != distance:
+            entry.set_source_distance(source, distance)
+            changed = True
+    return changed
+
+
 def apply_update_delta(
     inrefs: InrefTable, source: SiteId, payload: UpdateDeltaPayload
 ) -> bool:
     """Apply one in-order delta at the target site.
 
-    The caller (the site's gap check) guarantees ordering; application
-    itself is the non-full half of :func:`apply_update`: adds and changed
-    distances both fold into the per-source distance of the matching inref
-    (an "add" the receiver has no source entry for is stale news about a
-    reference already dropped -- ignored, exactly like a distance for an
-    unknown source), removals empty source lists.  No prune: a delta never
-    claims to be the complete list.
+    The caller (the site's gap check) guarantees ordering.  Adds and changed
+    distances both fold into the per-source distance of the matching inref;
+    removals empty source lists.  No prune: a delta never claims to be the
+    complete list.  Returns True if any inref distance changed or any source
+    was removed, which tells the caller whether suspicion states may have
+    shifted.
     """
-    changed = False
-    for target, distance in payload.adds:
-        entry = inrefs.get(target)
-        if entry is None or source not in entry.sources:
-            continue
-        if entry.sources[source] != distance:
-            entry.set_source_distance(source, distance)
-            changed = True
-    for target, distance in payload.distances:
-        entry = inrefs.get(target)
-        if entry is None or source not in entry.sources:
-            continue
-        if entry.sources[source] != distance:
-            entry.set_source_distance(source, distance)
-            changed = True
+    changed = _set_distances(inrefs, source, payload.adds)
+    changed |= _set_distances(inrefs, source, payload.distances)
     for target in payload.removals:
         entry = inrefs.get(target)
         if entry is not None and source in entry.sources:
@@ -154,34 +164,20 @@ def apply_update_delta(
 
 
 def apply_update(inrefs: InrefTable, source: SiteId, payload: UpdatePayload) -> bool:
-    """Apply an update message at the target site.
+    """Apply a full state transfer at the target site: set the listed
+    distances, prune ``source`` from every inref not listed.
 
-    Returns True if any inref distance changed or any source was removed,
-    which tells the caller whether suspicion states may have shifted.
+    Returns True if anything changed, as :func:`apply_update_delta` does.
     """
-    changed = False
-    for target, distance in payload.distances:
-        entry = inrefs.get(target)
-        if entry is None or source not in entry.sources:
+    changed = _set_distances(inrefs, source, payload.distances)
+    listed = {target for target, _ in payload.distances}
+    # The per-source index makes this prune proportional to the inrefs
+    # actually sourced from the sender, not the whole table.
+    for target in inrefs.targets_from_source(source):
+        if target in listed:
             continue
-        if entry.sources[source] != distance:
-            entry.set_source_distance(source, distance)
-            changed = True
-    for target in payload.removals:
         entry = inrefs.get(target)
         if entry is not None and source in entry.sources:
             inrefs.remove_source(target, source)
             changed = True
-    if payload.full:
-        listed = {target for target, _ in payload.distances}
-        listed.update(payload.removals)
-        # The per-source index makes this prune proportional to the inrefs
-        # actually sourced from the sender, not the whole table.
-        for target in inrefs.targets_from_source(source):
-            if target in listed:
-                continue
-            entry = inrefs.get(target)
-            if entry is not None and source in entry.sources:
-                inrefs.remove_source(target, source)
-                changed = True
     return changed

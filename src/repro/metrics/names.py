@@ -98,7 +98,7 @@ UPDATE_RETRANSMITS_ABANDONED = "gc.update_retransmits_abandoned"
 
 #: Delta payloads built at trace commit (sender side).
 UPDATE_DELTAS_SENT = "gc.update_deltas_sent"
-#: Periodic full state transfers built at trace commit in delta mode.
+#: Periodic full state transfers built at trace commit.
 UPDATE_FULL_REFRESHES = "gc.update_full_refreshes"
 #: Deltas rejected by the receiver's in-order gap check.
 UPDATE_GAPS_DETECTED = "gc.update_gaps_detected"

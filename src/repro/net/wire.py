@@ -237,9 +237,8 @@ class WireCodec:
         out.append(_I64.pack(payload.seq))
 
     def _pack_update(self, out: List[bytes], payload: UpdatePayload) -> None:
-        out.append(struct.pack("<Bq", 1 if payload.full else 0, payload.seq))
+        out.append(_I64.pack(payload.seq))
         self._pack_pairs(out, payload.distances)
-        self._oid_list(out, payload.removals)
 
     def _pack_delta(self, out: List[bytes], payload: UpdateDeltaPayload) -> None:
         out.append(_I64.pack(payload.seq))
@@ -518,16 +517,9 @@ class WireCodec:
         return UpdateAck(seq=seq), off + 8
 
     def _unpack_update(self, buf, off: int):
-        full, seq = struct.unpack_from("<Bq", buf, off)
-        off += 9
-        distances, off = self._read_pairs(buf, off)
-        removals, off = self._read_oid_list(buf, off)
-        return (
-            UpdatePayload(
-                distances=distances, removals=removals, full=bool(full), seq=seq
-            ),
-            off,
-        )
+        (seq,) = _I64.unpack_from(buf, off)
+        distances, off = self._read_pairs(buf, off + 8)
+        return UpdatePayload(distances=distances, seq=seq), off
 
     def _unpack_delta(self, buf, off: int):
         (seq,) = _I64.unpack_from(buf, off)

@@ -18,10 +18,10 @@ lookahead``, where the shard lookahead is the tightest per-pair latency
 floor over its outbound links (:meth:`Network.min_cross_latency`, falling
 back to ``NetworkConfig.min_latency``), and provably-quiet GC-tick chains
 are looked *through* (:meth:`Site.quiet_gc_ticks`): a tick that will skip --
-and, in delta mode, a forced full trace that will recompute the cached
-result and ship nothing -- contributes its first possibly-sending successor
-instead of itself.  Quiet stretches thus collapse into one window (a
-*quiescence jump* goes straight to the target), and when a window was
+and a forced full trace that will recompute the cached result and ship
+nothing -- contributes its first possibly-sending successor instead of
+itself.  Quiet stretches thus collapse into one window (a *quiescence
+jump* goes straight to the target), and when a window was
 dispatched with no routed input the next window command is issued before
 all replies are drained (*pipelined dispatch*), overlapping worker compute
 with coordination.
@@ -116,29 +116,21 @@ _INF = float("inf")
 RoutedMessage = Tuple[float, Message]
 
 
-def assign_shards(
-    site_ids, workers: int, policy: str = "contiguous"
-) -> List[List[SiteId]]:
+def assign_shards(site_ids, workers: int) -> List[List[SiteId]]:
     """Partition ``site_ids`` into at most ``workers`` non-empty shards.
 
-    ``contiguous`` slices the sorted site list into balanced runs (sizes
-    differ by at most one; neighbours stay together, which minimizes
-    cross-shard traffic for ring-like topologies).  ``round_robin`` deals
-    sites out cyclically (balances heterogeneous per-site load).
+    Slices the sorted site list into balanced contiguous runs (sizes differ
+    by at most one; neighbours stay together, which minimizes cross-shard
+    traffic for ring-like topologies).
     """
     ordered = sorted(site_ids)
     workers = max(1, min(workers, len(ordered)))
-    if policy == "round_robin":
-        shards = [ordered[index::workers] for index in range(workers)]
-    elif policy == "contiguous":
-        base, extra = divmod(len(ordered), workers)
-        shards, start = [], 0
-        for index in range(workers):
-            size = base + (1 if index < extra else 0)
-            shards.append(ordered[start : start + size])
-            start += size
-    else:
-        raise SimulationError(f"unknown shard policy {policy!r}")
+    base, extra = divmod(len(ordered), workers)
+    shards, start = [], 0
+    for index in range(workers):
+        size = base + (1 if index < extra else 0)
+        shards.append(ordered[start : start + size])
+        start += size
     return [shard for shard in shards if shard]
 
 
@@ -757,9 +749,7 @@ class ParallelSimulation(Simulation):
             if self._closed:
                 raise SimulationError("parallel simulation has been closed")
             return
-        shards = assign_shards(
-            self.sites, self.config.parallel_workers, self.config.shard_policy
-        )
+        shards = assign_shards(self.sites, self.config.parallel_workers)
         if len(shards) < 2:
             warnings.warn(
                 "parallel run degenerates to one shard "

@@ -18,7 +18,6 @@ system.  It also owns the site-local policies the paper describes:
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -87,16 +86,6 @@ class Site:
         self.network = network
         self.config = config
         self.metrics = metrics or MetricsRecorder()
-        if config.delta_updates and not config.reliable_updates:
-            # Deltas are diffs against in-order state; without the reliable
-            # channel there is no ordering to anchor them to.  The collector
-            # makes the same check and builds legacy full updates instead.
-            warnings.warn(
-                f"site {site_id}: delta_updates requires reliable_updates; "
-                "falling back to full update snapshots",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self._jitter_rng = jitter_rng
         self.on_mutator_hop = on_mutator_hop
         self.on_trace_outcome = on_trace_outcome
@@ -192,11 +181,10 @@ class Site:
         # The next GC tick pushes them a fresh full update -- even a tick
         # whose local trace is skipped by the incremental planner.
         self._desynced_peers: Set[SiteId] = set()
-        # Delta-update ordering state (``GcConfig.delta_updates``): per peer,
-        # the sequence number of the last update applied *in order* (the
-        # anchor a delta must sit exactly one past), and the peers whose
-        # chain gapped -- their deltas are rejected until a full update
-        # re-anchors them.
+        # Delta-update ordering state: per peer, the sequence number of the
+        # last update applied *in order* (the anchor a delta must sit exactly
+        # one past), and the peers whose chain gapped -- their deltas are
+        # rejected until a full update re-anchors them.
         self._update_anchor: Dict[SiteId, int] = {}
         self._update_unanchored: Set[SiteId] = set()
         self._handlers = {
@@ -359,20 +347,18 @@ class Site:
     def run_local_trace(self, force_full: bool = False) -> Optional[LocalTraceResult]:
         """Run one local trace (non-atomic if configured so).
 
-        With ``incremental_traces`` on, the collector's dirty-tracking layer
-        may resolve the tick without retracing: a **skip** when nothing
-        relevant changed since the last committed trace (no recompute, no
-        update messages -- observationally identical to a redundant full
-        trace), or a distance-only **fast path** when only suspected-inref
-        distances moved.  ``force_full`` bypasses the planner (used by tests
-        and oracles that want a guaranteed fresh trace).
+        The collector's dirty-tracking layer may resolve the tick without
+        retracing: a **skip** when nothing relevant changed since the last
+        committed trace (no recompute, no update messages -- observationally
+        identical to a redundant full trace), or a distance-only **fast
+        path** when only suspected-inref distances moved.  ``force_full``
+        bypasses the planner (used by tests and oracles that want a
+        guaranteed fresh trace).
         """
         if self.crashed or self._tracing:
             return None
         variable_outrefs = set(self._variable_outrefs)
-        mode = "full"
-        if self.config.incremental_traces and not force_full:
-            mode = self.collector.plan_trace(variable_outrefs)
+        mode = "full" if force_full else self.collector.plan_trace(variable_outrefs)
         if mode == "skip":
             self.collector.record_skip()
             # A skipped trace sends no updates, so peers that lost our
@@ -422,14 +408,11 @@ class Site:
     def _send_update(self, dst: SiteId, payload: UpdatePayload, attempts: int = 0) -> None:
         """Send one post-trace update, retransmitted until acknowledged.
 
-        With ``reliable_updates`` off this is a plain send.  Otherwise the
-        payload is stamped with the next per-destination sequence number and
-        a retransmission timer is armed; ``attempts`` counts retransmissions
-        already spent on this repair and doubles the timer (capped at 8x).
+        The payload is stamped with the next per-destination sequence number
+        and a retransmission timer is armed; ``attempts`` counts
+        retransmissions already spent on this repair and doubles the timer
+        (capped at 8x).
         """
-        if not self.config.reliable_updates:
-            self.send(dst, payload)
-            return
         seq = self._update_seq.get(dst, 0) + 1
         self._update_seq[dst] = seq
         payload = payload.with_seq(seq)
@@ -503,7 +486,7 @@ class Site:
         """The complete current outref list toward ``dst`` (idempotent).
 
         Delegates to the collector, which owns the per-destination shipped
-        state that delta mode must re-base on every full state transfer.
+        state that every full state transfer must re-base.
         """
         return self.collector.build_full_update(dst)
 
@@ -728,13 +711,10 @@ class Site:
                 return
         apply_update(self.inrefs, message.src, payload)
         if payload.seq > 0:
-            if payload.full:
-                # A full update is self-contained state: it re-anchors the
-                # delta chain regardless of what was missed before it.
-                self._update_anchor[message.src] = payload.seq
-                self._update_unanchored.discard(message.src)
-            elif payload.seq == self._update_anchor.get(message.src, 0) + 1:
-                self._update_anchor[message.src] = payload.seq
+            # A full update is self-contained state: it re-anchors the delta
+            # chain regardless of what was missed before it.
+            self._update_anchor[message.src] = payload.seq
+            self._update_unanchored.discard(message.src)
 
     def _on_update_delta(self, message: Message) -> None:
         payload: UpdateDeltaPayload = message.payload

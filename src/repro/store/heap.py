@@ -301,7 +301,7 @@ class Heap:
     def objects_map(self) -> Dict[ObjectId, HeapObject]:
         """The internal oid->object mapping, no copy -- read-only by convention.
 
-        The legacy clean phase's hot loop uses it for membership tests and
+        The reference clean phase's hot loop uses it for membership tests and
         successor fetches without a method call per edge; everything else
         should go through :meth:`get` / :meth:`contains`.
         """

@@ -24,6 +24,7 @@ def make_sim(
     gc: GcConfig = None,
     network: NetworkConfig = None,
     latency_model=None,
+    fault_plan: FaultPlan = None,
 ) -> Simulation:
     """A simulation with the given sites and controlled (manual) GC."""
     config = SimulationConfig(
@@ -31,7 +32,7 @@ def make_sim(
         gc=gc or GcConfig(),
         network=network or NetworkConfig(),
     )
-    sim = Simulation(config, latency_model=latency_model)
+    sim = Simulation(config, latency_model=latency_model, fault_plan=fault_plan)
     sim.add_sites(list(sites), auto_gc=auto_gc)
     return sim
 

@@ -7,9 +7,11 @@ traces touching a dead site time out and conservatively decide Live.
 
 import pytest
 
-from repro import GcConfig, NetworkConfig
+from repro import GcConfig
 from repro.analysis import Oracle
 from repro.core.backtrace.messages import TraceOutcome
+from repro.metrics import names
+from repro.net.faults import FaultPlan
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 from ..conftest import collect_until_clean, make_sim
@@ -90,22 +92,28 @@ def test_lost_backtrace_messages_safe_with_drops():
     """Random message loss: timeouts decide Live; safety holds; collection
     eventually succeeds in a loss-free window."""
     sites = ["a", "b", "c"]
+    loss_ends = 2500.0
     sim = make_sim(
         sites=sites,
         gc=fast_timeout_gc(),
-        network=NetworkConfig(drop_probability=0.3),
+        fault_plan=FaultPlan.loss(0.3, end=loss_ends),
     )
     workload = build_ring_cycle(sim, sites)
     for _ in range(2):
         sim.run_gc_round()
     workload.make_garbage(sim)
     oracle = Oracle(sim)
-    for _ in range(40):
+    while sim.now < loss_ends:
         sim.run_gc_round()
         oracle.check_safety()
-    # Stop dropping (config object is frozen; replace the network config).
-    sim.network._config = NetworkConfig(drop_probability=0.0)
+    dropped_in_window = sim.metrics.count(names.MSG_DROPPED_FAULT)
+    assert dropped_in_window >= 1
+    assert sim.metrics.count(names.BACKTRACE_COMPLETED_TIMEOUT_LIVE) >= 1
+    # Still uncollected when the window closes, so the next phase has work.
+    assert oracle.garbage_set()
     collect_until_clean(sim, oracle, max_rounds=120)
+    assert sim.metrics.count(names.MSG_DROPPED_FAULT) == dropped_in_window
+    assert not oracle.garbage_set()
 
 
 def test_outcome_timeout_clears_visited_marks():

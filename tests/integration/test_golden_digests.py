@@ -1,6 +1,6 @@
 """Golden digests: the five perf-ledger scenarios and the hot-path legs.
 
-``tests/golden/ledger_digests.json`` holds two sections, each recorded at
+``tests/golden/ledger_digests.json`` holds three sections, each recorded at
 the commit named in its ``recorded_at`` field:
 
 - ``digests``: the ledger's five scenarios at smoke size, recorded *before*
@@ -17,6 +17,13 @@ the commit named in its ``recorded_at`` field:
   carried that engine, with both engines run and found equal at recording
   time; the digests now hold what the engine held: snapshots, counter values
   *and first-touch creation order*, trace outcomes, events fired.
+- ``data_plane``: the scenarios on which the update protocol (sequenced
+  deltas over the acknowledged channel), the flat clean-phase kernel and the
+  verdict cache / coalescing / call batching were twinned against the
+  full-snapshot protocol, the set-based kernel and the plain back tracer.
+  Recorded at the last commit that could still select those, on the default
+  configuration; the three scenario functions live with the tests that keep
+  auditing them against the oracle.
 
 A change that claims byte identity must leave every digest here untouched; a
 change that moves one on purpose re-records the file (run this module:
@@ -39,6 +46,9 @@ from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis.export import graph_snapshot
 from repro.net.faults import FaultPlan
 from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
+
+from ..unit import test_delta_updates
+from . import test_cache_equivalence, test_data_plane_equivalence
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "ledger_digests.json"
 SEEDS = (3, 7)
@@ -87,6 +97,16 @@ ENGINE_INDEPENDENT_KEYS = ("snapshot", "counters", "outcomes")
 def _digest(value) -> str:
     blob = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+def _state_digests(snapshot, counters, outcomes) -> dict:
+    return {
+        "snapshot": _digest(snapshot["sites"]),
+        "counters": _digest(sorted((k, v) for k, v in counters.items() if v)),
+        "outcomes": _digest(
+            [[t, site, str(trace), str(verdict)] for t, site, trace, verdict in outcomes]
+        ),
+    }
 
 
 def hot_path_digests(seed, workers=1, chaos=False, defer=False) -> dict:
@@ -140,19 +160,41 @@ def hot_path_digests(seed, workers=1, chaos=False, defer=False) -> dict:
         counters = sim.metrics.snapshot().counters
         events_fired = sim.scheduler.events_fired
     return {
-        "snapshot": _digest(snapshot["sites"]),
-        "counters": _digest(sorted((k, v) for k, v in counters.items() if v)),
+        **_state_digests(snapshot, counters, outcomes),
         # Ordered items: first-touch creation order is part of the identity.
         "counter_order": worker.counter_order_digest(counters),
-        "outcomes": _digest(
-            [[t, site, str(trace), str(verdict)] for t, site, trace, verdict in outcomes]
-        ),
         "events_fired": events_fired,
     }
 
 
 def record_hot_path() -> dict:
     return {leg: hot_path_digests(**kwargs) for leg, kwargs in HOT_PATH_LEGS.items()}
+
+
+# -- data-plane legs -----------------------------------------------------------
+
+DATA_PLANE_LEGS = {
+    "data_plane@5": (test_data_plane_equivalence.run_scenario, 5),
+    "data_plane@23": (test_data_plane_equivalence.run_scenario, 23),
+    "cache@0": (test_cache_equivalence.run_scenario, 0),
+    "cache@7": (test_cache_equivalence.run_scenario, 7),
+    "delta@0": (test_delta_updates.run_scenario, 0),
+    "delta@7": (test_delta_updates.run_scenario, 7),
+}
+
+
+def data_plane_digests(leg: str) -> dict:
+    scenario, seed = DATA_PLANE_LEGS[leg]
+    sim = scenario(seed)
+    counters = sim.metrics.snapshot().counters
+    return {
+        **_state_digests(graph_snapshot(sim), counters, sim.trace_outcomes),
+        "counter_order": _digest(list(counters)),
+    }
+
+
+def record_data_plane() -> dict:
+    return {leg: data_plane_digests(leg) for leg in DATA_PLANE_LEGS}
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +210,11 @@ def golden(golden_file) -> dict:
 @pytest.fixture(scope="module")
 def golden_hot_path(golden_file) -> dict:
     return golden_file["hot_path"]["digests"]
+
+
+@pytest.fixture(scope="module")
+def golden_data_plane(golden_file) -> dict:
+    return golden_file["data_plane"]["digests"]
 
 
 def test_golden_file_covers_every_scenario_and_seed(golden):
@@ -202,6 +249,11 @@ def test_sharded_hot_path_leg_equals_the_sequential_one(golden_hot_path, workers
         assert sharded[key] == sequential[key]
 
 
+@pytest.mark.parametrize("leg", sorted(DATA_PLANE_LEGS))
+def test_data_plane_leg_matches_its_golden_digests(golden_data_plane, leg):
+    assert data_plane_digests(leg) == golden_data_plane[leg]
+
+
 if __name__ == "__main__":
     import subprocess
 
@@ -214,6 +266,10 @@ if __name__ == "__main__":
                 "recorded_at": commit,
                 "digests": record(),
                 "hot_path": {"recorded_at": commit, "digests": record_hot_path()},
+                "data_plane": {
+                    "recorded_at": commit,
+                    "digests": record_data_plane(),
+                },
             },
             indent=1,
         )

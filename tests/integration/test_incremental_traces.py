@@ -6,11 +6,9 @@ visible state -- heaps, ioref tables, update traffic, and oracle-checked
 liveness -- has to be exactly what a full trace would have produced.
 These tests drive a bench_e13-style system (live cross-site chain plus a
 2-site garbage cycle) through collection into steady state and compare
-against forced full traces and an ``incremental_traces=False`` twin run
-on the same seed.
+against forced full traces, both on the spot and as a twin run of the same
+seed whose every round retraces from scratch (:func:`run_full_round`).
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -36,9 +34,17 @@ def build_system(gc: GcConfig, seed: int = 7):
     return sim, builder, cycle
 
 
-def collect_until_clean(sim, oracle, max_rounds=40):
+def run_full_round(sim):
+    """``Simulation.run_gc_round`` with the incremental planner bypassed."""
+    for site_id in sorted(sim.sites):
+        sim.site(site_id).run_local_trace(force_full=True)
+        sim.scheduler.run_for(50.0)
+    sim.settle(50.0)
+
+
+def collect_until_clean(sim, oracle, max_rounds=40, run_round=Simulation.run_gc_round):
     for round_number in range(1, max_rounds + 1):
-        sim.run_gc_round()
+        run_round(sim)
         oracle.check_safety()
         if not oracle.garbage_set():
             return round_number
@@ -150,23 +156,20 @@ def test_distance_ratchet_rides_the_fast_path():
     # With back tracing disabled the suspected cycle's distances ratchet up
     # forever: after the classification flip, every tick at the cycle sites
     # is a distance-only change, i.e. exactly the fast path's territory.
-    def run(incremental: bool):
-        gc = GcConfig(
-            incremental_traces=incremental,
-            enable_backtracing=False,
-            full_trace_every_n=1000,
-        )
+    def run(run_round):
+        gc = GcConfig(enable_backtracing=False, full_trace_every_n=1000)
         sim, _, cycle = build_system(gc)
         for _ in range(2):
-            sim.run_gc_round()
+            run_round(sim)
         cycle.make_garbage(sim)
         for _ in range(10):
-            sim.run_gc_round()
+            run_round(sim)
         return sim
 
-    incremental = run(True)
-    full = run(False)
+    incremental = run(Simulation.run_gc_round)
+    full = run(run_full_round)
     assert incremental.metrics.count("gc.traces_fast_path") > 0
+    assert full.metrics.count("gc.traces_fast_path") == 0
     # The fast path recomputes suspected distances without a heap scan.
     assert incremental.metrics.count("gc.objects_scanned") < full.metrics.count(
         "gc.objects_scanned"
@@ -176,29 +179,30 @@ def test_distance_ratchet_rides_the_fast_path():
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_incremental_and_full_modes_agree_end_to_end(seed):
-    # Same workload, same seed, collection enabled: both modes must collect
-    # the same garbage and end in byte-identical table state.
-    def run(incremental: bool):
-        gc = GcConfig(incremental_traces=incremental)
-        sim, _, cycle = build_system(gc, seed=seed)
+    # Same workload, same seed, collection enabled: planned and always-full
+    # rounds must collect the same garbage and end in byte-identical table
+    # state.
+    def run(run_round):
+        sim, _, cycle = build_system(GcConfig(), seed=seed)
         oracle = Oracle(sim)
         for _ in range(2):
-            sim.run_gc_round()
+            run_round(sim)
         cycle.make_garbage(sim)
-        rounds = collect_until_clean(sim, oracle)
+        rounds = collect_until_clean(sim, oracle, run_round=run_round)
         for _ in range(3):
-            sim.run_gc_round()
+            run_round(sim)
         oracle.check_safety()
         return sim, rounds
 
-    inc_sim, inc_rounds = run(True)
-    full_sim, full_rounds = run(False)
+    inc_sim, inc_rounds = run(Simulation.run_gc_round)
+    full_sim, full_rounds = run(run_full_round)
     assert inc_rounds == full_rounds
     assert tables_fingerprint(inc_sim) == tables_fingerprint(full_sim)
     # Incrementality actually engaged and actually saved scanning work.
     skipped = inc_sim.metrics.count("gc.traces_skipped")
     fast = inc_sim.metrics.count("gc.traces_fast_path")
     assert skipped + fast > 0
+    assert full_sim.metrics.count("gc.traces_skipped") == 0
     assert inc_sim.metrics.count("gc.objects_scanned") < full_sim.metrics.count(
         "gc.objects_scanned"
     )

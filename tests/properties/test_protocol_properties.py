@@ -8,15 +8,18 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GcConfig
 from repro.analysis import Oracle
 from repro.gc.inrefs import InrefTable
-from repro.gc.update import UpdatePayload, apply_update
+from repro.gc.update import (
+    UpdateDeltaPayload,
+    UpdatePayload,
+    apply_update,
+    apply_update_delta,
+)
 from repro.ids import ObjectId
 from repro.workloads import GraphBuilder
 
@@ -49,9 +52,9 @@ def inref_tables_and_updates(draw):
         if removal_pool
         else []
     )
-    full = draw(st.booleans())
-    payload = UpdatePayload(distances=distances, removals=removals, full=full)
-    return table, payload
+    if draw(st.booleans()):
+        return table, UpdatePayload(distances=distances)
+    return table, UpdateDeltaPayload(distances=distances, removals=removals)
 
 
 def table_state(table: InrefTable):
@@ -64,9 +67,10 @@ def table_state(table: InrefTable):
 @settings(max_examples=200, deadline=None)
 def test_update_application_is_idempotent(data):
     table, payload = data
-    apply_update(table, "P", payload)
+    apply = apply_update if payload.full else apply_update_delta
+    apply(table, "P", payload)
     first = table_state(table)
-    changed_again = apply_update(table, "P", payload)
+    changed_again = apply(table, "P", payload)
     assert table_state(table) == first
     # A repeated full update may report "changed" only if it removed
     # something new -- which it cannot have, given identical input.
@@ -77,10 +81,8 @@ def test_update_application_is_idempotent(data):
 @settings(max_examples=100, deadline=None)
 def test_full_update_prunes_unlisted_sources(data):
     table, payload = data
-    if not payload.full:
-        payload = dataclasses.replace(payload, full=True)
-    listed = {target for target, _ in payload.distances} | set(payload.removals)
-    apply_update(table, "P", payload)
+    listed = {target for target, _ in payload.distances}
+    apply_update(table, "P", UpdatePayload(distances=payload.distances))
     for entry in table.entries():
         if "P" in entry.sources:
             assert entry.target in listed

@@ -148,9 +148,9 @@ def test_trigger_check_answers_from_cache_without_trace():
 
 
 def test_coalesced_trace_receives_live_from_older_trace():
-    # Caching off isolates the coalescing path (a cache hit at P would answer
-    # the second trace before it ever reaches the first trace's frame).
-    sim = make_sim(network=fixed_latency_network(), gc=GcConfig(backtrace_cache=False))
+    # Both traces start before either has a verdict to cache, so the second
+    # meets the first's active frame at P, not a cache entry.
+    sim = make_sim(network=fixed_latency_network())
     b = build_anchored_cycle(sim)
     prepare(sim)
     t1 = sim.site("P").engine.start_trace(b["q"])
@@ -161,21 +161,6 @@ def test_coalesced_trace_receives_live_from_older_trace():
     assert verdicts[t1] is TraceOutcome.LIVE
     assert verdicts[t2] is TraceOutcome.LIVE
     assert sim.metrics.count("backtrace.coalesced") >= 1
-
-
-def test_coalescing_disabled_still_completes_both_traces():
-    cfg = GcConfig(backtrace_cache=False, backtrace_coalesce=False)
-    sim = make_sim(network=fixed_latency_network(), gc=cfg)
-    b = build_anchored_cycle(sim)
-    prepare(sim)
-    t1 = sim.site("P").engine.start_trace(b["q"])
-    t2 = sim.site("Q").engine.start_trace(b["p"])
-    assert t1 is not None and t2 is not None
-    sim.settle()
-    verdicts = {outcome[2]: outcome[3] for outcome in sim.trace_outcomes}
-    assert verdicts[t1] is TraceOutcome.LIVE
-    assert verdicts[t2] is TraceOutcome.LIVE
-    assert sim.metrics.count("backtrace.coalesced") == 0
 
 
 def test_initiator_crash_timeout_live_is_not_cached():
@@ -202,7 +187,7 @@ def test_initiator_crash_timeout_live_is_not_cached():
     assert sim.metrics.count("backtrace.outcome_timeouts") >= 1
     for site_id in ("Q", "R"):
         engine = sim.sites[site_id].engine
-        assert engine.cache is not None and len(engine.cache) == 0
+        assert len(engine.cache) == 0
     # No verdict was applied as garbage anywhere.
     for site_id in ("Q", "R"):
         for entry in sim.sites[site_id].inrefs.entries():
@@ -230,25 +215,6 @@ def test_back_calls_to_same_destination_ship_as_one_batch():
     assert sim.metrics.count("messages.BackCallBatch") >= 1
     assert sim.metrics.count("backtrace.calls_batched") >= 2
     # The structure is unanchored garbage: the trace must still conclude so.
-    assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE
-
-
-def test_batching_disabled_sends_plain_calls():
-    cfg = GcConfig(backtrace_batch_calls=False)
-    sim = make_sim(sites=("P", "Q"), network=fixed_latency_network(), gc=cfg)
-    b = GraphBuilder(sim)
-    a, bb, c = b.obj("Q", "a"), b.obj("Q", "b"), b.obj("Q", "c")
-    p = b.obj("P", "p")
-    b.link(a, c)
-    b.link(bb, c)
-    b.link(c, p)
-    b.link(p, a)
-    b.link(p, bb)
-    prepare(sim)
-    assert sim.site("Q").engine.start_trace(b["p"]) is not None
-    sim.settle()
-    assert sim.metrics.count("messages.BackCallBatch") == 0
-    assert sim.metrics.count("messages.BackCall") >= 2
     assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE
 
 

@@ -215,3 +215,70 @@ def test_simulation_config_rejects_non_int_seed():
 def test_configs_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         GcConfig().suspicion_threshold = 9
+
+
+# -- the configuration surface ---------------------------------------------------
+
+GC_FIELDS = (
+    "collector",
+    "suspicion_threshold",
+    "assumed_cycle_length",
+    "back_threshold_increment",
+    "local_trace_period",
+    "local_trace_period_jitter",
+    "local_trace_duration",
+    "backtrace_timeout",
+    "backinfo_algorithm",
+    "enable_backtracing",
+    "enable_transfer_barrier",
+    "enable_threshold_tuning",
+    "defer_messages",
+    "defer_delay",
+    "max_traces_per_trigger_check",
+    "backtrace_cache_ttl_ticks",
+    "full_trace_every_n",
+    "full_update_period",
+    "update_retransmit_timeout",
+    "update_retransmit_limit",
+)
+NETWORK_FIELDS = (
+    "min_latency",
+    "max_latency",
+    "drop_probability",
+    "fifo_per_pair",
+    "pair_rng_streams",
+)
+SIMULATION_FIELDS = ("seed", "network", "gc", "parallel_workers")
+#: Switches that once selected a pre-optimisation leg, and overrides nothing
+#: ever set.  Each mechanism is now unconditional; none may come back as a knob.
+REMOVED_FIELDS = {
+    GcConfig: (
+        "incremental_traces",
+        "reliable_updates",
+        "delta_updates",
+        "flat_kernel",
+        "backtrace_cache",
+        "backtrace_coalesce",
+        "backtrace_batch_calls",
+        "backtrace_retry_backoff",
+        "backtrace_retry_backoff_cap",
+        "termination_trial_timeout",
+        "termination_retry_backoff",
+    ),
+    SimulationConfig: ("shard_policy",),
+}
+
+
+def test_config_surface_is_pinned():
+    # A new field is a new configuration axis for every test, bench and
+    # digest: it has to be argued for here before it reaches review.
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(GcConfig) == GC_FIELDS
+    assert names(NetworkConfig) == NETWORK_FIELDS
+    assert names(SimulationConfig) == SIMULATION_FIELDS
+    for cls, removed in REMOVED_FIELDS.items():
+        for name in removed:
+            with pytest.raises(TypeError, match=name):
+                cls(**{name: None})

@@ -310,8 +310,8 @@ def test_interleaved_commit_caches_nothing():
 # -- quiet-tick prediction (the parallel planner's lookahead source) ---------
 
 
-def make_predicting_collector(**gc_overrides):
-    config = GcConfig(full_trace_every_n=4, full_update_period=2, **gc_overrides)
+def make_predicting_collector():
+    config = GcConfig(full_trace_every_n=4, full_update_period=2)
     heap = Heap("Q")
     inrefs = InrefTable(
         "Q", config.suspicion_threshold, config.initial_back_threshold
@@ -333,20 +333,11 @@ def test_predict_quiet_ticks_extends_across_silent_forced_fulls():
     kept = c.heap.alloc()
     root.add_ref(kept.oid)
     c.run()
-    # Budget of 4 incremental skips, then one forced full that (in delta
-    # mode, with the outref epoch unchanged) ships nothing and is not the
+    # Budget of 4 incremental skips, then one forced full that (with the
+    # outref epoch unchanged) ships nothing and is not the
     # periodic refresh (full_traces_run would be 2, refresh lands on odd
     # counts under full_update_period=2), buying 1 + 4 more quiet ticks.
     assert c.predict_quiet_ticks() == 4 + (1 + 4)
-
-
-def test_predict_quiet_ticks_stops_at_budget_without_delta_mode():
-    c = make_predicting_collector(delta_updates=False)
-    c.heap.alloc(persistent_root=True)
-    c.run()
-    # Legacy updates: a forced full always rebuilds the full snapshot and
-    # may send, so prediction cannot see past the incremental budget.
-    assert c.predict_quiet_ticks() == 4
 
 
 def test_predict_quiet_ticks_zero_after_any_epoch_change():
@@ -364,10 +355,3 @@ def test_predict_quiet_ticks_zero_when_variable_roots_changed():
     c.run()
     assert c.predict_quiet_ticks() > 0
     assert c.predict_quiet_ticks(variable_outrefs=[held.oid]) == 0
-
-
-def test_predict_quiet_ticks_zero_without_incremental_traces():
-    c = make_predicting_collector(incremental_traces=False)
-    c.heap.alloc(persistent_root=True)
-    c.run()
-    assert c.predict_quiet_ticks() == 0

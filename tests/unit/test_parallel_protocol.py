@@ -199,17 +199,12 @@ def test_planner_counts_bounds_past_the_fixed_step_as_jumps():
 
 
 def test_contiguous_shards_are_balanced_slices():
-    shards = assign_shards(["s5", "s1", "s3", "s2", "s4"], 2, "contiguous")
+    shards = assign_shards(["s5", "s1", "s3", "s2", "s4"], 2)
     assert shards == [["s1", "s2", "s3"], ["s4", "s5"]]
 
 
-def test_round_robin_shards_deal_cyclically():
-    shards = assign_shards(["a", "b", "c", "d", "e"], 2, "round_robin")
-    assert shards == [["a", "c", "e"], ["b", "d"]]
-
-
 def test_more_workers_than_sites_collapses():
-    shards = assign_shards(["a", "b"], 8, "contiguous")
+    shards = assign_shards(["a", "b"], 8)
     assert shards == [["a"], ["b"]]
 
 

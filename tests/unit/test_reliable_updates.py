@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
-from repro.gc.update import UpdatePayload
+from repro.gc.update import UpdateDeltaPayload, UpdatePayload
 from repro.metrics import names
 from repro.net.faults import FaultPlan
 from repro.net.reliability import DedupWindow
@@ -18,7 +18,7 @@ def make_sim(gc=None, plan=None, seed=1):
 
 
 def empty_delta():
-    return UpdatePayload(distances=(), removals=())
+    return UpdateDeltaPayload()
 
 
 # -- DedupWindow -------------------------------------------------------------
@@ -59,16 +59,6 @@ def test_update_is_sequenced_acked_and_timer_cancelled():
     assert receiver._update_dedup["A"].high_water == 2
 
 
-def test_unreliable_mode_is_a_plain_send():
-    sim = make_sim(gc=GcConfig(reliable_updates=False))
-    sender = sim.site("A")
-    sender._send_update("B", empty_delta())
-    sim.settle()
-    assert not sender._pending_updates
-    assert sim.metrics.count(names.msg_sent("UpdatePayload")) == 1
-    assert sim.metrics.count(names.msg_sent("UpdateAck")) == 0
-
-
 # -- duplicates --------------------------------------------------------------
 
 
@@ -84,7 +74,7 @@ def test_duplicated_update_is_suppressed_but_reacked():
     )
     sim = make_sim(plan=plan)
     sender = sim.site("A")
-    sender._send_update("B", empty_delta())
+    sender._send_update("B", UpdatePayload())
     sim.settle()
     assert sim.metrics.count(names.dup_suppressed("UpdatePayload")) == 1
     # Both deliveries were acked (either ack may be the one that survives a
@@ -108,7 +98,9 @@ def test_lost_update_is_retransmitted_as_full_until_acked():
     assert not sender._pending_updates
     assert sim.metrics.count(names.UPDATE_RETRANSMITS) == 2
     assert sim.metrics.count(names.UPDATE_RETRANSMITS_ABANDONED) == 0
-    assert sim.metrics.count(names.msg_dropped_kind("UpdatePayload")) == 2
+    assert sim.metrics.count(names.msg_dropped_kind("UpdateDeltaPayload")) == 1
+    assert sim.metrics.count(names.msg_dropped_kind("UpdatePayload")) == 1
+    assert sim.metrics.count(names.msg_delivered_kind("UpdatePayload")) == 1
 
 
 def test_retransmit_backoff_doubles_and_caps():

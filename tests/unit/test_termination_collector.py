@@ -136,7 +136,7 @@ def test_mid_trial_relink_dirties_and_spares_the_ring():
 
 def test_lost_credit_times_out_then_retries_to_collection():
     plan = FaultPlan.loss(0.5, start=300.0, end=1500.0)
-    sim = _sim(plan=plan, termination_trial_timeout=200.0)
+    sim = _sim(plan=plan, backtrace_timeout=200.0)
     ring = build_ring_cycle(sim, SITES)
     oracle = Oracle(sim)
     sim.run_for(250.0)

@@ -91,8 +91,6 @@ payloads = st.one_of(
     st.builds(
         UpdatePayload,
         distances=dist_pairs,
-        removals=oid_tuples,
-        full=st.booleans(),
         seq=seqs,
     ),
     st.builds(
@@ -243,7 +241,7 @@ def test_refresh_request_roundtrip():
 
 
 def test_empty_update_and_batches_roundtrip():
-    _roundtrip_one(UpdatePayload(distances=(), removals=(), full=True, seq=0))
+    _roundtrip_one(UpdatePayload(distances=(), seq=0))
     _roundtrip_one(BackCallBatch(calls=()))
     _roundtrip_one(BackReplyBatch(replies=()))
 
@@ -258,9 +256,7 @@ def test_out_of_range_distance_demotes_to_pickled_fallback():
     # A distance beyond i32 cannot use the compact encoding; the record
     # must fall back to pickling and still round-trip exactly.
     codec = WireCodec(SITES)
-    payload = UpdatePayload(
-        distances=((ObjectId("w01", 4), 2**40),), removals=(), seq=1
-    )
+    payload = UpdatePayload(distances=((ObjectId("w01", 4), 2**40),), seq=1)
     batch = [(1.0, Message(src="w00", dst="w01", payload=payload, uid=1))]
     blob = codec.pack_routed(batch)
     [(_, _, _, kind, _, _)] = list(codec.scan_blob(blob))
