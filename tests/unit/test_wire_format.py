@@ -5,12 +5,18 @@ reproducing the routed batch *exactly* -- same payload values, same uid and
 dup flag, same delivery times.  Hypothesis generates every packed payload
 kind (including the field-less and empty-collection shapes) plus adversarial
 values that must demote cleanly to the pickled fallback.
+
+The bytes themselves are pinned per kind by ``tests/golden/wire_records.json``
+(``GOLDEN_CASES`` below); a change that moves the format on purpose re-records
+it with ``PYTHONPATH=src python -m tests.unit.test_wire_format``.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,14 +342,214 @@ def test_record_length_mismatch_is_detected():
     )
     blob.extend(b"\x00" * 4)  # trailing garbage inside the framed record
     # Corrupt the framed length so decode and frame disagree.
-    import struct
-
     header = struct.Struct("<BBHHqdI")
     fields = list(header.unpack_from(blob, 4))
     fields[-1] += 4
     header.pack_into(blob, 4, *fields)
     with pytest.raises(SimulationError, match="length mismatch"):
         codec.unpack_blob(bytes(blob))
+
+
+# -- recorded bytes, one entry per kind and per edge shape ----------------------
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "wire_records.json"
+HEADER = struct.Struct("<BBHHqdI")
+#: Header bytes ahead of ``payload_len``: all a kind-0 record pins, since the
+#: pickled body (and so its length) may vary with the Python minor version.
+ROUTING_PREFIX = HEADER.size - 4
+
+_TRACE = TraceId(initiator="w02", seq=5)
+_CALL = BackCall(
+    trace_id=_TRACE, target=ObjectId("w03", 11), reply_to=FrameId("w02", 8), seq=21
+)
+_REPLY = BackReply(
+    trace_id=_TRACE,
+    reply_to=FrameId("w02", 8),
+    verdict=TraceOutcome.GARBAGE,
+    participants=frozenset({"w09", "w03", "w11"}),
+    cache_expires_at=None,
+    timed_out=False,
+)
+_REPLY_LIVE = BackReply(
+    trace_id=TraceId(initiator="w11", seq=2**33),
+    reply_to=FrameId("w00", 0),
+    verdict=TraceOutcome.LIVE,
+    participants=frozenset(),
+    cache_expires_at=412.75,
+    timed_out=True,
+)
+_PAIRS = ((ObjectId("w01", 4), 3), (ObjectId("w10", 2**35), 2**31 - 1))
+
+
+def _case(payload, src="w00", dst="w03", uid=7, dup=False, deliver_at=12.5):
+    return deliver_at, Message(src=src, dst=dst, payload=payload, uid=uid, dup=dup)
+
+
+#: name -> (deliver_at, message).  Fixed literals: the recorded hex is the
+#: format's reference, so an entry is only ever added, never edited.
+GOLDEN_CASES = {
+    "update": _case(UpdatePayload(distances=_PAIRS, seq=17)),
+    "update_empty": _case(UpdatePayload(())),
+    "delta": _case(
+        UpdateDeltaPayload(
+            adds=_PAIRS[:1],
+            distances=_PAIRS[1:],
+            removals=(ObjectId("w05", 6), ObjectId("w00", 0)),
+            seq=18,
+        ),
+        src="w11",
+        dst="w00",
+        uid=2**40,
+        deliver_at=1e9 + 0.125,
+    ),
+    "delta_empty": _case(UpdateDeltaPayload()),
+    "refresh_request": _case(UpdateRefreshRequest()),
+    "ack": _case(UpdateAck(seq=5)),
+    "ack_dup": _case(UpdateAck(seq=5), dup=True),
+    "back_call": _case(_CALL),
+    "back_reply": _case(_REPLY),
+    "back_reply_live_cached_timed_out": _case(_REPLY_LIVE),
+    "back_outcome": _case(BackOutcome(trace_id=_TRACE, verdict=TraceOutcome.GARBAGE)),
+    "back_outcome_cached": _case(
+        BackOutcome(
+            trace_id=_TRACE, verdict=TraceOutcome.LIVE, cache_expires_at=99.5
+        )
+    ),
+    "call_batch": _case(
+        BackCallBatch(
+            calls=(
+                _CALL,
+                BackCall(
+                    trace_id=_TRACE,
+                    target=ObjectId("w03", 12),
+                    reply_to=FrameId("w02", 9),
+                ),
+            )
+        )
+    ),
+    "call_batch_empty": _case(BackCallBatch(calls=())),
+    "reply_batch": _case(BackReplyBatch(replies=(_REPLY, _REPLY_LIVE))),
+    "reply_batch_empty": _case(BackReplyBatch(replies=())),
+    "insert_request": _case(InsertRequest(target=ObjectId("w03", 40), seq=3)),
+    "insert_request_pinned": _case(
+        InsertRequest(
+            target=ObjectId("w03", 40),
+            pin_holder="w07",
+            release_owner_custody=True,
+            seq=4,
+        )
+    ),
+    "insert_done": _case(InsertDone(target=ObjectId("w03", 40), seq=6)),
+    "unpin": _case(UnpinRequest(target=ObjectId("w03", 40))),
+    "hop": _case(MutatorHop(mutator="m\u00fc-1", target=ObjectId("w03", 2), seq=9)),
+    "hop_unnamed": _case(MutatorHop(mutator="", target=ObjectId("w03", 2))),
+    "copy": _case(
+        RemoteCopy(ref=ObjectId("w04", 1), dest_holder=ObjectId("w03", 2), seq=10)
+    ),
+    "copy_pinned": _case(
+        RemoteCopy(
+            ref=ObjectId("w04", 1),
+            dest_holder=ObjectId("w03", 2),
+            pin_holder="w00",
+            seq=11,
+        )
+    ),
+    "trial_mark": _case(
+        TrialMark(
+            trial=("w01", 7),
+            targets=(ObjectId("w03", 3), ObjectId("w03", 5)),
+            credit=Fraction(3, 8),
+            seq=12,
+        )
+    ),
+    "trial_mark_no_targets": _case(TrialMark(trial=("w01", 7), targets=())),
+    "trial_rescue_start": _case(
+        TrialRescueStart(
+            trial=("w01", 7),
+            member_sites=("w06", "w01", "w06"),
+            credit=Fraction(1, 3),
+            seq=13,
+        )
+    ),
+    "trial_rescue": _case(
+        TrialRescue(
+            trial=("w01", 7),
+            targets=(ObjectId("w03", 3),),
+            member_sites=("w01", "w03"),
+            credit=Fraction(1, 2**40),
+            seq=14,
+        )
+    ),
+    "trial_rescue_empty": _case(
+        TrialRescue(trial=("w01", 7), targets=(), member_sites=())
+    ),
+    "trial_ack_mark": _case(
+        TrialAck(
+            trial=("w01", 7), phase="mark", credit=Fraction(1, 4), joined=True, seq=15
+        )
+    ),
+    "trial_ack_rescue_dirty": _case(
+        TrialAck(
+            trial=("w01", 7), phase="rescue", credit=Fraction(0), dirty=True, seq=16
+        )
+    ),
+    "trial_collect": _case(TrialCollect(trial=("w01", 7), seq=19)),
+    "trial_abort": _case(TrialAbort(trial=("w01", 7), seq=20)),
+    # Kind 0: a class without a row, then one record per compact-range guard.
+    "pickled_unregistered_class": _case(Oddball(), src="w02", dst="w05", uid=9),
+    "pickled_i32_distance": _case(
+        UpdatePayload(distances=((ObjectId("w01", 4), 2**40),), seq=1)
+    ),
+    "pickled_credit_beyond_i64": _case(
+        TrialMark(
+            trial=("w01", 7),
+            targets=(ObjectId("w02", 3),),
+            credit=Fraction(1, 2**80),
+            seq=4,
+        )
+    ),
+    "pickled_unknown_phase": _case(
+        TrialAck(trial=("w00", 1), phase="weird", credit=Fraction(1, 2), seq=1)
+    ),
+}
+
+
+def record() -> dict:
+    """Pack every golden case: full hex, or the routing prefix for kind 0."""
+    codec = WireCodec(SITES)
+    records = {}
+    for name, (deliver_at, message) in GOLDEN_CASES.items():
+        packed = codec.pack_record(deliver_at, message)
+        if name.startswith("pickled_"):
+            packed = packed[:ROUTING_PREFIX]
+        records[name] = packed.hex()
+    return records
+
+
+@pytest.fixture(scope="module")
+def golden_records() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())["records"]
+
+
+def test_golden_file_covers_every_case_and_every_kind(golden_records):
+    assert set(golden_records) == set(GOLDEN_CASES)
+    kinds = {bytes.fromhex(packed)[0] for packed in golden_records.values()}
+    assert kinds == set(range(21))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_record_bytes_match_the_recorded_ones(golden_records, name):
+    codec = WireCodec(SITES)
+    deliver_at, message = GOLDEN_CASES[name]
+    record = codec.pack_record(deliver_at, message)
+    golden = bytes.fromhex(golden_records[name])
+    if name.startswith("pickled_"):
+        assert golden[0] == 0
+        assert record[:ROUTING_PREFIX] == golden
+        assert HEADER.unpack_from(record)[-1] == len(record) - HEADER.size
+    else:
+        assert record == golden
+    assert codec.unpack_record(record) == (deliver_at, message)
 
 
 # -- window reply metadata ---------------------------------------------------
@@ -387,8 +593,6 @@ def test_bare_record_scan_and_unpack_roundtrip():
 
 
 def test_unpack_record_rejects_length_mismatch():
-    import struct
-
     codec = WireCodec(SITES)
     record = bytearray(
         codec.pack_record(
@@ -402,3 +606,14 @@ def test_unpack_record_rejects_length_mismatch():
     header.pack_into(record, 0, *fields)
     with pytest.raises(SimulationError, match="length mismatch"):
         codec.unpack_record(bytes(record))
+
+
+if __name__ == "__main__":
+    import subprocess
+
+    commit = subprocess.run(
+        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    GOLDEN_PATH.write_text(
+        json.dumps({"recorded_at": commit, "records": record()}, indent=1) + "\n"
+    )
