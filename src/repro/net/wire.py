@@ -3,42 +3,48 @@
 The parallel engine's coordinator and its shard workers exchange batches of
 in-flight messages at every safe-time window.  Pickling each
 ``(deliver_at, Message)`` pair costs class-descriptor traffic and per-field
-overhead for what is, on the hot paths, a handful of small integers: the
-Allen & Terriberry system description (PAPERS.md) builds its whole data
-plane around compact batched reference-tracking records, and this module
-applies the same discipline to the process boundary.
+overhead for what is, on the hot paths, a handful of small integers: Allen &
+Terriberry (PAPERS.md) build their whole data plane around compact batched
+reference-tracking records, and this module does the same at the process
+boundary.
 
-A *record* is one routed message, encoded as a fixed header plus a
-kind-specific payload section:
+A *record* is one routed message: a fixed header plus a kind-specific
+payload section.
 
 ``+------+-------+-----+-----+-----+------------+-------------+---------+``
 ``| kind | flags | src | dst | uid | deliver_at | payload_len | payload |``
 ``|  u8  |  u8   | u16 | u16 | i64 |    f64     |     u32     |   ...   |``
 
+**The ``_KINDS`` table is the format** of the payload section: one row per
+kind -- its code, its payload class, its fields *in wire order* -- each field
+with a type from ``_field_codecs``; one loop each way (``_encode_fields`` /
+``_decode_fields``) walks a row.  Kind codes and field order *are* the bytes.
 Site ids are interned against the simulation's sorted site list (both ends
 derive the same table from the pre-fork site set), object ids become
-``(site u16, serial i64)`` pairs, and list-valued fields ship as bulk
-``struct`` arrays.  Every field round-trips exactly -- floats via IEEE
-doubles, enums via stable codes -- so a packed batch is observationally
-identical to the pickled one (the property tests assert
-``unpack(pack(x)) == x`` for every packed kind).
+``(site u16, serial i64)`` pairs, lists ship as bulk ``struct`` columns, and
+every field round-trips exactly -- floats as IEEE doubles, enums as stable
+codes, credits as integer pairs.  A payload class without a row, or a value
+outside a field's compact range, ships as an individually pickled record
+(``kind == 0``), so the format is total over arbitrary payloads.
 
-Hot payload kinds (updates, deltas, acks, back calls/replies/outcomes and
-their batches, inserts, mutator hops/copies) have dedicated packers; any
-other payload -- or a packable kind with a field outside the compact ranges
--- falls back to an individually pickled record (``kind == 0``), so the
-format is total over arbitrary payloads while staying compact where it
-matters.  A *blob* is the concatenation of records for one (window,
-destination-shard) pair prefixed with a record count; the coordinator
-routes records by scanning headers alone, without decoding payload bytes.
+A *blob* is the records of one (window, destination shard) pair behind a
+record count; the coordinator routes by scanning headers alone.  Blobs come
+from another process: a frame that does not parse raises
+:class:`~repro.errors.SimulationError`, whatever is wrong with it.
+
+To add a kind: one ``_KINDS`` row (checked against the dataclass at import),
+one strategy and one ``GOLDEN_CASES`` entry in
+``tests/unit/test_wire_format.py``, re-recorded into
+``tests/golden/wire_records.json``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import struct
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..ids import FrameId, ObjectId, SiteId, TraceId
@@ -66,7 +72,7 @@ from ..gc.update import (
     UpdateRefreshRequest,
 )
 from ..mutator.ops import MutatorHop, RemoteCopy
-from .message import Message, Payload
+from .message import Message
 
 #: (deliver_at, message) pairs as prepared sender-side by Network.send.
 RoutedMessage = Tuple[float, Message]
@@ -81,24 +87,242 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_REF = struct.Struct("<Hq")
+_CREDIT = struct.Struct("<qq")
 
 _FLAG_DUP = 0x01
-
 _KIND_PICKLED = 0
-
 #: Sentinel for ``Optional[SiteId] = None`` in packed site-index slots.
 _NO_SITE = 0xFFFF
 
-_VERDICTS = (TraceOutcome.LIVE, TraceOutcome.GARBAGE)
-_VERDICT_CODE = {verdict: code for code, verdict in enumerate(_VERDICTS)}
+#: What a field writer raises for a value outside its compact range: a site
+#: or a code missing from its table, or a number ``struct`` refuses -- an
+#: i32 distance, a u16/u32 count, an i64 credit share (denominators multiply
+#: at every fan-out split).  It demotes the whole record to the pickled
+#: fallback; correctness never depends on fitting.
+_DOES_NOT_FIT = (KeyError, struct.error)
 
-_TRIAL_PHASES = ("mark", "rescue")
-_TRIAL_PHASE_CODE = {phase: code for code, phase in enumerate(_TRIAL_PHASES)}
+#: (kind code, payload class, ((field, field type), ...)) in wire order.
+# fmt: off
+_KINDS = (
+    (1, UpdatePayload, (("seq", "i64"), ("distances", "pairs"))),
+    (2, UpdateDeltaPayload,
+     (("seq", "i64"), ("adds", "pairs"), ("distances", "pairs"),
+      ("removals", "oids"))),
+    (3, UpdateRefreshRequest, ()),
+    (4, UpdateAck, (("seq", "i64"),)),
+    (5, BackCall,
+     (("trace_id", "trace"), ("target", "oid"), ("reply_to", "frame"), ("seq", "i64"))),
+    (6, BackReply,
+     (("trace_id", "trace"), ("reply_to", "frame"), ("verdict", "verdict"),
+      ("timed_out", "bool"), ("cache_expires_at", "opt_f64"),
+      ("participants", "siteset"))),
+    (7, BackOutcome,
+     (("trace_id", "trace"), ("verdict", "verdict"), ("cache_expires_at", "opt_f64"))),
+    (8, BackCallBatch, (("calls", ("batch", BackCall)),)),
+    (9, BackReplyBatch, (("replies", ("batch", BackReply)),)),
+    (10, InsertRequest,
+     (("target", "oid"), ("pin_holder", "opt_site"),
+      ("release_owner_custody", "bool"), ("seq", "i64"))),
+    (11, InsertDone, (("target", "oid"), ("seq", "i64"))),
+    (12, UnpinRequest, (("target", "oid"), ("seq", "i64"))),
+    (13, MutatorHop, (("mutator", "str"), ("target", "oid"), ("seq", "i64"))),
+    (14, RemoteCopy,
+     (("ref", "oid"), ("dest_holder", "oid"), ("pin_holder", "opt_site"),
+      ("seq", "i64"))),
+    (15, TrialMark,
+     (("trial", "trial"), ("targets", "oids"), ("credit", "credit"),
+      ("seq", "i64"))),
+    (16, TrialRescueStart,
+     (("trial", "trial"), ("member_sites", "sites"), ("credit", "credit"),
+      ("seq", "i64"))),
+    (17, TrialRescue,
+     (("trial", "trial"), ("targets", "oids"), ("member_sites", "sites"),
+      ("credit", "credit"), ("seq", "i64"))),
+    (18, TrialAck,
+     (("trial", "trial"), ("phase", "phase"), ("joined", "bool"), ("dirty", "bool"),
+      ("credit", "credit"), ("seq", "i64"))),
+    (19, TrialCollect, (("trial", "trial"), ("seq", "i64"))),
+    (20, TrialAbort, (("trial", "trial"), ("seq", "i64"))),
+)
+# fmt: on
 
-#: Compact range guards.  A value outside these bounds demotes the whole
-#: record to the pickled fallback -- correctness never depends on fitting.
-_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
-_MAX_COUNT = 0xFFFFFFFF
+
+def _check_table(kinds) -> None:
+    """Every row names exactly its class's fields, each once -- a field without
+    an entry would decode to its default, and in sharded runs only."""
+    for kind, cls, fields in kinds:
+        named = sorted(name for name, _type in fields)
+        declared = sorted(field.name for field in dataclasses.fields(cls))
+        if named != declared:
+            declares = f"{cls.__name__} declares {declared}"
+            raise TypeError(f"wire table row {kind} names {named} but {declares}")
+
+
+_check_table(_KINDS)
+
+
+def _encode_fields(writers, out: List[bytes], payload) -> None:
+    for name, write in writers:
+        write(out, getattr(payload, name))
+
+
+def _decode_fields(cls, readers, buf, off: int):
+    values = {}
+    name = None
+    try:
+        for name, read in readers:
+            values[name], off = read(buf, off)
+    except Exception as exc:  # bytes from another process: anything can be wrong
+        raise SimulationError(
+            f"cannot decode {cls.__name__}.{name} at offset {off}"
+        ) from exc
+    return cls(**values), off
+
+
+def _field_codecs(sites: List[SiteId], index: Dict[SiteId, int]) -> dict:
+    """The field types over one site table: name -> ``(write, read)``, where
+    ``write(out, value)`` appends the field's bytes to the list ``out`` and
+    ``read(buf, off)`` returns ``(value, offset past the field)``."""
+
+    def write_i64(out, value):
+        out.append(_I64.pack(value))
+
+    def read_i64(buf, off):
+        return _I64.unpack_from(buf, off)[0], off + 8
+
+    def ref(make):
+        # A (site, number) pair: ObjectId, TraceId, FrameId or a trial key.
+        def write(out, value):
+            site, number = value
+            out.append(_REF.pack(index[site], number))
+
+        def read(buf, off):
+            site, number = _REF.unpack_from(buf, off)
+            return make(sites[site], number), off + 10
+
+        return write, read
+
+    def write_opt_site(out, value):
+        out.append(_U16.pack(_NO_SITE if value is None else index[value]))
+
+    def read_opt_site(buf, off):
+        (site,) = _U16.unpack_from(buf, off)
+        return (None if site == _NO_SITE else sites[site]), off + 2
+
+    def code(values):
+        # One byte: the value's position in ``values``.
+        codes = {value: bytes((n,)) for n, value in enumerate(values)}
+
+        def write(out, value):
+            out.append(codes[value])
+
+        def read(buf, off):
+            return values[buf[off]], off + 1
+
+        return write, read
+
+    def write_opt_f64(out, value):
+        out.append(b"\x00" if value is None else b"\x01" + _F64.pack(value))
+
+    def read_opt_f64(buf, off):
+        if not buf[off]:
+            return None, off + 1
+        return _F64.unpack_from(buf, off + 1)[0], off + 9
+
+    def write_str(out, value):
+        data = value.encode("utf-8")
+        out.append(_U16.pack(len(data)) + data)
+
+    def read_str(buf, off):
+        end = off + 2 + _U16.unpack_from(buf, off)[0]
+        return str(buf[off + 2 : end], "utf-8"), end
+
+    def write_credit(out, value):
+        out.append(_CREDIT.pack(value.numerator, value.denominator))
+
+    def read_credit(buf, off):
+        numerator, denominator = _CREDIT.unpack_from(buf, off)
+        return Fraction(numerator, denominator), off + 16
+
+    def site_array(arrange, collect):
+        # u16 count, then that many site indices.
+        def write(out, value):
+            indices = arrange([index[site] for site in value])
+            out.append(struct.pack(f"<H{len(indices)}H", len(indices), *indices))
+
+        def read(buf, off):
+            (count,) = _U16.unpack_from(buf, off)
+            indices = struct.unpack_from(f"<{count}H", buf, off + 2)
+            return collect([sites[i] for i in indices]), off + 2 + 2 * count
+
+        return write, read
+
+    def write_oids(out, oids):
+        # u32 count, then the site-index column, then the serial column.
+        count = len(oids)
+        out.append(_U32.pack(count))
+        if count:
+            out.append(struct.pack(f"<{count}H", *[index[o.site] for o in oids]))
+            out.append(struct.pack(f"<{count}q", *[o.serial for o in oids]))
+
+    def read_oids(buf, off):
+        (count,) = _U32.unpack_from(buf, off)
+        off += 4
+        indices = struct.unpack_from(f"<{count}H", buf, off)
+        serials = struct.unpack_from(f"<{count}q", buf, off + 2 * count)
+        oids = [ObjectId(sites[i], n) for i, n in zip(indices, serials)]
+        return tuple(oids), off + 10 * count
+
+    def write_pairs(out, pairs):
+        # An oid list, then (when non-empty) the i32 value column.
+        write_oids(out, [oid for oid, _value in pairs])
+        if pairs:
+            out.append(struct.pack(f"<{len(pairs)}i", *[v for _oid, v in pairs]))
+
+    def read_pairs(buf, off):
+        oids, off = read_oids(buf, off)
+        values = struct.unpack_from(f"<{len(oids)}i", buf, off)
+        return tuple(zip(oids, values)), off + 4 * len(oids)
+
+    return {
+        "i64": (write_i64, read_i64),
+        "bool": code((False, True)),
+        "oid": ref(ObjectId),
+        "trace": ref(TraceId),
+        "frame": ref(FrameId),
+        "trial": ref(lambda site, number: (site, number)),
+        "opt_site": (write_opt_site, read_opt_site),
+        "verdict": code((TraceOutcome.LIVE, TraceOutcome.GARBAGE)),
+        "phase": code(("mark", "rescue")),
+        "opt_f64": (write_opt_f64, read_opt_f64),
+        "str": (write_str, read_str),
+        "credit": (write_credit, read_credit),
+        "sites": site_array(list, tuple),
+        "siteset": site_array(sorted, frozenset),
+        "oids": (write_oids, read_oids),
+        "pairs": (write_pairs, read_pairs),
+    }
+
+
+def _batch_codec(writers, cls, readers):
+    """u16 count, then that many bodies of one kind, back to back."""
+
+    def write(out, items):
+        out.append(_U16.pack(len(items)))
+        for item in items:
+            _encode_fields(writers, out, item)
+
+    def read(buf, off):
+        (count,) = _U16.unpack_from(buf, off)
+        off += 2
+        items = []
+        for _ in range(count):
+            item, off = _decode_fields(cls, readers, buf, off)
+            items.append(item)
+        return tuple(items), off
+
+    return write, read
 
 
 def pack_reply_meta(next_time: float, eot: float, fired: int) -> bytes:
@@ -119,16 +343,6 @@ def unpack_reply_meta(data) -> Tuple[float, float, int]:
     return _REPLY_META.unpack(data)
 
 
-class _Unpackable(Exception):
-    """Internal: this payload does not fit the compact encoding."""
-
-
-def _check_i32(value: int) -> int:
-    if not (_I32_MIN <= value <= _I32_MAX):
-        raise _Unpackable(f"int out of i32 range: {value}")
-    return value
-
-
 class WireCodec:
     """Pack/unpack batches of routed messages against a fixed site table.
 
@@ -147,53 +361,19 @@ class WireCodec:
                 f"packed wire format supports at most {_NO_SITE - 1} sites "
                 f"(got {len(self._sites)})"
             )
-        self._index: Dict[SiteId, int] = {
-            site: index for index, site in enumerate(self._sites)
-        }
-        self._packers = {
-            UpdatePayload: (1, self._pack_update),
-            UpdateDeltaPayload: (2, self._pack_delta),
-            UpdateRefreshRequest: (3, self._pack_empty),
-            UpdateAck: (4, self._pack_ack),
-            BackCall: (5, self._pack_back_call),
-            BackReply: (6, self._pack_back_reply),
-            BackOutcome: (7, self._pack_back_outcome),
-            BackCallBatch: (8, self._pack_call_batch),
-            BackReplyBatch: (9, self._pack_reply_batch),
-            InsertRequest: (10, self._pack_insert_request),
-            InsertDone: (11, self._pack_insert_done),
-            UnpinRequest: (12, self._pack_unpin),
-            MutatorHop: (13, self._pack_hop),
-            RemoteCopy: (14, self._pack_copy),
-            TrialMark: (15, self._pack_trial_mark),
-            TrialRescueStart: (16, self._pack_trial_rescue_start),
-            TrialRescue: (17, self._pack_trial_rescue),
-            TrialAck: (18, self._pack_trial_ack),
-            TrialCollect: (19, self._pack_trial_collect),
-            TrialAbort: (20, self._pack_trial_abort),
-        }
-        self._unpackers = {
-            1: self._unpack_update,
-            2: self._unpack_delta,
-            3: self._unpack_empty,
-            4: self._unpack_ack,
-            5: self._unpack_back_call,
-            6: self._unpack_back_reply,
-            7: self._unpack_back_outcome,
-            8: self._unpack_call_batch,
-            9: self._unpack_reply_batch,
-            10: self._unpack_insert_request,
-            11: self._unpack_insert_done,
-            12: self._unpack_unpin,
-            13: self._unpack_hop,
-            14: self._unpack_copy,
-            15: self._unpack_trial_mark,
-            16: self._unpack_trial_rescue_start,
-            17: self._unpack_trial_rescue,
-            18: self._unpack_trial_ack,
-            19: self._unpack_trial_collect,
-            20: self._unpack_trial_abort,
-        }
+        self._index: Dict[SiteId, int] = {s: i for i, s in enumerate(self._sites)}
+        codecs = _field_codecs(self._sites, self._index)
+        #: payload class -> (kind, ((field, write), ...))
+        self._writers: Dict[type, Tuple[int, tuple]] = {}
+        #: kind -> (payload class, ((field, read), ...))
+        self._readers: Dict[int, Tuple[type, tuple]] = {}
+        for kind, cls, fields in _KINDS:
+            writers = tuple((name, codecs[ftype][0]) for name, ftype in fields)
+            readers = tuple((name, codecs[ftype][1]) for name, ftype in fields)
+            self._writers[cls] = kind, writers
+            self._readers[kind] = cls, readers
+            # The field type of a later row that ships a batch of this one.
+            codecs["batch", cls] = _batch_codec(writers, cls, readers)
 
     @property
     def sites(self) -> List[SiteId]:
@@ -202,587 +382,25 @@ class WireCodec:
     def site_index(self, site_id: SiteId) -> int:
         return self._index[site_id]
 
-    # -- field primitives ----------------------------------------------------
-
-    def _site(self, site_id: SiteId) -> int:
-        index = self._index.get(site_id)
-        if index is None:
-            raise _Unpackable(f"unknown site {site_id!r}")
-        return index
-
-    def _opt_site(self, site_id: Optional[SiteId]) -> int:
-        return _NO_SITE if site_id is None else self._site(site_id)
-
-    def _oid(self, out: List[bytes], oid: ObjectId) -> None:
-        out.append(_U16.pack(self._site(oid.site)))
-        out.append(_I64.pack(oid.serial))
-
-    def _oid_list(self, out: List[bytes], oids: Sequence[ObjectId]) -> None:
-        count = len(oids)
-        if count > _MAX_COUNT:
-            raise _Unpackable("oid list too long")
-        out.append(_U32.pack(count))
-        if count:
-            out.append(
-                struct.pack(f"<{count}H", *(self._site(o.site) for o in oids))
-            )
-            out.append(struct.pack(f"<{count}q", *(o.serial for o in oids)))
-
-    # -- payload packers -----------------------------------------------------
-
-    def _pack_empty(self, out: List[bytes], payload: Payload) -> None:
-        return None
-
-    def _pack_ack(self, out: List[bytes], payload: UpdateAck) -> None:
-        out.append(_I64.pack(payload.seq))
-
-    def _pack_update(self, out: List[bytes], payload: UpdatePayload) -> None:
-        out.append(_I64.pack(payload.seq))
-        self._pack_pairs(out, payload.distances)
-
-    def _pack_delta(self, out: List[bytes], payload: UpdateDeltaPayload) -> None:
-        out.append(_I64.pack(payload.seq))
-        self._pack_pairs(out, payload.adds)
-        self._pack_pairs(out, payload.distances)
-        self._oid_list(out, payload.removals)
-
-    def _pack_pairs(
-        self, out: List[bytes], pairs: Sequence[Tuple[ObjectId, int]]
-    ) -> None:
-        count = len(pairs)
-        if count > _MAX_COUNT:
-            raise _Unpackable("pair list too long")
-        out.append(_U32.pack(count))
-        if count:
-            out.append(
-                struct.pack(f"<{count}H", *(self._site(o.site) for o, _ in pairs))
-            )
-            out.append(struct.pack(f"<{count}q", *(o.serial for o, _ in pairs)))
-            out.append(
-                struct.pack(
-                    f"<{count}i", *(_check_i32(value) for _, value in pairs)
-                )
-            )
-
-    def _pack_back_call(self, out: List[bytes], call: BackCall) -> None:
-        out.append(
-            struct.pack(
-                "<HqHqHqq",
-                self._site(call.trace_id.initiator),
-                call.trace_id.seq,
-                self._site(call.target.site),
-                call.target.serial,
-                self._site(call.reply_to.site),
-                call.reply_to.seq,
-                call.seq,
-            )
-        )
-
-    def _pack_back_reply(self, out: List[bytes], reply: BackReply) -> None:
-        out.append(
-            struct.pack(
-                "<HqHqBB",
-                self._site(reply.trace_id.initiator),
-                reply.trace_id.seq,
-                self._site(reply.reply_to.site),
-                reply.reply_to.seq,
-                _VERDICT_CODE[reply.verdict],
-                1 if reply.timed_out else 0,
-            )
-        )
-        self._opt_float(out, reply.cache_expires_at)
-        participants = sorted(self._site(p) for p in reply.participants)
-        count = len(participants)
-        if count > 0xFFFF:
-            raise _Unpackable("participant set too large")
-        out.append(_U16.pack(count))
-        if count:
-            out.append(struct.pack(f"<{count}H", *participants))
-
-    def _pack_back_outcome(self, out: List[bytes], outcome: BackOutcome) -> None:
-        out.append(
-            struct.pack(
-                "<HqB",
-                self._site(outcome.trace_id.initiator),
-                outcome.trace_id.seq,
-                _VERDICT_CODE[outcome.verdict],
-            )
-        )
-        self._opt_float(out, outcome.cache_expires_at)
-
-    def _pack_call_batch(self, out: List[bytes], batch: BackCallBatch) -> None:
-        if len(batch.calls) > 0xFFFF:
-            raise _Unpackable("call batch too large")
-        out.append(_U16.pack(len(batch.calls)))
-        for call in batch.calls:
-            self._pack_back_call(out, call)
-
-    def _pack_reply_batch(self, out: List[bytes], batch: BackReplyBatch) -> None:
-        if len(batch.replies) > 0xFFFF:
-            raise _Unpackable("reply batch too large")
-        out.append(_U16.pack(len(batch.replies)))
-        for reply in batch.replies:
-            self._pack_back_reply(out, reply)
-
-    def _pack_insert_request(self, out: List[bytes], req: InsertRequest) -> None:
-        out.append(
-            struct.pack(
-                "<HqHBq",
-                self._site(req.target.site),
-                req.target.serial,
-                self._opt_site(req.pin_holder),
-                1 if req.release_owner_custody else 0,
-                req.seq,
-            )
-        )
-
-    def _pack_insert_done(self, out: List[bytes], done: InsertDone) -> None:
-        out.append(
-            struct.pack(
-                "<Hqq", self._site(done.target.site), done.target.serial, done.seq
-            )
-        )
-
-    def _pack_unpin(self, out: List[bytes], unpin: UnpinRequest) -> None:
-        out.append(
-            struct.pack(
-                "<Hqq",
-                self._site(unpin.target.site),
-                unpin.target.serial,
-                unpin.seq,
-            )
-        )
-
-    def _pack_hop(self, out: List[bytes], hop: MutatorHop) -> None:
-        name = hop.mutator.encode("utf-8")
-        if len(name) > 0xFFFF:
-            raise _Unpackable("mutator name too long")
-        out.append(_U16.pack(len(name)))
-        out.append(name)
-        out.append(
-            struct.pack(
-                "<Hqq", self._site(hop.target.site), hop.target.serial, hop.seq
-            )
-        )
-
-    def _pack_copy(self, out: List[bytes], copy: RemoteCopy) -> None:
-        out.append(
-            struct.pack(
-                "<HqHqHq",
-                self._site(copy.ref.site),
-                copy.ref.serial,
-                self._site(copy.dest_holder.site),
-                copy.dest_holder.serial,
-                self._opt_site(copy.pin_holder),
-                copy.seq,
-            )
-        )
-
-    def _opt_float(self, out: List[bytes], value: Optional[float]) -> None:
-        if value is None:
-            out.append(b"\x00")
-        else:
-            out.append(b"\x01")
-            out.append(_F64.pack(value))
-
-    # -- termination-trial packers -------------------------------------------
-    #
-    # Credit shares are exact Fractions; their numerator/denominator pack as
-    # i64 pairs.  A long-running trial over many fan-out splits can overflow
-    # that (credit denominators multiply), in which case struct.error demotes
-    # the record to the pickled fallback -- exactness is never at risk.
-
-    def _trial_head(self, out: List[bytes], trial: Tuple[SiteId, int]) -> None:
-        out.append(struct.pack("<Hq", self._site(trial[0]), trial[1]))
-
-    def _credit(self, out: List[bytes], credit: Fraction) -> None:
-        out.append(
-            struct.pack("<qq", credit.numerator, credit.denominator)
-        )
-
-    def _site_list(self, out: List[bytes], sites: Sequence[SiteId]) -> None:
-        if len(sites) > 0xFFFF:
-            raise _Unpackable("site list too long")
-        out.append(_U16.pack(len(sites)))
-        if sites:
-            out.append(
-                struct.pack(
-                    f"<{len(sites)}H", *(self._site(s) for s in sites)
-                )
-            )
-
-    def _pack_trial_mark(self, out: List[bytes], mark: TrialMark) -> None:
-        self._trial_head(out, mark.trial)
-        self._oid_list(out, mark.targets)
-        self._credit(out, mark.credit)
-        out.append(_I64.pack(mark.seq))
-
-    def _pack_trial_rescue_start(
-        self, out: List[bytes], start: TrialRescueStart
-    ) -> None:
-        self._trial_head(out, start.trial)
-        self._site_list(out, start.member_sites)
-        self._credit(out, start.credit)
-        out.append(_I64.pack(start.seq))
-
-    def _pack_trial_rescue(self, out: List[bytes], rescue: TrialRescue) -> None:
-        self._trial_head(out, rescue.trial)
-        self._oid_list(out, rescue.targets)
-        self._site_list(out, rescue.member_sites)
-        self._credit(out, rescue.credit)
-        out.append(_I64.pack(rescue.seq))
-
-    def _pack_trial_ack(self, out: List[bytes], ack: TrialAck) -> None:
-        phase = _TRIAL_PHASE_CODE.get(ack.phase)
-        if phase is None:
-            raise _Unpackable(f"unknown trial phase {ack.phase!r}")
-        self._trial_head(out, ack.trial)
-        out.append(
-            struct.pack(
-                "<BBB", phase, 1 if ack.joined else 0, 1 if ack.dirty else 0
-            )
-        )
-        self._credit(out, ack.credit)
-        out.append(_I64.pack(ack.seq))
-
-    def _pack_trial_collect(self, out: List[bytes], collect: TrialCollect) -> None:
-        self._trial_head(out, collect.trial)
-        out.append(_I64.pack(collect.seq))
-
-    def _pack_trial_abort(self, out: List[bytes], abort: TrialAbort) -> None:
-        self._trial_head(out, abort.trial)
-        out.append(_I64.pack(abort.seq))
-
-    # -- payload unpackers ---------------------------------------------------
-    #
-    # Each unpacker takes (buf, offset) and returns (payload, new_offset);
-    # records are self-delimiting, so nested payloads need no length prefixes.
-
-    def _read_oid(self, buf, off: int) -> Tuple[ObjectId, int]:
-        site, serial = struct.unpack_from("<Hq", buf, off)
-        return ObjectId(site=self._sites[site], serial=serial), off + 10
-
-    def _read_oid_list(self, buf, off: int) -> Tuple[Tuple[ObjectId, ...], int]:
-        (count,) = _U32.unpack_from(buf, off)
-        off += 4
-        if not count:
-            return (), off
-        sites = struct.unpack_from(f"<{count}H", buf, off)
-        off += 2 * count
-        serials = struct.unpack_from(f"<{count}q", buf, off)
-        off += 8 * count
-        table = self._sites
-        return (
-            tuple(
-                ObjectId(site=table[s], serial=n) for s, n in zip(sites, serials)
-            ),
-            off,
-        )
-
-    def _read_pairs(
-        self, buf, off: int
-    ) -> Tuple[Tuple[Tuple[ObjectId, int], ...], int]:
-        (count,) = _U32.unpack_from(buf, off)
-        off += 4
-        if not count:
-            return (), off
-        sites = struct.unpack_from(f"<{count}H", buf, off)
-        off += 2 * count
-        serials = struct.unpack_from(f"<{count}q", buf, off)
-        off += 8 * count
-        values = struct.unpack_from(f"<{count}i", buf, off)
-        off += 4 * count
-        table = self._sites
-        return (
-            tuple(
-                (ObjectId(site=table[s], serial=n), v)
-                for s, n, v in zip(sites, serials, values)
-            ),
-            off,
-        )
-
-    def _read_opt_float(self, buf, off: int) -> Tuple[Optional[float], int]:
-        present = buf[off]
-        off += 1
-        if not present:
-            return None, off
-        (value,) = _F64.unpack_from(buf, off)
-        return value, off + 8
-
-    def _unpack_empty(self, buf, off: int):
-        return UpdateRefreshRequest(), off
-
-    def _unpack_ack(self, buf, off: int):
-        (seq,) = _I64.unpack_from(buf, off)
-        return UpdateAck(seq=seq), off + 8
-
-    def _unpack_update(self, buf, off: int):
-        (seq,) = _I64.unpack_from(buf, off)
-        distances, off = self._read_pairs(buf, off + 8)
-        return UpdatePayload(distances=distances, seq=seq), off
-
-    def _unpack_delta(self, buf, off: int):
-        (seq,) = _I64.unpack_from(buf, off)
-        off += 8
-        adds, off = self._read_pairs(buf, off)
-        distances, off = self._read_pairs(buf, off)
-        removals, off = self._read_oid_list(buf, off)
-        return (
-            UpdateDeltaPayload(
-                adds=adds, distances=distances, removals=removals, seq=seq
-            ),
-            off,
-        )
-
-    def _unpack_back_call(self, buf, off: int):
-        ti, ts, os_, on, rs, rn, seq = struct.unpack_from("<HqHqHqq", buf, off)
-        table = self._sites
-        return (
-            BackCall(
-                trace_id=TraceId(initiator=table[ti], seq=ts),
-                target=ObjectId(site=table[os_], serial=on),
-                reply_to=FrameId(site=table[rs], seq=rn),
-                seq=seq,
-            ),
-            off + 38,
-        )
-
-    def _unpack_back_reply(self, buf, off: int):
-        ti, ts, rs, rn, verdict, timed_out = struct.unpack_from(
-            "<HqHqBB", buf, off
-        )
-        off += 22
-        expires, off = self._read_opt_float(buf, off)
-        (count,) = _U16.unpack_from(buf, off)
-        off += 2
-        table = self._sites
-        if count:
-            indices = struct.unpack_from(f"<{count}H", buf, off)
-            off += 2 * count
-            participants = frozenset(table[i] for i in indices)
-        else:
-            participants = frozenset()
-        return (
-            BackReply(
-                trace_id=TraceId(initiator=table[ti], seq=ts),
-                reply_to=FrameId(site=table[rs], seq=rn),
-                verdict=_VERDICTS[verdict],
-                participants=participants,
-                cache_expires_at=expires,
-                timed_out=bool(timed_out),
-            ),
-            off,
-        )
-
-    def _unpack_back_outcome(self, buf, off: int):
-        ti, ts, verdict = struct.unpack_from("<HqB", buf, off)
-        off += 11
-        expires, off = self._read_opt_float(buf, off)
-        return (
-            BackOutcome(
-                trace_id=TraceId(initiator=self._sites[ti], seq=ts),
-                verdict=_VERDICTS[verdict],
-                cache_expires_at=expires,
-            ),
-            off,
-        )
-
-    def _unpack_call_batch(self, buf, off: int):
-        (count,) = _U16.unpack_from(buf, off)
-        off += 2
-        calls = []
-        for _ in range(count):
-            call, off = self._unpack_back_call(buf, off)
-            calls.append(call)
-        return BackCallBatch(calls=tuple(calls)), off
-
-    def _unpack_reply_batch(self, buf, off: int):
-        (count,) = _U16.unpack_from(buf, off)
-        off += 2
-        replies = []
-        for _ in range(count):
-            reply, off = self._unpack_back_reply(buf, off)
-            replies.append(reply)
-        return BackReplyBatch(replies=tuple(replies)), off
-
-    def _unpack_insert_request(self, buf, off: int):
-        site, serial, pin, release, seq = struct.unpack_from("<HqHBq", buf, off)
-        return (
-            InsertRequest(
-                target=ObjectId(site=self._sites[site], serial=serial),
-                pin_holder=None if pin == _NO_SITE else self._sites[pin],
-                release_owner_custody=bool(release),
-                seq=seq,
-            ),
-            off + 21,
-        )
-
-    def _unpack_insert_done(self, buf, off: int):
-        site, serial, seq = struct.unpack_from("<Hqq", buf, off)
-        return (
-            InsertDone(
-                target=ObjectId(site=self._sites[site], serial=serial), seq=seq
-            ),
-            off + 18,
-        )
-
-    def _unpack_unpin(self, buf, off: int):
-        site, serial, seq = struct.unpack_from("<Hqq", buf, off)
-        return (
-            UnpinRequest(
-                target=ObjectId(site=self._sites[site], serial=serial), seq=seq
-            ),
-            off + 18,
-        )
-
-    def _unpack_hop(self, buf, off: int):
-        (length,) = _U16.unpack_from(buf, off)
-        off += 2
-        name = bytes(buf[off : off + length]).decode("utf-8")
-        off += length
-        site, serial, seq = struct.unpack_from("<Hqq", buf, off)
-        return (
-            MutatorHop(
-                mutator=name,
-                target=ObjectId(site=self._sites[site], serial=serial),
-                seq=seq,
-            ),
-            off + 18,
-        )
-
-    def _unpack_copy(self, buf, off: int):
-        rs, rn, ds, dn, pin, seq = struct.unpack_from("<HqHqHq", buf, off)
-        table = self._sites
-        return (
-            RemoteCopy(
-                ref=ObjectId(site=table[rs], serial=rn),
-                dest_holder=ObjectId(site=table[ds], serial=dn),
-                pin_holder=None if pin == _NO_SITE else table[pin],
-                seq=seq,
-            ),
-            off + 30,
-        )
-
-    def _read_trial(self, buf, off: int) -> Tuple[Tuple[SiteId, int], int]:
-        site, serial = struct.unpack_from("<Hq", buf, off)
-        return (self._sites[site], serial), off + 10
-
-    def _read_credit(self, buf, off: int) -> Tuple[Fraction, int]:
-        numerator, denominator = struct.unpack_from("<qq", buf, off)
-        return Fraction(numerator, denominator), off + 16
-
-    def _read_site_list(self, buf, off: int) -> Tuple[Tuple[SiteId, ...], int]:
-        (count,) = _U16.unpack_from(buf, off)
-        off += 2
-        if not count:
-            return (), off
-        indices = struct.unpack_from(f"<{count}H", buf, off)
-        table = self._sites
-        return tuple(table[i] for i in indices), off + 2 * count
-
-    def _unpack_trial_mark(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        targets, off = self._read_oid_list(buf, off)
-        credit, off = self._read_credit(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return (
-            TrialMark(trial=trial, targets=targets, credit=credit, seq=seq),
-            off + 8,
-        )
-
-    def _unpack_trial_rescue_start(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        member_sites, off = self._read_site_list(buf, off)
-        credit, off = self._read_credit(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return (
-            TrialRescueStart(
-                trial=trial, member_sites=member_sites, credit=credit, seq=seq
-            ),
-            off + 8,
-        )
-
-    def _unpack_trial_rescue(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        targets, off = self._read_oid_list(buf, off)
-        member_sites, off = self._read_site_list(buf, off)
-        credit, off = self._read_credit(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return (
-            TrialRescue(
-                trial=trial,
-                targets=targets,
-                member_sites=member_sites,
-                credit=credit,
-                seq=seq,
-            ),
-            off + 8,
-        )
-
-    def _unpack_trial_ack(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        phase, joined, dirty = struct.unpack_from("<BBB", buf, off)
-        off += 3
-        credit, off = self._read_credit(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return (
-            TrialAck(
-                trial=trial,
-                phase=_TRIAL_PHASES[phase],
-                credit=credit,
-                joined=bool(joined),
-                dirty=bool(dirty),
-                seq=seq,
-            ),
-            off + 8,
-        )
-
-    def _unpack_trial_collect(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return TrialCollect(trial=trial, seq=seq), off + 8
-
-    def _unpack_trial_abort(self, buf, off: int):
-        trial, off = self._read_trial(buf, off)
-        (seq,) = _I64.unpack_from(buf, off)
-        return TrialAbort(trial=trial, seq=seq), off + 8
-
-    # -- records and blobs ---------------------------------------------------
-
     def pack_record(self, deliver_at: float, message: Message) -> bytes:
         """Encode one routed message as a self-contained record."""
-        flags = _FLAG_DUP if message.dup else 0
-        entry = self._packers.get(type(message.payload))
+        src, dst, payload, uid, dup = message
+        body = None
+        entry = self._writers.get(type(payload))
         if entry is not None:
-            kind, packer = entry
+            kind, writers = entry
             out: List[bytes] = []
             try:
-                packer(out, message.payload)
-                src = self._site(message.src)
-                dst = self._site(message.dst)
-            except (_Unpackable, struct.error):
-                pass
-            else:
+                _encode_fields(writers, out, payload)
                 body = b"".join(out)
-                return (
-                    _HEADER.pack(
-                        kind, flags, src, dst, message.uid, deliver_at, len(body)
-                    )
-                    + body
-                )
-        body = pickle.dumps(message.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return (
-            _HEADER.pack(
-                _KIND_PICKLED,
-                flags,
-                self._index[message.src],
-                self._index[message.dst],
-                message.uid,
-                deliver_at,
-                len(body),
-            )
-            + body
-        )
+            except _DOES_NOT_FIT:
+                pass
+        if body is None:
+            kind = _KIND_PICKLED
+            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        index, flags = self._index, _FLAG_DUP if dup else 0
+        header = (kind, flags, index[src], index[dst], uid, deliver_at, len(body))
+        return _HEADER.pack(*header) + body
 
     def pack_blob(self, records: Sequence[bytes]) -> bytes:
         """Concatenate already-encoded records into one framed blob."""
@@ -790,9 +408,7 @@ class WireCodec:
 
     def pack_routed(self, routed: Sequence[RoutedMessage]) -> bytes:
         """Encode a batch of (deliver_at, message) pairs as one blob."""
-        return self.pack_blob(
-            [self.pack_record(deliver_at, message) for deliver_at, message in routed]
-        )
+        return self.pack_blob([self.pack_record(at, message) for at, message in routed])
 
     def scan_blob(
         self, blob
@@ -801,45 +417,63 @@ class WireCodec:
 
         Routing metadata comes from the fixed header alone -- payload bytes
         are never decoded -- and ``record`` is a zero-copy memoryview of the
-        whole record, ready to be re-framed into another blob.
+        whole record, ready to be re-framed into another blob.  The framing
+        is checked as it is walked: every record must end inside the blob
+        and the last one must end it.
         """
         view = memoryview(blob)
-        (count,) = _BLOB_PREFIX.unpack_from(view, 0)
+        size = len(view)
         off = _BLOB_PREFIX.size
-        for _ in range(count):
-            kind, _flags, src, dst, uid, deliver_at, length = _HEADER.unpack_from(
-                view, off
+        header = _HEADER.unpack_from
+        try:
+            (count,) = _BLOB_PREFIX.unpack_from(view, 0)
+            for _ in range(count):
+                kind, _flags, src, dst, uid, deliver_at, length = header(view, off)
+                end = off + _HEADER.size + length
+                if end > size:
+                    raise SimulationError(
+                        f"wire blob truncated: the record at offset {off} ends at "
+                        f"{end}, past the blob's {size} bytes"
+                    )
+                yield deliver_at, dst, src, kind, uid, view[off:end]
+                off = end
+        except struct.error as exc:
+            raise SimulationError(
+                f"wire blob truncated: no whole header at offset {off} of {size} bytes"
+            ) from exc
+        if off != size:
+            raise SimulationError(
+                f"wire blob has {size - off} bytes left over after its {count} records"
             )
-            end = off + _HEADER.size + length
-            yield deliver_at, dst, src, kind, uid, view[off:end]
-            off = end
 
     def unpack_record(self, record) -> RoutedMessage:
         """Decode one self-contained record into its (deliver_at, Message)."""
         view = memoryview(record)
-        kind, flags, src, dst, uid, deliver_at, length = _HEADER.unpack_from(
-            view, 0
-        )
-        off = _HEADER.size
-        if kind == _KIND_PICKLED:
-            payload = pickle.loads(view[off : off + length])
-        else:
-            payload, end = self._unpackers[kind](view, off)
-            if end != off + length:
-                raise SimulationError(
-                    f"wire record length mismatch for kind {kind}: "
-                    f"decoded {end - off}, framed {length}"
-                )
-        return (
-            deliver_at,
-            Message(
-                self._sites[src],
-                self._sites[dst],
-                payload,
-                uid,
-                bool(flags & _FLAG_DUP),
-            ),
-        )
+        kind = length = None
+        try:
+            kind, flags, src, dst, uid, deliver_at, length = _HEADER.unpack_from(view)
+            framed_end = _HEADER.size + length
+            if kind == _KIND_PICKLED:
+                payload = pickle.loads(view[_HEADER.size : framed_end])
+                end = framed_end
+            else:
+                cls, readers = self._readers[kind]
+                payload, end = _decode_fields(cls, readers, view, _HEADER.size)
+            sites = self._sites
+            message = Message(
+                sites[src], sites[dst], payload, uid, bool(flags & _FLAG_DUP)
+            )
+        except Exception as exc:  # bytes from another process: anything can be wrong
+            raise SimulationError(
+                f"malformed wire record: kind {kind}, framed length {length}, "
+                f"{len(view)} bytes"
+            ) from exc
+        if end != framed_end:
+            raise SimulationError(
+                f"wire record length mismatch for kind {kind}: "
+                f"decoded {end - _HEADER.size}, framed {length}"
+            )
+        return deliver_at, message
 
     def unpack_blob(self, blob) -> List[RoutedMessage]:
         """Decode a blob back into (deliver_at, Message) pairs, in order."""

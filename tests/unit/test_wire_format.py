@@ -552,6 +552,91 @@ def test_record_bytes_match_the_recorded_ones(golden_records, name):
     assert codec.unpack_record(record) == (deliver_at, message)
 
 
+# -- the table itself ----------------------------------------------------------
+
+
+def test_every_protocol_payload_has_a_kind():
+    # A protocol message without a row would ride the pickled fallback
+    # unnoticed: nothing but one pinned scenario counts pickled records.
+    from repro import GcConfig, Simulation, SimulationConfig
+    from repro.net.wire import _KINDS
+
+    handled = set()
+    for collector in ("backtrace", "termination"):
+        sim = Simulation.create(SimulationConfig(gc=GcConfig(collector=collector)))
+        sim.add_sites(["P"])
+        handled |= set(sim.site("P")._handlers)
+    assert handled == {cls for _kind, cls, _fields in _KINDS}
+    assert [kind for kind, _cls, _fields in _KINDS] == list(range(1, 21))
+
+
+def test_table_check_rejects_a_row_that_misses_a_field():
+    from repro.net.wire import _KINDS, _check_table
+
+    rows = {cls: (kind, cls, fields) for kind, cls, fields in _KINDS}
+    kind, cls, fields = rows[InsertRequest]
+    for bad in (
+        fields[:-1],  # a field of the dataclass without an entry
+        fields + (("seq", "i64"),),  # a field named twice
+        fields + (("extra", "i64"),),  # an entry the dataclass does not have
+    ):
+        with pytest.raises(TypeError, match="InsertRequest declares"):
+            _check_table(((kind, cls, bad),))
+    _check_table(_KINDS)
+
+
+# -- malformed frames ----------------------------------------------------------
+#
+# Blobs arrive from another process.  Layout of the two-record blob below:
+# count 0..4 | ack header 4..30, body 30..38 | insert header 38..64, body 64..85
+# (the body opens with the target's u16 site index).
+
+
+def _cut(end):
+    return lambda blob: blob[:end]
+
+
+def _poke(fmt, offset, value):
+    def corrupt(blob):
+        struct.pack_into(fmt, blob, offset, value)
+        return blob
+
+    return corrupt
+
+
+MALFORMED = {
+    "cut_inside_a_header": (_cut(48), struct.error),
+    "cut_inside_a_payload": (_cut(80), None),
+    "unknown_kind": (_poke("<B", 4, 99), KeyError),
+    "site_index_outside_the_table": (_poke("<H", 64, 500), SimulationError),
+    "count_larger_than_the_blob": (_poke("<I", 0, 3), struct.error),
+    "trailing_bytes": (lambda blob: blob + b"\x00\x00", None),
+    "unpicklable_pickled_body": (_poke("<B", 4, 0), Exception),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_frame_raises_simulation_error(name):
+    codec = WireCodec(SITES)
+    blob = bytearray(
+        codec.pack_routed(
+            [
+                _case(UpdateAck(seq=5)),
+                _case(InsertRequest(target=ObjectId("w03", 40), seq=3)),
+            ]
+        )
+    )
+    assert len(blob) == 85
+    corrupt, cause = MALFORMED[name]
+    with pytest.raises(SimulationError) as caught:
+        codec.unpack_blob(bytes(corrupt(blob)))
+    # Chained from whatever went wrong underneath, when something did.
+    if cause is None:
+        assert caught.value.__cause__ is None
+    else:
+        assert isinstance(caught.value.__cause__, cause)
+
+
 # -- window reply metadata ---------------------------------------------------
 
 
