@@ -130,39 +130,3 @@ TERMINATION_TRIALS_TIMEOUT = "termination.trials_timeout"
 TERMINATION_COLLECTS_SUPPRESSED = "termination.collects_suppressed"
 #: Member objects flagged garbage by accepted TrialCollect verdicts.
 TERMINATION_INREFS_FLAGGED = "termination.inrefs_flagged"
-
-# -- parallel coordination ---------------------------------------------------
-#
-# Counters of the parallel engine's coordinator<->worker protocol.  They are
-# deliberately NOT written into the simulation's MetricsRecorder: the merged
-# metrics of a parallel run must stay byte-identical to its sequential twin,
-# and the twin has no coordinator.  They live in the coordinator's own stats
-# dict instead; ``ParallelSimulation.coordination_stats()`` returns the raw
-# dict (short keys, the historical shape) and
-# ``ParallelSimulation.coordination_metrics()`` surfaces the same counters
-# through the ``repro.metrics`` facade under these canonical names.
-
-#: Safe-time windows dispatched since the fork.
-PAR_WINDOWS = "parallel.windows"
-#: Final clock-alignment rounds (one per run_until/run_for).
-PAR_ALIGNS = "parallel.aligns"
-#: Windows whose bound went past horizon + min_latency thanks to advertised
-#: earliest-output-times.
-PAR_EOT_JUMPS = "parallel.eot_jumps"
-#: Windows that jumped straight to the target because no shard could
-#: produce cross-shard traffic before it.
-PAR_QUIESCENCE_JUMPS = "parallel.quiescence_jumps"
-#: Windows dispatched before the previous window's replies were drained.
-PAR_PIPELINED_WINDOWS = "parallel.pipelined_windows"
-#: Cross-shard messages routed through the coordinator pipes.
-PAR_CROSS_SHARD_MESSAGES = "parallel.cross_shard_messages"
-
-#: coordination_stats() key -> canonical facade counter name.
-PARALLEL_STAT_NAMES = {
-    "windows": PAR_WINDOWS,
-    "aligns": PAR_ALIGNS,
-    "eot_jumps": PAR_EOT_JUMPS,
-    "quiescence_jumps": PAR_QUIESCENCE_JUMPS,
-    "pipelined_windows": PAR_PIPELINED_WINDOWS,
-    "cross_shard_messages": PAR_CROSS_SHARD_MESSAGES,
-}

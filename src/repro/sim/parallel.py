@@ -104,7 +104,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..config import SimulationConfig
 from ..errors import SimulationError
 from ..ids import ObjectId, SiteId
-from ..metrics import MetricsRecorder, names as metric_names
+from ..metrics import MetricsRecorder
 from ..net.latency import LatencyModel
 from ..net.message import Message
 from ..net.wire import WireCodec, pack_reply_meta, unpack_reply_meta
@@ -1108,22 +1108,6 @@ class ParallelSimulation(Simulation):
         # second carrier; zeros until a benchmark PR retires its rows.
         stats.update(ring_messages=0, ring_bytes=0, ring_spills=0, arena_bytes=0)
         return stats
-
-    def coordination_metrics(self) -> MetricsRecorder:
-        """:meth:`coordination_stats` surfaced through the metrics facade.
-
-        Coordination counters are deliberately kept out of the simulation's
-        own :class:`MetricsRecorder` -- a parallel run's merged metrics must
-        stay byte-identical to its sequential twin's, and the twin has no
-        coordinator.  This view republishes them under the canonical
-        ``parallel.*`` names of :mod:`repro.metrics.names` for consumers
-        that speak recorders.
-        """
-        recorder = MetricsRecorder()
-        stats = self.coordination_stats()
-        for key, name in metric_names.PARALLEL_STAT_NAMES.items():
-            recorder.incr(name, stats.get(key, 0))
-        return recorder
 
     # -- time control (Simulation API) ---------------------------------------
 

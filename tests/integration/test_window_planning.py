@@ -14,17 +14,7 @@ stops jumping or pipelining fails here rather than in a wall-clock number.
 
 import pytest
 
-from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
-from repro.metrics import names
-
-from ..conftest import (
-    TWIN_GC,
-    TWIN_NETWORK,
-    TWIN_SITES,
-    TWIN_STORM,
-    pick,
-    run_churn_twin,
-)
+from ..conftest import TWIN_STORM, pick, run_churn_twin
 
 
 def _run(workers, seed, fault_plan=None):
@@ -64,38 +54,3 @@ def test_chaos_storm_with_a_quiet_tail_matches_sequential():
     assert pick(stats, PINNED_STORM) == PINNED_STORM
 
 
-def test_coordination_metrics_facade_mirrors_stats():
-    config = SimulationConfig(
-        seed=5,
-        gc=GcConfig(**TWIN_GC),
-        network=NetworkConfig(**TWIN_NETWORK),
-        parallel_workers=2,
-    )
-    sim = Simulation.create(config)
-    sim.add_sites(TWIN_SITES, auto_gc=True)
-    sim.run_for(150.0)
-    stats = sim.coordination_stats()
-    recorder = sim.coordination_metrics()
-    merged = sim.merged_metrics()
-    sim.close()
-
-    assert recorder.count(names.PAR_WINDOWS) == stats["windows"]
-    assert recorder.count(names.PAR_ALIGNS) == stats["aligns"]
-    assert recorder.count(names.PAR_EOT_JUMPS) == stats["eot_jumps"]
-    assert (
-        recorder.count(names.PAR_QUIESCENCE_JUMPS)
-        == stats["quiescence_jumps"]
-    )
-    assert (
-        recorder.count(names.PAR_PIPELINED_WINDOWS)
-        == stats["pipelined_windows"]
-    )
-    assert (
-        recorder.count(names.PAR_CROSS_SHARD_MESSAGES)
-        == stats["cross_shard_messages"]
-    )
-    # The coordination counters must never leak into the simulation's own
-    # metrics -- merged metrics stay comparable to the sequential twin's.
-    assert not any(
-        name.startswith("parallel.") for name in merged._counters
-    )
