@@ -1,12 +1,15 @@
-"""E12 (ablation) -- the self-healing full-refresh period of update messages.
+"""E12 (ablation) -- what the periodic full refresh of update messages still buys.
 
-Our one deliberate protocol extension over the paper (which assumes a
-fault-tolerant reference-listing layer, ML94): every ``full_update_period``-th
-local trace resends all outref distances as an idempotent full update, so
-state lost to crashes/partitions resynchronizes without acknowledgements.
-The ablation measures the trade: smaller periods recover faster from a
-crash-induced distance-propagation stall but send more update traffic.
-A period of effectively-infinity reproduces the stall this mechanism fixes.
+The paper assumes a fault-tolerant reference-listing layer (ML94).  This
+codebase first closed that gap with a timer: every ``full_update_period``-th
+local trace resent all outref distances as an idempotent full update, and
+without it a crash-induced distance-propagation stall was never repaired.
+Updates have since become an acked, retransmitted stream in which a sequence
+gap or a rejected delta makes the receiver ask for a refresh
+(``UpdateRefreshRequest``), so the stall is repaired on demand: the sweep
+below recovers after the crash in the same number of rounds at every period,
+"effectively never" (1000) included.  What the knob still moves is traffic
+-- a longer period sends no more update messages than a shorter one.
 """
 
 import dataclasses
@@ -30,8 +33,8 @@ def run_crash_recovery(full_update_period, max_rounds=60):
     for _ in range(2):
         sim.run_gc_round()
     workload.make_garbage(sim)
-    # Crash a member for a few rounds: updates to it are lost, freezing the
-    # cycle's distance loop at a fixed point below the trigger threshold.
+    # Crash a member for a few rounds: the updates sent to it meanwhile are
+    # lost, and its view of the cycle's distances goes stale.
     sim.site("c").crash()
     for _ in range(6):
         sim.run_gc_round()
@@ -61,7 +64,7 @@ def test_e12_refresh_period_sweep(benchmark, record_table):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(
-        "E12: full-refresh period vs crash recovery (3-site cycle, member down 6 rounds)",
+        "E12: full-refresh period moves traffic, not recovery (3-site cycle, member down 6 rounds)",
         ["full_update_period", "rounds to collect after recovery", "update msgs", "update units"],
     )
     results = {}
@@ -74,11 +77,11 @@ def test_e12_refresh_period_sweep(benchmark, record_table):
             stats["update_units"],
         )
     record_table("e12_refresh", table)
-    # Frequent refresh recovers; effectively-never reproduces the stall.
-    assert results[1]["recovered_in"] is not None
-    assert results[4]["recovered_in"] is not None
-    assert results[1000]["recovered_in"] is None
-    # And refreshing more often costs more update volume.
-    assert results[1]["update_units"] >= results[8]["update_units"]
-    # Faster (or equal) recovery with the more aggressive refresh.
-    assert results[1]["recovered_in"] <= results[8]["recovered_in"]
+    # Every period recovers, and in the same number of rounds: gap-driven
+    # refresh requests repair the stall, not the timer.
+    recovered = {stats["recovered_in"] for stats in results.values()}
+    assert None not in recovered and len(recovered) == 1
+    # Refreshing less often never costs more update messages.
+    update_msgs = [stats["update_msgs"] for _period, stats in rows]
+    assert update_msgs == sorted(update_msgs, reverse=True)
+    assert update_msgs[0] > update_msgs[-1]
