@@ -573,8 +573,7 @@ def test_every_protocol_payload_has_a_kind():
 def test_table_check_rejects_a_row_that_misses_a_field():
     from repro.net.wire import _KINDS, _check_table
 
-    rows = {cls: (kind, cls, fields) for kind, cls, fields in _KINDS}
-    kind, cls, fields = rows[InsertRequest]
+    kind, cls, fields = next(row for row in _KINDS if row[1] is InsertRequest)
     for bad in (
         fields[:-1],  # a field of the dataclass without an entry
         fields + (("seq", "i64"),),  # a field named twice
