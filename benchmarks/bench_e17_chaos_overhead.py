@@ -135,7 +135,7 @@ def test_e17_wall_time(benchmark, mode):
 if __name__ == "__main__":
     # Standalone mode: emit the comparison as JSON so the repo can pin the
     # headline numbers (see BENCH_chaos_overhead.json).  ``--smoke`` runs a
-    # shortened window for CI.
+    # shortened window.
     import json
     import sys
 

@@ -10,12 +10,12 @@ Commands:
                     auditing (like benchmark E7).
 - ``scale``      -- a many-site churn run on the sharded parallel engine
                     (``--workers N`` picks the worker-process count).
+- ``chaos``      -- the oracle-audited seed x fault-plan matrix (E17).
 - ``diff``       -- differential testing: run the back tracer and the
                     termination backend over identical seeded workloads and
                     oracle-check they reclaim the same garbage (E22).
 
-Every command accepts ``--seed`` for deterministic replay and ``--profile``
-to run under cProfile and print the top-20 cumulative hotspots on exit.
+Every command accepts ``--seed`` for deterministic replay.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import sys
 
 from .api import GcConfig, Simulation, SimulationConfig
 from .analysis import Oracle
-from .harness.profiling import profiled
 from .harness.report import Table
 from .workloads import GraphBuilder
 
@@ -201,16 +200,9 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from .harness.chaos import run_chaos_matrix, standard_plans
+    from .harness.chaos import run_chaos_matrix
 
-    if args.smoke:
-        seeds = [args.seed, args.seed + 1]
-        site_ids = [f"s{index}" for index in range(4)]
-        plans = standard_plans(site_ids)[:5]  # link faults only: fast
-        results = run_chaos_matrix(seeds, plans, n_sites=4, garbage_rings=2)
-    else:
-        seeds = [args.seed + offset for offset in range(args.seeds)]
-        results = run_chaos_matrix(seeds)
+    results = run_chaos_matrix(range(args.seed, args.seed + args.seeds))
     table = Table(
         "Chaos matrix: oracle-audited GC under injected faults",
         ["seed", "plan", "safe", "collected", "rounds", "dropped", "dup", "retrans", "suppressed"],
@@ -238,15 +230,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from .harness.differential import WORKLOADS, run_differential_matrix
+    from .harness.differential import run_differential_matrix
 
-    if args.smoke:
-        seeds = [args.seed, args.seed + 1]
-        workloads = ("rings", "hypertext")
-    else:
-        seeds = [args.seed + offset for offset in range(args.seeds)]
-        workloads = WORKLOADS
-    results = run_differential_matrix(seeds, workloads)
+    results = run_differential_matrix(range(args.seed, args.seed + args.seeds))
     table = Table(
         "Differential matrix: backtrace vs termination, oracle-audited",
         ["seed", "workload", "garbage", "bt rounds", "term rounds", "gap", "agree"],
@@ -285,11 +271,6 @@ def main(argv=None) -> int:
         description="Back-tracing distributed cycle collection (PODC'97 reproduction)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile; print top-20 cumulative hotspots on exit",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="two-site cycle quickstart")
     sub.add_parser("figures", help="replay the paper's figures")
@@ -306,22 +287,12 @@ def main(argv=None) -> int:
     chaos = sub.add_parser(
         "chaos", help="fault-injection matrix with oracle auditing (E17)"
     )
-    chaos.add_argument(
-        "--smoke", action="store_true", help="small fast matrix (CI)"
-    )
-    chaos.add_argument(
-        "--seeds", type=int, default=8, help="number of seeds (full matrix)"
-    )
+    chaos.add_argument("--seeds", type=int, default=8, help="number of seeds")
     diff = sub.add_parser(
         "diff",
         help="differential test: backtrace vs termination backend (E22)",
     )
-    diff.add_argument(
-        "--smoke", action="store_true", help="small fast matrix (CI)"
-    )
-    diff.add_argument(
-        "--seeds", type=int, default=8, help="number of seeds (full matrix)"
-    )
+    diff.add_argument("--seeds", type=int, default=8, help="number of seeds")
 
     args = parser.parse_args(argv)
     handlers = {
@@ -333,8 +304,7 @@ def main(argv=None) -> int:
         "chaos": cmd_chaos,
         "diff": cmd_diff,
     }
-    with profiled(enabled=args.profile):
-        return handlers[args.command](args)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -59,28 +59,6 @@ def site_snapshot(site) -> Dict[str, Any]:
     }
 
 
-def site_snapshot_delta(site, last_digest: Optional[bytes]):
-    """``(digest, snapshot_or_None)`` for the delta export protocol.
-
-    The parallel engine's shard workers ship a site's snapshot only when it
-    changed since the last export.  "Changed" is decided by content, not by
-    instrumentation: the snapshot dict is pickled canonically and digested,
-    so the check is exact -- any observable difference changes the digest,
-    and nothing else does.  ``None`` in the second slot means "same as what
-    you already have"; the coordinator keeps the previous payload.
-    """
-    import hashlib
-    import pickle
-
-    snap = site_snapshot(site)
-    digest = hashlib.blake2b(
-        pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL), digest_size=16
-    ).digest()
-    if digest == last_digest:
-        return digest, None
-    return digest, snap
-
-
 def graph_snapshot(sim: Simulation) -> Dict[str, Any]:
     """A JSON-able dump of heaps and ioref tables, keyed by site."""
     data: Dict[str, Any] = {"time": sim.now, "sites": {}}

@@ -8,7 +8,6 @@ from .scenarios import (
     build_figure5,
 )
 from .report import Table
-from .profiling import profiled
 from .chaos import ChaosResult, run_chaos_case, run_chaos_matrix, standard_plans
 from .differential import (
     DifferentialResult,
@@ -17,7 +16,6 @@ from .differential import (
 )
 
 __all__ = [
-    "profiled",
     "ChaosResult",
     "run_chaos_case",
     "run_chaos_matrix",

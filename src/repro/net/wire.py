@@ -79,10 +79,6 @@ RoutedMessage = Tuple[float, Message]
 
 _HEADER = struct.Struct("<BBHHqdI")
 _BLOB_PREFIX = struct.Struct("<I")
-#: Fixed trailer of every worker window reply: (next_event_time,
-#: earliest_output_time, events_fired).  IEEE doubles carry +inf exactly,
-#: which is the idle/unknown value for both time fields.
-_REPLY_META = struct.Struct("<ddq")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -323,24 +319,6 @@ def _batch_codec(writers, cls, readers):
         return tuple(items), off
 
     return write, read
-
-
-def pack_reply_meta(next_time: float, eot: float, fired: int) -> bytes:
-    """Encode the per-reply shard telemetry the coordinator plans windows on.
-
-    ``next_time`` is the shard's earliest pending event (its frontier);
-    ``eot`` its advertised earliest-output-time -- the earliest instant at
-    which anything it still holds could *deliver* outside the shard; and
-    ``fired`` the events executed by the command being answered.  One packed
-    struct instead of loose tuple fields so the reply layout is explicit,
-    versioned in one place, and byte-countable like the record blobs.
-    """
-    return _REPLY_META.pack(next_time, eot, fired)
-
-
-def unpack_reply_meta(data) -> Tuple[float, float, int]:
-    """Inverse of :func:`pack_reply_meta`: ``(next_time, eot, fired)``."""
-    return _REPLY_META.unpack(data)
 
 
 class WireCodec:

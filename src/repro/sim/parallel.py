@@ -21,12 +21,12 @@ are looked *through* (:meth:`Site.quiet_gc_ticks`): a tick that will skip --
 and a forced full trace that will recompute the cached result and ship
 nothing -- contributes its first possibly-sending successor instead of
 itself.  Quiet stretches thus collapse into one window (a *quiescence
-jump* goes straight to the target), and when a window was
-dispatched with no routed input the next window command is issued before
-all replies are drained (*pipelined dispatch*), overlapping worker compute
-with coordination.
+jump* goes straight to the target).
 
-Every shard fires its events *strictly below* ``safe``
+The coordinator runs in lock-step: plan a window, send every shard its
+command, absorb every reply.  At most one window is ever in flight, so every
+window is planned on the EOTs the shards advertised at the end of the
+previous one.  Every shard fires its events *strictly below* ``safe``
 (:meth:`Scheduler.run_until_before`).
 
 Safety: any message produced during the window traces back to some event
@@ -36,11 +36,7 @@ chain perturbed by such an event -- and therefore delivers at or after that
 event's EOT term, hence at or after ``safe``.  Cross-shard messages not yet
 handed to their destination shard contribute ``deliver_at +
 destination-shard lookahead`` terms for the cascades their delivery can
-start.  Pipelined dispatch additionally relies on EOT *monotonicity under
-no input*: a shard that received nothing can only get quieter, so the EOT
-it advertised one window ago still lower-bounds everything it will output,
-which is why the pipeline only engages when the previous window routed zero
-messages.  The invariant is asserted at runtime on every cross-shard record:
+start.  The invariant is asserted at runtime on every cross-shard record:
 it must deliver at or after the window bound in force when it was sent
 (:meth:`ParallelSimulation._absorb`).  No shard can ever receive a
 message in its past, hence no rollback is needed.  Progress: every EOT term
@@ -73,21 +69,17 @@ small-messages discipline:
 - *One carrier, one command shape*: every cross-shard record rides the
   pipes.  ``window`` and ``align`` are ``(op, time, blob)`` -- the records
   addressed to this shard, due or not -- and every reply is ``("ok",
-  payload, blob, trailer)`` (or ``("error", traceback)``): the records the
-  shard sent, and 24 bytes packing its frontier, EOT and events fired.
+  payload, blob, next_time, eot, fired)`` (or ``("error", traceback)``):
+  the records the shard sent, its frontier, its EOT and the events fired.
   The coordinator routes by scanning record headers, asserts the window
   floor on each record (:meth:`ParallelSimulation._absorb`, the one place)
   and forwards it in the destination's next command.  The worker *stashes*
   what it receives, injects the records due before the window bound in
   ``(deliver_at, source site, sender sequence)`` order, and runs; its
-  frontier and EOT fold in the stash.  ``total_objects()`` after the fork
-  is one ``counts`` broadcast.
-- *Delta control plane*: ``snapshot()`` ships only site snapshots whose
-  content digest changed since the last export, ``merged_metrics()`` only
-  counters whose values moved, and both merged views are cached
-  coordinator-side and invalidated by a monotonically increasing state
-  version (bumped by every command that can touch worker state) -- a
-  steady-state poll loop costs one broadcast, not one per call.
+  frontier and EOT fold in the stash.
+- *Plain queries*: ``snapshot()``, ``merged_metrics()``, ``trace_outcomes``,
+  ``total_objects()`` and ``all_object_ids()`` after the fork are one
+  broadcast each, merged coordinator-side into fresh objects.
 """
 
 from __future__ import annotations
@@ -107,7 +99,7 @@ from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder
 from ..net.latency import LatencyModel
 from ..net.message import Message
-from ..net.wire import WireCodec, pack_reply_meta, unpack_reply_meta
+from ..net.wire import WireCodec
 from .simulation import Simulation
 
 _INF = float("inf")
@@ -227,43 +219,6 @@ class _RecordStash:
         return [unpack(entry[3]) for entry in due]
 
 
-class _DeltaExporter:
-    """Worker-side state for the delta control plane.
-
-    Snapshots ship per site only when the content digest moved since the
-    last export (:func:`~repro.analysis.export.site_snapshot_delta`);
-    metrics ship only counters whose values changed since the last export,
-    starting from the fork baseline the coordinator already holds.
-    """
-
-    __slots__ = ("_digests", "_exported")
-
-    def __init__(self, sim: Simulation):
-        self._digests: Dict[SiteId, bytes] = {}
-        self._exported: Dict[str, int] = dict(sim.metrics._counters)
-
-    def snapshot(self, sim: Simulation, shard: Set[SiteId]) -> Dict[SiteId, Any]:
-        from ..analysis.export import site_snapshot_delta
-
-        payload: Dict[SiteId, Any] = {}
-        for site_id in shard:
-            digest, snap = site_snapshot_delta(
-                sim.sites[site_id], self._digests.get(site_id)
-            )
-            self._digests[site_id] = digest
-            payload[site_id] = snap
-        return payload
-
-    def metrics(self, sim: Simulation) -> Dict[str, int]:
-        exported = self._exported
-        delta: Dict[str, int] = {}
-        for name, value in sim.metrics._counters.items():
-            if value != exported.get(name, 0):
-                delta[name] = value
-                exported[name] = value
-        return delta
-
-
 def _shard_eot(sim: Simulation, lookahead: float) -> float:
     """Earliest instant this shard could put a message on another shard.
 
@@ -318,12 +273,7 @@ def _schedule_incoming(sim: Simulation, incoming: List[RoutedMessage]) -> None:
         )
 
 
-def _execute(
-    sim: Simulation,
-    shard: Set[SiteId],
-    command: tuple,
-    exporter: _DeltaExporter,
-):
+def _execute(sim: Simulation, shard: Set[SiteId], command: tuple):
     """Run one coordinator command that does not advance time; return its
     payload."""
     op = command[0]
@@ -358,9 +308,11 @@ def _execute(
             sim.sites[site_id].stop_auto_gc()
         return None
     if op == "snapshot":
-        return exporter.snapshot(sim, shard)
+        from ..analysis.export import site_snapshot
+
+        return {site_id: site_snapshot(sim.sites[site_id]) for site_id in shard}
     if op == "metrics":
-        return exporter.metrics(sim)
+        return sim.metrics._counters
     if op == "outcomes":
         return list(sim._trace_outcomes)
     if op == "counts":
@@ -386,18 +338,17 @@ def _worker_main(
     The child inherited the fully built simulation by fork; it prunes the
     scheduler to its shard, puts the network into shard mode, and then
     obeys coordinator commands.  Every reply is a uniform
-    ``("ok", payload, outgoing, meta)`` tuple (or
+    ``("ok", payload, outgoing, next_time, eot, fired)`` tuple (or
     ``("error", traceback_text)``): ``outgoing`` is the blob of packed
-    records the command sent to other shards, and ``meta`` packs the
-    shard's new frontier, its earliest output time, and the events fired
-    (:func:`~repro.net.wire.pack_reply_meta`), so the coordinator always
-    learns the shard's state and pending cross-shard messages in one
-    exchange.
+    records the command sent to other shards, followed by the shard's new
+    frontier, its earliest output time, and the events fired, so the
+    coordinator always learns the shard's state and pending cross-shard
+    messages in one exchange.
 
     Window/align commands are ``(op, time, blob)``: the worker stashes the
-    records and injects what is due.  The frontier and EOT in the trailer
-    fold in the stash of received-but-not-due records, so the coordinator's
-    planner accounts for work it has already handed over.
+    records and injects what is due.  The reply's frontier and EOT fold in
+    the stash of received-but-not-due records, so the coordinator's planner
+    accounts for work it has already handed over.
     """
     shard = set(shard_sites)
     channel = _Channel(conn)
@@ -414,14 +365,13 @@ def _worker_main(
         channel.send(("error", traceback.format_exc()))
         channel.close()
         return
-    exporter = _DeltaExporter(sim)
 
     def packed_outgoing():
         outgoing = codec.pack_routed(outbox)
         del outbox[:]
         return outgoing
 
-    def reply_meta(fired: int) -> bytes:
+    def reply(payload, fired: int) -> tuple:
         next_time = sim.scheduler.peek_time()
         eot = _shard_eot(sim, lookahead)
         stash_min = stash.stash_min()
@@ -429,7 +379,7 @@ def _worker_main(
             next_time = stash_min
         if stash_min + lookahead < eot:
             eot = stash_min + lookahead
-        return pack_reply_meta(next_time, eot, fired)
+        return ("ok", payload, packed_outgoing(), next_time, eot, fired)
 
     def run_window(op, time, blob) -> int:
         """Stash -> take due -> run: the one window/align protocol."""
@@ -441,7 +391,7 @@ def _worker_main(
         _schedule_incoming(sim, stash.take_due(time))
         return sim.scheduler.run_until_before(time)
 
-    channel.send(("ok", None, packed_outgoing(), reply_meta(0)))
+    channel.send(reply(None, 0))
     while True:
         try:
             command = channel.recv()
@@ -451,17 +401,15 @@ def _worker_main(
             if command[0] in ("window", "align"):
                 payload, fired = None, run_window(*command)
             else:
-                payload, fired = _execute(sim, shard, command, exporter), 0
+                payload, fired = _execute(sim, shard, command), 0
         except _Stop:
-            channel.send(
-                ("ok", None, packed_outgoing(), pack_reply_meta(_INF, _INF, 0))
-            )
+            channel.send(("ok", None, packed_outgoing(), _INF, _INF, 0))
             break
         except Exception:
             del outbox[:]
             channel.send(("error", traceback.format_exc()))
             continue
-        channel.send(("ok", payload, packed_outgoing(), reply_meta(fired)))
+        channel.send(reply(payload, fired))
     channel.close()
 
 
@@ -725,17 +673,6 @@ class ParallelSimulation(Simulation):
         #: a window/align reply must deliver at or after it.
         self._floor: Optional[float] = None
         self._stats = Counter()
-        # -- delta control plane --------------------------------------------
-        #: Monotonic version of worker-visible state; bumped by every command
-        #: that can touch it.  The cached merged snapshot/metrics are valid
-        #: exactly while their recorded version equals it.
-        self._state_version = 0
-        self._snapshot_version = -1
-        self._snapshot_cache: Dict[SiteId, Any] = {}
-        self._metrics_version = -1
-        self._metrics_cache: Counter = Counter()
-        #: Per-worker latest known counter values (delta merge base).
-        self._worker_counters: List[Dict[str, int]] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -779,7 +716,6 @@ class ParallelSimulation(Simulation):
         # view of `self` so their internal calls take direct paths.
         self._forked = True
         self.network.mark_forked_away()
-        self._worker_counters = [dict(self._fork_counters) for _ in shards]
         for index, worker in enumerate(self._pool):
             worker.shard_indices = {
                 self._codec.site_index(site_id) for site_id in worker.shard
@@ -839,8 +775,7 @@ class ParallelSimulation(Simulation):
         """
         if reply[0] == "error":
             raise SimulationError(f"shard worker failed:\n{reply[1]}")
-        _, payload, outgoing, meta = reply
-        next_time, eot, fired = unpack_reply_meta(meta)
+        _, payload, outgoing, next_time, eot, fired = reply
         floor = self._floor if window_reply else None
         stats = self._stats
         if len(outgoing) > 4:  # more than the empty-blob count prefix
@@ -897,7 +832,6 @@ class ParallelSimulation(Simulation):
         if self._closed:
             raise SimulationError("parallel simulation has been closed")
         self._stats["site_calls"] += 1
-        self._state_version += 1
         pool = self._pool
         worker = pool.workers[self._site_to_worker[site_id]]
         pool.send(worker, ("site_call", site_id, method, args, kwargs))
@@ -965,70 +899,36 @@ class ParallelSimulation(Simulation):
             bound = min(math.nextafter(horizon, _INF), target_excl)
         return bound
 
-    def _pipeline_bound(
-        self, target_excl: float, bound: float
-    ) -> Optional[float]:
-        """Bound for a pre-dispatched window, or None when not provably safe.
-
-        Preconditions (checked by the caller): the window being drained was
-        dispatched with zero routed messages and nothing is pending now.
-        Undrained workers' EOTs are then one window stale but still valid --
-        a shard that received no input can only get quieter, so the EOT it
-        advertised before that window lower-bounds everything it outputs
-        during it and after it.  The candidate must clear the in-flight
-        bound by at least one lookahead step: stale EOTs are never ahead of
-        what a full drain would plan, so a narrow pre-dispatch would *add*
-        a window the plain planner would have merged -- pipelining must buy
-        overlap, not cost rounds.
-        """
-        candidate = target_excl
-        for worker in self._pool:
-            if worker.eot < candidate:
-                candidate = worker.eot
-        if candidate <= bound:
-            return None
-        if candidate < target_excl and candidate - bound < self._lookahead:
-            return None
-        return candidate
-
-    def _send_window(self, op: str, time: float) -> bool:
-        """Send one window/align command to every worker; True when it
-        handed the shards no input at all.
+    def _exchange(self, op: str, time: float) -> int:
+        """One lock-step round: send every worker its window/align command,
+        then absorb every reply in worker order; return the events fired.
 
         The command ships the records addressed to the shard, due or not --
-        the worker's stash holds them until due.  "No input" is what the
-        pipelined-dispatch safety argument needs: no record shipped.
-
-        A blob larger than the OS pipe buffer blocks this send until the
-        worker reads it, and it will: a worker is parked in recv unless a
-        window is in flight, and a window dispatched over one in flight
-        (pipelining) carries an empty blob.
+        the worker's stash holds them until due.  A blob larger than the OS
+        pipe buffer blocks its send until the worker reads it, and it will:
+        every worker is parked in ``recv`` while the commands go out, and a
+        worker blocked writing a large reply waits only for the coordinator
+        to read it, which it does once every command is sent.
         """
         pool = self._pool
-        clean = not self._pending
         for worker in pool:
             pool.send(worker, (op, time, self._take_pending(worker)))
-        return clean
-
-    def _dispatch_window(self, bound: float) -> Tuple[float, bool]:
-        self._stats["windows"] += 1
-        self._floor = bound
-        return bound, self._send_window("window", bound)
+        fired = 0
+        for worker in pool:
+            fired += self._absorb(worker, pool.recv(worker), window_reply=True)[1]
+        return fired
 
     def _advance(self, target: float) -> int:
         """Advance every shard to exactly ``target`` via safe-time windows.
 
-        At most two windows are ever in flight: while draining the replies
-        of a window that was dispatched empty, the planner may issue the
-        next window early (``pipelined_windows``) so idle workers start
-        computing before the slowest reply lands.  Replies are always
-        drained in worker order, so window bounds -- and hence all
-        coordination counters -- are deterministic, never wall-clock-raced.
+        Plan, exchange, repeat: each window is planned on the replies of the
+        one before, and replies are absorbed in worker order, so window
+        bounds -- and hence all coordination counters -- are deterministic,
+        never wall-clock-raced.
 
         A worker error or a failed safety check in here is final
         (:meth:`_abandon`): the engine closes before the error propagates.
         """
-        self._state_version += 1
         try:
             total_fired = self._run_windows(target)
         except SimulationError:
@@ -1040,37 +940,17 @@ class ParallelSimulation(Simulation):
     def _run_windows(self, target: float) -> int:
         target_excl = math.nextafter(target, _INF)
         total_fired = 0
-        pool = self._pool
-        workers = pool.workers
-        inflight: List[Tuple[float, bool]] = []
         while True:
-            if not inflight:
-                bound = self._plan_bound(target_excl)
-                if bound is None:
-                    break
-                inflight.append(self._dispatch_window(bound))
-            bound, clean = inflight.pop(0)
-            for index, worker in enumerate(workers):
-                _, fired = self._absorb(
-                    worker, pool.recv(worker), window_reply=True
-                )
-                total_fired += fired
-                if (
-                    clean
-                    and not inflight
-                    and not self._pending
-                    and index + 1 < len(workers)
-                ):
-                    candidate = self._pipeline_bound(target_excl, bound)
-                    if candidate is not None:
-                        inflight.append(self._dispatch_window(candidate))
-                        self._stats["pipelined_windows"] += 1
+            bound = self._plan_bound(target_excl)
+            if bound is None:
+                break
+            self._stats["windows"] += 1
+            self._floor = bound
+            total_fired += self._exchange("window", bound)
         # Align: park messages due beyond the target in their receiving
         # shards' queues and move every clock (ours included) to the target.
         self._stats["aligns"] += 1
-        self._send_window("align", target)
-        for worker in pool:
-            self._absorb(worker, pool.recv(worker), window_reply=True)
+        self._exchange("align", target)
         return total_fired
 
     def coordination_stats(self) -> Dict[str, int]:
@@ -1078,9 +958,8 @@ class ParallelSimulation(Simulation):
 
         ``windows``/``aligns`` count synchronization rounds, of which
         ``eot_jumps``/``quiescence_jumps`` went past ``horizon +
-        min_latency`` thanks to advertised earliest-output-times and
-        ``pipelined_windows`` were dispatched before the previous window
-        finished draining; ``bytes_sent``/``bytes_recv`` are
+        min_latency`` thanks to advertised earliest-output-times;
+        ``bytes_sent``/``bytes_recv`` are
         coordinator-side pipe totals (every pickled byte).
         ``cross_shard_messages`` records crossed the pipes in
         ``payload_bytes`` of blobs, of which ``payloads_packed`` used the
@@ -1094,7 +973,6 @@ class ParallelSimulation(Simulation):
             "site_calls",
             "eot_jumps",
             "quiescence_jumps",
-            "pipelined_windows",
             "cross_shard_messages",
             "payloads_packed",
             "payloads_pickled",
@@ -1149,7 +1027,6 @@ class ParallelSimulation(Simulation):
     def quiesce_auto_gc(self) -> None:
         if not self._forked:
             return super().quiesce_auto_gc()
-        self._state_version += 1
         self._broadcast(("quiesce",))
 
     def run_gc_round(self, settle_time: float = 50.0) -> None:
@@ -1191,7 +1068,6 @@ class ParallelSimulation(Simulation):
             super().site(site_id).crash()
             return
         self._crashed_sites.add(site_id)
-        self._state_version += 1
         self._broadcast(("crash", site_id))
 
     def recover_site(self, site_id: SiteId) -> None:
@@ -1201,48 +1077,34 @@ class ParallelSimulation(Simulation):
             super().site(site_id).recover()
             return
         self._crashed_sites.discard(site_id)
-        self._state_version += 1
         self._broadcast(("recover", site_id))
 
     def partition(self, *groups) -> None:
         if not self._forked:
             return super().partition(*groups)
-        self._state_version += 1
         self._broadcast(("partition", groups))
 
     def heal_partition(self) -> None:
         if not self._forked:
             return super().heal_partition()
-        self._state_version += 1
         self._broadcast(("heal_partition",))
 
     # -- merged state --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Merged heap/ioref snapshot, same shape as ``graph_snapshot``.
-
-        The broadcast happens at most once per state version: workers ship
-        only sites whose content digest moved since the last export
-        (``None`` for unchanged ones), the coordinator patches its cached
-        copy, and a repeat call with no intervening state change skips the
-        broadcast entirely.  Treat the result as read-only -- cached site
-        entries are shared between calls.
-        """
+        """Merged heap/ioref snapshot, same shape as ``graph_snapshot``: one
+        broadcast, every shard answering with a fresh snapshot per site."""
         if not self._forked:
             from ..analysis.export import graph_snapshot
 
             return graph_snapshot(self)
-        cache = self._snapshot_cache
-        if self._snapshot_version != self._state_version:
-            payloads, _ = self._broadcast(("snapshot",))
-            for shard_snapshot in payloads:
-                for site_id, snap in shard_snapshot.items():
-                    if snap is not None:
-                        cache[site_id] = snap
-            self._snapshot_version = self._state_version
+        payloads, _ = self._broadcast(("snapshot",))
+        sites: Dict[SiteId, Any] = {}
+        for shard_snapshot in payloads:
+            sites.update(shard_snapshot)
         return {
             "time": self.now,
-            "sites": {site_id: cache[site_id] for site_id in sorted(cache)},
+            "sites": {site_id: sites[site_id] for site_id in sorted(sites)},
         }
 
     def merged_metrics(self) -> MetricsRecorder:
@@ -1250,27 +1112,19 @@ class ParallelSimulation(Simulation):
 
         Every worker inherited the pre-fork counters at fork time, so the
         merge adds only each worker's post-fork deltas to the baseline once.
-        Observations (value series) are not merged across processes.  The
-        broadcast happens at most once per state version and ships only
-        counters whose values moved; the coordinator keeps each worker's
-        last known values and re-merges from those.
+        Observations (value series) are not merged across processes.
         """
         if not self._forked:
             return self.metrics
-        if self._metrics_version != self._state_version:
-            payloads, _ = self._broadcast(("metrics",))
-            for known, delta in zip(self._worker_counters, payloads):
-                known.update(delta)
-            merged = Counter(self._fork_counters)
-            fork_value = self._fork_counters.get
-            for known in self._worker_counters:
-                for name, value in known.items():
-                    merged[name] += value - fork_value(name, 0)
-            self._metrics_cache = merged
-            self._metrics_version = self._state_version
+        payloads, _ = self._broadcast(("metrics",))
+        merged = Counter(self._fork_counters)
+        fork_value = self._fork_counters.get
+        for counters in payloads:
+            for name, value in counters.items():
+                merged[name] += value - fork_value(name, 0)
         recorder = MetricsRecorder()
         recorder._counters.update(
-            {name: value for name, value in self._metrics_cache.items() if value}
+            {name: value for name, value in merged.items() if value}
         )
         return recorder
 

@@ -269,10 +269,6 @@ class Scheduler:
             return self._queue[0][0]
         return float("inf")
 
-    def next_event_time(self) -> float:
-        """Alias of :meth:`peek_time` (the historical name)."""
-        return self.peek_time()
-
     def live_events(self):
         """Iterate ``(time, label, site)`` of every live event, heap order.
 

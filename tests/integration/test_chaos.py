@@ -35,13 +35,20 @@ def _failures(results):
     ]
 
 
-def test_link_fault_matrix_is_safe_and_eventually_collects():
+BACKENDS = ["backtrace", "termination"]
+
+
+@pytest.mark.parametrize("collector", BACKENDS)
+def test_link_fault_matrix_is_safe_and_eventually_collects(collector):
     plans = [
         plan
         for plan in standard_plans([f"s{i}" for i in range(4)])
         if not plan.crashes and not plan.partitions
     ]
-    results = run_chaos_matrix(range(1, 5), plans, n_sites=4, garbage_rings=2)
+    results = run_chaos_matrix(
+        range(1, 5), plans, n_sites=4, garbage_rings=2,
+        gc=GcConfig(collector=collector),
+    )
     assert not _failures(results), _failures(results)
     # The matrix must actually exercise faults, not vacuously pass.
     assert any(r.dropped > 0 for r in results)
@@ -49,14 +56,15 @@ def test_link_fault_matrix_is_safe_and_eventually_collects():
     assert any(r.retransmits > 0 for r in results)
 
 
-def test_crash_and_partition_plans_recover():
+@pytest.mark.parametrize("collector", BACKENDS)
+def test_crash_and_partition_plans_recover(collector):
     plans = [
         plan
         for plan in standard_plans([f"s{i}" for i in range(6)])
         if plan.crashes or plan.partitions
     ]
     assert len(plans) == 2
-    results = run_chaos_matrix([3, 4], plans)
+    results = run_chaos_matrix([3, 4], plans, gc=GcConfig(collector=collector))
     assert not _failures(results), _failures(results)
 
 

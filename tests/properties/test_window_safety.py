@@ -7,7 +7,7 @@ record (:meth:`ParallelSimulation._absorb`), so these trials drive the
 planner across randomized latency configurations -- homogeneous
 uniform bands and heterogeneous zoned topologies, with the global
 ``min_latency`` floor set to the model's true minimum -- and a planner bug
-(an over-eager EOT, a stale pipelined bound) surfaces as a
+(an over-eager EOT, a missed pending-message term) surfaces as a
 :class:`SimulationError` rather than as silent corruption.  Each trial also
 compares the final snapshot against the sequential twin, which would catch
 any violation the runtime check somehow missed.
@@ -23,7 +23,6 @@ from repro.errors import SimulationError
 from repro.gc.update import UpdateRefreshRequest
 from repro.net.latency import UniformLatency, ZonedLatency
 from repro.net.message import Message
-from repro.net.wire import pack_reply_meta
 from repro.workloads import ChurnConfig, SiteChurn
 
 SITES = [f"s{i}" for i in range(8)]
@@ -101,7 +100,7 @@ def test_absorb_rejects_a_message_below_the_window_floor():
     worker = sim._pool.workers[0]
     inf = float("inf")
     blob = sim._codec.pack_blob([_forged_record(sim._codec, 5.0)])
-    forged = ("ok", None, blob, pack_reply_meta(inf, inf, 0))
+    forged = ("ok", None, blob, inf, inf, 0)
     sim._floor = 100.0
     with pytest.raises(SimulationError, match="window-safety"):
         sim._absorb(worker, forged, window_reply=True)

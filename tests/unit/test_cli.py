@@ -23,6 +23,16 @@ def test_stress_short_run(capsys):
     assert "zero residual garbage" in out
 
 
+def test_chaos_matrix_passes(capsys):
+    assert main(["chaos"]) == 0
+    assert "56/56 cases passed" in capsys.readouterr().out
+
+
+def test_differential_matrix_agrees(capsys):
+    assert main(["diff"]) == 0
+    assert "24/24 cells agreed" in capsys.readouterr().out
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

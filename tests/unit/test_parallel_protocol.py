@@ -74,7 +74,7 @@ def test_run_until_before_is_strictly_exclusive():
     assert fired == [1.0, 2.0]
     # The clock is not force-advanced past the last fired event.
     assert sched.now == 2.0
-    assert sched.next_event_time() == 3.0
+    assert sched.peek_time() == 3.0
     sched.advance_clock(5.0)
     assert sched.now == 5.0
     sched.advance_clock(4.0)  # never moves backwards

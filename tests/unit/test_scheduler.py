@@ -177,12 +177,11 @@ def test_peek_time_skips_cancelled_heads():
     assert sched.queue_length == 1
 
 
-def test_peek_time_idle_is_inf_and_next_event_time_is_alias():
+def test_peek_time_idle_is_inf():
     sched = Scheduler()
     assert sched.peek_time() == float("inf")
-    assert sched.next_event_time() == float("inf")
     sched.schedule(3.0, lambda: None)
-    assert sched.next_event_time() == sched.peek_time() == 3.0
+    assert sched.peek_time() == 3.0
 
 
 def test_live_events_excludes_cancelled_and_carries_label_and_site():

@@ -636,25 +636,6 @@ def test_malformed_frame_raises_simulation_error(name):
         assert isinstance(caught.value.__cause__, cause)
 
 
-# -- window reply metadata ---------------------------------------------------
-
-
-def test_reply_meta_roundtrip():
-    from repro.net.wire import pack_reply_meta, unpack_reply_meta
-
-    data = pack_reply_meta(12.5, 20.5, 42)
-    assert isinstance(data, bytes) and len(data) == 24
-    assert unpack_reply_meta(data) == (12.5, 20.5, 42)
-
-
-def test_reply_meta_packs_infinities_exactly():
-    from repro.net.wire import pack_reply_meta, unpack_reply_meta
-
-    inf = float("inf")
-    next_time, eot, fired = unpack_reply_meta(pack_reply_meta(inf, inf, 0))
-    assert next_time == inf and eot == inf and fired == 0
-
-
 # -- bare records -------------------------------------------------------------
 
 
