@@ -16,11 +16,19 @@ This module implements the *clean phase*: tracing from all roots whose
 distance is at or below the suspicion threshold.  Objects it marks are
 *clean*; everything else is the suspected region handled by
 :mod:`repro.core.backinfo`.
+
+Two kernels compute it.  :func:`trace_clean_phase` is the paper-literal
+reference over ``ObjectId`` sets; :func:`trace_clean_phase_flat` is the one
+local traces run, over the heap's flat-graph mirror, re-using the part of
+its previous run on the same heap that no mutation since has touched.  The
+kernel tests hold it to the reference on every result field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..ids import ObjectId
@@ -36,7 +44,10 @@ class CleanPhaseResult:
       ``1 + distance(root)`` over the clean roots that reach it;
     - ``clean_variable_outrefs``: outrefs held directly in mutator variables
       (roots of distance 0, so their distance estimate is 1);
-    - ``objects_scanned`` / ``edges_examined``: cost counters.
+    - ``objects_scanned`` / ``edges_examined``: cost counters;
+    - ``objects_reused``: how many of the scanned objects the flat kernel
+      took from its memo instead of walking (0 from the reference).  Not a
+      counter and not part of the kernels' contract.
     """
 
     clean_objects: Set[ObjectId] = field(default_factory=set)
@@ -44,6 +55,7 @@ class CleanPhaseResult:
     clean_variable_outrefs: Set[ObjectId] = field(default_factory=set)
     objects_scanned: int = 0
     edges_examined: int = 0
+    objects_reused: int = 0
 
 
 def trace_clean_phase(
@@ -63,8 +75,8 @@ def trace_clean_phase(
     already the minimum, mirroring the paper's ordering argument.
 
     This is the paper-literal reference over ``ObjectId`` sets.  Local traces
-    run the flat and frontier kernels below; the kernel tests hold both to
-    this function's result, and the central-service baseline calls it.
+    run the flat kernel below; the kernel tests hold it to this function's
+    result, and the central-service baseline calls it.
     """
     result = CleanPhaseResult()
     for target in variable_outrefs:
@@ -80,6 +92,11 @@ def trace_clean_phase(
     return result
 
 
+#: ``bytes.translate`` table turning the alive bitmap into a fresh mark
+#: bitmap: dead and free indices start marked, alive ones unmarked.
+_DEAD_MARKED = bytes([1, 0]) + bytes(254)
+
+
 def trace_clean_phase_flat(
     heap: Heap,
     roots: Iterable[Tuple[ObjectId, int]],
@@ -87,14 +104,29 @@ def trace_clean_phase_flat(
 ) -> CleanPhaseResult:
     """The clean phase over the heap's flat-graph mirror.
 
-    Semantically identical to :func:`trace_clean_phase` (same clean set,
-    same outref distances, same cost counters -- the integration twins
-    assert byte-equality), but the traversal runs over dense int indices:
-    the mark "set" is the heap's reusable bytearray bitmap, the stack holds
-    ints, and local successor edges cost a list-of-int iteration plus two
-    bytearray probes instead of ObjectId hashing.  The bitmap is zeroed
-    index-by-index on the way out, so between traces it is all-zero and no
-    per-trace allocation proportional to the heap survives.
+    Same contract as :func:`trace_clean_phase`: identical clean set, outref
+    distances, ``objects_scanned`` and ``edges_examined``.  Roots are taken
+    one at a time in trace order (ascending distance, input order within a
+    distance), each a DFS over int indices that marks what no earlier root
+    marked -- the root's *region*.  Every object is labelled with the
+    smallest distance of a root that reaches it, so when a distance group
+    finishes, the remote references of the rows it marked take that
+    distance plus one (unless smaller already).
+
+    **Memo.**  The heap keeps the previous call's root order, region ends
+    and marked indices (``Heap.clean_memo``) and the rows changed since
+    (``Heap.take_dirty``).  A remembered region is re-used -- marked
+    wholesale, without walking -- when every earlier root was re-used, the
+    root and distance at its position are the same, and either the region
+    holds no changed row, or it was empty and the root is marked already.
+    Sound because a region is exactly what a DFS reaches from its root
+    through unmarked objects: its rows' edges are unchanged, they lead
+    only into the region and into what was marked before it (earlier
+    regions, re-used identically, and dead indices, which only the memo-
+    dropping revival in ``Heap.alloc`` brings back), and none of its
+    objects died, so the walk would repeat itself.  ``objects_scanned``
+    still counts every object the clean phase marked, re-used or not;
+    ``objects_reused`` says how many of them came from the memo.
     """
     result = CleanPhaseResult()
     distances = result.outref_distances
@@ -103,173 +135,86 @@ def trace_clean_phase_flat(
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
 
-    idx_map, alive, succ_local, succ_remote, mark, oids = heap.flat_graph()
-    distances_get = distances.get
-    site_id = heap.site_id
+    idx_map, alive, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
+    dirty = heap.take_dirty()
+    old_order, old_ends, old_marked = heap.clean_memo or ((), (), ())
+    reusing = True  # until a remembered region fails its check
+    seen = alive.translate(_DEAD_MARKED)
     marked: List[int] = []
     marked_append = marked.append
-    scanned = 0
-    edges = 0
-    for root, root_distance in sorted(roots, key=lambda pair: (pair[1], pair[0])):
-        if root.site != site_id:
-            continue
-        ridx = idx_map.get(root)
-        if ridx is None or not alive[ridx] or mark[ridx]:
-            continue
-        outref_distance = root_distance + 1
-        stack: List[int] = [ridx]
-        stack_pop = stack.pop
-        stack_append = stack.append
-        while stack:
-            i = stack_pop()
-            if mark[i]:
-                continue
-            mark[i] = 1
-            marked_append(i)
-            scanned += 1
-            loc = succ_local[i]
-            rem = succ_remote[i]
-            edges += len(loc) + len(rem)
-            for s in loc:
-                if not mark[s] and alive[s]:
-                    stack_append(s)
-            for ref in rem:
-                current = distances_get(ref)
-                if current is None or outref_distance < current:
-                    distances[ref] = outref_distance
-    if len(marked) == len(heap):
-        # Everything alive was marked (the common case for a quiescent full
-        # trace): the clean set IS the resident set, and the heap hands out
-        # a C-level copy of it without re-hashing a single ObjectId.
-        result.clean_objects = heap.object_id_set()
-        for i in marked:
-            mark[i] = 0
-    else:
-        clean_add = result.clean_objects.add
-        for i in marked:
-            clean_add(oids[i])
-            mark[i] = 0
-    result.objects_scanned = scanned
-    result.edges_examined = edges
-    return result
-
-
-#: Size gate for the frontier kernel: below this many resident objects a
-#: full trace stays on the flat DFS, whose fixed costs are lower (applied in
-#: ``LocalCollector._trace_heap``).
-FRONTIER_MIN_OBJECTS = 512
-
-#: Shape gate for the frontier kernel.  A level-synchronous sweep pays a
-#: fixed cost per *level* (a handful of set constructions), so a deep narrow
-#: graph (a chain: one object per level) is its worst case -- thousands of
-#: tiny set operations doing the work a scalar DFS finishes in one pass.
-#: When the average frontier width over the first ``_NARROW_PROBE_LEVELS``
-#: levels stays below ``_NARROW_MIN_WIDTH``, the kernel abandons the sweep,
-#: reruns the trace on the flat scalar kernel, and skips the sweep for the
-#: next ``_NARROW_BACKOFF_TRACES`` traces on that heap before probing again
-#: -- so a heap that later widens gets the frontier path back.
-_NARROW_PROBE_LEVELS = 64
-_NARROW_MIN_WIDTH = 8
-_NARROW_BACKOFF_TRACES = 128
-
-
-def trace_clean_phase_vector(
-    heap: Heap,
-    roots: Iterable[Tuple[ObjectId, int]],
-    variable_outrefs: Iterable[ObjectId] = (),
-) -> CleanPhaseResult:
-    """The clean phase as frontier sweeps in set algebra over the live mirror.
-
-    Same contract as :func:`trace_clean_phase` / the flat kernel: identical
-    clean set, outref distances, and cost counters.  The equivalence
-    argument: in the sequential kernels an object's *label* -- the root
-    distance whose DFS first marks it -- is the minimum distance over all
-    clean roots that reach it, because roots run in ascending distance
-    order and marked objects are never re-entered.  Level-synchronous BFS
-    per distinct root distance computes exactly those labels, so every
-    outref distance (``1 + label`` of a holder, minimised over holders)
-    matches, and the counters are order-independent (scanned = number
-    marked, edges = summed degree of marked objects).
-
-    One level is ``set().union(*rows of the frontier) - marked``: the union
-    hashes each successor slot once in C, and the *binary* difference
-    iterates the new frontier, where ``-=`` / ``difference_update`` would
-    iterate the whole marked set per level.  The rows are the mirror's own
-    adjacency lists, current by construction, so nothing is rebuilt when
-    the graph changes; the edge count and the clean set come from what the
-    heap maintains minus the rows left unmarked, after a clean phase few.
-
-    Bails out to the flat kernel mid-sweep when the graph turns out to be
-    deep and narrow (see ``_NARROW_PROBE_LEVELS``); the caller sees the
-    identical result.  The heap's mark bitmap is never touched.
-    """
-    backoff = heap.vector_kernel_backoff
-    if backoff > 0:
-        heap.vector_kernel_backoff = backoff - 1
-        return trace_clean_phase_flat(heap, roots, variable_outrefs)
-    root_list = list(roots)
-
-    result = CleanPhaseResult()
-    distances = result.outref_distances
-    for target in variable_outrefs:
-        result.clean_variable_outrefs.add(target)
-        current = distances.get(target)
-        distances[target] = 1 if current is None else min(current, 1)
-
-    idx_map, _, succ_local, succ_remote, _, oids = heap.flat_graph()
-    alive, remote_rows, slot_total = heap.frontier_graph()
-
-    by_distance: Dict[int, List[int]] = {}
-    for root, root_distance in root_list:
-        ridx = idx_map.get(root)  # only local ids are ever interned
-        if ridx in alive:
-            by_distance.setdefault(root_distance, []).append(ridx)
-
-    # A successor slot can only name a dead index while one is interned.
-    dangling = len(idx_map) != len(alive)
-    row_of = succ_local.__getitem__
+    order: List[Tuple[int, int]] = []
+    ends: List[int] = []
+    stack: List[int] = []
+    stack_pop = stack.pop
+    stack_extend = stack.extend
     distances_get = distances.get
-    marked: Set[int] = set()
-    levels = 0
-    for root_distance in sorted(by_distance):
-        # Everything this group marks has label ``root_distance``.
+    # Rows holding remote references that no group has marked yet.
+    pending = list(remote_rows)
+    ordered = sorted(roots, key=itemgetter(1))
+    for root_distance, group in groupby(ordered, key=itemgetter(1)):
+        for root, _ in group:
+            ridx = idx_map.get(root)  # only local ids are ever interned
+            if ridx is None:
+                continue
+            key = (root_distance, ridx)
+            if reusing:
+                position = len(order)
+                start = len(marked)
+                if position < len(old_order) and old_order[position] == key:
+                    end = old_ends[position]
+                    if end == start:
+                        reusing = bool(seen[ridx])
+                    else:
+                        region = old_marked[start:end]
+                        reusing = dirty.isdisjoint(region)
+                        if reusing:
+                            for i in region:
+                                seen[i] = 1
+                            marked += region
+                            result.objects_reused = end
+                else:
+                    reusing = False
+            if not reusing:
+                stack.append(ridx)
+                while stack:
+                    i = stack_pop()
+                    if seen[i]:
+                        continue
+                    seen[i] = 1
+                    marked_append(i)
+                    stack_extend(succ_local[i])
+            order.append(key)
+            ends.append(len(marked))
         outref_distance = root_distance + 1
-        frontier = set(by_distance[root_distance]) - marked
-        while frontier:
-            marked |= frontier
-            levels += 1
-            if (
-                levels >= _NARROW_PROBE_LEVELS
-                and len(marked) < levels * _NARROW_MIN_WIDTH
-            ):
-                heap.vector_kernel_backoff = _NARROW_BACKOFF_TRACES
-                return trace_clean_phase_flat(heap, root_list, variable_outrefs)
-            # Only the rows that hold a remote reference are visited.
-            for i in remote_rows.keys() & frontier:
+        unmarked = []
+        for i in pending:
+            if seen[i]:  # a row holding remote references is alive
                 for ref in remote_rows[i]:
                     current = distances_get(ref)
                     if current is None or outref_distance < current:
                         distances[ref] = outref_distance
-            frontier = set().union(*map(row_of, frontier)) - marked
-            if dangling:
-                frontier &= alive
+            else:
+                unmarked.append(i)
+        pending = unmarked
+    heap.clean_memo = (order, ends, marked)
 
-    result.objects_scanned = len(marked)
-    unmarked = alive - marked
-    if len(unmarked) < len(marked):
-        # How a clean phase usually ends: few rows left out, so start from
-        # what the heap maintains and take those rows back out.
+    scanned = len(marked)
+    if 2 * scanned >= len(heap):
+        # How a clean phase usually ends: few objects left unmarked, so
+        # start from what the heap maintains and take those rows back out.
         clean = heap.object_id_set()
         edges = slot_total
-        for i in unmarked:
+        i = seen.find(0)
+        while i >= 0:
             clean.discard(oids[i])
-            edges -= len(succ_local[i]) + len(succ_remote[i])
+            edges -= len(succ_local[i]) + len(remote_rows.get(i, ()))
+            i = seen.find(0, i + 1)
     else:
         clean = set(map(oids.__getitem__, marked))
-        edges = sum(map(len, map(row_of, marked))) + sum(
-            len(remote_rows[i]) for i in remote_rows.keys() & marked
-        )
+        edges = sum(map(len, map(succ_local.__getitem__, marked)))
+        edges += sum(len(row) for i, row in remote_rows.items() if seen[i])
     result.clean_objects = clean
+    result.objects_scanned = scanned
     result.edges_examined = edges
     return result
 

@@ -35,18 +35,17 @@ from ..core.backinfo import (
     compute_outsets_independent,
     invert_outsets,
 )
-from ..core.distance import (
-    FRONTIER_MIN_OBJECTS,
-    CleanPhaseResult,
-    trace_clean_phase_flat,
-    trace_clean_phase_vector,
-)
+from ..core.distance import CleanPhaseResult, trace_clean_phase_flat
 from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names
 from ..store.heap import Heap
 from .inrefs import InrefScan, InrefTable
 from .outrefs import OutrefEntry, OutrefTable
 from .update import UpdateDeltaPayload, UpdatePayload
+
+# The perf ledger's tracer (``benchmarks/ledger/tracer.py``) still looks this
+# name up when it installs; nothing calls it.  It goes with ROADMAP 3(a).
+trace_clean_phase_vector = trace_clean_phase_flat
 
 
 @dataclass
@@ -328,17 +327,9 @@ class LocalCollector:
         ]
         roots.extend((oid, 0) for oid in sorted(self.heap.variable_roots))
         roots.extend(scan.clean_roots)
-        # Kernel ladder: both rungs produce what the paper-literal
-        # ``trace_clean_phase`` does (the twin tests assert byte-equality);
-        # pick the cheaper.  The frontier kernel's per-level costs only
-        # amortise past a minimum heap size AND a minimum frontier width --
-        # it self-demotes to the flat kernel on deep narrow graphs (see the
-        # gates in repro.core.distance).
-        if len(self.heap) >= FRONTIER_MIN_OBJECTS:
-            kernel = trace_clean_phase_vector
-        else:
-            kernel = trace_clean_phase_flat
-        clean_phase = kernel(self.heap, roots, variable_outrefs=variable_outrefs)
+        clean_phase = trace_clean_phase_flat(
+            self.heap, roots, variable_outrefs=variable_outrefs
+        )
         result.clean_phase = clean_phase
         result.clean_objects = clean_phase.clean_objects
 

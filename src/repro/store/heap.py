@@ -9,27 +9,35 @@ safe when a mutator stashes a reference and reuses it later.
 Flat-graph mirror
 -----------------
 Alongside the ``oid -> HeapObject`` map the heap maintains a dense
-integer-indexed mirror of the local object graph for the flat and frontier
-trace kernels (:func:`repro.core.distance.trace_clean_phase_flat` /
-``trace_clean_phase_vector``):
+integer-indexed mirror of the local object graph for the clean-phase kernel
+(:func:`repro.core.distance.trace_clean_phase_flat`):
 
 - local object ids are *interned* to dense indices (``_idx`` / ``_oids``);
-- per-index adjacency is split into ``_succ_local`` (int indices of local
-  successors, duplicates preserved) and ``_succ_remote`` (remote ObjectIds);
-- ``_alive`` is a bytearray liveness bitmap and ``_mark`` a same-sized
-  reusable trace bitmap (zeroed by the kernel after each trace);
+- per-index adjacency is ``_succ_local`` (int indices of local successors,
+  duplicates preserved) plus ``_remote_rows`` (index -> its remote
+  ObjectIds, only for the rows holding any);
+- ``_alive`` is a bytearray liveness bitmap;
 - a dangling local reference (its target already swept -- ids are never
   reused, so it can never resurrect) keeps the target's index interned but
   dead; an index returns to the free-list only once it is dead *and* no
   adjacency slot points at it (``_slot_refs``), so indices never alias;
-- for the frontier kernel, three facts kept current in O(1) per change:
-  ``_alive_set`` (the alive indices as a set), ``_remote_rows`` (index ->
-  its ``_succ_remote`` row, the list itself, for the rows holding any
-  remote reference) and ``_slot_total`` (adjacency slots, local plus
-  remote, over all rows -- a dead row is empty).
+- ``_slot_total`` counts adjacency slots, local plus remote, over all rows
+  (a dead row is empty).
 
 The mirror is maintained on every allocation, reference add/remove, and
 sweep; traces read it without building any per-trace set keyed by ObjectId.
+
+Clean-phase memo
+----------------
+Every mirror change also names the row it touched in ``_dirty``: the holder
+of an added or removed edge, a retired object, a released index.  The
+kernel takes (and empties) that set on each call and stores
+``clean_memo = (root order, per-root end offsets, marked indices)``, so the
+next call can re-use the regions of roots whose rows did not change (the
+reuse rule is in :mod:`repro.core.distance`).  Allocating an id that was
+already interned -- referenced before it existed -- revives an index that
+remembered regions may point at without any of their rows changing, so it
+drops the memo instead.
 """
 
 from __future__ import annotations
@@ -62,19 +70,16 @@ class Heap:
         self._idx: Dict[ObjectId, int] = {}
         self._oids: List[Optional[ObjectId]] = []
         self._alive = bytearray()
-        self._mark = bytearray()
         self._succ_local: List[List[int]] = []
-        self._succ_remote: List[List[ObjectId]] = []
         self._slot_refs: List[int] = []
         self._free: List[int] = []
-        self._alive_set: Set[int] = set()
         self._remote_rows: Dict[int, List[ObjectId]] = {}
         self._slot_total = 0
-        # Set by the frontier clean-phase kernel when this heap's graph turned
-        # out too deep-and-narrow for level-synchronous sweeps: counts down
-        # the traces to route straight to the flat scalar kernel before
-        # probing the frontier path again (see repro.core.distance).
-        self.vector_kernel_backoff = 0
+        # -- clean-phase memo (see module docstring) ------------------------
+        self._dirty: Set[int] = set()
+        self.clean_memo: Optional[
+            Tuple[List[Tuple[int, int]], List[int], List[int]]
+        ] = None
 
     # -- mutation epoch ---------------------------------------------------------
     #
@@ -104,9 +109,7 @@ class Heap:
             idx = len(self._oids)
             self._oids.append(oid)
             self._alive.append(0)
-            self._mark.append(0)
             self._succ_local.append([])
-            self._succ_remote.append([])
             self._slot_refs.append(0)
         self._idx[oid] = idx
         return idx
@@ -121,20 +124,24 @@ class Heap:
         del self._idx[oid]
         self._oids[idx] = None
         self._free.append(idx)
+        self._dirty.add(idx)
 
     def _edge_added(self, holder_idx: int, target: ObjectId) -> None:
+        self._dirty.add(holder_idx)
         self._slot_total += 1
         if target.site == self.site_id:
             tidx = self._intern(target)
             self._succ_local[holder_idx].append(tidx)
             self._slot_refs[tidx] += 1
         else:
-            row = self._succ_remote[holder_idx]
-            if not row:
-                self._remote_rows[holder_idx] = row
-            row.append(target)
+            row = self._remote_rows.get(holder_idx)
+            if row is None:
+                self._remote_rows[holder_idx] = [target]
+            else:
+                row.append(target)
 
     def _edge_removed(self, holder_idx: int, target: ObjectId) -> None:
+        self._dirty.add(holder_idx)
         self._slot_total -= 1
         if target.site == self.site_id:
             # Duplicate occurrences are interchangeable; drop the first.
@@ -143,7 +150,7 @@ class Heap:
             self._slot_refs[tidx] -= 1
             self._maybe_release(tidx)
         else:
-            row = self._succ_remote[holder_idx]
+            row = self._remote_rows[holder_idx]
             row.remove(target)
             if not row:
                 del self._remote_rows[holder_idx]
@@ -163,13 +170,10 @@ class Heap:
         """Drop a dying object from the mirror (keep its index while held)."""
         idx = obj.index
         obj.index = -1
+        self._dirty.add(idx)
         self._alive[idx] = 0
-        self._alive_set.discard(idx)
         local = self._succ_local[idx]
-        remote = self._succ_remote[idx]
-        self._slot_total -= len(local) + len(remote)
-        self._remote_rows.pop(idx, None)
-        remote.clear()
+        self._slot_total -= len(local) + len(self._remote_rows.pop(idx, ()))
         for tidx in local:
             self._slot_refs[tidx] -= 1
             if tidx != idx:
@@ -183,32 +187,32 @@ class Heap:
         Dict[ObjectId, int],
         bytearray,
         List[List[int]],
-        List[List[ObjectId]],
-        bytearray,
+        Dict[int, List[ObjectId]],
         List[Optional[ObjectId]],
+        int,
     ]:
-        """The mirror's internals for the flat trace kernel (no copies).
+        """What the clean-phase kernel reads of the mirror, no copies.
 
-        Returns ``(idx, alive, succ_local, succ_remote, mark, oids)``.  The
-        caller must leave ``mark`` all-zero when done (the kernel zeroes
-        exactly the indices it marked).
+        Returns ``(idx, alive, succ_local, remote_rows, oids, slot_total)``;
+        read-only by convention.
         """
         return (
             self._idx,
             self._alive,
             self._succ_local,
-            self._succ_remote,
-            self._mark,
+            self._remote_rows,
             self._oids,
+            self._slot_total,
         )
 
-    def frontier_graph(self) -> Tuple[Set[int], Dict[int, List[ObjectId]], int]:
-        """What the frontier kernel reads beside :meth:`flat_graph`, no copies:
-        ``(alive_set, remote_rows, slot_total)``.  Read-only by convention."""
-        return self._alive_set, self._remote_rows, self._slot_total
+    def take_dirty(self) -> Set[int]:
+        """The rows changed since the last call, leaving the set empty."""
+        dirty, self._dirty = self._dirty, set()
+        return dirty
 
     def check_flat_mirror(self) -> None:
-        """Assert mirror == object map (test/debug support; O(V+E))."""
+        """Assert mirror == object map, and the memo's premises (test/debug
+        support; O(V+E))."""
         assert self._oid_set == set(self._objects), "oid set drift"
         for oid, obj in self._objects.items():
             idx = self._idx.get(oid)
@@ -219,21 +223,17 @@ class Heap:
             )
             have_local = sorted(r for r in obj.ref_view if r.site == self.site_id)
             assert want_local == have_local, f"local adjacency drift: {oid}"
-            want_remote = sorted(self._succ_remote[idx])
+            want_remote = sorted(self._remote_rows.get(idx, ()))
             have_remote = sorted(r for r in obj.ref_view if r.site != self.site_id)
             assert want_remote == have_remote, f"remote adjacency drift: {oid}"
         alive = {idx for idx, b in enumerate(self._alive) if b}
         assert len(alive) == len(self._objects), "alive bitmap drift"
-        assert alive == self._alive_set, "alive set drift"
-        assert not any(self._mark), "mark bitmap not zeroed after trace"
         slot_refs = Counter(t for row in self._succ_local for t in row)
         slots = 0
         for idx, oid in enumerate(self._oids):
             assert slot_refs[idx] == self._slot_refs[idx], f"slot refcount drift: {idx}"
-            local, remote = self._succ_local[idx], self._succ_remote[idx]
+            local, remote = self._succ_local[idx], self._remote_rows.get(idx, ())
             slots += len(local) + len(remote)
-            # The kernel reads the row list itself, so an edit shows at once.
-            assert self._remote_rows.get(idx) is (remote or None), f"remote row {idx}"
             if oid is None:
                 assert not self._alive[idx] and not self._slot_refs[idx]
             else:
@@ -243,8 +243,25 @@ class Heap:
                 )
             assert self._alive[idx] or not (local or remote), f"dead row kept: {idx}"
         assert len(self._idx) == len(self._oids) - len(self._free), "intern drift"
-        assert len(self._remote_rows) == sum(map(bool, self._succ_remote)), "stray row"
+        assert all(self._remote_rows.values()), "empty remote row kept"
         assert slots == self._slot_total, "slot total drift"
+        # The memo may be re-used only where ``_dirty`` names every row that
+        # changed since it was stored: a remembered index is still interned
+        # (a marked one still alive) unless the dirty set says otherwise.
+        size = len(self._oids)
+        assert all(idx < size for idx in self._dirty), "dirty row out of range"
+        if self.clean_memo is not None:
+            order, ends, marked = self.clean_memo
+            assert len(ends) == len(order) and ends == sorted(ends), "memo ends"
+            assert not ends or ends[-1] == len(marked), "memo ends"
+            for idx in marked:
+                assert idx < size and (self._alive[idx] or idx in self._dirty), (
+                    f"stale memo mark: {idx}"
+                )
+            for _, idx in order:
+                assert idx < size and (
+                    self._oids[idx] is not None or idx in self._dirty
+                ), f"stale memo root: {idx}"
 
     # -- allocation -----------------------------------------------------------
 
@@ -259,10 +276,13 @@ class Heap:
         self._next_serial += 1
         obj = HeapObject(oid, refs=refs, payload_size=payload_size)
         obj._owner = self
+        if oid in self._idx:
+            # Referenced before it existed: the index comes alive under
+            # edges no dirty row records (see the module docstring).
+            self.clean_memo = None
         idx = self._intern(oid)
         obj.index = idx
         self._alive[idx] = 1
-        self._alive_set.add(idx)
         for ref in obj.ref_view:
             self._edge_added(idx, ref)
         self._objects[oid] = obj

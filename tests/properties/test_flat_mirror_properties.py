@@ -1,26 +1,22 @@
-"""Property test: the flat mirror's maintained facts under interleaved mutation.
+"""Property test: the flat mirror and the clean-phase memo under mutation.
 
-The frontier clean-phase kernel reads three facts the heap keeps current in
-O(1) per change -- the alive index set, the rows holding remote references
-and the adjacency-slot total -- instead of rebuilding anything per trace.
-Hypothesis drives one heap through random interleavings of every operation
-that touches the mirror, audits it with ``check_flat_mirror`` after each
-step, and then requires the frontier, flat and legacy kernels to agree on
-all five result fields for adversarial root lists.
+The clean-phase kernel reads facts the heap keeps current in O(1) per
+change -- the rows holding remote references, the adjacency-slot total --
+and re-uses the regions of its previous run whose rows no change since has
+touched.  Hypothesis drives one heap through random interleavings of every
+operation that touches the mirror and traces it with the production kernel
+*between* steps, so a stale memo would show: after each step the mirror
+and the memo are audited with ``check_flat_mirror`` and the kernel must
+agree with the reference on all five contract fields for adversarial root
+lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import (
-    trace_clean_phase,
-    trace_clean_phase_flat,
-    trace_clean_phase_vector,
-)
+from repro.core.distance import trace_clean_phase, trace_clean_phase_flat
 from repro.ids import ObjectId
 from repro.store.heap import Heap
 
@@ -92,6 +88,16 @@ def _apply(heap, known, op, a, b, c):
                 obj.remove_ref(ref)
 
 
+def _contract(result):
+    return (
+        result.clean_objects,
+        result.outref_distances,
+        result.clean_variable_outrefs,
+        result.objects_scanned,
+        result.edges_examined,
+    )
+
+
 @given(ops, root_picks, st.lists(st.integers(0, 4), max_size=3))
 @settings(max_examples=300, deadline=None)
 def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
@@ -99,22 +105,17 @@ def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
 ):
     heap = Heap("P")
     known = []
+    variable_outrefs = [ObjectId("Q", k) for k in variable]
     for op, a, b, c in script:
         _apply(heap, known, op, a, b, c)
+        # Several distance groups over live and dead ids, a duplicate root
+        # at a second distance, a remote root and a never-allocated local
+        # one; the root list grows with ``known``, so positions shift.
+        roots = [(known[k % len(known)], distance) for k, distance in picks]
+        roots.extend((oid, distance + 2) for oid, distance in roots[:2])
+        roots.append((ObjectId("Q", 1), 0))
+        roots.append((ObjectId("P", 10_000), 1))
+        flat = trace_clean_phase_flat(heap, roots, variable_outrefs)
+        legacy = trace_clean_phase(heap, roots, variable_outrefs)
+        assert _contract(flat) == _contract(legacy)
         heap.check_flat_mirror()
-
-    # Several distance groups over live and dead ids, a duplicate root at a
-    # second distance, a remote root and a never-allocated local one.
-    roots = [(known[k % len(known)], distance) for k, distance in picks]
-    roots.extend((oid, distance + 2) for oid, distance in roots[:2])
-    roots.append((ObjectId("Q", 1), 0))
-    roots.append((ObjectId("P", 10_000), 1))
-    variable_outrefs = [ObjectId("Q", k) for k in variable]
-
-    legacy = astuple(trace_clean_phase(heap, roots, variable_outrefs))
-    flat = astuple(trace_clean_phase_flat(heap, roots, variable_outrefs))
-    frontier = astuple(trace_clean_phase_vector(heap, roots, variable_outrefs))
-    assert flat == legacy
-    assert frontier == legacy
-    assert heap.vector_kernel_backoff == 0  # the frontier kernel itself answered
-    heap.check_flat_mirror()

@@ -1,23 +1,24 @@
 """Flat-graph heap mirror: interning, free-list, dangling slots, kernel twin.
 
-The heap keeps a dense integer-index mirror of the local object graph
-(``flat_kernel``): interned ids, append-only adjacency arrays, a free-list
-guarded by per-slot adjacency refcounts so an index is never reused while a
-dangling reference still points at it.  ``check_flat_mirror`` is the
-assert-based validator these tests lean on after every mutation batch.
+The heap keeps a dense integer-index mirror of the local object graph:
+interned ids, append-only adjacency arrays, a free-list guarded by per-slot
+adjacency refcounts so an index is never reused while a dangling reference
+still points at it.  ``check_flat_mirror`` is the assert-based validator
+these tests lean on after every mutation batch.  The clean-phase kernel
+re-uses regions of its previous run on the same heap; the memo cases below
+make one change per invalidation cause between two traces and hold every
+trace to the reference kernel.
 """
 
 import random
 
 from repro import GcConfig
-from repro.core.distance import (
-    trace_clean_phase,
-    trace_clean_phase_flat,
-    trace_clean_phase_vector,
-)
+from repro.core.distance import trace_clean_phase, trace_clean_phase_flat
 from repro.gc.inrefs import InrefTable
+from repro.gc.localtrace import LocalCollector
 from repro.gc.outrefs import OutrefTable
 from repro.ids import ObjectId
+from repro.metrics import MetricsRecorder
 from repro.store.heap import Heap
 
 
@@ -42,10 +43,10 @@ def test_remote_refs_are_not_interned():
     a = heap.alloc()
     remote = ObjectId("Q", 0)
     a.add_ref(remote)
-    idx, _, succ_local, succ_remote, _, _ = heap.flat_graph()
+    idx, _, succ_local, remote_rows, _, _ = heap.flat_graph()
     assert remote not in idx
     assert succ_local[idx[a.oid]] == []
-    assert succ_remote[idx[a.oid]] == [remote]
+    assert remote_rows[idx[a.oid]] == [remote]
     heap.check_flat_mirror()
 
 
@@ -119,8 +120,8 @@ def _random_mutations(heap, rng, oids):
 
 
 def test_flat_kernel_is_byte_identical_to_legacy_kernel():
-    """Random churn; both kernels must agree on clean sets, distances, and
-    even the insertion order of the resulting distance dict."""
+    """Random churn; both kernels must agree on clean sets, distances and
+    cost counters."""
     rng = random.Random(42)
     config = GcConfig()
     for trial in range(25):
@@ -142,14 +143,13 @@ def test_flat_kernel_is_byte_identical_to_legacy_kernel():
         flat = trace_clean_phase_flat(heap, roots, variable_outrefs=variable)
         assert legacy.clean_objects == flat.clean_objects
         assert legacy.outref_distances == flat.outref_distances
-        assert list(legacy.outref_distances) == list(flat.outref_distances)
         assert legacy.clean_variable_outrefs == flat.clean_variable_outrefs
         assert legacy.objects_scanned == flat.objects_scanned
         assert legacy.edges_examined == flat.edges_examined
         heap.check_flat_mirror()
 
 
-# -- frontier kernel -----------------------------------------------------------
+# -- the clean-phase memo ---------------------------------------------------
 
 
 def _random_heap(rng):
@@ -188,39 +188,154 @@ def _as_tuple(result):
     )
 
 
-def test_vector_kernel_matches_both_sequential_kernels():
+def _traced(heap, roots, variable_outrefs=()):
+    """The production kernel, held to the reference on the five contract
+    fields; the mirror and the memo audited afterwards."""
+    got = trace_clean_phase_flat(heap, roots, variable_outrefs)
+    want = trace_clean_phase(heap, roots, variable_outrefs)
+    assert _as_tuple(got) == _as_tuple(want)
+    heap.check_flat_mirror()
+    return got
+
+
+def test_flat_kernel_matches_the_reference_before_and_after_a_mutation():
     for seed in range(400):
         rng = random.Random(seed)
         heap, roots, variable_outrefs = _random_heap(rng)
-        legacy = trace_clean_phase(heap, roots, variable_outrefs)
-        flat = trace_clean_phase_flat(heap, roots, variable_outrefs)
-        vector = trace_clean_phase_vector(heap, roots, variable_outrefs)
-        assert _as_tuple(flat) == _as_tuple(legacy)
-        assert _as_tuple(vector) == _as_tuple(legacy), f"seed {seed}"
-        # The mark bitmap is restored: a second run gives the same answer.
-        again = trace_clean_phase_vector(heap, roots, variable_outrefs)
-        assert _as_tuple(again) == _as_tuple(legacy)
+        first = _traced(heap, roots, variable_outrefs)
+        # Nothing changed: the whole previous run is re-used.
+        again = _traced(heap, roots, variable_outrefs)
+        assert again.objects_reused == first.objects_scanned, f"seed {seed}"
+        live = sorted(heap.object_ids())
+        holder = heap.get(rng.choice(live))
+        if holder.ref_view and rng.random() < 0.5:
+            holder.remove_ref(rng.choice(holder.ref_view))
+        else:
+            holder.add_ref(rng.choice(live))
+        _traced(heap, roots, variable_outrefs)
 
 
-def test_vector_kernel_bails_out_on_deep_narrow_graphs():
-    from repro.core.distance import _NARROW_PROBE_LEVELS
-
-    heap = Heap("P")
-    chain = [heap.alloc() for _ in range(_NARROW_PROBE_LEVELS * 4)]
-    for holder, target in zip(chain, chain[1:]):
+def _chain(heap, length):
+    objs = [heap.alloc() for _ in range(length)]
+    for holder, target in zip(objs, objs[1:]):
         holder.add_ref(target.oid)
-    chain[-1].add_ref(ObjectId("Q", 0))
-    roots = [(chain[0].oid, 0)]
-    expected = _as_tuple(trace_clean_phase_flat(heap, roots))
+    return objs
 
-    # A width-1 chain triggers the narrow-frontier bailout: identical
-    # result (marks restored, outref distance intact), plus a backoff so
-    # the next traces skip the sweep entirely.
-    got = _as_tuple(trace_clean_phase_vector(heap, roots))
-    assert got == expected
-    assert heap.vector_kernel_backoff > 0
 
-    remaining = heap.vector_kernel_backoff
-    again = _as_tuple(trace_clean_phase_vector(heap, roots))
-    assert again == expected
-    assert heap.vector_kernel_backoff == remaining - 1
+def test_memo_sees_an_edge_added_inside_a_region():
+    heap = Heap("P")
+    a, _ = _chain(heap, 2)
+    c, d = _chain(heap, 2)
+    roots = [(a.oid, 0), (c.oid, 1)]
+    _traced(heap, roots)
+    fresh = heap.alloc()
+    d.add_ref(fresh.oid)
+    result = _traced(heap, roots)
+    assert fresh.oid in result.clean_objects
+    assert result.objects_reused == 2  # a's region; c's was walked again
+
+
+def test_memo_sees_an_edge_removed_inside_a_region():
+    heap = Heap("P")
+    a, b, c = _chain(heap, 3)
+    roots = [(a.oid, 0)]
+    _traced(heap, roots)
+    b.remove_ref(c.oid)
+    result = _traced(heap, roots)
+    assert c.oid not in result.clean_objects
+    assert result.objects_reused == 0
+
+
+def test_memo_sees_a_region_member_swept_or_deleted():
+    for kill in ("sweep_ids", "delete"):
+        heap = Heap("P")
+        a, b, c = _chain(heap, 3)
+        roots = [(a.oid, 0)]
+        _traced(heap, roots)
+        if kill == "sweep_ids":
+            heap.sweep_ids([b.oid])
+        else:
+            heap.delete(b.oid)
+        result = _traced(heap, roots)
+        assert result.clean_objects == {a.oid}, kill
+
+
+def test_memo_follows_root_order_and_root_distance():
+    heap = Heap("P")
+    a = heap.alloc()
+    c = heap.alloc()
+    shared = heap.alloc()
+    a.add_ref(shared.oid)
+    c.add_ref(shared.oid)
+    remote = ObjectId("Q", 0)
+    c.add_ref(remote)
+    _traced(heap, [(a.oid, 0), (c.oid, 1)])
+    # Another order: a's region is remembered at a position c now holds.
+    swapped = _traced(heap, [(c.oid, 0), (a.oid, 1)])
+    assert swapped.objects_reused == 0
+    assert swapped.outref_distances == {remote: 1}
+    # Same order, other distances: a root whose distance moved is walked
+    # again, and so is every root after it.
+    farther = _traced(heap, [(c.oid, 0), (a.oid, 3)])
+    assert farther.objects_reused == 2  # c's region
+    moved = _traced(heap, [(c.oid, 2), (a.oid, 3)])
+    assert moved.objects_reused == 0
+    assert moved.outref_distances == {remote: 3}
+
+
+def test_memo_is_dropped_when_an_id_referenced_early_is_allocated():
+    heap = Heap("P")
+    root = heap.alloc()
+    early = ObjectId("P", 1)  # the next serial: not allocated yet
+    root.add_ref(early)
+    roots = [(root.oid, 0)]
+    assert _traced(heap, roots).clean_objects == {root.oid}
+    revived = heap.alloc()
+    assert revived.oid == early
+    # No row of root's region changed, yet the region grew.
+    result = _traced(heap, roots)
+    assert result.clean_objects == {root.oid, early}
+    assert result.objects_reused == 0
+
+
+def test_memo_rechecks_an_empty_region_whose_index_was_reused():
+    heap = Heap("P")
+    first = heap.alloc()
+    holder = heap.alloc()  # unreached: its row is dirty, no region is
+    gone = heap.alloc()
+    holder.add_ref(gone.oid)
+    gone_idx = gone.index
+    heap.sweep_ids([gone.oid])  # interned but dead: an empty region
+    _traced(heap, [(first.oid, 0), (gone.oid, 0)])
+    holder.remove_ref(gone.oid)  # releases the index...
+    heap.check_flat_mirror()  # (a remembered root released is dirty)
+    fresh = heap.alloc()  # ...and a new object takes it
+    assert fresh.index == gone_idx
+    result = _traced(heap, [(first.oid, 0), (fresh.oid, 0)])
+    assert result.clean_objects == {first.oid, fresh.oid}
+    assert result.objects_reused == 1
+
+
+def test_memo_sees_a_mutation_between_compute_and_commit():
+    config = GcConfig()
+    heap = Heap("P")
+    collector = LocalCollector(
+        heap,
+        InrefTable("P", config.suspicion_threshold, config.initial_back_threshold),
+        OutrefTable("P", config.initial_back_threshold),
+        config,
+        metrics=MetricsRecorder(),
+    )
+    a, b, c = _chain(heap, 3)
+    heap.make_persistent_root(a.oid)
+    garbage = heap.alloc()
+    result = collector.compute()  # non-atomic: commit comes later
+    assert result.clean_objects == {a.oid, b.oid, c.oid}
+    b.remove_ref(c.oid)  # lands in the window
+    swept = collector.commit(result)
+    assert swept == [garbage.oid]
+    again = collector.compute()
+    want = trace_clean_phase(heap, [(a.oid, 0)])
+    assert _as_tuple(again.clean_phase) == _as_tuple(want)
+    assert again.clean_objects == {a.oid, b.oid}
+    heap.check_flat_mirror()
