@@ -26,7 +26,7 @@ from repro.store.heap import Heap
 
 def env_for(heap):
     return TraceEnvironment(
-        heap=heap, clean_objects=set(), is_clean_outref=lambda ref: False
+        heap=heap, marks=heap.fresh_marks(), is_clean_outref=lambda ref: False
     )
 
 

@@ -45,7 +45,7 @@ def build_clustered_heap(n_chains, chain_length, n_outrefs, seed=0):
 
 def env_for(heap):
     return TraceEnvironment(
-        heap=heap, clean_objects=set(), is_clean_outref=lambda ref: False
+        heap=heap, marks=heap.fresh_marks(), is_clean_outref=lambda ref: False
     )
 
 

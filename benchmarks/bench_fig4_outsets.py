@@ -59,7 +59,7 @@ def naive_single_visit_outsets(heap, roots):
 
 def env_for(heap):
     return TraceEnvironment(
-        heap=heap, clean_objects=set(), is_clean_outref=lambda ref: False
+        heap=heap, marks=heap.fresh_marks(), is_clean_outref=lambda ref: False
     )
 
 

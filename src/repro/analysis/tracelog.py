@@ -70,7 +70,7 @@ class TraceLog:
                     site.site_id,
                     "local-trace",
                     swept=len(result.swept),
-                    clean=len(result.clean_objects),
+                    clean=result.clean_phase.objects_scanned,
                     suspected=len(result.suspected_objects),
                 )
             return result

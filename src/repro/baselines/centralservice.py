@@ -119,7 +119,9 @@ class CentralServiceCollector:
         # Full inref -> outref reachability (every inref, nothing skipped):
         # exactly the information the paper says such schemes must maintain.
         env = TraceEnvironment(
-            heap=site.heap, clean_objects=set(), is_clean_outref=lambda ref: False
+            heap=site.heap,
+            marks=site.heap.fresh_marks(),  # nothing is clean
+            is_clean_outref=lambda ref: False,
         )
         inref_targets = [
             entry.target for entry in site.inrefs.entries() if not entry.garbage

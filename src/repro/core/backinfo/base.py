@@ -10,9 +10,9 @@ locally reachable from it (its *outset*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Set
+from typing import Callable, Dict, FrozenSet, Optional, Set
 
-from ...ids import ObjectId, SiteId
+from ...ids import ObjectId
 from ...store.heap import Heap
 
 
@@ -20,24 +20,30 @@ from ...store.heap import Heap
 class TraceEnvironment:
     """Everything a back-information algorithm needs to see of the site.
 
-    - ``heap``: the local object store (only suspected objects are traversed);
-    - ``clean_objects``: objects marked by the clean phase of this local
-      trace; tracing stops at them ("black" objects in section 5.1);
+    - ``heap``: the local object store; the algorithms walk its flat-graph
+      mirror (int indices), never its ``HeapObject`` reference lists;
+    - ``marks``: the clean phase's mark bitmap over the heap's indices
+      (:attr:`CleanPhaseResult.marks`): 1 for an object it marked clean, and
+      for a dead or free index.  Tracing stops at marked objects ("black"
+      objects in section 5.1); ``heap.fresh_marks()`` marks nothing clean;
     - ``is_clean_outref``: whether a remote reference's outref is clean as of
       this trace (reached from a clean root in phase one, or pinned by the
       insert barrier); clean outrefs never enter outsets.
     """
 
     heap: Heap
-    clean_objects: Set[ObjectId]
+    marks: bytearray
     is_clean_outref: Callable[[ObjectId], bool]
 
-    @property
-    def site_id(self) -> SiteId:
-        return self.heap.site_id
+    def is_clean_object(self, index: int) -> bool:
+        return bool(self.marks[index])
 
-    def is_clean_object(self, oid: ObjectId) -> bool:
-        return oid in self.clean_objects
+    def suspected_index(self, oid: ObjectId) -> Optional[int]:
+        """The index of a resident, unmarked local object, else None."""
+        index = self.heap.flat_graph()[0].get(oid)
+        if index is None or self.is_clean_object(index):
+            return None
+        return index
 
 
 @dataclass
@@ -59,13 +65,6 @@ class BackInfoResult:
     union_memo_hits: int = 0
     distinct_outsets: int = 0
 
-    def inset_of(self, outref_target: ObjectId) -> FrozenSet[ObjectId]:
-        """Derived inset of one outref (prefer :func:`invert_outsets` in bulk)."""
-        members = [
-            inref for inref, outset in self.outsets.items() if outref_target in outset
-        ]
-        return frozenset(members)
-
 
 def invert_outsets(
     outsets: Dict[ObjectId, FrozenSet[ObjectId]]
@@ -81,25 +80,3 @@ def invert_outsets(
         for outref_target in outset:
             accumulator.setdefault(outref_target, set()).add(inref_target)
     return {target: frozenset(members) for target, members in accumulator.items()}
-
-
-def suspected_refs_of(
-    env: TraceEnvironment, oid: ObjectId
-) -> List[ObjectId]:
-    """References of ``oid`` that remain interesting to a suspected trace.
-
-    Filters out clean local objects and clean outrefs, mirroring the
-    ``if z is clean continue loop`` line of the paper's pseudocode.
-    """
-    obj = env.heap.maybe_get(oid)
-    if obj is None:
-        return []
-    interesting = []
-    for ref in obj.iter_refs():
-        if ref.site == env.site_id:
-            if not env.is_clean_object(ref) and env.heap.contains(ref):
-                interesting.append(ref)
-        else:
-            if not env.is_clean_outref(ref):
-                interesting.append(ref)
-    return interesting

@@ -30,108 +30,92 @@ from .outsets import OutsetStore
 def compute_outsets_bottom_up(
     env: TraceEnvironment, suspected_inref_targets: Iterable[ObjectId]
 ) -> BackInfoResult:
-    """Compute outsets of all suspected inrefs in one shared traversal."""
-    state = _TarjanState(env)
+    """Compute outsets of all suspected inrefs in one shared traversal.
+
+    The traversal runs over the heap's flat-graph mirror: objects are int
+    indices, an unmarked local successor is suspected, and an object's
+    remote references join its outset as it is discovered (its local
+    successors are walked after).
+    """
+    _, succ_local, remote_rows, oids, _ = env.heap.flat_graph()
+    marks = env.marks
+    is_clean_outref = env.is_clean_outref
+    store = OutsetStore()
+    add, union = store.add, store.union
+    result = BackInfoResult()
+    # Per visited index: DFS number, lowlink and (partial) outset id.
+    number: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    outset: Dict[int, int] = {}
+    on_stack: Set[int] = set()
+    component: List[int] = []
+    work: List[Tuple[int, Iterator[int]]] = []
+    edges = 0
+
+    def discover(i: int) -> None:
+        nonlocal edges
+        number[i] = low[i] = len(number)
+        component.append(i)
+        on_stack.add(i)
+        found = OutsetStore.EMPTY
+        remote = remote_rows.get(i, ())
+        for ref in remote:
+            # A suspected outref joins the outset; a clean outref is skipped
+            # (back traces stop there).
+            if not is_clean_outref(ref):
+                found = add(found, ref)
+        outset[i] = found
+        local = succ_local[i]
+        edges += len(local) + len(remote)
+        work.append((i, iter(local)))
+
     for inref_target in suspected_inref_targets:
-        if env.is_clean_object(inref_target) or not env.heap.contains(inref_target):
-            state.result.outsets[inref_target] = frozenset()
+        root = env.suspected_index(inref_target)
+        if root is None:
+            result.outsets[inref_target] = frozenset()
             continue
-        if inref_target not in state.index:
-            state.traverse_from(inref_target)
-        outset_id = state.outset_id[inref_target]
-        state.result.outsets[inref_target] = state.store.get(outset_id)
-    result = state.result
-    result.unions_computed = state.store.unions_computed
-    result.union_memo_hits = state.store.union_memo_hits
-    # Exclude the always-present empty outset from the distinct count so the
-    # number is comparable with the independent algorithm's.
-    distinct = {outset for outset in result.outsets.values()}
-    result.distinct_outsets = len(distinct)
-    return result
-
-
-class _TarjanState:
-    """Mutable traversal state shared across all suspected inrefs."""
-
-    def __init__(self, env: TraceEnvironment):
-        self.env = env
-        self.store = OutsetStore()
-        self.result = BackInfoResult()
-        self.index: Dict[ObjectId, int] = {}
-        self.low: Dict[ObjectId, int] = {}
-        self.outset_id: Dict[ObjectId, int] = {}
-        self.on_stack: Set[ObjectId] = set()
-        self.scc_stack: List[ObjectId] = []
-        self.counter = 0
-
-    def _discover(self, oid: ObjectId) -> None:
-        """First visit of a suspected object: assign DFS index, push stacks."""
-        self.index[oid] = self.counter
-        self.low[oid] = self.counter
-        self.counter += 1
-        self.scc_stack.append(oid)
-        self.on_stack.add(oid)
-        self.outset_id[oid] = OutsetStore.EMPTY
-        self.result.objects_scanned += 1
-        self.result.visited_objects.add(oid)
-
-    def traverse_from(self, root: ObjectId) -> None:
-        """Iterative Tarjan DFS from one unvisited suspected object."""
-        env = self.env
-        self._discover(root)
-        work: List[Tuple[ObjectId, Iterator[ObjectId]]] = [
-            (root, iter(env.heap.get(root).refs))
-        ]
+        if root not in number:
+            discover(root)
         while work:
-            node, ref_iter = work[-1]
-            pushed_child = False
-            for ref in ref_iter:
-                self.result.edges_examined += 1
-                if ref.site != env.site_id:
-                    # Remote reference: a suspected outref joins the outset;
-                    # a clean outref is skipped (back traces stop there).
-                    if not env.is_clean_outref(ref):
-                        self.outset_id[node] = self.store.add(self.outset_id[node], ref)
+            node, successors = work[-1]
+            for t in successors:
+                if marks[t]:  # clean, or a dangling reference
                     continue
-                if env.is_clean_object(ref) or not env.heap.contains(ref):
-                    continue
-                if ref not in self.index:
-                    self._discover(ref)
-                    work.append((ref, iter(env.heap.get(ref).refs)))
-                    pushed_child = True
+                if t not in number:
+                    discover(t)
                     break
                 # Already visited: reuse its (possibly partial) outset.  For
-                # a back edge into the current component the partial union is
-                # completed when the leader pops the component; for a cross
-                # edge into a finished component the outset is already final.
-                self.outset_id[node] = self.store.union(
-                    self.outset_id[node], self.outset_id[ref]
-                )
-                if ref in self.on_stack:
-                    self.low[node] = min(self.low[node], self.index[ref])
-            if pushed_child:
-                continue
-            # node's references are exhausted: finish it.
-            work.pop()
-            if self.low[node] == self.index[node]:
-                self._pop_component(node)
-            if work:
-                parent = work[-1][0]
-                self.outset_id[parent] = self.store.union(
-                    self.outset_id[parent], self.outset_id[node]
-                )
-                self.low[parent] = min(self.low[parent], self.low[node])
-
-    def _pop_component(self, leader: ObjectId) -> None:
-        """Install the leader's (complete) outset on every component member."""
-        leader_outset = self.outset_id[leader]
-        while True:
-            member = self.scc_stack.pop()
-            self.on_stack.remove(member)
-            self.outset_id[member] = leader_outset
-            # Mirror the paper's "Leader[z] := infinity": a finished member
-            # must not pull later nodes' lowlinks down.  Leaving ``low`` as
-            # is would be wrong only if we consulted low of off-stack nodes,
-            # which the edge handling above never does.
-            if member == leader:
-                break
+                # a back edge into the current component the partial union
+                # is completed when the leader pops the component; for a
+                # cross edge into a finished component it is final already.
+                outset[node] = union(outset[node], outset[t])
+                if t in on_stack and number[t] < low[node]:
+                    low[node] = number[t]
+            else:
+                # node's references are exhausted: finish it.
+                work.pop()
+                if low[node] == number[node]:
+                    # The leader installs its (complete) outset on every
+                    # member of its component.  A finished member's lowlink
+                    # is never consulted again (the paper's "Leader[z] :=
+                    # infinity"): only on-stack nodes pull lowlinks down.
+                    leader_outset = outset[node]
+                    while True:
+                        member = component.pop()
+                        on_stack.remove(member)
+                        outset[member] = leader_outset
+                        if member == node:
+                            break
+                if work:
+                    parent = work[-1][0]
+                    outset[parent] = union(outset[parent], outset[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+        result.outsets[inref_target] = store.get(outset[root])
+    result.visited_objects = set(map(oids.__getitem__, number))
+    result.objects_scanned = len(number)
+    result.edges_examined = edges
+    result.unions_computed = store.unions_computed
+    result.union_memo_hits = store.union_memo_hits
+    result.distinct_outsets = len(set(result.outsets.values()))
+    return result

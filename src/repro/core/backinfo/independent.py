@@ -9,7 +9,7 @@ benchmark E3 measures exactly this blow-up against the bottom-up algorithm.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from ...ids import ObjectId
 from .base import BackInfoResult, TraceEnvironment
@@ -18,43 +18,36 @@ from .base import BackInfoResult, TraceEnvironment
 def compute_outsets_independent(
     env: TraceEnvironment, suspected_inref_targets: Iterable[ObjectId]
 ) -> BackInfoResult:
-    """Compute outsets with one fresh DFS per suspected inref."""
+    """Compute outsets with one fresh DFS per suspected inref.
+
+    Each DFS runs over the heap's flat-graph mirror and stops at indices the
+    clean phase marked (clean objects, dangling references).
+    """
+    _, succ_local, remote_rows, oids, _ = env.heap.flat_graph()
+    marks = env.marks
+    is_clean_outref = env.is_clean_outref
     result = BackInfoResult()
-    distinct: Set[frozenset] = set()
+    visited_any: Set[int] = set()
     for inref_target in suspected_inref_targets:
-        outset = _trace_one(env, inref_target, result)
-        result.outsets[inref_target] = outset
-        distinct.add(outset)
-    result.distinct_outsets = len(distinct)
-    return result
-
-
-def _trace_one(
-    env: TraceEnvironment, inref_target: ObjectId, result: BackInfoResult
-) -> frozenset:
-    """DFS from one inref target over suspected objects only."""
-    outset: Set[ObjectId] = set()
-    visited: Set[ObjectId] = set()
-    if env.is_clean_object(inref_target) or not env.heap.contains(inref_target):
-        return frozenset()
-    stack: List[ObjectId] = [inref_target]
-    while stack:
-        oid = stack.pop()
-        if oid in visited:
-            continue
-        visited.add(oid)
-        result.objects_scanned += 1
-        result.visited_objects.add(oid)
-        for ref in env.heap.get(oid).iter_refs():
-            result.edges_examined += 1
-            if ref.site == env.site_id:
-                if (
-                    ref not in visited
-                    and not env.is_clean_object(ref)
-                    and env.heap.contains(ref)
-                ):
-                    stack.append(ref)
-            else:
-                if not env.is_clean_outref(ref):
+        outset: Set[ObjectId] = set()
+        root = env.suspected_index(inref_target)
+        visited: Set[int] = set()
+        stack = [] if root is None else [root]
+        while stack:
+            i = stack.pop()
+            if i in visited or marks[i]:
+                continue
+            visited.add(i)
+            remote = remote_rows.get(i, ())
+            for ref in remote:
+                if not is_clean_outref(ref):
                     outset.add(ref)
-    return frozenset(outset)
+            local = succ_local[i]
+            result.edges_examined += len(local) + len(remote)
+            stack.extend(local)
+        result.objects_scanned += len(visited)
+        visited_any |= visited
+        result.outsets[inref_target] = frozenset(outset)
+    result.visited_objects = set(map(oids.__getitem__, visited_any))
+    result.distinct_outsets = len(set(result.outsets.values()))
+    return result

@@ -39,7 +39,12 @@ from ..store.heap import Heap
 class CleanPhaseResult:
     """Output of the clean phase of one local trace.
 
-    - ``clean_objects``: every local object reached from a clean root;
+    - ``clean_objects``: every local object reached from a clean root (the
+      reference kernel's answer; the flat kernel leaves it empty);
+    - ``marks``: the flat kernel's mark bitmap over the heap's indices, 1
+      for clean, dead or free -- what the suspected phase reads;
+    - ``unmarked``: the resident objects the flat kernel did not reach --
+      what the sweep may take;
     - ``outref_distances``: for each outref reached, the minimum
       ``1 + distance(root)`` over the clean roots that reach it;
     - ``clean_variable_outrefs``: outrefs held directly in mutator variables
@@ -51,6 +56,8 @@ class CleanPhaseResult:
     """
 
     clean_objects: Set[ObjectId] = field(default_factory=set)
+    marks: bytearray = field(default_factory=bytearray)
+    unmarked: List[ObjectId] = field(default_factory=list)
     outref_distances: Dict[ObjectId, int] = field(default_factory=dict)
     clean_variable_outrefs: Set[ObjectId] = field(default_factory=set)
     objects_scanned: int = 0
@@ -92,11 +99,6 @@ def trace_clean_phase(
     return result
 
 
-#: ``bytes.translate`` table turning the alive bitmap into a fresh mark
-#: bitmap: dead and free indices start marked, alive ones unmarked.
-_DEAD_MARKED = bytes([1, 0]) + bytes(254)
-
-
 def trace_clean_phase_flat(
     heap: Heap,
     roots: Iterable[Tuple[ObjectId, int]],
@@ -104,13 +106,14 @@ def trace_clean_phase_flat(
 ) -> CleanPhaseResult:
     """The clean phase over the heap's flat-graph mirror.
 
-    Same contract as :func:`trace_clean_phase`: identical clean set, outref
-    distances, ``objects_scanned`` and ``edges_examined``.  Roots are taken
-    one at a time in trace order (ascending distance, input order within a
-    distance), each a DFS over int indices that marks what no earlier root
-    marked -- the root's *region*.  Every object is labelled with the
-    smallest distance of a root that reaches it, so when a distance group
-    finishes, the remote references of the rows it marked take that
+    Same contract as :func:`trace_clean_phase`: identical outref distances,
+    ``objects_scanned`` and ``edges_examined``, and a clean set that is the
+    heap minus ``unmarked``, kept in index space as ``marks``.  Roots are
+    taken one at a time in trace order (ascending distance, input order
+    within a distance), each a DFS over int indices that marks what no
+    earlier root marked -- the root's *region*.  Every object is labelled
+    with the smallest distance of a root that reaches it, so when a distance
+    group finishes, the remote references of the rows it marked take that
     distance plus one (unless smaller already).
 
     **Memo.**  The heap keeps the previous call's root order, region ends
@@ -135,11 +138,11 @@ def trace_clean_phase_flat(
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
 
-    idx_map, alive, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
+    idx_map, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
     dirty = heap.take_dirty()
     old_order, old_ends, old_marked = heap.clean_memo or ((), (), ())
     reusing = True  # until a remembered region fails its check
-    seen = alive.translate(_DEAD_MARKED)
+    seen = heap.fresh_marks()
     marked: List[int] = []
     marked_append = marked.append
     order: List[Tuple[int, int]] = []
@@ -186,7 +189,7 @@ def trace_clean_phase_flat(
             order.append(key)
             ends.append(len(marked))
         outref_distance = root_distance + 1
-        unmarked = []
+        still_pending = []
         for i in pending:
             if seen[i]:  # a row holding remote references is alive
                 for ref in remote_rows[i]:
@@ -194,27 +197,21 @@ def trace_clean_phase_flat(
                     if current is None or outref_distance < current:
                         distances[ref] = outref_distance
             else:
-                unmarked.append(i)
-        pending = unmarked
+                still_pending.append(i)
+        pending = still_pending
     heap.clean_memo = (order, ends, marked)
 
-    scanned = len(marked)
-    if 2 * scanned >= len(heap):
-        # How a clean phase usually ends: few objects left unmarked, so
-        # start from what the heap maintains and take those rows back out.
-        clean = heap.object_id_set()
-        edges = slot_total
-        i = seen.find(0)
-        while i >= 0:
-            clean.discard(oids[i])
-            edges -= len(succ_local[i]) + len(remote_rows.get(i, ()))
-            i = seen.find(0, i + 1)
-    else:
-        clean = set(map(oids.__getitem__, marked))
-        edges = sum(map(len, map(succ_local.__getitem__, marked)))
-        edges += sum(len(row) for i, row in remote_rows.items() if seen[i])
-    result.clean_objects = clean
-    result.objects_scanned = scanned
+    # Few objects are left unmarked as a rule: take their rows back out.
+    unmarked = []
+    edges = slot_total
+    i = seen.find(0)
+    while i >= 0:
+        unmarked.append(oids[i])
+        edges -= len(succ_local[i]) + len(remote_rows.get(i, ()))
+        i = seen.find(0, i + 1)
+    result.marks = seen
+    result.unmarked = unmarked
+    result.objects_scanned = len(marked)
     result.edges_examined = edges
     return result
 

@@ -57,7 +57,6 @@ class LocalTraceResult:
     mode: str = "full"
     # The variable-held outrefs the trace was computed against (cache key).
     variable_outrefs: FrozenSet[ObjectId] = frozenset()
-    clean_objects: Set[ObjectId] = field(default_factory=set)
     suspected_objects: Set[ObjectId] = field(default_factory=set)
     outsets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     insets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
@@ -65,7 +64,6 @@ class LocalTraceResult:
     # (``removals``) unless the insert barrier pins them.
     outref_states: Dict[ObjectId, Tuple[bool, int]] = field(default_factory=dict)
     removals: List[ObjectId] = field(default_factory=list)
-    snapshot_objects: Set[ObjectId] = field(default_factory=set)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     backinfo: Optional[BackInfoResult] = None
@@ -289,7 +287,6 @@ class LocalCollector:
         result = LocalTraceResult(
             mode=mode,
             variable_outrefs=frozenset(variable_outrefs),
-            snapshot_objects=self.heap.object_id_set(),
             inref_distances=scan.distances,
             inref_clean=scan.clean_after_reset,
         )
@@ -331,15 +328,15 @@ class LocalCollector:
             self.heap, roots, variable_outrefs=variable_outrefs
         )
         result.clean_phase = clean_phase
-        result.clean_objects = clean_phase.clean_objects
 
-        # Phase 2: suspected trace computing outsets/insets.  An outref is
-        # clean when the clean phase reached it or the insert barrier pins it.
+        # Phase 2: suspected trace computing outsets/insets over the clean
+        # phase's marks.  An outref is clean when the clean phase reached it
+        # or the insert barrier pins it.
         clean_outrefs = clean_phase.outref_distances
         clean_or_pinned = clean_outrefs.keys() | pinned if pinned else clean_outrefs
         env = TraceEnvironment(
             heap=self.heap,
-            clean_objects=result.clean_objects,
+            marks=clean_phase.marks,
             is_clean_outref=clean_or_pinned.__contains__,
         )
         if self.config.backinfo_algorithm == "independent":
@@ -359,15 +356,16 @@ class LocalCollector:
 
         Valid only when :meth:`plan_trace` returned ``"fast"``: the heap, the
         table structures, the classifications, and all *clean* inref
-        distances are unchanged, so reachability (clean/suspected sets),
-        outsets, insets, and clean-outref distances are those of the cached
-        committed trace.  Only suspected outref distances move, and phase 3
-        recomputes exactly those.
+        distances are unchanged, so reachability (the clean phase, carried
+        forward whole, and the suspected set), outsets, insets, and
+        clean-outref distances are those of the cached committed trace.  The
+        clean phase's unmarked rows were swept by that commit or are
+        suspected, so this commit sweeps nothing.  Only suspected outref
+        distances move, and phase 3 recomputes exactly those.
         """
         cache = self._cached
         assert cache is not None, "fast trace without a cached result"
         prev = cache.result
-        result.clean_objects = prev.clean_objects.copy()
         result.suspected_objects = prev.suspected_objects.copy()
         result.outsets = dict(prev.outsets)
         result.insets = dict(prev.insets)
@@ -557,13 +555,14 @@ class LocalCollector:
                 if out_entry is not None:
                     out_entry.barrier_clean = True
 
-        # Sweep the heap: only objects that existed when the trace computed
-        # may die; objects allocated during a non-atomic trace window were
-        # born reachable and survive unconditionally.
-        dead = result.snapshot_objects.difference(
-            result.clean_objects, result.suspected_objects
+        # Sweep the heap: the objects neither phase reached.  The clean
+        # phase listed the unmarked ones when the trace computed, so objects
+        # allocated during a non-atomic trace window were born reachable
+        # and survive unconditionally.
+        suspected = result.suspected_objects
+        swept = self.heap.sweep_ids(
+            [oid for oid in result.clean_phase.unmarked if oid not in suspected]
         )
-        swept = self.heap.sweep_ids(dead)
         result.swept = swept
         self._cells.objects_swept.add(len(swept))
 

@@ -9,8 +9,9 @@ safe when a mutator stashes a reference and reuses it later.
 Flat-graph mirror
 -----------------
 Alongside the ``oid -> HeapObject`` map the heap maintains a dense
-integer-indexed mirror of the local object graph for the clean-phase kernel
-(:func:`repro.core.distance.trace_clean_phase_flat`):
+integer-indexed mirror of the local object graph for the local trace
+(:func:`repro.core.distance.trace_clean_phase_flat` and
+:mod:`repro.core.backinfo`):
 
 - local object ids are *interned* to dense indices (``_idx`` / ``_oids``);
 - per-index adjacency is ``_succ_local`` (int indices of local successors,
@@ -25,7 +26,10 @@ integer-indexed mirror of the local object graph for the clean-phase kernel
   (a dead row is empty).
 
 The mirror is maintained on every allocation, reference add/remove, and
-sweep; traces read it without building any per-trace set keyed by ObjectId.
+sweep.  A local trace reads nothing else: both its phases share one mark
+bitmap over the indices (:meth:`Heap.fresh_marks`), and its sweep takes the
+rows the clean phase left unmarked, so no per-trace set of every resident
+ObjectId is built.
 
 Clean-phase memo
 ----------------
@@ -49,6 +53,10 @@ from ..errors import NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
 from .objects import HeapObject
 
+#: ``bytes.translate`` table turning the alive bitmap into a fresh mark
+#: bitmap: dead and free indices start marked, alive ones unmarked.
+_DEAD_MARKED = bytes([1, 0]) + bytes(254)
+
 
 class Heap:
     """All objects owned by one site."""
@@ -56,10 +64,6 @@ class Heap:
     def __init__(self, site_id: SiteId):
         self.site_id = site_id
         self._objects: Dict[ObjectId, HeapObject] = {}
-        # Maintained mirror of ``_objects``' key set: ``object_id_set`` hands
-        # out C-level copies of it so per-trace snapshots never re-hash every
-        # ObjectId on the heap.
-        self._oid_set: Set[ObjectId] = set()
         self._persistent_roots: Set[ObjectId] = set()
         self._variable_roots: Dict[ObjectId, int] = {}
         self._next_serial = 0
@@ -185,25 +189,27 @@ class Heap:
         self,
     ) -> Tuple[
         Dict[ObjectId, int],
-        bytearray,
         List[List[int]],
         Dict[int, List[ObjectId]],
         List[Optional[ObjectId]],
         int,
     ]:
-        """What the clean-phase kernel reads of the mirror, no copies.
+        """What a local trace reads of the mirror, no copies.
 
-        Returns ``(idx, alive, succ_local, remote_rows, oids, slot_total)``;
-        read-only by convention.
+        Returns ``(idx, succ_local, remote_rows, oids, slot_total)``;
+        read-only by convention.  Liveness comes as :meth:`fresh_marks`.
         """
         return (
             self._idx,
-            self._alive,
             self._succ_local,
             self._remote_rows,
             self._oids,
             self._slot_total,
         )
+
+    def fresh_marks(self) -> bytearray:
+        """A new mark bitmap over the indices: dead and free ones marked."""
+        return self._alive.translate(_DEAD_MARKED)
 
     def take_dirty(self) -> Set[int]:
         """The rows changed since the last call, leaving the set empty."""
@@ -213,7 +219,6 @@ class Heap:
     def check_flat_mirror(self) -> None:
         """Assert mirror == object map, and the memo's premises (test/debug
         support; O(V+E))."""
-        assert self._oid_set == set(self._objects), "oid set drift"
         for oid, obj in self._objects.items():
             idx = self._idx.get(oid)
             assert idx is not None and self._alive[idx], f"missing mirror: {oid}"
@@ -286,7 +291,6 @@ class Heap:
         for ref in obj.ref_view:
             self._edge_added(idx, ref)
         self._objects[oid] = obj
-        self._oid_set.add(oid)
         self.objects_allocated += 1
         if persistent_root:
             self._persistent_roots.add(oid)
@@ -332,10 +336,6 @@ class Heap:
 
     def object_ids(self) -> List[ObjectId]:
         return list(self._objects)
-
-    def object_id_set(self) -> Set[ObjectId]:
-        """A fresh set of every resident oid, copied without re-hashing."""
-        return self._oid_set.copy()
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -428,7 +428,6 @@ class Heap:
             obj = self._objects.pop(oid, None)
             if obj is None:
                 continue
-            self._oid_set.discard(oid)
             self._retire(obj)
             self._persistent_roots.discard(oid)
             self._variable_roots.pop(oid, None)
@@ -442,7 +441,6 @@ class Heap:
         """Remove a single object (migration baseline support)."""
         obj = self._objects.pop(oid, None)
         if obj is not None:
-            self._oid_set.discard(oid)
             self._retire(obj)
             self.bump_epoch()
         self._persistent_roots.discard(oid)

@@ -1,14 +1,18 @@
 """Property-based tests for back-information computation.
 
 The central invariant of section 5: both algorithms compute *exact*
-reachability from suspected inrefs to suspected outrefs.  We generate random
-local heaps with remote references and check the algorithms against each
-other and against a brute-force reachability oracle.
+reachability from suspected inrefs to suspected outrefs.  The algorithms walk
+the heap's flat-graph mirror and read the clean phase's mark bitmap; the
+oracle here walks ``ObjectId`` references and a clean *set*.  Random local
+heaps with remote references, dangling references (swept targets and ids
+referenced before they exist, both interned but dead), recycled indices,
+random clean subsets and clean-outref sets check the algorithms against each
+other and against the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,62 +35,82 @@ def local_graphs(draw):
     heap = Heap("Q")
     objects = [heap.alloc() for _ in range(n_objects)]
     remotes = [ObjectId("P", i) for i in range(n_remote)]
+    # Local ids no object has yet: referenced, they are interned but dead.
+    unborn = [ObjectId("Q", 1000 + i) for i in range(2)]
 
-    n_edges = draw(st.integers(min_value=0, max_value=3 * n_objects))
-    for _ in range(n_edges):
-        src = draw(st.integers(0, n_objects - 1))
-        if remotes and draw(st.booleans()) and draw(st.booleans()):
-            objects[src].add_ref(draw(st.sampled_from(remotes)))
+    def link(holder):
+        kind = draw(st.integers(0, 7))
+        if remotes and kind < 2:
+            holder.add_ref(draw(st.sampled_from(remotes)))
+        elif kind == 2:
+            holder.add_ref(draw(st.sampled_from(unborn)))
         else:
-            dst = draw(st.integers(0, n_objects - 1))
-            objects[src].add_ref(objects[dst].oid)
+            holder.add_ref(draw(st.sampled_from(objects)).oid)
 
-    clean_objects = {
-        obj.oid for obj in objects if draw(st.integers(0, 4)) == 0
-    }
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n_objects))):
+        link(draw(st.sampled_from(objects)))
+    # Sweep some: references to them dangle, their indices stay interned
+    # while referenced and are recycled by later allocations otherwise.
+    dead = [obj for obj in objects if draw(st.integers(0, 5)) == 0]
+    heap.sweep_ids([obj.oid for obj in dead])
+    alive = [obj for obj in objects if obj not in dead]
+    late = [heap.alloc() for _ in range(draw(st.integers(0, 3)))]
+    alive += late
+    for obj in late:
+        for _ in range(draw(st.integers(0, 3))):
+            link(obj)
+
+    clean_objects = {obj.oid for obj in alive if draw(st.integers(0, 4)) == 0}
     clean_remotes = {r for r in remotes if draw(st.integers(0, 3)) == 0}
-    roots = [
-        obj.oid
-        for obj in objects
-        if obj.oid not in clean_objects and draw(st.integers(0, 2)) == 0
-    ]
+    candidates = [obj.oid for obj in objects + late] + unborn
+    roots = sorted(
+        {oid for oid in candidates if draw(st.integers(0, 2)) == 0}
+    )
     return heap, clean_objects, clean_remotes, roots
 
 
-def brute_force_outsets(heap, clean_objects, clean_remotes, roots):
-    """Reference implementation: per-root BFS over suspected objects."""
+def oracle(
+    heap, clean_objects, clean_remotes, roots
+) -> Tuple[Dict[ObjectId, FrozenSet[ObjectId]], List[Set[ObjectId]], int]:
+    """Reference over ``ObjectId`` references and a clean set: per root, a
+    DFS over resident, not-clean objects.  Returns the outsets, each root's
+    reached set, and the references those objects hold (each reached object
+    counted once per root that reaches it)."""
     outsets = {}
+    reaches = []
+    edges = 0
     for root in roots:
         reach: Set[ObjectId] = set()
         found: Set[ObjectId] = set()
-        if root in clean_objects or not heap.contains(root):
-            outsets[root] = frozenset()
-            continue
-        stack = [root]
+        stack = [] if root in clean_objects else [root]
         while stack:
             oid = stack.pop()
-            if oid in reach:
+            if oid in reach or not heap.contains(oid):
                 continue
             reach.add(oid)
-            for ref in heap.get(oid).iter_refs():
+            refs = heap.get(oid).refs
+            edges += len(refs)
+            for ref in refs:
                 if ref.site != "Q":
                     if ref not in clean_remotes:
                         found.add(ref)
-                elif (
-                    ref not in clean_objects
-                    and heap.contains(ref)
-                    and ref not in reach
-                ):
+                elif ref not in clean_objects:
                     stack.append(ref)
         outsets[root] = frozenset(found)
-    return outsets
+        reaches.append(reach)
+    return outsets, reaches, edges
 
 
 def make_env(heap, clean_objects, clean_remotes):
+    """The clean phase's view: a mark bitmap (dead and free indices marked,
+    plus every clean object)."""
+    marks = heap.fresh_marks()
+    for oid in clean_objects:
+        marks[heap.get(oid).index] = 1
     return TraceEnvironment(
         heap=heap,
-        clean_objects=set(clean_objects),
-        is_clean_outref=lambda ref: ref in clean_remotes,
+        marks=marks,
+        is_clean_outref=clean_remotes.__contains__,
     )
 
 
@@ -94,20 +118,31 @@ def make_env(heap, clean_objects, clean_remotes):
 @settings(max_examples=200, deadline=None)
 def test_bottom_up_matches_brute_force(data):
     heap, clean_objects, clean_remotes, roots = data
-    expected = brute_force_outsets(heap, clean_objects, clean_remotes, roots)
+    outsets, reaches, _ = oracle(heap, clean_objects, clean_remotes, roots)
     result = compute_outsets_bottom_up(make_env(heap, clean_objects, clean_remotes), roots)
-    assert result.outsets == expected
+    assert result.outsets == outsets
+    visited = set().union(*reaches)
+    assert result.visited_objects == visited
+    # Each suspected object is scanned once, each of its references once.
+    assert result.objects_scanned == len(visited)
+    assert result.edges_examined == sum(len(heap.get(oid).refs) for oid in visited)
+    assert result.distinct_outsets == len(set(outsets.values()))
 
 
 @given(local_graphs())
 @settings(max_examples=200, deadline=None)
 def test_independent_matches_brute_force(data):
     heap, clean_objects, clean_remotes, roots = data
-    expected = brute_force_outsets(heap, clean_objects, clean_remotes, roots)
+    outsets, reaches, edges = oracle(heap, clean_objects, clean_remotes, roots)
     result = compute_outsets_independent(
         make_env(heap, clean_objects, clean_remotes), roots
     )
-    assert result.outsets == expected
+    assert result.outsets == outsets
+    assert result.visited_objects == set().union(*reaches)
+    # One fresh trace per inref: shared objects are scanned again.
+    assert result.objects_scanned == sum(map(len, reaches))
+    assert result.edges_examined == edges
+    assert result.distinct_outsets == len(set(outsets.values()))
 
 
 @given(local_graphs())
@@ -121,6 +156,7 @@ def test_algorithms_agree(data):
         make_env(heap, clean_objects, clean_remotes), roots
     )
     assert bottom_up.outsets == independent.outsets
+    assert bottom_up.visited_objects == independent.visited_objects
 
 
 @given(local_graphs())

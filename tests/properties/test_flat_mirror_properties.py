@@ -8,7 +8,7 @@ operation that touches the mirror and traces it with the production kernel
 *between* steps, so a stale memo would show: after each step the mirror
 and the memo are audited with ``check_flat_mirror`` and the kernel must
 agree with the reference on all five contract fields for adversarial root
-lists.
+lists (its clean set being the heap minus the rows it left unmarked).
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def _apply(heap, known, op, a, b, c):
                 obj.remove_ref(ref)
 
 
-def _contract(result):
+def _contract(result, clean):
     return (
-        result.clean_objects,
+        clean,
         result.outref_distances,
         result.clean_variable_outrefs,
         result.objects_scanned,
@@ -117,5 +117,8 @@ def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
         roots.append((ObjectId("P", 10_000), 1))
         flat = trace_clean_phase_flat(heap, roots, variable_outrefs)
         legacy = trace_clean_phase(heap, roots, variable_outrefs)
-        assert _contract(flat) == _contract(legacy)
+        clean = set(heap.object_ids()).difference(flat.unmarked)
+        assert _contract(flat, clean) == _contract(legacy, legacy.clean_objects)
+        assert all(flat.marks[heap.get(oid).index] for oid in clean)
+        assert not any(flat.marks[heap.get(oid).index] for oid in flat.unmarked)
         heap.check_flat_mirror()

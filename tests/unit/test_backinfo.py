@@ -20,10 +20,14 @@ ALGORITHMS = [compute_outsets_independent, compute_outsets_bottom_up]
 
 
 def env_for(heap, clean_objects=(), clean_outrefs=()):
+    """An environment whose clean phase marked exactly ``clean_objects``."""
     clean_out = set(clean_outrefs)
+    marks = heap.fresh_marks()
+    for oid in clean_objects:
+        marks[heap.get(oid).index] = 1
     return TraceEnvironment(
         heap=heap,
-        clean_objects=set(clean_objects),
+        marks=marks,
         is_clean_outref=lambda ref: ref in clean_out,
     )
 

@@ -33,9 +33,10 @@ def test_mirror_tracks_alloc_link_unlink():
     heap.check_flat_mirror()
     b.remove_ref(c.oid)  # one copy removed, one left
     heap.check_flat_mirror()
-    idx, alive, succ_local, _, _, _ = heap.flat_graph()
+    idx, succ_local, _, _, _ = heap.flat_graph()
     assert succ_local[idx[b.oid]] == [idx[c.oid]]
-    assert all(alive[i] for i in idx.values())
+    marks = heap.fresh_marks()
+    assert not any(marks[i] for i in idx.values())
 
 
 def test_remote_refs_are_not_interned():
@@ -43,7 +44,7 @@ def test_remote_refs_are_not_interned():
     a = heap.alloc()
     remote = ObjectId("Q", 0)
     a.add_ref(remote)
-    idx, _, succ_local, remote_rows, _, _ = heap.flat_graph()
+    idx, succ_local, remote_rows, _, _ = heap.flat_graph()
     assert remote not in idx
     assert succ_local[idx[a.oid]] == []
     assert remote_rows[idx[a.oid]] == [remote]
@@ -141,7 +142,7 @@ def test_flat_kernel_is_byte_identical_to_legacy_kernel():
         variable = [ObjectId("Q", 0)] if rng.random() < 0.3 else []
         legacy = trace_clean_phase(heap, roots, variable_outrefs=variable)
         flat = trace_clean_phase_flat(heap, roots, variable_outrefs=variable)
-        assert legacy.clean_objects == flat.clean_objects
+        assert legacy.clean_objects == clean_set(heap, flat)
         assert legacy.outref_distances == flat.outref_distances
         assert legacy.clean_variable_outrefs == flat.clean_variable_outrefs
         assert legacy.objects_scanned == flat.objects_scanned
@@ -178,9 +179,20 @@ def _random_heap(rng):
     return heap, roots, variable_outrefs
 
 
-def _as_tuple(result):
+def clean_set(heap, result):
+    """The flat kernel's clean set: the heap minus what it left unmarked,
+    checked against its mark bitmap."""
+    unmarked = set(result.unmarked)
+    assert len(unmarked) == len(result.unmarked)
+    for obj in heap.objects():
+        assert bool(result.marks[obj.index]) == (obj.oid not in unmarked)
+    assert unmarked <= set(heap.object_ids())
+    return set(heap.object_ids()) - unmarked
+
+
+def _as_tuple(result, clean):
     return (
-        result.clean_objects,
+        clean,
         result.outref_distances,
         result.clean_variable_outrefs,
         result.objects_scanned,
@@ -193,7 +205,9 @@ def _traced(heap, roots, variable_outrefs=()):
     fields; the mirror and the memo audited afterwards."""
     got = trace_clean_phase_flat(heap, roots, variable_outrefs)
     want = trace_clean_phase(heap, roots, variable_outrefs)
-    assert _as_tuple(got) == _as_tuple(want)
+    assert _as_tuple(got, clean_set(heap, got)) == _as_tuple(
+        want, want.clean_objects
+    )
     heap.check_flat_mirror()
     return got
 
@@ -231,7 +245,7 @@ def test_memo_sees_an_edge_added_inside_a_region():
     fresh = heap.alloc()
     d.add_ref(fresh.oid)
     result = _traced(heap, roots)
-    assert fresh.oid in result.clean_objects
+    assert fresh.oid in clean_set(heap, result)
     assert result.objects_reused == 2  # a's region; c's was walked again
 
 
@@ -242,7 +256,7 @@ def test_memo_sees_an_edge_removed_inside_a_region():
     _traced(heap, roots)
     b.remove_ref(c.oid)
     result = _traced(heap, roots)
-    assert c.oid not in result.clean_objects
+    assert c.oid not in clean_set(heap, result)
     assert result.objects_reused == 0
 
 
@@ -257,7 +271,7 @@ def test_memo_sees_a_region_member_swept_or_deleted():
         else:
             heap.delete(b.oid)
         result = _traced(heap, roots)
-        assert result.clean_objects == {a.oid}, kill
+        assert clean_set(heap, result) == {a.oid}, kill
 
 
 def test_memo_follows_root_order_and_root_distance():
@@ -289,12 +303,12 @@ def test_memo_is_dropped_when_an_id_referenced_early_is_allocated():
     early = ObjectId("P", 1)  # the next serial: not allocated yet
     root.add_ref(early)
     roots = [(root.oid, 0)]
-    assert _traced(heap, roots).clean_objects == {root.oid}
+    assert clean_set(heap, _traced(heap, roots)) == {root.oid}
     revived = heap.alloc()
     assert revived.oid == early
     # No row of root's region changed, yet the region grew.
     result = _traced(heap, roots)
-    assert result.clean_objects == {root.oid, early}
+    assert clean_set(heap, result) == {root.oid, early}
     assert result.objects_reused == 0
 
 
@@ -312,7 +326,7 @@ def test_memo_rechecks_an_empty_region_whose_index_was_reused():
     fresh = heap.alloc()  # ...and a new object takes it
     assert fresh.index == gone_idx
     result = _traced(heap, [(first.oid, 0), (fresh.oid, 0)])
-    assert result.clean_objects == {first.oid, fresh.oid}
+    assert clean_set(heap, result) == {first.oid, fresh.oid}
     assert result.objects_reused == 1
 
 
@@ -330,12 +344,13 @@ def test_memo_sees_a_mutation_between_compute_and_commit():
     heap.make_persistent_root(a.oid)
     garbage = heap.alloc()
     result = collector.compute()  # non-atomic: commit comes later
-    assert result.clean_objects == {a.oid, b.oid, c.oid}
+    assert result.clean_phase.unmarked == [garbage.oid]
     b.remove_ref(c.oid)  # lands in the window
     swept = collector.commit(result)
     assert swept == [garbage.oid]
     again = collector.compute()
     want = trace_clean_phase(heap, [(a.oid, 0)])
-    assert _as_tuple(again.clean_phase) == _as_tuple(want)
-    assert again.clean_objects == {a.oid, b.oid}
+    clean = clean_set(heap, again.clean_phase)
+    assert _as_tuple(again.clean_phase, clean) == _as_tuple(want, want.clean_objects)
+    assert clean == {a.oid, b.oid}
     heap.check_flat_mirror()

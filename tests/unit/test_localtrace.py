@@ -355,3 +355,44 @@ def test_predict_quiet_ticks_zero_when_variable_roots_changed():
     c.run()
     assert c.predict_quiet_ticks() > 0
     assert c.predict_quiet_ticks(variable_outrefs=[held.oid]) == 0
+
+
+# -- the sweep of a non-atomic trace (section 6.2) ---------------------------
+
+
+def _windowed_site():
+    from ..conftest import make_sim
+
+    sim = make_sim(sites=("P",), gc=GcConfig(local_trace_duration=10.0))
+    site = sim.site("P")
+    root = site.heap.alloc(persistent_root=True)
+    return sim, site, root
+
+
+def test_object_born_in_the_trace_window_survives_until_the_next_trace():
+    sim, site, root = _windowed_site()
+    result = site.run_local_trace(force_full=True)  # commits 10 ticks later
+    born = site.heap.alloc()  # no root reaches it
+    assert born.oid not in result.clean_phase.unmarked
+    sim.run_for(10.0)
+    assert result.swept == [] and site.heap.contains(born.oid)
+    following = site.run_local_trace(force_full=True)
+    sim.run_for(10.0)
+    assert following.swept == [born.oid]
+    assert not site.heap.contains(born.oid)
+
+
+def test_unmarked_object_linked_by_a_deferred_write_is_swept_at_commit():
+    # The sweep list is fixed when the trace computes.  A write naming an
+    # object no root reached waits in the window and lands after the sweep,
+    # leaving a dangling reference (the mutator held no reference to it).
+    sim, site, root = _windowed_site()
+    orphan = site.heap.alloc()
+    result = site.run_local_trace(force_full=True)
+    assert result.clean_phase.unmarked == [orphan.oid]
+    site.mutator_add_ref(root.oid, orphan.oid)  # deferred: tracing
+    assert not root.holds_ref(orphan.oid)
+    sim.run_for(10.0)
+    assert result.swept == [orphan.oid]
+    assert root.holds_ref(orphan.oid) and not site.heap.contains(orphan.oid)
+    site.heap.check_flat_mirror()

@@ -24,6 +24,38 @@ def test_logs_local_traces_with_sweep_counts():
     assert sum(event.detail["swept"] for event in traces) >= 2
 
 
+def test_local_trace_counts_are_the_traces_own_counters():
+    sim = make_sim(sites=("P", "Q"))
+    log = TraceLog(sim)
+    results = []
+    for site in sim.sites.values():
+
+        def run(logged=site.run_local_trace):
+            result = logged()
+            if result is not None:
+                results.append(result)
+            return result
+
+        site.run_local_trace = run
+    workload = build_ring_cycle(sim, ["P", "Q"])
+    for _ in range(2):
+        sim.run_gc_round()
+    workload.make_garbage(sim)
+    collect_until_clean(sim, Oracle(sim), max_rounds=40)
+    events = log.of_kind("local-trace")
+    assert len(events) == len(results)
+    for event, result in zip(events, results):
+        assert event.detail["clean"] == result.clean_phase.objects_scanned
+        assert event.detail["suspected"] == result.backinfo.objects_scanned
+    # A fast trace re-reports the trace it re-uses; full ones add up to the
+    # collector's counters.
+    full = [event for event, result in zip(events, results) if result.mode == "full"]
+    clean = sum(event.detail["clean"] for event in full)
+    suspected = sum(event.detail["suspected"] for event in full)
+    assert clean == sim.metrics.count("gc.clean_objects_scanned") > 0
+    assert suspected == sim.metrics.count("gc.suspected_objects_scanned") > 0
+
+
 def test_logs_backtrace_lifecycle():
     sim, log = run_cycle_with_log()
     starts = log.of_kind("backtrace-start")
