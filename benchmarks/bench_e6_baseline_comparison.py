@@ -1,6 +1,6 @@
 """E6 -- Locality comparison: back tracing vs the section-7 baselines.
 
-One scenario, five collectors.  A two-site garbage cycle (on s0, s1) lives
+One scenario, seven collectors.  A two-site garbage cycle (on s0, s1) lives
 in an 8-site system whose other sites hold live inter-site structure.
 Measured per collector:
 
@@ -18,6 +18,13 @@ sites and small constant-size messages; migration also has locality but pays
 object-sized messages; global/Hughes involve all sites and stall under a
 single crash; group tracing sits in between.
 
+The trial-deletion ("subgraph tracing") row is the first-class
+``collector="termination"`` backend, so this table is also the head-to-head
+of the two per-site backends: both keep locality here, and a trial spends a
+mark wave, a rescue wave and per-phase credit acks where one back trace
+spends 2E + (N-1) constant-size messages.  The other half of E22, the
+oracle-audited differential matrix, is ``python -m repro diff``.
+
 The driver lives in :mod:`repro.harness.comparison` (shared with
 ``examples/baseline_shootout.py``).
 """
@@ -32,6 +39,8 @@ from repro.harness.comparison import (
 )
 from repro.harness.report import Table
 
+ROWS = ("backtrace", "migration", "group", "termination", "central", "hughes", "global")
+
 
 @pytest.mark.parametrize("name", sorted(PROTOCOL_KINDS))
 def test_collector_collects_cycle(benchmark, name):
@@ -44,7 +53,7 @@ def test_collector_collects_cycle(benchmark, name):
 def test_e6_comparison_table(benchmark, record_table):
     def run():
         rows = []
-        for name in ("backtrace", "migration", "group", "trial", "central", "hughes", "global"):
+        for name in ROWS:
             healthy = run_with_collector(name)
             crashed = run_with_collector(name, crash_bystander=True)
             rows.append((name, healthy, crashed))
@@ -102,10 +111,18 @@ def test_e6_comparison_table(benchmark, record_table):
     assert not hug_crashed["collected"]           # threshold held down
     assert len(hug_healthy["involved"]) == N_SITES
 
-    trial_healthy, trial_crashed = results["trial"]
-    assert trial_healthy["collected"] and trial_crashed["collected"]
-    # The trial's subgraph stayed within the cycle here (no live pointees).
-    assert set(trial_healthy["involved"]) <= set(CYCLE_SITES)
+    # Trial deletion, as the termination backend: locality on this workload,
+    # healthy and with the crashed bystander (no live pointees to drag in),
+    # but chattier than the back trace -- mark + rescue waves plus per-phase
+    # credit acks.  Target lists can make units exceed messages, yet they
+    # stay far from migration's object-sized cost.
+    tm_healthy, tm_crashed = results["termination"]
+    assert tm_healthy["collected"] and tm_crashed["collected"]
+    for stats in (bt_healthy, bt_crashed, tm_healthy, tm_crashed):
+        assert set(stats["involved"]) == set(CYCLE_SITES)
+    assert bt_healthy["messages"] == 5  # 2E + (N-1) with E=2, N=2
+    assert tm_healthy["messages"] > bt_healthy["messages"]
+    assert tm_healthy["messages"] <= tm_healthy["units"] <= 4 * tm_healthy["messages"]
 
     cent_healthy, cent_crashed = results["central"]
     assert cent_healthy["collected"]

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Seven collectors, one job: a 2-site garbage cycle in an 8-site system.
 
-Runs the paper's scheme (back tracing) against the six baseline collectors
+Runs the paper's scheme (back tracing) against the six collector families
 of section 7 -- controlled migration, group tracing, trial deletion (cyclic
-reference counting), the central service, Hughes timestamps, and global
-tracing -- on identical workloads, then again with one *bystander* site
-crashed.  Prints the locality/fault-tolerance comparison table (the code
-behind benchmark E6).
+reference counting, run as the ``termination`` backend), the central
+service, Hughes timestamps, and global tracing -- on identical workloads,
+then again with one *bystander* site crashed.  Prints the
+locality/fault-tolerance comparison table (the code behind benchmark E6).
 
 Run:  python examples/baseline_shootout.py
 """
@@ -27,7 +27,7 @@ def main() -> None:
             "collected w/ bystander crash",
         ],
     )
-    for name in ("backtrace", "migration", "group", "trial", "central", "hughes", "global"):
+    for name in ("backtrace", "migration", "group", "termination", "central", "hughes", "global"):
         healthy = run_with_collector(name)
         crashed = run_with_collector(name, crash_bystander=True)
         table.add_row(
@@ -38,7 +38,7 @@ def main() -> None:
             "yes" if healthy["collected"] else "NO",
             "yes" if crashed["collected"] else "NO",
         )
-        print(f"ran {name:10s} healthy={healthy['collected']} crashed={crashed['collected']}")
+        print(f"ran {name:11s} healthy={healthy['collected']} crashed={crashed['collected']}")
     table.print()
     print(
         "\nReading guide: back tracing and migration have the locality\n"

@@ -13,7 +13,8 @@ Commands:
 - ``chaos``      -- the oracle-audited seed x fault-plan matrix (E17).
 - ``diff``       -- differential testing: run the back tracer and the
                     termination backend over identical seeded workloads and
-                    oracle-check they reclaim the same garbage (E22).
+                    oracle-check they reclaim the same garbage (E22, the
+                    differential matrix; their message costs are E6 rows).
 
 Every command accepts ``--seed`` for deterministic replay.
 """
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     chaos.add_argument("--seeds", type=int, default=8, help="number of seeds")
     diff = sub.add_parser(
         "diff",
-        help="differential test: backtrace vs termination backend (E22)",
+        help="differential matrix: backtrace vs termination backend (E22)",
     )
     diff.add_argument("--seeds", type=int, default=8, help="number of seeds")
 

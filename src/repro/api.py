@@ -18,10 +18,11 @@ Guidelines the facade encodes:
   ``config.gc.collector`` against the backend registry.
 - **Select collectors by name.**  ``GcConfig.collector`` accepts any name in
   :func:`available_collectors`: the paper's ``"backtrace"``, the
-  termination-detection rival ``"termination"``, ``"null"`` (local tracing
-  only), and the six driver-style ``"baseline.*"`` schemes (reach their
-  round driver through ``sim.collector_driver``).  New backends plug in via
-  :func:`register_collector` without touching ``Site``.
+  termination-detection rival ``"termination"`` (also this tree's trial
+  deletion), and ``"null"`` (local tracing only).  New backends plug in via
+  :func:`register_collector` without touching ``Site``.  The section 7
+  baselines are not backends: construct one from :mod:`repro.baselines`
+  directly over a ``"null"`` simulation.
 - **Inject faults declaratively** with :class:`FaultPlan` and its window
   types, passed to :meth:`Simulation.create`.
 """

@@ -1,6 +1,6 @@
 """Baseline distributed cycle collectors (section 7 of the paper).
 
-Four families the paper compares against, implemented over the same
+The families the paper compares against, implemented over the same
 simulated substrate (sites, heaps, reference listing, network) so that
 benchmark E6 measures algorithms rather than harness differences:
 
@@ -10,12 +10,16 @@ benchmark E6 measures algorithms rather than harness differences:
 - :mod:`.grouptrace` -- group formation + intra-group tracing
   [LQP92, MKI+95, RJ96];
 - :mod:`.centralservice` -- per-site reachability summaries shipped to a
-  logically central detector [BE86, LL92];
-- :mod:`.trialdeletion` -- subgraph tracing / cyclic reference counting by
-  trial deletion [LJ93, JL92].
+  logically central detector [BE86, LL92].
 
-All are used with ``GcConfig(enable_backtracing=False)``: they *replace* the
-paper's back tracing on top of unchanged local tracing.
+Subgraph tracing (trial deletion [LJ93, JL92]) is not here: it is the
+first-class ``collector="termination"`` backend, :mod:`repro.core.termination`.
+
+Each baseline is a harness-side driver, constructed directly over a
+:class:`~repro.sim.simulation.Simulation` once its sites exist.  It
+registers its own message handlers and *replaces* the paper's back tracing
+on top of unchanged local tracing, so the simulation runs with
+``GcConfig(collector="null", enable_backtracing=False)`` (E6's setting).
 """
 
 from .globaltrace import GlobalTraceCollector
@@ -23,7 +27,6 @@ from .hughes import HughesCollector
 from .migration import MigrationCollector
 from .grouptrace import GroupTraceCollector
 from .centralservice import CentralServiceCollector
-from .trialdeletion import TrialDeletionCollector
 
 __all__ = [
     "GlobalTraceCollector",
@@ -31,5 +34,4 @@ __all__ = [
     "MigrationCollector",
     "GroupTraceCollector",
     "CentralServiceCollector",
-    "TrialDeletionCollector",
 ]

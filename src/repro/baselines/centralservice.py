@@ -35,7 +35,6 @@ from typing import Dict, List, Set, Tuple
 
 from ..core.backinfo import TraceEnvironment, compute_outsets_bottom_up
 from ..core.distance import trace_clean_phase
-from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
@@ -233,14 +232,3 @@ class CentralServiceCollector:
             entry.garbage = True
             self.inrefs_flagged += 1
             self.sim.metrics.incr("baseline.central.inrefs_flagged")
-
-
-def _driver(sim: Simulation) -> CentralServiceCollector:
-    return CentralServiceCollector(sim, sorted(sim.sites)[0])
-
-
-register_collector(
-    CollectorSpec(
-        name="baseline.central", site_factory=NullCollector, driver_factory=_driver
-    )
-)

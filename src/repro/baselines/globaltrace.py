@@ -3,11 +3,12 @@
 A coordinator starts a distributed mark over *all* sites: each site marks the
 local closure of its persistent and variable roots and forwards every remote
 reference it encounters in a :class:`MarkBatch`.  Termination is detected with
-the credit-recovery scheme of :mod:`.termination`: every mark message carries
-an exact fractional credit share, sites return unspent credit with their
-acks, and full recovery of credit 1 at the coordinator means the global mark
-is complete (simple spawned-minus-one counting is racy across site pairs).  A final :class:`SweepCommand` makes every
-site delete unmarked objects (exact global liveness, so cycles die too).
+the credit-recovery scheme of :mod:`repro.core.termination`: every mark
+message carries an exact fractional credit share, sites return unspent
+credit with their acks, and full recovery of credit 1 at the coordinator
+means the global mark is complete (simple spawned-minus-one counting is racy
+across site pairs).  A final :class:`SweepCommand` makes every site delete
+unmarked objects (exact global liveness, so cycles die too).
 
 Drawbacks the paper cites, reproduced measurably here:
 
@@ -24,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
-from ..core.collector import CollectorSpec, NullCollector, register_collector
+from ..core.termination import CreditPool, split_credit
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .termination import CreditPool, split_credit
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,3 @@ class GlobalTraceCollector:
             site.inrefs.remove(oid)
             # Outrefs held by swept objects are trimmed by the next local
             # trace via the normal update path.
-
-
-def _driver(sim: Simulation) -> GlobalTraceCollector:
-    return GlobalTraceCollector(sim, sorted(sim.sites)[0])
-
-
-register_collector(
-    CollectorSpec(
-        name="baseline.global", site_factory=NullCollector, driver_factory=_driver
-    )
-)

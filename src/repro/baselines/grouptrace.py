@@ -7,8 +7,8 @@ coordinates a mark over exactly those sites: every member marks from its
 persistent/variable roots and from inrefs whose source lies *outside* the
 group; marking crosses member boundaries with :class:`GroupMark` messages,
 and the coordinator detects termination with the credit-recovery scheme of
-:mod:`.termination`, scoped to the group.  Unmarked objects at member sites are
-swept.
+:mod:`repro.core.termination`, scoped to the group.  Unmarked objects at
+member sites are swept.
 
 Drawbacks the paper cites, all measurable here:
 
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.collector import CollectorSpec, NullCollector, register_collector
+from ..core.termination import CreditPool, split_credit
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
-from .termination import CreditPool, split_credit
 
 
 @dataclass(frozen=True)
@@ -323,14 +322,3 @@ class _GroupState:
             self.marks = {}
         if self.seeds_by_site is None:
             self.seeds_by_site = {}
-
-
-def _driver(sim: Simulation) -> GroupTraceCollector:
-    return GroupTraceCollector(sim)
-
-
-register_collector(
-    CollectorSpec(
-        name="baseline.group", site_factory=NullCollector, driver_factory=_driver
-    )
-)

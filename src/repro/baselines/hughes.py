@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
@@ -206,14 +205,3 @@ class HughesCollector:
             self.sim.run_for(settle_time)
         self.compute_threshold()
         self.sim.settle(settle_time)
-
-
-def _driver(sim: Simulation) -> HughesCollector:
-    return HughesCollector(sim, sorted(sim.sites)[0])
-
-
-register_collector(
-    CollectorSpec(
-        name="baseline.hughes", site_factory=NullCollector, driver_factory=_driver
-    )
-)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.collector import CollectorSpec, NullCollector, register_collector
 from ..ids import ObjectId, SiteId
 from ..net.message import Message, Payload
 from ..sim.simulation import Simulation
@@ -191,14 +190,3 @@ def _migration_insert(ref: ObjectId, holder: SiteId):
     from ..gc.insert import InsertRequest
 
     return InsertRequest(target=ref, pin_holder=None)
-
-
-def _driver(sim: Simulation) -> MigrationCollector:
-    return MigrationCollector(sim)
-
-
-register_collector(
-    CollectorSpec(
-        name="baseline.migration", site_factory=NullCollector, driver_factory=_driver
-    )
-)

@@ -83,7 +83,7 @@ class GcConfig:
     # (:mod:`repro.core.collector`).  "backtrace" is the paper's back tracer;
     # "termination" the decentralized trial-deletion-with-termination-
     # detection rival used for differential testing; "null" plain local
-    # tracing; "baseline.*" the sim-driven baseline schemes.  Validated
+    # tracing (what the section 7 baseline drivers run over).  Validated
     # against the registry when the simulation (or site) is constructed --
     # the registry accepts runtime registrations, so the config layer only
     # checks the type here.

@@ -32,9 +32,13 @@ owns:
 Backends register in a process-global registry keyed by the
 ``GcConfig.collector`` name; :class:`~repro.sim.simulation.Simulation`
 resolves the name once and hands every new site the per-site factory.
-Built-in backends (the back tracer, the termination-detection rival, and
-the six baseline schemes) lazy-import so that configuring one never pays
-for the others.
+Three are built in: ``backtrace`` and ``null`` (defined here) and the
+termination-detection rival ``termination`` (:mod:`repro.core.termination`,
+which registers itself on import; the registry imports it on first lookup,
+and ``import repro`` already loads it through the wire format).  The
+section 7 baselines are not backends: they are harness-side drivers
+constructed directly over a simulation (:mod:`repro.baselines`), and
+importing the core loads none of them.
 """
 
 from __future__ import annotations
@@ -165,8 +169,8 @@ class NullCollector(Collector):
 
     The counterfactual backend of Figure 1 -- acyclic distributed garbage
     still dies through reference listing, cross-site cycles float.  Also the
-    per-site strategy under the sim-driven baseline collectors, which do
-    their own message registration against the running simulation.
+    per-site strategy under the section 7 baseline drivers, which do their
+    own message registration against the running simulation.
     """
 
     name = "null"
@@ -268,29 +272,19 @@ class CollectorSpec:
     """One registered backend.
 
     ``site_factory`` builds the per-site strategy (called once per site by
-    the simulation).  ``driver_factory``, when present, builds a sim-level
-    round driver (the baseline collectors' model: handlers registered
-    against a running simulation plus an explicit ``run_round``), constructed
-    lazily by :attr:`Simulation.collector_driver` once sites exist.
+    the simulation).
     """
 
     name: str
     site_factory: Callable[["Site"], Collector]
-    driver_factory: Optional[Callable[..., object]] = None
 
 
 _REGISTRY: Dict[str, CollectorSpec] = {}
 
-#: Backends resolved on first use so configuring one never imports the rest.
-#: Importing the named module must register the spec (module side effect).
+#: Backends resolved on first use.  Importing the named module must register
+#: the spec (module side effect).
 _LAZY_BUILTINS: Dict[str, str] = {
     "termination": "repro.core.termination",
-    "baseline.global": "repro.baselines.globaltrace",
-    "baseline.hughes": "repro.baselines.hughes",
-    "baseline.migration": "repro.baselines.migration",
-    "baseline.group": "repro.baselines.grouptrace",
-    "baseline.central": "repro.baselines.centralservice",
-    "baseline.trial": "repro.baselines.trialdeletion",
 }
 
 

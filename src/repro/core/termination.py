@@ -5,13 +5,13 @@ The second first-class cycle-collection backend (``GcConfig.collector =
 back tracer (ROADMAP: "Second collector backend for differential
 testing").  It follows the Plyukhin-Agha school of actor GC: no global
 coordinator, reference listing as the ground truth, and exact
-credit-recovery termination detection (Mattern's scheme, reused from
-:mod:`repro.baselines.termination`) to decide when a distributed phase has
-drained.  Unlike the sim-driven :class:`TrialDeletionCollector` baseline --
-which keeps one global trial in collector-object state -- every piece of
-state here lives at a site and every transition is a message, so the
-backend runs under the parallel engine, the packed wire format, and the
-fault-injection plans like any other protocol in the tree.
+credit-recovery termination detection (Mattern's scheme, :func:`split_credit`
+and :class:`CreditPool` below) to decide when a distributed phase has
+drained.  It is also the paper's section 7 "subgraph tracing" (trial
+deletion [LJ93, JL92]) in this tree.  Every piece of state lives at a site
+and every transition is a message, so the backend runs under the parallel
+engine, the packed wire format, and the fault-injection plans like any
+other protocol in the tree.
 
 One *trial*, initiated by the owner of a suspected inref (distance past
 the back threshold, the same section 4.3 trigger timing the back tracer
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from ..baselines.termination import FULL_CREDIT, CreditPool, split_credit
 from ..ids import ObjectId, SiteId
 from ..metrics import names
 from ..net.message import Message, Payload
@@ -73,6 +72,62 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A trial is globally identified by (initiator site, per-site serial).
 TrialKey = Tuple[SiteId, int]
+
+
+# -- credit-recovery termination detection -----------------------------------------
+#
+# Plain "outstanding += spawned - 1" ack counting is racy: an ack for a
+# *spawned* batch can overtake (on a different site pair) the ack that
+# reports its spawning, driving the counter to zero while work is still in
+# flight.  Mattern's credit scheme (a cousin of Dijkstra-Scholten) fixes it:
+# the coordinator hands out a total credit of 1; every batch carries an exact
+# fractional share; a site that spawns k child batches gives each a share of
+# its credit and returns the remainder with its ack.  The phase is complete
+# exactly when the coordinator has recovered credit 1.  Credits are
+# :class:`fractions.Fraction` values, so the arithmetic is exact at any depth
+# and fan-out.  The global-trace and group-trace baselines use the same
+# helpers.
+
+FULL_CREDIT = Fraction(1)
+
+
+def split_credit(credit: Fraction, spawned: int) -> Tuple[List[Fraction], Fraction]:
+    """Divide ``credit`` among ``spawned`` children; return (shares, kept).
+
+    The processing site keeps ``kept`` to return with its ack; the children
+    each carry one share.  shares + kept always sums to ``credit`` exactly.
+    """
+    if spawned <= 0:
+        return [], credit
+    share = credit / (spawned + 1)
+    shares = [share] * spawned
+    kept = credit - share * spawned
+    return shares, kept
+
+
+class CreditPool:
+    """Coordinator-side accumulator for one phase."""
+
+    def __init__(self) -> None:
+        self._returned = Fraction(0)
+
+    def hand_out(self, n: int) -> List[Fraction]:
+        """Initial distribution of the full credit over n seed messages."""
+        if n <= 0:
+            self._returned = FULL_CREDIT
+            return []
+        share = FULL_CREDIT / n
+        return [share] * n
+
+    def give_back(self, credit: Fraction) -> None:
+        self._returned += credit
+
+    @property
+    def complete(self) -> bool:
+        return self._returned == FULL_CREDIT
+
+    def reset(self) -> None:
+        self._returned = Fraction(0)
 
 
 # -- payloads ----------------------------------------------------------------------

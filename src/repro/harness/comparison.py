@@ -7,18 +7,25 @@ collector runs on an identical fresh simulation; per run we report rounds to
 collection, protocol message count, the set of sites its protocol involved,
 and whether collection still succeeds with a crashed bystander site.
 
-Collectors are selected through ``GcConfig.collector`` and the registry
-(:mod:`repro.core.collector`): per-site backends (backtrace, termination)
-just run GC rounds, driver-style baselines are reached through
-``sim.collector_driver``.  The short E6 row names below predate the registry
-names and are kept for table/benchmark stability.
+The two per-site backends (backtrace, termination) are selected through
+``GcConfig.collector`` and just run GC rounds.  The section 7 baselines are
+harness-side drivers: the simulation runs the ``null`` backend with back
+tracing off, and the driver named in :data:`BASELINES` is constructed
+directly over it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.oracle import Oracle
+from ..baselines import (
+    CentralServiceCollector,
+    GlobalTraceCollector,
+    GroupTraceCollector,
+    HughesCollector,
+    MigrationCollector,
+)
 from ..config import GcConfig, SimulationConfig
 from ..sim.simulation import Simulation
 from ..workloads.generators import build_ring_cycle
@@ -49,19 +56,18 @@ PROTOCOL_KINDS: Dict[str, List[str]] = {
         "GroupSweep",
     ],
     "central": ["SummaryRequest", "SummaryReply", "FlagCommand"],
-    "trial": ["RedBatch", "GreenBatch", "PhaseAck", "StartGreen", "CollectCommand"],
 }
 
-#: E6 row name -> GcConfig.collector registry name.
-COLLECTOR_NAMES: Dict[str, str] = {
-    "backtrace": "backtrace",
-    "termination": "termination",
-    "global": "baseline.global",
-    "hughes": "baseline.hughes",
-    "migration": "baseline.migration",
-    "group": "baseline.group",
-    "central": "baseline.central",
-    "trial": "baseline.trial",
+#: Per-site backends: E6 row name == ``GcConfig.collector`` name.
+PER_SITE_BACKENDS = ("backtrace", "termination")
+
+#: Baseline E6 row name -> driver constructor over a built scenario.
+BASELINES: Dict[str, Callable[[Simulation], object]] = {
+    "global": lambda sim: GlobalTraceCollector(sim, "s0"),
+    "hughes": lambda sim: HughesCollector(sim, "s0"),
+    "migration": MigrationCollector,
+    "group": GroupTraceCollector,
+    "central": lambda sim: CentralServiceCollector(sim, "s0"),
 }
 
 
@@ -110,17 +116,17 @@ def protocol_stats(sim: Simulation, name: str, before):
 
 def run_with_collector(name: str, crash_bystander: bool = False) -> Dict:
     """Run one collector on a fresh scenario; return its comparison row."""
-    registry_name = COLLECTOR_NAMES.get(name)
-    if registry_name is None:
+    per_site = name in PER_SITE_BACKENDS
+    if not per_site and name not in BASELINES:
         raise ValueError(f"unknown collector {name!r}")
-    per_site = name in ("backtrace", "termination")
     sim, workload = build_scenario(
-        enable_backtracing=per_site, collector=registry_name
+        enable_backtracing=per_site, collector=name if per_site else "null"
     )
     oracle = Oracle(sim)
     before = sim.metrics.snapshot()
     if crash_bystander:
         sim.site("s7").crash()
+    driver = None if per_site else BASELINES[name](sim)
 
     def garbage_left():
         return {oid for oid in oracle.garbage_set() if oid.site != "s7"}
@@ -134,9 +140,8 @@ def run_with_collector(name: str, crash_bystander: bool = False) -> Dict:
                 rounds = r
                 break
     elif name == "global":
-        collector = sim.collector_driver
         for r in range(1, 13):
-            collector.start_round()
+            driver.start_round()
             sim.run_for(3000.0)
             sim.settle()
             oracle.check_safety()
@@ -144,25 +149,22 @@ def run_with_collector(name: str, crash_bystander: bool = False) -> Dict:
                 rounds = r
                 break
     elif name == "hughes":
-        collector = sim.collector_driver
         for r in range(1, 13):
-            collector.run_round()
+            driver.run_round()
             oracle.check_safety()
             if not garbage_left():
                 rounds = r
                 break
     elif name == "migration":
-        collector = sim.collector_driver
         for r in range(1, 41):
-            collector.run_round()
+            driver.run_round()
             oracle.check_safety()
             if not garbage_left():
                 rounds = r
                 break
-    else:  # group / central / trial: round + message drain
-        collector = sim.collector_driver
+    else:  # group / central: round + message drain
         for r in range(1, 41):
-            collector.run_round()
+            driver.run_round()
             sim.run_for(3000.0)
             sim.settle()
             oracle.check_safety()

@@ -54,7 +54,6 @@ class Simulation:
         self._collector_spec: CollectorSpec = resolve_collector(
             self.config.gc.collector
         )
-        self._collector_driver: Optional[object] = None
 
     @classmethod
     def create(
@@ -103,27 +102,6 @@ class Simulation:
 
     def add_sites(self, site_ids, auto_gc: bool = True) -> List[Site]:
         return [self.add_site(site_id, auto_gc=auto_gc) for site_id in site_ids]
-
-    @property
-    def collector_driver(self):
-        """The sim-level round driver of a driver-style backend, built lazily.
-
-        The six ``baseline.*`` backends follow a coordinator model: handlers
-        registered against the running simulation plus an explicit
-        ``run_round``.  Selecting one via ``GcConfig.collector`` makes this
-        property the supported way to reach that driver (it needs the sites,
-        so it cannot exist before :meth:`add_site` calls).  Raises for
-        backends that are purely per-site (backtrace, termination, null).
-        """
-        if self._collector_driver is None:
-            factory = self._collector_spec.driver_factory
-            if factory is None:
-                raise SimulationError(
-                    f"collector {self._collector_spec.name!r} has no "
-                    "sim-level driver (it runs per-site)"
-                )
-            self._collector_driver = factory(self)
-        return self._collector_driver
 
     def site(self, site_id: SiteId) -> Site:
         try:

@@ -1,10 +1,12 @@
-"""Tests for the central-service and trial-deletion baselines (section 7)."""
+"""Tests for the central-service baseline (section 7).
 
-import pytest
+Trial deletion is the ``termination`` backend; its section 7 cases live in
+``tests/unit/test_termination_collector.py``.
+"""
 
 from repro import GcConfig
 from repro.analysis import Oracle
-from repro.baselines import CentralServiceCollector, TrialDeletionCollector
+from repro.baselines import CentralServiceCollector
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 from ..conftest import make_sim
@@ -105,99 +107,3 @@ class TestCentralService:
                 break
         assert not oracle.garbage_set()
 
-
-class TestTrialDeletion:
-    def test_collects_cycle(self):
-        sim, workload = cycle_sim(["a", "b", "c"])
-        oracle = Oracle(sim)
-        collector = TrialDeletionCollector(sim)
-        for _ in range(30):
-            collector.run_round()
-            oracle.check_safety()
-            if not oracle.garbage_set():
-                break
-        assert not oracle.garbage_set()
-        assert collector.trials_completed >= 1
-
-    def test_live_cycle_survives_trial(self):
-        """A trial on a live structure must rescue everything (green)."""
-        sim = make_sim(sites=("a", "b"), gc=NO_BT)
-        b = GraphBuilder(sim)
-        root = b.obj("a", "root", root=True)
-        p, q = b.obj("a", "p"), b.obj("b", "q")
-        b.link(root, p)
-        b.link_cycle([p, q])
-        # Force a trial despite liveness (stale suspicion).
-        sim.site("a").inrefs.require(p).sources["b"] = 99
-        collector = TrialDeletionCollector(sim)
-        assert collector.maybe_initiate("a")
-        sim.settle()
-        assert collector.trials_completed == 1
-        assert sim.site("a").heap.contains(p)
-        assert sim.site("b").heap.contains(q)
-        Oracle(sim).check_safety()
-
-    def test_subgraph_includes_live_structure_no_locality(self):
-        """The paper's criticism: the red phase spreads into live objects
-        reachable from the cycle, dragging their sites into the subgraph."""
-        sim = make_sim(sites=("a", "b", "c", "d"), gc=NO_BT)
-        b = GraphBuilder(sim)
-        b.obj("a", "root", root=True)
-        p, q = b.obj("a", "p"), b.obj("b", "q")
-        b.link_cycle([p, q])
-        # The cycle points into a live chain over c and d.
-        keeper_root = b.obj("c", root=True)
-        live_c, live_d = b.obj("c"), b.obj("d")
-        b.link(keeper_root, live_c)
-        b.link(q, live_c)
-        b.link(live_c, live_d)
-        for _ in range(2):
-            sim.run_gc_round()
-        oracle = Oracle(sim)
-        collector = TrialDeletionCollector(sim)
-        for _ in range(30):
-            collector.run_round()
-            oracle.check_safety()
-            if not oracle.garbage_set():
-                break
-        assert not oracle.garbage_set()
-        # The 2-site cycle's trial touched at least 4 objects on 4 sites.
-        assert max(collector.subgraph_sizes) >= 4
-        assert max(collector.subgraph_site_counts) >= 4
-        # And the live chain survived the trial.
-        assert sim.site("c").heap.contains(live_c)
-        assert sim.site("d").heap.contains(live_d)
-
-    def test_garbage_tail_collected_with_cycle(self):
-        sim = make_sim(sites=("a", "b", "c"), gc=NO_BT)
-        b = GraphBuilder(sim)
-        b.obj("a", "root", root=True)
-        p, q = b.obj("a", "p"), b.obj("b", "q")
-        b.link_cycle([p, q])
-        tail = b.obj("c")
-        b.link(q, tail)
-        oracle = Oracle(sim)
-        collector = TrialDeletionCollector(sim)
-        for _ in range(30):
-            collector.run_round()
-            oracle.check_safety()
-            if not oracle.garbage_set():
-                break
-        assert not oracle.garbage_set()
-
-    def test_crashed_member_stalls_trial(self):
-        sim, workload = cycle_sim(["a", "b", "c"])
-        collector = TrialDeletionCollector(sim)
-        for _ in range(14):
-            sim.run_gc_round()
-        sim.site("c").crash()
-        started = any(
-            collector.maybe_initiate(site_id) for site_id in ("a", "b")
-        )
-        sim.run_for(3000.0)
-        if started:
-            assert collector.trial_in_progress or collector.trials_completed == 0
-        # Survivor members intact; nothing unsafe happened.
-        for member in workload.cycle:
-            if member.site != "c":
-                assert sim.site(member.site).heap.contains(member)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.harness.comparison import (
+    BASELINES,
     CYCLE_SITES,
+    PER_SITE_BACKENDS,
     PROTOCOL_KINDS,
     build_scenario,
     run_with_collector,
@@ -32,6 +34,10 @@ def test_unknown_collector_rejected():
         run_with_collector("nonsense")
 
 
+def test_every_row_is_a_backend_or_a_baseline_driver():
+    assert set(PROTOCOL_KINDS) == set(PER_SITE_BACKENDS) | set(BASELINES)
+
+
 def test_protocol_kinds_cover_all_payloads():
     """Each collector's message kinds resolve to real payload classes."""
     import repro.baselines.centralservice as central
@@ -39,11 +45,10 @@ def test_protocol_kinds_cover_all_payloads():
     import repro.baselines.grouptrace as group
     import repro.baselines.hughes as hughes
     import repro.baselines.migration as migration
-    import repro.baselines.trialdeletion as trial
     import repro.core.backtrace.messages as bt
     import repro.core.termination as term
 
-    modules = [central, glob, group, hughes, migration, trial, bt, term]
+    modules = [central, glob, group, hughes, migration, bt, term]
     known = set()
     for module in modules:
         for name in dir(module):

@@ -1,6 +1,4 @@
-"""The collector registry, config plumbing, deprecation shims, and facade."""
-
-import warnings
+"""The collector registry, config plumbing, and facade."""
 
 import pytest
 
@@ -15,27 +13,25 @@ from repro.core.collector import (
     register_collector,
     resolve_collector,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.sim.simulation import Simulation
 
-BUILTINS = {
-    "backtrace",
-    "termination",
-    "null",
-    "baseline.global",
-    "baseline.hughes",
-    "baseline.migration",
-    "baseline.group",
-    "baseline.central",
-    "baseline.trial",
-}
+BUILTINS = {"null", "backtrace", "termination"}
+
+#: The section 7 baselines' old registry names: the baselines are
+#: constructed directly now, so configuring one is an unknown collector.
+REMOVED_NAMES = [
+    f"baseline.{scheme}"
+    for scheme in ("global", "hughes", "migration", "group", "central", "trial")
+]
 
 
 # -- registry ---------------------------------------------------------------
 
 
 def test_available_collectors_lists_every_builtin():
-    assert BUILTINS <= set(available_collectors())
+    assert api.available_collectors() == ("backtrace", "null", "termination")
+    assert set(available_collectors()) == BUILTINS
 
 
 def test_every_builtin_resolves_to_a_spec():
@@ -89,28 +85,11 @@ def test_sites_get_the_configured_backend():
     assert sim2.add_site("a", auto_gc=False).cycle_collector.name == "backtrace"
 
 
-# -- driver-style backends --------------------------------------------------
-
-
-def test_per_site_backend_has_no_driver():
-    sim = Simulation.create(SimulationConfig())
-    sim.add_site("a", auto_gc=False)
-    with pytest.raises(SimulationError, match="no .*driver"):
-        sim.collector_driver
-
-
-def test_driver_backend_builds_driver_lazily_without_warning():
-    sim = Simulation.create(
-        SimulationConfig(gc=GcConfig(collector="baseline.trial"))
-    )
-    sim.add_sites(["a", "b"], auto_gc=False)
-    # Per-site strategies under a driver backend are null: the driver does
-    # the distributed part against the running simulation.
-    assert sim.site("a").cycle_collector.name == "null"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        driver = sim.collector_driver
-    assert sim.collector_driver is driver  # cached, built once
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_baseline_names_are_unknown_collectors(name):
+    config = SimulationConfig(gc=GcConfig(collector=name))
+    with pytest.raises(ConfigError, match="unknown collector"):
+        Simulation.create(config)
 
 
 # -- the stable facade ------------------------------------------------------

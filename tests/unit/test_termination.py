@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.termination import FULL_CREDIT, CreditPool, split_credit
+from repro.core.termination import FULL_CREDIT, CreditPool, split_credit
 
 
 def test_split_preserves_total():

@@ -4,7 +4,9 @@ Behavioural unit tests for :mod:`repro.core.termination` -- the scenarios
 the differential matrix cannot isolate: a live-but-suspected cycle that
 must be *rescued*, a mutation landing mid-trial that must dirty and abort
 it, lost credit that must time the trial out (and nothing else), and
-duplicate deliveries that must not double-recover credit.
+duplicate deliveries that must not double-recover credit.  The backend is
+also the paper's section 7 "subgraph tracing", so its locality loss is
+pinned here too.
 """
 
 import pytest
@@ -19,6 +21,8 @@ from repro.api import (
 )
 from repro.workloads.generators import build_ring_cycle
 from repro.workloads.topology import GraphBuilder
+
+from ..conftest import make_sim
 
 SITES = ["a", "b", "c"]
 
@@ -199,6 +203,59 @@ def test_crash_recovery_wipes_trial_state():
     oracle = Oracle(sim)
     sim.run_for(4000.0)
     oracle.check_safety()
+
+
+# -- section 7: subgraph tracing --------------------------------------------
+
+
+def _collect_under_manual_rounds(sim, max_rounds=30):
+    oracle = Oracle(sim)
+    for _ in range(max_rounds):
+        sim.run_gc_round()
+        oracle.check_safety()
+        if not oracle.garbage_set():
+            break
+    assert not oracle.garbage_set()
+
+
+def test_subgraph_includes_live_structure_no_locality():
+    """The paper's criticism of trial deletion: the mark phase spreads into
+    live objects reachable from the cycle, dragging their sites into the
+    trial."""
+    sim = make_sim(sites=("a", "b", "c", "d"), gc=GcConfig(collector="termination"))
+    b = GraphBuilder(sim)
+    b.obj("a", "root", root=True)
+    p, q = b.obj("a", "p"), b.obj("b", "q")
+    b.link_cycle([p, q])
+    # The cycle points into a live chain over c and d.
+    keeper_root = b.obj("c", root=True)
+    live_c, live_d = b.obj("c"), b.obj("d")
+    b.link(keeper_root, live_c)
+    b.link(q, live_c)
+    b.link(live_c, live_d)
+    for _ in range(2):
+        sim.run_gc_round()
+    _collect_under_manual_rounds(sim)
+    # The 2-site cycle's trials reached the live chain's sites too.
+    involved = {
+        name.rsplit(".", 1)[1]
+        for name, count in sim.metrics.counts_with_prefix("involve.Trial").items()
+        if count
+    }
+    assert {"c", "d"} <= involved
+    # And the live chain survived the trials.
+    assert sim.site("c").heap.contains(live_c)
+    assert sim.site("d").heap.contains(live_d)
+
+
+def test_garbage_tail_collected_with_cycle():
+    sim = make_sim(sites=("a", "b", "c"), gc=GcConfig(collector="termination"))
+    b = GraphBuilder(sim)
+    b.obj("a", "root", root=True)
+    p, q = b.obj("a", "p"), b.obj("b", "q")
+    b.link_cycle([p, q])
+    b.link(q, b.obj("c"))
+    _collect_under_manual_rounds(sim)
 
 
 # -- quiescence prediction ---------------------------------------------------
