@@ -26,6 +26,7 @@ kernel tests hold it to the reference on every result field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -99,6 +100,15 @@ def trace_clean_phase(
     return result
 
 
+#: Trace positions a rank byte can name; a root past them is walked on
+#: every call and its rows are ranked ``_UNRANKED``.
+RANKED_POSITIONS = 254
+_UNRANKED = 254
+_NONE = 255
+#: ``bytes.translate`` table: 1 for a ranked row, 0 for a row no root marked.
+_RANK_MARKS = bytes([1]) * _NONE + bytes([0])
+
+
 def trace_clean_phase_flat(
     heap: Heap,
     roots: Iterable[Tuple[ObjectId, int]],
@@ -111,25 +121,30 @@ def trace_clean_phase_flat(
     heap minus ``unmarked``, kept in index space as ``marks``.  Roots are
     taken one at a time in trace order (ascending distance, input order
     within a distance), each a DFS over int indices that marks what no
-    earlier root marked -- the root's *region*.  Every object is labelled
-    with the smallest distance of a root that reaches it, so when a distance
-    group finishes, the remote references of the rows it marked take that
-    distance plus one (unless smaller already).
+    earlier root marked -- the root's *region*.  Each marked row is ranked
+    with the position of the root whose region holds it, so when a distance
+    group finishes, the remote references of the rows ranked inside it take
+    its distance plus one (unless smaller already).
 
-    **Memo.**  The heap keeps the previous call's root order, region ends
-    and marked indices (``Heap.clean_memo``) and the rows changed since
-    (``Heap.take_dirty``).  A remembered region is re-used -- marked
-    wholesale, without walking -- when every earlier root was re-used, the
-    root and distance at its position are the same, and either the region
-    holds no changed row, or it was empty and the root is marked already.
+    **Memo.**  The heap keeps the previous call's ``(distance, index)`` root
+    keys, the positions whose region was empty and the rank bytes
+    (``Heap.clean_memo``), plus the rows changed since (``Heap.take_dirty``).
+    The first ``k`` regions are re-used -- marked wholesale, without
+    walking -- where ``k`` is the longest prefix of equal keys, lowered to
+    the smallest rank of a changed row, and lowered again to the first
+    position in it whose region was empty but whose root is unmarked now.
     Sound because a region is exactly what a DFS reaches from its root
     through unmarked objects: its rows' edges are unchanged, they lead
     only into the region and into what was marked before it (earlier
     regions, re-used identically, and dead indices, which only the memo-
     dropping revival in ``Heap.alloc`` brings back), and none of its
-    objects died, so the walk would repeat itself.  ``objects_scanned``
-    still counts every object the clean phase marked, re-used or not;
-    ``objects_reused`` says how many of them came from the memo.
+    objects died, so the walk would repeat itself.  Re-use costs
+    O(|changed rows| + roots) Python steps: the prefix's marks are the
+    fresh marks OR'd, as big ints, with the translated rank bytes, and
+    positions from ``RANKED_POSITIONS`` on are never re-used.  A walk ranks
+    each row it marks.  ``objects_scanned`` still counts every object the
+    clean phase marked, re-used or not; ``objects_reused`` says how many of
+    them came from the memo.
     """
     result = CleanPhaseResult()
     distances = result.outref_distances
@@ -139,59 +154,78 @@ def trace_clean_phase_flat(
         distances[target] = 1 if current is None else min(current, 1)
 
     idx_map, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
+    keys = [  # only local ids are ever interned
+        (root_distance, ridx)
+        for root, root_distance in sorted(roots, key=itemgetter(1))
+        if (ridx := idx_map.get(root)) is not None
+    ]
     dirty = heap.take_dirty()
-    old_order, old_ends, old_marked = heap.clean_memo or ((), (), ())
-    reusing = True  # until a remembered region fails its check
-    seen = heap.fresh_marks()
-    marked: List[int] = []
-    marked_append = marked.append
-    order: List[Tuple[int, int]] = []
-    ends: List[int] = []
+    fresh = heap.fresh_marks()
+    size = len(fresh)
+    old_keys, old_empty, old_rank = heap.clean_memo or ([], [], bytearray())
+
+    # The re-used prefix: no changed row inside, equal keys, and every
+    # empty region still empty (its root marked by an earlier region or dead).
+    k = min(len(keys), len(old_keys), RANKED_POSITIONS)
+    for i in dirty:
+        if i < len(old_rank) and old_rank[i] < k:
+            k = old_rank[i]
+    if keys[:k] != old_keys[:k]:
+        k = next(p for p in range(k) if keys[p] != old_keys[p])
+    for p in old_empty:
+        if p >= k:
+            break
+        ridx = keys[p][1]
+        if not fresh[ridx] and old_rank[ridx] >= p:
+            k = p
+            break
+    # Keep the ranks below ``k``; unrank the rest.
+    rank = old_rank.translate(bytes(range(k)) + bytes([_NONE]) * (256 - k))
+    if len(rank) < size:  # the mirror grew since
+        rank += bytes([_NONE]) * (size - len(rank))
+    seen = fresh
+    reused = 0
+    if k:
+        prefix = rank.translate(_RANK_MARKS)
+        reused = prefix.count(1)
+        seen = bytearray(
+            (
+                int.from_bytes(fresh, "little") | int.from_bytes(prefix, "little")
+            ).to_bytes(size, "little")
+        )
+    empty = old_empty[: bisect_left(old_empty, k)]
+
     stack: List[int] = []
     stack_pop = stack.pop
     stack_extend = stack.extend
     distances_get = distances.get
     # Rows holding remote references that no group has marked yet.
     pending = list(remote_rows)
-    ordered = sorted(roots, key=itemgetter(1))
-    for root_distance, group in groupby(ordered, key=itemgetter(1)):
-        for root, _ in group:
-            ridx = idx_map.get(root)  # only local ids are ever interned
-            if ridx is None:
-                continue
-            key = (root_distance, ridx)
-            if reusing:
-                position = len(order)
-                start = len(marked)
-                if position < len(old_order) and old_order[position] == key:
-                    end = old_ends[position]
-                    if end == start:
-                        reusing = bool(seen[ridx])
-                    else:
-                        region = old_marked[start:end]
-                        reusing = dirty.isdisjoint(region)
-                        if reusing:
-                            for i in region:
-                                seen[i] = 1
-                            marked += region
-                            result.objects_reused = end
+    position = 0
+    for root_distance, group in groupby(keys, key=itemgetter(0)):
+        for _, ridx in group:
+            if position >= k:
+                if seen[ridx]:
+                    empty.append(position)
                 else:
-                    reusing = False
-            if not reusing:
-                stack.append(ridx)
-                while stack:
-                    i = stack_pop()
-                    if seen[i]:
-                        continue
-                    seen[i] = 1
-                    marked_append(i)
-                    stack_extend(succ_local[i])
-            order.append(key)
-            ends.append(len(marked))
+                    label = position if position < RANKED_POSITIONS else _UNRANKED
+                    stack.append(ridx)
+                    while stack:
+                        i = stack_pop()
+                        if seen[i]:
+                            continue
+                        seen[i] = 1
+                        rank[i] = label
+                        stack_extend(succ_local[i])
+            position += 1
+        if not pending:
+            continue
+        # Every rank written so far names a position below ``limit``.
+        limit = min(position, _NONE)
         outref_distance = root_distance + 1
         still_pending = []
         for i in pending:
-            if seen[i]:  # a row holding remote references is alive
+            if rank[i] < limit:
                 for ref in remote_rows[i]:
                     current = distances_get(ref)
                     if current is None or outref_distance < current:
@@ -199,7 +233,7 @@ def trace_clean_phase_flat(
             else:
                 still_pending.append(i)
         pending = still_pending
-    heap.clean_memo = (order, ends, marked)
+    heap.clean_memo = (keys, empty, rank)
 
     # Few objects are left unmarked as a rule: take their rows back out.
     unmarked = []
@@ -211,7 +245,9 @@ def trace_clean_phase_flat(
         i = seen.find(0, i + 1)
     result.marks = seen
     result.unmarked = unmarked
-    result.objects_scanned = len(marked)
+    # Re-used plus walked rows: every resident object the phase marked.
+    result.objects_scanned = len(heap) - len(unmarked)
+    result.objects_reused = reused
     result.edges_examined = edges
     return result
 

@@ -36,9 +36,13 @@ Clean-phase memo
 Every mirror change also names the row it touched in ``_dirty``: the holder
 of an added or removed edge, a retired object, a released index.  The
 kernel takes (and empties) that set on each call and stores
-``clean_memo = (root order, per-root end offsets, marked indices)``, so the
-next call can re-use the regions of roots whose rows did not change (the
-reuse rule is in :mod:`repro.core.distance`).  Allocating an id that was
+``clean_memo = (root keys, empty-region positions, rank)``: the trace's
+``(distance, index)`` root list, the positions whose root marked nothing,
+and a bytearray over the indices naming, for each row a root marked, that
+root's trace position (255 for none; 254 for positions past 253).  The
+next call re-uses the regions of the roots before the first changed row's
+rank, touching only the changed rows and the roots in Python (the reuse
+rule is in :mod:`repro.core.distance`).  Allocating an id that was
 already interned -- referenced before it existed -- revives an index that
 remembered regions may point at without any of their rows changing, so it
 drops the memo instead.
@@ -82,7 +86,7 @@ class Heap:
         # -- clean-phase memo (see module docstring) ------------------------
         self._dirty: Set[int] = set()
         self.clean_memo: Optional[
-            Tuple[List[Tuple[int, int]], List[int], List[int]]
+            Tuple[List[Tuple[int, int]], List[int], bytearray]
         ] = None
 
     # -- mutation epoch ---------------------------------------------------------
@@ -252,18 +256,21 @@ class Heap:
         assert slots == self._slot_total, "slot total drift"
         # The memo may be re-used only where ``_dirty`` names every row that
         # changed since it was stored: a remembered index is still interned
-        # (a marked one still alive) unless the dirty set says otherwise.
+        # (a ranked one still alive) unless the dirty set says otherwise.
         size = len(self._oids)
         assert all(idx < size for idx in self._dirty), "dirty row out of range"
         if self.clean_memo is not None:
-            order, ends, marked = self.clean_memo
-            assert len(ends) == len(order) and ends == sorted(ends), "memo ends"
-            assert not ends or ends[-1] == len(marked), "memo ends"
-            for idx in marked:
-                assert idx < size and (self._alive[idx] or idx in self._dirty), (
-                    f"stale memo mark: {idx}"
+            keys, empty, rank = self.clean_memo
+            assert len(rank) <= size, "memo rank past the mirror"
+            assert all(b == 255 or b < len(keys) for b in set(rank)), "memo rank"
+            assert empty == sorted(set(empty)) and all(
+                p < len(keys) for p in empty
+            ), "memo empty positions"
+            for idx, b in enumerate(rank):
+                assert b == 255 or self._alive[idx] or idx in self._dirty, (
+                    f"stale memo rank: {idx}"
                 )
-            for _, idx in order:
+            for _, idx in keys:
                 assert idx < size and (
                     self._oids[idx] is not None or idx in self._dirty
                 ), f"stale memo root: {idx}"

@@ -330,6 +330,27 @@ def test_memo_rechecks_an_empty_region_whose_index_was_reused():
     assert result.objects_reused == 1
 
 
+def test_memo_reuses_only_the_ranked_positions():
+    """A rank is one byte: roots past position 253 are walked on every
+    trace, so a change in their regions leaves the ranked prefix re-used."""
+    heap = Heap("P")
+    chains = [_chain(heap, 2) for _ in range(300)]
+    roots = []
+    for position, (head, tail) in enumerate(chains):
+        tail.add_ref(ObjectId("Q", position))  # one outref per region
+        roots.append((head.oid, position // 50))
+    heap.alloc().add_ref(ObjectId("R", 0))  # unreached: its outref stays out
+    first = _traced(heap, roots)
+    assert first.objects_reused == 0
+    again = _traced(heap, roots)
+    assert again.objects_reused == 254 * 2
+    chains[280][1].add_ref(heap.alloc().oid)
+    result = _traced(heap, roots)
+    assert result.objects_scanned == 300 * 2 + 1
+    assert result.objects_reused == 254 * 2
+    assert result.outref_distances[ObjectId("Q", 280)] == 280 // 50 + 1
+
+
 def test_memo_sees_a_mutation_between_compute_and_commit():
     config = GcConfig()
     heap = Heap("P")
