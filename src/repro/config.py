@@ -116,16 +116,6 @@ class GcConfig:
     # over the same cycle.  Disjoint cycles still each get a trace, since
     # every site checks after every local trace.
     max_traces_per_trigger_check: int = 1
-    # Back-trace verdict cache (section 4.6 extension): a trace that
-    # completes Live records, at every participant site, the per-entry epochs
-    # of the iorefs it visited there.  A later trace (or trigger check)
-    # arriving at such an ioref answers Live from the cache -- no frames, no
-    # messages -- as long as every snapshotted epoch is unchanged and the
-    # entry is younger than ``backtrace_cache_ttl_ticks`` local-trace
-    # periods.  Any mutation, update message, or clean-rule event bumps an
-    # epoch and thereby invalidates affected entries; only Live is ever
-    # cached (Garbage verdicts are trace-relative and must not be shared).
-    backtrace_cache_ttl_ticks: int = 3
     # Local traces are incremental: sites track mutation epochs on the heap
     # and the ioref tables, cache the last committed trace result, and skip
     # (or distance-only fast-path) a gc tick when nothing relevant changed
@@ -177,8 +167,6 @@ class GcConfig:
             raise ConfigError("full_update_period must be >= 1")
         if self.full_trace_every_n < 1:
             raise ConfigError("full_trace_every_n must be >= 1")
-        if self.backtrace_cache_ttl_ticks < 1:
-            raise ConfigError("backtrace_cache_ttl_ticks must be >= 1")
         if self.max_traces_per_trigger_check < 1:
             raise ConfigError("max_traces_per_trigger_check must be >= 1")
         if self.defer_delay <= 0:

@@ -16,13 +16,14 @@ otherwise mark visited and fan out.  Additionally an inref already *flagged*
 garbage answers Garbage directly (it was confirmed by a completed trace and
 is merely awaiting deletion).
 
-On top of the pseudocode this engine layers three cost optimizations, all of
-them conservative (they can only delay collection, never collect live data):
+What stops a live suspect from being re-traced over and over is the paper's
+own guard: every visit bumps the ioref's back threshold (section 4.3), so a
+suspect found Live crosses its threshold again only once its distance has
+grown past the bump.
 
-- **verdict caching** (:mod:`repro.core.backtrace.cache`): a trace that
-  completes Live snapshots the per-entry epochs of the iorefs it visited at
-  each participant; while those epochs hold, later steps on the same iorefs
-  answer Live with no frame and no messages;
+On top of the pseudocode this engine layers two cost optimizations, both
+conservative (they can only delay collection, never collect live data):
+
 - **trace coalescing**: a step arriving at an ioref where an *older* trace
   (smaller :class:`TraceId` -- the ordering keeps the waits-for relation
   acyclic) is actively expanding parks on that frame instead of duplicating
@@ -50,7 +51,6 @@ from ...ids import FrameId, ObjectId, SiteId, TraceId
 from ...metrics import MetricsRecorder, names
 from ...net.message import Payload
 from ...sim.scheduler import Scheduler
-from .cache import VerdictCache
 from .frames import INREF, OUTREF, Frame, IorefKey, TraceRecord
 from .messages import (
     BackCall,
@@ -90,7 +90,6 @@ class BackTraceEngine:
         self.metrics = metrics or MetricsRecorder()
         self.on_outcome = on_outcome
         self.on_outcome_applied = on_outcome_applied
-        self.cache = VerdictCache(inrefs, outrefs, metrics=self.metrics)
         self._frames: Dict[FrameId, Frame] = {}
         self._active_by_ioref: Dict[IorefKey, Set[FrameId]] = {}
         self._frames_by_trace: Dict[TraceId, Set[FrameId]] = {}
@@ -116,17 +115,13 @@ class BackTraceEngine:
         """Begin a back trace from a suspected outref of this site.
 
         Returns the trace id, or None if a trace initiated from this outref
-        is still in flight (re-initiating would only duplicate work) or a
-        cached Live verdict still covers the outref (re-tracing could only
-        re-derive it).
+        is still in flight (re-initiating would only duplicate work).
         """
         if outref_target in self._active_roots:
             return None
         entry = self.outrefs.get(outref_target)
         if entry is None or entry.is_clean:
             self._retry_state.pop(outref_target, None)
-            return None
-        if self.cached_live(outref_target):
             return None
         state = self._retry_state.get(outref_target)
         if state is not None and self.scheduler.now < state[1]:
@@ -147,10 +142,6 @@ class BackTraceEngine:
                 trace_id, outref_target, parent_local=None, parent_remote=None
             )
         return trace_id
-
-    def cached_live(self, outref_target: ObjectId) -> bool:
-        """True iff a still-valid cached Live verdict covers this outref."""
-        return self.cache.lookup((OUTREF, outref_target), self.scheduler.now)
 
     def has_active_trace_from(self, outref_target: ObjectId) -> bool:
         return outref_target in self._active_roots
@@ -226,7 +217,6 @@ class BackTraceEngine:
             frame,
             payload.verdict,
             set(payload.participants),
-            cache_expires=payload.cache_expires_at,
             timed_out=payload.timed_out,
         )
 
@@ -240,16 +230,12 @@ class BackTraceEngine:
             self.metrics.incr(names.dup_suppressed("BackOutcome"))
             return
         with self._batched():
-            self._apply_outcome(
-                payload.trace_id, payload.verdict, cache_expires=payload.cache_expires_at
-            )
+            self._apply_outcome(payload.trace_id, payload.verdict)
 
     def notify_cleaned(self, kind: str, target: ObjectId) -> None:
         """Clean rule (section 6.4): an ioref was cleaned; any trace active
-        there must return Live, and any cached verdict whose footprint
-        includes the ioref is purged."""
+        there must return Live."""
         key = (kind, target)
-        self.cache.invalidate_ioref(key)
         with self._batched():
             frame_ids = list(self._active_by_ioref.get(key, ()))
             for frame_id in frame_ids:
@@ -337,11 +323,7 @@ class BackTraceEngine:
             return
         self.metrics.incr("backtrace.outcome_timeouts")
         with self._batched():
-            # The assumed Live rests on no evidence at all, so give it an
-            # already-expired cache bound: applied normally, never cached.
-            self._apply_outcome(
-                trace_id, TraceOutcome.LIVE, cache_expires=self.scheduler.now
-            )
+            self._apply_outcome(trace_id, TraceOutcome.LIVE)
 
     # -- the two step kinds ------------------------------------------------------------
 
@@ -362,16 +344,6 @@ class BackTraceEngine:
             return
         if trace_id in entry.visited:
             self._answer(trace_id, parent_local, parent_remote, TraceOutcome.GARBAGE)
-            return
-        expiry = self.cache.lookup_expiry((OUTREF, target), self.scheduler.now)
-        if expiry is not None:
-            self._answer(
-                trace_id,
-                parent_local,
-                parent_remote,
-                TraceOutcome.LIVE,
-                cache_expires=expiry,
-            )
             return
         if self._try_coalesce(trace_id, (OUTREF, target), parent_local, parent_remote):
             return
@@ -408,12 +380,6 @@ class BackTraceEngine:
             return
         if trace_id in entry.visited:
             self._answer(trace_id, parent_local, None, TraceOutcome.GARBAGE)
-            return
-        expiry = self.cache.lookup_expiry((INREF, target), self.scheduler.now)
-        if expiry is not None:
-            self._answer(
-                trace_id, parent_local, None, TraceOutcome.LIVE, cache_expires=expiry
-            )
             return
         if self._try_coalesce(trace_id, (INREF, target), parent_local, None):
             return
@@ -492,7 +458,6 @@ class BackTraceEngine:
                     plocal,
                     premote,
                     TraceOutcome.LIVE,
-                    cache_expires=frame.cache_expires_at,
                     timed_out=frame.timed_out,
                 )
             elif frame.kind == OUTREF:
@@ -554,11 +519,9 @@ class BackTraceEngine:
             return
         # Section 4.6: a site waiting for a response that never comes can
         # safely assume the call returned Live.  The assumption rests on no
-        # evidence, so it is flagged (retry backoff at the initiator) and
-        # given an already-expired cache bound (never cached).
+        # evidence, so it is flagged (retry backoff at the initiator).
         self.metrics.incr("backtrace.frame_timeouts")
         frame.timed_out = True
-        frame.note_expiry(self.scheduler.now)
         with self._batched():
             self._complete(frame, TraceOutcome.LIVE)
 
@@ -567,13 +530,11 @@ class BackTraceEngine:
         frame: Frame,
         verdict: TraceOutcome,
         participants: Set[SiteId],
-        cache_expires: Optional[float] = None,
         timed_out: bool = False,
     ) -> None:
         if frame.completed:
             return
         frame.participants.update(participants)
-        frame.note_expiry(cache_expires)
         if timed_out:
             frame.timed_out = True
         if verdict.is_live:
@@ -598,11 +559,7 @@ class BackTraceEngine:
             parent = self._frames.get(frame.parent_local)
             if parent is not None and not parent.completed:
                 self._child_done(
-                    parent,
-                    verdict,
-                    participants,
-                    cache_expires=frame.cache_expires_at,
-                    timed_out=frame.timed_out,
+                    parent, verdict, participants, timed_out=frame.timed_out
                 )
         elif frame.parent_remote is not None:
             caller_site, caller_frame = frame.parent_remote
@@ -613,17 +570,12 @@ class BackTraceEngine:
                     reply_to=caller_frame,
                     verdict=verdict,
                     participants=frozenset(participants),
-                    cache_expires_at=frame.cache_expires_at,
                     timed_out=frame.timed_out,
                 ),
             )
         else:
             self._finish_trace(
-                frame.trace_id,
-                verdict,
-                participants,
-                frame.cache_expires_at,
-                timed_out=frame.timed_out,
+                frame.trace_id, verdict, participants, timed_out=frame.timed_out
             )
         self._resolve_waiters(frame, verdict)
 
@@ -633,20 +585,13 @@ class BackTraceEngine:
         parent_local: Optional[FrameId],
         parent_remote: Optional[Tuple[SiteId, FrameId]],
         verdict: TraceOutcome,
-        cache_expires: Optional[float] = None,
         timed_out: bool = False,
     ) -> None:
         """Deliver an immediate (frameless) verdict to whoever asked."""
         if parent_local is not None:
             parent = self._frames.get(parent_local)
             if parent is not None and not parent.completed:
-                self._child_done(
-                    parent,
-                    verdict,
-                    {self.site_id},
-                    cache_expires=cache_expires,
-                    timed_out=timed_out,
-                )
+                self._child_done(parent, verdict, {self.site_id}, timed_out=timed_out)
         elif parent_remote is not None:
             caller_site, caller_frame = parent_remote
             self._send(
@@ -656,16 +601,13 @@ class BackTraceEngine:
                     reply_to=caller_frame,
                     verdict=verdict,
                     participants=frozenset({self.site_id}),
-                    cache_expires_at=cache_expires,
                     timed_out=timed_out,
                 ),
             )
         else:
             # The root step itself resolved immediately (e.g. the outref
             # turned clean before the trace began).
-            self._finish_trace(
-                trace_id, verdict, {self.site_id}, cache_expires, timed_out=timed_out
-            )
+            self._finish_trace(trace_id, verdict, {self.site_id}, timed_out=timed_out)
 
     # -- outcome ------------------------------------------------------------------------
 
@@ -674,7 +616,6 @@ class BackTraceEngine:
         trace_id: TraceId,
         verdict: TraceOutcome,
         participants: Set[SiteId],
-        cache_expires: Optional[float] = None,
         timed_out: bool = False,
     ) -> None:
         """Report phase, run at the initiator (section 4.5)."""
@@ -687,15 +628,8 @@ class BackTraceEngine:
         self._note_retry(trace_id, verdict, timed_out)
         for participant in sorted(participants):
             if participant != self.site_id:
-                self.send(
-                    participant,
-                    BackOutcome(
-                        trace_id=trace_id,
-                        verdict=verdict,
-                        cache_expires_at=cache_expires,
-                    ),
-                )
-        self._apply_outcome(trace_id, verdict, cache_expires=cache_expires)
+                self.send(participant, BackOutcome(trace_id=trace_id, verdict=verdict))
+        self._apply_outcome(trace_id, verdict)
 
     def _note_retry(
         self, trace_id: TraceId, verdict: TraceOutcome, timed_out: bool
@@ -723,12 +657,7 @@ class BackTraceEngine:
         else:
             self._retry_state.pop(root, None)
 
-    def _apply_outcome(
-        self,
-        trace_id: TraceId,
-        verdict: TraceOutcome,
-        cache_expires: Optional[float] = None,
-    ) -> None:
+    def _apply_outcome(self, trace_id: TraceId, verdict: TraceOutcome) -> None:
         """Flag (Garbage) or unmark (Live) the iorefs this trace visited here."""
         record = self._records.pop(trace_id, None)
         if record is None:
@@ -761,21 +690,6 @@ class BackTraceEngine:
             entry = self.outrefs.get(target)
             if entry is not None:
                 entry.visited.discard(trace_id)
-        if verdict.is_live and (record.visited_inrefs or record.visited_outrefs):
-            keys: List[IorefKey] = [
-                (INREF, target) for target in sorted(record.visited_inrefs)
-            ]
-            keys.extend((OUTREF, target) for target in sorted(record.visited_outrefs))
-            expires_at = self.scheduler.now + (
-                self.config.backtrace_cache_ttl_ticks * self.config.local_trace_period
-            )
-            # A verdict that leaned on cached Lives inherits the earliest
-            # consumed expiry: chained re-caching must not extend the
-            # lifetime of the original grounded verdict.
-            if cache_expires is not None:
-                expires_at = min(expires_at, cache_expires)
-            if expires_at > self.scheduler.now:
-                self.cache.record_live(keys, expires_at)
         # Abort any frames of this trace still pending at this site: the
         # trace is over; answering anything further is pointless.  Late
         # messages for them are dropped as stale.  Steps of *other* traces
@@ -789,7 +703,6 @@ class BackTraceEngine:
             frame.completed = True
             frame.cancel_timeout()
             self._discard_frame(frame)
-            frame.note_expiry(cache_expires)
             self._resolve_waiters(frame, verdict)
         if self.on_outcome_applied is not None:
             visited_here = len(record.visited_inrefs) + len(record.visited_outrefs)

@@ -59,17 +59,6 @@ class Frame:
     # (its own, or a child subtree's).  Threaded to the initiator so
     # timeout-assumed Lives trigger retry backoff, not instant re-suspicion.
     timed_out: bool = False
-    # Earliest expiry among the cached Live verdicts this frame's subtree
-    # consumed (None = none consumed).  Propagated so a verdict derived from
-    # a cache entry is never re-cached beyond that entry's own lifetime --
-    # otherwise chained re-caching could keep a stale Live alive forever.
-    cache_expires_at: Optional[float] = None
-
-    def note_expiry(self, expires_at: Optional[float]) -> None:
-        if expires_at is None:
-            return
-        if self.cache_expires_at is None or expires_at < self.cache_expires_at:
-            self.cache_expires_at = expires_at
 
     @property
     def is_root(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from ...ids import FrameId, ObjectId, SiteId, TraceId
 from ...net.message import Payload
@@ -69,10 +69,6 @@ class BackReply(Payload):
     reply_to: FrameId
     verdict: TraceOutcome
     participants: FrozenSet[SiteId]
-    # Earliest expiry among cached Live verdicts consumed in the subtree
-    # (None if the verdict rests entirely on fresh evidence).  A Live that
-    # leaned on a cache must not be re-cached past that cache's lifetime.
-    cache_expires_at: Optional[float] = None
     # True when the subtree's verdict leaned on a conservative timeout
     # (section 4.6's assumed Live).  Propagated to the initiator so it can
     # back off before re-initiating from the same root.
@@ -85,9 +81,6 @@ class BackOutcome(Payload):
 
     trace_id: TraceId
     verdict: TraceOutcome
-    # See BackReply.cache_expires_at: bounds how long participants may cache
-    # a Live verdict that was partly derived from earlier cached verdicts.
-    cache_expires_at: Optional[float] = None
 
 
 @dataclass(frozen=True, slots=True)

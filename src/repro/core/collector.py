@@ -130,7 +130,7 @@ class Collector:
     def predict_quiet(self) -> bool:
         """True only if upcoming gc ticks provably start no activity.
 
-        Must be free of side effects (no metrics, no cache touches): the
+        Must be free of side effects (no metrics, no state changes): the
         parallel engine's earliest-output-time scan calls it speculatively.
         Returning False merely costs a window; returning True wrongly would
         let the planner jump over real traffic, so default to False in any
@@ -239,11 +239,6 @@ class BackTracingCollector(Collector):
         # Either way deterministically ordered by target.
         for entry in suspected_outrefs:
             if entry.distance > entry.back_threshold:
-                # A still-valid cached Live verdict answers the trigger
-                # without consuming this check's trace budget: re-tracing
-                # could only re-derive the cached verdict.
-                if self.engine.cached_live(entry.target):
-                    continue
                 if self.engine.start_trace(entry.target) is not None:
                     started.append(entry.target)
                     if len(started) >= site.config.max_traces_per_trigger_check:
@@ -253,8 +248,9 @@ class BackTracingCollector(Collector):
     def predict_quiet(self) -> bool:
         site = self.site
         if site.config.enable_backtracing:
-            # The verdict cache is deliberately ignored: consulting it counts
-            # metrics, and this prediction must be free of side effects.
+            # The trigger test of ``check_triggers``, minus its side effects.
+            # Conservative: a trigger ``start_trace`` would refuse (a trace
+            # already in flight, a retry back-off) still reads as activity.
             for entry in site.outrefs.suspected_entries():
                 if entry.distance > entry.back_threshold:
                     return False

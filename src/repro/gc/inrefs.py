@@ -30,8 +30,7 @@ class _SourceMap(dict):
     (or ``.update(...)``, ``.clear()``, ...) directly; every mutator is
     routed through the two notifying primitives below, so those writes still
     refresh ``entry.distance``, maintain the table's per-source index and
-    advance the epochs the incremental trace and the back-trace verdict
-    cache depend on.
+    advance the epochs the incremental trace depends on.
     """
 
     __slots__ = ("entry",)
@@ -92,7 +91,7 @@ class InrefEntry:
     changes flow through :class:`_SourceMap` and bump the distance epoch.
     The incremental local trace depends on these notifications.  A
     table-owned entry reaches its table through ``_table``; a free-standing
-    one (``_table`` None) only keeps its own epoch.
+    one (``_table`` None) notifies nobody.
     """
 
     target: ObjectId
@@ -104,12 +103,6 @@ class InrefEntry:
     # outrefs when the inref is cleaned (section 6.1.1); it is also the dual
     # of the insets stored on outrefs.
     outset: FrozenSet[ObjectId] = frozenset()
-    # Per-entry mutation epoch: advanced on every semantically relevant
-    # change (source list, garbage flag, barrier clean).  Table-owned entries
-    # draw epochs from a table-global monotonic counter, so a deleted and
-    # recreated entry can never reproduce an epoch a cached back-trace
-    # verdict snapshotted from its predecessor.
-    epoch: int = 0
     # Estimated distance: the minimum over the per-source estimates, kept
     # current by ``_sources_changed`` (read-only for everyone else).
     distance: int = field(default=INFINITE_DISTANCE, init=False)
@@ -124,12 +117,8 @@ class InrefEntry:
             self.distance = min(self.sources.values())
 
     def _structure_changed(self) -> None:
-        table = self._table
-        if table is None:
-            self.epoch += 1
-        else:
-            table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
-            table._structure_epoch += 1
+        if self._table is not None:
+            self._table._structure_epoch += 1
 
     def _sources_changed(
         self, added: Optional[SiteId] = None, removed: Optional[SiteId] = None
@@ -138,13 +127,11 @@ class InrefEntry:
         self.distance = min(sources.values()) if sources else INFINITE_DISTANCE
         table = self._table
         if table is None:
-            self.epoch += 1
             return
         if added is not None:
             table._index_source_added(self.target, added)
         elif removed is not None:
             table._index_source_removed(self.target, removed)
-        table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
         table._distance_epoch += 1
 
     @property
@@ -238,8 +225,6 @@ class InrefTable:
         self._order_dirty = False
         self._structure_epoch = 0
         self._distance_epoch = 0
-        # Monotonic feed for per-entry epochs (see InrefEntry.epoch).
-        self._entry_epoch_counter = 0
         # source site -> inref targets listing it; lets the full-update prune
         # in gc.update touch only inrefs sourced from the sender.
         self._by_source: Dict[SiteId, Set[ObjectId]] = {}
@@ -339,11 +324,9 @@ class InrefTable:
             )
         entry = self._entries.get(target)
         if entry is None:
-            self._entry_epoch_counter += 1
             entry = InrefEntry(
                 target=target,
                 back_threshold=self.initial_back_threshold,
-                epoch=self._entry_epoch_counter,
                 _table=self,
             )
             self._entries[target] = entry
@@ -426,8 +409,6 @@ class InrefTable:
         flagged = self._barrier_flagged
         if not flagged:
             return
-        # Sorted: the order the table is walked in, hence the order the
-        # entry epochs are handed out in.
         for target in sorted(flagged):
             entry = self._entries.get(target)
             if entry is not None:

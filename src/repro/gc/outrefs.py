@@ -29,7 +29,7 @@ class OutrefEntry:
     """One outgoing reference: a remote object id plus collector state.
 
     ``barrier_clean`` is a property and pin/unpin notify the owning table
-    (through ``_table``; a free-standing entry only keeps its own epoch), so
+    (through ``_table``; a free-standing entry notifies nobody), so
     every semantically relevant change bumps the table's mutation epoch for
     the incremental local trace.  ``traced_clean``/``distance``/``inset`` are
     written only by the local trace commit itself and stay plain fields.
@@ -42,20 +42,12 @@ class OutrefEntry:
     inset: FrozenSet[ObjectId] = frozenset()
     visited: Set[TraceId] = field(default_factory=set)
     back_threshold: int = 0
-    # Per-entry mutation epoch for the back-trace verdict cache; fed from the
-    # owning table's monotonic counter so recreated entries never alias (see
-    # InrefEntry.epoch for the full rationale).
-    epoch: int = 0
     _barrier_clean: bool = field(default=False, repr=False)
     _table: Optional["OutrefTable"] = field(default=None, repr=False, compare=False)
 
     def _changed(self) -> None:
-        table = self._table
-        if table is None:
-            self.epoch += 1
-        else:
-            table._entry_epoch_counter = self.epoch = table._entry_epoch_counter + 1
-            table._mutation_epoch += 1
+        if self._table is not None:
+            self._table._mutation_epoch += 1
 
     @property
     def barrier_clean(self) -> bool:
@@ -98,7 +90,6 @@ class OutrefTable:
         self._entries: Dict[ObjectId, OutrefEntry] = {}
         self._mutation_epoch = 0
         self._order_dirty = False
-        self._entry_epoch_counter = 0
 
     # -- mutation epoch ----------------------------------------------------------
 
@@ -152,13 +143,11 @@ class OutrefTable:
             )
         entry = self._entries.get(target)
         if entry is None:
-            self._entry_epoch_counter += 1
             entry = OutrefEntry(
                 target=target,
                 distance=distance,
                 traced_clean=clean,
                 back_threshold=self.initial_back_threshold,
-                epoch=self._entry_epoch_counter,
                 _table=self,
             )
             self._entries[target] = entry
@@ -192,9 +181,10 @@ class OutrefTable:
         """Install a local trace's verdict on every outref it reached.
 
         ``states`` maps target -> (clean, distance); suspected outrefs find
-        their inset in ``insets``.  An entry's epoch moves only when a value
-        actually changes, so a quiescent site's periodic full traces leave
-        cached back-trace verdicts valid.  Barrier cleans expire.
+        their inset in ``insets``.  The table's mutation epoch moves only
+        when a value actually changes, so a quiescent site's periodic full
+        traces leave the next incremental tick free to skip.  Barrier cleans
+        expire.
         """
         entries = self._entries
         no_inset: FrozenSet[ObjectId] = frozenset()

@@ -22,8 +22,8 @@ with a type from ``_field_codecs``; one loop each way (``_encode_fields`` /
 Site ids are interned against the simulation's sorted site list (both ends
 derive the same table from the pre-fork site set), object ids become
 ``(site u16, serial i64)`` pairs, lists ship as bulk ``struct`` columns, and
-every field round-trips exactly -- floats as IEEE doubles, enums as stable
-codes, credits as integer pairs.  A payload class without a row, or a value
+every field round-trips exactly -- enums as stable codes, credits as integer
+pairs.  A payload class without a row, or a value
 outside a field's compact range, ships as an individually pickled record
 (``kind == 0``), so the format is total over arbitrary payloads.
 
@@ -82,7 +82,6 @@ _BLOB_PREFIX = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 _REF = struct.Struct("<Hq")
 _CREDIT = struct.Struct("<qq")
 
@@ -111,10 +110,8 @@ _KINDS = (
      (("trace_id", "trace"), ("target", "oid"), ("reply_to", "frame"), ("seq", "i64"))),
     (6, BackReply,
      (("trace_id", "trace"), ("reply_to", "frame"), ("verdict", "verdict"),
-      ("timed_out", "bool"), ("cache_expires_at", "opt_f64"),
-      ("participants", "siteset"))),
-    (7, BackOutcome,
-     (("trace_id", "trace"), ("verdict", "verdict"), ("cache_expires_at", "opt_f64"))),
+      ("timed_out", "bool"), ("participants", "siteset"))),
+    (7, BackOutcome, (("trace_id", "trace"), ("verdict", "verdict"))),
     (8, BackCallBatch, (("calls", ("batch", BackCall)),)),
     (9, BackReplyBatch, (("replies", ("batch", BackReply)),)),
     (10, InsertRequest,
@@ -218,14 +215,6 @@ def _field_codecs(sites: List[SiteId], index: Dict[SiteId, int]) -> dict:
 
         return write, read
 
-    def write_opt_f64(out, value):
-        out.append(b"\x00" if value is None else b"\x01" + _F64.pack(value))
-
-    def read_opt_f64(buf, off):
-        if not buf[off]:
-            return None, off + 1
-        return _F64.unpack_from(buf, off + 1)[0], off + 9
-
     def write_str(out, value):
         data = value.encode("utf-8")
         out.append(_U16.pack(len(data)) + data)
@@ -291,7 +280,6 @@ def _field_codecs(sites: List[SiteId], index: Dict[SiteId, int]) -> dict:
         "opt_site": (write_opt_site, read_opt_site),
         "verdict": code((TraceOutcome.LIVE, TraceOutcome.GARBAGE)),
         "phase": code(("mark", "rescue")),
-        "opt_f64": (write_opt_f64, read_opt_f64),
         "str": (write_str, read_str),
         "credit": (write_credit, read_credit),
         "sites": site_array(list, tuple),

@@ -18,10 +18,9 @@ the commit named in its ``recorded_at`` field:
   time; the digests now hold what the engine held: snapshots, counter values
   *and first-touch creation order*, trace outcomes, events fired.
 - ``data_plane``: the scenarios on which the update protocol (sequenced
-  deltas over the acknowledged channel), the flat clean-phase kernel and the
-  verdict cache / coalescing / call batching were twinned against the
-  full-snapshot protocol, the set-based kernel and the plain back tracer.
-  Recorded at the last commit that could still select those, on the default
+  deltas over the acknowledged channel), the flat clean-phase kernel and
+  coalescing / call batching were twinned against the full-snapshot
+  protocol, the set-based kernel and the plain back tracer, on the default
   configuration; the three scenario functions live with the tests that keep
   auditing them against the oracle.
 
@@ -48,7 +47,7 @@ from repro.net.faults import FaultPlan
 from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
 
 from ..unit import test_delta_updates
-from . import test_cache_equivalence, test_data_plane_equivalence
+from . import test_data_plane_equivalence, test_live_suspects
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "ledger_digests.json"
 SEEDS = (3, 7)
@@ -176,8 +175,8 @@ def record_hot_path() -> dict:
 DATA_PLANE_LEGS = {
     "data_plane@5": (test_data_plane_equivalence.run_scenario, 5),
     "data_plane@23": (test_data_plane_equivalence.run_scenario, 23),
-    "cache@0": (test_cache_equivalence.run_scenario, 0),
-    "cache@7": (test_cache_equivalence.run_scenario, 7),
+    "live@0": (test_live_suspects.run_scenario, 0),
+    "live@7": (test_live_suspects.run_scenario, 7),
     "delta@0": (test_delta_updates.run_scenario, 0),
     "delta@7": (test_delta_updates.run_scenario, 7),
 }

@@ -26,10 +26,10 @@ def _run(workers, seed, fault_plan=None):
 
 PINNED = {
     2: dict(windows=148, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=400),
-    4: dict(windows=148, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=609),
+    4: dict(windows=148, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=614),
 }
-PINNED_STORM = dict(windows=145, eot_jumps=3, quiescence_jumps=1,
-                    cross_shard_messages=641)
+PINNED_STORM = dict(windows=138, eot_jumps=3, quiescence_jumps=1,
+                    cross_shard_messages=631)
 
 
 @pytest.mark.parametrize("workers", [2, 4])

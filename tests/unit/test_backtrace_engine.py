@@ -6,7 +6,7 @@ site runs one local trace to compute insets before traces start.
 
 import pytest
 
-from repro import GcConfig
+from repro import GcConfig, NetworkConfig
 from repro.core.backtrace.messages import TraceOutcome
 from repro.workloads import GraphBuilder
 
@@ -250,3 +250,86 @@ def test_concurrent_traces_same_cycle_both_complete():
     # both confirm).
     verdicts = {outcome[3] for outcome in sim.trace_outcomes}
     assert TraceOutcome.GARBAGE in verdicts
+
+
+# -- coalescing, batching, the outcome timeout -----------------------------------
+
+
+def fixed_latency_network():
+    return NetworkConfig(min_latency=1.0, max_latency=1.0)
+
+
+def prepare_resuspected(sim):
+    """``prepare``, then force suspicion again.
+
+    The local traces' update messages re-clean inrefs held from a clean
+    site (an anchor reports a short distance); suspecting them again leaves a
+    back trace a suspected path to walk while the anchor's *outref* stays
+    clean -- the grounding for a Live verdict.
+    """
+    prepare(sim)
+    suspect_all_inrefs(sim)
+
+
+def test_coalesced_trace_receives_live_from_older_trace():
+    """p(P) <-> q(Q) anchored by a root at R: two traces started together
+    meet at P, and the younger parks on the older's frame."""
+    sim = make_sim(network=fixed_latency_network())
+    b = build_two_site_cycle(sim)
+    root = b.obj("R", "root", root=True)
+    b.link(root, b["p"])
+    prepare_resuspected(sim)
+    t1 = sim.site("P").engine.start_trace(b["q"])
+    t2 = sim.site("Q").engine.start_trace(b["p"])
+    assert t1 is not None and t2 is not None
+    sim.settle()
+    verdicts = {outcome[2]: outcome[3] for outcome in sim.trace_outcomes}
+    assert verdicts[t1] is TraceOutcome.LIVE
+    assert verdicts[t2] is TraceOutcome.LIVE
+    assert sim.metrics.count("backtrace.coalesced") >= 1
+
+
+def test_initiator_crash_leaves_participants_assuming_live():
+    """Participants that never hear the outcome time out to Live: nothing
+    is flagged garbage anywhere."""
+    cfg = GcConfig(backtrace_timeout=30.0)
+    sim = make_sim(sites=("P", "Q", "R"), network=fixed_latency_network(), gc=cfg)
+    b = GraphBuilder(sim)
+    p, q, r = b.obj("P", "p"), b.obj("Q", "q"), b.obj("R", "r")
+    b.link_cycle([p, q, r])
+    prepare_resuspected(sim)
+    trace_id = sim.site("P").engine.start_trace(b["q"])
+    assert trace_id is not None
+    # Let the first BackCall reach R, then lose the initiator: downstream
+    # sites keep expanding, time out toward it, and never hear the outcome.
+    sim.run_for(1.5)
+    sim.site("P").crash()
+    sim.run_for(10 * cfg.backtrace_timeout)
+    assert sim.metrics.count("backtrace.outcome_timeouts") >= 1
+    for site_id in ("Q", "R"):
+        for entry in sim.sites[site_id].inrefs.entries():
+            assert not entry.garbage
+
+
+def test_back_calls_to_same_destination_ship_as_one_batch():
+    """Two inrefs with a common source, reached by one fan-out, batch."""
+    sim = make_sim(sites=("P", "Q"), network=fixed_latency_network())
+    b = GraphBuilder(sim)
+    # At Q: a -> c, b -> c, c -> p(P); at P: p -> a and p -> b.  A trace from
+    # Q's outref for p fans out to inrefs a and b in one activation -- both
+    # sourced from P, so the two BackCalls ride one BackCallBatch.
+    a, bb, c = b.obj("Q", "a"), b.obj("Q", "b"), b.obj("Q", "c")
+    p = b.obj("P", "p")
+    b.link(a, c)
+    b.link(bb, c)
+    b.link(c, p)
+    b.link(p, a)
+    b.link(p, bb)
+    prepare_resuspected(sim)
+    trace_id = sim.site("Q").engine.start_trace(b["p"])
+    assert trace_id is not None
+    sim.settle()
+    assert sim.metrics.count("messages.BackCallBatch") >= 1
+    assert sim.metrics.count("backtrace.calls_batched") >= 2
+    # The structure is unanchored garbage: the trace must still conclude so.
+    assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE

@@ -235,7 +235,6 @@ GC_FIELDS = (
     "defer_messages",
     "defer_delay",
     "max_traces_per_trigger_check",
-    "backtrace_cache_ttl_ticks",
     "full_trace_every_n",
     "full_update_period",
     "update_retransmit_timeout",
@@ -249,8 +248,8 @@ NETWORK_FIELDS = (
     "pair_rng_streams",
 )
 SIMULATION_FIELDS = ("seed", "network", "gc", "parallel_workers")
-#: Switches that once selected a pre-optimisation leg, and overrides nothing
-#: ever set.  Each mechanism is now unconditional; none may come back as a knob.
+#: Switches that once selected a pre-optimisation leg, overrides nothing ever
+#: set, and the knob of a mechanism since deleted.  None may come back.
 REMOVED_FIELDS = {
     GcConfig: (
         "incremental_traces",
@@ -258,6 +257,7 @@ REMOVED_FIELDS = {
         "delta_updates",
         "flat_kernel",
         "backtrace_cache",
+        "backtrace_cache_ttl_ticks",
         "backtrace_coalesce",
         "backtrace_batch_calls",
         "backtrace_retry_backoff",

@@ -131,8 +131,8 @@ def test_trace_scan_orders_roots_by_distance():
 # -- source-list mutators ---------------------------------------------------------
 #
 # Every way of changing ``entry.sources`` must refresh ``entry.distance``,
-# advance the entry epoch and the table's distance epoch, and keep the
-# per-source index (``targets_from_source``) in step.
+# advance the table's distance epoch, and keep the per-source index
+# (``targets_from_source``) in step.
 
 
 def _sourced_entry():
@@ -142,38 +142,34 @@ def _sourced_entry():
     return table, target, entry
 
 
-def _epochs(table, entry):
-    return entry.epoch, table.distance_epoch
-
-
 def test_sources_update_notifies():
     table, target, entry = _sourced_entry()
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     entry.sources.update({"Q": 2}, S=9)
     assert entry.distance == 2
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("Q") == [target]
     assert table.targets_from_source("S") == [target]
 
 
 def test_sources_ior_notifies():
     table, target, entry = _sourced_entry()
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     entry.sources |= {"Q": 1}
     assert entry.sources == {"P": 5, "Q": 1} and entry.sources.entry is entry
     assert entry.distance == 1
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("Q") == [target]
 
 
 def test_sources_setdefault_notifies_only_when_it_adds():
     table, target, entry = _sourced_entry()
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     assert entry.sources.setdefault("P", 1) == 5
-    assert _epochs(table, entry) == before
+    assert table.distance_epoch == before
     assert entry.sources.setdefault("Q", 3) == 3
     assert entry.distance == 3
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("Q") == [target]
     with pytest.raises(TypeError):
         entry.sources.setdefault("S")  # a source needs a distance
@@ -182,20 +178,20 @@ def test_sources_setdefault_notifies_only_when_it_adds():
 def test_sources_clear_notifies():
     table, target, entry = _sourced_entry()
     entry.add_source("Q", 2)
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     entry.sources.clear()
     assert entry.empty and entry.distance == INFINITE_DISTANCE
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("P") == table.targets_from_source("Q") == []
 
 
 def test_sources_popitem_notifies():
     table, target, entry = _sourced_entry()
     entry.add_source("Q", 2)
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     assert entry.sources.popitem() == ("Q", 2)
     assert entry.distance == 5
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("Q") == []
     entry.sources.popitem()
     with pytest.raises(KeyError):
@@ -206,36 +202,35 @@ def test_sources_pop_and_del_notify():
     table, target, entry = _sourced_entry()
     entry.add_source("Q", 2)
     entry.add_source("S", 1)
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     assert entry.sources.pop("S") == 1
     assert entry.sources.pop("S", None) is None
     del entry.sources["Q"]
     assert entry.distance == 5
-    assert all(now > then for now, then in zip(_epochs(table, entry), before))
+    assert table.distance_epoch > before
     assert table.targets_from_source("Q") == table.targets_from_source("S") == []
 
 
 def test_rewriting_a_source_with_its_own_distance_is_silent():
     table, target, entry = _sourced_entry()
-    before = _epochs(table, entry)
+    before = table.distance_epoch
     entry.sources["P"] = 5
     entry.sources.update(P=5)
-    assert _epochs(table, entry) == before
+    assert table.distance_epoch == before
 
 
 def test_reset_barrier_cleans_touches_only_flagged_entries():
     table = make_inrefs(threshold=4)
     flagged = table.ensure(ObjectId("R", 0), source="P", distance=9)
-    other = table.ensure(ObjectId("R", 1), source="P", distance=9)
+    table.ensure(ObjectId("R", 1), source="P", distance=9)
     gone = table.ensure(ObjectId("R", 2), source="P", distance=9)
     flagged.barrier_clean = True
     gone.barrier_clean = True
     table.remove(gone.target)
-    other_epoch, structure = other.epoch, table.structure_epoch
+    structure = table.structure_epoch
     table.reset_barrier_cleans()
     assert not flagged.barrier_clean
-    assert other.epoch == other_epoch
-    assert table.structure_epoch == structure + 1
+    assert table.structure_epoch == structure + 1  # the flagged entry only
     table.reset_barrier_cleans()  # nothing flagged: nothing moves
     assert table.structure_epoch == structure + 1
 
@@ -315,13 +310,13 @@ def test_install_trace_states_moves_epochs_only_on_change():
     assert (table.get(near).traced_clean, table.get(near).distance) == (True, 2)
     assert (table.get(far).traced_clean, table.get(far).distance) == (False, 6)
     assert table.get(far).inset == inset and not table.get(far).barrier_clean
-    epochs = (table.get(near).epoch, table.get(far).epoch, table.mutation_epoch)
+    epoch = table.mutation_epoch
     table.install_trace_states({near: (True, 2), far: (False, 6)}, {far: inset})
-    assert (table.get(near).epoch, table.get(far).epoch, table.mutation_epoch) == epochs
+    assert table.mutation_epoch == epoch
     # A reference the trace reached before its entry existed is created.
     new = ObjectId("R", 2)
     table.install_trace_states({new: (True, 1)}, {})
-    assert table.get(new).traced_clean and table.mutation_epoch > epochs[2]
+    assert table.get(new).traced_clean and table.mutation_epoch > epoch
 
 
 def test_scans_are_in_target_order():
