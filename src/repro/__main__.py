@@ -184,11 +184,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         print(
             f"t={sim.now:8.0f} events={fired:8d} objects={sim.total_objects():6d}"
         )
-    metrics = (
-        sim.merged_metrics()
-        if isinstance(sim, ParallelSimulation) and sim.parallel_active
-        else sim.metrics
-    )  # isinstance, not ==: create() returned whichever engine fits
+    metrics = sim.merged_metrics()
     print(
         f"done: {args.sites} sites / {args.workers} workers, "
         f"{fired} events, {metrics.count('churn.ops')} churn ops, "

@@ -5,7 +5,10 @@ and computes ground-truth liveness: an object is live iff it is reachable
 from some root following references across sites.  It exists for testing and
 benchmarking -- the collectors under test never consult it.
 
-Roots, mirroring the paper's model plus our explicit message model:
+It is a pure function of one state, :meth:`Simulation.audit_state`, which
+either engine builds fresh on every query (the sharded one in one broadcast),
+so a sharded run is audited on the workers' live heaps.  Roots, mirroring
+the paper's model plus our explicit message model:
 
 - persistent roots at every site;
 - application-variable roots: local pins and variable-held outrefs
@@ -22,63 +25,104 @@ as an :class:`~repro.errors.OracleError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, List, Mapping, Set, Tuple
 
 from ..errors import OracleError
 from ..ids import ObjectId
-from ..sim.simulation import Simulation
+from ..metrics import names
+
+if TYPE_CHECKING:
+    from ..sim.simulation import AuditState
+
+
+def _roots(state: "AuditState") -> Set[ObjectId]:
+    roots: Set[ObjectId] = set()
+    for site in state.sites.values():
+        roots.update(site.roots)
+    for message in state.in_flight:
+        roots.update(message.payload.carried_refs())
+    return roots
+
+
+def _walk(state: "AuditState") -> Tuple[Set[ObjectId], List[str]]:
+    """One walk from the roots: the live objects, and a safety violation
+    per reachable reference to a missing object."""
+    live: Set[ObjectId] = set()
+    missing: Set[ObjectId] = set()
+    stack: List[ObjectId] = list(_roots(state))
+    while stack:
+        oid = stack.pop()
+        if oid in live or oid in missing:
+            continue
+        site = state.sites.get(oid.site)
+        refs = None if site is None else site.objects.get(oid)
+        if refs is None:
+            missing.add(oid)
+            continue
+        live.add(oid)
+        stack.extend(ref for ref in refs if ref not in live)
+    return live, [
+        f"SAFETY VIOLATION: live object {oid} was collected"
+        if oid.site in state.sites
+        else f"live reference to unknown site: {oid}"
+        for oid in sorted(missing)
+    ]
+
+
+def _garbage(state: "AuditState") -> Dict[ObjectId, Tuple[ObjectId, ...]]:
+    """Existing objects no root reaches -> their references."""
+    live = _walk(state)[0]
+    return {
+        oid: refs for site in state.sites.values() for oid, refs in site.objects.items()
+        if oid not in live
+    }
+
+
+#: Per kind, the (sent, delivered, dropped) counters of originals and copies.
+_LEGS = (
+    (False, (names.msg_sent, names.msg_delivered_kind, names.msg_dropped_kind)),
+    (True, (names.msg_duplicated, names.msg_dup_delivered, names.msg_dup_dropped)),
+)
+
+
+def audit_violations(state: "AuditState", counters: Mapping[str, int]) -> List[str]:
+    """The state-level checks of :meth:`Simulation.check_invariants`:
+    safety, message conservation per kind, and no garbage-flagged inref live.
+    ``counters`` are the run's merged ``messages.*`` counters."""
+    live, violations = _walk(state)
+    for site in state.sites.values():
+        for oid in sorted(site.garbage_inrefs & live):
+            violations.append(f"garbage-flagged inref {oid} is live")
+    flying = Counter((message.kind, message.dup) for message in state.in_flight)
+    kinds = {key.rsplit(".", 1)[1] for key in counters} | {kind for kind, _ in flying}
+    for kind in sorted(kind for kind in kinds if kind[:1].isupper()):
+        for dup, legs in _LEGS:
+            sent, delivered, dropped = (counters.get(leg(kind), 0) for leg in legs)
+            if sent != delivered + dropped + flying[kind, dup]:
+                violations.append(
+                    f"{kind}{' copies' if dup else ''}: sent={sent} delivered="
+                    f"{delivered} dropped={dropped} in_flight={flying[kind, dup]}"
+                )
+    return violations
 
 
 class Oracle:
-    """Ground-truth liveness for a whole simulation."""
+    """Ground-truth liveness for a whole simulation, on either engine."""
 
-    def __init__(self, sim: Simulation):
+    def __init__(self, sim):
         self.sim = sim
 
-    # -- roots -------------------------------------------------------------------
-
     def roots(self) -> Set[ObjectId]:
-        roots: Set[ObjectId] = set()
-        for site in self.sim.sites.values():
-            roots.update(site.heap.persistent_roots)
-            roots.update(site.heap.variable_roots)
-            roots.update(site.variable_outrefs)
-            roots.update(site.pending_carried_refs())
-        for message in self.sim.network.in_flight_messages():
-            roots.update(message.payload.carried_refs())
-        return roots
-
-    # -- liveness -----------------------------------------------------------------
+        return _roots(self.sim.audit_state())
 
     def live_set(self) -> Set[ObjectId]:
         """All object ids reachable from the roots (existing objects only)."""
-        live: Set[ObjectId] = set()
-        stack: List[ObjectId] = list(self.roots())
-        while stack:
-            oid = stack.pop()
-            if oid in live:
-                continue
-            site = self.sim.sites.get(oid.site)
-            if site is None:
-                continue
-            obj = site.heap.maybe_get(oid)
-            if obj is None:
-                continue
-            live.add(oid)
-            for ref in obj.iter_refs():
-                if ref not in live:
-                    stack.append(ref)
-        return live
+        return _walk(self.sim.audit_state())[0]
 
     def garbage_set(self) -> Set[ObjectId]:
         """Existing objects not reachable from any root."""
-        live = self.live_set()
-        garbage: Set[ObjectId] = set()
-        for site in self.sim.sites.values():
-            for oid in site.heap.object_ids():
-                if oid not in live:
-                    garbage.add(oid)
-        return garbage
+        return set(_garbage(self.sim.audit_state()))
 
     def distributed_cyclic_garbage(self) -> Set[ObjectId]:
         """Garbage objects lying on inter-site cycles (plus what they reach).
@@ -88,14 +132,11 @@ class Oracle:
         Computed as: garbage objects reachable from a garbage object that is
         part of a cross-site strongly connected component.
         """
-        garbage = self.garbage_set()
+        garbage = _garbage(self.sim.audit_state())
         # Build the garbage subgraph.
-        edges: Dict[ObjectId, List[ObjectId]] = {}
-        for oid in garbage:
-            obj = self.sim.sites[oid.site].heap.maybe_get(oid)
-            if obj is None:
-                continue
-            edges[oid] = [ref for ref in obj.iter_refs() if ref in garbage]
+        edges: Dict[ObjectId, List[ObjectId]] = {
+            oid: [ref for ref in refs if ref in garbage] for oid, refs in garbage.items()
+        }
         cyclic_seeds = _cross_site_scc_members(edges)
         # Everything reachable from a cross-site-cycle member stays
         # uncollectable under plain local tracing.
@@ -113,24 +154,9 @@ class Oracle:
 
     def check_safety(self) -> None:
         """Raise :class:`OracleError` if any live path dangles."""
-        live: Set[ObjectId] = set()
-        stack: List[ObjectId] = list(self.roots())
-        while stack:
-            oid = stack.pop()
-            if oid in live:
-                continue
-            site = self.sim.sites.get(oid.site)
-            if site is None:
-                raise OracleError(f"live reference to unknown site: {oid}")
-            obj = site.heap.maybe_get(oid)
-            if obj is None:
-                raise OracleError(
-                    f"SAFETY VIOLATION: live object {oid} was collected"
-                )
-            live.add(oid)
-            for ref in obj.iter_refs():
-                if ref not in live:
-                    stack.append(ref)
+        violations = _walk(self.sim.audit_state())[1]
+        if violations:
+            raise OracleError(violations[0])
 
     def assert_no_garbage(self) -> None:
         garbage = self.garbage_set()

@@ -10,11 +10,11 @@ The paper's fault-tolerance claims (section 4.6) are two-sided:
 Each chaos case builds a known object population (garbage rings that get cut
 loose, live "bait" rings that must survive), runs GC rounds while a
 :class:`~repro.net.faults.FaultPlan` mauls the network, audits
-:class:`~repro.analysis.Oracle.check_safety` after every step, and finally
-drives collection to completion after the plan heals.  It also reconciles
-the network's accounting: for every payload kind,
-``messages.<kind> == messages.delivered.<kind> + messages.dropped.<kind>``
-(originals) and likewise for injected duplicates.
+:meth:`~repro.sim.simulation.Simulation.check_invariants` after every
+round -- oracle safety, and for every payload kind
+``messages.<kind> == delivered + dropped + in flight`` (originals, and
+likewise for injected duplicates), among others -- and finally drives
+collection to completion after the plan heals.
 
 The workload deliberately performs **no remote-copy traffic inside fault
 windows**: a lost insert leaves a pinned outref behind (the paper's "storage
@@ -26,7 +26,7 @@ by *local* anchor cuts, which need no messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..analysis.oracle import Oracle
 from ..config import GcConfig, NetworkConfig, SimulationConfig
@@ -49,11 +49,11 @@ class ChaosResult:
 
     seed: int
     plan: str
+    #: Every invariant held after every round.
     safety_ok: bool = True
     collected: bool = False
     rounds_to_collect: int = 0
     residual_garbage: int = 0
-    counters_ok: bool = True
     violations: List[str] = field(default_factory=list)
     dup_suppressed: int = 0
     retransmits: int = 0
@@ -62,7 +62,7 @@ class ChaosResult:
 
     @property
     def ok(self) -> bool:
-        return self.safety_ok and self.collected and self.counters_ok
+        return self.safety_ok and self.collected
 
 
 def standard_plans(sites: Sequence[SiteId]) -> List[FaultPlan]:
@@ -109,53 +109,11 @@ def _apply_edge(sim: Simulation, action: str, data) -> None:
         sim.heal_partition()
 
 
-def _reconcile_counters(sim: Simulation, result: ChaosResult) -> None:
-    """Check sent = delivered + dropped per payload kind (and per dup copy)."""
-    counters: Dict[str, int] = sim.metrics.counts_with_prefix("")
-    kinds = set()
-    for key in counters:
-        if key.startswith("messages.delivered."):
-            kinds.add(key[len("messages.delivered.") :])
-        elif key.startswith("messages.duplicated."):
-            kinds.add(key[len("messages.duplicated.") :])
-    for prefix in ("messages.dropped.", "messages.dup_delivered.", "messages.dup_dropped."):
-        for key in counters:
-            if key.startswith(prefix):
-                suffix = key[len(prefix) :]
-                # reason buckets (crash/partition/loss/fault) are not kinds
-                if suffix[:1].isupper() or suffix == "Bundle":
-                    kinds.add(suffix)
-    for kind in sorted(kinds):
-        sent = counters.get(f"messages.{kind}", 0)
-        delivered = counters.get(f"messages.delivered.{kind}", 0)
-        dropped = counters.get(f"messages.dropped.{kind}", 0)
-        if sent != delivered + dropped:
-            result.counters_ok = False
-            result.violations.append(
-                f"counter mismatch for {kind}: sent={sent} "
-                f"delivered={delivered} dropped={dropped}"
-            )
-        dup = counters.get(f"messages.duplicated.{kind}", 0)
-        dup_delivered = counters.get(f"messages.dup_delivered.{kind}", 0)
-        dup_dropped = counters.get(f"messages.dup_dropped.{kind}", 0)
-        if dup != dup_delivered + dup_dropped:
-            result.counters_ok = False
-            result.violations.append(
-                f"duplicate-counter mismatch for {kind}: injected={dup} "
-                f"delivered={dup_delivered} dropped={dup_dropped}"
-            )
-    result.dropped = counters.get("messages.lost", 0)
-    result.duplicated = sum(
-        value
-        for key, value in counters.items()
-        if key.startswith("messages.duplicated.")
-    )
-    result.retransmits = counters.get("gc.update_retransmits", 0)
-    result.dup_suppressed = sum(
-        value
-        for key, value in counters.items()
-        if key.startswith("protocol.dup_suppressed.")
-    )
+def _audit(sim: Simulation) -> None:
+    """Raise :class:`OracleError` naming every broken invariant."""
+    violations = sim.check_invariants()
+    if violations:
+        raise OracleError("; ".join(violations))
 
 
 def run_chaos_case(
@@ -169,9 +127,9 @@ def run_chaos_case(
 ) -> ChaosResult:
     """Run one audited chaos case; never raises for protocol failures.
 
-    Safety violations, missed collection, and counter mismatches are
-    reported on the returned :class:`ChaosResult` so a matrix run surveys
-    every cell instead of dying on the first bad one.
+    Broken invariants and missed collection are reported on the returned
+    :class:`ChaosResult` so a matrix run surveys every cell instead of
+    dying on the first bad one.
     """
     result = ChaosResult(seed=seed, plan=plan.name)
     config = SimulationConfig(
@@ -229,7 +187,7 @@ def run_chaos_case(
                 doomed[cut_index].make_garbage(sim)
                 cut_index += 1
             sim.run_gc_round()
-            oracle.check_safety()
+            _audit(sim)
         # A GC round can overshoot the horizon with heal edges still queued
         # (recover/heal_partition at the window's edge): apply them now.
         while edge_index < len(edges):
@@ -247,7 +205,7 @@ def run_chaos_case(
     try:
         for round_index in range(1, collect_rounds_bound + 1):
             sim.run_gc_round()
-            oracle.check_safety()
+            _audit(sim)
             remaining = oracle.garbage_set()
             if not remaining:
                 result.collected = True
@@ -259,20 +217,18 @@ def run_chaos_case(
                 f"{result.residual_garbage} garbage objects survived "
                 f"{collect_rounds_bound} post-heal rounds"
             )
-        # Let abandoned retransmission chains and straggler duplicates die
-        # before reconciling the books.
+        # Let abandoned retransmission chains and straggler duplicates die.
         sim.settle()
-        oracle.check_safety()
+        _audit(sim)
     except OracleError as error:
         result.safety_ok = False
         result.violations.append(str(error))
         return result
-
-    in_flight = list(sim.network.in_flight_messages())
-    if in_flight:
-        result.violations.append(f"{len(in_flight)} messages still in flight")
-        result.counters_ok = False
-    _reconcile_counters(sim, result)
+    metrics = sim.merged_metrics()
+    result.dropped = metrics.count("messages.lost")
+    result.duplicated = metrics.total_with_prefix("messages.duplicated.")
+    result.retransmits = metrics.count("gc.update_retransmits")
+    result.dup_suppressed = metrics.total_with_prefix("protocol.dup_suppressed.")
     return result
 
 

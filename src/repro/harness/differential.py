@@ -17,7 +17,7 @@ audited GC rounds until it reclaims everything or a round bound passes.
 The verdict compares three things per backend pair:
 
 - **agreement** -- reclaimed sets identical, and identical to the oracle's
-  garbage set (safety is audited every round on both sides as usual);
+  garbage set (every round audits ``check_invariants()`` on both sides);
 - **latency** -- rounds to full reclamation per backend, plus the mean gap
   in per-object reclaim rounds over the common set;
 - **residue** -- any object one backend reclaimed and the other left.
@@ -187,7 +187,9 @@ def _run_backend(
     try:
         for round_index in range(1, rounds_bound + 1):
             sim.run_gc_round()
-            oracle.check_safety()
+            violations = sim.check_invariants()
+            if violations:
+                raise OracleError("; ".join(violations))
             now_remaining = set(sim.all_object_ids())
             for oid in remaining - now_remaining:
                 run.reclaim_round[oid] = round_index

@@ -29,7 +29,9 @@ and per-payload-class accounting (:class:`_KindCells`) -- so a clean send
 costs one link lookup, one accounting call, one envelope and one scheduler
 push, and a clean delivery one link lookup and one accounting call.  Every
 delivery is scheduled by exactly one ``Scheduler.schedule_at(time,
-self._deliver, "deliver:{Kind}", dst, message)`` call: the perf ledger's
+self._deliver, "deliver:{Kind}", dst, message)`` call, and that queued
+event is the one record of the message in flight
+(:meth:`Scheduler.queued_deliveries`).  The perf ledger's
 tracer (``benchmarks/ledger/tracer.py``) wraps that call, ``Network.send``
 and ``Site.send`` / ``Site.receive`` to attribute time, so those seams are
 part of the contract.  Every mutation that could change
@@ -218,7 +220,6 @@ class Network:
         self._crashed: Set[SiteId] = set()
         self._partition: Optional[Dict[SiteId, int]] = None
         self._last_delivery: Dict[Tuple[SiteId, SiteId], float] = {}
-        self._in_flight: Dict[int, Message] = {}
         # Per-ordered-pair RNG streams (see NetworkConfig.pair_rng_streams).
         self._pair_streams: Optional[Dict[Tuple[SiteId, SiteId], random.Random]] = (
             {} if self._config.pair_rng_streams else None
@@ -257,9 +258,6 @@ class Network:
         # endpoint set), so any (re-)registration drops the cache.
         self._invalidate_links()
 
-    def known_sites(self) -> Set[SiteId]:
-        return set(self._endpoints)
-
     @property
     def fault_plan(self) -> Optional[FaultPlan]:
         return self._faults
@@ -276,9 +274,6 @@ class Network:
         self._require_live("Simulation.site(site_id).recover()")
         self._crashed.discard(site_id)
         self._invalidate_links()
-
-    def is_crashed(self, site_id: SiteId) -> bool:
-        return site_id in self._crashed
 
     def partition(self, *groups: Set[SiteId]) -> None:
         """Split the network: messages between different groups are lost.
@@ -415,10 +410,6 @@ class Network:
                 f"workers would never see the change -- call {instead}"
             )
 
-    @property
-    def shard_sites(self) -> Optional[Set[SiteId]]:
-        return None if self._shard_sites is None else set(self._shard_sites)
-
     def min_cross_latency(self, sites: Set[SiteId]) -> Optional[float]:
         """Tightest known floor on any delay leaving ``sites``, or ``None``.
 
@@ -515,8 +506,8 @@ class Network:
 
         # The original (lag None), then one copy per fault-plan duplicate,
         # each ``lag`` behind the original's delivery.  A copy is a fresh
-        # envelope: its own uid (in-flight tracking and cross-shard routing
-        # need distinct keys) and the dup marker for separate accounting.
+        # envelope: its own uid (cross-shard routing orders by it) and the
+        # dup marker for separate accounting.
         for lag in lags:
             if lag is None:
                 deliver_at = now + link.draw_latency(rng) + extra_delay
@@ -532,7 +523,6 @@ class Network:
             if lag is None:
                 original_at = deliver_at
             if link.local:
-                self._in_flight[message.uid] = message
                 scheduler.schedule_at(
                     deliver_at, self._deliver, cells.deliver_label, dst, message
                 )
@@ -540,13 +530,8 @@ class Network:
                 # Cross-shard: delivery time is already fixed sender-side.
                 self._shard_outbox.append((deliver_at, message))
 
-    def in_flight_messages(self):
-        """Messages scheduled but not yet delivered (oracle support)."""
-        return list(self._in_flight.values())
-
     def _deliver(self, message: Message) -> None:
-        src, dst, payload, uid, dup = message
-        self._in_flight.pop(uid, None)
+        src, dst, payload, _uid, dup = message
         try:
             link = self._links[src, dst]
         except KeyError:

@@ -77,9 +77,12 @@ small-messages discipline:
   what it receives, injects the records due before the window bound in
   ``(deliver_at, source site, sender sequence)`` order, and runs; its
   frontier and EOT fold in the stash.
-- *Plain queries*: ``snapshot()``, ``merged_metrics()``, ``trace_outcomes``,
-  ``total_objects()`` and ``all_object_ids()`` after the fork are one
-  broadcast each, merged coordinator-side into fresh objects.
+- *Plain queries*: ``snapshot()``, ``merged_metrics()``, ``trace_outcomes``
+  and ``audit_state()`` after the fork are one broadcast each, merged
+  coordinator-side into fresh objects.  The audit adds the coordinator's
+  ``_pending`` records to each shard's sites, queue and stash, so it holds
+  every undelivered message once; the oracle, ``check_invariants()``,
+  ``total_objects()`` and ``all_object_ids()`` all read it.
 """
 
 from __future__ import annotations
@@ -95,12 +98,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import SimulationConfig
 from ..errors import SimulationError
-from ..ids import ObjectId, SiteId
+from ..ids import SiteId
 from ..metrics import MetricsRecorder
 from ..net.latency import LatencyModel
 from ..net.message import Message
 from ..net.wire import WireCodec
-from .simulation import Simulation
+from .simulation import AuditState, Simulation
 
 _INF = float("inf")
 
@@ -205,6 +208,10 @@ class _RecordStash:
         reply's frontier and EOT so the planner sees stashed work."""
         return min((entry[0] for entry in self._stash), default=_INF)
 
+    def messages(self) -> List[Message]:
+        """Every stashed message, decoded (for the audit)."""
+        return [self._codec.unpack_record(entry[3])[1] for entry in self._stash]
+
     def take_due(self, bound: float) -> List[RoutedMessage]:
         """Extract, order, and decode every stashed record due before ``bound``."""
         if not self._stash:
@@ -273,7 +280,9 @@ def _schedule_incoming(sim: Simulation, incoming: List[RoutedMessage]) -> None:
         )
 
 
-def _execute(sim: Simulation, shard: Set[SiteId], command: tuple):
+def _execute(
+    sim: Simulation, shard: Set[SiteId], stash: _RecordStash, command: tuple
+):
     """Run one coordinator command that does not advance time; return its
     payload."""
     op = command[0]
@@ -315,13 +324,9 @@ def _execute(sim: Simulation, shard: Set[SiteId], command: tuple):
         return sim.metrics._counters
     if op == "outcomes":
         return list(sim._trace_outcomes)
-    if op == "counts":
-        return sum(len(sim.sites[site_id].heap) for site_id in shard)
-    if op == "oids":
-        oids: List[ObjectId] = []
-        for site_id in sorted(shard):
-            oids.extend(sim.sites[site_id].heap.object_ids())
-        return oids
+    if op == "audit":
+        sites = {site_id: sim.sites[site_id].audit() for site_id in shard}
+        return sites, sim.scheduler.queued_deliveries() + stash.messages()
     if op == "stop":
         raise _Stop
     raise SimulationError(f"unknown worker command {op!r}")
@@ -401,7 +406,7 @@ def _worker_main(
             if command[0] in ("window", "align"):
                 payload, fired = None, run_window(*command)
             else:
-                payload, fired = _execute(sim, shard, command), 0
+                payload, fired = _execute(sim, shard, stash, command), 0
         except _Stop:
             channel.send(("ok", None, packed_outgoing(), _INF, _INF, 0))
             break
@@ -560,6 +565,7 @@ _PROXY_METHODS = frozenset(
         "pin_variable",
         "unpin_variable",
         "stats",
+        "check_flat_mirror",
     }
 )
 
@@ -569,7 +575,8 @@ class SiteProxy:
 
     Forwards the mutator-facing and GC-control API as remote calls; direct
     state access (``heap``, ``inrefs``, ``outrefs``) is not available across
-    the process boundary -- use :meth:`ParallelSimulation.snapshot`.
+    the process boundary -- use :meth:`ParallelSimulation.snapshot` or
+    :meth:`~ParallelSimulation.audit_state`.
     """
 
     __slots__ = ("_sim", "site_id")
@@ -1142,17 +1149,17 @@ class ParallelSimulation(Simulation):
         fresh.sort(key=lambda outcome: (outcome[0], outcome[1], outcome[2]))
         return merged + fresh
 
-    def total_objects(self) -> int:
+    def audit_state(self) -> AuditState:
+        """The oracle's state read from the shards' live copies, in one
+        broadcast, plus the cross-shard records still on the coordinator."""
         if not self._forked:
-            return super().total_objects()
-        payloads, _ = self._broadcast(("counts",))
-        return sum(payloads)
-
-    def all_object_ids(self) -> List[ObjectId]:
-        if not self._forked:
-            return super().all_object_ids()
-        payloads, _ = self._broadcast(("oids",))
-        merged: List[ObjectId] = []
-        for oids in payloads:
-            merged.extend(oids)
-        return merged
+            return super().audit_state()
+        payloads, _ = self._broadcast(("audit",))
+        sites: Dict[SiteId, Any] = {}
+        in_flight: List[Message] = []
+        for shard_sites, shard_messages in payloads:
+            sites.update(shard_sites)
+            in_flight.extend(shard_messages)
+        unpack = self._codec.unpack_record
+        in_flight.extend(unpack(record)[1] for _at, _dst, record in self._pending)
+        return AuditState(dict(sorted(sites.items())), in_flight)

@@ -281,6 +281,17 @@ class Scheduler:
             if event._fn is not None:
                 yield event.time, event._label, event._site
 
+    def queued_deliveries(self) -> list:
+        """The message of every live ``deliver:`` event, in heap order (by
+        label and argument, not callback, so wrapped deliveries count)."""
+        return [
+            event._arg
+            for _time, _seq, event in self._queue
+            if event._fn is not None
+            and event._arg is not _NO_ARG
+            and event._label.startswith("deliver:")
+        ]
+
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:

@@ -6,11 +6,13 @@ network, and every site.  Controlled experiments usually disable automatic
 GC (``auto_gc=False``), call :meth:`run_gc_round` to give every site exactly
 one local trace per round (the "round" of the section 3 distance theorem),
 and advance simulated time with :meth:`run_for` to deliver messages.
+:meth:`audit_state` is the one state the oracle and :meth:`check_invariants`
+read, on this engine and on the sharded one alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..config import SimulationConfig
 from ..core.collector import CollectorSpec, resolve_collector
@@ -19,10 +21,20 @@ from ..ids import ObjectId, SiteId, TraceId
 from ..metrics import MetricsRecorder
 from ..net.faults import FaultPlan
 from ..net.latency import LatencyModel
+from ..net.message import Message
 from ..net.network import Network
-from ..site.site import Site
+from ..site.site import Site, SiteAudit
 from .rng import RngRegistry
 from .scheduler import Scheduler
+
+
+class AuditState(NamedTuple):
+    """The one state the oracle and :meth:`Simulation.check_invariants` read:
+    each site's :class:`SiteAudit` in site order, and every message sent but
+    neither delivered nor dropped yet, in no particular order."""
+
+    sites: Dict[SiteId, SiteAudit]
+    in_flight: List[Message]
 
 
 class Simulation:
@@ -198,11 +210,34 @@ class Simulation:
 
     # -- global introspection ---------------------------------------------------------------------
 
+    def audit_state(self) -> AuditState:
+        """Everything the oracle reads, as fresh copies, on either engine."""
+        return AuditState(
+            {site_id: self.sites[site_id].audit() for site_id in sorted(self.sites)},
+            self.scheduler.queued_deliveries(),
+        )
+
+    def merged_metrics(self) -> MetricsRecorder:
+        """Counter totals of the whole run (the sharded engine merges shards)."""
+        return self.metrics
+
+    def check_invariants(self) -> List[str]:
+        """Every broken run invariant as text, ``[]`` when all hold.
+
+        Callable at any instant on either engine: oracle safety, per-kind
+        ``sent = delivered + dropped + in flight`` for originals and for
+        fault-plan copies, every heap's flat mirror, and no garbage-flagged
+        inref live.
+        """
+        from ..analysis.oracle import audit_violations
+
+        mirrors = [self.site(site_id).check_flat_mirror() for site_id in sorted(self.sites)]
+        counters = self.merged_metrics().counts_with_prefix("messages.")
+        violations = [text for text in mirrors if text]
+        return violations + audit_violations(self.audit_state(), counters)
+
     def total_objects(self) -> int:
-        return sum(len(site.heap) for site in self.sites.values())
+        return len(self.all_object_ids())
 
     def all_object_ids(self) -> List[ObjectId]:
-        ids: List[ObjectId] = []
-        for site in self.sites.values():
-            ids.extend(site.heap.object_ids())
-        return ids
+        return [oid for site in self.audit_state().sites.values() for oid in site.objects]

@@ -18,7 +18,7 @@ system.  It also owns the site-local policies the paper describes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..config import GcConfig
 from ..errors import GcInvariantError
@@ -55,6 +55,18 @@ from ..store.heap import Heap
 
 HopCallback = Callable[[str, ObjectId], None]
 OutcomeCallback = Callable[[SiteId, TraceId, TraceOutcome], None]
+
+
+class SiteAudit(NamedTuple):
+    """One site's share of :meth:`Simulation.audit_state`, a fresh copy:
+    every resident object's reference slots; the roots (persistent and
+    variable roots, variable-held outrefs, and the references parked in
+    deferred writes); and the inref targets flagged garbage."""
+
+    objects: Dict[ObjectId, Tuple[ObjectId, ...]]
+    roots: Set[ObjectId]
+    garbage_inrefs: Set[ObjectId]
+
 
 #: Mutation-protocol payloads stamped with a per-(sender, receiver) sequence
 #: number by :meth:`Site.send` and deduplicated by :meth:`Site.receive`.  A
@@ -565,15 +577,6 @@ class Site:
         for write in pending:
             self._apply_write(write)
 
-    def pending_carried_refs(self) -> List[ObjectId]:
-        """References held only inside deferred writes (oracle roots)."""
-        refs: List[ObjectId] = []
-        for kind, holder, target in self._pending_writes:
-            if kind == "add":
-                refs.append(holder)
-                refs.append(target)
-        return refs
-
     def mutator_add_ref(
         self, holder: ObjectId, target: ObjectId, insert_custody_taken: bool = False
     ) -> None:
@@ -850,6 +853,23 @@ class Site:
             self.send(payload.pin_holder, UnpinRequest(target=payload.ref))
 
     # -- introspection -------------------------------------------------------------------------------
+
+    def audit(self) -> SiteAudit:
+        """What the oracle reads of this site (see :class:`SiteAudit`)."""
+        roots = self.heap.persistent_roots | self.heap.variable_roots
+        roots.update(self._variable_outrefs)
+        for kind, holder, target in self._pending_writes:
+            if kind == "add":
+                roots.update((holder, target))
+        objects = {oid: tuple(obj.ref_view) for oid, obj in self.heap.objects_map().items()}
+        return SiteAudit(objects, roots, set(self.inrefs.garbage_targets()))
+
+    def check_flat_mirror(self) -> Optional[str]:
+        """The heap's flat-mirror audit as text, None when it holds."""
+        try:
+            self.heap.check_flat_mirror()
+        except AssertionError as error:
+            return f"site {self.site_id}: flat mirror: {error}"
 
     def stats(self) -> Dict[str, int]:
         return {

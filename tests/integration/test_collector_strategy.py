@@ -5,9 +5,9 @@ behind the ``GcConfig.collector`` registry; these twins prove the boundary
 itself changes nothing.  One e13-shaped scenario (doomed ring + live ring +
 churn + explicit GC rounds) runs per backend on the sequential engine, on
 2- and 4-worker parallel shards, and under a chaos storm plan, and every
-pair must produce byte-identical JSON snapshots and trace outcomes.  The
-sequential twin is oracle-audited, so snapshot equality transfers the
-safety audit to every other leg.
+pair must produce byte-identical JSON snapshots and trace outcomes.  Every
+leg is oracle-audited; the sharded ones through ``audit_state()``, which
+reads the workers' live heaps.
 
 The termination backend runs the same twins: it was born behind the
 boundary, so its determinism under the parallel engine and fault plans is
@@ -80,7 +80,7 @@ def _run(collector, workers, seed, plan=None):
     build_ring_cycle(sim, SITES[::2])  # live bait: must survive every twin
     churn = SiteChurn(sim, SITES, ChurnConfig(mean_interval=6.0))
     churn.start(until=200.0)
-    oracle = Oracle(sim) if workers == 1 else None
+    oracle = Oracle(sim)
 
     sim.run_for(800.0)  # churn ends, storm window (if any) opens and heals
     sim.quiesce_auto_gc()
@@ -88,17 +88,16 @@ def _run(collector, workers, seed, plan=None):
     doomed.make_garbage(sim)
     for _ in range(12):
         sim.run_gc_round()
-        if oracle is not None:
-            oracle.check_safety()
+        oracle.check_safety()
     sim.settle(quiet_time=30.0, max_rounds=3000)
 
-    if oracle is not None:
-        oracle.check_safety()
-        if plan is None:
-            # Faultless runs must actually collect, or the twins only
-            # witness an idle collector.
-            for member in doomed.cycle:
-                assert sim.site(member.site).heap.maybe_get(member) is None
+    oracle.check_safety()
+    if plan is None:
+        # Faultless runs must actually collect, or the twins only
+        # witness an idle collector.
+        state = sim.audit_state()
+        for member in doomed.cycle:
+            assert member not in state.sites[member.site].objects
     result = (_snapshot_bytes(sim), sim.trace_outcomes)
     close = getattr(sim, "close", None)
     if close is not None:

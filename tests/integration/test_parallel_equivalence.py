@@ -6,9 +6,8 @@ survivors as a sequential run of the same seed.  These tests run twin
 scenarios -- steady-state churn with auto GC plus explicit collection
 rounds, with and without a mid-run site crash -- once on the sequential
 engine and once sharded across worker processes, then compare the full
-JSON-serialized snapshots for equality.  The sequential twin is additionally
-audited by the oracle, so snapshot equality transfers the safety audit to
-the parallel run.
+JSON-serialized snapshots for equality.  Every twin is additionally audited
+by the oracle, which reads the shards' live state through ``audit_state()``.
 
 Both twins set ``pair_rng_streams`` (the parallel engine forces it; the
 sequential twin must opt in for its network draws to line up).
@@ -88,15 +87,15 @@ def _final_state(sim):
 def _run_scenario(workers, seed, crash=False):
     """The e13-shaped workload: churn + doomed ring + GC rounds.
 
-    Returns (snapshot_json, trace_outcomes, churn_ops).  The sequential twin
-    (workers == 1) is oracle-audited along the way.
+    Returns (snapshot_json, trace_outcomes, churn_ops).  Every twin is
+    oracle-audited along the way.
     """
     sim = _build(workers, seed)
     doomed = build_ring_cycle(sim, SITES[:6])
     build_ring_cycle(sim, SITES[::2])  # a live ring that must survive
     churn = SiteChurn(sim, SITES, ChurnConfig(mean_interval=4.0))
     churn.start(until=CHURN_UNTIL)
-    oracle = Oracle(sim) if workers == 1 else None
+    oracle = Oracle(sim)
 
     sim.run_for(200.0)
     if crash:
@@ -112,23 +111,22 @@ def _run_scenario(workers, seed, crash=False):
     doomed.make_garbage(sim)
     for _ in range(12):
         sim.run_gc_round()
-        if oracle is not None:
-            oracle.check_safety()
+        oracle.check_safety()
     sim.settle(quiet_time=30.0, max_rounds=3000)
 
-    if oracle is not None:
-        oracle.check_safety()
-        # The doomed ring must actually have been collected: the run is only
-        # a meaningful equivalence witness if the collector did real work.
-        for member in doomed.cycle:
-            assert sim.site(member.site).heap.maybe_get(member) is None
-        if not crash:
-            assert not oracle.garbage_set()
-        else:
-            # A crashed-and-recovered bystander may retain a few objects
-            # conservatively (inref sources lost with the crash); residual
-            # garbage elsewhere would be a real bug.
-            assert all(oid.site == "s09" for oid in oracle.garbage_set())
+    oracle.check_safety()
+    # The doomed ring must actually have been collected: the run is only
+    # a meaningful equivalence witness if the collector did real work.
+    state = sim.audit_state()
+    for member in doomed.cycle:
+        assert member not in state.sites[member.site].objects
+    if not crash:
+        assert not oracle.garbage_set()
+    else:
+        # A crashed-and-recovered bystander may retain a few objects
+        # conservatively (inref sources lost with the crash); residual
+        # garbage elsewhere would be a real bug.
+        assert all(oid.site == "s09" for oid in oracle.garbage_set())
     result = (
         _snapshot_bytes(sim),
         sim.trace_outcomes,

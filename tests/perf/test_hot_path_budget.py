@@ -11,8 +11,14 @@ accounting call, ``Site.receive``, the handler, the payload it builds,
 ``Site.send``, ``Network.send`` and its accounting call, the envelope,
 ``size_units``, the latency sampler, ``schedule_at``, ``_push`` and the
 event record.  Before the accounting was batched and the envelope, the clock
-read and the event record were made cheap, it was 28.92.  Wall clocks stay
-in the ledger (``python -m benchmarks.ledger``, EXPERIMENTS E27).
+read and the event record were made cheap, it was 28.92.  It also makes 15
+builtin calls: ten ``dict.get`` (the counters and the dispatch table),
+``heappush`` and ``heappop``, ``next`` and ``tuple.__new__`` for the
+envelope, and the latency draw's ``Random.random``.  There were 16 while the
+network kept a second copy of every in-flight message (a store per send and
+a ``dict.pop`` per delivery); the scheduler queue is now its one record.
+Wall clocks stay in the ledger (``python -m benchmarks.ledger``, EXPERIMENTS
+E27).
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import sys
 from benchmarks.ledger.scenarios import PingStorm, advance
 
 MAX_PY_CALLS_PER_EVENT = 16.0
-#: The count this gate was introduced against; builtins may not grow past it.
-MAX_C_CALLS_PER_EVENT = 18.96
+#: 14.962 measured: the 15 builtins of a hop, averaged with the few events
+#: that are not hops.  The parent's 15.962 fails it.
+MAX_C_CALLS_PER_EVENT = 14.97
 
 
 def test_calls_per_ping_hop_stay_within_budget():

@@ -144,11 +144,18 @@ def test_drop_probability_drops_some():
 
 
 def test_in_flight_tracking():
+    # The queued deliver: event is the one record of a message in flight,
+    # found by label and argument: a wrapped callback still counts, a
+    # thunk under a look-alike label does not.
     sched, net, _, _ = make_net()
-    net.send("A", "B", Ping())
-    assert len(net.in_flight_messages()) == 1
+    net.send("A", "B", Ping(1))
+    sched.schedule(0.5, lambda message: None, label="deliver:Ping", arg="wrapped")
+    sched.schedule(0.5, lambda: None, label="deliver:Ping")
+    [message, wrapped] = sorted(sched.queued_deliveries(), key=str)
+    assert (message.src, message.dst, message.payload) == ("A", "B", Ping(1))
+    assert wrapped == "wrapped"
     sched.drain()
-    assert net.in_flight_messages() == []
+    assert sched.queued_deliveries() == []
 
 
 def test_message_metrics_by_kind():

@@ -54,7 +54,7 @@ def test_settle_reaches_quiescence():
     b.link(root, far)
     sim.site("P").run_local_trace()
     sim.settle()
-    assert sim.network.in_flight_messages() == []
+    assert sim.audit_state().in_flight == []
 
 
 def test_settle_raises_if_never_quiet():
