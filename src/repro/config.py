@@ -117,12 +117,13 @@ class GcConfig:
     # every site checks after every local trace.
     max_traces_per_trigger_check: int = 1
     # Local traces are incremental: sites track mutation epochs on the heap
-    # and the ioref tables, cache the last committed trace result, and skip
-    # (or distance-only fast-path) a gc tick when nothing relevant changed
-    # since.  ``full_trace_every_n`` is the safety net: at most that many
-    # consecutive ticks may resolve incrementally before a full trace is
+    # and the ioref tables, remember the epochs of the last committed trace,
+    # and skip a gc tick when none moved since.  ``full_trace_every_n`` is
+    # the safety net: at most that many consecutive ticks may go by without
+    # a full trace (skips and distance-only retraces alike) before one is
     # forced, bounding the lifetime of any state a missed invalidation could
-    # leave stale.
+    # leave stale.  The forced fulls also carry the periodic full refresh
+    # (``full_update_period``) on quiet sites.
     full_trace_every_n: int = 8
     # Every n-th full local trace sends each peer the complete list of the
     # outrefs held toward it (:class:`repro.gc.update.UpdatePayload`) instead

@@ -88,7 +88,8 @@ class InrefEntry:
     ``garbage`` and ``barrier_clean`` are properties so that *any* writer --
     the back-trace engine, the transfer barrier, a baseline collector --
     automatically bumps the owning table's structure epoch; source-list
-    changes flow through :class:`_SourceMap` and bump the distance epoch.
+    changes flow through :class:`_SourceMap` and bump the distance epoch
+    when they move the entry's minimum distance.
     The incremental local trace depends on these notifications.  A
     table-owned entry reaches its table through ``_table``; a free-standing
     one (``_table`` None) notifies nobody.
@@ -124,15 +125,18 @@ class InrefEntry:
         self, added: Optional[SiteId] = None, removed: Optional[SiteId] = None
     ) -> None:
         sources = self.sources
-        self.distance = min(sources.values()) if sources else INFINITE_DISTANCE
+        distance = min(sources.values()) if sources else INFINITE_DISTANCE
         table = self._table
-        if table is None:
-            return
-        if added is not None:
-            table._index_source_added(self.target, added)
-        elif removed is not None:
-            table._index_source_removed(self.target, removed)
-        table._distance_epoch += 1
+        if table is not None:
+            if added is not None:
+                table._index_source_added(self.target, added)
+            elif removed is not None:
+                table._index_source_removed(self.target, removed)
+            # A local trace reads only the minimum, so only a new minimum
+            # advances the distance epoch.
+            if distance != self.distance:
+                table._distance_epoch += 1
+        self.distance = distance
 
     @property
     def garbage(self) -> bool:
@@ -203,15 +207,12 @@ class InrefScan(NamedTuple):
 
     ``clean_roots`` and ``suspected_targets`` are in increasing
     ``(distance, target)`` order (the trace order of section 3) and leave out
-    garbage-flagged entries.  ``clean_after_reset`` is each entry's
-    classification once the trace's commit has expired the barrier cleans:
-    within the threshold and not garbage-flagged.
+    garbage-flagged entries.  ``distances`` holds every entry's distance.
     """
 
     clean_roots: List[Tuple[ObjectId, int]]
     suspected_targets: List[ObjectId]
     distances: Dict[ObjectId, int]
-    clean_after_reset: Dict[ObjectId, bool]
 
 
 class InrefTable:
@@ -237,8 +238,8 @@ class InrefTable:
     # ``structure_epoch`` advances on changes that can alter which entries
     # exist or how they classify (creation, deletion, garbage flags, barrier
     # cleans, threshold moves); ``distance_epoch`` advances on distance-only
-    # changes.  The split lets the incremental local trace run its cheap
-    # distance-only reconciliation when nothing structural moved.
+    # changes, i.e. a new minimum distance on some entry.  The local trace's
+    # planner tells the two apart (see ``LocalCollector.plan_trace``).
 
     @property
     def structure_epoch(self) -> int:
@@ -368,16 +369,12 @@ class InrefTable:
         clean_keys: List[Tuple[int, ObjectId]] = []
         suspected_keys: List[Tuple[int, ObjectId]] = []
         distances: Dict[ObjectId, int] = {}
-        clean_after_reset: Dict[ObjectId, bool] = {}
         for target, entry in self._entries.items():
             distance = entry.distance
             distances[target] = distance
-            within = distance <= threshold
             if entry._garbage:
-                clean_after_reset[target] = False
                 continue
-            clean_after_reset[target] = within
-            if within or entry._barrier_clean:
+            if distance <= threshold or entry._barrier_clean:
                 clean_keys.append((distance, target))
             else:
                 suspected_keys.append((distance, target))
@@ -387,7 +384,6 @@ class InrefTable:
             clean_roots=[(target, distance) for distance, target in clean_keys],
             suspected_targets=[target for _, target in suspected_keys],
             distances=distances,
-            clean_after_reset=clean_after_reset,
         )
 
     def clean_entries(self) -> List[InrefEntry]:

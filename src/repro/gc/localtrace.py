@@ -52,8 +52,8 @@ trace_clean_phase_vector = trace_clean_phase_flat
 class LocalTraceResult:
     """Everything one local trace decided, ready to be committed."""
 
-    # "full" or "fast" (distance-only reconciliation reusing the cached
-    # reachability sets); skipped ticks never produce a result at all.
+    # "full" or "distance" (see :meth:`LocalCollector.plan_trace`); both ran
+    # the same trace.  Skipped ticks never produce a result at all.
     mode: str = "full"
     # The variable-held outrefs the trace was computed against (cache key).
     variable_outrefs: FrozenSet[ObjectId] = frozenset()
@@ -68,12 +68,6 @@ class LocalTraceResult:
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
-    # The inref table as compute read it: each inref's distance, and its
-    # classification once commit has expired the barrier cleans.  The
-    # incremental planner vets later ticks against both, which is sound only
-    # for a result committed with nothing interleaved (see ``commit``).
-    inref_distances: Dict[ObjectId, int] = field(default_factory=dict)
-    inref_clean: Dict[ObjectId, bool] = field(default_factory=dict)
     # The committed table's suspected outrefs in target order, for the
     # back-trace trigger check; None when commit had no cause to walk the
     # outref table.
@@ -82,15 +76,12 @@ class LocalTraceResult:
 
 @dataclass
 class _TraceCache:
-    """The last committed trace plus the state it was committed against.
+    """The state the last committed trace was committed against.
 
     ``epochs`` is (heap mutation, inref structure, inref distance, outref
-    mutation) captured at the end of commit; the result's
-    ``inref_distances`` and ``inref_clean`` record each inref's distance and
-    classification so a distance-epoch bump can be vetted entry by entry.
+    mutation) captured at the end of commit.
     """
 
-    result: LocalTraceResult
     epochs: Tuple[int, int, int, int]
     variable_outrefs: FrozenSet[ObjectId]
 
@@ -103,7 +94,6 @@ class _TraceCells:
     __slots__ = (
         "local_traces",
         "traces_full",
-        "traces_fast_path",
         "traces_skipped",
         "clean_objects_scanned",
         "suspected_objects_scanned",
@@ -119,7 +109,6 @@ class _TraceCells:
         cell = metrics.cell
         self.local_traces = cell("gc.local_traces")
         self.traces_full = cell("gc.traces_full")
-        self.traces_fast_path = cell("gc.traces_fast_path")
         self.traces_skipped = cell("gc.traces_skipped")
         self.clean_objects_scanned = cell("gc.clean_objects_scanned")
         self.suspected_objects_scanned = cell("gc.suspected_objects_scanned")
@@ -178,54 +167,31 @@ class LocalCollector:
         )
 
     def plan_trace(self, variable_outrefs: Iterable[ObjectId] = ()) -> str:
-        """Decide how the next gc tick should resolve: skip, fast, or full.
+        """Decide how the next gc tick should resolve: skip, distance or full.
 
-        - ``"skip"``: nothing relevant changed since the cached committed
-          trace; retracing would recompute identical tables and (thanks to
-          the ``_shipped`` dedup) send no new updates.
-        - ``"fast"``: only distances of suspected inrefs moved, and no inref
-          crossed the suspicion threshold; reachability, outsets and insets
-          are unchanged, so only suspected outref distances need
-          reconciliation (no heap scan).
-        - ``"full"``: anything else -- heap or table structure changed, a
-          clean inref's distance moved (the clean-phase Dijkstra depends on
-          it), a classification flipped, or the periodic safety net is due.
+        - ``"skip"``: every epoch and the variable-outref set are those of
+          the last committed trace; retracing would recompute identical
+          tables and (thanks to the ``_shipped`` dedup) send no new updates.
+        - ``"distance"``: only the inref distance epoch moved, i.e. some
+          inref's minimum distance changed.
+        - ``"full"``: no committed trace to compare against, the skip budget
+          (``full_trace_every_n``) is spent, or the heap, the inref
+          structure, the outrefs or the variable outrefs moved.
+
+        Distance and full ticks run the same trace.  A distance trace leaves
+        the skip budget and the full-refresh cadence alone (see ``commit``).
         """
         self._ticks_since_full += 1
         cache = self._cached
         if cache is None or self._ticks_since_full > self.config.full_trace_every_n:
             return "full"
         now = self._current_epochs()
-        if (now[0], now[1], now[3]) != (cache.epochs[0], cache.epochs[1], cache.epochs[3]):
+        then = cache.epochs
+        if (now[0], now[1], now[3]) != (then[0], then[1], then[3]):
             return "full"
         if frozenset(variable_outrefs) != cache.variable_outrefs:
             return "full"
-        if now[2] == cache.epochs[2]:
-            return "skip"
-        # Distance epoch moved: vet each entry.  The structure epoch being
-        # unchanged guarantees the entry *set* matches the cache.
-        threshold = self.inrefs.suspicion_threshold
-        cached_clean = cache.result.inref_clean
-        cached_distances = cache.result.inref_distances
-        any_changed = False
-        for entry in self.inrefs.entries():
-            clean_now = entry.is_clean(threshold)
-            if clean_now != cached_clean.get(entry.target):
-                return "full"
-            if entry.distance != cached_distances.get(entry.target):
-                if clean_now:
-                    return "full"
-                any_changed = True
-        if not any_changed:
-            # Source-list churn that left every min-distance alone (e.g. a
-            # redundant insert): the cached result still holds verbatim.
-            self._cached = _TraceCache(
-                result=cache.result,
-                epochs=now,
-                variable_outrefs=cache.variable_outrefs,
-            )
-            return "skip"
-        return "fast"
+        return "skip" if now[2] == then[2] else "distance"
 
     def record_skip(self) -> None:
         """Book-keeping for a tick resolved without any trace."""
@@ -277,7 +243,7 @@ class LocalCollector:
         """Decide the outcome of a local trace without changing any state.
 
         Reads each table once: :meth:`InrefTable.scan_for_trace` yields the
-        clean roots, the suspected inrefs and the two per-inref maps, and
+        clean roots, the suspected inrefs and the inref distances, and
         :meth:`OutrefTable.scan_for_trace` the outref snapshot and the pins.
         """
         self._epochs_at_compute = self._current_epochs()
@@ -285,15 +251,9 @@ class LocalCollector:
         # Sorted target order, so ``result.removals`` is sorted by construction.
         snapshot_outref_order, pinned = self.outrefs.scan_for_trace()
         result = LocalTraceResult(
-            mode=mode,
-            variable_outrefs=frozenset(variable_outrefs),
-            inref_distances=scan.distances,
-            inref_clean=scan.clean_after_reset,
+            mode=mode, variable_outrefs=frozenset(variable_outrefs)
         )
-        if mode == "fast":
-            self._reuse_cached_trace(result)
-        else:
-            self._trace_heap(result, scan, pinned, variable_outrefs)
+        self._trace_heap(result, scan, pinned, variable_outrefs)
 
         # Phase 3: reconcile outrefs.  A suspected outref sits one past the
         # nearest inref of its inset.
@@ -316,7 +276,7 @@ class LocalCollector:
         pinned: Set[ObjectId],
         variable_outrefs: Iterable[ObjectId],
     ) -> None:
-        """Phases 1 and 2 of a full trace: the clean and the suspected trace."""
+        """Phases 1 and 2: the clean and the suspected trace."""
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
         # clean inrefs at their estimated distances.
         roots: List[Tuple[ObjectId, int]] = [
@@ -349,33 +309,7 @@ class LocalCollector:
         result.insets = invert_outsets(backinfo.outsets)
         for target, distance in clean_outrefs.items():
             result.outref_states[target] = (True, distance)
-        self._record_full_trace(result)
-
-    def _reuse_cached_trace(self, result: LocalTraceResult) -> None:
-        """The fast path's stand-in for phases 1 and 2: no object is scanned.
-
-        Valid only when :meth:`plan_trace` returned ``"fast"``: the heap, the
-        table structures, the classifications, and all *clean* inref
-        distances are unchanged, so reachability (the clean phase, carried
-        forward whole, and the suspected set), outsets, insets, and
-        clean-outref distances are those of the cached committed trace.  The
-        clean phase's unmarked rows were swept by that commit or are
-        suspected, so this commit sweeps nothing.  Only suspected outref
-        distances move, and phase 3 recomputes exactly those.
-        """
-        cache = self._cached
-        assert cache is not None, "fast trace without a cached result"
-        prev = cache.result
-        result.suspected_objects = prev.suspected_objects.copy()
-        result.outsets = dict(prev.outsets)
-        result.insets = dict(prev.insets)
-        result.clean_phase = prev.clean_phase
-        result.backinfo = prev.backinfo
-        for target, (clean, distance) in prev.outref_states.items():
-            if clean:
-                result.outref_states[target] = (True, distance)
-        self._cells.local_traces.add()
-        self._cells.traces_fast_path.add()
+        self._record_trace(result)
 
     def _assert_update_order(self) -> None:
         """Debug-mode check of the maintained-sorted iteration invariant.
@@ -395,8 +329,8 @@ class LocalCollector:
         "complete list" semantics cannot miss entries created while a
         non-atomic trace was computing.  Ships :class:`UpdateDeltaPayload`
         diffs against the per-destination shipped state and reserves full
-        state transfers for every ``full_update_period``-th *full* trace (the
-        acknowledged channel and the gap-triggered refresh cover loss, so the
+        state transfers for every ``full_update_period``-th *full* trace -- a
+        distance trace never counts (the acknowledged channel and the gap-triggered refresh cover loss, so the
         periodic cadence can be sparse).
         """
         if result.mode == "full":
@@ -484,7 +418,7 @@ class LocalCollector:
             self._shipped.pop(dst, None)
         return UpdatePayload(distances)
 
-    def _record_full_trace(self, result: LocalTraceResult) -> None:
+    def _record_trace(self, result: LocalTraceResult) -> None:
         cells = self._cells
         clean_phase, backinfo = result.clean_phase, result.backinfo
         cells.local_traces.add()
@@ -544,12 +478,10 @@ class LocalCollector:
         # Inref barrier flags expire with this trace...
         inrefs.reset_barrier_cleans()
         # ...except those that must be replayed onto the new copy.
-        threshold = inrefs.suspicion_threshold
         for inref_target in replay_barrier_inrefs:
             entry = inrefs.get(inref_target)
             if entry is not None:
                 entry.barrier_clean = True
-                result.inref_clean[inref_target] = entry.is_clean(threshold)
             for outref_target in outsets.get(inref_target, no_outset):
                 out_entry = outrefs.get(outref_target)
                 if out_entry is not None:
@@ -572,11 +504,9 @@ class LocalCollector:
         if result.mode == "full":
             self._ticks_since_full = 0
         if not interleaved:
-            # No epoch moved since compute read the inref table, so the
-            # result's two inref maps (the replayed barrier cleans patched in
-            # above) describe the committed table.
+            # No epoch moved since compute read the tables, so the committed
+            # tables are this result's: a later tick at these epochs may skip.
             self._cached = _TraceCache(
-                result=result,
                 epochs=self._current_epochs(),
                 variable_outrefs=result.variable_outrefs,
             )

@@ -2,7 +2,7 @@
 
 Counters are plain named integers (``messages.BackCall``, ``gc.objects_scanned``).
 The incremental local trace reports how each gc tick resolved via
-``gc.traces_skipped`` / ``gc.traces_fast_path`` / ``gc.traces_full``, and
+``gc.traces_skipped`` / ``gc.traces_full`` (every trace that ran), and
 ``gc.objects_scanned`` aggregates clean- plus suspected-phase scans so
 benchmarks can quote the incremental win as a single number.
 Observations are named value series (``backinfo.outsets_distinct``) with

@@ -87,7 +87,6 @@ def dup_suppressed(kind: str) -> str:
 
 LOCAL_TRACES = "gc.local_traces"
 TRACES_SKIPPED = "gc.traces_skipped"
-TRACES_FAST_PATH = "gc.traces_fast_path"
 TRACES_FULL = "gc.traces_full"
 OBJECTS_SWEPT = "gc.objects_swept"
 OBJECTS_SCANNED = "gc.objects_scanned"

@@ -359,13 +359,16 @@ class Site:
     def run_local_trace(self, force_full: bool = False) -> Optional[LocalTraceResult]:
         """Run one local trace (non-atomic if configured so).
 
-        The collector's dirty-tracking layer may resolve the tick without
-        retracing: a **skip** when nothing relevant changed since the last
-        committed trace (no recompute, no update messages -- observationally
-        identical to a redundant full trace), or a distance-only **fast
-        path** when only suspected-inref distances moved.  ``force_full``
-        bypasses the planner (used by tests and oracles that want a
-        guaranteed fresh trace).
+        The collector's planner (:meth:`LocalCollector.plan_trace`) may
+        resolve the tick as a **skip** when nothing relevant changed since
+        the last committed trace (no recompute, no update messages --
+        observationally identical to a redundant full trace).  Otherwise the
+        tick runs the one trace, as mode ``"distance"`` when only inref
+        distances moved and ``"full"`` otherwise; the two differ only in
+        that a distance trace neither resets the skip budget nor counts
+        toward the full-refresh cadence.  ``force_full`` bypasses the
+        planner (used by tests and oracles that want a guaranteed fresh
+        trace).
         """
         if self.crashed or self._tracing:
             return None

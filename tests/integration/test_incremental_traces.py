@@ -1,9 +1,10 @@
 """Incremental local traces must be observationally invisible.
 
 The dirty-tracking planner may resolve a gc tick as a *skip* (nothing
-changed) or as a distance-only *fast path*; either way the externally
-visible state -- heaps, ioref tables, update traffic, and oracle-checked
-liveness -- has to be exactly what a full trace would have produced.
+changed) or run the trace as a *distance* tick (only inref distances moved);
+either way the externally visible state -- heaps, ioref tables, update
+traffic, and oracle-checked liveness -- has to be exactly what a full trace
+would have produced.
 These tests drive a bench_e13-style system (live cross-site chain plus a
 2-site garbage cycle) through collection into steady state and compare
 against forced full traces, both on the spot and as a twin run of the same
@@ -14,6 +15,7 @@ import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle, graph_snapshot
+from repro.metrics import names
 from repro.workloads import GraphBuilder, build_ring_cycle
 
 SITES = ["s0", "s1", "s2", "s3"]
@@ -152,29 +154,46 @@ def test_mutation_after_skips_is_picked_up():
         assert builder[f"chain_{site_id}"] not in remaining
 
 
-def test_distance_ratchet_rides_the_fast_path():
-    # With back tracing disabled the suspected cycle's distances ratchet up
-    # forever: after the classification flip, every tick at the cycle sites
-    # is a distance-only change, i.e. exactly the fast path's territory.
-    def run(run_round):
-        gc = GcConfig(enable_backtracing=False, full_trace_every_n=1000)
-        sim, _, cycle = build_system(gc)
-        for _ in range(2):
-            run_round(sim)
-        cycle.make_garbage(sim)
-        for _ in range(10):
-            run_round(sim)
-        return sim
+def test_a_distance_only_tick_runs_the_one_trace():
+    # Every full trace ships a full refresh (period 1), so the refresh-free
+    # distance tick is told apart from a full one on the wire as well.
+    def tick(force_full):
+        gc = GcConfig(full_trace_every_n=1000, full_update_period=1)
+        sim, builder, _ = build_system(gc)
+        for _ in range(3):
+            sim.run_gc_round()
+        site = sim.site("s2")
+        entry = site.inrefs.require(builder["chain_s2"])
+        entry.sources["s1"] = gc.suspicion_threshold + 2
+        sim.run_gc_round()  # the now suspected inref is traced and shipped
+        assert entry.is_suspected(gc.suspicion_threshold)
+        assert site.collector.plan_trace() == "skip"
+        site.collector.record_skip()
+        # The only change since the last trace: one inref's minimum.
+        entry.sources["s1"] += 1
+        collector = site.collector
+        budget, fulls = collector._ticks_since_full, collector._full_traces_run
+        before = sim.metrics.snapshot()
+        result = site.run_local_trace(force_full=force_full)
+        delta = sim.metrics.snapshot().diff(before)
+        return sim, result, delta, collector._ticks_since_full - budget, (
+            collector._full_traces_run - fulls
+        )
 
-    incremental = run(Simulation.run_gc_round)
-    full = run(run_full_round)
-    assert incremental.metrics.count("gc.traces_fast_path") > 0
-    assert full.metrics.count("gc.traces_fast_path") == 0
-    # The fast path recomputes suspected distances without a heap scan.
-    assert incremental.metrics.count("gc.objects_scanned") < full.metrics.count(
-        "gc.objects_scanned"
-    )
-    assert tables_fingerprint(incremental) == tables_fingerprint(full)
+    sim, result, delta, budget_used, fulls = tick(force_full=False)
+    assert result.mode == "distance"
+    assert delta.get(names.TRACES_FULL, 0) == 1
+    assert delta.get(names.TRACES_SKIPPED, 0) == 0
+    assert delta.get(names.UPDATE_FULL_REFRESHES, 0) == 0
+    assert delta.get(names.UPDATE_DELTAS_SENT, 0) == 1
+    # The tick spent one unit of the skip budget, as a skip would, rather
+    # than resetting it as a full trace does; the refresh cadence is untouched.
+    assert (budget_used, fulls) == (1, 0)
+
+    twin, twin_result, twin_delta, _, _ = tick(force_full=True)
+    assert twin_result.mode == "full"
+    assert twin_delta.get(names.UPDATE_FULL_REFRESHES, 0) == 1
+    assert tables_fingerprint(sim)["s2"] == tables_fingerprint(twin)["s2"]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -199,9 +218,7 @@ def test_incremental_and_full_modes_agree_end_to_end(seed):
     assert inc_rounds == full_rounds
     assert tables_fingerprint(inc_sim) == tables_fingerprint(full_sim)
     # Incrementality actually engaged and actually saved scanning work.
-    skipped = inc_sim.metrics.count("gc.traces_skipped")
-    fast = inc_sim.metrics.count("gc.traces_fast_path")
-    assert skipped + fast > 0
+    assert inc_sim.metrics.count("gc.traces_skipped") > 0
     assert full_sim.metrics.count("gc.traces_skipped") == 0
     assert inc_sim.metrics.count("gc.objects_scanned") < full_sim.metrics.count(
         "gc.objects_scanned"

@@ -122,17 +122,13 @@ def test_trace_scan_orders_roots_by_distance():
     ]
     assert scan.suspected_targets == [ObjectId("R", 2), ObjectId("R", 0)]
     assert scan.distances == {ObjectId("R", n): d for n, d in enumerate([9, 2, 5, 1, 1, 7])}
-    assert scan.clean_after_reset == {
-        ObjectId("R", n): clean
-        for n, clean in enumerate([False, True, False, True, False, False])
-    }
 
 
 # -- source-list mutators ---------------------------------------------------------
 #
 # Every way of changing ``entry.sources`` must refresh ``entry.distance``,
-# advance the table's distance epoch, and keep the per-source index
-# (``targets_from_source``) in step.
+# advance the table's distance epoch when that minimum moves, and keep the
+# per-source index (``targets_from_source``) in step.
 
 
 def _sourced_entry():
@@ -217,6 +213,32 @@ def test_rewriting_a_source_with_its_own_distance_is_silent():
     entry.sources["P"] = 5
     entry.sources.update(P=5)
     assert table.distance_epoch == before
+
+
+def test_source_changes_that_keep_the_minimum_leave_the_distance_epoch():
+    table, target, entry = _sourced_entry()
+    entry.add_source("Q", 2)
+    before = table.distance_epoch
+    entry.add_source("S", 9)  # a farther source
+    entry.sources["P"] = 7  # re-set a non-minimal source
+    entry.remove_source("S")  # remove a non-minimal source
+    assert entry.distance == 2
+    assert table.distance_epoch == before
+    # The per-source index still follows every change.
+    assert table.targets_from_source("S") == []
+    assert table.targets_from_source("P") == [target]
+
+
+def test_moving_the_minimum_advances_the_distance_epoch():
+    table, target, entry = _sourced_entry()
+    entry.add_source("Q", 2)
+    before = table.distance_epoch
+    entry.sources["Q"] = 3  # the minimum source moves
+    assert (entry.distance, table.distance_epoch) == (3, before + 1)
+    entry.add_source("S", 1)  # a nearer source
+    assert (entry.distance, table.distance_epoch) == (1, before + 2)
+    entry.remove_source("S")  # the minimal source goes
+    assert (entry.distance, table.distance_epoch) == (3, before + 3)
 
 
 def test_reset_barrier_cleans_touches_only_flagged_entries():

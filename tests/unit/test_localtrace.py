@@ -253,18 +253,7 @@ def test_suspected_cycle_objects_survive_sweep():
     assert c.heap.contains(a.oid) and c.heap.contains(b.oid)
 
 
-# -- what commit may reuse of compute's pass over the inref table -------------
-
-
-def _planner_view_of_the_table(c):
-    """The incremental planner's reference: what a walk of the committed
-    table reads (the definition the cached maps must agree with)."""
-    threshold = c.inrefs.suspicion_threshold
-    entries = list(c.inrefs.entries())
-    return (
-        {e.target: e.distance for e in entries},
-        {e.target: e.is_clean(threshold) for e in entries},
-    )
+# -- the planner's cache ------------------------------------------------------
 
 
 def _inref_mix(c):
@@ -276,25 +265,19 @@ def _inref_mix(c):
     return near, far, flagged, dead
 
 
-def test_commit_caches_computes_inref_maps_when_nothing_interleaved():
-    c = make_collector(threshold=4)
-    _inref_mix(c)
-    c.run()
-    cached = c._cached.result
-    assert (cached.inref_distances, cached.inref_clean) == _planner_view_of_the_table(c)
-    assert c.plan_trace() == "skip"
-
-
-def test_replayed_barrier_clean_is_patched_into_the_cached_classification():
+def test_plan_reads_only_the_epochs():
     c = make_collector(threshold=4)
     near, far, flagged, dead = _inref_mix(c)
-    result = c.compute()
-    # Not interleaved: the flag predates compute.  Its replay keeps the inref
-    # clean on the new tables, and the cache must say so.
-    c.commit(result, replay_barrier_inrefs=[flagged.oid])
-    cached = c._cached.result
-    assert cached.inref_clean[flagged.oid] is True
-    assert (cached.inref_distances, cached.inref_clean) == _planner_view_of_the_table(c)
+    c.run()
+    assert c.plan_trace() == "skip"
+    c.inrefs.require(far.oid).add_source("Q", 12)  # no new minimum
+    assert c.plan_trace() == "skip"
+    c.inrefs.require(far.oid).sources["P"] = 8
+    assert c.plan_trace() == "distance"
+    c.inrefs.require(near.oid).sources["P"] = 6  # crosses the threshold
+    assert c.plan_trace() == "distance"
+    c.heap.alloc()
+    assert c.plan_trace() == "full"
 
 
 def test_interleaved_commit_caches_nothing():

@@ -47,11 +47,9 @@ def test_local_trace_counts_are_the_traces_own_counters():
     for event, result in zip(events, results):
         assert event.detail["clean"] == result.clean_phase.objects_scanned
         assert event.detail["suspected"] == result.backinfo.objects_scanned
-    # A fast trace re-reports the trace it re-uses; full ones add up to the
-    # collector's counters.
-    full = [event for event, result in zip(events, results) if result.mode == "full"]
-    clean = sum(event.detail["clean"] for event in full)
-    suspected = sum(event.detail["suspected"] for event in full)
+    # Every trace, full or distance, adds up to the collector's counters.
+    clean = sum(event.detail["clean"] for event in events)
+    suspected = sum(event.detail["suspected"] for event in events)
     assert clean == sim.metrics.count("gc.clean_objects_scanned") > 0
     assert suspected == sim.metrics.count("gc.suspected_objects_scanned") > 0
 
