@@ -25,11 +25,11 @@ def _run(workers, seed, fault_plan=None):
 
 
 PINNED = {
-    2: dict(windows=148, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=400),
-    4: dict(windows=148, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=614),
+    2: dict(windows=145, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=392),
+    4: dict(windows=145, eot_jumps=9, quiescence_jumps=1, cross_shard_messages=602),
 }
-PINNED_STORM = dict(windows=138, eot_jumps=3, quiescence_jumps=1,
-                    cross_shard_messages=631)
+PINNED_STORM = dict(windows=133, eot_jumps=3, quiescence_jumps=1,
+                    cross_shard_messages=613)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
