@@ -329,9 +329,10 @@ class LocalCollector:
         "complete list" semantics cannot miss entries created while a
         non-atomic trace was computing.  Ships :class:`UpdateDeltaPayload`
         diffs against the per-destination shipped state and reserves full
-        state transfers for every ``full_update_period``-th *full* trace -- a
-        distance trace never counts (the acknowledged channel and the gap-triggered refresh cover loss, so the
-        periodic cadence can be sparse).
+        state transfers for every ``full_update_period``-th *full* trace; a
+        distance trace does not count (the acknowledged channel and the
+        gap-triggered refresh cover loss, so the periodic cadence can be
+        sparse).
         """
         if result.mode == "full":
             self._full_traces_run += 1

@@ -162,16 +162,14 @@ def test_a_distance_only_tick_runs_the_one_trace():
         sim, builder, _ = build_system(gc)
         for _ in range(3):
             sim.run_gc_round()
-        site = sim.site("s2")
+        site, collector = sim.site("s2"), sim.site("s2").collector
         entry = site.inrefs.require(builder["chain_s2"])
         entry.sources["s1"] = gc.suspicion_threshold + 2
         sim.run_gc_round()  # the now suspected inref is traced and shipped
         assert entry.is_suspected(gc.suspicion_threshold)
-        assert site.collector.plan_trace() == "skip"
-        site.collector.record_skip()
+        assert site.run_local_trace() is None  # settled: the tick skips
         # The only change since the last trace: one inref's minimum.
         entry.sources["s1"] += 1
-        collector = site.collector
         budget, fulls = collector._ticks_since_full, collector._full_traces_run
         before = sim.metrics.snapshot()
         result = site.run_local_trace(force_full=force_full)
