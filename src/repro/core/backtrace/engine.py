@@ -143,9 +143,6 @@ class BackTraceEngine:
             )
         return trace_id
 
-    def has_active_trace_from(self, outref_target: ObjectId) -> bool:
-        return outref_target in self._active_roots
-
     @property
     def active_trace_count(self) -> int:
         return sum(1 for record in self._records.values() if not record.finished)

@@ -61,11 +61,6 @@ class Frame:
     timed_out: bool = False
 
     @property
-    def is_root(self) -> bool:
-        """The frame that started the trace (no parent anywhere)."""
-        return self.parent_local is None and self.parent_remote is None
-
-    @property
     def key(self) -> IorefKey:
         return (self.kind, self.ioref)
 
