@@ -3,8 +3,10 @@
 Configuration is split by subsystem.  Every field is a choice the paper
 itself draws (a threshold, a period, a timeout, a section 5 algorithm, a
 counterfactual of its figures) or a section 3 / 4.6 policy some experiment
-sweeps; the mechanisms that merely make the collector cheaper have no
-switch.  All classes validate on construction and are immutable; derive
+sweeps.  The mechanisms that merely make the collector cheaper have no
+switch, and hardening constants no experiment sweeps (the update channel's
+retransmission timeout and give-up limit, in :mod:`repro.site.site`) are
+not fields.  All classes validate on construction and are immutable; derive
 variants with :func:`dataclasses.replace`.
 """
 
@@ -131,19 +133,6 @@ class GcConfig:
     # fault-tolerant reference listing of [ML94]), so this bounded refresh
     # re-anchors any peer regardless of what was lost before it.
     full_update_period: int = 4
-    # At-least-once update delivery (section 4.6 hardening): every update
-    # message carries a per-(sender, target) sequence number and is
-    # acknowledged; an update unacknowledged after
-    # ``update_retransmit_timeout`` triggers a *fresh full* update (updates
-    # are idempotent state transfers, so retransmitting current state both
-    # replaces the lost delta and resynchronizes the target).  Retries back
-    # off exponentially (x2 per consecutive failure, capped at 8x) and give
-    # up after ``update_retransmit_limit`` consecutive failures -- the
-    # periodic full refresh remains the backstop.  Receivers suppress
-    # duplicate deliveries by sequence number and answer a gap in the delta
-    # chain with a refresh request.
-    update_retransmit_timeout: float = 40.0
-    update_retransmit_limit: int = 5
 
     def __post_init__(self) -> None:
         if not isinstance(self.collector, str) or not self.collector:
@@ -182,10 +171,6 @@ class GcConfig:
                 "backinfo_algorithm must be 'bottomup' or 'independent', "
                 f"got {self.backinfo_algorithm!r}"
             )
-        if self.update_retransmit_timeout <= 0:
-            raise ConfigError("update_retransmit_timeout must be > 0")
-        if self.update_retransmit_limit < 0:
-            raise ConfigError("update_retransmit_limit must be >= 0")
 
     @property
     def initial_back_threshold(self) -> int:

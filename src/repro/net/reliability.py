@@ -1,12 +1,13 @@
-"""At-least-once delivery primitives: sequence windows for duplicate
-suppression.
+"""Sequence windows for duplicate suppression on the mutation channel.
 
-Protocol hardening (section 4.6) turns the network's at-most-once delivery
-into at-least-once for update messages (sequence-numbered, ack'd,
-retransmitted) -- which makes *duplicate* delivery a first-class event every
-receiver must tolerate.  Senders stamp a per-(sender, receiver) contiguous
-sequence number on each protocol payload; receivers run a
-:class:`DedupWindow` per sender.
+Duplicate delivery (a fault plan's copies, a retransmission) is an event
+every receiver must tolerate.  Mutation-protocol payloads (inserts, remote
+copies, mutator hops) are not idempotent, so senders stamp a per-(sender,
+receiver) contiguous sequence number on each and receivers run a
+:class:`DedupWindow` per sender.  Update messages need no window: they are
+state transfers, so the receiver keeps only the sequence number of the last
+update it applied in order (``Site._update_anchor``) and treats anything at
+or below it as a duplicate.
 
 The window is exact under both FIFO and non-FIFO delivery: it tracks the
 highest sequence below which everything has been seen (``high_water``) plus
@@ -44,17 +45,6 @@ class DedupWindow:
             self.high_water += 1
             self._pending.discard(self.high_water)
         return False
-
-    def was_seen(self, seq: int) -> bool:
-        """Non-marking query: was ``seq`` already recorded by :meth:`seen`?
-
-        The delta-update gap check needs to distinguish "duplicate of a
-        payload we applied" (re-ack it) from "duplicate of a payload we
-        rejected as a gap" (keep refusing -- an ack would cancel the
-        sender's retransmission ladder, which is the repair backstop), so
-        gap-rejected sequences are deliberately never recorded.
-        """
-        return seq <= self.high_water or seq in self._pending
 
     @property
     def pending_gaps(self) -> int:

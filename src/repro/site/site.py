@@ -11,6 +11,9 @@ system.  It also owns the site-local policies the paper describes:
 - the suspicion-trigger check after each local trace (section 4.3),
   delegated to the cycle-collector strategy;
 - the insert barrier on every outgoing reference transfer (section 6.1.2);
+- the at-least-once update channel (section 4.6 hardening): per peer, the
+  receiver keeps one anchor (the last update applied in order) and acks it
+  cumulatively, and the sender keeps one retransmission timer;
 - deferral of mutator heap writes while a non-atomic local trace is
   in progress (section 6.2) -- incoming *messages* are still handled
   immediately against the old copy of the back information.
@@ -55,6 +58,14 @@ from ..store.heap import Heap
 
 HopCallback = Callable[[str, ObjectId], None]
 OutcomeCallback = Callable[[SiteId, TraceId, TraceOutcome], None]
+
+#: The update channel's retransmission timeout: an update left unacked this
+#: long is replaced by a fresh full update.  It doubles per consecutive
+#: retransmission (capped at 8x), and after ``UPDATE_RETRANSMIT_LIMIT`` of
+#: them the sender gives up and marks the peer desynced; the next GC tick
+#: starts the repair over (section 4.6 hardening).
+UPDATE_RETRANSMIT_TIMEOUT = 40.0
+UPDATE_RETRANSMIT_LIMIT = 5
 
 
 class SiteAudit(NamedTuple):
@@ -178,27 +189,23 @@ class Site:
         self._gc_timer = None
         # At-least-once protocol state (section 4.6 hardening): per-peer
         # sequence counters for outgoing traffic, per-peer dedup windows for
-        # incoming traffic, and the unacked-update retransmission ledger
-        # dst -> {seq: (retransmit attempts so far, pending timer)}.
+        # incoming mutations, and per peer the one update retransmission
+        # timer, running while the last update sent is unacked.
         self._mutation_seq: Dict[SiteId, int] = {}
         self._update_seq: Dict[SiteId, int] = {}
-        self._pending_updates: Dict[SiteId, Dict[int, Tuple[int, EventHandle]]] = {}
-        # dst -> event label of its retransmission timers.
-        self._retransmit_labels: Dict[SiteId, str] = {}
+        self._update_timers: Dict[SiteId, EventHandle] = {}
         self._mutation_dedup: Dict[SiteId, DedupWindow] = {}
-        self._update_dedup: Dict[SiteId, DedupWindow] = {}
         # Peers whose retransmission chain was abandoned: their view of our
         # outref distances may be arbitrarily stale, which can freeze distance
         # propagation system-wide (each side waits for the other to change).
         # The next GC tick pushes them a fresh full update -- even a tick
         # whose local trace is skipped by the incremental planner.
         self._desynced_peers: Set[SiteId] = set()
-        # Delta-update ordering state: per peer, the sequence number of the
-        # last update applied *in order* (the anchor a delta must sit exactly
-        # one past), and the peers whose chain gapped -- their deltas are
-        # rejected until a full update re-anchors them.
+        # The whole receive side of the update channel: per peer, the
+        # sequence number of the last update applied in order.  A delta
+        # applies only exactly one past it, a full update anywhere past it;
+        # anything at or below it is a duplicate.  Acks carry it.
         self._update_anchor: Dict[SiteId, int] = {}
-        self._update_unanchored: Set[SiteId] = set()
         self._handlers = {
             UpdatePayload: self._on_update,
             UpdateDeltaPayload: self._on_update_delta,
@@ -423,48 +430,35 @@ class Site:
     def _send_update(self, dst: SiteId, payload: UpdatePayload, attempts: int = 0) -> None:
         """Send one post-trace update, retransmitted until acknowledged.
 
-        The payload is stamped with the next per-destination sequence number
-        and a retransmission timer is armed; ``attempts`` counts
-        retransmissions already spent on this repair and doubles the timer
-        (capped at 8x).
+        The payload is stamped with the next per-destination sequence number.
+        A full update (re)arms the peer's retransmission timer: it supersedes
+        everything sent before it.  A delta arms the timer only when none is
+        running, since the running one already covers it.  ``attempts``
+        counts retransmissions already spent on this repair and doubles the
+        timeout (capped at 8x).
         """
         seq = self._update_seq.get(dst, 0) + 1
         self._update_seq[dst] = seq
-        payload = payload.with_seq(seq)
-        pending = self._pending_updates.setdefault(dst, {})
-        if payload.full:
-            # A full update is a complete state transfer: it supersedes every
-            # earlier unacked update to this destination, so their pending
-            # retransmissions are absorbed rather than retried.
-            for old_seq in [s for s in pending if s < seq]:
-                pending.pop(old_seq)[1].cancel()
-        delay = self.config.update_retransmit_timeout * (2 ** min(attempts, 3))
-        label = self._retransmit_labels.get(dst)
-        if label is None:
-            label = self._retransmit_labels[dst] = (
-                f"update-retransmit:{self.site_id}->{dst}"
+        timer = self._update_timers.get(dst)
+        if payload.full or timer is None:
+            if timer is not None:
+                timer.cancel()
+            self._update_timers[dst] = self.scheduler.schedule(
+                UPDATE_RETRANSMIT_TIMEOUT * (2 ** min(attempts, 3)),
+                self._retransmit_update,
+                label=f"update-retransmit:{self.site_id}->{dst}",
+                site=self.site_id,
+                arg=(dst, attempts),
             )
-        timer = self.scheduler.schedule(
-            delay,
-            self._retransmit_update,
-            label=label,
-            site=self.site_id,
-            arg=(dst, seq),
-        )
-        pending[seq] = (attempts, timer)
-        self.send(dst, payload)
+        self.send(dst, payload.with_seq(seq))
 
     def _retransmit_update(self, chain: Tuple[SiteId, int]) -> None:
-        dst, seq = chain
-        pending = self._pending_updates.get(dst)
-        if pending is None or seq not in pending:
-            return  # acked (or absorbed by a full) in the meantime
-        attempts = pending.pop(seq)[0] + 1
-        if not pending:
-            self._pending_updates.pop(dst, None)
+        dst, attempts = chain
+        del self._update_timers[dst]
         if self.crashed:
             return
-        if attempts > self.config.update_retransmit_limit:
+        attempts += 1
+        if attempts > UPDATE_RETRANSMIT_LIMIT:
             # Give up on *this chain*: the peer is gone or the partition
             # outlives our patience.  Safe -- a missed update only delays
             # collection -- but the peer is now marked desynced so the next
@@ -704,51 +698,45 @@ class Site:
 
     # -- handlers ------------------------------------------------------------------------------------
 
+    def _is_duplicate_update(self, message: Message) -> bool:
+        """True (and the anchor re-acked) if ``message`` is at or below the
+        sender's anchor: state already applied or superseded.  Re-acking is
+        what stops the sender's retransmissions when an earlier ack was lost.
+        """
+        anchor = self._update_anchor.get(message.src, 0)
+        if message.payload.seq > anchor:
+            return False
+        self.send(message.src, UpdateAck(seq=anchor))
+        self.metrics.incr(names.dup_suppressed(message.kind))
+        return True
+
     def _on_update(self, message: Message) -> None:
         payload: UpdatePayload = message.payload
         if payload.seq > 0:
-            # Ack every receipt, duplicates included -- the previous ack may
-            # itself have been lost, and re-acking is what stops the sender's
-            # retransmission ladder.
-            self.send(message.src, UpdateAck(seq=payload.seq))
-            window = self._update_dedup.setdefault(message.src, DedupWindow())
-            if window.seen(payload.seq):
-                self.metrics.incr(names.dup_suppressed("UpdatePayload"))
+            if self._is_duplicate_update(message):
                 return
-        apply_update(self.inrefs, message.src, payload)
-        if payload.seq > 0:
             # A full update is self-contained state: it re-anchors the delta
             # chain regardless of what was missed before it.
+            self.send(message.src, UpdateAck(seq=payload.seq))
             self._update_anchor[message.src] = payload.seq
-            self._update_unanchored.discard(message.src)
+        apply_update(self.inrefs, message.src, payload)
 
     def _on_update_delta(self, message: Message) -> None:
         payload: UpdateDeltaPayload = message.payload
         if payload.seq > 0:
-            window = self._update_dedup.setdefault(message.src, DedupWindow())
-            if window.was_seen(payload.seq):
-                # Duplicate of a delta we *applied* (gap-rejected sequences
-                # are never recorded): re-ack to stop the retransmission
-                # ladder, change nothing.
-                self.send(message.src, UpdateAck(seq=payload.seq))
-                self.metrics.incr(names.dup_suppressed("UpdateDeltaPayload"))
+            if self._is_duplicate_update(message):
                 return
-            anchored = message.src not in self._update_unanchored
-            expected = self._update_anchor.get(message.src, 0) + 1
-            if not anchored or payload.seq != expected:
+            if payload.seq != self._update_anchor.get(message.src, 0) + 1:
                 # Gap: this delta was diffed against state we never applied.
                 # Discard it and ask for a state transfer.  Deliberately NOT
-                # acked and NOT recorded in the dedup window -- if the
-                # refresh request is lost, the sender's retransmission ladder
-                # (which resends *full* updates) is the backstop that
-                # eventually re-anchors us, and it only keeps running while
-                # the sequence stays unacked.
-                self._update_unanchored.add(message.src)
+                # acked: if the refresh request is lost, the sender's
+                # retransmission timer (which resends a *full* update) is the
+                # backstop that re-anchors us, and it runs until an ack
+                # covers the last update sent.
                 self.metrics.incr(names.UPDATE_GAPS_DETECTED)
                 self.metrics.incr(names.UPDATE_REFRESHES_REQUESTED)
                 self.send(message.src, UpdateRefreshRequest())
                 return
-            window.seen(payload.seq)
             self.send(message.src, UpdateAck(seq=payload.seq))
             self._update_anchor[message.src] = payload.seq
         apply_update_delta(self.inrefs, message.src, payload)
@@ -758,14 +746,12 @@ class Site:
         self._send_update(message.src, self._build_full_update(message.src))
 
     def _on_update_ack(self, message: Message) -> None:
-        pending = self._pending_updates.get(message.src)
-        if not pending:
-            return
-        entry = pending.pop(message.payload.seq, None)
-        if entry is not None:
-            entry[1].cancel()
-        if not pending:
-            self._pending_updates.pop(message.src, None)
+        # Acks are cumulative: one covering the last update sent stops the
+        # timer; an older one says nothing about the updates after it.
+        timer = self._update_timers.get(message.src)
+        if timer is not None and message.payload.seq >= self._update_seq[message.src]:
+            timer.cancel()
+            del self._update_timers[message.src]
 
     def _on_insert_request(self, message: Message) -> None:
         payload: InsertRequest = message.payload

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import GcConfig, Simulation, SimulationConfig
+from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.gc.inrefs import InrefTable
 from repro.gc.update import UpdateDeltaPayload, UpdatePayload, apply_update_delta
@@ -109,19 +109,30 @@ def _anchored_pair():
 
 
 def test_gap_requests_refresh_and_full_update_reanchors():
-    sim, _ = _anchored_pair()
+    sim, b = _anchored_pair()
     receiver = sim.site("B")
+    acks = sim.metrics.count(names.msg_sent("UpdateAck"))
     # Forge a delta two sequences ahead: seq 2 "was lost".
     receiver.receive(
         Message(src="A", dst="B", payload=UpdateDeltaPayload(seq=3))
     )
     assert sim.metrics.count(names.UPDATE_GAPS_DETECTED) == 1
     assert sim.metrics.count(names.UPDATE_REFRESHES_REQUESTED) == 1
-    assert "A" in receiver._update_unanchored
-    sim.settle()  # refresh request -> A serves a full -> B re-anchors
+    assert sim.metrics.count(names.msg_sent("UpdateAck")) == acks  # no ack
+    sim.settle()  # refresh request -> A serves full seq 2 -> B re-anchors
     assert sim.metrics.count(names.UPDATE_REFRESHES_SERVED) == 1
-    assert "A" not in receiver._update_unanchored
-    assert receiver._update_anchor["A"] == 2
+    assert sim.metrics.count(names.msg_sent("UpdateAck")) == acks + 1
+    # Re-anchored at 2: the delta one past it applies.
+    target = b["t"]
+    receiver.receive(
+        Message(
+            src="A",
+            dst="B",
+            payload=UpdateDeltaPayload(distances=((target, 9),), seq=3),
+        )
+    )
+    assert receiver.inrefs.require(target).sources["A"] == 9
+    assert sim.metrics.count(names.UPDATE_GAPS_DETECTED) == 1
 
 
 def test_duplicate_of_applied_delta_is_reacked_not_reapplied():
@@ -148,12 +159,62 @@ def test_gapped_delta_is_never_recorded_as_seen():
     gapped = Message(src="A", dst="B", payload=UpdateDeltaPayload(seq=5))
     receiver.receive(gapped)
     receiver.receive(gapped)  # duplicate of a *rejected* delta
-    # Both deliveries took the gap path: no ack, nothing in the dedup window
-    # (an ack would cancel the sender's retransmission ladder -- the repair
-    # backstop -- for a payload we never applied).
+    # Both deliveries took the gap path: no ack (an ack would cancel the
+    # sender's retransmission timer -- the repair backstop -- for a payload
+    # we never applied), and the anchor did not move.
     assert sim.metrics.count(names.UPDATE_GAPS_DETECTED) == 2
-    window = receiver._update_dedup.get("A")
-    assert window is None or (window.high_water == 0 and window.pending_gaps == 0)
+    assert sim.metrics.count(names.msg_sent("UpdateAck")) == 0
+    # A full update below the gapped seq is still news, not a duplicate.
+    receiver.receive(Message(src="A", dst="B", payload=UpdatePayload(seq=3)))
+    assert sim.metrics.count(names.msg_sent("UpdateAck")) == 1
+    assert sim.metrics.count(names.dup_suppressed("UpdatePayload")) == 0
+
+
+def test_stale_full_update_does_not_rewind_the_receiver():
+    # Without per-pair FIFO the network may deliver full seq 2 before full
+    # seq 1.  Seq 1 is older state: applying it would drop y, which seq 2
+    # still lists, and rewind the anchor under the deltas diffed against 2.
+    sim = make_sim(sites=("A", "B"), network=NetworkConfig(fifo_per_pair=False))
+    b = GraphBuilder(sim)
+    root = b.obj("A", "root", root=True)
+    x, y = b.obj("B", "x"), b.obj("B", "y")
+    b.link(root, x)
+    b.link(root, y)
+    receiver = sim.site("B")
+    for payload in (
+        UpdatePayload(distances=((x, 1), (y, 1)), seq=2),
+        UpdatePayload(distances=((x, 1),), seq=1),
+    ):
+        receiver.receive(Message(src="A", dst="B", payload=payload))
+    assert y in receiver.inrefs and "A" in receiver.inrefs.require(y).sources
+    assert sim.metrics.count(names.dup_suppressed("UpdatePayload")) == 1
+    # Still anchored at 2: delta 3 applies.
+    receiver.receive(
+        Message(
+            src="A", dst="B", payload=UpdateDeltaPayload(distances=((y, 5),), seq=3)
+        )
+    )
+    assert receiver.inrefs.require(y).sources["A"] == 5
+    assert sim.metrics.count(names.UPDATE_GAPS_DETECTED) == 0
+
+
+def test_late_copy_of_a_gapped_delta_after_reanchor_is_a_duplicate():
+    sim, b = _anchored_pair()
+    receiver = sim.site("B")
+    target = b["t"]
+
+    def deliver(payload):
+        receiver.receive(Message(src="A", dst="B", payload=payload))
+
+    gapped = UpdateDeltaPayload(distances=((target, 7),), seq=3)
+    deliver(gapped)  # seq 2 lost: a gap, one refresh request
+    deliver(UpdatePayload(distances=((target, 4),), seq=4))  # re-anchors at 4
+    deliver(gapped)  # a fault plan's late copy of delta 3: superseded by 4
+    deliver(UpdateDeltaPayload(distances=((target, 6),), seq=5))
+    assert receiver.inrefs.require(target).sources["A"] == 6
+    assert sim.metrics.count(names.dup_suppressed("UpdateDeltaPayload")) == 1
+    assert sim.metrics.count(names.UPDATE_GAPS_DETECTED) == 1
+    assert sim.metrics.count(names.UPDATE_REFRESHES_REQUESTED) == 1
 
 
 # -- audited collection (the golden ``delta@N`` legs) and faults -------------
@@ -188,7 +249,7 @@ def test_delta_protocol_survives_loss_and_duplication():
     plan = FaultPlan.loss(0.3, end=150.0).merge(
         FaultPlan.duplication(0.3, copies=1, lag=5.0, end=150.0)
     )
-    gc = GcConfig(**TUNING, update_retransmit_timeout=20.0)
+    gc = GcConfig(**TUNING)
     sim = Simulation.create(SimulationConfig(seed=3, gc=gc), fault_plan=plan)
     sim.add_sites(SITES, auto_gc=False)
     live = build_ring_cycle(sim, SITES)

@@ -237,8 +237,6 @@ GC_FIELDS = (
     "max_traces_per_trigger_check",
     "full_trace_every_n",
     "full_update_period",
-    "update_retransmit_timeout",
-    "update_retransmit_limit",
 )
 NETWORK_FIELDS = (
     "min_latency",
@@ -264,6 +262,8 @@ REMOVED_FIELDS = {
         "backtrace_retry_backoff_cap",
         "termination_trial_timeout",
         "termination_retry_backoff",
+        "update_retransmit_timeout",
+        "update_retransmit_limit",
     ),
     SimulationConfig: ("shard_policy",),
 }
