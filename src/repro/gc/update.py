@@ -21,8 +21,10 @@ target also prunes this source from any inref *not* listed -- which is safe
 because the sender builds the list from its committed table at send time,
 and per-pair FIFO delivery means no insert from the same sender can be
 outstanding behind it.  Both kinds ride one at-least-once channel: contiguous
-per-(sender, target) sequence numbers, :class:`UpdateAck`, receiver-side
-duplicate suppression.
+per-(sender, target) sequence numbers, a receiver-side *anchor* per sender
+(the seq of the last update applied in order; anything at or below it is a
+duplicate), cumulative acks of that anchor (:class:`UpdateAck`), and one
+sender-side retransmission timer per target.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class UpdatePayload(Payload):
 
     ``seq`` is the at-least-once channel sequence number stamped by the
     sending site: contiguous per (sender, target) pair, acknowledged with
-    :class:`UpdateAck`, and used by the receiver to suppress duplicate
-    deliveries.  ``-1`` marks a payload not yet stamped (direct construction).
+    :class:`UpdateAck`, and compared with the receiver's anchor: a full
+    update applies at any seq past it and is a duplicate at or below it.
+    ``-1`` marks a payload not yet stamped (direct construction).
     """
 
     distances: Tuple[Tuple[ObjectId, int], ...] = ()
@@ -74,9 +77,10 @@ class UpdateDeltaPayload(Payload):
     contiguous with the full updates on the same (sender, dst) pair and
     the receiver applies a delta only when ``seq`` is exactly one past its
     anchor (the last in-order update).  Anything else is a *gap*: the
-    receiver discards the delta, requests a state transfer with
-    :class:`UpdateRefreshRequest`, and stays un-anchored (rejecting further
-    deltas) until a full :class:`UpdatePayload` re-anchors it.
+    receiver discards a delta further ahead, requests a state transfer with
+    :class:`UpdateRefreshRequest`, and keeps rejecting deltas (its anchor
+    does not move) until a full :class:`UpdatePayload` re-anchors it.  A
+    delta at or below the anchor is a duplicate.
 
     ``full`` mirrors :class:`UpdatePayload` so the channel layer can treat
     both uniformly; a delta is never a full state transfer.
@@ -103,20 +107,21 @@ class UpdateRefreshRequest(Payload):
 
     Sent on every gap-rejected delta.  Not itself acknowledged or
     retransmitted: a lost request is repaired by the next rejected delta,
-    by the sender's own retransmission ladder (the gapped sequence was never
-    acked), or at the latest by the periodic full refresh.
+    by the sender's own retransmission timer (no ack has covered the gapped
+    sequence), or at the latest by the periodic full refresh.
     """
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateAck(Payload):
-    """Receiver -> sender: update ``seq`` arrived (possibly as a duplicate).
+    """Receiver -> sender: every update up to ``seq`` is applied or superseded.
 
-    Acks are per-sequence, not cumulative: under FIFO a higher ack does not
-    prove a lower sequence arrived (the lower one may have been dropped), so
-    each outstanding sequence is confirmed individually.  Acks are never
+    Acks are cumulative: ``seq`` is the receiver's anchor, which advances only
+    in order or by a full update that supersedes everything before it, so it
+    never over-claims.  An ack covering the last seq sent stops the sender's
+    retransmission timer; an older one is ignored.  Acks are never
     themselves retransmitted -- a lost ack just means one spurious
-    retransmission, which the receiver's dedup window absorbs (and re-acks).
+    retransmission, which the receiver treats as a duplicate (and re-acks).
     """
 
     seq: int
