@@ -17,6 +17,14 @@ from ..ids import ObjectId
 from ..sim.simulation import Simulation
 
 
+class _Names(dict):
+    """``str(oid)`` per id, built once: the slots naming it share the string."""
+
+    def __missing__(self, oid: ObjectId) -> str:
+        name = self[oid] = str(oid)
+        return name
+
+
 def site_snapshot(site) -> Dict[str, Any]:
     """A JSON-able dump of one site's heap and ioref tables.
 
@@ -26,12 +34,15 @@ def site_snapshot(site) -> Dict[str, Any]:
     sequential one).
     """
     threshold = site.inrefs.suspicion_threshold
+    heap = site.heap
+    persistent, variable = heap.persistent_roots, heap.variable_roots
+    names = _Names()
     objects = {}
-    for obj in site.heap.objects():
-        objects[str(obj.oid)] = {
-            "refs": [str(ref) for ref in obj.iter_refs()],
-            "persistent_root": obj.oid in site.heap.persistent_roots,
-            "variable_root": obj.oid in site.heap.variable_roots,
+    for oid, refs in heap.resident_slots():
+        objects[names[oid]] = {
+            "refs": [names[ref] for ref in refs],
+            "persistent_root": oid in persistent,
+            "variable_root": oid in variable,
         }
     inrefs = {}
     for entry in site.inrefs.entries():
@@ -110,28 +121,29 @@ def to_dot(
         lines.append(f'  subgraph "cluster_{site_id}" {{')
         label = site_id + (" (CRASHED)" if site.crashed else "")
         lines.append(f'    label="{label}";')
-        for obj in sorted(site.heap.objects(), key=lambda o: o.oid):
+        persistent = site.heap.persistent_roots
+        for oid in site.heap.object_ids():
             attrs = []
-            if obj.oid in site.heap.persistent_roots:
+            if oid in persistent:
                 attrs.append("shape=doubleoctagon")
-            entry = site.inrefs.get(obj.oid)
+            entry = site.inrefs.get(oid)
             if entry is not None:
                 if entry.garbage:
                     attrs.append('color=red, style=filled, fillcolor="#ffcccc"')
                 elif entry.is_suspected(threshold):
                     attrs.append('color=orange, style=filled, fillcolor="#ffeecc"')
-            if obj.oid in highlight:
+            if oid in highlight:
                 attrs.append("penwidth=3")
             attr_text = (" [" + ", ".join(attrs) + "]") if attrs else ""
-            lines.append(f'    "{obj.oid}"{attr_text};')
+            lines.append(f'    "{oid}"{attr_text};')
         lines.append("  }")
     # Edges after all clusters so cross-cluster references render.
     for site_id in sorted(sim.sites):
         site = sim.sites[site_id]
-        for obj in sorted(site.heap.objects(), key=lambda o: o.oid):
-            for ref in obj.iter_refs():
+        for oid, refs in site.heap.resident_slots():
+            for ref in refs:
                 style = "" if ref.site == site_id else ' [style=bold, color="#3355bb"]'
-                lines.append(f'  "{obj.oid}" -> "{ref}"{style};')
+                lines.append(f'  "{oid}" -> "{ref}"{style};')
     if include_iorefs:
         for site_id in sorted(sim.sites):
             site = sim.sites[site_id]

@@ -119,6 +119,7 @@ class MigrationCollector:
     def _migrate(self, site_id: SiteId, target: ObjectId, destination: SiteId) -> None:
         site = self.sim.site(site_id)
         obj = site.heap.get(target)
+        units = max(1, obj.payload_size)
         entry = site.inrefs.require(target)
         sources = tuple(
             (source, distance)
@@ -143,9 +144,9 @@ class MigrationCollector:
         site.heap.delete(target)
         site.inrefs.remove(target)
         self.objects_migrated += 1
-        self.units_migrated += max(1, obj.payload_size)
+        self.units_migrated += units
         self.sim.metrics.incr("baseline.migration.objects", 1)
-        self.sim.metrics.incr("baseline.migration.units", max(1, obj.payload_size))
+        self.sim.metrics.incr("baseline.migration.units", units)
 
     def _on_migrate(self, message: Message) -> None:
         payload: MigrateObject = message.payload
@@ -173,7 +174,7 @@ class MigrationCollector:
 
     def _apply_patch(self, site_id: SiteId, old_id: ObjectId, new_id: ObjectId) -> None:
         site = self.sim.site(site_id)
-        for obj in site.heap.objects_holding(old_id):
+        for obj in site.heap.objects():
             while obj.holds_ref(old_id):
                 obj.remove_ref(old_id)
                 obj.add_ref(new_id)

@@ -87,16 +87,32 @@ def trace_clean_phase(
     result, and the central-service baseline calls it.
     """
     result = CleanPhaseResult()
+    clean, distances = result.clean_objects, result.outref_distances
     for target in variable_outrefs:
         result.clean_variable_outrefs.add(target)
-        current = result.outref_distances.get(target)
-        result.outref_distances[target] = 1 if current is None else min(current, 1)
+        current = distances.get(target)
+        distances[target] = 1 if current is None else min(current, 1)
 
-    ordered_roots = sorted(roots, key=lambda pair: (pair[1], pair[0]))
-    for root, root_distance in ordered_roots:
+    for root, root_distance in sorted(roots, key=lambda pair: (pair[1], pair[0])):
         if root.site != heap.site_id or not heap.contains(root):
             continue
-        _trace_from_root(heap, root, root_distance, result)
+        stack = [root]  # a DFS from one clean root, extending the shared marks
+        while stack:
+            oid = stack.pop()
+            if oid in clean:
+                continue
+            clean.add(oid)
+            refs = heap.get(oid).refs
+            result.objects_scanned += 1
+            result.edges_examined += len(refs)
+            for ref in refs:
+                if ref.site == heap.site_id:
+                    if ref not in clean and heap.contains(ref):
+                        stack.append(ref)
+                else:
+                    current = distances.get(ref)
+                    if current is None or root_distance + 1 < current:
+                        distances[ref] = root_distance + 1
     return result
 
 
@@ -251,48 +267,3 @@ def trace_clean_phase_flat(
     result.edges_examined = edges
     return result
 
-
-def _trace_from_root(
-    heap: Heap, root: ObjectId, root_distance: int, result: CleanPhaseResult
-) -> None:
-    """DFS from one clean root, extending shared marks and outref distances.
-
-    This is the hottest loop in the simulator (every local trace touches
-    every edge of every clean object), so lookups are hoisted out of the
-    per-edge path: the heap's object map and the result sets are bound to
-    locals once, each object's successor list is scanned directly via the
-    no-copy ``ref_view``, and the cost counters are accumulated in locals
-    and folded back at the end.
-    """
-    clean = result.clean_objects
-    if root in clean:
-        return
-    objects = heap.objects_map()
-    site_id = heap.site_id
-    distances = result.outref_distances
-    distances_get = distances.get
-    clean_add = clean.add
-    stack: List[ObjectId] = [root]
-    stack_pop = stack.pop
-    stack_append = stack.append
-    outref_distance = root_distance + 1
-    scanned = 0
-    edges = 0
-    while stack:
-        oid = stack_pop()
-        if oid in clean:
-            continue
-        clean_add(oid)
-        scanned += 1
-        refs = objects[oid].ref_view
-        edges += len(refs)
-        for ref in refs:
-            if ref.site == site_id:
-                if ref not in clean and ref in objects:
-                    stack_append(ref)
-            else:
-                current = distances_get(ref)
-                if current is None or outref_distance < current:
-                    distances[ref] = outref_distance
-    result.objects_scanned += scanned
-    result.edges_examined += edges

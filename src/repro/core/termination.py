@@ -583,10 +583,10 @@ class TerminationCollector(Collector):
         site = self.site
         heap = site.heap
         externally_held: Set[ObjectId] = set()
-        for obj in heap.objects():
-            if obj.oid in state.members:
+        for oid, refs in heap.resident_slots():
+            if oid in state.members:
                 continue
-            for ref in obj.iter_refs():
+            for ref in refs:
                 if ref in state.members or ref in state.remote_targets:
                     externally_held.add(ref)
         persistent = heap.persistent_roots

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..config import GcConfig
-from ..errors import GcInvariantError
+from ..errors import GcInvariantError, HeapError
 from ..core.backtrace.messages import (
     BackCall,
     BackCallBatch,
@@ -606,11 +606,10 @@ class Site:
         self._deferred(("add", holder, target))
 
     def _apply_add_ref(self, holder: ObjectId, target: ObjectId) -> None:
-        obj = self.heap.maybe_get(holder)
-        if obj is None:
+        if not self.heap.contains(holder):
             self.metrics.incr("mutator.writes_to_dead_objects")
             return
-        obj.add_ref(target)
+        self.heap.add_ref(holder, target)
 
     def mutator_remove_ref(self, holder: ObjectId, target: ObjectId) -> None:
         """Delete one occurrence of ``target`` from ``holder``.
@@ -621,11 +620,10 @@ class Site:
         self._deferred(("remove", holder, target))
 
     def _apply_remove_ref(self, holder: ObjectId, target: ObjectId) -> None:
-        obj = self.heap.maybe_get(holder)
-        if obj is None or not obj.holds_ref(target):
+        try:
+            self.heap.remove_ref(holder, target)
+        except HeapError:  # the holder is gone or no longer holds the target
             self.metrics.incr("mutator.writes_to_dead_objects")
-            return
-        obj.remove_ref(target)
 
     def mutator_send_ref(self, dst: SiteId, ref: ObjectId, dest_holder: ObjectId) -> None:
         """Copy ``ref`` into ``dest_holder`` at site ``dst`` (remote copy).
@@ -850,7 +848,7 @@ class Site:
         for kind, holder, target in self._pending_writes:
             if kind == "add":
                 roots.update((holder, target))
-        objects = {oid: tuple(obj.ref_view) for oid, obj in self.heap.objects_map().items()}
+        objects = {oid: tuple(refs) for oid, refs in self.heap.resident_slots()}
         return SiteAudit(objects, roots, set(self.inrefs.garbage_targets()))
 
     def check_flat_mirror(self) -> Optional[str]:

@@ -6,54 +6,51 @@ section 6.3 of the paper).  The local collector treats both root kinds as
 trace roots; application roots additionally keep the transfer-barrier story
 safe when a mutator stashes a reference and reuses it later.
 
-Flat-graph mirror
------------------
-Alongside the ``oid -> HeapObject`` map the heap maintains a dense
-integer-indexed mirror of the local object graph for the local trace
-(:func:`repro.core.distance.trace_clean_phase_flat` and
-:mod:`repro.core.backinfo`):
+One record per object
+---------------------
+An object is its reference slots (section 2), and the heap stores it once,
+as a row of the dense integer-indexed graph the local trace reads
+(:func:`repro.core.distance.trace_clean_phase_flat`, :mod:`repro.core.backinfo`):
 
 - local object ids are *interned* to dense indices (``_idx`` / ``_oids``);
-- per-index adjacency is ``_succ_local`` (int indices of local successors,
-  duplicates preserved) plus ``_remote_rows`` (index -> its remote
-  ObjectIds, only for the rows holding any);
-- ``_alive`` is a bytearray liveness bitmap;
+- a row is ``_succ_local[i]`` (int indices of local successors, duplicates
+  preserved) plus ``_remote_rows[i]`` (its remote ObjectIds, only for the
+  rows holding any); ``_alive`` is a bytearray residency bitmap, and
+  ``_payload`` holds the payload sizes other than 1;
 - a dangling local reference (its target already swept -- ids are never
   reused, so it can never resurrect) keeps the target's index interned but
   dead; an index returns to the free-list only once it is dead *and* no
-  adjacency slot points at it (``_slot_refs``), so indices never alias;
-- ``_slot_total`` counts adjacency slots, local plus remote, over all rows
-  (a dead row is empty).
+  slot points at it (``_slot_refs``), so indices never alias;
+- ``_slot_total`` counts slots, local plus remote, over all rows.
 
-The mirror is maintained on every allocation, reference add/remove, and
-sweep.  A local trace reads nothing else: both its phases share one mark
-bitmap over the indices (:meth:`Heap.fresh_marks`), and its sweep takes the
-rows the clean phase left unmarked, so no per-trace set of every resident
-ObjectId is built.
+**Slot order** (snapshots list it, churn picks from it, removal drops the
+first equal occurrence): a row with no remote slot keeps it in
+``_succ_local``, read back through ``_oids``; a row holding a remote slot
+also keeps its ordered slots in ``_order``, whose local and remote
+subsequences are its ``_succ_local`` and ``_remote_rows`` rows exactly.
+
+**Handles.**  :class:`~repro.store.objects.HeapObject` is a transient
+``(heap, oid)`` handle that resolves the oid on each use: a handle to a
+swept object raises ``UnknownObjectError`` and never reaches a recycled row.
 
 Clean-phase memo
 ----------------
-Every mirror change also names the row it touched in ``_dirty``: the holder
+Every row change also names the row it touched in ``_dirty``: the holder
 of an added or removed edge, a retired object, a released index.  The
-kernel takes (and empties) that set on each call and stores
-``clean_memo = (root keys, empty-region positions, rank)``: the trace's
-``(distance, index)`` root list, the positions whose root marked nothing,
-and a bytearray over the indices naming, for each row a root marked, that
-root's trace position (255 for none; 254 for positions past 253).  The
-next call re-uses the regions of the roots before the first changed row's
-rank, touching only the changed rows and the roots in Python (the reuse
-rule is in :mod:`repro.core.distance`).  Allocating an id that was
-already interned -- referenced before it existed -- revives an index that
-remembered regions may point at without any of their rows changing, so it
-drops the memo instead.
+kernel takes (and empties) that set on each call and keeps its memo in
+``clean_memo`` (the reuse rule is in :mod:`repro.core.distance`).
+Allocating an id that was already interned -- referenced before it
+existed -- revives an index that remembered regions may point at without
+any of their rows changing, so it drops the memo instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..errors import NotLocalError, UnknownObjectError
+from ..errors import HeapError, NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
 from .objects import HeapObject
 
@@ -67,21 +64,23 @@ class Heap:
 
     def __init__(self, site_id: SiteId):
         self.site_id = site_id
-        self._objects: Dict[ObjectId, HeapObject] = {}
         self._persistent_roots: Set[ObjectId] = set()
         self._variable_roots: Dict[ObjectId, int] = {}
         self._next_serial = 0
         self.objects_allocated = 0
         self.objects_collected = 0
         self._mutation_epoch = 0
-        # -- flat-graph mirror (see module docstring) -----------------------
+        # -- the rows (see module docstring) --------------------------------
         self._idx: Dict[ObjectId, int] = {}
         self._oids: List[Optional[ObjectId]] = []
         self._alive = bytearray()
+        self._resident_count = 0
         self._succ_local: List[List[int]] = []
         self._slot_refs: List[int] = []
         self._free: List[int] = []
         self._remote_rows: Dict[int, List[ObjectId]] = {}
+        self._order: Dict[int, List[ObjectId]] = {}
+        self._payload: Dict[int, int] = {}
         self._slot_total = 0
         # -- clean-phase memo (see module docstring) ------------------------
         self._dirty: Set[int] = set()
@@ -93,9 +92,9 @@ class Heap:
     #
     # A monotonically increasing counter bumped on every change that can
     # alter the outcome of a local trace: allocation, sweeping, reference
-    # add/remove (including via directly-held HeapObjects), and any change
-    # to the root sets.  The incremental local trace compares epochs to
-    # decide whether a cached trace result is still valid.
+    # add/remove, and any change to the root sets.  The incremental local
+    # trace compares epochs to decide whether a cached trace result is
+    # still valid.
 
     @property
     def mutation_epoch(self) -> int:
@@ -104,7 +103,7 @@ class Heap:
     def bump_epoch(self) -> None:
         self._mutation_epoch += 1
 
-    # -- flat-graph mirror maintenance -----------------------------------------
+    # -- row maintenance ---------------------------------------------------------
 
     def _intern(self, oid: ObjectId) -> int:
         idx = self._idx.get(oid)
@@ -137,49 +136,48 @@ class Heap:
     def _edge_added(self, holder_idx: int, target: ObjectId) -> None:
         self._dirty.add(holder_idx)
         self._slot_total += 1
+        order = self._order.get(holder_idx)
         if target.site == self.site_id:
             tidx = self._intern(target)
             self._succ_local[holder_idx].append(tidx)
             self._slot_refs[tidx] += 1
+            if order is not None:
+                order.append(target)
+        elif order is None:
+            # The row's first remote slot: its order so far is its local slots.
+            self._remote_rows[holder_idx] = [target]
+            self._order[holder_idx] = self._slots(holder_idx) + [target]
         else:
-            row = self._remote_rows.get(holder_idx)
-            if row is None:
-                self._remote_rows[holder_idx] = [target]
-            else:
-                row.append(target)
+            self._remote_rows[holder_idx].append(target)
+            order.append(target)
 
     def _edge_removed(self, holder_idx: int, target: ObjectId) -> None:
+        """Drop the first occurrence of ``target`` from the row."""
+        local = target.site == self.site_id
+        row = self._succ_local[holder_idx] if local else self._remote_rows.get(holder_idx, [])
+        slot = self._idx.get(target) if local else target
+        if slot not in row:
+            raise HeapError(f"{self._oids[holder_idx]} holds no reference to {target}")
+        row.remove(slot)
+        if local:
+            self._slot_refs[slot] -= 1
+            self._maybe_release(slot)
+        elif not row:
+            del self._remote_rows[holder_idx]
+            del self._order[holder_idx]
+        order = self._order.get(holder_idx)
+        if order is not None:
+            order.remove(target)
         self._dirty.add(holder_idx)
         self._slot_total -= 1
-        if target.site == self.site_id:
-            # Duplicate occurrences are interchangeable; drop the first.
-            tidx = self._idx[target]
-            self._succ_local[holder_idx].remove(tidx)
-            self._slot_refs[tidx] -= 1
-            self._maybe_release(tidx)
-        else:
-            row = self._remote_rows[holder_idx]
-            row.remove(target)
-            if not row:
-                del self._remote_rows[holder_idx]
 
-    def _note_ref_added(self, obj: HeapObject, target: ObjectId) -> None:
-        """Called by :meth:`HeapObject.add_ref` (the object knows its heap)."""
-        if obj.index >= 0:
-            self._edge_added(obj.index, target)
-        self.bump_epoch()
-
-    def _note_ref_removed(self, obj: HeapObject, target: ObjectId) -> None:
-        if obj.index >= 0:
-            self._edge_removed(obj.index, target)
-        self.bump_epoch()
-
-    def _retire(self, obj: HeapObject) -> None:
-        """Drop a dying object from the mirror (keep its index while held)."""
-        idx = obj.index
-        obj.index = -1
+    def _retire(self, idx: int) -> None:
+        """Drop a dying object's row (keep its index while held)."""
         self._dirty.add(idx)
         self._alive[idx] = 0
+        self._resident_count -= 1
+        self._order.pop(idx, None)
+        self._payload.pop(idx, None)
         local = self._succ_local[idx]
         self._slot_total -= len(local) + len(self._remote_rows.pop(idx, ()))
         for tidx in local:
@@ -188,6 +186,21 @@ class Heap:
                 self._maybe_release(tidx)
         local.clear()
         self._maybe_release(idx)
+
+    def _row(self, oid: ObjectId) -> int:
+        """The index of resident ``oid``; ``UnknownObjectError`` otherwise."""
+        idx = self._idx.get(oid)
+        if idx is None or not self._alive[idx]:
+            raise UnknownObjectError(f"{oid} not present on site {self.site_id}")
+        return idx
+
+    def _slots(self, idx: int) -> List[ObjectId]:
+        """A copy of the row's ordered reference slots."""
+        order = self._order.get(idx)
+        if order is not None:
+            return list(order)
+        oids = self._oids
+        return [oids[t] for t in self._succ_local[idx]]
 
     def flat_graph(
         self,
@@ -198,10 +211,10 @@ class Heap:
         List[Optional[ObjectId]],
         int,
     ]:
-        """What a local trace reads of the mirror, no copies.
+        """What a local trace reads of the rows, no copies.
 
         Returns ``(idx, succ_local, remote_rows, oids, slot_total)``;
-        read-only by convention.  Liveness comes as :meth:`fresh_marks`.
+        read-only by convention.  Residency comes as :meth:`fresh_marks`.
         """
         return (
             self._idx,
@@ -221,22 +234,8 @@ class Heap:
         return dirty
 
     def check_flat_mirror(self) -> None:
-        """Assert mirror == object map, and the memo's premises (test/debug
+        """Assert the rows' bookkeeping and the memo's premises (test/debug
         support; O(V+E))."""
-        for oid, obj in self._objects.items():
-            idx = self._idx.get(oid)
-            assert idx is not None and self._alive[idx], f"missing mirror: {oid}"
-            assert obj.index == idx, f"index drift: {oid}"
-            want_local = sorted(
-                self._oids[t] for t in self._succ_local[idx]
-            )
-            have_local = sorted(r for r in obj.ref_view if r.site == self.site_id)
-            assert want_local == have_local, f"local adjacency drift: {oid}"
-            want_remote = sorted(self._remote_rows.get(idx, ()))
-            have_remote = sorted(r for r in obj.ref_view if r.site != self.site_id)
-            assert want_remote == have_remote, f"remote adjacency drift: {oid}"
-        alive = {idx for idx, b in enumerate(self._alive) if b}
-        assert len(alive) == len(self._objects), "alive bitmap drift"
         slot_refs = Counter(t for row in self._succ_local for t in row)
         slots = 0
         for idx, oid in enumerate(self._oids):
@@ -251,9 +250,20 @@ class Heap:
                     f"dead unreferenced index kept: {oid}"
                 )
             assert self._alive[idx] or not (local or remote), f"dead row kept: {idx}"
+        free = [idx for idx, oid in enumerate(self._oids) if oid is None]
+        assert sorted(self._free) == free, "free list drift"
         assert len(self._idx) == len(self._oids) - len(self._free), "intern drift"
         assert all(self._remote_rows.values()), "empty remote row kept"
         assert slots == self._slot_total, "slot total drift"
+        assert self._order.keys() == self._remote_rows.keys(), "order record rows"
+        for idx, order in self._order.items():
+            local = [self._oids[t] for t in self._succ_local[idx]]
+            split = [r for r in order if r.site == self.site_id], [
+                r for r in order if r.site != self.site_id
+            ]
+            assert split == (local, self._remote_rows[idx]), f"order record drift: {idx}"
+        assert all(self._alive[idx] for idx in self._payload), "dead payload kept"
+        assert self._resident_count == self._alive.count(1), "resident count drift"
         # The memo may be re-used only where ``_dirty`` names every row that
         # changed since it was stored: a remembered index is still interned
         # (a ranked one still alive) unless the dirty set says otherwise.
@@ -261,7 +271,7 @@ class Heap:
         assert all(idx < size for idx in self._dirty), "dirty row out of range"
         if self.clean_memo is not None:
             keys, empty, rank = self.clean_memo
-            assert len(rank) <= size, "memo rank past the mirror"
+            assert len(rank) <= size, "memo rank past the rows"
             assert all(b == 255 or b < len(keys) for b in set(rank)), "memo rank"
             assert empty == sorted(set(empty)) and all(
                 p < len(keys) for p in empty
@@ -286,23 +296,22 @@ class Heap:
         """Create a new object on this site."""
         oid = ObjectId(site=self.site_id, serial=self._next_serial)
         self._next_serial += 1
-        obj = HeapObject(oid, refs=refs, payload_size=payload_size)
-        obj._owner = self
         if oid in self._idx:
             # Referenced before it existed: the index comes alive under
             # edges no dirty row records (see the module docstring).
             self.clean_memo = None
         idx = self._intern(oid)
-        obj.index = idx
         self._alive[idx] = 1
-        for ref in obj.ref_view:
+        self._resident_count += 1
+        for ref in refs or ():
             self._edge_added(idx, ref)
-        self._objects[oid] = obj
+        if payload_size != 1:
+            self._payload[idx] = payload_size
         self.objects_allocated += 1
         if persistent_root:
             self._persistent_roots.add(oid)
         self.bump_epoch()
-        return obj
+        return HeapObject(self, oid)
 
     def adopt(self, obj: HeapObject) -> HeapObject:
         """Install an object migrated from another site under a fresh id.
@@ -310,42 +319,38 @@ class Heap:
         Used by the migration baseline.  Returns the new resident object; the
         caller is responsible for reference patching.
         """
-        clone = self.alloc(refs=obj.refs, payload_size=obj.payload_size)
-        return clone
+        return self.alloc(refs=obj.refs, payload_size=obj.payload_size)
 
     # -- lookup ---------------------------------------------------------------
 
     def get(self, oid: ObjectId) -> HeapObject:
         if oid.site != self.site_id:
             raise NotLocalError(f"{oid} is not local to site {self.site_id}")
-        obj = self._objects.get(oid)
-        if obj is None:
-            raise UnknownObjectError(f"{oid} not present on site {self.site_id}")
-        return obj
+        self._row(oid)
+        return HeapObject(self, oid)
 
     def maybe_get(self, oid: ObjectId) -> Optional[HeapObject]:
-        return self._objects.get(oid)
+        return HeapObject(self, oid) if self.contains(oid) else None
 
     def contains(self, oid: ObjectId) -> bool:
-        return oid in self._objects
-
-    def objects_map(self) -> Dict[ObjectId, HeapObject]:
-        """The internal oid->object mapping, no copy -- read-only by convention.
-
-        The reference clean phase's hot loop uses it for membership tests and
-        successor fetches without a method call per edge; everything else
-        should go through :meth:`get` / :meth:`contains`.
-        """
-        return self._objects
+        idx = self._idx.get(oid)
+        return idx is not None and self._alive[idx] == 1
 
     def objects(self) -> Iterator[HeapObject]:
-        return iter(self._objects.values())
+        return (HeapObject(self, oid) for oid in self.object_ids())
 
     def object_ids(self) -> List[ObjectId]:
-        return list(self._objects)
+        """Every resident object's id, in allocation (= serial) order."""
+        return sorted(compress(self._oids, self._alive))
+
+    def resident_slots(self) -> Iterator[Tuple[ObjectId, List[ObjectId]]]:
+        """``(oid, ordered reference slots)`` per resident object, in
+        allocation order -- one pass over the rows for whole-heap readers."""
+        idx = self._idx
+        return ((oid, self._slots(idx[oid])) for oid in self.object_ids())
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return self._resident_count
 
     # -- roots ----------------------------------------------------------------
 
@@ -389,19 +394,19 @@ class Heap:
         else:
             self._variable_roots[oid] = count - 1
 
-    # -- mutation helpers -------------------------------------------------------
+    # -- mutation -----------------------------------------------------------------
 
     def add_ref(self, holder: ObjectId, target: ObjectId) -> None:
-        self.get(holder).add_ref(target)
+        """Append ``target`` to ``holder``'s slots."""
+        self._edge_added(self._row(holder), target)
+        self.bump_epoch()
 
     def remove_ref(self, holder: ObjectId, target: ObjectId) -> None:
-        self.get(holder).remove_ref(target)
+        """Remove one occurrence of ``target``; ``HeapError`` if absent."""
+        self._edge_removed(self._row(holder), target)
+        self.bump_epoch()
 
     # -- reachability (local, used by collectors) --------------------------------
-
-    def objects_holding(self, ref: ObjectId) -> List[HeapObject]:
-        """All local objects with at least one reference slot equal to ``ref``."""
-        return [obj for obj in self._objects.values() if obj.holds_ref(ref)]
 
     def locally_reachable_from(self, roots: Iterable[ObjectId]) -> Set[ObjectId]:
         """All local objects reachable from ``roots`` via local references.
@@ -410,32 +415,30 @@ class Heap:
         root ids that are remote or absent are ignored -- convenient for
         callers passing raw inref keys.
         """
-        seen: Set[ObjectId] = set()
-        stack = [oid for oid in roots if oid.site == self.site_id and oid in self._objects]
+        alive, succ_local = self._alive, self._succ_local
+        seen: Set[int] = set()
+        stack = [self._idx[oid] for oid in roots if self.contains(oid)]
         while stack:
-            oid = stack.pop()
-            if oid in seen:
-                continue
-            seen.add(oid)
-            for ref in self._objects[oid].iter_refs():
-                if ref.site == self.site_id and ref in self._objects and ref not in seen:
-                    stack.append(ref)
-        return seen
+            idx = stack.pop()
+            if idx not in seen:
+                seen.add(idx)
+                stack.extend(t for t in succ_local[idx] if alive[t] and t not in seen)
+        return {self._oids[idx] for idx in seen}
 
     # -- sweeping -----------------------------------------------------------------
 
     def sweep(self, live: Set[ObjectId]) -> List[ObjectId]:
         """Delete every object not in ``live``; return the deleted ids."""
-        return self.sweep_ids([oid for oid in self._objects if oid not in live])
+        return self.sweep_ids([oid for oid in self.object_ids() if oid not in live])
 
     def sweep_ids(self, dead: Iterable[ObjectId]) -> List[ObjectId]:
         """Delete exactly the listed objects (ids not present are skipped)."""
         deleted: List[ObjectId] = []
         for oid in dead:
-            obj = self._objects.pop(oid, None)
-            if obj is None:
+            idx = self._idx.get(oid)
+            if idx is None or not self._alive[idx]:
                 continue
-            self._retire(obj)
+            self._retire(idx)
             self._persistent_roots.discard(oid)
             self._variable_roots.pop(oid, None)
             deleted.append(oid)
@@ -446,9 +449,8 @@ class Heap:
 
     def delete(self, oid: ObjectId) -> None:
         """Remove a single object (migration baseline support)."""
-        obj = self._objects.pop(oid, None)
-        if obj is not None:
-            self._retire(obj)
+        if self.contains(oid):
+            self._retire(self._idx[oid])
             self.bump_epoch()
         self._persistent_roots.discard(oid)
         self._variable_roots.pop(oid, None)

@@ -1,85 +1,78 @@
 """Heap objects.
 
-An object is a mutable container of references.  References are
+An object is an ordered list of reference slots.  References are
 :class:`~repro.ids.ObjectId` values; a reference whose ``site`` differs from
 the holder's site is an inter-site (remote) reference.  Duplicate references
 are allowed, as in real object fields/arrays, so removal must delete one
 occurrence at a time.
+
+The heap stores each object once, as its row (:mod:`repro.store.heap`).  A
+:class:`HeapObject` is a transient handle over ``(heap, oid)``: it holds no
+slots of its own and resolves ``oid`` on every use, so it raises
+:class:`~repro.errors.UnknownObjectError` once the object is swept.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List
 
-from ..errors import HeapError
 from ..ids import ObjectId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .heap import Heap
 
 
 class HeapObject:
-    """One object in a site's heap."""
+    """A handle on one object in a site's heap."""
 
-    __slots__ = ("oid", "_refs", "payload_size", "_owner", "index")
+    __slots__ = ("heap", "oid")
 
-    def __init__(
-        self,
-        oid: ObjectId,
-        refs: Optional[Iterable[ObjectId]] = None,
-        payload_size: int = 1,
-    ):
+    def __init__(self, heap: "Heap", oid: ObjectId):
+        self.heap = heap
         self.oid = oid
-        self._refs: List[ObjectId] = list(refs or [])
-        self.payload_size = payload_size
-        # Set by the owning heap at allocation time: reference mutations must
-        # notify the heap even when callers hold the object directly -- the
-        # incremental local trace relies on the mutation epoch, and the
-        # flat-graph mirror relies on learning which edge changed.  ``index``
-        # is the object's dense slot in that mirror (-1 = not adopted).
-        self._owner = None
-        self.index: int = -1
+
+    @property
+    def index(self) -> int:
+        """The object's dense index in the heap's rows."""
+        return self.heap._row(self.oid)
 
     @property
     def refs(self) -> List[ObjectId]:
-        """A copy of the reference slots (mutate via add_ref/remove_ref)."""
-        return list(self._refs)
-
-    @property
-    def ref_view(self) -> List[ObjectId]:
-        """The live reference list itself, no copy -- read-only by convention.
-
-        Exists for hot loops (the clean phase scans every edge of every
-        object per trace); mutate only through add_ref/remove_ref so the
-        mutation epoch and the flat-graph mirror stay accurate.
-        """
-        return self._refs
+        """A copy of the reference slots, in order."""
+        return self.heap._slots(self.index)
 
     def iter_refs(self) -> Iterator[ObjectId]:
-        return iter(self._refs)
+        return iter(self.refs)
 
     def add_ref(self, target: ObjectId) -> None:
-        self._refs.append(target)
-        if self._owner is not None:
-            self._owner._note_ref_added(self, target)
+        self.heap.add_ref(self.oid, target)
 
     def remove_ref(self, target: ObjectId) -> None:
-        """Remove one occurrence of ``target``; error if absent."""
-        try:
-            self._refs.remove(target)
-        except ValueError:
-            raise HeapError(f"{self.oid} holds no reference to {target}") from None
-        if self._owner is not None:
-            self._owner._note_ref_removed(self, target)
+        """Remove one occurrence of ``target``; ``HeapError`` if absent."""
+        self.heap.remove_ref(self.oid, target)
 
     def holds_ref(self, target: ObjectId) -> bool:
-        return target in self._refs
+        return target in self.refs
 
     def remote_refs(self) -> List[ObjectId]:
         """References to objects on other sites."""
-        return [ref for ref in self._refs if ref.site != self.oid.site]
+        return [ref for ref in self.refs if ref.site != self.oid.site]
 
     def local_refs(self) -> List[ObjectId]:
         """References to objects on this object's own site."""
-        return [ref for ref in self._refs if ref.site == self.oid.site]
+        return [ref for ref in self.refs if ref.site == self.oid.site]
+
+    @property
+    def payload_size(self) -> int:
+        return self.heap._payload.get(self.index, 1)
+
+    @payload_size.setter
+    def payload_size(self, size: int) -> None:
+        index = self.index
+        if size == 1:
+            self.heap._payload.pop(index, None)
+        else:
+            self.heap._payload[index] = size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        targets = ",".join(str(ref) for ref in self._refs)
-        return f"<obj {self.oid} -> [{targets}]>"
+        return f"<obj {self.oid}>"

@@ -76,7 +76,7 @@ class GraphBuilder:
         src_oid = self.resolve(src)
         dst_oid = self.resolve(dst)
         src_site = self.sim.site(src_oid.site)
-        src_site.heap.get(src_oid).add_ref(dst_oid)
+        src_site.heap.add_ref(src_oid, dst_oid)
         if dst_oid.site != src_oid.site:
             src_site.outrefs.ensure(dst_oid, clean=True, distance=1)
             dst_site = self.sim.site(dst_oid.site)

@@ -6,7 +6,9 @@ phase marks a bitmap over the mirror's indices, the suspected phase
 sweep takes the rows the clean phase left unmarked.  Nothing in
 ``LocalCollector.compute`` or ``commit`` should touch an object's reference
 list, nor list the heap's objects -- either would bring back the per-trace
-``ObjectId`` work the mirror exists to avoid.  The readers are counted while
+``ObjectId`` work the mirror exists to avoid.  The heap stores each object
+only as its row, and ``HeapObject`` is the handle that reads a row back as
+``ObjectId`` slots, so making a handle counts as a read too.  The readers are counted while
 the smoke ``big_heap`` (clean-phase bound) and ``cycle_waves`` (suspected
 phase, sweeps of collected cycles) run, so the gate is an exact count on
 any host.  Wall clocks stay in the ledger (``python -m benchmarks.ledger``,
@@ -24,16 +26,17 @@ from repro.gc.localtrace import LocalCollector
 from repro.store.heap import Heap
 from repro.store.objects import HeapObject
 
-#: Every way to read an object's references, and to list the heap's objects.
+#: Making a handle, every way to read an object's references through it, and
+#: every way to list the heap's objects.
 REFERENCE_READERS = (
+    "__init__",
     "refs",
-    "ref_view",
     "iter_refs",
     "holds_ref",
     "remote_refs",
     "local_refs",
 )
-HEAP_LISTINGS = ("objects", "object_ids", "objects_map")
+HEAP_LISTINGS = ("objects", "object_ids", "resident_slots")
 
 
 def _counted(name, reader, inside, reads, is_property):

@@ -9,6 +9,10 @@ operation that touches the mirror and traces it with the production kernel
 and the memo are audited with ``check_flat_mirror`` and the kernel must
 agree with the reference on all five contract fields for adversarial root
 lists (its clean set being the heap minus the rows it left unmarked).
+
+The rows are the only record of an object, so slot order is theirs to keep:
+a second property holds ``iter_refs()`` to a plain-list model of each
+object's slots under interleaved local and remote adds and removes.
 """
 
 from __future__ import annotations
@@ -80,8 +84,9 @@ def _apply(heap, known, op, a, b, c):
             # An id the heap has not handed out yet: interned dead now,
             # brought alive in place by a later alloc.
             obj.add_ref(ObjectId("P", len(known) + b % 3))
-        elif obj.ref_view:
-            ref = obj.ref_view[b % len(obj.ref_view)]
+        elif obj.refs:
+            refs = obj.refs
+            ref = refs[b % len(refs)]
             if op == ADD_AGAIN:
                 obj.add_ref(ref)
             else:
@@ -122,3 +127,42 @@ def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
         assert all(flat.marks[heap.get(oid).index] for oid in clean)
         assert not any(flat.marks[heap.get(oid).index] for oid in flat.unmarked)
         heap.check_flat_mirror()
+
+
+slot_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove", "sweep"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(slot_ops)
+@settings(max_examples=300, deadline=None)
+def test_iter_refs_is_a_plain_list_model_of_the_slots(script):
+    """Slot order under interleaved local and remote adds and removes,
+    duplicates and dangling local slots included."""
+    heap = Heap("P")
+    holders = [heap.alloc().oid for _ in range(3)]
+    extras = [heap.alloc().oid for _ in range(2)]  # swept: their slots dangle
+    targets = holders + extras + [ObjectId("Q", 0), ObjectId("Q", 1), ObjectId("R", 0)]
+    model = {oid: [] for oid in holders}
+    for op, a, b in script:
+        holder = holders[a % len(holders)]
+        slots = model[holder]
+        if op == "sweep":
+            heap.sweep_ids([extras[b % len(extras)]])
+        elif op == "add" or not slots:
+            target = targets[b % len(targets)]
+            heap.get(holder).add_ref(target)
+            slots.append(target)
+        else:
+            target = slots[b % len(slots)]
+            heap.get(holder).remove_ref(target)
+            slots.remove(target)
+        for oid in holders:
+            assert list(heap.get(oid).iter_refs()) == model[oid]
+    heap.check_flat_mirror()

@@ -222,8 +222,8 @@ def test_flat_kernel_matches_the_reference_before_and_after_a_mutation():
         assert again.objects_reused == first.objects_scanned, f"seed {seed}"
         live = sorted(heap.object_ids())
         holder = heap.get(rng.choice(live))
-        if holder.ref_view and rng.random() < 0.5:
-            holder.remove_ref(rng.choice(holder.ref_view))
+        if holder.refs and rng.random() < 0.5:
+            holder.remove_ref(rng.choice(holder.refs))
         else:
             holder.add_ref(rng.choice(live))
         _traced(heap, roots, variable_outrefs)

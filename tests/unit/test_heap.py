@@ -5,7 +5,6 @@ import pytest
 from repro.errors import HeapError, NotLocalError, UnknownObjectError
 from repro.ids import ObjectId
 from repro.store.heap import Heap
-from repro.store.objects import HeapObject
 
 
 def test_alloc_assigns_monotonic_serials():
@@ -47,7 +46,7 @@ def test_remove_missing_ref_raises():
 
 
 def test_local_and_remote_ref_partition():
-    obj = HeapObject(ObjectId("P", 0), refs=[ObjectId("P", 1), ObjectId("Q", 2)])
+    obj = Heap("P").alloc(refs=[ObjectId("P", 1), ObjectId("Q", 2)])
     assert obj.local_refs() == [ObjectId("P", 1)]
     assert obj.remote_refs() == [ObjectId("Q", 2)]
 
@@ -130,3 +129,41 @@ def test_adopt_clones_refs_under_new_id():
     clone = heap_q.adopt(src)
     assert clone.oid.site == "Q"
     assert clone.refs == [ObjectId("R", 3)]
+
+
+def test_a_stale_handle_never_writes_into_a_recycled_row():
+    heap = Heap("P")
+    keeper = heap.alloc()
+    doomed = heap.alloc(refs=[keeper.oid])
+    index = doomed.index
+    heap.sweep_ids([doomed.oid])
+    for _ in range(4):  # the free-list hands the index back to some alloc
+        fresh = heap.alloc(refs=[keeper.oid, ObjectId("Q", 1)])
+        if fresh.index == index:
+            break
+    assert fresh.index == index
+    for touch in (
+        lambda: doomed.add_ref(keeper.oid),
+        lambda: doomed.remove_ref(keeper.oid),
+        lambda: doomed.refs,
+    ):
+        with pytest.raises(UnknownObjectError):
+            touch()
+    assert fresh.refs == [keeper.oid, ObjectId("Q", 1)]
+    heap.check_flat_mirror()
+
+
+def test_payload_size_set_through_a_handle_survives_a_fresh_get():
+    heap = Heap("P")
+    obj = heap.alloc()
+    assert obj.payload_size == 1
+    obj.payload_size = 20
+    assert heap.get(obj.oid).payload_size == 20
+    assert heap.alloc(payload_size=5).payload_size == 5
+    # A swept object's payload does not pass to its index's next object.
+    index = obj.index
+    heap.sweep_ids([obj.oid])
+    reused = heap.alloc()
+    assert reused.index == index
+    assert reused.payload_size == 1
+    heap.check_flat_mirror()

@@ -59,7 +59,10 @@ def test_clean_churn_holds_every_invariant(workers):
 
 
 def _append_behind_the_mirror(site, victim):
-    site.heap.get(victim)._refs.append(victim)
+    """A slot written into the victim's row without the heap's bookkeeping."""
+    heap = site.heap
+    index = heap.get(victim).index
+    heap._succ_local[index].append(index)
 
 
 def _bump_a_send_counter(site, victim):
@@ -75,7 +78,7 @@ def _sweep_a_live_object(site, victim):
 
 
 FORGERIES = [
-    (_append_behind_the_mirror, "flat mirror: local adjacency drift"),
+    (_append_behind_the_mirror, "flat mirror: slot refcount drift"),
     (_bump_a_send_counter, "UpdatePayload: sent="),
     (_flag_a_live_inref, "garbage-flagged inref"),
     (_sweep_a_live_object, "SAFETY VIOLATION"),
