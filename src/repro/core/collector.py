@@ -34,11 +34,10 @@ Backends register in a process-global registry keyed by the
 resolves the name once and hands every new site the per-site factory.
 Three are built in: ``backtrace`` and ``null`` (defined here) and the
 termination-detection rival ``termination`` (:mod:`repro.core.termination`,
-which registers itself on import; the registry imports it on first lookup,
-and ``import repro`` already loads it through the wire format).  The
-section 7 baselines are not backends: they are harness-side drivers
-constructed directly over a simulation (:mod:`repro.baselines`), and
-importing the core loads none of them.
+which registers itself on import; the registry imports it on first
+lookup).  The section 7 baselines are not backends: they are harness-side
+drivers constructed directly over a simulation (:mod:`repro.baselines`),
+and importing the core loads none of them.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ and :class:`CreditPool` below) to decide when a distributed phase has
 drained.  It is also the paper's section 7 "subgraph tracing" (trial
 deletion [LJ93, JL92]) in this tree.  Every piece of state lives at a site
 and every transition is a message, so the backend runs under the parallel
-engine, the packed wire format, and the fault-injection plans like any
-other protocol in the tree.
+engine and the fault-injection plans like any other protocol in the tree.
 
 One *trial*, initiated by the owner of a suspected inref (distance past
 the back threshold, the same section 4.3 trigger timing the back tracer

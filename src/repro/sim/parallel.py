@@ -36,9 +36,9 @@ chain perturbed by such an event -- and therefore delivers at or after that
 event's EOT term, hence at or after ``safe``.  Cross-shard messages not yet
 handed to their destination shard contribute ``deliver_at +
 destination-shard lookahead`` terms for the cascades their delivery can
-start.  The invariant is asserted at runtime on every cross-shard record:
-it must deliver at or after the window bound in force when it was sent
-(:meth:`ParallelSimulation._absorb`).  No shard can ever receive a
+start.  The invariant is asserted at runtime on every cross-shard bucket: its
+earliest message must deliver at or after the window bound in force when
+it was sent (:meth:`ParallelSimulation._absorb`).  No shard can ever receive a
 message in its past, hence no rollback is needed.  Progress: every EOT term
 exceeds the horizon by at least the smallest shard lookahead, so each round
 strictly advances; this requires ``min_latency > 0`` (with zero lookahead no
@@ -62,25 +62,26 @@ small-messages discipline:
   (:meth:`Network.attach_shard`).  From then on everything travels over
   long-lived duplex pipes, and every byte that crosses one is counted
   (:meth:`ParallelSimulation.coordination_stats`).
-- *Packed records* (:mod:`repro.net.wire`): a cross-shard message is a
-  struct-packed int record (payload kinds outside the hot set fall back to
-  a pickled record body, so the format is total); nothing downstream of the
-  sender decodes it until the destination shard injects it.
-- *One carrier, one command shape*: every cross-shard record rides the
-  pipes.  ``window`` and ``align`` are ``(op, time, blob)`` -- the records
-  addressed to this shard, due or not -- and every reply is ``("ok",
-  payload, blob, next_time, eot, fired)`` (or ``("error", traceback)``):
-  the records the shard sent, its frontier, its EOT and the events fired.
-  The coordinator routes by scanning record headers, asserts the window
-  floor on each record (:meth:`ParallelSimulation._absorb`, the one place)
-  and forwards it in the destination's next command.  The worker *stashes*
-  what it receives, injects the records due before the window bound in
+- *Buckets*: a worker groups the cross-shard messages of one command by
+  destination worker and pickles each group once, as a list of
+  ``(deliver_at, Message)`` pairs.  Nothing between the sender and the
+  destination shard opens a bucket.
+- *One carrier, one command shape*: every cross-shard message rides the
+  pipes.  ``window`` and ``align`` are ``(op, time, buckets)`` -- the
+  buckets addressed to this shard, due or not -- and every reply is
+  ``("ok", payload, buckets, next_time, eot, fired)`` (or ``("error",
+  traceback)``): each outgoing bucket as ``(worker index, min deliver_at,
+  record count, bytes)``, then the shard's frontier, its EOT and the events
+  fired.  The coordinator asserts the window floor on each bucket's minimum
+  (:meth:`ParallelSimulation._absorb`, the one place) and forwards the
+  bytes in the destination's next command.  The worker *stashes* what it
+  receives, injects the messages due before the window bound in
   ``(deliver_at, source site, sender sequence)`` order, and runs; its
   frontier and EOT fold in the stash.
 - *Plain queries*: ``snapshot()``, ``merged_metrics()``, ``trace_outcomes``
   and ``audit_state()`` after the fork are one broadcast each, merged
   coordinator-side into fresh objects.  The audit adds the coordinator's
-  ``_pending`` records to each shard's sites, queue and stash, so it holds
+  ``_pending`` buckets to each shard's sites, queue and stash, so it holds
   every undelivered message once; the oracle, ``check_invariants()``,
   ``total_objects()`` and ``all_object_ids()`` all read it.
 """
@@ -102,13 +103,16 @@ from ..ids import SiteId
 from ..metrics import MetricsRecorder
 from ..net.latency import LatencyModel
 from ..net.message import Message
-from ..net.wire import WireCodec
 from .simulation import AuditState, Simulation
 
 _INF = float("inf")
 
 #: (deliver_at, message) pairs as prepared sender-side by Network.send.
 RoutedMessage = Tuple[float, Message]
+
+#: One reply's messages for one destination worker: (worker index, min
+#: deliver_at, record count, pickled list of RoutedMessage pairs).
+Bucket = Tuple[int, float, int, bytes]
 
 
 def assign_shards(site_ids, workers: int) -> List[List[SiteId]]:
@@ -174,34 +178,66 @@ class _Stop(Exception):
     """Internal: the worker was asked to shut down."""
 
 
-class _RecordStash:
-    """Worker-side holding area for routed-in records that are not due yet.
+def _pack_buckets(
+    routed: Sequence[RoutedMessage], site_to_worker: Dict[SiteId, int]
+) -> List[Bucket]:
+    """Group routed messages by destination worker, one pickled bucket each."""
+    groups: Dict[int, List[RoutedMessage]] = {}
+    for entry in routed:
+        groups.setdefault(site_to_worker[entry[1].dst], []).append(entry)
+    return [
+        (
+            dst,
+            min(entry[0] for entry in group),
+            len(group),
+            pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        for dst, group in groups.items()
+    ]
 
-    The coordinator ships a shard its records as soon as it has them, due
-    or not; they wait here.  Due extraction sorts by ``(deliver_at, source
-    site index, sender sequence)`` -- the codec's site-index order equals
-    lexicographic SiteId order, so the injection order is the sequential
-    engine's tie-break whatever order the records arrived in.
+
+def _load_bucket(bucket: bytes) -> List[RoutedMessage]:
+    """Unpickle one bucket.  It comes from another process, so whatever is
+    wrong with it surfaces as :class:`SimulationError`."""
+    try:
+        return pickle.loads(bucket)
+    except Exception as exc:
+        raise SimulationError(
+            f"malformed cross-shard bucket of {len(bucket)} bytes: {exc}"
+        ) from exc
+
+
+def _due_order(entry: RoutedMessage) -> Tuple[float, SiteId, int]:
+    """``(deliver_at, source site, sender sequence)``: the sequential
+    engine's tie-break, and unique (a site sends from one process only)."""
+    message = entry[1]
+    return entry[0], message.src, message.uid
+
+
+class _RecordStash:
+    """Worker-side holding area for routed-in messages that are not due yet.
+
+    The coordinator ships a shard its buckets as soon as it has them, due
+    or not; each is unpickled on arrival and its messages wait here.  Due
+    extraction sorts by ``(deliver_at, source site, sender sequence)``, so
+    the injection order is the sequential engine's tie-break however the
+    messages were bucketed and whatever order the buckets arrived in.
     """
 
-    __slots__ = ("_codec", "_stash")
+    __slots__ = ("_stash",)
 
-    def __init__(self, codec: WireCodec):
-        self._codec = codec
-        #: (deliver_at, src index, uid, record bytes), unordered until due.
-        self._stash: List[Tuple[float, int, int, bytes]] = []
+    def __init__(self):
+        #: (deliver_at, message) pairs, unordered until due.
+        self._stash: List[RoutedMessage] = []
 
-    def stash_blob(self, blob) -> None:
-        """Stash the records of one command.
+    def stash_buckets(self, buckets: Sequence[bytes]) -> None:
+        """Stash the messages of one command's buckets.
 
-        No floor check here: every record already passed the coordinator's
+        No floor check here: every bucket already passed the coordinator's
         ``_absorb`` assertion before being routed back out.
         """
-        stash_append = self._stash.append
-        for deliver_at, _dst, src_site, _kind, uid, record in (
-            self._codec.scan_blob(blob)
-        ):
-            stash_append((deliver_at, src_site, uid, bytes(record)))
+        for bucket in buckets:
+            self._stash.extend(_load_bucket(bucket))
 
     def stash_min(self) -> float:
         """Earliest stashed delivery (inf when empty) -- folded into the
@@ -209,21 +245,20 @@ class _RecordStash:
         return min((entry[0] for entry in self._stash), default=_INF)
 
     def messages(self) -> List[Message]:
-        """Every stashed message, decoded (for the audit)."""
-        return [self._codec.unpack_record(entry[3])[1] for entry in self._stash]
+        """Every stashed message (for the audit)."""
+        return [message for _at, message in self._stash]
 
     def take_due(self, bound: float) -> List[RoutedMessage]:
-        """Extract, order, and decode every stashed record due before ``bound``."""
+        """Extract and order every stashed message due before ``bound``."""
         if not self._stash:
             return []
-        due: List[Tuple[float, int, int, bytes]] = []
-        rest: List[Tuple[float, int, int, bytes]] = []
+        due: List[RoutedMessage] = []
+        rest: List[RoutedMessage] = []
         for entry in self._stash:
             (due if entry[0] < bound else rest).append(entry)
         self._stash = rest
-        due.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        unpack = self._codec.unpack_record
-        return [unpack(entry[3]) for entry in due]
+        due.sort(key=_due_order)
+        return due
 
 
 def _shard_eot(sim: Simulation, lookahead: float) -> float:
@@ -336,7 +371,7 @@ def _worker_main(
     conn,
     shard_sites: List[SiteId],
     sim: Simulation,
-    wire_sites: List[SiteId],
+    site_to_worker: Dict[SiteId, int],
 ) -> None:
     """Entry point of a forked shard worker.
 
@@ -344,22 +379,21 @@ def _worker_main(
     scheduler to its shard, puts the network into shard mode, and then
     obeys coordinator commands.  Every reply is a uniform
     ``("ok", payload, outgoing, next_time, eot, fired)`` tuple (or
-    ``("error", traceback_text)``): ``outgoing`` is the blob of packed
-    records the command sent to other shards, followed by the shard's new
-    frontier, its earliest output time, and the events fired, so the
-    coordinator always learns the shard's state and pending cross-shard
-    messages in one exchange.
+    ``("error", traceback_text)``): ``outgoing`` holds the buckets the
+    command sent to other shards, followed by the shard's new frontier,
+    its earliest output time, and the events fired, so the coordinator
+    always learns the shard's state and pending cross-shard messages in one
+    exchange.
 
-    Window/align commands are ``(op, time, blob)``: the worker stashes the
-    records and injects what is due.  The reply's frontier and EOT fold in
-    the stash of received-but-not-due records, so the coordinator's planner
-    accounts for work it has already handed over.
+    Window/align commands are ``(op, time, buckets)``: the worker stashes
+    the messages and injects what is due.  The reply's frontier and EOT
+    fold in the stash of received-but-not-due messages, so the
+    coordinator's planner accounts for work it has already handed over.
     """
     shard = set(shard_sites)
     channel = _Channel(conn)
     outbox: List[RoutedMessage] = []
-    codec = WireCodec(wire_sites)
-    stash = _RecordStash(codec)
+    stash = _RecordStash()
     try:
         sim.scheduler.retain_sites(shard)
         sim.network.attach_shard(shard, outbox)
@@ -371,10 +405,10 @@ def _worker_main(
         channel.close()
         return
 
-    def packed_outgoing():
-        outgoing = codec.pack_routed(outbox)
+    def outgoing_buckets() -> List[Bucket]:
+        buckets = _pack_buckets(outbox, site_to_worker)
         del outbox[:]
-        return outgoing
+        return buckets
 
     def reply(payload, fired: int) -> tuple:
         next_time = sim.scheduler.peek_time()
@@ -384,11 +418,11 @@ def _worker_main(
             next_time = stash_min
         if stash_min + lookahead < eot:
             eot = stash_min + lookahead
-        return ("ok", payload, packed_outgoing(), next_time, eot, fired)
+        return ("ok", payload, outgoing_buckets(), next_time, eot, fired)
 
-    def run_window(op, time, blob) -> int:
+    def run_window(op, time, buckets) -> int:
         """Stash -> take due -> run: the one window/align protocol."""
-        stash.stash_blob(blob)
+        stash.stash_buckets(buckets)
         if op == "align":
             _schedule_incoming(sim, stash.take_due(_INF))
             sim.scheduler.advance_clock(time)
@@ -408,7 +442,7 @@ def _worker_main(
             else:
                 payload, fired = _execute(sim, shard, stash, command), 0
         except _Stop:
-            channel.send(("ok", None, packed_outgoing(), _INF, _INF, 0))
+            channel.send(("ok", None, outgoing_buckets(), _INF, _INF, 0))
             break
         except Exception:
             del outbox[:]
@@ -429,18 +463,13 @@ class _WorkerHandle:
     __slots__ = (
         "process",
         "channel",
-        "shard",
-        "shard_indices",
         "next_time",
         "eot",
     )
 
-    def __init__(self, process, channel: _Channel, shard: Set[SiteId]):
+    def __init__(self, process, channel: _Channel):
         self.process = process
         self.channel = channel
-        self.shard = shard
-        #: The shard as packed-wire site indices (what record headers carry).
-        self.shard_indices: Set[int] = set()
         self.next_time = _INF
         #: Last advertised earliest-output-time.
         self.eot = _INF
@@ -464,21 +493,19 @@ class ShardWorkerPool:
         self,
         shards: Sequence[Sequence[SiteId]],
         sim: Simulation,
-        wire_sites: List[SiteId],
+        site_to_worker: Dict[SiteId, int],
     ) -> None:
         context = multiprocessing.get_context("fork")
         for shard in shards:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, list(shard), sim, wire_sites),
+                args=(child_conn, list(shard), sim, site_to_worker),
                 daemon=True,
             )
             process.start()
             child_conn.close()
-            self.workers.append(
-                _WorkerHandle(process, _Channel(parent_conn), set(shard))
-            )
+            self.workers.append(_WorkerHandle(process, _Channel(parent_conn)))
 
     def __iter__(self):
         return iter(self.workers)
@@ -661,10 +688,9 @@ class ParallelSimulation(Simulation):
         self._forked = False
         self._closed = False
         self._pool = ShardWorkerPool()
-        self._codec: Optional[WireCodec] = None
-        #: Cross-shard records awaiting their destination's next command:
-        #: (deliver_at, dst site index, record bytes).
-        self._pending: List[Tuple[float, int, Any]] = []
+        #: Cross-shard buckets awaiting their destination's next command:
+        #: (min deliver_at, destination worker index, bucket bytes).
+        self._pending: List[Tuple[float, int, bytes]] = []
         self._site_to_worker: Dict[SiteId, int] = {}
         self._crashed_sites: Set[SiteId] = set()
         self._proxies: Dict[SiteId, SiteProxy] = {}
@@ -674,8 +700,6 @@ class ParallelSimulation(Simulation):
         self._lookahead = config.network.min_latency
         #: Per-worker outbound latency floor (pending-message cascade terms).
         self._shard_lookahead: List[float] = []
-        #: Packed-wire site index -> worker index (built at fork).
-        self._index_to_worker: List[int] = []
         #: Latest dispatched window bound; every routed message absorbed from
         #: a window/align reply must deliver at or after it.
         self._floor: Optional[float] = None
@@ -708,27 +732,17 @@ class ParallelSimulation(Simulation):
         self._crashed_sites = {
             site_id for site_id, site in self.sites.items() if site.crashed
         }
-        wire_sites = sorted(self.sites)
-        self._codec = WireCodec(wire_sites)
         self._shard_lookahead = []
-        for shard in shards:
+        for index, shard in enumerate(shards):
             bound = self.network.min_cross_latency(set(shard))
             self._shard_lookahead.append(self._lookahead if bound is None else bound)
-        self._index_to_worker = [0] * len(self.sites)
-        for index, shard in enumerate(shards):
             for site_id in shard:
-                self._index_to_worker[self._codec.site_index(site_id)] = index
-        self._pool.start(shards, self, wire_sites)
+                self._site_to_worker[site_id] = index
+        self._pool.start(shards, self, self._site_to_worker)
         # Flag flips only after every fork: children must see the sequential
         # view of `self` so their internal calls take direct paths.
         self._forked = True
         self.network.mark_forked_away()
-        for index, worker in enumerate(self._pool):
-            worker.shard_indices = {
-                self._codec.site_index(site_id) for site_id in worker.shard
-            }
-            for site_id in worker.shard:
-                self._site_to_worker[site_id] = index
         try:
             for worker in self._pool:
                 self._absorb(worker, self._pool.recv(worker))
@@ -776,33 +790,23 @@ class ParallelSimulation(Simulation):
         command, which puts the latest dispatched window bound in force as
         the *floor*: the conservative-lookahead safety argument guarantees
         every cross-shard message sent in a window delivers at or after it,
-        and the invariant is checked on every record here rather than
-        trusted to the planner.  Records are routed by scanning headers
-        only, never decoded.
+        and the invariant is checked here, on each bucket's earliest
+        message, rather than trusted to the planner.  Buckets are queued
+        for their destination unopened.
         """
         if reply[0] == "error":
             raise SimulationError(f"shard worker failed:\n{reply[1]}")
         _, payload, outgoing, next_time, eot, fired = reply
         floor = self._floor if window_reply else None
-        stats = self._stats
-        if len(outgoing) > 4:  # more than the empty-blob count prefix
-            stats["payload_bytes"] += len(outgoing)
-        pending_append = self._pending.append
-        for deliver_at, dst, _src, kind, _uid, record in self._codec.scan_blob(
-            outgoing
-        ):
-            if floor is not None and deliver_at < floor:
+        for dst, first_at, count, bucket in outgoing:
+            if floor is not None and first_at < floor:
                 raise SimulationError(
                     "window-safety invariant violated: routed message "
-                    f"delivers at {deliver_at} before the dispatched "
+                    f"delivers at {first_at} before the dispatched "
                     f"window bound {floor}"
                 )
-            stats["cross_shard_messages"] += 1
-            if kind == 0:
-                stats["payloads_pickled"] += 1
-            else:
-                stats["payloads_packed"] += 1
-            pending_append((deliver_at, dst, record))
+            self._stats["cross_shard_messages"] += count
+            self._pending.append((first_at, dst, bucket))
         worker.next_time = next_time
         worker.eot = eot
         return payload, fired
@@ -845,26 +849,25 @@ class ParallelSimulation(Simulation):
         payload, _ = self._absorb(worker, pool.recv(worker))
         return payload
 
-    def _take_pending(self, worker: _WorkerHandle) -> bytes:
-        """Remove the pending records addressed to a shard; return their blob.
+    def _take_pending(self, index: int) -> List[bytes]:
+        """Remove the pending buckets addressed to worker ``index``.
 
-        Due or not: the worker stashes them and orders them by (deliver_at,
-        source site, sender sequence) when they fall due, so the records
-        are re-framed here without decoding or sorting.
+        Due or not: the worker stashes their messages and orders them by
+        (deliver_at, source site, sender sequence) when they fall due, so
+        the buckets are forwarded here without opening or sorting them.
         """
-        shard_indices = worker.shard_indices
-        records: List[Any] = []
-        rest: List[Tuple[float, int, Any]] = []
+        buckets: List[bytes] = []
+        rest: List[Tuple[float, int, bytes]] = []
         for item in self._pending:
-            if item[1] in shard_indices:
-                records.append(item[2])
+            if item[1] == index:
+                buckets.append(item[2])
             else:
                 rest.append(item)
         self._pending = rest
-        return self._codec.pack_blob(records)
+        return buckets
 
     def _effective_horizon(self) -> float:
-        """Earliest unexecuted work anywhere: shards and pending records."""
+        """Earliest unexecuted work anywhere: shards and pending buckets."""
         horizon = min((worker.next_time for worker in self._pool), default=_INF)
         if self._pending:
             horizon = min(horizon, min(item[0] for item in self._pending))
@@ -890,9 +893,8 @@ class ParallelSimulation(Simulation):
             if worker.eot < bound:
                 bound = worker.eot
         shard_lookahead = self._shard_lookahead
-        index_to_worker = self._index_to_worker
-        for deliver_at, dst, _record in self._pending:
-            term = deliver_at + shard_lookahead[index_to_worker[dst]]
+        for deliver_at, dst, _bucket in self._pending:
+            term = deliver_at + shard_lookahead[dst]
             if term < bound:
                 bound = term
         fixed = min(horizon + self._lookahead, target_excl)
@@ -910,16 +912,16 @@ class ParallelSimulation(Simulation):
         """One lock-step round: send every worker its window/align command,
         then absorb every reply in worker order; return the events fired.
 
-        The command ships the records addressed to the shard, due or not --
-        the worker's stash holds them until due.  A blob larger than the OS
+        The command ships the buckets addressed to the shard, due or not --
+        the worker's stash holds them until due.  A command larger than the OS
         pipe buffer blocks its send until the worker reads it, and it will:
         every worker is parked in ``recv`` while the commands go out, and a
         worker blocked writing a large reply waits only for the coordinator
         to read it, which it does once every command is sent.
         """
         pool = self._pool
-        for worker in pool:
-            pool.send(worker, (op, time, self._take_pending(worker)))
+        for index, worker in enumerate(pool):
+            pool.send(worker, (op, time, self._take_pending(index)))
         fired = 0
         for worker in pool:
             fired += self._absorb(worker, pool.recv(worker), window_reply=True)[1]
@@ -968,9 +970,7 @@ class ParallelSimulation(Simulation):
         min_latency`` thanks to advertised earliest-output-times;
         ``bytes_sent``/``bytes_recv`` are
         coordinator-side pipe totals (every pickled byte).
-        ``cross_shard_messages`` records crossed the pipes in
-        ``payload_bytes`` of blobs, of which ``payloads_packed`` used the
-        struct format and ``payloads_pickled`` fell back to a pickled body.
+        ``cross_shard_messages`` messages crossed the pipes in buckets.
         """
         stats = dict(self._stats)
         for key in (
@@ -981,9 +981,6 @@ class ParallelSimulation(Simulation):
             "eot_jumps",
             "quiescence_jumps",
             "cross_shard_messages",
-            "payloads_packed",
-            "payloads_pickled",
-            "payload_bytes",
         ):
             stats.setdefault(key, 0)
         stats["bytes_sent"] = self._pool.bytes_sent
@@ -1151,7 +1148,7 @@ class ParallelSimulation(Simulation):
 
     def audit_state(self) -> AuditState:
         """The oracle's state read from the shards' live copies, in one
-        broadcast, plus the cross-shard records still on the coordinator."""
+        broadcast, plus the cross-shard buckets still on the coordinator."""
         if not self._forked:
             return super().audit_state()
         payloads, _ = self._broadcast(("audit",))
@@ -1160,6 +1157,6 @@ class ParallelSimulation(Simulation):
         for shard_sites, shard_messages in payloads:
             sites.update(shard_sites)
             in_flight.extend(shard_messages)
-        unpack = self._codec.unpack_record
-        in_flight.extend(unpack(record)[1] for _at, _dst, record in self._pending)
+        for _first_at, _dst, bucket in self._pending:
+            in_flight.extend(message for _at, message in _load_bucket(bucket))
         return AuditState(dict(sorted(sites.items())), in_flight)

@@ -44,9 +44,6 @@ class HypertextWeb:
     links: List[Tuple[ObjectId, ObjectId]] = field(default_factory=list)
     catalog_entries: List[int] = field(default_factory=list)
 
-    def document_objects(self, index: int) -> List[ObjectId]:
-        return self.documents[index].objects
-
     def unlink_from_catalog(self, sim: Simulation, index: int) -> None:
         """Drop a document from the catalog (it may become garbage)."""
         if index not in self.catalog_entries:

@@ -100,15 +100,3 @@ class GraphBuilder:
             self.link(items[-1], items[0])
         else:
             self.link(items[0], items[0])
-
-    # -- convergence -------------------------------------------------------------------
-
-    def warm_up(self, rounds: int = 0, settle_time: float = 50.0) -> None:
-        """Run GC rounds so distance estimates converge to true distances.
-
-        A path crossing k inter-site references needs about k rounds of
-        alternating local traces and update messages to reach its exact
-        distance; pass the diameter of your graph (in inter-site hops).
-        """
-        for _ in range(rounds):
-            self.sim.run_gc_round(settle_time=settle_time)

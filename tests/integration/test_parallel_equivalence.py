@@ -206,7 +206,7 @@ def test_records_larger_than_the_pipe_buffer_cross_intact():
         state, stats = _run_wide_roots(workers)
         assert state == seq
         assert stats["cross_shard_messages"] == 8
-        assert stats["payload_bytes"] > 4 * 80_000
+        assert stats["bytes_sent"] + stats["bytes_recv"] > 4 * 80_000
 
 
 # -- fallback and guardrail behaviour ----------------------------------------
@@ -296,15 +296,11 @@ def test_coordination_stats_count_packed_traffic():
     assert stats["bytes_sent"] > 0 and stats["bytes_recv"] > 0
     # The message count is pinned at 1ef2097 for this scenario and seed,
     # the plan at what the lock-step planner needs (a planner change may
-    # lower it, never raise it); the byte count is what those 600 records
-    # pack to (30,348 there; each full update among them has since lost its
-    # flag byte and empty removal list, 5 bytes).  Every routed message is
-    # accounted exactly once -- all 600 struct packed, none pickled -- and
-    # one round trip per window and align is all the coordination there is.
+    # lower it, never raise it).  Every routed message is accounted exactly
+    # once, and one round trip per window and align is all the coordination
+    # there is.
     pinned = dict(
-        windows=55, aligns=1, commands_sent=224,
-        cross_shard_messages=600, payloads_packed=600, payloads_pickled=0,
-        payload_bytes=30123,
+        windows=55, aligns=1, commands_sent=224, cross_shard_messages=600,
     )
     assert {key: stats[key] for key in pinned} == pinned
     assert stats["commands_sent"] == 4 * (stats["windows"] + stats["aligns"])
@@ -395,12 +391,12 @@ def _assert_reaped_and_closed(sim):
 
 
 def test_garbage_record_in_a_command_closes_the_engine():
-    # A corrupt frame on its way into a worker: the worker's stash refuses
+    # A corrupt bucket on its way into a worker: the worker's stash refuses
     # it, the error comes back as the window's reply, and the pool is reaped.
     sim = _build(2, seed=7)
     build_ring_cycle(sim, SITES[:4])
     sim.run_for(20.0)  # forks
-    dst = sim._codec.site_index(SITES[0])
+    dst = sim._site_to_worker[SITES[0]]
     sim._pending.append((sim.now + 10.0, dst, b"\xff" * 7))
     with pytest.raises(SimulationError, match="shard worker failed"):
         sim.run_for(50.0)
@@ -408,27 +404,34 @@ def test_garbage_record_in_a_command_closes_the_engine():
 
 
 def test_truncated_reply_blob_closes_the_engine():
-    # A corrupt frame on its way out of a worker: _absorb refuses the
-    # window reply (forged here by cutting the last bytes off a record).
+    # A corrupt bucket on its way out of a worker (forged here by cutting
+    # the last bytes off a bucket): the coordinator forwards it unopened,
+    # and the destination worker's stash refuses it.
     from repro.gc.update import UpdateRefreshRequest
     from repro.net.message import Message
+    from repro.sim.parallel import _pack_buckets
 
     sim = _build(2, seed=7)
     build_ring_cycle(sim, SITES[:4])
     sim.run_for(20.0)  # forks
     pool = sim._pool
     recv = pool.recv
-    record = sim._codec.pack_record(
-        1e9, Message(SITES[0], SITES[15], UpdateRefreshRequest())
+    message = Message(SITES[0], SITES[15], UpdateRefreshRequest())
+    [(dst, first_at, count, bucket)] = _pack_buckets(
+        [(1e9, message)], sim._site_to_worker
     )
 
     def truncating_recv(worker):
         reply = recv(worker)
-        return reply[:2] + (sim._codec.pack_blob([record])[:-3],) + reply[3:]
+        forged = [(dst, first_at, count, bucket[:-3])]
+        return reply[:2] + (forged,) + reply[3:]
 
     pool.recv = truncating_recv
     with pytest.raises(SimulationError, match="truncated"):
-        sim.run_for(50.0)
+        # The bucket is queued unopened; the exchange after the reply that
+        # carried it hands it to its destination.
+        for _ in range(2):
+            sim.run_for(50.0)
     _assert_reaped_and_closed(sim)
 
 

@@ -3,7 +3,7 @@
 The conservative-lookahead safety argument says every message routed out of
 a safe-time window delivers at or after the window's dispatched bound.  The
 engine enforces exactly that invariant at runtime on every cross-shard
-record (:meth:`ParallelSimulation._absorb`), so these trials drive the
+bucket (:meth:`ParallelSimulation._absorb`), so these trials drive the
 planner across randomized latency configurations -- homogeneous
 uniform bands and heterogeneous zoned topologies, with the global
 ``min_latency`` floor set to the model's true minimum -- and a planner bug
@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.gc.update import UpdateRefreshRequest
 from repro.net.latency import UniformLatency, ZonedLatency
 from repro.net.message import Message
+from repro.sim.parallel import _pack_buckets
 from repro.workloads import ChurnConfig, SiteChurn
 
 SITES = [f"s{i}" for i in range(8)]
@@ -79,9 +80,13 @@ def test_windows_never_deliver_into_the_past_under_random_latency(trial):
     assert parallel_snapshot == _run(1, model, floor, seed)
 
 
-def _forged_record(codec, deliver_at):
-    """A packed cross-shard record A -> C claiming to deliver at ``deliver_at``."""
-    return codec.pack_record(deliver_at, Message("A", "C", UpdateRefreshRequest()))
+def _forged_bucket(deliver_at):
+    """A cross-shard bucket holding one message A -> C that delivers at
+    ``deliver_at``, bound for worker 1."""
+    [bucket] = _pack_buckets(
+        [(deliver_at, Message("A", "C", UpdateRefreshRequest()))], {"C": 1}
+    )
+    return bucket
 
 
 def test_absorb_rejects_a_message_below_the_window_floor():
@@ -99,8 +104,7 @@ def test_absorb_rejects_a_message_below_the_window_floor():
     assert sim.parallel_active
     worker = sim._pool.workers[0]
     inf = float("inf")
-    blob = sim._codec.pack_blob([_forged_record(sim._codec, 5.0)])
-    forged = ("ok", None, blob, inf, inf, 0)
+    forged = ("ok", None, [_forged_bucket(5.0)], inf, inf, 0)
     sim._floor = 100.0
     with pytest.raises(SimulationError, match="window-safety"):
         sim._absorb(worker, forged, window_reply=True)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import GcConfig, NetworkConfig
 from repro.core.backtrace.messages import TraceOutcome
+from repro.metrics import names
 from repro.workloads import GraphBuilder
 
 from ..conftest import make_sim
@@ -333,3 +334,29 @@ def test_back_calls_to_same_destination_ship_as_one_batch():
     assert sim.metrics.count("backtrace.calls_batched") >= 2
     # The structure is unanchored garbage: the trace must still conclude so.
     assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE
+
+
+def test_timeout_live_backoff_doubles_and_is_capped():
+    """Section 4.6's completeness argument needs the wait between
+    timeout-assumed Live traces from one root to stop growing at eight
+    back-trace timeouts; until then every consecutive timeout doubles it."""
+    timeout = 50.0
+    sim = make_sim(sites=("P", "Q"), gc=GcConfig(backtrace_timeout=timeout))
+    b = build_two_site_cycle(sim)
+    prepare(sim)
+    sim.site("Q").crash()
+    engine = sim.site("P").engine
+    waits = []
+    for attempt in range(7):
+        # Try to start a trace every tick; the first success ends the wait.
+        finished_at = sim.now
+        while engine.start_trace(b["q"]) is None:
+            sim.run_for(1.0)
+        if attempt:
+            waits.append(sim.now - finished_at)
+        outcomes = len(sim.trace_outcomes)
+        while len(sim.trace_outcomes) == outcomes:
+            sim.run_for(1.0)
+        assert sim.trace_outcomes[-1][3] is TraceOutcome.LIVE
+    assert sim.metrics.count(names.BACKTRACE_COMPLETED_TIMEOUT_LIVE) == 7
+    assert waits == [timeout * factor for factor in (1, 2, 4, 8, 8, 8)]

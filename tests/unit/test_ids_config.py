@@ -13,7 +13,7 @@ from repro.core.backtrace.messages import BackCall
 from repro.errors import ConfigError
 from repro.ids import FrameId, ObjectId, TraceId, coerce_object_id, parse_object_id
 from repro.net.message import Message
-from repro.net.wire import WireCodec
+from repro.sim.parallel import _pack_buckets, _RecordStash
 from repro.workloads import build_chain_across_sites, build_ring_cycle
 
 ID_TYPES = [
@@ -99,12 +99,13 @@ def test_ids_pickle_round_trip(cls, fields, text):
 
 
 def test_ids_wire_round_trip():
-    codec = WireCodec(["P", "Q", "R"])
     call = BackCall(
         trace_id=TraceId("P", 7), target=ObjectId("Q", 8), reply_to=FrameId("R", 9), seq=1
     )
     batch = [(2.5, Message(src="P", dst="Q", payload=call, uid=1))]
-    [(_, message)] = codec.unpack_blob(codec.pack_routed(batch))
+    stash = _RecordStash()
+    stash.stash_buckets([bucket for *_, bucket in _pack_buckets(batch, {"Q": 0})])
+    [(_, message)] = stash.take_due(float("inf"))
     unpacked = message.payload
     assert unpacked == call
     assert type(unpacked.trace_id) is TraceId

@@ -3,7 +3,7 @@
 ``Message`` is the object the network builds once per message sent; it is a
 named tuple with a drawn ``uid`` default.  Whatever it is built from, these
 are the properties the rest of the system (handlers, the oracle's in-flight
-scan, the wire codec, logs) relies on.
+scan, the cross-shard buckets, logs) relies on.
 """
 
 import pickle
@@ -12,7 +12,7 @@ import pytest
 
 from repro.gc.update import UpdateAck
 from repro.net.message import Message
-from repro.net.wire import WireCodec
+from repro.sim.parallel import _pack_buckets, _RecordStash
 
 FIELDS = ("src", "dst", "payload", "uid", "dup")
 
@@ -84,9 +84,12 @@ def test_pickle_round_trip():
 
 
 def test_wire_round_trip_of_a_duplicate_copy():
-    codec = WireCodec(["P", "Q"])
     message = Message("P", "Q", UpdateAck(seq=4), uid=7, dup=True)
-    deliver_at, unpacked = codec.unpack_record(codec.pack_record(2.5, message))
+    [(worker, first_at, count, bucket)] = _pack_buckets([(2.5, message)], {"Q": 1})
+    assert (worker, first_at, count) == (1, 2.5, 1)
+    stash = _RecordStash()
+    stash.stash_buckets([bucket])
+    [(deliver_at, unpacked)] = stash.take_due(float("inf"))
     assert deliver_at == 2.5
     assert unpacked == message and type(unpacked) is Message
     assert unpacked.dup is True and unpacked.uid == 7

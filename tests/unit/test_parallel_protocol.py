@@ -120,7 +120,7 @@ def _coordinator(next_times, lookahead):
         parallel_workers=len(next_times),
     )
     sim = Simulation.create(config)
-    sim._pool.workers = [_WorkerHandle(None, None, set()) for _ in next_times]
+    sim._pool.workers = [_WorkerHandle(None, None) for _ in next_times]
     sim._shard_lookahead = [lookahead] * len(next_times)
     _advertise(sim, next_times, lookahead)
     return sim
@@ -181,7 +181,6 @@ def test_planner_counts_bounds_past_the_fixed_step_as_jumps():
     # it back to deliver_at + the destination shard's lookahead.
     target = math.nextafter(100.0, INF)
     sim = _coordinator([1.0, 4.0], 2.0)
-    sim._index_to_worker = [0, 1]
     for worker in sim._pool.workers:
         worker.eot = 50.0
     assert sim._plan_bound(target) == 50.0
