@@ -32,8 +32,8 @@ def publish_cluster(sim, builder, catalog, epoch):
     return pages[0]
 
 
-def run_store(enable_backtracing, epochs=14, rounds_per_epoch=4, seed=9):
-    gc = GcConfig(enable_backtracing=enable_backtracing)
+def run_store(collector, epochs=14, rounds_per_epoch=4, seed=9):
+    gc = GcConfig(collector=collector)
     sim = Simulation(SimulationConfig(seed=seed, gc=gc))
     sim.add_sites(SITES, auto_gc=False)
     builder = GraphBuilder(sim)
@@ -57,7 +57,7 @@ def run_store(enable_backtracing, epochs=14, rounds_per_epoch=4, seed=9):
 
 def test_e14_longitudinal_leak(benchmark, record_table):
     def run():
-        return run_store(False), run_store(True)
+        return run_store("null"), run_store("backtrace")
 
     leaky, fixed = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(

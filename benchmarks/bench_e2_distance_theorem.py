@@ -13,7 +13,7 @@ from repro import GcConfig, Simulation, SimulationConfig
 from repro.harness.report import Table
 from repro.workloads import GraphBuilder, build_ring_cycle
 
-NO_BT = GcConfig(enable_backtracing=False)
+NO_BT = GcConfig(collector="null")
 
 
 def make_sim(sites, seed=2):
@@ -105,9 +105,7 @@ def test_suspicion_crossing_time(benchmark, record_table):
             sim = Simulation(
                 SimulationConfig(
                     seed=3,
-                    gc=GcConfig(
-                        suspicion_threshold=threshold, enable_backtracing=False
-                    ),
+                    gc=GcConfig(suspicion_threshold=threshold, collector="null"),
                 )
             )
             sim.add_sites(sites, auto_gc=False)

@@ -15,7 +15,7 @@ from repro.harness.scenarios import build_figure1
 
 
 def run_local_tracing_only(rounds=20):
-    scenario = build_figure1(gc=GcConfig(enable_backtracing=False))
+    scenario = build_figure1(gc=GcConfig(collector="null"))
     sim = scenario.sim
     timeline = {}
     for round_number in range(1, rounds + 1):

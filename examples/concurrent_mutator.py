@@ -11,7 +11,7 @@ run would abort.
 Run:  python examples/concurrent_mutator.py
 """
 
-from repro.api import GcConfig, Simulation, SimulationConfig
+from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.mutator import RandomWorkload, WorkloadConfig
 from repro.workloads import build_random_clustered_graph, build_ring_cycle

@@ -16,7 +16,7 @@ would freeze collection everywhere (see benchmarks/bench_e6_*).
 Run:  python examples/fault_tolerant_stores.py
 """
 
-from repro.api import GcConfig, Simulation, SimulationConfig
+from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.workloads import build_ring_cycle
 

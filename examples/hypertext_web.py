@@ -10,24 +10,25 @@ This example builds a web of cross-linked documents over four sites, then
 slowly drops documents from the catalog -- the long-lived-system scenario.
 Two systems run side by side on identical webs:
 
-- plain local tracing (inter-site reference listing only), which leaks every
-  citation cycle;
-- the paper's system with back tracing, which collects them.
+- plain local tracing (inter-site reference listing only,
+  ``collector="null"``), which leaks every citation cycle;
+- the paper's system with back tracing (``collector="backtrace"``), which
+  collects them.
 
 The printed series is the accumulated storage loss over time.
 
 Run:  python examples/hypertext_web.py
 """
 
-from repro.api import GcConfig, Simulation, SimulationConfig
+from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.workloads import build_hypertext_web
 
 SITES = ["lib0", "lib1", "lib2", "lib3"]
 
 
-def build(enable_backtracing: bool):
-    gc = GcConfig(enable_backtracing=enable_backtracing)
+def build(collector: str):
+    gc = GcConfig(collector=collector)
     sim = Simulation.create(SimulationConfig(seed=7, gc=gc))
     sim.add_sites(SITES, auto_gc=False)
     web = build_hypertext_web(
@@ -44,8 +45,8 @@ def build(enable_backtracing: bool):
 
 
 def main() -> None:
-    sim_leaky, web_leaky = build(enable_backtracing=False)
-    sim_fixed, web_fixed = build(enable_backtracing=True)
+    sim_leaky, web_leaky = build("null")
+    sim_fixed, web_fixed = build("backtrace")
     oracle_leaky = Oracle(sim_leaky)
     oracle_fixed = Oracle(sim_fixed)
 

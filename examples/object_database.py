@@ -15,7 +15,7 @@ and order partitions.
 Run:  python examples/object_database.py
 """
 
-from repro.api import Simulation, SimulationConfig
+from repro import Simulation, SimulationConfig
 from repro.analysis import Oracle, TraceLog
 from repro.workloads import build_object_database
 

@@ -10,7 +10,7 @@ traces delete it -- involving only the two sites that contain it.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import GcConfig, Simulation, SimulationConfig
+from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.workloads import GraphBuilder
 

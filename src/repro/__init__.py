@@ -8,10 +8,9 @@ garbage and the back-tracing protocol that confirms and collects it -- with
 the locality property the paper is about (collecting a cycle involves only
 the sites containing it).
 
-Quickstart (the stable facade lives in :mod:`repro.api` and is re-exported
-here)::
+Quickstart (every public name is importable from the package root)::
 
-    from repro.api import Simulation, SimulationConfig
+    from repro import Simulation, SimulationConfig
     from repro.workloads import build_ring_cycle
     from repro.analysis import Oracle
 
@@ -28,31 +27,19 @@ the rival termination-detection backend; ``python -m repro diff`` cross-runs
 both and oracle-checks that they reclaim identical garbage.
 """
 
-from .api import (
-    Collector,
-    CollectorSpec,
-    ConfigError,
-    FaultPlan,
-    FrameId,
-    GcConfig,
-    LinkFault,
-    NetworkConfig,
-    ObjectId,
-    ParallelSimulation,
-    PartitionWindow,
-    ReproError,
-    Simulation,
-    SimulationConfig,
-    SimulationError,
-    Site,
-    SiteCrash,
-    SiteId,
-    TraceId,
-    TraceOutcome,
-    available_collectors,
-    register_collector,
-    resolve_collector,
-)
+from .config import GcConfig, NetworkConfig, SimulationConfig
+from .errors import ConfigError, ReproError, SimulationError
+from .ids import FrameId, ObjectId, SiteId, TraceId
+
+# sim.simulation must come before core.collector: entering the import cycle
+# (simulation -> collector -> backtrace -> net -> sim) from the sim side is
+# the one order in which every name is defined by the time it is needed.
+from .sim.simulation import Simulation
+from .sim.parallel import ParallelSimulation
+from .core.collector import Collector
+from .net.faults import FaultPlan, LinkFault, PartitionWindow, SiteCrash
+from .site.site import Site
+from .core.backtrace.messages import TraceOutcome
 
 __version__ = "1.0.0"
 
@@ -76,9 +63,5 @@ __all__ = [
     "Site",
     "TraceOutcome",
     "Collector",
-    "CollectorSpec",
-    "available_collectors",
-    "register_collector",
-    "resolve_collector",
     "__version__",
 ]

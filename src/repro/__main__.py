@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .api import GcConfig, Simulation, SimulationConfig
+from . import GcConfig, Simulation, SimulationConfig
 from .analysis import Oracle
 from .harness.report import Table
 from .workloads import GraphBuilder

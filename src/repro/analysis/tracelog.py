@@ -63,8 +63,8 @@ class TraceLog:
 
         original_run = site.run_local_trace
 
-        def run_local_trace():
-            result = original_run()
+        def run_local_trace(*args, **kwargs):
+            result = original_run(*args, **kwargs)
             if result is not None:
                 log.record(
                     site.site_id,
@@ -77,30 +77,33 @@ class TraceLog:
 
         site.run_local_trace = run_local_trace
 
-        original_start = site.engine.start_trace
+        # Back-trace events exist only where the backend has an engine.
+        engine = getattr(site.cycle_collector, "engine", None)
+        if engine is not None:
+            original_start = engine.start_trace
 
-        def start_trace(outref_target):
-            trace_id = original_start(outref_target)
-            if trace_id is not None:
+            def start_trace(outref_target):
+                trace_id = original_start(outref_target)
+                if trace_id is not None:
+                    log.record(
+                        site.site_id, "backtrace-start",
+                        trace=str(trace_id), outref=str(outref_target),
+                    )
+                return trace_id
+
+            engine.start_trace = start_trace
+
+            original_outcome = engine.on_outcome
+
+            def on_outcome(trace_id: TraceId, verdict: TraceOutcome):
                 log.record(
-                    site.site_id, "backtrace-start",
-                    trace=str(trace_id), outref=str(outref_target),
+                    site.site_id, "backtrace-outcome",
+                    trace=str(trace_id), verdict=verdict.value,
                 )
-            return trace_id
+                if original_outcome is not None:
+                    original_outcome(trace_id, verdict)
 
-        site.engine.start_trace = start_trace
-
-        original_outcome = site.engine.on_outcome
-
-        def on_outcome(trace_id: TraceId, verdict: TraceOutcome):
-            log.record(
-                site.site_id, "backtrace-outcome",
-                trace=str(trace_id), verdict=verdict.value,
-            )
-            if original_outcome is not None:
-                original_outcome(trace_id, verdict)
-
-        site.engine.on_outcome = on_outcome
+            engine.on_outcome = on_outcome
 
         original_barrier = site.barrier.on_reference_arrival
 

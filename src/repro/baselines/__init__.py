@@ -19,7 +19,7 @@ Each baseline is a harness-side driver, constructed directly over a
 :class:`~repro.sim.simulation.Simulation` once its sites exist.  It
 registers its own message handlers and *replaces* the paper's back tracing
 on top of unchanged local tracing, so the simulation runs with
-``GcConfig(collector="null", enable_backtracing=False)`` (E6's setting).
+``GcConfig(collector="null")`` (E6's setting).
 """
 
 from .globaltrace import GlobalTraceCollector

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+#: The distributed cycle-collection backends ``GcConfig.collector`` names.
+COLLECTORS = ("backtrace", "null", "termination")
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -75,20 +78,19 @@ class GcConfig:
       timeout-assumed Live (doubling per consecutive one, capped at 8x, reset
       by any grounded verdict) and, for the ``"termination"`` backend, the
       credit-recovery deadline and back-off base of a trial.
-    - ``enable_backtracing`` / ``enable_transfer_barrier`` exist for
-      counterfactual experiments: plain local tracing (Figure 1's uncollected
-      cycle) and the unsafe no-barrier system (Figure 5's lost object).
-      Production configurations leave both True.
+    - ``collector="null"`` and ``enable_transfer_barrier=False`` are the
+      counterfactuals of the figures: plain local tracing (Figure 1's
+      uncollected cycle) and the unsafe no-barrier system (Figure 5's lost
+      object).  Production configurations run ``"backtrace"`` with the
+      barrier on.
     """
 
-    # Distributed cycle-collection backend, by registry name
+    # Distributed cycle-collection backend, one of :data:`COLLECTORS`
     # (:mod:`repro.core.collector`).  "backtrace" is the paper's back tracer;
     # "termination" the decentralized trial-deletion-with-termination-
     # detection rival used for differential testing; "null" plain local
-    # tracing (what the section 7 baseline drivers run over).  Validated
-    # against the registry when the simulation (or site) is constructed --
-    # the registry accepts runtime registrations, so the config layer only
-    # checks the type here.
+    # tracing (Figure 1's counterfactual, and what the section 7 baseline
+    # drivers run over).
     collector: str = "backtrace"
     suspicion_threshold: int = 4
     assumed_cycle_length: int = 8
@@ -98,7 +100,6 @@ class GcConfig:
     local_trace_duration: float = 0.0
     backtrace_timeout: float = 500.0
     backinfo_algorithm: str = "bottomup"
-    enable_backtracing: bool = True
     enable_transfer_barrier: bool = True
     # Section 3 suggests tuning the suspicion threshold from trace outcomes
     # ("if too many suspects are found live, the threshold should be
@@ -135,8 +136,11 @@ class GcConfig:
     full_update_period: int = 4
 
     def __post_init__(self) -> None:
-        if not isinstance(self.collector, str) or not self.collector:
-            raise ConfigError("collector must be a non-empty backend name")
+        if self.collector not in COLLECTORS:
+            raise ConfigError(
+                "collector must be 'backtrace', 'null' or 'termination', "
+                f"got {self.collector!r}"
+            )
         if self.suspicion_threshold < 1:
             raise ConfigError("suspicion_threshold must be >= 1")
         if self.assumed_cycle_length < 1:

@@ -29,33 +29,31 @@ owns:
   :meth:`Collector.on_outref_cleaned`);
 - its metrics/introspection export (:meth:`Collector.stats`).
 
-Backends register in a process-global registry keyed by the
-``GcConfig.collector`` name; :class:`~repro.sim.simulation.Simulation`
-resolves the name once and hands every new site the per-site factory.
-Three are built in: ``backtrace`` and ``null`` (defined here) and the
+There are exactly three backends, named by ``GcConfig.collector`` (which
+rejects any other name): ``backtrace`` and ``null`` (defined here) and the
 termination-detection rival ``termination`` (:mod:`repro.core.termination`,
-which registers itself on import; the registry imports it on first
-lookup).  The section 7 baselines are not backends: they are harness-side
-drivers constructed directly over a simulation (:mod:`repro.baselines`),
-and importing the core loads none of them.
+which :func:`collector_class` imports on first use, so ``import repro``
+does not load it).  The section 7 baselines are not backends: they are
+harness-side drivers constructed directly over a simulation
+(:mod:`repro.baselines`), and importing the core loads none of them.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     ClassVar,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
     Tuple,
+    Type,
 )
 
-from ..errors import ConfigError
 from ..ids import ObjectId
 from .backtrace.engine import BackTraceEngine
 from .backtrace.messages import (
@@ -75,15 +73,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class Collector:
     """Per-site strategy for one distributed cycle-collection backend.
 
-    Subclasses are constructed by :class:`~repro.site.site.Site` through the
-    factory resolved from ``GcConfig.collector``; at construction time the
+    Subclasses are constructed by :class:`~repro.site.site.Site` through
+    :func:`collector_class` of ``GcConfig.collector``; at construction time the
     site's heap, ioref tables, local collector, scheduler, and ``send`` are
     ready, while the transfer barrier is built *after* the strategy (it
     needs the strategy's optional back-trace engine).  Every method has a
     safe no-op default so minimal backends only override what they use.
     """
 
-    #: Registry name; also used in error messages and stats exports.
+    #: The ``GcConfig.collector`` name, for error messages and stats exports.
     name: ClassVar[str] = "null"
 
     def __init__(self, site: "Site"):
@@ -231,90 +229,40 @@ class BackTracingCollector(Collector):
         """Start a back trace from each suspected outref past its threshold."""
         site = self.site
         started: List[ObjectId] = []
-        if not site.config.enable_backtracing:
-            return started
         if suspected_outrefs is None:
             suspected_outrefs = site.outrefs.suspected_entries()
         # Either way deterministically ordered by target.
-        for entry in suspected_outrefs:
-            if entry.distance > entry.back_threshold:
-                if self.engine.start_trace(entry.target) is not None:
-                    started.append(entry.target)
-                    if len(started) >= site.config.max_traces_per_trigger_check:
-                        break
+        for entry in _past_back_threshold(suspected_outrefs):
+            if self.engine.start_trace(entry.target) is not None:
+                started.append(entry.target)
+                if len(started) >= site.config.max_traces_per_trigger_check:
+                    break
         return started
 
     def predict_quiet(self) -> bool:
-        site = self.site
-        if site.config.enable_backtracing:
-            # The trigger test of ``check_triggers``, minus its side effects.
-            # Conservative: a trigger ``start_trace`` would refuse (a trace
-            # already in flight, a retry back-off) still reads as activity.
-            for entry in site.outrefs.suspected_entries():
-                if entry.distance > entry.back_threshold:
-                    return False
-        return True
+        # Conservative: a trigger ``start_trace`` would refuse (a trace
+        # already in flight, a retry back-off) still reads as activity.
+        triggered = _past_back_threshold(self.site.outrefs.suspected_entries())
+        return next(triggered, None) is None
 
     def stats(self) -> Dict[str, int]:
         return {"active_traces": self.engine.active_trace_count}
 
 
-# -- registry ---------------------------------------------------------------------
+def _past_back_threshold(
+    entries: Iterable["OutrefEntry"],
+) -> Iterator["OutrefEntry"]:
+    """Section 4.3's trigger: the suspected outrefs whose distance exceeds
+    their back threshold, in the order given."""
+    return (entry for entry in entries if entry.distance > entry.back_threshold)
 
 
-@dataclass(frozen=True)
-class CollectorSpec:
-    """One registered backend.
+def collector_class(name: str) -> Type[Collector]:
+    """The per-site strategy class for a ``GcConfig.collector`` name (one of
+    :data:`repro.config.COLLECTORS`; the config rejects any other)."""
+    if name == "termination":
+        # Imported on first use, so ``import repro`` does not load it.
+        from .termination import TerminationCollector
 
-    ``site_factory`` builds the per-site strategy (called once per site by
-    the simulation).
-    """
-
-    name: str
-    site_factory: Callable[["Site"], Collector]
-
-
-_REGISTRY: Dict[str, CollectorSpec] = {}
-
-#: Backends resolved on first use.  Importing the named module must register
-#: the spec (module side effect).
-_LAZY_BUILTINS: Dict[str, str] = {
-    "termination": "repro.core.termination",
-}
-
-
-def register_collector(spec: CollectorSpec) -> None:
-    """Add (or replace) a backend in the registry."""
-    if not spec.name:
-        raise ConfigError("collector spec needs a non-empty name")
-    _REGISTRY[spec.name] = spec
-
-
-def resolve_collector(name: str) -> CollectorSpec:
-    """Look up a backend by its ``GcConfig.collector`` name.
-
-    Unknown names raise :class:`ConfigError` listing what is available --
-    resolution happens at simulation construction, the earliest point where
-    the registry (including lazily imported backends) is meaningful.
-    """
-    spec = _REGISTRY.get(name)
-    if spec is None and name in _LAZY_BUILTINS:
-        importlib.import_module(_LAZY_BUILTINS[name])
-        spec = _REGISTRY.get(name)
-    if spec is None:
-        known = sorted(set(_REGISTRY) | set(_LAZY_BUILTINS))
-        raise ConfigError(
-            f"unknown collector {name!r}; available: {', '.join(known)}"
-        )
-    return spec
-
-
-def available_collectors() -> Tuple[str, ...]:
-    """Sorted names of every registered or built-in backend."""
-    return tuple(sorted(set(_REGISTRY) | set(_LAZY_BUILTINS)))
-
-
-register_collector(CollectorSpec(name="null", site_factory=NullCollector))
-register_collector(
-    CollectorSpec(name="backtrace", site_factory=BackTracingCollector)
-)
+        return TerminationCollector
+    return {"backtrace": BackTracingCollector, "null": NullCollector}[name]

@@ -59,12 +59,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..ids import ObjectId, SiteId
 from ..metrics import names
 from ..net.message import Message, Payload
-from .collector import Collector, CollectorSpec, register_collector
+from .collector import Collector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..site.site import Site
@@ -313,21 +323,11 @@ class TerminationCollector(Collector):
         self._not_before.clear()
 
     def predict_quiet(self) -> bool:
-        site = self.site
         if self._initiated or self._member:
             return False
-        if not site.config.enable_backtracing:
-            return True
         # Back-off deliberately ignored: a backed-off suspect still triggers
         # on a *future* tick, so the tick chain is not provably quiet.
-        for entry in site.inrefs.entries():
-            if (
-                not entry.garbage
-                and entry.distance > entry.back_threshold
-                and site.heap.contains(entry.target)
-            ):
-                return False
-        return True
+        return next(self._suspects(), None) is None
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -342,27 +342,29 @@ class TerminationCollector(Collector):
 
     def check_triggers(self, suspected_outrefs=None) -> List[ObjectId]:
         # Trials start from suspected *inrefs*; the outref list is not used.
-        site = self.site
-        if not site.config.enable_backtracing:
-            return []
         self._expire_member_state()
         if self._active is not None:
             return []
-        now = site.scheduler.now
-        suspects = sorted(
-            entry.target
-            for entry in site.inrefs.entries()
-            if not entry.garbage
-            and entry.distance > entry.back_threshold
-            and site.heap.contains(entry.target)
-        )
-        for suspect in suspects:
+        now = self.site.scheduler.now
+        for suspect in sorted(self._suspects()):
             held = self._not_before.get(suspect)
             if held is not None and now < held[0]:
                 continue
             self._start_trial(suspect)
             return [suspect]
         return []
+
+    def _suspects(self) -> Iterator[ObjectId]:
+        """The trigger, owner side: each resident object whose unflagged
+        inref's distance exceeds its back threshold, in table order."""
+        site = self.site
+        return (
+            entry.target
+            for entry in site.inrefs.entries()
+            if not entry.garbage
+            and entry.distance > entry.back_threshold
+            and site.heap.contains(entry.target)
+        )
 
     def _start_trial(self, suspect: ObjectId) -> None:
         site = self.site
@@ -760,7 +762,3 @@ class TerminationCollector(Collector):
     def _on_abort(self, message: Message) -> None:
         self._member.pop(message.payload.trial, None)
 
-
-register_collector(
-    CollectorSpec(name="termination", site_factory=TerminationCollector)
-)

@@ -1,4 +1,5 @@
-"""Experiment harness: scenario builders, runners, and report formatting."""
+"""Experiment harness: figure scenarios, the chaos and differential matrices,
+and report formatting."""
 
 from .scenarios import (
     FigureScenario,

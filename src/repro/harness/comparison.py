@@ -71,10 +71,10 @@ BASELINES: Dict[str, Callable[[Simulation], object]] = {
 }
 
 
-def build_scenario(seed: int = 7, enable_backtracing: bool = True, collector: str = "backtrace"):
+def build_scenario(seed: int = 7, collector: str = "backtrace"):
     """The shared workload: cycle on s0/s1, live chain over the rest."""
     sites = [f"s{i}" for i in range(N_SITES)]
-    gc = GcConfig(enable_backtracing=enable_backtracing, collector=collector)
+    gc = GcConfig(collector=collector)
     sim = Simulation.create(SimulationConfig(seed=seed, gc=gc))
     sim.add_sites(sites, auto_gc=False)
     workload = build_ring_cycle(sim, CYCLE_SITES)
@@ -119,9 +119,7 @@ def run_with_collector(name: str, crash_bystander: bool = False) -> Dict:
     per_site = name in PER_SITE_BACKENDS
     if not per_site and name not in BASELINES:
         raise ValueError(f"unknown collector {name!r}")
-    sim, workload = build_scenario(
-        enable_backtracing=per_site, collector=name if per_site else "null"
-    )
+    sim, workload = build_scenario(collector=name if per_site else "null")
     oracle = Oracle(sim)
     before = sim.metrics.snapshot()
     if crash_bystander:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..config import SimulationConfig
-from ..core.collector import CollectorSpec, resolve_collector
 from ..errors import SimulationError
 from ..ids import ObjectId, SiteId, TraceId
 from ..metrics import MetricsRecorder
@@ -61,11 +60,6 @@ class Simulation:
         self.sites: Dict[SiteId, Site] = {}
         self._mutator_hop_handlers: Dict[str, Callable[[ObjectId], None]] = {}
         self._trace_outcomes: List[tuple] = []
-        # The cycle-collection backend, resolved once (unknown names fail
-        # here, before any site exists) and injected into every add_site.
-        self._collector_spec: CollectorSpec = resolve_collector(
-            self.config.gc.collector
-        )
 
     @classmethod
     def create(
@@ -106,7 +100,6 @@ class Simulation:
             auto_gc=auto_gc,
             on_mutator_hop=self._dispatch_mutator_hop,
             on_trace_outcome=self._record_trace_outcome,
-            collector_factory=self._collector_spec.site_factory,
         )
         self.sites[site_id] = site
         self.network.register(site_id, site.receive)

@@ -34,7 +34,7 @@ from ..core.backtrace.messages import (
     TraceOutcome,
 )
 from ..core.barriers import TransferBarrier
-from ..core.collector import Collector, resolve_collector
+from ..core.collector import Collector, collector_class
 from ..gc.insert import InsertDone, InsertRequest, UnpinRequest
 from ..gc.inrefs import InrefTable
 from ..gc.localtrace import LocalCollector, LocalTraceResult
@@ -125,12 +125,10 @@ class Site:
         self.collector = LocalCollector(
             self.heap, self.inrefs, self.outrefs, config, metrics=self.metrics
         )
-        # The distributed cycle-collection strategy.  The factory is injected
-        # by Simulation.add_site (resolved once per simulation from
-        # GcConfig.collector); a bare Site falls back to resolving the
-        # registry itself so direct construction keeps working.
+        # The distributed cycle-collection strategy named by
+        # GcConfig.collector, unless a test injects its own factory.
         if collector_factory is None:
-            collector_factory = resolve_collector(config.collector).site_factory
+            collector_factory = collector_class(config.collector)
         self.cycle_collector: Collector = collector_factory(self)
         self.barrier = TransferBarrier(
             self.inrefs,

@@ -18,7 +18,7 @@ from repro.workloads import GraphBuilder, build_ring_cycle
 
 from ..conftest import make_sim
 
-NO_BT = GcConfig(enable_backtracing=False)
+NO_BT = GcConfig(collector="null")
 
 
 def cycle_sim(sites, seed=0, gc=NO_BT):

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
+from repro.analysis import graph_snapshot
 from repro.harness.chaos import (
     FAULT_END,
     FAULT_START,
@@ -21,7 +22,6 @@ from repro.harness.chaos import (
     run_chaos_matrix,
     standard_plans,
 )
-from repro.metrics import graph_snapshot
 from repro.net.faults import FaultPlan
 from repro.sim.parallel import ParallelSimulation
 from repro.workloads import build_ring_cycle

@@ -1,7 +1,7 @@
 """Twin-run byte-identity: the Collector strategy boundary is inert.
 
 The strategy extraction moved the back tracer's wiring out of ``Site`` and
-behind the ``GcConfig.collector`` registry; these twins prove the boundary
+behind the ``GcConfig.collector`` switch; these twins prove the boundary
 itself changes nothing.  One e13-shaped scenario (doomed ring + live ring +
 churn + explicit GC rounds) runs per backend on the sequential engine, on
 2- and 4-worker parallel shards, and under a chaos storm plan, and every
@@ -22,17 +22,14 @@ import pytest
 
 from repro.analysis import Oracle
 from repro.analysis.export import graph_snapshot as export_snapshot
-from repro.api import (
-    CollectorSpec,
+from repro import (
     FaultPlan,
     GcConfig,
     NetworkConfig,
     ParallelSimulation,
     Simulation,
     SimulationConfig,
-    register_collector,
 )
-from repro.core.collector import _REGISTRY, BackTracingCollector
 from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
 
 SITES = [f"s{i}" for i in range(8)]
@@ -134,16 +131,38 @@ def test_chaos_storm_twin_is_byte_identical(collector):
     )
 
 
-def test_registry_indirection_is_inert():
-    # An alias spec wired straight to the class -- the old hard-coded
-    # construction, minus the name lookup -- must be indistinguishable from
-    # resolving "backtrace" through the registry.
-    register_collector(
-        CollectorSpec(name="backtrace-inline", site_factory=BackTracingCollector)
+
+@pytest.mark.parametrize("collector", ["backtrace", "termination"])
+def test_quiet_prediction_never_hides_a_trigger(collector):
+    # predict_quiet and check_triggers share one trigger predicate per
+    # backend: whenever the prediction says quiet, the scan starts nothing.
+    config = SimulationConfig(
+        seed=17,
+        gc=GcConfig(collector=collector, **GC),
+        network=NetworkConfig(**NETWORK),
     )
-    try:
-        assert _run("backtrace-inline", 1, seed=17) == _sequential(
-            "backtrace", 17
-        )
-    finally:
-        _REGISTRY.pop("backtrace-inline", None)
+    sim = Simulation.create(config)
+    sim.add_sites(SITES, auto_gc=True)
+    doomed = build_ring_cycle(sim, SITES[:6])
+    build_ring_cycle(sim, SITES[::2])
+    SiteChurn(sim, SITES, ChurnConfig(mean_interval=6.0)).start(until=200.0)
+    checks = {"quiet": 0, "started": 0}
+    for site in sim.sites.values():
+        backend = site.cycle_collector
+
+        def check(suspected_outrefs=None, backend=backend):
+            quiet = backend.predict_quiet()
+            started = type(backend).check_triggers(backend, suspected_outrefs)
+            if quiet:
+                assert started == []
+                checks["quiet"] += 1
+            checks["started"] += bool(started)
+            return started
+
+        backend.check_triggers = check
+    sim.run_for(400.0)
+    doomed.make_garbage(sim)
+    for _ in range(12):
+        sim.run_gc_round()
+    # Neither side of the implication is vacuous.
+    assert checks["quiet"] > 0 and checks["started"] > 0

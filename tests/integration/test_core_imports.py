@@ -6,7 +6,8 @@ set algebra now; a fresh interpreter holds that no import brings numpy back.
 
 Nor does the core load the section 7 baselines: they are harness-side
 drivers, and the credit helpers the termination backend shares with two of
-them live in :mod:`repro.core.termination`.
+them live in :mod:`repro.core.termination`.  That backend itself loads on
+first use, and the harness only when a caller imports it.
 """
 
 import os
@@ -37,5 +38,13 @@ def test_importing_the_core_does_not_import_numpy():
 def test_importing_the_core_does_not_import_the_baselines():
     _run_in_fresh_interpreter(
         "loaded = sorted(m for m in sys.modules if m.startswith('repro.baselines')); "
+        "assert not loaded, loaded"
+    )
+
+
+def test_importing_the_core_loads_neither_the_rival_backend_nor_the_harness():
+    _run_in_fresh_interpreter(
+        "loaded = sorted(m for m in sys.modules "
+        "if m == 'repro.core.termination' or m.startswith('repro.harness')); "
         "assert not loaded, loaded"
     )

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle
-from repro.metrics import graph_snapshot, names
+from repro.analysis import Oracle, graph_snapshot
+from repro.metrics import names
 from repro.net.faults import FaultPlan
 from repro.sim.parallel import ParallelSimulation
 from repro.workloads import build_ring_cycle

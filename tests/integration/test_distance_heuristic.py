@@ -26,7 +26,7 @@ def min_cycle_distance(sim, workload):
 @pytest.mark.parametrize("n_sites", [2, 3, 5, 8])
 def test_garbage_cycle_distances_grow_at_least_one_per_round(n_sites):
     sites = [f"s{i}" for i in range(n_sites)]
-    sim = make_sim(sites=sites, gc=GcConfig(enable_backtracing=False))
+    sim = make_sim(sites=sites, gc=GcConfig(collector="null"))
     workload = build_ring_cycle(sim, sites)
     for _ in range(3):
         sim.run_gc_round()
@@ -40,7 +40,7 @@ def test_garbage_cycle_distances_grow_at_least_one_per_round(n_sites):
 def test_live_object_distance_converges_to_true_distance():
     """A chain root -> s0 -> s1 -> s2 -> s3: true distances are 1..4."""
     sites = ["s0", "s1", "s2", "s3"]
-    sim = make_sim(sites=sites, gc=GcConfig(enable_backtracing=False))
+    sim = make_sim(sites=sites, gc=GcConfig(collector="null"))
     b = GraphBuilder(sim)
     root = b.obj("s0", "root", root=True)
     members = [b.obj(site) for site in sites]
@@ -62,7 +62,7 @@ def test_live_object_distance_converges_to_true_distance():
 def test_live_cycle_distance_stable():
     """A live ring's estimates stabilize at true distances (no runaway)."""
     sites = ["a", "b", "c"]
-    sim = make_sim(sites=sites, gc=GcConfig(enable_backtracing=False))
+    sim = make_sim(sites=sites, gc=GcConfig(collector="null"))
     workload = build_ring_cycle(sim, sites)  # anchored to the root
     for _ in range(10):
         sim.run_gc_round()
@@ -83,7 +83,7 @@ def test_all_cyclic_garbage_eventually_suspected():
     sites = [f"s{i}" for i in range(4)]
     sim = make_sim(
         sites=sites,
-        gc=GcConfig(suspicion_threshold=threshold, enable_backtracing=False),
+        gc=GcConfig(suspicion_threshold=threshold, collector="null"),
     )
     workload = build_ring_cycle(sim, sites, objects_per_site=2)
     for _ in range(2):

@@ -124,7 +124,7 @@ def test_outcome_timeout_clears_visited_marks():
     sites = ["a", "b"]
     sim = make_sim(
         sites=sites,
-        gc=fast_timeout_gc(enable_backtracing=False),
+        gc=fast_timeout_gc(),
         latency_model=ConstantLatency(2.0),
     )
     workload = build_ring_cycle(sim, sites)
@@ -137,6 +137,9 @@ def test_outcome_timeout_clears_visited_marks():
     for site_id in sites:
         sim.sites[site_id].run_local_trace()
     sim.settle()
+    # Outref distances of 10 stay under T2 = 12: the local traces started
+    # no back trace of their own, so the one below is the only trace.
+    assert sim.metrics.count(names.BACKTRACE_STARTED) == 0
     target = next(
         entry.target for entry in sim.site("a").outrefs.suspected_entries()
     )

@@ -30,7 +30,7 @@ class TestFigure1:
         assert scenario["e"] not in sim.site("P").inrefs
 
     def test_cycle_never_collected_without_backtracing(self):
-        gc = GcConfig(enable_backtracing=False)
+        gc = GcConfig(collector="null")
         scenario = build_figure1(gc=gc)
         sim = scenario.sim
         run_rounds(sim, 25)

@@ -1,22 +1,20 @@
-"""The collector registry, config plumbing, and facade."""
+"""The closed set of collector backends, its config plumbing, and the package
+root's public surface."""
 
 import pytest
 
 import repro
-import repro.api as api
-from repro.config import GcConfig, SimulationConfig
-from repro.core.collector import (
-    _REGISTRY,
-    CollectorSpec,
-    NullCollector,
-    available_collectors,
-    register_collector,
-    resolve_collector,
-)
+from repro.config import COLLECTORS, GcConfig, SimulationConfig
+from repro.core.collector import BackTracingCollector, NullCollector, collector_class
+from repro.core.termination import TerminationCollector
 from repro.errors import ConfigError
 from repro.sim.simulation import Simulation
 
-BUILTINS = {"null", "backtrace", "termination"}
+BUILTINS = {
+    "backtrace": BackTracingCollector,
+    "null": NullCollector,
+    "termination": TerminationCollector,
+}
 
 #: The section 7 baselines' old registry names: the baselines are
 #: constructed directly now, so configuring one is an unknown collector.
@@ -26,39 +24,22 @@ REMOVED_NAMES = [
 ]
 
 
-# -- registry ---------------------------------------------------------------
+# -- the closed set ---------------------------------------------------------
 
 
-def test_available_collectors_lists_every_builtin():
-    assert api.available_collectors() == ("backtrace", "null", "termination")
-    assert set(available_collectors()) == BUILTINS
-
-
-def test_every_builtin_resolves_to_a_spec():
-    for name in sorted(BUILTINS):
-        spec = resolve_collector(name)
-        assert spec.name == name
-        assert callable(spec.site_factory)
+def test_every_builtin_builds_its_class():
+    assert COLLECTORS == ("backtrace", "null", "termination")
+    for name, cls in BUILTINS.items():
+        assert collector_class(name) is cls
+        sim = Simulation.create(SimulationConfig(gc=GcConfig(collector=name)))
+        site = sim.add_site("a", auto_gc=False)
+        assert type(site.cycle_collector) is cls
+        assert site.cycle_collector.name == name
 
 
 def test_unknown_name_raises_config_error_listing_available():
-    with pytest.raises(ConfigError, match="available.*backtrace"):
-        resolve_collector("nonsense")
-
-
-def test_register_rejects_empty_name():
-    with pytest.raises(ConfigError, match="non-empty"):
-        register_collector(CollectorSpec(name="", site_factory=NullCollector))
-
-
-def test_runtime_registration_and_replacement():
-    spec = CollectorSpec(name="custom-test", site_factory=NullCollector)
-    register_collector(spec)
-    try:
-        assert resolve_collector("custom-test") is spec
-        assert "custom-test" in available_collectors()
-    finally:
-        _REGISTRY.pop("custom-test", None)
+    with pytest.raises(ConfigError, match="'backtrace', 'null' or 'termination'"):
+        GcConfig(collector="nonsense")
 
 
 # -- config plumbing --------------------------------------------------------
@@ -67,12 +48,6 @@ def test_runtime_registration_and_replacement():
 def test_config_rejects_empty_collector_name():
     with pytest.raises(ConfigError, match="collector"):
         GcConfig(collector="")
-
-
-def test_simulation_create_resolves_name_at_construction():
-    config = SimulationConfig(gc=GcConfig(collector="nonsense"))
-    with pytest.raises(ConfigError, match="unknown collector"):
-        Simulation.create(config)
 
 
 def test_sites_get_the_configured_backend():
@@ -87,19 +62,35 @@ def test_sites_get_the_configured_backend():
 
 @pytest.mark.parametrize("name", REMOVED_NAMES)
 def test_removed_baseline_names_are_unknown_collectors(name):
-    config = SimulationConfig(gc=GcConfig(collector=name))
-    with pytest.raises(ConfigError, match="unknown collector"):
-        Simulation.create(config)
+    with pytest.raises(ConfigError, match="collector must be"):
+        GcConfig(collector=name)
 
 
-# -- the stable facade ------------------------------------------------------
+# -- the package root ---------------------------------------------------------
 
 
-def test_api_facade_exports_every_declared_name():
-    for name in api.__all__:
-        assert getattr(api, name) is not None
-
-
-def test_package_root_reexports_the_facade():
-    for name in api.__all__:
-        assert getattr(repro, name) is getattr(api, name), name
+def test_package_root_surface_is_pinned():
+    assert repro.__all__ == [
+        "GcConfig",
+        "NetworkConfig",
+        "SimulationConfig",
+        "ReproError",
+        "ConfigError",
+        "SimulationError",
+        "ObjectId",
+        "SiteId",
+        "TraceId",
+        "FrameId",
+        "FaultPlan",
+        "LinkFault",
+        "PartitionWindow",
+        "SiteCrash",
+        "Simulation",
+        "ParallelSimulation",
+        "Site",
+        "TraceOutcome",
+        "Collector",
+        "__version__",
+    ]
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name

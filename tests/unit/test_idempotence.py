@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro import GcConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle
+from repro.analysis import Oracle, graph_snapshot
 from repro.core.collector import NullCollector
 from repro.core.termination import (
     TRIAL_PAYLOADS,
@@ -27,7 +27,7 @@ from repro.core.termination import (
 )
 from repro.gc.insert import InsertDone, InsertRequest, UnpinRequest
 from repro.ids import ObjectId
-from repro.metrics import graph_snapshot, names
+from repro.metrics import names
 from repro.mutator.ops import MutatorHop, RemoteCopy
 from repro.net.faults import FaultPlan
 from repro.net.message import Payload

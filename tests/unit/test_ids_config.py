@@ -230,7 +230,6 @@ GC_FIELDS = (
     "local_trace_duration",
     "backtrace_timeout",
     "backinfo_algorithm",
-    "enable_backtracing",
     "enable_transfer_barrier",
     "enable_threshold_tuning",
     "defer_messages",
@@ -248,7 +247,8 @@ NETWORK_FIELDS = (
 )
 SIMULATION_FIELDS = ("seed", "network", "gc", "parallel_workers")
 #: Switches that once selected a pre-optimisation leg, overrides nothing ever
-#: set, and the knob of a mechanism since deleted.  None may come back.
+#: set, the knob of a mechanism since deleted, and a second switch for what
+#: ``collector="null"`` names.  None may come back.
 REMOVED_FIELDS = {
     GcConfig: (
         "incremental_traces",
@@ -265,6 +265,7 @@ REMOVED_FIELDS = {
         "termination_retry_backoff",
         "update_retransmit_timeout",
         "update_retransmit_limit",
+        "enable_backtracing",
     ),
     SimulationConfig: ("shard_policy",),
 }

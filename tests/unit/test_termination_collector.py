@@ -12,7 +12,7 @@ pinned here too.
 import pytest
 
 from repro.analysis import Oracle
-from repro.api import (
+from repro import (
     FaultPlan,
     GcConfig,
     NetworkConfig,

@@ -1,5 +1,8 @@
 """Unit tests for the structured protocol event log."""
 
+import pytest
+
+from repro import GcConfig
 from repro.analysis import Oracle, TraceLog
 from repro.workloads import GraphBuilder, build_ring_cycle
 
@@ -63,6 +66,28 @@ def test_logs_backtrace_lifecycle():
     assert outcomes[0].detail["verdict"] == "garbage"
     assert outcomes[0].detail["trace"] == starts[0].detail["trace"]
     assert starts[0].time <= outcomes[0].time
+
+
+@pytest.mark.parametrize("collector", ["null", "termination"])
+def test_attaches_to_backends_without_an_engine(collector):
+    sim = make_sim(sites=("P", "Q"), gc=GcConfig(collector=collector))
+    log = TraceLog(sim)
+    workload = build_ring_cycle(sim, ["P", "Q"])
+    workload.make_garbage(sim)
+    for _ in range(3):
+        sim.run_gc_round()
+    assert log.of_kind("local-trace")
+    assert not log.of_kind("backtrace-start")
+
+
+def test_wrapped_local_trace_forwards_its_arguments():
+    sim = make_sim(sites=("P",))
+    log = TraceLog(sim)
+    GraphBuilder(sim).obj("P", "r", root=True)
+    result = sim.site("P").run_local_trace(force_full=True)
+    assert result is not None
+    [event] = log.of_kind("local-trace")
+    assert event.detail["clean"] == result.clean_phase.objects_scanned
 
 
 def test_events_are_time_ordered():
