@@ -53,8 +53,10 @@ class BackInfoResult:
     ``outsets`` maps each suspected inref target to the frozenset of
     suspected outref targets locally reachable from it.  ``visited_objects``
     is the set of suspected objects the computation traversed (they are live
-    w.r.t. this trace and must survive the sweep).  The remaining fields are
-    the cost counters benchmark E3/E4 report.
+    w.r.t. this trace and must survive the sweep).  The cost fields are the
+    counters benchmark E3/E4 report; ``outsets_reused`` says how many of the
+    outsets the bottom-up algorithm took with a region from its memo instead
+    of walking it (0 from the independent one) -- not a counter.
     """
 
     outsets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
@@ -64,6 +66,7 @@ class BackInfoResult:
     unions_computed: int = 0
     union_memo_hits: int = 0
     distinct_outsets: int = 0
+    outsets_reused: int = 0
 
 
 def invert_outsets(

@@ -19,21 +19,20 @@ distance is at or below the suspicion threshold.  Objects it marks are
 
 Two kernels compute it.  :func:`trace_clean_phase` is the paper-literal
 reference over ``ObjectId`` sets; :func:`trace_clean_phase_flat` is the one
-local traces run, over the heap's flat-graph mirror, re-using the part of
+local traces run, over the heap's flat-graph mirror, re-using each region of
 its previous run on the same heap that no mutation since has touched.  The
 kernel tests hold it to the reference on every result field.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..ids import ObjectId
-from ..store.heap import Heap
+from ..store.heap import Heap, RegionMemo
 
 
 @dataclass
@@ -116,13 +115,9 @@ def trace_clean_phase(
     return result
 
 
-#: Trace positions a rank byte can name; a root past them is walked on
-#: every call and its rows are ranked ``_UNRANKED``.
-RANKED_POSITIONS = 254
-_UNRANKED = 254
-_NONE = 255
-#: ``bytes.translate`` table: 1 for a ranked row, 0 for a row no root marked.
-_RANK_MARKS = bytes([1]) * _NONE + bytes([0])
+#: A remembered region with at least this many rows is marked as a slice
+#: of the mark bitmap; a smaller one row by row.
+WIDE_REGION = 32
 
 
 def trace_clean_phase_flat(
@@ -136,120 +131,113 @@ def trace_clean_phase_flat(
     ``objects_scanned`` and ``edges_examined``, and a clean set that is the
     heap minus ``unmarked``, kept in index space as ``marks``.  Roots are
     taken one at a time in trace order (ascending distance, input order
-    within a distance), each a DFS over int indices that marks what no
-    earlier root marked -- the root's *region*.  Each marked row is ranked
-    with the position of the root whose region holds it, so when a distance
-    group finishes, the remote references of the rows ranked inside it take
-    its distance plus one (unless smaller already).
+    within a distance), each marking what no earlier root marked -- the
+    root's *region*.  A row's remote references take its region's root
+    distance plus one; the first root to reach a row is the nearest, so
+    each outref gets ``1 + min`` over the roots that reach it.
 
-    **Memo.**  The heap keeps the previous call's ``(distance, index)`` root
-    keys, the positions whose region was empty and the rank bytes
-    (``Heap.clean_memo``), plus the rows changed since (``Heap.take_dirty``).
-    The first ``k`` regions are re-used -- marked wholesale, without
-    walking -- where ``k`` is the longest prefix of equal keys, lowered to
-    the smallest rank of a changed row, and lowered again to the first
-    position in it whose region was empty but whose root is unmarked now.
-    Sound because a region is exactly what a DFS reaches from its root
-    through unmarked objects: its rows' edges are unchanged, they lead
-    only into the region and into what was marked before it (earlier
-    regions, re-used identically, and dead indices, which only the memo-
-    dropping revival in ``Heap.alloc`` brings back), and none of its
-    objects died, so the walk would repeat itself.  Re-use costs
-    O(|changed rows| + roots) Python steps: the prefix's marks are the
-    fresh marks OR'd, as big ints, with the translated rank bytes, and
-    positions from ``RANKED_POSITIONS`` on are never re-used.  A walk ranks
-    each row it marks.  ``objects_scanned`` still counts every object the
-    clean phase marked, re-used or not; ``objects_reused`` says how many of
-    them came from the memo.
+    **Memo.**  ``Heap.clean_memo`` keeps each region of the previous call
+    under its root's index: its rows (a tuple, or for a wide region the
+    window ``(lo, hi, bits)`` they span), a getter over its *boundary*
+    (the live rows an earlier root had marked that its edges led to) and
+    the remote references its rows hold.  A root takes its remembered
+    region wholesale, without walking, when no walk of this call marked
+    one of the region's rows and every boundary row is marked -- wherever
+    the root now sits in the trace order.  Sound because the marks after
+    each root are exactly what the roots so far reach: the region's rows
+    are unchanged (``Heap.take_dirty`` dropped every region holding a
+    changed row), so they lead only into the region, its boundary and
+    dead indices; its rows are reached from its root; none is reached from
+    an earlier root (re-used regions are disjoint, and a walk that marks a
+    row names the row's remembered owner as *intruded*); and all its
+    boundary is.  Otherwise the root is walked.  A wide region is marked
+    with one big-int OR over its window, no Python step per row.  Dead
+    indices stay dead while a remembered row points at them, save for the
+    memo-dropping revival in ``Heap.alloc``.  ``objects_scanned`` still
+    counts every object the clean phase marked, re-used or not;
+    ``objects_reused`` says how many of them came from the memo.
     """
     result = CleanPhaseResult()
+    idx_map, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
+    heap.take_dirty()
+    memo = heap.clean_memo
+    regions = memo.regions
+    seen = heap.fresh_marks()
+    owner = memo.own(len(seen))
+    index_of = idx_map.get
+    region_of = regions.get
+    remote_get = remote_rows.get
+    kept = {}
+    intruded = set()
+    walked = 0
     distances = result.outref_distances
+    nearest = distances.setdefault
+    stack: List[int] = []
+    stack_pop = stack.pop
+    stack_extend = stack.extend
+    for root, root_distance in sorted(roots, key=itemgetter(1)):
+        ridx = index_of(root)  # only local ids are ever interned
+        if ridx is None or seen[ridx]:
+            continue  # an empty region: an earlier root reached it
+        region = region_of(ridx)
+        if region is not None and ridx not in intruded:
+            rows, window, boundary, expected, held = region
+            if boundary is not None and boundary(seen) != expected:
+                region = None
+            elif rows is not None:
+                for i in rows:
+                    seen[i] = 1
+            else:
+                lo, hi, bits = window
+                seen[lo:hi] = (int.from_bytes(seen[lo:hi], "little") | bits).to_bytes(
+                    hi - lo, "little"
+                )
+        else:
+            region = None
+        if region is None:
+            before = bytes(seen)
+            rows = []
+            boundary = set()
+            stack.append(ridx)
+            while stack:
+                i = stack_pop()
+                if seen[i]:
+                    if owner[i] != ridx:  # not this walk's, nor dead
+                        boundary.add(i)
+                    continue
+                seen[i] = 1
+                if owner[i] != ridx:
+                    intruded.add(owner[i])
+                    owner[i] = ridx
+                rows.append(i)
+                stack_extend(succ_local[i])
+            walked += len(rows)
+            window = None
+            if len(rows) >= WIDE_REGION:
+                lo, hi = min(rows), max(rows) + 1
+                bits = int.from_bytes(seen[lo:hi], "little") ^ int.from_bytes(
+                    before[lo:hi], "little"
+                )
+                window = (lo, hi, bits)
+            held = tuple(chain.from_iterable(filter(None, map(remote_get, rows))))
+            region = (
+                None if window else tuple(rows),
+                window,
+                *RegionMemo.probe(list(boundary), [1] * len(boundary)),
+                held,
+            )
+        kept[ridx] = region
+        # In trace order, the first distance given an outref is its least.
+        if held:
+            outref_distance = root_distance + 1
+            for ref in held:
+                nearest(ref, outref_distance)
+    memo.regions = kept
+
     for target in variable_outrefs:
         result.clean_variable_outrefs.add(target)
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
-
-    idx_map, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
-    keys = [  # only local ids are ever interned
-        (root_distance, ridx)
-        for root, root_distance in sorted(roots, key=itemgetter(1))
-        if (ridx := idx_map.get(root)) is not None
-    ]
-    dirty = heap.take_dirty()
-    fresh = heap.fresh_marks()
-    size = len(fresh)
-    old_keys, old_empty, old_rank = heap.clean_memo or ([], [], bytearray())
-
-    # The re-used prefix: no changed row inside, equal keys, and every
-    # empty region still empty (its root marked by an earlier region or dead).
-    k = min(len(keys), len(old_keys), RANKED_POSITIONS)
-    for i in dirty:
-        if i < len(old_rank) and old_rank[i] < k:
-            k = old_rank[i]
-    if keys[:k] != old_keys[:k]:
-        k = next(p for p in range(k) if keys[p] != old_keys[p])
-    for p in old_empty:
-        if p >= k:
-            break
-        ridx = keys[p][1]
-        if not fresh[ridx] and old_rank[ridx] >= p:
-            k = p
-            break
-    # Keep the ranks below ``k``; unrank the rest.
-    rank = old_rank.translate(bytes(range(k)) + bytes([_NONE]) * (256 - k))
-    if len(rank) < size:  # the mirror grew since
-        rank += bytes([_NONE]) * (size - len(rank))
-    seen = fresh
-    reused = 0
-    if k:
-        prefix = rank.translate(_RANK_MARKS)
-        reused = prefix.count(1)
-        seen = bytearray(
-            (
-                int.from_bytes(fresh, "little") | int.from_bytes(prefix, "little")
-            ).to_bytes(size, "little")
-        )
-    empty = old_empty[: bisect_left(old_empty, k)]
-
-    stack: List[int] = []
-    stack_pop = stack.pop
-    stack_extend = stack.extend
-    distances_get = distances.get
-    # Rows holding remote references that no group has marked yet.
-    pending = list(remote_rows)
-    position = 0
-    for root_distance, group in groupby(keys, key=itemgetter(0)):
-        for _, ridx in group:
-            if position >= k:
-                if seen[ridx]:
-                    empty.append(position)
-                else:
-                    label = position if position < RANKED_POSITIONS else _UNRANKED
-                    stack.append(ridx)
-                    while stack:
-                        i = stack_pop()
-                        if seen[i]:
-                            continue
-                        seen[i] = 1
-                        rank[i] = label
-                        stack_extend(succ_local[i])
-            position += 1
-        if not pending:
-            continue
-        # Every rank written so far names a position below ``limit``.
-        limit = min(position, _NONE)
-        outref_distance = root_distance + 1
-        still_pending = []
-        for i in pending:
-            if rank[i] < limit:
-                for ref in remote_rows[i]:
-                    current = distances_get(ref)
-                    if current is None or outref_distance < current:
-                        distances[ref] = outref_distance
-            else:
-                still_pending.append(i)
-        pending = still_pending
-    heap.clean_memo = (keys, empty, rank)
 
     # Few objects are left unmarked as a rule: take their rows back out.
     unmarked = []
@@ -257,13 +245,12 @@ def trace_clean_phase_flat(
     i = seen.find(0)
     while i >= 0:
         unmarked.append(oids[i])
-        edges -= len(succ_local[i]) + len(remote_rows.get(i, ()))
+        edges -= len(succ_local[i]) + len(remote_get(i, ()))
         i = seen.find(0, i + 1)
     result.marks = seen
     result.unmarked = unmarked
+    result.edges_examined = edges
     # Re-used plus walked rows: every resident object the phase marked.
     result.objects_scanned = len(heap) - len(unmarked)
-    result.objects_reused = reused
-    result.edges_examined = edges
+    result.objects_reused = result.objects_scanned - walked
     return result
-

@@ -13,7 +13,10 @@ cleaned it since the last local trace.  Otherwise it is *suspected*.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import GcInvariantError
@@ -118,8 +121,10 @@ class InrefEntry:
             self.distance = min(self.sources.values())
 
     def _structure_changed(self) -> None:
-        if self._table is not None:
-            self._table._structure_epoch += 1
+        table = self._table
+        if table is not None:
+            table._structure_epoch += 1
+            table._changed.add(self.target)
 
     def _sources_changed(
         self, added: Optional[SiteId] = None, removed: Optional[SiteId] = None
@@ -136,6 +141,7 @@ class InrefEntry:
             # advances the distance epoch.
             if distance != self.distance:
                 table._distance_epoch += 1
+                table._changed.add(self.target)
         self.distance = distance
 
     @property
@@ -203,7 +209,7 @@ class InrefEntry:
 
 
 class InrefScan(NamedTuple):
-    """What one pass over the inref table tells a local trace.
+    """What the inref table tells a local trace.
 
     ``clean_roots`` and ``suspected_targets`` are in increasing
     ``(distance, target)`` order (the trace order of section 3) and leave out
@@ -232,6 +238,26 @@ class InrefTable:
         # Targets whose entry is barrier-cleaned right now, so that expiring
         # the flags after a local trace costs the flagged entries only.
         self._barrier_flagged: Set[ObjectId] = set()
+        # -- what the last scan filed, kept between traces --------------------
+        #
+        # ``scan_for_trace`` keeps the trace order sorted across calls and
+        # re-files only the targets named in ``_changed``: every entry whose
+        # distance, garbage flag or clean state moved since, and every entry
+        # created or removed.  ``_clean_keys`` and ``_suspected_keys`` hold
+        # ``(distance, target)`` keys in order, ``_clean_roots`` the clean
+        # ones again as the ``(target, distance)`` roots a trace takes;
+        # ``_filed`` maps each target to its key (the same object), or to
+        # None for a garbage-flagged entry; ``_distances`` every entry's
+        # distance as last filed.
+        self._changed: Set[ObjectId] = set()
+        self._filed: Dict[ObjectId, Optional[Tuple[int, ObjectId]]] = {}
+        self._clean_keys: List[Tuple[int, ObjectId]] = []
+        self._clean_roots: List[Tuple[ObjectId, int]] = []
+        self._suspected_keys: List[Tuple[int, ObjectId]] = []
+        self._distances: Dict[ObjectId, int] = {}
+        # Each entry's outset as the last ``install_outsets`` set it, for the
+        # entries it named (see there).
+        self._outsets: Dict[ObjectId, FrozenSet[ObjectId]] = {}
 
     # -- mutation epochs --------------------------------------------------------
     #
@@ -261,6 +287,7 @@ class InrefTable:
         if value != self._suspicion_threshold:
             self._suspicion_threshold = value
             self.bump_structure()  # clean/suspected classification may flip
+            self._changed.update(self._entries)
 
     # -- basic access ---------------------------------------------------------
 
@@ -333,6 +360,7 @@ class InrefTable:
             self._entries[target] = entry
             self._order_dirty = True
             self.bump_structure()
+            self._changed.add(target)
         entry.add_source(source, distance)
         return entry
 
@@ -341,8 +369,7 @@ class InrefTable:
         if entry is not None:
             for source in list(entry.sources):
                 self._index_source_removed(target, source)
-            self._barrier_flagged.discard(target)
-            self.bump_structure()
+            self._dropped(target)
 
     def remove_source(self, target: ObjectId, source: SiteId) -> None:
         """Apply an update-message removal; drop the entry when empty."""
@@ -352,8 +379,14 @@ class InrefTable:
         entry.remove_source(source)
         if entry.empty:
             del self._entries[target]
-            self._barrier_flagged.discard(target)
-            self.bump_structure()
+            self._dropped(target)
+
+    def _dropped(self, target: ObjectId) -> None:
+        """Book-keeping for an entry just taken out of ``_entries``."""
+        self._barrier_flagged.discard(target)
+        self._outsets.pop(target, None)
+        self._changed.add(target)
+        self.bump_structure()
 
     # -- views used by the collector ----------------------------------------------
 
@@ -363,28 +396,100 @@ class InrefTable:
         return [target for target, entry in self._entries.items() if not entry.garbage]
 
     def scan_for_trace(self) -> InrefScan:
-        """Everything a local trace reads off this table, in one pass."""
-        self._ensure_order()
-        threshold = self._suspicion_threshold
-        clean_keys: List[Tuple[int, ObjectId]] = []
-        suspected_keys: List[Tuple[int, ObjectId]] = []
-        distances: Dict[ObjectId, int] = {}
-        for target, entry in self._entries.items():
-            distance = entry.distance
-            distances[target] = distance
-            if entry._garbage:
-                continue
-            if distance <= threshold or entry._barrier_clean:
-                clean_keys.append((distance, target))
-            else:
-                suspected_keys.append((distance, target))
-        clean_keys.sort()
-        suspected_keys.sort()
+        """Everything a local trace reads off this table.
+
+        Re-files only the entries changed since the last call (see
+        ``_changed``); the rest of the trace order is kept from it.  The
+        ``distances`` it returns is the table's own record, valid until the
+        table next changes.
+        """
+        changed = self._changed
+        if changed:
+            self._changed = set()
+            filed = self._filed
+            entries = self._entries
+            distances = self._distances
+            threshold = self._suspicion_threshold
+            clean_keys, clean_roots = self._clean_keys, self._clean_roots
+            suspected_keys = self._suspected_keys
+            for target in changed:
+                key = filed.pop(target, None)
+                if key is not None:
+                    at = bisect_left(clean_keys, key)
+                    if at < len(clean_keys) and clean_keys[at] is key:
+                        del clean_keys[at]
+                        del clean_roots[at]
+                    else:
+                        del suspected_keys[bisect_left(suspected_keys, key)]
+                entry = entries.get(target)
+                if entry is None:
+                    distances.pop(target, None)
+                    continue
+                distance = distances[target] = entry.distance
+                if entry._garbage:
+                    filed[target] = None
+                    continue
+                key = filed[target] = (distance, target)
+                if distance <= threshold or entry._barrier_clean:
+                    at = bisect_left(clean_keys, key)
+                    clean_keys.insert(at, key)
+                    clean_roots.insert(at, (target, distance))
+                else:
+                    insort(suspected_keys, key)
         return InrefScan(
-            clean_roots=[(target, distance) for distance, target in clean_keys],
-            suspected_targets=[target for _, target in suspected_keys],
-            distances=distances,
+            clean_roots=list(self._clean_roots),
+            suspected_targets=list(map(itemgetter(1), self._suspected_keys)),
+            distances=self._distances,
         )
+
+    def install_outsets(self, outsets: Dict[ObjectId, FrozenSet[ObjectId]]) -> None:
+        """Give each entry its outset from a local trace (empty when the
+        trace computed none), touching only the entries whose outset
+        moves: ``_outsets`` holds what the last call set, for the entries
+        it named."""
+        entries = self._entries
+        installed = self._outsets
+        for target in list(
+            compress(outsets, map(ne, map(installed.get, outsets), outsets.values()))
+        ):
+            entry = entries.get(target)
+            if entry is not None:
+                entry.outset = installed[target] = outsets[target]
+        no_outset: FrozenSet[ObjectId] = frozenset()
+        for target in installed.keys() - outsets.keys():
+            entries[target].outset = no_outset
+            del installed[target]
+
+    def check_changed(self) -> None:
+        """Assert the premise the incremental scan rests on: every entry
+        filed otherwise than it now classifies, and every filed target
+        gone, is named in ``_changed``; the kept order is sorted and every
+        outset matches its record (test/debug support; O(n log n))."""
+        threshold = self._suspicion_threshold
+        clean, suspected = set(self._clean_keys), set(self._suspected_keys)
+        for target, entry in self._entries.items():
+            key = (entry.distance, target)
+            if entry._garbage:
+                filed = self._filed.get(target, ()) is None
+            elif entry.distance <= threshold or entry._barrier_clean:
+                filed = self._filed.get(target) == key and key in clean
+            else:
+                filed = self._filed.get(target) == key and key in suspected
+            filed = filed and self._distances.get(target) == entry.distance
+            assert filed or target in self._changed, f"inref {target} changed unrecorded"
+            assert entry.outset == self._outsets.get(target, frozenset()), (
+                f"inref {target} outset drift"
+            )
+        for target in self._filed.keys() | self._distances.keys():
+            assert target in self._entries or target in self._changed, (
+                f"inref {target} removed unrecorded"
+            )
+        keys = [key for key in self._filed.values() if key is not None]
+        assert len(keys) == len(self._clean_keys) + len(self._suspected_keys)
+        assert self._outsets.keys() <= self._entries.keys(), "outset of a removed inref"
+        for kept in (self._clean_keys, self._suspected_keys):
+            assert kept == sorted(kept), "inref trace order"
+        assert self._clean_roots == [(t, d) for d, t in self._clean_keys]
 
     def clean_entries(self) -> List[InrefEntry]:
         self._ensure_order()

@@ -25,6 +25,7 @@ replays transfer barriers that arrived in the window onto the new tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -68,9 +69,9 @@ class LocalTraceResult:
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
-    # The committed table's suspected outrefs in target order, for the
-    # back-trace trigger check; None when commit had no cause to walk the
-    # outref table.
+    # The committed table's suspected outrefs in target order (its
+    # suspected record), for the back-trace trigger check; None when commit
+    # built no updates and the check reads the table itself.
     suspected_outrefs: Optional[List[OutrefEntry]] = None
 
 
@@ -279,11 +280,11 @@ class LocalCollector:
         """Phases 1 and 2: the clean and the suspected trace."""
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
         # clean inrefs at their estimated distances.
-        roots: List[Tuple[ObjectId, int]] = [
-            (oid, 0) for oid in sorted(self.heap.persistent_roots)
-        ]
-        roots.extend((oid, 0) for oid in sorted(self.heap.variable_roots))
-        roots.extend(scan.clean_roots)
+        roots: List[Tuple[ObjectId, int]] = list(
+            zip(sorted(self.heap.persistent_roots), repeat(0))
+        )
+        roots += zip(sorted(self.heap.variable_roots), repeat(0))
+        roots += scan.clean_roots
         clean_phase = trace_clean_phase_flat(
             self.heap, roots, variable_outrefs=variable_outrefs
         )
@@ -307,8 +308,9 @@ class LocalCollector:
         result.suspected_objects = backinfo.visited_objects
         result.outsets = backinfo.outsets
         result.insets = invert_outsets(backinfo.outsets)
-        for target, distance in clean_outrefs.items():
-            result.outref_states[target] = (True, distance)
+        result.outref_states = {
+            target: (True, distance) for target, distance in clean_outrefs.items()
+        }
         self._record_trace(result)
 
     def _assert_update_order(self) -> None:
@@ -345,11 +347,7 @@ class LocalCollector:
             # Nothing in the table moved since the last build: every diff
             # would be empty.  A quiescent steady-state tick ends here.
             return
-        # The commit's one walk over the outref table: the per-site view the
-        # diff below needs and the suspected list the trigger check wants.
-        current, result.suspected_outrefs = self.outrefs.scan_committed()
         if __debug__:
-            self._assert_update_order()
             assert result.removals == sorted(result.removals)
         # Outrefs the trace trimmed must be reported even when they were
         # never shipped in an update: the peer learned of us as a source
@@ -360,43 +358,81 @@ class LocalCollector:
         for target in result.removals:
             if target not in self.outrefs:  # actually removed (not pinned)
                 explicit_removals.setdefault(target.site, []).append(target)
-        sites = set(current) | set(self._shipped) | set(explicit_removals)
-        for site in sorted(sites):
+        if full_refresh:
+            self._ship_full(result, explicit_removals)
+        else:
+            self._ship_deltas(result, explicit_removals)
+        self._shipped_epoch = outrefs_epoch
+
+    def _ship_full(
+        self, result: LocalTraceResult, explicit_removals: Dict[SiteId, List[ObjectId]]
+    ) -> None:
+        """The periodic refresh: every peer that holds or held one of our
+        outrefs gets the complete list (the receiver-side prune replaces
+        explicit removals, and the payload re-anchors a desynced peer)."""
+        current = self.outrefs.distances_by_site()
+        if __debug__:
+            self._assert_update_order()
+        result.suspected_outrefs = self.outrefs.suspected_entries()
+        for site in sorted(set(current) | set(self._shipped) | set(explicit_removals)):
             cur = current.get(site, {})
-            shipped = self._shipped.get(site, {})
-            explicit = explicit_removals.get(site, ())
-            if full_refresh:
-                if not cur and not shipped and not explicit:
-                    continue
-                # Complete list; the receiver-side prune replaces explicit
-                # removals, and the payload re-anchors a desynced peer.
-                result.updates_by_site[site] = UpdatePayload(tuple(cur.items()))
-                self._cells.full_refreshes.add()
-            else:
-                if not explicit and cur == shipped:
-                    continue
-                adds: List[Tuple[ObjectId, int]] = []
-                changes: List[Tuple[ObjectId, int]] = []
-                for target, distance in cur.items():
-                    shipped_distance = shipped.get(target)
-                    if shipped_distance is None:
-                        adds.append((target, distance))
-                    elif shipped_distance != distance:
-                        changes.append((target, distance))
-                removal_set = shipped.keys() - cur.keys()
-                removal_set.update(explicit)
-                result.updates_by_site[site] = UpdateDeltaPayload(
-                    adds=tuple(adds),
-                    distances=tuple(changes),
-                    removals=tuple(sorted(removal_set)),
-                )
-                self._cells.deltas_sent.add()
+            if not cur and site not in self._shipped and site not in explicit_removals:
+                continue
+            result.updates_by_site[site] = UpdatePayload(tuple(cur.items()))
+            self._cells.full_refreshes.add()
             # ``cur`` is this walk's own dict: the shipped state can keep it.
             if cur:
                 self._shipped[site] = cur
             else:
                 self._shipped.pop(site, None)
-        self._shipped_epoch = outrefs_epoch
+
+    def _ship_deltas(
+        self, result: LocalTraceResult, explicit_removals: Dict[SiteId, List[ObjectId]]
+    ) -> None:
+        """A delta to each peer whose shipped view differs from the table,
+        diffed over the outref table's changed set only."""
+        changes, result.suspected_outrefs = self.outrefs.scan_committed()
+        shipped_by_site = self._shipped
+        for site in sorted(changes.keys() | explicit_removals.keys()):
+            shipped = shipped_by_site.get(site)
+            if shipped is None:
+                shipped = {}
+            adds: List[Tuple[ObjectId, int]] = []
+            moved: List[Tuple[ObjectId, int]] = []
+            removals: List[ObjectId] = []
+            for target, distance in changes.get(site, ()):
+                shipped_distance = shipped.get(target)
+                if distance is None:
+                    if shipped_distance is not None:
+                        removals.append(target)
+                        del shipped[target]
+                elif shipped_distance is None:
+                    adds.append((target, distance))
+                    shipped[target] = distance
+                elif shipped_distance != distance:
+                    moved.append((target, distance))
+                    shipped[target] = distance
+            explicit = explicit_removals.get(site)
+            if explicit:
+                removals = sorted(set(removals).union(explicit))
+            elif not (adds or moved or removals):
+                continue
+            result.updates_by_site[site] = UpdateDeltaPayload(
+                adds=tuple(adds), distances=tuple(moved), removals=tuple(removals)
+            )
+            self._cells.deltas_sent.add()
+            if shipped:
+                shipped_by_site[site] = shipped
+            else:
+                shipped_by_site.pop(site, None)
+
+    def check_tables(self) -> None:
+        """Assert the premises of the O(changed) table passes: the inref
+        table's changed set and the outref table's records and changed set,
+        the latter against what the update diffs left each peer holding
+        (test/debug support; O(table))."""
+        self.inrefs.check_changed()
+        self.outrefs.check_changed(self._shipped)
 
     def build_full_update(self, dst: SiteId) -> UpdatePayload:
         """The complete current outref list toward ``dst`` (idempotent).
@@ -432,10 +468,7 @@ class LocalCollector:
         cells.union_memo_hits.add(backinfo.union_memo_hits)
         observe = self.metrics.observe
         observe("backinfo.distinct_outsets", backinfo.distinct_outsets)
-        observe(
-            "backinfo.inset_storage_units",
-            sum(len(inset) for inset in result.insets.values()),
-        )
+        observe("backinfo.inset_storage_units", sum(map(len, result.insets.values())))
 
     # -- commit --------------------------------------------------------------------
 
@@ -473,8 +506,7 @@ class LocalCollector:
         # Refresh per-inref outsets (the dual view the transfer barrier uses).
         outsets = result.outsets
         no_outset: FrozenSet[ObjectId] = frozenset()
-        for entry in inrefs.entries():
-            entry.outset = outsets.get(entry.target, no_outset)
+        inrefs.install_outsets(outsets)
 
         # Inref barrier flags expire with this trace...
         inrefs.reset_barrier_cleans()

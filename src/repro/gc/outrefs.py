@@ -28,16 +28,19 @@ from ..ids import ObjectId, SiteId, TraceId
 class OutrefEntry:
     """One outgoing reference: a remote object id plus collector state.
 
-    ``barrier_clean`` is a property and pin/unpin notify the owning table
-    (through ``_table``; a free-standing entry notifies nobody), so
-    every semantically relevant change bumps the table's mutation epoch for
-    the incremental local trace.  ``traced_clean``/``distance``/``inset`` are
-    written only by the local trace commit itself and stay plain fields.
+    ``barrier_clean`` and ``traced_clean`` are properties and pin/unpin
+    notify the owning table (through ``_table``; a free-standing entry
+    notifies nobody), so the table's records of pinned, barrier-cleaned and
+    suspected entries stay exact, and every semantically relevant change
+    bumps its mutation epoch for the incremental local trace (a bare
+    ``traced_clean`` write, which only tests make, bumps nothing).
+    ``distance``/``inset`` are written only by the local trace commit
+    itself (:meth:`OutrefTable.install_trace_states`) and stay plain fields.
     """
 
     target: ObjectId
     distance: int = 1
-    traced_clean: bool = True
+    _traced_clean: bool = field(default=True, repr=False)
     pin_count: int = 0
     inset: FrozenSet[ObjectId] = frozenset()
     visited: Set[TraceId] = field(default_factory=set)
@@ -46,8 +49,24 @@ class OutrefEntry:
     _table: Optional["OutrefTable"] = field(default=None, repr=False, compare=False)
 
     def _changed(self) -> None:
-        if self._table is not None:
-            self._table._mutation_epoch += 1
+        table = self._table
+        if table is not None:
+            table._mutation_epoch += 1
+            table._restate(self)
+
+    @property
+    def traced_clean(self) -> bool:
+        """Whether the last local trace reached this outref from a clean
+        root."""
+        return self._traced_clean
+
+    @traced_clean.setter
+    def traced_clean(self, value: bool) -> None:
+        self._traced_clean = value
+        table = self._table
+        if table is not None:
+            table._installed[self.target] = self.distance if value else ~self.distance
+            table._restate(self)
 
     @property
     def barrier_clean(self) -> bool:
@@ -57,12 +76,18 @@ class OutrefEntry:
     def barrier_clean(self, value: bool) -> None:
         if value != self._barrier_clean:
             self._barrier_clean = value
+            table = self._table
+            if table is not None:
+                if value:
+                    table._barrier_flagged.add(self.target)
+                else:
+                    table._barrier_flagged.discard(self.target)
             self._changed()
 
     @property
     def is_clean(self) -> bool:
         """Clean outrefs stop back traces with a Live verdict."""
-        return self.traced_clean or self.barrier_clean or self.pin_count > 0
+        return self._traced_clean or self._barrier_clean or self.pin_count > 0
 
     @property
     def is_suspected(self) -> bool:
@@ -72,17 +97,36 @@ class OutrefEntry:
         """Insert barrier: retain this outref, clean, until the owner has
         received the insert message (section 6.1.2)."""
         self.pin_count += 1
+        if self.pin_count == 1 and self._table is not None:
+            self._table._pinned.add(self.target)
         self._changed()
 
     def unpin(self) -> None:
         if self.pin_count <= 0:
             raise GcInvariantError(f"unbalanced unpin on outref {self.target}")
         self.pin_count -= 1
+        if self.pin_count == 0 and self._table is not None:
+            self._table._pinned.discard(self.target)
         self._changed()
 
 
 class OutrefTable:
-    """All outrefs of one site, keyed by the remote object id."""
+    """All outrefs of one site, keyed by the remote object id.
+
+    Beside the entries the table keeps what the local trace's passes would
+    otherwise walk the whole table for, each exact at every instant:
+
+    - ``_pinned`` / ``_barrier_flagged``: the pinned and the
+      barrier-cleaned targets;
+    - ``_suspected``: the suspected entries (sorted lazily, like
+      ``_entries``);
+    - ``_installed`` / ``_insets``: each entry's distance (bit-inverted
+      when not traced clean) and its inset when not empty, as the trace
+      commit compares them;
+    - ``_changed``: the *changed set* -- every target created, removed or
+      given a new distance since the last :meth:`scan_committed`, which the
+      update diff reads instead of the table.
+    """
 
     def __init__(self, site_id: SiteId, initial_back_threshold: int):
         self.site_id = site_id
@@ -90,6 +134,13 @@ class OutrefTable:
         self._entries: Dict[ObjectId, OutrefEntry] = {}
         self._mutation_epoch = 0
         self._order_dirty = False
+        self._pinned: Set[ObjectId] = set()
+        self._barrier_flagged: Set[ObjectId] = set()
+        self._suspected: Dict[ObjectId, OutrefEntry] = {}
+        self._suspected_order_dirty = False
+        self._installed: Dict[ObjectId, int] = {}
+        self._insets: Dict[ObjectId, FrozenSet[ObjectId]] = {}
+        self._changed: Set[ObjectId] = set()
 
     # -- mutation epoch ----------------------------------------------------------
 
@@ -146,18 +197,36 @@ class OutrefTable:
             entry = OutrefEntry(
                 target=target,
                 distance=distance,
-                traced_clean=clean,
+                _traced_clean=clean,
                 back_threshold=self.initial_back_threshold,
                 _table=self,
             )
             self._entries[target] = entry
             self._order_dirty = True
+            self._installed[target] = distance if clean else ~distance
+            self._changed.add(target)
+            self._restate(entry)
             self.bump()
         return entry
 
     def remove(self, target: ObjectId) -> None:
         if self._entries.pop(target, None) is not None:
+            self._pinned.discard(target)
+            self._barrier_flagged.discard(target)
+            self._suspected.pop(target, None)
+            self._installed.pop(target, None)
+            self._insets.pop(target, None)
+            self._changed.add(target)
             self.bump()
+
+    def _restate(self, entry: OutrefEntry) -> None:
+        """File ``entry`` as suspected or not, after its state moved."""
+        target = entry.target
+        if entry._traced_clean or entry._barrier_clean or entry.pin_count > 0:
+            self._suspected.pop(target, None)
+        elif target not in self._suspected:
+            self._suspected[target] = entry
+            self._suspected_order_dirty = True
 
     # -- the local trace's passes over the table --------------------------------
     #
@@ -168,10 +237,7 @@ class OutrefTable:
     def scan_for_trace(self) -> Tuple[List[ObjectId], Set[ObjectId]]:
         """All targets in (sorted) table order, and the pinned ones."""
         self._ensure_order()
-        pinned = {
-            target for target, entry in self._entries.items() if entry.pin_count > 0
-        }
-        return list(self._entries), pinned
+        return list(self._entries), set(self._pinned)
 
     def install_trace_states(
         self,
@@ -181,53 +247,122 @@ class OutrefTable:
         """Install a local trace's verdict on every outref it reached.
 
         ``states`` maps target -> (clean, distance); suspected outrefs find
-        their inset in ``insets``.  The table's mutation epoch moves only
-        when a value actually changes, so a quiescent site's periodic full
-        traces leave the next incremental tick free to skip.  Barrier cleans
-        expire.
+        their inset in ``insets``.  Only the entries whose verdict differs
+        from what they hold are visited, found by comparing ``states`` and
+        ``insets`` with ``_installed`` and ``_insets``; the table's
+        mutation epoch moves once per such entry, so a quiescent site's
+        periodic full traces leave the next incremental tick free to skip.
+        Barrier cleans on the reached outrefs expire.
         """
         entries = self._entries
+        installed, held_insets = self._installed, self._insets
+        suspected = self._suspected
         no_inset: FrozenSet[ObjectId] = frozenset()
-        for target, (clean, distance) in states.items():
+        installed_get, held_get = installed.get, held_insets.get
+        moved = [
+            target
+            for target, (clean, distance) in states.items()
+            if installed_get(target) != (distance if clean else ~distance)
+        ]
+        moved += [t for t, inset in insets.items() if held_get(t) != inset]
+        moved += [t for t in held_insets if t not in insets and t in states]
+        installs = 0
+        for target in set(moved):
+            clean, distance = states[target]
+            inset = insets.get(target, no_inset)
             entry = entries.get(target)
             if entry is None:
                 # Trimmed concurrently is impossible (the trace is the only
                 # remover); but the trace may have reached a reference whose
                 # entry is yet to be created.
                 entry = self.ensure(target, clean=clean, distance=distance)
-            inset = insets.get(target, no_inset)
-            if (
-                clean != entry.traced_clean
-                or distance != entry.distance
-                or inset != entry.inset
-            ):
-                entry.traced_clean = clean
+                if not inset:
+                    continue  # born with the verdict
+            # The records are exact, so a target named here really moves.
+            installs += 1
+            if distance != entry.distance:
                 entry.distance = distance
-                entry.inset = inset
-                entry._changed()
-            if entry._barrier_clean:
-                entry.barrier_clean = False
+                self._changed.add(target)
+            entry._traced_clean = clean
+            entry.inset = inset
+            installed[target] = distance if clean else ~distance
+            if inset:
+                held_insets[target] = inset
+            else:
+                held_insets.pop(target, None)
+            if clean or entry._barrier_clean or entry.pin_count > 0:
+                suspected.pop(target, None)
+            elif target not in suspected:
+                suspected[target] = entry
+                self._suspected_order_dirty = True
+        self._mutation_epoch += installs
+        for target in [t for t in self._barrier_flagged if t in states]:
+            entries[target].barrier_clean = False
 
     def scan_committed(
         self,
-    ) -> Tuple[Dict[SiteId, Dict[ObjectId, int]], List[OutrefEntry]]:
-        """Per target site, target -> distance; and the suspected entries.
+    ) -> Tuple[Dict[SiteId, List[Tuple[ObjectId, Optional[int]]]], List[OutrefEntry]]:
+        """What changed since the last call, and the suspected entries.
 
-        Both in deterministic (target) order, off one walk of the table.
+        The first is, per target site, each target of the changed set with
+        its distance now (``None`` once removed); the second the suspected
+        entries.  Both in deterministic (target) order, and neither walks
+        the table.  Empties the changed set.
         """
+        changed, self._changed = self._changed, set()
+        by_site: Dict[SiteId, List[Tuple[ObjectId, Optional[int]]]] = {}
+        entries = self._entries
+        for target in sorted(changed):
+            entry = entries.get(target)
+            by_site.setdefault(target.site, []).append(
+                (target, None if entry is None else entry.distance)
+            )
+        return by_site, self.suspected_entries()
+
+    def distances_by_site(self) -> Dict[SiteId, Dict[ObjectId, int]]:
+        """Per target site, target -> distance over the whole table, in
+        (target) order: what a full update ships.  Empties the changed set,
+        since a full update leaves nothing to diff."""
         self._ensure_order()
+        self._changed = set()
         by_site: Dict[SiteId, Dict[ObjectId, int]] = {}
-        suspected: List[OutrefEntry] = []
         for target, entry in self._entries.items():
-            site = target.site
-            per_site = by_site.get(site)
+            per_site = by_site.get(target.site)
             if per_site is None:
-                per_site = by_site[site] = {}
+                per_site = by_site[target.site] = {}
             per_site[target] = entry.distance
-            # ``entry.is_suspected``, without the two property calls.
-            if not (entry.traced_clean or entry._barrier_clean or entry.pin_count > 0):
-                suspected.append(entry)
-        return by_site, suspected
+        return by_site
+
+    def check_changed(self, shipped: Dict[SiteId, Dict[ObjectId, int]]) -> None:
+        """Assert the records beside the entries: pinned, barrier-cleaned,
+        suspected and installed state are exact, and every target whose
+        distance differs from ``shipped`` (what the last update diff left
+        each peer holding) is in the changed set (test/debug support; O(n))."""
+        entries = self._entries
+        assert self._pinned == {t for t, e in entries.items() if e.pin_count > 0}, (
+            "pinned record drift"
+        )
+        assert self._barrier_flagged == {
+            t for t, e in entries.items() if e._barrier_clean
+        }, "barrier record drift"
+        assert self._suspected.keys() == {
+            t for t, e in entries.items() if e.is_suspected
+        }, "suspected record drift"
+        assert all(self._suspected[t] is entries[t] for t in self._suspected)
+        assert self._installed == {
+            t: e.distance if e._traced_clean else ~e.distance for t, e in entries.items()
+        }, "installed record drift"
+        assert self._insets == {t: e.inset for t, e in entries.items() if e.inset}, (
+            "inset record drift"
+        )
+        for site in {t.site for t in entries} | set(shipped):
+            held = shipped.get(site, {})
+            for target in held.keys() | {t for t in entries if t.site == site}:
+                entry = entries.get(target)
+                now = None if entry is None else entry.distance
+                assert now == held.get(target) or target in self._changed, (
+                    f"outref {target} changed unrecorded"
+                )
 
     # -- views ---------------------------------------------------------------------
 
@@ -243,9 +378,12 @@ class OutrefTable:
             self._order_dirty = False
 
     def suspected_entries(self) -> List[OutrefEntry]:
-        """Suspected entries in deterministic (target) order."""
-        self._ensure_order()
-        return [entry for entry in self._entries.values() if entry.is_suspected]
+        """Suspected entries in deterministic (target) order, off the
+        suspected record rather than the table."""
+        if self._suspected_order_dirty:
+            self._suspected = dict(sorted(self._suspected.items()))
+            self._suspected_order_dirty = False
+        return list(self._suspected.values())
 
     def clean_entries(self) -> List[OutrefEntry]:
         self._ensure_order()

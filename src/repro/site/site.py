@@ -850,9 +850,12 @@ class Site:
         return SiteAudit(objects, roots, set(self.inrefs.garbage_targets()))
 
     def check_flat_mirror(self) -> Optional[str]:
-        """The heap's flat-mirror audit as text, None when it holds."""
+        """The audit of the heap's flat mirror and of what the local trace
+        keeps between traces (the heap's region memos, the tables'
+        records and changed sets) as text, None when it all holds."""
         try:
             self.heap.check_flat_mirror()
+            self.collector.check_tables()
         except AssertionError as error:
             return f"site {self.site_id}: flat mirror: {error}"
 

@@ -33,22 +33,27 @@ subsequences are its ``_succ_local`` and ``_remote_rows`` rows exactly.
 ``(heap, oid)`` handle that resolves the oid on each use: a handle to a
 swept object raises ``UnknownObjectError`` and never reaches a recycled row.
 
-Clean-phase memo
-----------------
+Trace memos
+-----------
 Every row change also names the row it touched in ``_dirty``: the holder
-of an added or removed edge, a retired object, a released index.  The
-kernel takes (and empties) that set on each call and keeps its memo in
-``clean_memo`` (the reuse rule is in :mod:`repro.core.distance`).
-Allocating an id that was already interned -- referenced before it
-existed -- revives an index that remembered regions may point at without
-any of their rows changing, so it drops the memo instead.
+of an added or removed edge, a retired object, a released index.  Both
+phases of a local trace remember the regions they walked last time, keyed
+by the root each region grew from (a :class:`RegionMemo`: ``clean_memo``
+for :func:`repro.core.distance.trace_clean_phase_flat`, ``suspected_memo``
+for :func:`repro.core.backinfo.compute_outsets_bottom_up`; each kernel
+states its own re-use rule).  :meth:`Heap.take_dirty` empties the one
+dirty set and drops, from both memos, every region holding a row it
+names.  Allocating an id that was already interned -- referenced before
+it existed -- revives an index that remembered regions may point at
+without any of their rows changing, so it drops both memos instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..errors import HeapError, NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
@@ -57,6 +62,99 @@ from .objects import HeapObject
 #: ``bytes.translate`` table turning the alive bitmap into a fresh mark
 #: bitmap: dead and free indices start marked, alive ones unmarked.
 _DEAD_MARKED = bytes([1, 0]) + bytes(254)
+
+
+class RegionMemo:
+    """The regions one trace kernel walked in its last run, by root.
+
+    ``regions`` maps a root's index to the kernel's record of the region
+    that grew from it.  A record's first two items are the region's rows:
+    a tuple or a dict keyed by them, or None and the window ``(lo, hi,
+    bits)`` they span (``bits`` one byte per index from ``lo``, 1 for a row
+    of the region).  ``owner`` maps each of those rows to its root's index.
+    Only regions of the last run are kept, so a row belongs to at most one
+    of them.  For the clean phase, whose regions cover most of the heap,
+    ``owner`` is a list over all indices (-1, or past its end, for a row
+    no remembered region holds; a row once held may keep its old root,
+    which only costs a needless drop).  For the suspected phase it is
+    *sparse*: a dict holding exactly the remembered rows, so that memo
+    stays the size of the suspected regions, not of the heap.
+    """
+
+    __slots__ = ("regions", "owner")
+
+    def __init__(self, sparse: bool = False) -> None:
+        self.regions: Dict[int, tuple] = {}
+        self.owner: Union[List[int], Dict[int, int]] = {} if sparse else []
+
+    @staticmethod
+    def probe(indices: List[int], expected: List[int]):
+        """A getter over ``indices`` (of a mark bitmap) and what it returns
+        when each holds its ``expected`` value; ``(None, None)`` for none."""
+        if not indices:
+            return None, None
+        getter = itemgetter(*indices)
+        return getter, tuple(expected) if len(expected) > 1 else expected[0]
+
+    @staticmethod
+    def rows_of(record: tuple) -> Iterable[int]:
+        rows = record[0]
+        if rows is None:
+            lo, hi, bits = record[1]
+            window = bits.to_bytes(hi - lo, "little")
+            return [lo + j for j, bit in enumerate(window) if bit]
+        return rows
+
+    def own(self, size: int) -> List[int]:
+        """A list ``owner``, grown to cover ``size`` indices."""
+        owner = self.owner
+        if len(owner) < size:
+            owner.extend(repeat(-1, size - len(owner)))
+        return owner
+
+    def drop(self, root: int) -> None:
+        """Forget the region of ``root``, and a sparse owner's rows of it."""
+        record = self.regions.pop(root, None)
+        owner = self.owner
+        if record is not None and isinstance(owner, dict):
+            for i in self.rows_of(record):
+                if owner.get(i) == root:
+                    del owner[i]
+
+    def forget_rows(self, rows: Iterable[int]) -> None:
+        """Drop every remembered region holding one of ``rows``."""
+        regions, owner = self.regions, self.owner
+        if not regions:
+            return
+        if isinstance(owner, dict):
+            for i in rows:
+                root = owner.get(i)
+                if root is not None:
+                    self.drop(root)
+            return
+        size = len(owner)
+        for i in rows:
+            if i < size:
+                regions.pop(owner[i], None)
+
+    def check(self, alive: bytearray, dirty: Set[int], name: str) -> None:
+        """Assert the premise re-use rests on: a remembered row is alive or
+        named in ``dirty``, and is owned by its region's root (and a sparse
+        owner holds nothing else)."""
+        owner = self.owner
+        held = 0
+        for root, record in self.regions.items():
+            for i in self.rows_of(record):
+                if isinstance(owner, dict):
+                    assert owner.get(i) == root, f"{name} owner drift: {i}"
+                    held += 1
+                else:
+                    assert i < len(owner) and owner[i] == root, f"{name} owner drift: {i}"
+                assert i < len(alive) and (alive[i] or i in dirty), (
+                    f"stale {name} region row: {i}"
+                )
+        if isinstance(owner, dict):
+            assert len(owner) == held, f"{name} owner holds rows of no region"
 
 
 class Heap:
@@ -82,11 +180,10 @@ class Heap:
         self._order: Dict[int, List[ObjectId]] = {}
         self._payload: Dict[int, int] = {}
         self._slot_total = 0
-        # -- clean-phase memo (see module docstring) ------------------------
+        # -- trace memos (see module docstring) -----------------------------
         self._dirty: Set[int] = set()
-        self.clean_memo: Optional[
-            Tuple[List[Tuple[int, int]], List[int], bytearray]
-        ] = None
+        self.clean_memo = RegionMemo()
+        self.suspected_memo = RegionMemo(sparse=True)
 
     # -- mutation epoch ---------------------------------------------------------
     #
@@ -229,8 +326,13 @@ class Heap:
         return self._alive.translate(_DEAD_MARKED)
 
     def take_dirty(self) -> Set[int]:
-        """The rows changed since the last call, leaving the set empty."""
-        dirty, self._dirty = self._dirty, set()
+        """The rows changed since the last call, leaving the set empty; the
+        remembered regions holding any of them are dropped."""
+        dirty = self._dirty
+        if dirty:
+            self._dirty = set()
+            self.clean_memo.forget_rows(dirty)
+            self.suspected_memo.forget_rows(dirty)
         return dirty
 
     def check_flat_mirror(self) -> None:
@@ -264,26 +366,13 @@ class Heap:
             assert split == (local, self._remote_rows[idx]), f"order record drift: {idx}"
         assert all(self._alive[idx] for idx in self._payload), "dead payload kept"
         assert self._resident_count == self._alive.count(1), "resident count drift"
-        # The memo may be re-used only where ``_dirty`` names every row that
-        # changed since it was stored: a remembered index is still interned
-        # (a ranked one still alive) unless the dirty set says otherwise.
+        # A memo may be re-used only where ``_dirty`` names every row that
+        # changed since it was stored: a remembered row is still alive
+        # unless the dirty set says otherwise.
         size = len(self._oids)
         assert all(idx < size for idx in self._dirty), "dirty row out of range"
-        if self.clean_memo is not None:
-            keys, empty, rank = self.clean_memo
-            assert len(rank) <= size, "memo rank past the rows"
-            assert all(b == 255 or b < len(keys) for b in set(rank)), "memo rank"
-            assert empty == sorted(set(empty)) and all(
-                p < len(keys) for p in empty
-            ), "memo empty positions"
-            for idx, b in enumerate(rank):
-                assert b == 255 or self._alive[idx] or idx in self._dirty, (
-                    f"stale memo rank: {idx}"
-                )
-            for _, idx in keys:
-                assert idx < size and (
-                    self._oids[idx] is not None or idx in self._dirty
-                ), f"stale memo root: {idx}"
+        self.clean_memo.check(self._alive, self._dirty, "clean")
+        self.suspected_memo.check(self._alive, self._dirty, "suspected")
 
     # -- allocation -----------------------------------------------------------
 
@@ -299,7 +388,8 @@ class Heap:
         if oid in self._idx:
             # Referenced before it existed: the index comes alive under
             # edges no dirty row records (see the module docstring).
-            self.clean_memo = None
+            self.clean_memo = RegionMemo()
+            self.suspected_memo = RegionMemo(sparse=True)
         idx = self._intern(oid)
         self._alive[idx] = 1
         self._resident_count += 1

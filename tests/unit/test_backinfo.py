@@ -207,3 +207,82 @@ def test_invert_outsets_round_trip():
     outsets = {a: frozenset({c}), b: frozenset({c, d})}
     insets = invert_outsets(outsets)
     assert insets == {c: frozenset({a, b}), d: frozenset({b})}
+
+
+# -- the back-info memo (``Heap.suspected_memo``) --------------------------------
+#
+# Each test traces twice: the second run may re-use the first one's regions
+# only where none of what the walk read has changed.  Each one fails when
+# the one guard it names is taken out of the memo.
+
+
+def test_backinfo_memo_reuses_an_unchanged_region():
+    heap = Heap("Q")
+    a, b = heap.alloc(), heap.alloc()
+    a.add_ref(b.oid)
+    b.add_ref(ObjectId("P", 0))
+    first = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    assert (first.outsets_reused, again.outsets_reused) == (0, 1)
+    assert again.outsets == first.outsets == {a.oid: {ObjectId("P", 0)}}
+    assert again.objects_scanned == first.objects_scanned == 2
+    heap.check_flat_mirror()
+
+
+def test_backinfo_memo_walks_a_region_again_after_a_row_changes():
+    """Guard: ``Heap.take_dirty`` drops a suspected region holding a
+    changed row."""
+    heap = Heap("Q")
+    a, b = heap.alloc(), heap.alloc()
+    a.add_ref(b.oid)
+    b.add_ref(ObjectId("P", 0))
+    compute_outsets_bottom_up(env_for(heap), [a.oid])
+    b.add_ref(ObjectId("P", 1))
+    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    assert again.outsets[a.oid] == {ObjectId("P", 0), ObjectId("P", 1)}
+    assert again.outsets_reused == 0
+
+
+def test_backinfo_memo_sees_a_clean_boundary_turn_suspected():
+    """Guard: the marks of a region's members and of the clean objects its
+    edges led to are compared before re-use."""
+    heap = Heap("Q")
+    a, shared = heap.alloc(), heap.alloc()
+    a.add_ref(shared.oid)
+    shared.add_ref(ObjectId("P", 0))
+    first = compute_outsets_bottom_up(env_for(heap, clean_objects=[shared.oid]), [a.oid])
+    assert first.outsets[a.oid] == frozenset()
+    # The clean root that marked ``shared`` is gone: it is suspected now.
+    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    assert again.outsets[a.oid] == {ObjectId("P", 0)}
+    assert again.objects_scanned == 2
+
+
+def test_backinfo_memo_sees_an_outref_turn_clean():
+    """Guard: the clean-outref status of every remote reference a region
+    holds is compared before re-use."""
+    heap = Heap("Q")
+    a = heap.alloc()
+    far, near = ObjectId("P", 0), ObjectId("P", 1)
+    a.add_ref(far)
+    a.add_ref(near)
+    first = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    assert first.outsets[a.oid] == {far, near}
+    again = compute_outsets_bottom_up(env_for(heap, clean_outrefs=[near]), [a.oid])
+    assert again.outsets[a.oid] == {far}
+
+
+def test_backinfo_memo_sees_an_earlier_walk_enter_a_region():
+    """Guard: a walk that visits a row of another inref's remembered region
+    names that region intruded, so it is walked rather than re-used."""
+    heap = Heap("Q")
+    a, b, c = heap.alloc(), heap.alloc(), heap.alloc()
+    b.add_ref(c.oid)
+    c.add_ref(ObjectId("P", 0))
+    compute_outsets_bottom_up(env_for(heap), [a.oid, b.oid])
+    a.add_ref(c.oid)  # a's walk now takes c from b's region
+    again = compute_outsets_bottom_up(env_for(heap), [a.oid, b.oid])
+    assert again.outsets == {a.oid: {ObjectId("P", 0)}, b.oid: {ObjectId("P", 0)}}
+    assert again.objects_scanned == 3
+    assert again.outsets_reused == 0
+    heap.check_flat_mirror()

@@ -284,17 +284,62 @@ def test_memo_follows_root_order_and_root_distance():
     remote = ObjectId("Q", 0)
     c.add_ref(remote)
     _traced(heap, [(a.oid, 0), (c.oid, 1)])
-    # Another order: a's region is remembered at a position c now holds.
+    # Another order: c's remembered boundary (shared) is not marked when c
+    # comes first, and a's region holds a row c reached: both are walked.
     swapped = _traced(heap, [(c.oid, 0), (a.oid, 1)])
     assert swapped.objects_reused == 0
     assert swapped.outref_distances == {remote: 1}
-    # Same order, other distances: a root whose distance moved is walked
-    # again, and so is every root after it.
+    # Same order, other distances: a region does not depend on its root's
+    # distance, so both are re-used, and the outref follows c's distance.
     farther = _traced(heap, [(c.oid, 0), (a.oid, 3)])
-    assert farther.objects_reused == 2  # c's region
+    assert farther.objects_reused == 3
     moved = _traced(heap, [(c.oid, 2), (a.oid, 3)])
-    assert moved.objects_reused == 0
+    assert moved.objects_reused == 3
     assert moved.outref_distances == {remote: 3}
+
+
+def test_memo_reuses_a_region_wherever_its_root_now_sits():
+    heap = Heap("P")
+    a, b = _chain(heap, 2)
+    c, d = _chain(heap, 2)
+    e = heap.alloc()
+    b.add_ref(ObjectId("Q", 0))
+    d.add_ref(ObjectId("Q", 1))
+    _traced(heap, [(a.oid, 0), (c.oid, 1), (e.oid, 2)])
+    # c overtakes a, and e's region changes: a's and c's are re-used.
+    e.add_ref(heap.alloc().oid)
+    result = _traced(heap, [(c.oid, 0), (e.oid, 1), (a.oid, 3)])
+    assert result.objects_reused == 4
+    assert result.outref_distances == {ObjectId("Q", 0): 4, ObjectId("Q", 1): 1}
+
+
+def test_memo_rechecks_a_region_boundary():
+    """Guard: a remembered region is re-used only while every row its
+    edges led to outside it is marked already."""
+    heap = Heap("P")
+    a, c, shared = heap.alloc(), heap.alloc(), heap.alloc()
+    a.add_ref(shared.oid)
+    c.add_ref(shared.oid)
+    _traced(heap, [(a.oid, 0), (c.oid, 1)])  # c's region: c, boundary shared
+    result = _traced(heap, [(c.oid, 1)])  # a is no root any more
+    assert clean_set(heap, result) == {c.oid, shared.oid}
+    assert result.objects_reused == 0
+
+
+def test_memo_sees_an_earlier_walk_enter_a_region():
+    """Guard: a walk that marks a row of another root's remembered region
+    names that region intruded, so it is walked rather than re-used, and
+    the memo stays exact for later traces."""
+    heap = Heap("P")
+    a, b, x = heap.alloc(), heap.alloc(), heap.alloc()
+    b.add_ref(x.oid)
+    _traced(heap, [(a.oid, 0), (b.oid, 1)])  # b's region: b, x
+    a.add_ref(x.oid)  # a's walk now takes x
+    _traced(heap, [(a.oid, 0), (b.oid, 1)])
+    y = heap.alloc()
+    x.add_ref(y.oid)
+    result = _traced(heap, [(b.oid, 1)])
+    assert clean_set(heap, result) == {b.oid, x.oid, y.oid}
 
 
 def test_memo_is_dropped_when_an_id_referenced_early_is_allocated():
@@ -330,9 +375,9 @@ def test_memo_rechecks_an_empty_region_whose_index_was_reused():
     assert result.objects_reused == 1
 
 
-def test_memo_reuses_only_the_ranked_positions():
-    """A rank is one byte: roots past position 253 are walked on every
-    trace, so a change in their regions leaves the ranked prefix re-used."""
+def test_memo_reuses_every_unchanged_region():
+    """Regions are keyed by root, not by trace position: a change in one of
+    300 regions walks that one again and re-uses the other 299."""
     heap = Heap("P")
     chains = [_chain(heap, 2) for _ in range(300)]
     roots = []
@@ -343,11 +388,11 @@ def test_memo_reuses_only_the_ranked_positions():
     first = _traced(heap, roots)
     assert first.objects_reused == 0
     again = _traced(heap, roots)
-    assert again.objects_reused == 254 * 2
+    assert again.objects_reused == 300 * 2
     chains[280][1].add_ref(heap.alloc().oid)
     result = _traced(heap, roots)
     assert result.objects_scanned == 300 * 2 + 1
-    assert result.objects_reused == 254 * 2
+    assert result.objects_reused == 299 * 2
     assert result.outref_distances[ObjectId("Q", 280)] == 280 // 50 + 1
 
 

@@ -124,6 +124,30 @@ def test_trace_scan_orders_roots_by_distance():
     assert scan.distances == {ObjectId("R", n): d for n, d in enumerate([9, 2, 5, 1, 1, 7])}
 
 
+def test_scan_refiles_exactly_the_changed_inrefs():
+    """Guard: every change a trace reads -- a new minimum distance, a
+    garbage flag, a barrier clean, a removal -- names the inref in the
+    table's changed set, and the next scan re-files those alone."""
+    table = make_inrefs(threshold=4)
+    near, far, gone = ObjectId("R", 0), ObjectId("R", 1), ObjectId("R", 2)
+    table.ensure(near, source="P", distance=2)
+    table.ensure(far, source="P", distance=7)
+    table.ensure(gone, source="P", distance=3)
+    table.scan_for_trace()
+    assert table._changed == set()
+    table.get(near).sources["P"] = 6  # crosses the threshold
+    table.get(far).barrier_clean = True
+    table.remove(gone)
+    assert table._changed == {near, far, gone}
+    scan = table.scan_for_trace()
+    assert scan.clean_roots == [(far, 7)]
+    assert scan.suspected_targets == [near]
+    assert scan.distances == {near: 6, far: 7}
+    table.get(near).garbage = True
+    assert table.scan_for_trace().suspected_targets == []
+    table.check_changed()
+
+
 # -- source-list mutators ---------------------------------------------------------
 #
 # Every way of changing ``entry.sources`` must refresh ``entry.distance``,
@@ -349,9 +373,32 @@ def test_scans_are_in_target_order():
     order, pinned = table.scan_for_trace()
     assert order == sorted(order) and len(order) == 4
     assert pinned == {ObjectId("Q", 2)}
-    by_site, suspected = table.scan_committed()
+    by_site = table.distances_by_site()
     assert list(by_site) == ["Q", "R"]
     assert by_site["Q"] == {ObjectId("Q", 2): 3, ObjectId("Q", 5): 6}
     assert list(by_site["R"]) == [ObjectId("R", 0), ObjectId("R", 1)]
-    assert suspected == table.suspected_entries()
+    suspected = table.suspected_entries()
     assert [e.target for e in suspected] == [ObjectId("R", 0), ObjectId("R", 1)]
+
+
+def test_scan_committed_reads_the_changed_set_only():
+    table = make_outrefs()
+    for serial in (3, 1, 2):
+        table.ensure(ObjectId("R", serial), clean=False, distance=serial)
+    table.ensure(ObjectId("Q", 9), distance=4)
+    changes, suspected = table.scan_committed()
+    assert changes == {
+        "Q": [(ObjectId("Q", 9), 4)],
+        "R": [(ObjectId("R", 1), 1), (ObjectId("R", 2), 2), (ObjectId("R", 3), 3)],
+    }
+    assert [e.target for e in suspected] == [ObjectId("R", s) for s in (1, 2, 3)]
+    # Nothing since: an empty diff, whatever the table holds.
+    assert table.scan_committed()[0] == {}
+    table.install_trace_states(
+        {ObjectId("R", 2): (True, 5), ObjectId("R", 3): (False, 3)}, {}
+    )
+    table.remove(ObjectId("Q", 9))
+    table.get(ObjectId("R", 1)).pin()  # no distance moved: not a change
+    changes, suspected = table.scan_committed()
+    assert changes == {"Q": [(ObjectId("Q", 9), None)], "R": [(ObjectId("R", 2), 5)]}
+    assert [e.target for e in suspected] == [ObjectId("R", 3)]
