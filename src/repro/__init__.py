@@ -35,13 +35,23 @@ from .ids import FrameId, ObjectId, SiteId, TraceId
 # (simulation -> collector -> backtrace -> net -> sim) from the sim side is
 # the one order in which every name is defined by the time it is needed.
 from .sim.simulation import Simulation
-from .sim.parallel import ParallelSimulation
 from .core.collector import Collector
 from .net.faults import FaultPlan, LinkFault, PartitionWindow, SiteCrash
 from .site.site import Site
 from .core.backtrace.messages import TraceOutcome
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # The sharded engine (and with it multiprocessing and pickle) loads on
+    # first use: a sequential run never imports it.
+    if name == "ParallelSimulation":
+        from .sim.parallel import ParallelSimulation
+
+        return ParallelSimulation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GcConfig",

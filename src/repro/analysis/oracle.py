@@ -88,12 +88,23 @@ _LEGS = (
 
 def audit_violations(state: "AuditState", counters: Mapping[str, int]) -> List[str]:
     """The state-level checks of :meth:`Simulation.check_invariants`:
-    safety, message conservation per kind, and no garbage-flagged inref live.
-    ``counters`` are the run's merged ``messages.*`` counters."""
+    safety, message conservation per kind, no garbage-flagged inref live,
+    and no update anchor past its sender's last seq.  ``counters`` are the
+    run's merged ``messages.*`` counters."""
     live, violations = _walk(state)
     for site in state.sites.values():
         for oid in sorted(site.garbage_inrefs & live):
             violations.append(f"garbage-flagged inref {oid} is live")
+    # A receiver's anchor names an update its sender sent; one past the
+    # sender's last seq would drop the sender's next updates as duplicates.
+    for receiver, site in state.sites.items():
+        for sender, anchor in sorted(site.update_anchors.items()):
+            sent = state.sites[sender].update_seqs.get(receiver, 0)
+            if anchor > sent:
+                violations.append(
+                    f"update anchor {receiver}<-{sender} is {anchor}, past "
+                    f"{sender}'s last update seq {sent}"
+                )
     flying = Counter((message.kind, message.dup) for message in state.in_flight)
     kinds = {key.rsplit(".", 1)[1] for key in counters} | {kind for kind, _ in flying}
     for kind in sorted(kind for kind in kinds if kind[:1].isupper()):

@@ -25,15 +25,21 @@ from ..ids import ObjectId, SiteId, TraceId
 INFINITE_DISTANCE = 10**9
 """Sentinel for 'unreachable'; the paper's 'distance of garbage is infinity'."""
 
+#: Write and delete on a source map without its notification, for
+#: :meth:`InrefEntry.move_source`, which does the notifying itself.
+_set_source = dict.__setitem__
+_del_source = dict.__delitem__
+
 
 class _SourceMap(dict):
     """Per-source distance map that notifies its entry on every change.
 
     Tests and scenario builders routinely poke ``entry.sources[site] = d``
     (or ``.update(...)``, ``.clear()``, ...) directly; every mutator is
-    routed through the two notifying primitives below, so those writes still
+    routed through :meth:`InrefEntry.move_source`, so those writes still
     refresh ``entry.distance``, maintain the table's per-source index and
-    advance the epochs the incremental trace depends on.
+    advance the epochs the incremental trace depends on.  Each reads the
+    old distance once and hands it on.
     """
 
     __slots__ = ("entry",)
@@ -43,22 +49,19 @@ class _SourceMap(dict):
         self.entry = entry
 
     def __setitem__(self, site: SiteId, distance: int) -> None:
-        added = site not in self
-        if not added and self.get(site) == distance:
-            return
-        super().__setitem__(site, distance)
-        self.entry._sources_changed(added=site if added else None)
+        old = self.get(site)
+        if old != distance:
+            self.entry.move_source(site, old, distance)
 
     def __delitem__(self, site: SiteId) -> None:
-        super().__delitem__(site)
-        self.entry._sources_changed(removed=site)
+        self.entry.move_source(site, self[site], None)
 
     def pop(self, site, *default):
-        present = site in self
-        value = super().pop(site, *default)
-        if present:
-            self.entry._sources_changed(removed=site)
-        return value
+        old = self.get(site)
+        if old is None:
+            return super().pop(site, *default)
+        self.entry.move_source(site, old, None)
+        return old
 
     def popitem(self):
         if not self:
@@ -108,7 +111,7 @@ class InrefEntry:
     # of the insets stored on outrefs.
     outset: FrozenSet[ObjectId] = frozenset()
     # Estimated distance: the minimum over the per-source estimates, kept
-    # current by ``_sources_changed`` (read-only for everyone else).
+    # current by ``move_source`` (read-only for everyone else).
     distance: int = field(default=INFINITE_DISTANCE, init=False)
     _garbage: bool = field(default=False, repr=False)
     _barrier_clean: bool = field(default=False, repr=False)
@@ -126,20 +129,35 @@ class InrefEntry:
             table._structure_epoch += 1
             table._changed.add(self.target)
 
-    def _sources_changed(
-        self, added: Optional[SiteId] = None, removed: Optional[SiteId] = None
-    ) -> None:
+    def move_source(self, site: SiteId, old: Optional[int], new: Optional[int]) -> None:
+        """Move ``site``'s distance from ``old`` to ``new`` (None: absent).
+
+        The one writer of the source map: ``old`` is what the caller just
+        read there, so each distance is read once.  The minimum is kept
+        incrementally: a lower distance is the new minimum outright, and
+        only raising or removing the current minimum takes a pass over the
+        sources.  A local trace reads only the minimum, so only a new
+        minimum advances the distance epoch.
+        """
         sources = self.sources
-        distance = min(sources.values()) if sources else INFINITE_DISTANCE
+        if new is None:
+            _del_source(sources, site)
+        else:
+            _set_source(sources, site, new)
+        current = self.distance
+        if new is not None and new < current:
+            distance = new
+        elif old == current and (new is None or new > current):
+            distance = min(sources.values()) if sources else INFINITE_DISTANCE
+        else:
+            distance = current
         table = self._table
         if table is not None:
-            if added is not None:
-                table._index_source_added(self.target, added)
-            elif removed is not None:
-                table._index_source_removed(self.target, removed)
-            # A local trace reads only the minimum, so only a new minimum
-            # advances the distance epoch.
-            if distance != self.distance:
+            if old is None:
+                table._index_source_added(self.target, site)
+            elif new is None:
+                table._index_source_removed(self.target, site)
+            if distance != current:
                 table._distance_epoch += 1
                 table._changed.add(self.target)
         self.distance = distance
@@ -187,17 +205,18 @@ class InrefEntry:
         the next update message re-propagates exact values.
         """
         current = self.sources.get(site)
-        if current is None:
-            self.sources[site] = distance
-        else:
-            self.sources[site] = min(current, distance)
+        if current is None or distance < current:
+            self.move_source(site, current, distance)
 
     def set_source_distance(self, site: SiteId, distance: int) -> None:
-        """Apply a distance carried by an update message (authoritative)."""
-        if site not in self.sources:
-            # The source may have been dropped concurrently; ignore stale news.
-            return
-        self.sources[site] = distance
+        """Apply a distance carried by an update message (authoritative).
+
+        News about a source the entry does not list is stale (it may have
+        been dropped concurrently) and is ignored.
+        """
+        current = self.sources.get(site)
+        if current is not None and current != distance:
+            self.move_source(site, current, distance)
 
     def remove_source(self, site: SiteId) -> None:
         self.sources.pop(site, None)
@@ -351,17 +370,19 @@ class InrefTable:
                 f"inref target {target} does not belong to site {self.site_id}"
             )
         entry = self._entries.get(target)
-        if entry is None:
-            entry = InrefEntry(
-                target=target,
-                back_threshold=self.initial_back_threshold,
-                _table=self,
-            )
-            self._entries[target] = entry
-            self._order_dirty = True
-            self.bump_structure()
-            self._changed.add(target)
-        entry.add_source(source, distance)
+        if entry is not None:
+            entry.add_source(source, distance)
+            return entry
+        # A new entry is born with its source, and its table is told once.
+        entry = self._entries[target] = InrefEntry(
+            target, {source: distance}, back_threshold=self.initial_back_threshold, _table=self
+        )
+        self._order_dirty = True
+        self._structure_epoch += 1
+        if distance != INFINITE_DISTANCE:  # its minimum moved from infinity
+            self._distance_epoch += 1
+        self._changed.add(target)
+        self._by_source.setdefault(source, set()).add(target)
         return entry
 
     def remove(self, target: ObjectId) -> None:

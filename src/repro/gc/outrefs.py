@@ -194,19 +194,16 @@ class OutrefTable:
             )
         entry = self._entries.get(target)
         if entry is None:
-            entry = OutrefEntry(
-                target=target,
-                distance=distance,
-                _traced_clean=clean,
-                back_threshold=self.initial_back_threshold,
-                _table=self,
+            entry = self._entries[target] = OutrefEntry(
+                target, distance, clean, back_threshold=self.initial_back_threshold, _table=self
             )
-            self._entries[target] = entry
             self._order_dirty = True
             self._installed[target] = distance if clean else ~distance
             self._changed.add(target)
-            self._restate(entry)
-            self.bump()
+            if not clean:  # a new entry is neither pinned nor barrier-cleaned
+                self._suspected[target] = entry
+                self._suspected_order_dirty = True
+            self._mutation_epoch += 1
         return entry
 
     def remove(self, target: ObjectId) -> None:

@@ -136,12 +136,16 @@ def _set_distances(
     ``source`` for, is stale (the reference was already dropped): ignored.
     """
     changed = False
+    get = inrefs.get
     for target, distance in distances:
-        entry = inrefs.get(target)
-        if entry is None or source not in entry.sources:
+        entry = get(target)
+        if entry is None:
             continue
-        if entry.sources[source] != distance:
-            entry.set_source_distance(source, distance)
+        # ``InrefEntry.set_source_distance`` inline: most listed distances
+        # are unchanged, and a check costs no call.
+        current = entry.sources.get(source)
+        if current is not None and current != distance:
+            entry.move_source(source, current, distance)
             changed = True
     return changed
 

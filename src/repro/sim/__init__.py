@@ -10,7 +10,16 @@ handlers, which makes experiments replayable and test failures minimizable.
 from .scheduler import EventHandle, Scheduler
 from .rng import RngRegistry
 from .simulation import Simulation
-from .parallel import ParallelSimulation, assign_shards
+
+
+def __getattr__(name):
+    # The sharded engine loads on first use (see the package root).
+    if name in ("ParallelSimulation", "assign_shards"):
+        from . import parallel
+
+        return getattr(parallel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EventHandle",

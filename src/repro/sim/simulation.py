@@ -219,8 +219,9 @@ class Simulation:
 
         Callable at any instant on either engine: oracle safety, per-kind
         ``sent = delivered + dropped + in flight`` for originals and for
-        fault-plan copies, every heap's flat mirror, and no garbage-flagged
-        inref live.
+        fault-plan copies, every heap's flat mirror, no garbage-flagged
+        inref live, and per (sender, receiver) no update anchor past the
+        sender's last update seq.
         """
         from ..analysis.oracle import audit_violations
 

@@ -72,11 +72,16 @@ class SiteAudit(NamedTuple):
     """One site's share of :meth:`Simulation.audit_state`, a fresh copy:
     every resident object's reference slots; the roots (persistent and
     variable roots, variable-held outrefs, and the references parked in
-    deferred writes); and the inref targets flagged garbage."""
+    deferred writes); the inref targets flagged garbage; and the update
+    channel's ends, per peer the receiver's anchor (sender -> seq of the
+    last update applied in order) and the sender's last seq (receiver ->
+    seq of the last update sent)."""
 
     objects: Dict[ObjectId, Tuple[ObjectId, ...]]
     roots: Set[ObjectId]
     garbage_inrefs: Set[ObjectId]
+    update_anchors: Dict[SiteId, int]
+    update_seqs: Dict[SiteId, int]
 
 
 #: Mutation-protocol payloads stamped with a per-(sender, receiver) sequence
@@ -847,7 +852,13 @@ class Site:
             if kind == "add":
                 roots.update((holder, target))
         objects = {oid: tuple(refs) for oid, refs in self.heap.resident_slots()}
-        return SiteAudit(objects, roots, set(self.inrefs.garbage_targets()))
+        return SiteAudit(
+            objects,
+            roots,
+            set(self.inrefs.garbage_targets()),
+            dict(self._update_anchor),
+            dict(self._update_seq),
+        )
 
     def check_flat_mirror(self) -> Optional[str]:
         """The audit of the heap's flat mirror and of what the local trace

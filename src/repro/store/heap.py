@@ -33,6 +33,13 @@ subsequences are its ``_succ_local`` and ``_remote_rows`` rows exactly.
 ``(heap, oid)`` handle that resolves the oid on each use: a handle to a
 swept object raises ``UnknownObjectError`` and never reaches a recycled row.
 
+**Insert path.**  :meth:`Heap.alloc_id` creates every object and returns
+its id (:meth:`Heap.alloc` wraps it and hands out a handle);
+:meth:`Heap.add_ref` appends a local slot to a row with no order record
+itself and leaves every other slot to ``_edge_added``.  Graph builders
+call these two, so an object or a local edge costs one intern probe per
+id and one row append.
+
 Trace memos
 -----------
 Every row change also names the row it touched in ``_dirty``: the holder
@@ -62,6 +69,10 @@ from .objects import HeapObject
 #: ``bytes.translate`` table turning the alive bitmap into a fresh mark
 #: bitmap: dead and free indices start marked, alive ones unmarked.
 _DEAD_MARKED = bytes([1, 0]) + bytes(254)
+
+#: Builds an :class:`ObjectId` from its field tuple without entering the
+#: named tuple's Python-level ``__new__``.
+_new_id = tuple.__new__
 
 
 class RegionMemo:
@@ -383,25 +394,48 @@ class Heap:
         payload_size: int = 1,
     ) -> HeapObject:
         """Create a new object on this site."""
-        oid = ObjectId(site=self.site_id, serial=self._next_serial)
-        self._next_serial += 1
-        if oid in self._idx:
+        oid = self.alloc_id(persistent_root)
+        if refs or payload_size != 1:
+            idx = self._idx[oid]
+            for ref in refs or ():
+                self._edge_added(idx, ref)
+            if payload_size != 1:
+                self._payload[idx] = payload_size
+        return HeapObject(self, oid)
+
+    def alloc_id(self, persistent_root: bool = False) -> ObjectId:
+        """Create a new object with no slots and return its id.
+
+        The insert path every allocation takes (:meth:`alloc` wraps it): one
+        probe of the intern map, one row append, one epoch bump, and no
+        :class:`HeapObject` handle.
+        """
+        serial = self._next_serial
+        self._next_serial = serial + 1
+        oid = _new_id(ObjectId, (self.site_id, serial))
+        idx_map = self._idx
+        if oid in idx_map:
             # Referenced before it existed: the index comes alive under
             # edges no dirty row records (see the module docstring).
             self.clean_memo = RegionMemo()
             self.suspected_memo = RegionMemo(sparse=True)
-        idx = self._intern(oid)
-        self._alive[idx] = 1
+            self._alive[idx_map[oid]] = 1
+        elif self._free:
+            idx = idx_map[oid] = self._free.pop()
+            self._oids[idx] = oid
+            self._alive[idx] = 1
+        else:
+            idx_map[oid] = len(self._oids)
+            self._oids.append(oid)
+            self._alive.append(1)
+            self._succ_local.append([])
+            self._slot_refs.append(0)
         self._resident_count += 1
-        for ref in refs or ():
-            self._edge_added(idx, ref)
-        if payload_size != 1:
-            self._payload[idx] = payload_size
         self.objects_allocated += 1
         if persistent_root:
             self._persistent_roots.add(oid)
-        self.bump_epoch()
-        return HeapObject(self, oid)
+        self._mutation_epoch += 1
+        return oid
 
     def adopt(self, obj: HeapObject) -> HeapObject:
         """Install an object migrated from another site under a fresh id.
@@ -487,9 +521,27 @@ class Heap:
     # -- mutation -----------------------------------------------------------------
 
     def add_ref(self, holder: ObjectId, target: ObjectId) -> None:
-        """Append ``target`` to ``holder``'s slots."""
-        self._edge_added(self._row(holder), target)
-        self.bump_epoch()
+        """Append ``target`` to ``holder``'s slots.
+
+        A local target on a row holding no remote slot -- nearly every edge
+        a graph is built from -- is handled here: one probe per id and one
+        row append.  :meth:`_edge_added` takes the rest.
+        """
+        idx_map = self._idx
+        idx = idx_map.get(holder)
+        if idx is None or not self._alive[idx]:
+            raise UnknownObjectError(f"{holder} not present on site {self.site_id}")
+        self._mutation_epoch += 1
+        if target.site != self.site_id or idx in self._order:
+            self._edge_added(idx, target)
+            return
+        tidx = idx_map.get(target)
+        if tidx is None:
+            tidx = self._intern(target)
+        self._succ_local[idx].append(tidx)
+        self._slot_refs[tidx] += 1
+        self._dirty.add(idx)
+        self._slot_total += 1
 
     def remove_ref(self, holder: ObjectId, target: ObjectId) -> None:
         """Remove one occurrence of ``target``; ``HeapError`` if absent."""

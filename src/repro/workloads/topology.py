@@ -51,8 +51,7 @@ class GraphBuilder:
         self, site_id: SiteId, label: Optional[str] = None, root: bool = False
     ) -> ObjectId:
         """Create one object at ``site_id``; optionally a persistent root."""
-        site = self.sim.site(site_id)
-        oid = site.heap.alloc(persistent_root=root).oid
+        oid = self.sim.site(site_id).heap.alloc_id(root)
         if label is not None:
             if label in self._labels:
                 raise SimulationError(f"label {label!r} already used")
@@ -71,16 +70,18 @@ class GraphBuilder:
         """Add a reference from object ``src`` to object ``dst``.
 
         Cross-site links create/extend the matching outref and inref entries
-        with the conservative new-source distance of 1.
+        with the conservative new-source distance of 1.  Ids are used as
+        handed; only labels are looked up.
         """
-        src_oid = self.resolve(src)
-        dst_oid = self.resolve(dst)
-        src_site = self.sim.site(src_oid.site)
-        src_site.heap.add_ref(src_oid, dst_oid)
-        if dst_oid.site != src_oid.site:
-            src_site.outrefs.ensure(dst_oid, clean=True, distance=1)
-            dst_site = self.sim.site(dst_oid.site)
-            dst_site.inrefs.ensure(dst_oid, source=src_oid.site, distance=1)
+        if src.__class__ is not ObjectId:
+            src = self[src]
+        if dst.__class__ is not ObjectId:
+            dst = self[dst]
+        src_site = self.sim.site(src.site)
+        src_site.heap.add_ref(src, dst)
+        if dst.site != src.site:
+            src_site.outrefs.ensure(dst, True, 1)
+            self.sim.site(dst.site).inrefs.ensure(dst, src.site, 1)
 
     def link_chain(self, handles: Iterable[Handle]) -> None:
         """Link consecutive handles: a -> b -> c -> ..."""

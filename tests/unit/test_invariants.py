@@ -77,11 +77,19 @@ def _sweep_a_live_object(site, victim):
     site.heap.sweep_ids([victim])
 
 
+def _forge_an_update_anchor(site, victim):
+    """The anchor a sender's seq restarting below it would leave behind:
+    one past every update the sender has sent."""
+    sender = min(site._update_anchor)
+    site._update_anchor[sender] += 1
+
+
 FORGERIES = [
     (_append_behind_the_mirror, "flat mirror: slot refcount drift"),
     (_bump_a_send_counter, "UpdatePayload: sent="),
     (_flag_a_live_inref, "garbage-flagged inref"),
     (_sweep_a_live_object, "SAFETY VIOLATION"),
+    (_forge_an_update_anchor, "last update seq"),
 ]
 
 
