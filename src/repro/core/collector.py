@@ -56,13 +56,7 @@ from typing import (
 
 from ..ids import ObjectId
 from .backtrace.engine import BackTraceEngine
-from .backtrace.messages import (
-    BackCall,
-    BackCallBatch,
-    BackOutcome,
-    BackReply,
-    BackReplyBatch,
-)
+from .backtrace.messages import BackCall, BackOutcome, BackReply
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..gc.outrefs import OutrefEntry
@@ -202,23 +196,15 @@ class BackTracingCollector(Collector):
     def handlers(self) -> Mapping[type, Callable[["Message"], None]]:
         return {
             BackCall: self._on_back_call,
-            BackCallBatch: self._on_back_call_batch,
             BackReply: self._on_back_reply,
-            BackReplyBatch: self._on_back_reply_batch,
             BackOutcome: self._on_back_outcome,
         }
 
     def _on_back_call(self, message: "Message") -> None:
         self.engine.handle_back_call(message.src, message.payload)
 
-    def _on_back_call_batch(self, message: "Message") -> None:
-        self.engine.handle_back_call_batch(message.src, message.payload)
-
     def _on_back_reply(self, message: "Message") -> None:
         self.engine.handle_back_reply(message.src, message.payload)
-
-    def _on_back_reply_batch(self, message: "Message") -> None:
-        self.engine.handle_back_reply_batch(message.src, message.payload)
 
     def _on_back_outcome(self, message: "Message") -> None:
         self.engine.handle_back_outcome(message.src, message.payload)

@@ -253,7 +253,7 @@ def test_concurrent_traces_same_cycle_both_complete():
     assert TraceOutcome.GARBAGE in verdicts
 
 
-# -- coalescing, batching, the outcome timeout -----------------------------------
+# -- coalescing, fan-out, the outcome timeout -----------------------------------
 
 
 def fixed_latency_network():
@@ -312,28 +312,69 @@ def test_initiator_crash_leaves_participants_assuming_live():
             assert not entry.garbage
 
 
-def test_back_calls_to_same_destination_ship_as_one_batch():
-    """Two inrefs with a common source, reached by one fan-out, batch."""
-    sim = make_sim(sites=("P", "Q"), network=fixed_latency_network())
+def build_shared_source_fan_in(sim):
+    """At Q: a -> c, z -> c, c -> p(P); at P: p -> a and p -> z.  Q's outref
+    for p has the inset {a, z}, both inrefs sourced from P."""
     b = GraphBuilder(sim)
-    # At Q: a -> c, b -> c, c -> p(P); at P: p -> a and p -> b.  A trace from
-    # Q's outref for p fans out to inrefs a and b in one activation -- both
-    # sourced from P, so the two BackCalls ride one BackCallBatch.
-    a, bb, c = b.obj("Q", "a"), b.obj("Q", "b"), b.obj("Q", "c")
+    a, z, c = b.obj("Q", "a"), b.obj("Q", "z"), b.obj("Q", "c")
     p = b.obj("P", "p")
     b.link(a, c)
-    b.link(bb, c)
+    b.link(z, c)
     b.link(c, p)
     b.link(p, a)
-    b.link(p, bb)
+    b.link(p, z)
+    return b
+
+
+def test_fan_out_to_one_destination_sends_one_message_per_step():
+    """Section 4.6's bill, message for message: two BackCalls leave Q for P
+    (one per inref in the inset) and the trace costs 2E + (N - 1)."""
+    sim = make_sim(sites=("P", "Q"), network=fixed_latency_network())
+    b = build_shared_source_fan_in(sim)
     prepare_resuspected(sim)
+    before = sim.metrics.snapshot()
+    trace_id = sim.site("Q").engine.start_trace(b["p"])
+    assert trace_id is not None
+    # The first fan-out's sends, counted before anything is delivered.
+    assert sim.metrics.snapshot().diff(before).get("messages.BackCall", 0) == 2
+    sim.settle()
+    # The structure is unanchored garbage.
+    assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE
+    delta = sim.metrics.snapshot().diff(before)
+    calls = delta.get("messages.BackCall", 0)
+    replies = delta.get("messages.BackReply", 0)
+    outcomes = delta.get("messages.BackOutcome", 0)
+    # E = 3 inter-site references traversed (a, z from P; p from Q), N = 2.
+    assert (calls, replies, outcomes) == (3, 3, 1)
+    assert calls + replies + outcomes == 2 * 3 + (2 - 1)
+
+
+def test_clean_inref_in_inset_answers_live_before_any_back_call():
+    """A clean inref later in target order than a suspected sibling still
+    short-circuits the local step Live before a BackCall leaves the site;
+    the outref is visited and its back threshold bumped as usual."""
+    sim = make_sim(sites=("P", "Q"), network=fixed_latency_network())
+    b = build_shared_source_fan_in(sim)
+    prepare_resuspected(sim)
+    assert b["a"] < b["z"]
+    # Only z turns clean; Q's outref for p keeps the suspected distance its
+    # last local trace gave it, so a trace may still start there.
+    z_entry = sim.site("Q").inrefs.require(b["z"])
+    for source in z_entry.sources:
+        z_entry.sources[source] = 1
+    assert z_entry.is_clean(sim.site("Q").inrefs.suspicion_threshold)
+    outref = sim.site("Q").outrefs.require(b["p"])
+    threshold_before = outref.back_threshold
+    before = sim.metrics.snapshot()
     trace_id = sim.site("Q").engine.start_trace(b["p"])
     assert trace_id is not None
     sim.settle()
-    assert sim.metrics.count("messages.BackCallBatch") >= 1
-    assert sim.metrics.count("backtrace.calls_batched") >= 2
-    # The structure is unanchored garbage: the trace must still conclude so.
-    assert sim.trace_outcomes[-1][3] is TraceOutcome.GARBAGE
+    assert sim.trace_outcomes[-1][2] == trace_id
+    assert sim.trace_outcomes[-1][3] is TraceOutcome.LIVE
+    assert sim.metrics.snapshot().diff(before).get("messages.BackCall", 0) == 0
+    assert outref.back_threshold == (
+        threshold_before + sim.config.gc.back_threshold_increment
+    )
 
 
 def test_timeout_live_backoff_doubles_and_is_capped():
