@@ -89,8 +89,9 @@ _LEGS = (
 def audit_violations(state: "AuditState", counters: Mapping[str, int]) -> List[str]:
     """The state-level checks of :meth:`Simulation.check_invariants`:
     safety, message conservation per kind, no garbage-flagged inref live,
-    and no update anchor past its sender's last seq.  ``counters`` are the
-    run's merged ``messages.*`` counters."""
+    no update anchor past its sender's last seq, and none behind it unless
+    the sender still repairs that receiver.  ``counters`` are the run's
+    merged ``messages.*`` counters."""
     live, violations = _walk(state)
     for site in state.sites.values():
         for oid in sorted(site.garbage_inrefs & live):
@@ -104,6 +105,19 @@ def audit_violations(state: "AuditState", counters: Mapping[str, int]) -> List[s
                 violations.append(
                     f"update anchor {receiver}<-{sender} is {anchor}, past "
                     f"{sender}'s last update seq {sent}"
+                )
+    # One behind it is repaired by the sender's retransmission timer or, once
+    # the sender has given up or crashed through the timeout, by a full
+    # update on its next GC tick; with neither, the receiver stays behind.
+    for sender, site in state.sites.items():
+        repairing = site.update_timers | site.desynced_peers
+        for receiver, sent in sorted(site.update_seqs.items()):
+            anchor = state.sites[receiver].update_anchors.get(sender, 0)
+            if anchor < sent and receiver not in repairing:
+                violations.append(
+                    f"update anchor {receiver}<-{sender} is {anchor}, behind "
+                    f"{sender}'s last update seq {sent} with no timer running "
+                    f"and the peer not marked desynced"
                 )
     flying = Counter((message.kind, message.dup) for message in state.in_flight)
     kinds = {key.rsplit(".", 1)[1] for key in counters} | {kind for kind, _ in flying}

@@ -221,7 +221,8 @@ class Simulation:
         ``sent = delivered + dropped + in flight`` for originals and for
         fault-plan copies, every heap's flat mirror, no garbage-flagged
         inref live, and per (sender, receiver) no update anchor past the
-        sender's last update seq.
+        sender's last update seq, nor one behind it that the sender no
+        longer repairs (no retransmission timer, peer not desynced).
         """
         from ..analysis.oracle import audit_violations
 

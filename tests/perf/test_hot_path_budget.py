@@ -23,6 +23,7 @@ E27).
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from benchmarks.ledger.scenarios import PingStorm, advance
@@ -43,12 +44,19 @@ def test_calls_per_ping_hop_stay_within_budget():
         if event in counts:
             counts[event] += 1
 
+    # The cyclic collector is off meanwhile: a ``gc.callbacks`` hook another
+    # library installed (hypothesis times its collections) would otherwise
+    # count as the hot path's calls, and the figure would depend on test order.
     previous = sys.getprofile()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         advance(scenario)
     finally:
         sys.setprofile(previous)
+        if enabled:
+            gc.enable()
     fired = scenario.events - warm_events
     assert fired > 10_000 and scenario.sim.scheduler.pending == 0
     py_calls = counts["call"] / fired

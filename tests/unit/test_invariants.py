@@ -84,12 +84,20 @@ def _forge_an_update_anchor(site, victim):
     site._update_anchor[sender] += 1
 
 
+def _lose_an_update_untimed(site, victim):
+    """An update counted as sent with no timer to resend it and the peer
+    not marked desynced: what a crash used to leave behind."""
+    receiver = min(site._update_seq)
+    site._update_seq[receiver] += 1
+
+
 FORGERIES = [
     (_append_behind_the_mirror, "flat mirror: slot refcount drift"),
     (_bump_a_send_counter, "UpdatePayload: sent="),
     (_flag_a_live_inref, "garbage-flagged inref"),
     (_sweep_a_live_object, "SAFETY VIOLATION"),
-    (_forge_an_update_anchor, "last update seq"),
+    (_forge_an_update_anchor, "past"),
+    (_lose_an_update_untimed, "not marked desynced"),
 ]
 
 

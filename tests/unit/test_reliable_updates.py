@@ -207,3 +207,23 @@ def test_crashed_sender_stops_retransmitting():
     sim.settle()
     assert sim.metrics.count(names.UPDATE_RETRANSMITS) == 0
     assert sim.metrics.count(names.UPDATE_RETRANSMITS_ABANDONED) == 0
+
+
+def test_crashed_senders_expired_timer_leaves_the_peer_desynced():
+    """A sender down when its retransmission timer fires has no timer left
+    after recovery; it marks the peer desynced instead, so the receiver it
+    left behind is repaired on the next GC tick, not at the periodic full
+    refresh."""
+    plan = FaultPlan.loss(1.0, end=100.0, src="A", dst="B")
+    sim = make_sim(plan=plan)
+    sender = sim.site("A")
+    sender._send_update("B", empty_delta())  # dies on the lossy link
+    sim.run_until(5.0)
+    sender.crash()  # before any ack; the timer fires at t=40
+    sim.run_until(200.0)
+    sender.recover()
+    assert sim.check_invariants() == []
+    sim.run_until(200.0 + sim.config.gc.local_trace_period + 20.0)
+    assert sim.metrics.count(names.msg_delivered_kind("UpdatePayload")) == 1
+    assert sim.metrics.count(names.UPDATE_RETRANSMITS) == 0
+    assert sim.check_invariants() == []
