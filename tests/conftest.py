@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle, graph_snapshot
@@ -15,6 +16,21 @@ from repro.workloads import (
     SiteChurn,
     build_ring_cycle,
 )
+
+
+# Tier-1 draws the same examples on every run, so a mutant it kills once it
+# kills every time, and keeps no example database between runs.  The
+# ``explore`` profile draws anew each run and ten times as many examples:
+# ``python -m pytest tests/properties --hypothesis-profile=explore``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", max_examples=1000)
+settings.load_profile("tier1")
+
+
+def examples(count: int) -> int:
+    """A test's example budget under the loaded profile: ``count`` in tier-1,
+    ten times it under ``explore``."""
+    return count * settings.default.max_examples // 100
 
 
 def make_sim(

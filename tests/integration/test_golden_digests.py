@@ -19,8 +19,8 @@ the commit named in its ``recorded_at`` field:
   *and first-touch creation order*, trace outcomes, events fired.
 - ``data_plane``: the scenarios on which the update protocol (sequenced
   deltas over the acknowledged channel), the flat clean-phase kernel and
-  coalescing / call batching were twinned against the full-snapshot
-  protocol, the set-based kernel and the plain back tracer, on the default
+  trace coalescing were twinned against the full-snapshot protocol, the
+  set-based kernel and the plain back tracer, on the default
   configuration; the three scenario functions live with the tests that keep
   auditing them against the oracle.
 

@@ -26,6 +26,8 @@ from repro.core.backinfo import (
 from repro.ids import ObjectId
 from repro.store.heap import Heap
 
+from ..conftest import examples
+
 
 @st.composite
 def local_graphs(draw):
@@ -115,7 +117,7 @@ def make_env(heap, clean_objects, clean_remotes):
 
 
 @given(local_graphs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_bottom_up_matches_brute_force(data):
     heap, clean_objects, clean_remotes, roots = data
     outsets, reaches, _ = oracle(heap, clean_objects, clean_remotes, roots)
@@ -130,7 +132,7 @@ def test_bottom_up_matches_brute_force(data):
 
 
 @given(local_graphs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_independent_matches_brute_force(data):
     heap, clean_objects, clean_remotes, roots = data
     outsets, reaches, edges = oracle(heap, clean_objects, clean_remotes, roots)
@@ -146,7 +148,7 @@ def test_independent_matches_brute_force(data):
 
 
 @given(local_graphs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_algorithms_agree(data):
     heap, clean_objects, clean_remotes, roots = data
     bottom_up = compute_outsets_bottom_up(
@@ -160,7 +162,7 @@ def test_algorithms_agree(data):
 
 
 @given(local_graphs())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_bottom_up_visits_each_object_at_most_once(data):
     heap, clean_objects, clean_remotes, roots = data
     result = compute_outsets_bottom_up(
@@ -171,7 +173,7 @@ def test_bottom_up_visits_each_object_at_most_once(data):
 
 
 @given(local_graphs())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_insets_are_exact_inverse(data):
     heap, clean_objects, clean_remotes, roots = data
     result = compute_outsets_bottom_up(

@@ -24,6 +24,8 @@ from repro.core.distance import trace_clean_phase, trace_clean_phase_flat
 from repro.ids import ObjectId
 from repro.store.heap import Heap
 
+from ..conftest import examples
+
 (
     ALLOC,
     ALLOC_REFS,
@@ -104,7 +106,7 @@ def _contract(result, clean):
 
 
 @given(ops, root_picks, st.lists(st.integers(0, 4), max_size=3))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
     script, picks, variable
 ):
@@ -141,7 +143,7 @@ slot_ops = st.lists(
 
 
 @given(slot_ops)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_iter_refs_is_a_plain_list_model_of_the_slots(script):
     """Slot order under interleaved local and remote adds and removes,
     duplicates and dangling local slots included."""

@@ -20,6 +20,8 @@ from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 
+from ..conftest import examples
+
 
 @given(
     st.lists(
@@ -28,7 +30,7 @@ from repro.sim.scheduler import Scheduler
         max_size=60,
     )
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_scheduler_total_order(items):
     sched = Scheduler()
     fired = []
@@ -49,7 +51,7 @@ def test_scheduler_total_order(items):
     ),
     st.integers(0, 100),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_network_fifo_per_pair_under_any_send_pattern(sends, seed):
     """Messages A->dst interleaved with arbitrary delays and heavy-tailed
     latencies still arrive per-destination in send order."""
@@ -92,7 +94,7 @@ def test_network_fifo_per_pair_under_any_send_pattern(sends, seed):
 
 
 @given(st.integers(0, 1000))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_network_without_fifo_never_loses_messages(seed):
     @dataclass(frozen=True)
     class Tick(Payload):

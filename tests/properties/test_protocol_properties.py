@@ -23,7 +23,7 @@ from repro.gc.update import (
 from repro.ids import ObjectId
 from repro.workloads import GraphBuilder
 
-from ..conftest import make_sim
+from ..conftest import examples, make_sim
 
 
 # -- update idempotence -----------------------------------------------------------
@@ -64,7 +64,7 @@ def table_state(table: InrefTable):
 
 
 @given(inref_tables_and_updates())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_update_application_is_idempotent(data):
     table, payload = data
     apply = apply_update if payload.full else apply_update_delta
@@ -78,7 +78,7 @@ def test_update_application_is_idempotent(data):
 
 
 @given(inref_tables_and_updates())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_full_update_prunes_unlisted_sources(data):
     table, payload = data
     listed = {target for target, _ in payload.distances}
@@ -107,7 +107,7 @@ def small_worlds(draw):
 
 
 @given(small_worlds(), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_random_worlds_safe_and_complete(world, seed):
     n_per_site, edges, rooted, cuts = world
     sites = ["s0", "s1", "s2"]

@@ -17,11 +17,12 @@ from repro.analysis import Oracle
 from repro.mutator import Mutator
 from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 
-from tests.conftest import make_sim
+from tests.conftest import examples, make_sim
 from tests.integration.test_barrier_safety import (
     build_race_topology,
     prepare_stale_suspicion,
 )
+
 
 LATENCIES = [
     lambda: ConstantLatency(2.0),
@@ -41,7 +42,7 @@ def race_setups(draw):
 
 
 @given(race_setups())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_race_interleavings_never_lose_live_objects(setup):
     seed, latency_index, fifo, trace_delay, delete_early = setup
     gc = GcConfig()

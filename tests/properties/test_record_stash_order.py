@@ -15,6 +15,8 @@ from repro.gc.update import UpdateAck
 from repro.net.message import Message
 from repro.sim.parallel import _pack_buckets, _RecordStash
 
+from ..conftest import examples
+
 # Numeric and string order disagree on these, so the stash must sort by name.
 SITES = ["s10", "s2", "s9", "a", "s1"]
 TIMES = [5.0, 5.5, 7.0, 12.0]
@@ -51,7 +53,7 @@ def _key(entry):
     st.randoms(use_true_random=False),
     st.lists(st.sampled_from([5.0, 6.0, 7.0, 12.5, 100.0]), max_size=4),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_take_due_order_is_independent_of_bucketing_and_arrival(
     routed, rng, bounds
 ):

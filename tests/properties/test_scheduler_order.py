@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.scheduler import Scheduler
 
+from ..conftest import examples
+
 
 class ModelScheduler:
     """Reference model: a plain list, fired by sorting on (time, seq)."""
@@ -75,7 +77,7 @@ OPS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(ops=OPS)
 def test_interleaved_schedule_cancel_run_matches_reference_model(ops):
     """Any interleaving of the public operations fires the same (time, label)
@@ -130,7 +132,7 @@ def test_interleaved_schedule_cancel_run_matches_reference_model(ops):
     assert sched.pending == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(
     count=st.integers(2, 30),
     times=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=30),
@@ -203,7 +205,7 @@ def test_callback_cancellation_triggers_compaction_mid_run():
     assert sched.pending == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     bound=st.integers(1, 40),
     times=st.lists(st.integers(0, 50), min_size=1, max_size=60),

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro.gc.inrefs import INFINITE_DISTANCE, InrefTable
 from repro.ids import ObjectId
 
+from ..conftest import examples
+
 SOURCES = "QRSTU"
 TARGET = ObjectId("P", 0)
 
@@ -62,7 +64,7 @@ def _apply(table, model, op, site, d):
 
 
 @given(ops)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_the_kept_minimum_matches_a_recompute(script):
     table = InrefTable("P", suspicion_threshold=2, initial_back_threshold=4)
     model = {}

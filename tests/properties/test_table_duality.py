@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro import GcConfig
 from repro.workloads import GraphBuilder
 
-from tests.conftest import make_sim
+from tests.conftest import examples, make_sim
+
 
 
 @st.composite
@@ -40,7 +41,7 @@ def random_worlds(draw):
 
 
 @given(random_worlds())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_inset_outset_duality_after_trace(world):
     n_per_site, edges, rooted, distances = world
     sites = ["s0", "s1", "s2"]

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro import GcConfig, NetworkConfig
 from repro.workloads import build_ring_cycle
 
-from tests.conftest import make_sim
+from tests.conftest import examples, make_sim
+
 
 
 @given(
@@ -22,7 +23,7 @@ from tests.conftest import make_sim
     st.floats(min_value=0.0, max_value=0.9),  # drop probability
     st.integers(min_value=0, max_value=500),  # seed
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_every_started_trace_terminates_and_cleans_up(n_sites, drop, seed):
     sites = [f"s{i}" for i in range(n_sites)]
     sim = make_sim(
