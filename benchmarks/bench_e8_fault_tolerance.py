@@ -12,18 +12,17 @@ Claims:
 
 import pytest
 
-from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
+from repro import GcConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle
 from repro.harness.report import Table
+from repro.net.faults import FaultPlan
 from repro.workloads import build_ring_cycle
 
 FT_GC = GcConfig(backtrace_timeout=30.0)
 
 
-def make_sim(sites, seed=8, network=None):
-    sim = Simulation(
-        SimulationConfig(seed=seed, gc=FT_GC, network=network or NetworkConfig())
-    )
+def make_sim(sites, seed=8, fault_plan=None):
+    sim = Simulation(SimulationConfig(seed=seed, gc=FT_GC), fault_plan=fault_plan)
     sim.add_sites(sites, auto_gc=False)
     return sim
 
@@ -94,8 +93,8 @@ def scenario_partition():
     return inside_rounds, crossing_blocked, healed_rounds
 
 
-def scenario_lossy_network(drop):
-    sim = make_sim(["a", "b", "c"], network=NetworkConfig(drop_probability=drop))
+def scenario_lossy_network(loss):
+    sim = make_sim(["a", "b", "c"], fault_plan=FaultPlan.loss(loss))
     cycle = build_ring_cycle(sim, ["a", "b", "c"])
     for _ in range(2):
         sim.run_gc_round()
@@ -153,7 +152,7 @@ def test_e8_fault_matrix(benchmark, record_table):
     assert lossless is not None and lossy is not None
 
 
-@pytest.mark.parametrize("drop", [0.0, 0.1, 0.3])
-def test_lossy_network_rounds(benchmark, drop):
-    rounds = benchmark.pedantic(scenario_lossy_network, args=(drop,), rounds=1, iterations=1)
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+def test_lossy_network_rounds(benchmark, loss):
+    rounds = benchmark.pedantic(scenario_lossy_network, args=(loss,), rounds=1, iterations=1)
     assert rounds is not None

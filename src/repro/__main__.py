@@ -15,6 +15,9 @@ Commands:
                     termination backend over identical seeded workloads and
                     oracle-check they reclaim the same garbage (E22, the
                     differential matrix; their message costs are E6 rows).
+- ``replay``     -- re-run one case file (``tests/cases/*.json``, or any
+                    ``Case.to_json()`` output) and print its row and first
+                    violation; exits non-zero on a violation.
 
 Every command accepts ``--seed`` for deterministic replay.
 """
@@ -22,10 +25,16 @@ Every command accepts ``--seed`` for deterministic replay.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from . import GcConfig, Simulation, SimulationConfig
 from .analysis import Oracle
+from .config import COLLECTORS
+from .harness.cases import (
+    Case, chaos_cases, chaos_row, compare_backends, diff_cases, diff_row, run_case,
+)
 from .harness.report import Table
 from .workloads import GraphBuilder
 
@@ -196,70 +205,75 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from .harness.chaos import run_chaos_matrix
+CHAOS_COLUMNS = ["seed", "plan", "safe", "collected", "rounds", "dropped", "dup", "retrans", "suppressed"]
+DIFF_COLUMNS = ["seed", "workload", "garbage", "bt rounds", "term rounds", "gap", "agree"]
 
-    results = run_chaos_matrix(range(args.seed, args.seed + args.seeds))
-    table = Table(
-        "Chaos matrix: oracle-audited GC under injected faults",
-        ["seed", "plan", "safe", "collected", "rounds", "dropped", "dup", "retrans", "suppressed"],
-    )
-    failures = 0
-    for result in results:
-        failures += 0 if result.ok else 1
-        table.add_row(
-            result.seed,
-            result.plan,
-            "yes" if result.safety_ok else "NO",
-            "yes" if result.collected else "NO",
-            result.rounds_to_collect or "-",
-            result.dropped,
-            result.duplicated,
-            result.retransmits,
-            result.dup_suppressed,
-        )
+
+def _cell(value):
+    """yes/NO for a verdict, - for no value, a signed float for a gap."""
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if value is None:
+        return "-"
+    return f"{value:+.2f}" if isinstance(value, float) else value
+
+
+def _report(title, columns, outcomes, tally: str) -> int:
+    """Print one table row per (leading cells, row, case name, violations)
+    outcome, then the violations and how many outcomes had none; exit
+    non-zero if any had one."""
+    table = Table(title, columns)
+    for lead, row, _, _ in outcomes:
+        table.add_row(*lead, *map(_cell, row.values()))
     table.print()
-    for result in results:
-        for violation in result.violations:
-            print(f"  [{result.seed}/{result.plan}] {violation}")
-    print(f"{len(results) - failures}/{len(results)} cases passed")
+    for _, _, name, violations in outcomes:
+        for violation in violations:
+            print(f"  [{name}] {violation}")
+    failures = sum(1 for *_, violations in outcomes if violations)
+    print(f"{len(outcomes) - failures}/{len(outcomes)} {tally}")
     return 1 if failures else 0
+
+
+def _chaos_outcome(case, run):
+    return (case.config.seed, case.plan.name), chaos_row(run), case.name, run.violations
+
+
+def _diff_outcome(comparison):
+    case = comparison.case
+    return (case.config.seed, case.builder), diff_row(comparison), case.name, comparison.failures
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    outcomes = [
+        _chaos_outcome(case, run_case(case))
+        for case in chaos_cases(range(args.seed, args.seed + args.seeds))
+    ]
+    return _report(
+        "Chaos matrix: oracle-audited GC under injected faults",
+        CHAOS_COLUMNS, outcomes, "cases passed",
+    )
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from .harness.differential import run_differential_matrix
-
-    results = run_differential_matrix(range(args.seed, args.seed + args.seeds))
-    table = Table(
+    outcomes = [
+        _diff_outcome(compare_backends(case))
+        for case in diff_cases(range(args.seed, args.seed + args.seeds))
+    ]
+    return _report(
         "Differential matrix: backtrace vs termination, oracle-audited",
-        ["seed", "workload", "garbage", "bt rounds", "term rounds", "gap", "agree"],
+        DIFF_COLUMNS, outcomes, "cells agreed",
     )
-    failures = 0
-    for result in results:
-        failures += 0 if result.agreed else 1
-        bt = result.runs.get("backtrace")
-        tm = result.runs.get("termination")
-        gap = result.latency_gap
-        table.add_row(
-            result.seed,
-            result.workload,
-            result.expected_garbage,
-            (bt.rounds_to_clear if bt and bt.rounds_to_clear else "-"),
-            (tm.rounds_to_clear if tm and tm.rounds_to_clear else "-"),
-            f"{gap:+.2f}" if gap is not None else "-",
-            "yes" if result.agreed else "NO",
-        )
-    table.print()
-    for result in results:
-        run_violations = [
-            violation
-            for run in result.runs.values()
-            for violation in run.violations
-        ]
-        for violation in result.violations + run_violations:
-            print(f"  [{result.seed}/{result.workload}] {violation}")
-    print(f"{len(results) - failures}/{len(results)} cells agreed")
-    return 1 if failures else 0
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    case = Case.from_json(json.loads(Path(args.case).read_text()))
+    if args.backend is None and "agrees" in case.checks:
+        columns, outcome = DIFF_COLUMNS, _diff_outcome(compare_backends(case))
+    else:
+        columns, outcome = CHAOS_COLUMNS, _chaos_outcome(case, run_case(case, args.backend))
+    *row, violations = outcome
+    title = f"Replay of {case.name}" + (f" under {args.backend}" if args.backend else "")
+    return _report(title, columns, [(*row, violations[:1])], "passed")
 
 
 def main(argv=None) -> int:
@@ -290,6 +304,16 @@ def main(argv=None) -> int:
         help="differential matrix: backtrace vs termination backend (E22)",
     )
     diff.add_argument("--seeds", type=int, default=8, help="number of seeds")
+    replay = sub.add_parser(
+        "replay", help="re-run one case file and print its row"
+    )
+    replay.add_argument("case", help="path to a case JSON file")
+    replay.add_argument(
+        "--backend",
+        choices=COLLECTORS,
+        help="run under this collector only (default: the case's own, or "
+        "both rivals for a case that checks agreement)",
+    )
 
     args = parser.parse_args(argv)
     handlers = {
@@ -300,6 +324,7 @@ def main(argv=None) -> int:
         "scale": cmd_scale,
         "chaos": cmd_chaos,
         "diff": cmd_diff,
+        "replay": cmd_replay,
     }
     return handlers[args.command](args)
 

@@ -12,7 +12,7 @@ variants with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 
@@ -27,14 +27,15 @@ class NetworkConfig:
     The safety argument of the paper (section 6.4, relation R1) assumes
     in-order delivery between each pair of sites, which matches TCP-like
     transports; ``fifo_per_pair`` therefore defaults to True.  Setting it to
-    False exercises the conservative timeout paths.
+    False exercises the conservative timeout paths.  Loss, duplication and
+    reordering are rules of a :class:`~repro.net.faults.FaultPlan` (a lossy
+    network is ``FaultPlan.loss(p)``), never network parameters.
     """
 
     min_latency: float = 1.0
     max_latency: float = 5.0
-    drop_probability: float = 0.0
     fifo_per_pair: bool = True
-    # Draw latency/loss randomness from one RNG stream *per ordered site
+    # Draw latency randomness from one RNG stream *per ordered site
     # pair* instead of the single shared "network" stream.  With the shared
     # stream the k-th draw depends on the global interleaving of all sends;
     # per-pair streams depend only on the sender's own send order, which is
@@ -49,8 +50,6 @@ class NetworkConfig:
             raise ConfigError("min_latency must be >= 0")
         if self.max_latency < self.min_latency:
             raise ConfigError("max_latency must be >= min_latency")
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ConfigError("drop_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -205,3 +204,13 @@ class SimulationConfig:
             raise ConfigError("seed must be an int")
         if not isinstance(self.parallel_workers, int) or self.parallel_workers < 1:
             raise ConfigError("parallel_workers must be an int >= 1")
+
+    def to_json(self) -> dict:
+        """Plain JSON data; :meth:`from_json` rebuilds an equal config."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SimulationConfig":
+        """Absent keys take their defaults; unknown ones raise TypeError."""
+        network, gc = NetworkConfig(**data.get("network", {})), GcConfig(**data.get("gc", {}))
+        return cls(**{**data, "network": network, "gc": gc})

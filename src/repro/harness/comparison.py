@@ -16,7 +16,7 @@ directly over it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..analysis.oracle import Oracle
 from ..baselines import (
@@ -30,6 +30,7 @@ from ..config import GcConfig, SimulationConfig
 from ..sim.simulation import Simulation
 from ..workloads.generators import build_ring_cycle
 from ..workloads.topology import GraphBuilder
+from .cases import drain
 
 N_SITES = 8
 CYCLE_SITES = ["s0", "s1"]
@@ -129,47 +130,24 @@ def run_with_collector(name: str, crash_bystander: bool = False) -> Dict:
     def garbage_left():
         return {oid for oid in oracle.garbage_set() if oid.site != "s7"}
 
-    rounds: Optional[int] = None
     if per_site:
-        for r in range(1, 61):
-            sim.run_gc_round()
-            oracle.check_safety()
-            if not garbage_left():
-                rounds = r
-                break
-    elif name == "global":
-        for r in range(1, 13):
-            driver.start_round()
-            sim.run_for(3000.0)
-            sim.settle()
-            oracle.check_safety()
-            if not garbage_left():
-                rounds = r
-                break
-    elif name == "hughes":
-        for r in range(1, 13):
-            driver.run_round()
-            oracle.check_safety()
-            if not garbage_left():
-                rounds = r
-                break
-    elif name == "migration":
-        for r in range(1, 41):
-            driver.run_round()
-            oracle.check_safety()
-            if not garbage_left():
-                rounds = r
-                break
-    else:  # group / central: round + message drain
-        for r in range(1, 41):
-            driver.run_round()
-            sim.run_for(3000.0)
-            sim.settle()
-            oracle.check_safety()
-            if not garbage_left():
-                rounds = r
-                break
+        advance, bound = sim.run_gc_round, 60
+    elif name in ("hughes", "migration"):
+        advance, bound = driver.run_round, 12 if name == "hughes" else 40
+    else:  # global / group / central: round + message drain
+        kick = driver.start_round if name == "global" else driver.run_round
+        bound = 12 if name == "global" else 40
 
+        def advance():
+            kick()
+            sim.run_for(3000.0)
+            sim.settle()
+
+    def audited_round(_round: int) -> None:
+        advance()
+        oracle.check_safety()
+
+    rounds = drain(audited_round, lambda: not garbage_left(), bound)
     messages, units, involved = protocol_stats(sim, name, before)
     return {
         "rounds": rounds,

@@ -27,7 +27,6 @@ MSG_LOST = "messages.lost"
 MSG_DROPPED = "messages.dropped"
 MSG_DROPPED_CRASH = "messages.dropped.crash"
 MSG_DROPPED_PARTITION = "messages.dropped.partition"
-MSG_DROPPED_LOSS = "messages.dropped.loss"
 MSG_DROPPED_FAULT = "messages.dropped.fault"
 #: Prefix of the duplicate-copy injection counters.
 MSG_DUPLICATED = "messages.duplicated"
@@ -57,7 +56,7 @@ def msg_dropped_kind(kind: str) -> str:
 
 @lru_cache(maxsize=None)
 def msg_dropped_reason(reason: str) -> str:
-    """Original drops for one reason: crash, partition, loss, fault."""
+    """Original drops for one reason: crash, partition, fault."""
     return f"messages.dropped.{reason}"
 
 

@@ -22,18 +22,18 @@ timers but never violates the paper's assumption R1 (per-pair in-order
 delivery).  Disable ``fifo_per_pair`` to exercise true per-pair reordering.
 
 Crash and partition windows are *schedules*, not send-time rules: the driver
-(the chaos harness, or any experiment loop) applies them via
-:meth:`FaultPlan.schedule_edges` by calling ``site.crash()`` /
-``site.recover()`` / ``sim.partition()`` at the listed times.  This keeps
-the network layer free of global coordination, which is what lets fault plans
-run unchanged on the sharded parallel engine (where the coordinator
-broadcasts crash/recover/partition/heal to its workers).
+(the case runner in :mod:`repro.harness.cases`, or any experiment loop)
+applies them via :meth:`FaultPlan.schedule_edges` by calling
+``site.crash()`` / ``site.recover()`` / ``sim.partition()`` at the listed
+times.  This keeps the network layer free of global coordination, which is
+what lets fault plans run unchanged on the sharded parallel engine (where
+the coordinator broadcasts crash/recover/partition/heal to its workers).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -51,8 +51,8 @@ class LinkFault:
     """One fault rule on a set of links over one time window.
 
     ``src``/``dst`` of ``None`` match any sender/receiver (a global rule).
-    ``end`` of ``None`` means the rule never heals (rejected by the chaos
-    harness, which needs a heal point for its eventual-collection phase).
+    ``end`` of ``None`` means the rule never heals (a case that checks
+    eventual collection flags it: collection needs a heal point).
 
     - ``loss``: probability an original message is dropped at send time.
     - ``duplicate_probability`` / ``duplicate_copies``: chance that a sent
@@ -260,6 +260,33 @@ class FaultPlan:
     def named(self, name: str) -> "FaultPlan":
         return replace(self, name=name)
 
+    # -- JSON ---------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """Plain JSON data: partition groups as sorted lists, ``None`` ends
+        as ``null``; :meth:`from_json` rebuilds an equal plan."""
+        return {
+            "name": self.name,
+            "links": [asdict(rule) for rule in self.links],
+            "crashes": [asdict(crash) for crash in self.crashes],
+            "partitions": [
+                {**asdict(window), "groups": [sorted(group) for group in window.groups]}
+                for window in self.partitions
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "FaultPlan":
+        return cls(
+            links=tuple(LinkFault(**rule) for rule in data["links"]),
+            crashes=tuple(SiteCrash(**crash) for crash in data["crashes"]),
+            partitions=tuple(
+                PartitionWindow(**{**window, "groups": tuple(map(frozenset, window["groups"]))})
+                for window in data["partitions"]
+            ),
+            name=data["name"],
+        )
+
     # -- send-time consultation --------------------------------------------
 
     def rules_for(self, src: SiteId, dst: SiteId) -> Tuple[LinkFault, ...]:
@@ -333,7 +360,11 @@ class FaultPlan:
             edges.append((partition.at, "partition", partition.groups))
             if partition.heal_at is not None:
                 edges.append((partition.heal_at, "heal_partition", None))
-        edges.sort(key=lambda edge: (edge[0], edge[1], str(edge[2])))
+        # Ties break on partition groups as sorted lists: a frozenset's str()
+        # follows its hash order, which changes with the process's hash seed.
+        edges.sort(key=lambda edge: (edge[0], edge[1], str(
+            [sorted(group) for group in edge[2]] if edge[1] == "partition" else edge[2]
+        )))
         return edges
 
     @property

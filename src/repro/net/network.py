@@ -1,8 +1,9 @@
 """The simulated network.
 
 Messages are handed to :meth:`Network.send`, which draws a latency, applies
-loss/partition/crash rules and the optional declarative fault plan
-(:mod:`repro.net.faults`), and schedules delivery through the event
+crash/partition blocking and the optional declarative fault plan
+(:mod:`repro.net.faults`, the one source of loss, duplication and
+reordering), and schedules delivery through the event
 scheduler.  With ``fifo_per_pair`` enabled (the default, matching the paper's
 assumption R1 in section 6.4), delivery times between any ordered pair of
 sites are monotonic, so messages between two sites never overtake each other
@@ -12,7 +13,7 @@ Accounting (all names in :mod:`repro.metrics.names`): every original send is
 counted under ``messages.{Kind}``; it then either delivers exactly once
 (``messages.delivered.{Kind}``) or is dropped exactly once
 (``messages.dropped.{Kind}``, plus a reason aggregate under
-``messages.dropped.{crash,partition,loss,fault}`` and the legacy
+``messages.dropped.{crash,partition,fault}`` and the legacy
 ``messages.lost``), so per kind ``sent = delivered + dropped`` once nothing
 is in flight.  Fault-plan duplicate copies are accounted separately
 (``messages.duplicated.{Kind}`` injected = ``messages.dup_delivered.{Kind}``
@@ -215,7 +216,6 @@ class Network:
         # Cheap per-send gate: outside this window no link rule can match,
         # so roll() is skipped entirely (an idle plan costs one comparison).
         self._fault_window = self._faults.link_window if self._faults else None
-        self._drop_probability = self._config.drop_probability
         self._endpoints: Dict[SiteId, DeliverFn] = {}
         self._crashed: Set[SiteId] = set()
         self._partition: Optional[Dict[SiteId, int]] = None
@@ -246,7 +246,7 @@ class Network:
         self._cell_lost = cell(names.MSG_LOST)
         self._reason_cells = {
             reason: cell(names.msg_dropped_reason(reason))
-            for reason in ("crash", "partition", "loss", "fault")
+            for reason in ("crash", "partition", "fault")
         }
 
     # -- topology -----------------------------------------------------------
@@ -485,10 +485,6 @@ class Network:
         if link.blocked is not None:
             self._drop(cells, False, link.blocked)
             return
-        rng = link.rng
-        if self._drop_probability and rng.random() < self._drop_probability:
-            self._drop(cells, False, "loss")
-            return
         scheduler = self._scheduler
         now = scheduler.now
         extra_delay = 0.0
@@ -510,7 +506,7 @@ class Network:
         # dup marker for separate accounting.
         for lag in lags:
             if lag is None:
-                deliver_at = now + link.draw_latency(rng) + extra_delay
+                deliver_at = now + link.draw_latency(link.rng) + extra_delay
             else:
                 message = Message(src, dst, payload, None, True)
                 cells.duplicated.add()

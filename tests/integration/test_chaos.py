@@ -10,28 +10,36 @@ single draw.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis import graph_snapshot
-from repro.harness.chaos import (
-    FAULT_END,
+from repro.harness.cases import (
+    BUILDERS,
     FAULT_START,
-    run_chaos_case,
-    run_chaos_matrix,
+    chaos_case,
+    chaos_cases,
+    chaos_row,
+    run_case,
     standard_plans,
 )
+from repro.metrics import names
 from repro.net.faults import FaultPlan
 from repro.sim.parallel import ParallelSimulation
 from repro.workloads import build_ring_cycle
 
 
+def _run(cases):
+    return [(case, run_case(case)) for case in cases]
+
+
 def _failures(results):
     return [
-        f"seed={r.seed} plan={r.plan}: {'; '.join(r.violations)}"
-        for r in results
-        if not r.ok
+        f"{case.name}: {'; '.join(run.violations)}"
+        for case, run in results
+        if run.violations
     ]
 
 
@@ -45,15 +53,16 @@ def test_link_fault_matrix_is_safe_and_eventually_collects(collector):
         for plan in standard_plans([f"s{i}" for i in range(4)])
         if not plan.crashes and not plan.partitions
     ]
-    results = run_chaos_matrix(
+    results = _run(chaos_cases(
         range(1, 5), plans, n_sites=4, garbage_rings=2,
         gc=GcConfig(collector=collector),
-    )
+    ))
     assert not _failures(results), _failures(results)
     # The matrix must actually exercise faults, not vacuously pass.
-    assert any(r.dropped > 0 for r in results)
-    assert any(r.duplicated > 0 for r in results)
-    assert any(r.retransmits > 0 for r in results)
+    rows = [chaos_row(run) for _, run in results]
+    assert any(row["dropped"] > 0 for row in rows)
+    assert any(row["dup"] > 0 for row in rows)
+    assert any(row["retrans"] > 0 for row in rows)
 
 
 @pytest.mark.parametrize("collector", BACKENDS)
@@ -64,7 +73,7 @@ def test_crash_and_partition_plans_recover(collector):
         if plan.crashes or plan.partitions
     ]
     assert len(plans) == 2
-    results = run_chaos_matrix([3, 4], plans, gc=GcConfig(collector=collector))
+    results = _run(chaos_cases([3, 4], plans, gc=GcConfig(collector=collector)))
     assert not _failures(results), _failures(results)
 
 
@@ -73,15 +82,40 @@ def test_chaos_case_counters_reconcile_per_kind():
     # Every round audits check_invariants(), whose books balance each kind
     # with the messages still in flight, so the storm's drops and copies
     # must reconcile mid-run, not only once the network settles.
-    result = run_chaos_case(9, plan, n_sites=4, garbage_rings=2)
-    assert result.safety_ok and result.collected, result.violations
-    assert result.dropped > 0 and result.duplicated > 0
+    run = run_case(chaos_case(9, plan, n_sites=4, garbage_rings=2))
+    assert run.safety_ok and run.collected, run.violations
+    row = chaos_row(run)
+    assert row["dropped"] > 0 and row["dup"] > 0
 
 
 def test_unhealing_plan_is_flagged():
     plan = FaultPlan.loss(1.0, start=FAULT_START)  # end=None: never heals
-    result = run_chaos_case(1, plan, n_sites=3, garbage_rings=1)
-    assert any("never heals" in v for v in result.violations)
+    run = run_case(chaos_case(1, plan, n_sites=3, garbage_rings=1))
+    assert any("never heals" in v for v in run.violations)
+
+
+def test_a_violation_mid_run_is_caught_by_the_round_audit(monkeypatch):
+    # A send counted with no message behind it breaks the books from t=1100
+    # until t=2500, inside the fault phase; the final settle's audit would
+    # find them balanced again, so only the per-round audit can see it.
+    def forged_rings(sim, sites, **args):
+        metrics = sim.site(sites[0]).metrics
+        name = names.msg_sent("UpdatePayload")
+        sim.scheduler.schedule_at(1100.0, lambda: metrics.incr(name))
+        sim.scheduler.schedule_at(2500.0, lambda: metrics.incr(name, -1))
+        return BUILDERS["rings"](sim, sites, **args)
+
+    monkeypatch.setitem(BUILDERS, "forged", forged_rings)
+    case = replace(chaos_case(2, FaultPlan(name="clean"), n_sites=3), builder="forged")
+    run = run_case(case)
+    assert not run.safety_ok
+    assert "UpdatePayload" in run.violations[-1]
+
+
+def test_a_case_reads_the_same_row_on_two_workers():
+    case = chaos_case(3, standard_plans([f"s{i}" for i in range(4)])[4], n_sites=4, garbage_rings=2)
+    sharded = replace(case, config=replace(case.config, parallel_workers=2))
+    assert chaos_row(run_case(sharded)) == chaos_row(run_case(case))
 
 
 # -- sequential/parallel twin under the same fault plan ----------------------

@@ -3,8 +3,9 @@
 The CLI runs of both matrices only report pass/fail, so a change on a fault
 path (retransmission, duplicate suppression, gap repair) that still passes
 would move rounds and message counts unseen.  ``tests/golden/fault_matrices.json``
-pins each cell as the CLI tables print it: the chaos matrix per (seed, plan)
-and the differential matrix per (seed, workload), seeds 0-7 as in CI.
+pins each cell as the CLI tables print it, keyed by case name: the chaos
+matrix per (seed, plan) and the differential matrix per (seed, workload),
+seeds 0-7 as in CI.
 
 A change that moves a cell on purpose re-records the file (run this module:
 ``PYTHONPATH=src python -m tests.integration.test_fault_matrices``) and says
@@ -16,40 +17,25 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.harness.chaos import run_chaos_matrix
-from repro.harness.differential import run_differential_matrix
+from repro.harness.cases import (
+    chaos_cases,
+    chaos_row,
+    compare_backends,
+    diff_cases,
+    diff_row,
+    run_case,
+)
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "fault_matrices.json"
 SEEDS = range(8)
 
 
 def chaos_rows() -> dict:
-    return {
-        f"{result.seed}/{result.plan}": {
-            "safe": result.safety_ok,
-            "collected": result.collected,
-            "rounds": result.rounds_to_collect,
-            "dropped": result.dropped,
-            "dup": result.duplicated,
-            "retrans": result.retransmits,
-            "suppressed": result.dup_suppressed,
-        }
-        for result in run_chaos_matrix(SEEDS)
-    }
+    return {case.name: chaos_row(run_case(case)) for case in chaos_cases(SEEDS)}
 
 
 def differential_rows() -> dict:
-    rows = {}
-    for result in run_differential_matrix(SEEDS):
-        bt, tm = result.runs["backtrace"], result.runs["termination"]
-        rows[f"{result.seed}/{result.workload}"] = {
-            "garbage": result.expected_garbage,
-            "bt_rounds": bt.rounds_to_clear,
-            "term_rounds": tm.rounds_to_clear,
-            "gap": result.latency_gap,
-            "agree": result.agreed,
-        }
-    return rows
+    return {case.name: diff_row(compare_backends(case)) for case in diff_cases(SEEDS)}
 
 
 def golden() -> dict:

@@ -11,6 +11,7 @@ import pytest
 from repro import GcConfig, NetworkConfig
 from repro.analysis import Oracle, TraceLog
 from repro.mutator import RandomWorkload, WorkloadConfig
+from repro.net.faults import FaultPlan
 from repro.workloads import build_random_clustered_graph, build_ring_cycle
 
 from ..conftest import make_sim
@@ -28,10 +29,10 @@ ALL_FEATURES_GC = GcConfig(
 )
 
 
-def run_composed(seed, network=None, duration=2500.0):
+def run_composed(seed, network=None, duration=2500.0, fault_plan=None):
     sites = [f"s{i}" for i in range(4)]
     sim = make_sim(seed=seed, sites=sites, auto_gc=True, gc=ALL_FEATURES_GC,
-                   network=network)
+                   network=network, fault_plan=fault_plan)
     log = TraceLog(sim)
     graph = build_random_clustered_graph(sim, sites, objects_per_site=20, seed=seed)
     rings = [build_ring_cycle(sim, sites[k:] + sites[:k]) for k in range(2)]
@@ -81,9 +82,8 @@ def test_all_features_with_nonfifo_network_still_safe():
 
 
 def test_all_features_with_lossy_network_still_safe():
-    sim, _ = run_composed(
-        seed=6, network=NetworkConfig(drop_probability=0.05)
-    )
+    sim, _ = run_composed(seed=6, fault_plan=FaultPlan.loss(0.05))
+    assert sim.metrics.count("messages.dropped.fault") > 0
     # With loss, pins may leak and timeouts fire -- but safety held (the
     # oracle ran inside) and cycles still died once messages got through.
     assert sim.metrics.count("backtrace.completed_garbage") >= 1

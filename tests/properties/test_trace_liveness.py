@@ -11,7 +11,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GcConfig, NetworkConfig
+from repro import GcConfig
+from repro.net.faults import FaultPlan
 from repro.workloads import build_ring_cycle
 
 from tests.conftest import examples, make_sim
@@ -20,7 +21,7 @@ from tests.conftest import examples, make_sim
 
 @given(
     st.integers(min_value=2, max_value=6),    # ring size
-    st.floats(min_value=0.0, max_value=0.9),  # drop probability
+    st.floats(min_value=0.0, max_value=0.9),  # loss probability
     st.integers(min_value=0, max_value=500),  # seed
 )
 @settings(max_examples=examples(40), deadline=None)
@@ -30,7 +31,7 @@ def test_every_started_trace_terminates_and_cleans_up(n_sites, drop, seed):
         seed=seed,
         sites=sites,
         gc=GcConfig(backtrace_timeout=40.0),
-        network=NetworkConfig(drop_probability=drop),
+        fault_plan=FaultPlan.loss(drop),
     )
     workload = build_ring_cycle(sim, sites)
     workload.make_garbage(sim)

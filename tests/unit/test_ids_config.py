@@ -200,7 +200,6 @@ def test_gc_config_duration_must_fit_in_period():
     [
         {"min_latency": -1.0},
         {"min_latency": 5.0, "max_latency": 1.0},
-        {"drop_probability": 1.5},
     ],
 )
 def test_network_config_rejects_bad_values(kwargs):
@@ -241,14 +240,14 @@ GC_FIELDS = (
 NETWORK_FIELDS = (
     "min_latency",
     "max_latency",
-    "drop_probability",
     "fifo_per_pair",
     "pair_rng_streams",
 )
 SIMULATION_FIELDS = ("seed", "network", "gc", "parallel_workers")
 #: Switches that once selected a pre-optimisation leg, overrides nothing ever
-#: set, the knob of a mechanism since deleted, and a second switch for what
-#: ``collector="null"`` names.  None may come back.
+#: set, the knob of a mechanism since deleted, a second switch for what
+#: ``collector="null"`` names, and a second loss path beside the fault plan's
+#: (``FaultPlan.loss(p)``).  None may come back.
 REMOVED_FIELDS = {
     GcConfig: (
         "incremental_traces",
@@ -267,6 +266,7 @@ REMOVED_FIELDS = {
         "update_retransmit_limit",
         "enable_backtracing",
     ),
+    NetworkConfig: ("drop_probability",),
     SimulationConfig: ("shard_policy",),
 }
 

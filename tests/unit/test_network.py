@@ -132,9 +132,8 @@ def test_implicit_partition_group():
     assert len(inboxes["B"]) == 1
 
 
-def test_drop_probability_drops_some():
-    config = NetworkConfig(drop_probability=0.5)
-    sched, net, inboxes, metrics = make_net(config=config)
+def test_loss_plan_drops_some():
+    sched, net, inboxes, metrics = make_net(fault_plan=FaultPlan.loss(0.5))
     for i in range(200):
         net.send("A", "B", Ping(i))
     sched.drain()
