@@ -267,7 +267,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     case = Case.from_json(json.loads(Path(args.case).read_text()))
-    if args.backend is None and "agrees" in case.checks:
+    if args.backend is None and case.agrees:
         columns, outcome = DIFF_COLUMNS, _diff_outcome(compare_backends(case))
     else:
         columns, outcome = CHAOS_COLUMNS, _chaos_outcome(case, run_case(case, args.backend))

@@ -12,7 +12,7 @@ variants with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -181,6 +181,16 @@ class GcConfig:
         return self.suspicion_threshold + self.assumed_cycle_length
 
 
+def _changed(config) -> dict:
+    """``config``'s fields whose values differ from a default instance's."""
+    default = type(config)()
+    return {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if getattr(config, f.name) != getattr(default, f.name)
+    }
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Top-level bundle handed to :class:`repro.sim.Simulation`.
@@ -206,8 +216,14 @@ class SimulationConfig:
             raise ConfigError("parallel_workers must be an int >= 1")
 
     def to_json(self) -> dict:
-        """Plain JSON data; :meth:`from_json` rebuilds an equal config."""
-        return asdict(self)
+        """Plain JSON data naming only the fields that differ from their
+        defaults; :meth:`from_json` rebuilds an equal config.  A case file
+        thus survives the removal of any field it leaves at its default."""
+        data = _changed(self)
+        for name in ("network", "gc"):
+            if name in data:
+                data[name] = _changed(data[name])
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "SimulationConfig":

@@ -51,11 +51,6 @@ _INF = float("inf")
 #: The two rival backends a differential case runs under.
 BACKENDS = ("backtrace", "termination")
 
-#: ``collects``: the plan heals, its faults start after the build, and every
-#: garbage object is reclaimed within the drain bound.  ``agrees``: a replay
-#: runs the case under both backends, whose reclaimed sets must match.
-CHECKS = ("collects", "agrees")
-
 #: The chaos matrix's fault window.  Its population is built and settled
 #: well before ``FAULT_START``, so construction traffic never meets the plan.
 FAULT_START = 1000.0
@@ -140,21 +135,21 @@ class Case:
     #: The fault phase runs GC rounds until at least this time.
     horizon: float = 0.0
     drain_rounds: int = 40
-    checks: Tuple[str, ...] = ("collects",)
+    #: A replay runs the case under both backends, whose reclaimed sets must
+    #: match; otherwise under its config's collector alone.
+    agrees: bool = False
 
     def __post_init__(self) -> None:
         if self.builder not in BUILDERS:
             raise ConfigError(
                 f"unknown builder {self.builder!r}; available: {', '.join(BUILDERS)}"
             )
-        if not set(self.checks) <= set(CHECKS):
-            raise ConfigError(f"checks must be among {CHECKS}, got {self.checks}")
         if self.drain_rounds < 1:
             raise ConfigError("drain_rounds must be >= 1")
 
     def to_json(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in ("sites", "cut_at", "checks"):
+        for name in ("sites", "cut_at"):
             data[name] = list(data[name])
         return {**data, "config": self.config.to_json(), "plan": self.plan.to_json()}
 
@@ -162,7 +157,7 @@ class Case:
     def from_json(cls, data: dict) -> "Case":
         return cls(**{
             **data,
-            **{name: tuple(data[name]) for name in ("sites", "cut_at", "checks")},
+            **{name: tuple(data[name]) for name in ("sites", "cut_at")},
             "config": SimulationConfig.from_json(data["config"]),
             "plan": FaultPlan.from_json(data["plan"]),
         })
@@ -250,14 +245,11 @@ def _drive(case: Case, sim: Simulation, run: CaseRun) -> None:
     edges = plan.schedule_edges()
     due_cuts = list(zip(case.cut_at, cuts))
     healed = plan.healed_at
-    if "collects" in case.checks:
-        starts = [edge[0] for edge in edges] + [rule.start for rule in plan.links]
-        if sim.now >= min(starts, default=_INF):
-            run.violations.append(
-                f"workload construction overran the fault window ({sim.now})"
-            )
-        if healed == _INF:
-            run.violations.append("plan never heals; eventual collection untestable")
+    starts = [edge[0] for edge in edges] + [rule.start for rule in plan.links]
+    if sim.now >= min(starts, default=_INF):
+        run.violations.append(f"workload construction overran the fault window ({sim.now})")
+    if healed == _INF:
+        run.violations.append("plan never heals; eventual collection untestable")
     horizon = max(case.horizon if healed == _INF else healed, case.horizon)
     while sim.now < horizon:
         stop = min([horizon] + [e[0] for e in edges[:1]] + [c[0] for c in due_cuts[:1]])
@@ -286,7 +278,7 @@ def _drive(case: Case, sim: Simulation, run: CaseRun) -> None:
             run.reclaim_round.setdefault(oid, round_index)
 
     run.rounds = drain(step, lambda: not oracle.garbage_set(), case.drain_rounds)
-    if run.rounds is None and "collects" in case.checks:
+    if run.rounds is None:
         run.violations.append(
             f"{len(oracle.garbage_set())} garbage objects survived "
             f"{case.drain_rounds} drain rounds"
@@ -491,7 +483,7 @@ def diff_case(seed: int, workload: str, n_sites: int = 4) -> Case:
         sites=tuple(f"s{index}" for index in range(n_sites)),
         builder=workload,
         args=dict(DIFF_ARGS.get(workload, {})),
-        checks=("collects", "agrees"),
+        agrees=True,
     )
 
 

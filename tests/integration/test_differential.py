@@ -92,7 +92,7 @@ def test_backends_agree_on_a_faulty_case_with_timed_cuts():
     # Garbage cut loose inside a storm and partly reclaimed before the drain
     # is still one backend-independent set, which both runs reclaim.
     storm = standard_plans([f"s{i}" for i in range(6)])[4]
-    case = replace(chaos_case(3, storm), checks=("collects", "agrees"))
+    case = replace(chaos_case(3, storm), agrees=True)
     comparison = compare_backends(case)
     assert not comparison.failures, comparison.failures
     bt, tm = (comparison.runs[name] for name in BACKENDS)

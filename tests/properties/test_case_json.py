@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import GcConfig, NetworkConfig, SimulationConfig
 from repro.config import COLLECTORS
-from repro.harness.cases import BUILDERS, CHECKS, Case
+from repro.harness.cases import BUILDERS, Case
 from repro.net.faults import FaultPlan
 
 from ..conftest import examples
@@ -151,8 +151,17 @@ def cases(draw):
         cut_at=tuple(draw(st.lists(times, max_size=4))),
         horizon=draw(times),
         drain_rounds=draw(st.integers(1, 100)),
-        checks=tuple(draw(st.lists(st.sampled_from(CHECKS), unique=True))),
+        agrees=draw(st.booleans()),
     )
+
+
+def test_config_json_names_only_changed_fields():
+    # A case file then survives the removal of any field it leaves at its
+    # default.
+    assert SimulationConfig().to_json() == {}
+    config = SimulationConfig(seed=3, gc=GcConfig(suspicion_threshold=2))
+    assert config.to_json() == {"seed": 3, "gc": {"suspicion_threshold": 2}}
+    assert SimulationConfig.from_json(config.to_json()) == config
 
 
 @given(cases())
