@@ -18,7 +18,7 @@ def compute_insets():
     sim = scenario.sim
     for entry in sim.site("Q").inrefs.entries():
         for source in entry.sources:
-            entry.sources[source] = 9
+            entry.table.set_source(entry.target, source, 9)
     sim.site("Q").run_local_trace()
     q = sim.site("Q")
     return scenario, {

@@ -22,12 +22,12 @@ def run_branching_trace():
     for site_id in ("P", "Q", "R", "T"):
         for entry in sim.site(site_id).inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = 9
+                entry.table.set_source(entry.target, source, 9)
     for site_id in ("P", "Q", "R", "S", "T"):
         sim.sites[site_id].run_local_trace()
     sim.settle()
     # Keep the S->a source clean: the root path.
-    sim.site("P").inrefs.require(scenario["a"]).sources["S"] = 1
+    sim.site("P").inrefs.set_source(scenario["a"], "S", 1)
     before = sim.metrics.snapshot()
     # The trace "from d": starts at R's outref for d, whose inset is {c};
     # the call at inref c forks branches to both of its sources, P and Q.

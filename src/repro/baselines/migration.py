@@ -86,7 +86,7 @@ class MigrationCollector:
         migrated: List[ObjectId] = []
         for target in sorted(site.inrefs.targets()):
             entry = site.inrefs.get(target)
-            if entry is None or entry.garbage or entry.empty:
+            if entry is None or entry.garbage:
                 continue
             if entry.distance <= self.migration_threshold:
                 continue

@@ -48,7 +48,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from ...config import GcConfig
 from ...errors import BackTraceError
-from ...gc.inrefs import InrefEntry, InrefTable
+from ...gc.inrefs import InrefTable
 from ...gc.outrefs import OutrefTable
 from ...ids import FrameId, ObjectId, SiteId, TraceId
 from ...metrics import MetricsRecorder, names
@@ -113,8 +113,7 @@ class BackTraceEngine:
         """
         if outref_target in self._active_roots:
             return None
-        entry = self.outrefs.get(outref_target)
-        if entry is None or entry.is_clean:
+        if outref_target not in self.outrefs or self.outrefs.is_clean(outref_target):
             self._retry_state.pop(outref_target, None)
             return None
         state = self._retry_state.get(outref_target)
@@ -252,22 +251,21 @@ class BackTraceEngine:
         parent_remote: Optional[Tuple[SiteId, FrameId]],
     ) -> None:
         """BackStepLocal: examine this site's outref for ``target``."""
-        entry = self.outrefs.get(target)
-        if entry is None:
+        outrefs = self.outrefs
+        if target not in outrefs:
             self._answer(trace_id, parent_local, parent_remote, TraceOutcome.GARBAGE)
             return
-        if entry.is_clean:
+        if outrefs.is_clean(target):
             self._answer(trace_id, parent_local, parent_remote, TraceOutcome.LIVE)
             return
-        if trace_id in entry.visited:
+        if outrefs.has_visited(target, trace_id):
             self._answer(trace_id, parent_local, parent_remote, TraceOutcome.GARBAGE)
             return
         if self._try_coalesce(trace_id, (OUTREF, target), parent_local, parent_remote):
             return
         record = self._ensure_record(trace_id)
-        entry.visited.add(trace_id)
+        outrefs.visit(target, trace_id, self.config.back_threshold_increment)
         record.visited_outrefs.add(target)
-        entry.back_threshold += self.config.back_threshold_increment
         self.metrics.incr("backtrace.iorefs_visited")
 
         frame = self._new_frame(trace_id, OUTREF, target, parent_local, parent_remote)
@@ -275,11 +273,8 @@ class BackTraceEngine:
         # answers first.  A clean inref completes the frame Live, and the
         # ``completed`` check below then stops the fan-out before any BackCall
         # leaves for a suspected sibling.
-        inrefs, threshold = self.inrefs, self.inrefs.suspicion_threshold
-        inset = sorted(
-            entry.inset,
-            key=lambda t: (not _is_clean_inref(inrefs.get(t), threshold), t),
-        )
+        is_clean = self.inrefs.is_clean
+        inset = sorted(outrefs.get(target).inset, key=lambda t: (not is_clean(t), t))
         frame.pending = len(inset)
         if frame.pending == 0:
             # No suspected inref reaches this outref: nothing backward of it,
@@ -296,22 +291,22 @@ class BackTraceEngine:
         self, trace_id: TraceId, target: ObjectId, parent_local: FrameId
     ) -> None:
         """BackStepRemote: examine this site's inref for ``target``."""
-        entry = self.inrefs.get(target)
+        inrefs = self.inrefs
+        entry = inrefs.get(target)
         if entry is None or entry.garbage:
             self._answer(trace_id, parent_local, None, TraceOutcome.GARBAGE)
             return
-        if entry.is_clean(self.inrefs.suspicion_threshold):
+        if inrefs.is_clean(target):
             self._answer(trace_id, parent_local, None, TraceOutcome.LIVE)
             return
-        if trace_id in entry.visited:
+        if inrefs.has_visited(target, trace_id):
             self._answer(trace_id, parent_local, None, TraceOutcome.GARBAGE)
             return
         if self._try_coalesce(trace_id, (INREF, target), parent_local, None):
             return
         record = self._ensure_record(trace_id)
-        entry.visited.add(trace_id)
+        inrefs.visit(target, trace_id, self.config.back_threshold_increment)
         record.visited_inrefs.add(target)
-        entry.back_threshold += self.config.back_threshold_increment
         self.metrics.incr("backtrace.iorefs_visited")
 
         frame = self._new_frame(trace_id, INREF, target, parent_local, None)
@@ -591,19 +586,13 @@ class BackTraceEngine:
             }
         if record.root_outref is not None:
             self._active_roots.pop(record.root_outref, None)
+        inrefs = self.inrefs
         for target in record.visited_inrefs:
-            entry = self.inrefs.get(target)
-            if entry is None:
-                continue
-            entry.visited.discard(trace_id)
-            if verdict.is_garbage:
-                if not entry.garbage:
-                    entry.garbage = True
-                    self.metrics.incr("backtrace.inrefs_flagged")
+            inrefs.unvisit(target, trace_id)
+            if verdict.is_garbage and target in inrefs and inrefs.set_garbage(target):
+                self.metrics.incr("backtrace.inrefs_flagged")
         for target in record.visited_outrefs:
-            entry = self.outrefs.get(target)
-            if entry is not None:
-                entry.visited.discard(trace_id)
+            self.outrefs.unvisit(target, trace_id)
         # Abort any frames of this trace still pending at this site: the
         # trace is over; answering anything further is pointless.  Late
         # messages for them are dropped as stale.  Steps of *other* traces
@@ -623,7 +612,3 @@ class BackTraceEngine:
             self.on_outcome_applied(trace_id, verdict, visited_here)
         if self.on_outcome is not None and record.is_initiator:
             self.on_outcome(trace_id, verdict)
-
-
-def _is_clean_inref(entry: Optional[InrefEntry], threshold: int) -> bool:
-    return entry is not None and entry.is_clean(threshold)

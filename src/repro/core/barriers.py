@@ -21,8 +21,8 @@ Non-atomic local traces (section 6.2): while a trace is computing, barriers
 clean the *old* copy as usual, and this module additionally records the
 cleaned inrefs so the site can replay them onto the *new* copy at commit.
 
-Incremental traces: every barrier clean flows through the ioref entry
-properties, which bump the owning table's structure epoch -- so a tick after
+Incremental traces: every barrier clean flows through the ioref table's
+``set_barrier_clean``, which bumps the table's epoch -- so a tick after
 a barrier hit (including replays inside a trace window) never skips, and the
 clean flags expire at a real retrace exactly as before.
 """
@@ -84,32 +84,33 @@ class TransferBarrier:
             # Counterfactual mode (Figure 5's unsafe system): the oracle
             # tests demonstrate that disabling this loses live objects.
             return
-        entry = self.inrefs.get(target)
-        if entry is None:
+        inrefs = self.inrefs
+        if target not in inrefs:
             # Object has no remote holders recorded (e.g. a persistent root
             # being traversed from outside for the first time; the insert
             # protocol creates the entry separately).  Nothing to clean.
             return
-        if entry.is_clean(self.inrefs.suspicion_threshold):
+        if inrefs.is_clean(target):
             # Already clean: the auxiliary invariant guarantees its outset's
             # outrefs are clean too; nothing to do.
             return
         self.metrics.incr("barrier.transfer_applied")
-        entry.barrier_clean = True
+        inrefs.set_barrier_clean(target, True)
+        outset = inrefs.outset_of(target)
         if self._recording:
             self._replay.append(target)
         if self.engine is not None:
             self.engine.notify_cleaned(INREF, target)
-        for outref_target in entry.outset:
+        for outref_target in outset:
             self.clean_outref(outref_target)
 
     def clean_outref(self, target: ObjectId) -> None:
         """Clean one outref (barrier effect or remote-copy case 3)."""
-        entry = self.outrefs.get(target)
-        if entry is None:
+        outrefs = self.outrefs
+        if target not in outrefs:
             return
-        if not entry.is_clean:
+        if not outrefs.is_clean(target):
             self.metrics.incr("barrier.outrefs_cleaned")
-        entry.barrier_clean = True
+        outrefs.set_barrier_clean(target, True)
         if self.engine is not None:
             self.engine.notify_cleaned(OUTREF, target)

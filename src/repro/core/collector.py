@@ -40,26 +40,13 @@ harness-side drivers constructed directly over a simulation
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    ClassVar,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Mapping, Tuple, Type
 
 from ..ids import ObjectId
 from .backtrace.engine import BackTraceEngine
 from .backtrace.messages import BackCall, BackOutcome, BackReply
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..gc.outrefs import OutrefEntry
     from ..net.message import Message, Payload
     from ..site.site import Site
 
@@ -103,18 +90,13 @@ class Collector:
 
     # -- triggers / quiescence -----------------------------------------------------
 
-    def check_triggers(
-        self, suspected_outrefs: Optional[List["OutrefEntry"]] = None
-    ) -> List[ObjectId]:
+    def check_triggers(self) -> List[ObjectId]:
         """Scan for suspects past threshold; start collection activity.
 
         Called by the site after every local trace commit *and* after every
         skipped incremental tick, mirroring the paper's section 4.3 trigger
-        placement.  ``suspected_outrefs`` is the outref table's suspected
-        entries in target order when the caller has just walked the table
-        (a trace commit does); backends that want them read the table
-        themselves when it is None.  Returns the roots for which new
-        activity started (used by tests and the tuner).
+        placement.  Returns the roots for which new activity started (used
+        by tests and the tuner).
         """
         return []
 
@@ -209,18 +191,14 @@ class BackTracingCollector(Collector):
     def _on_back_outcome(self, message: "Message") -> None:
         self.engine.handle_back_outcome(message.src, message.payload)
 
-    def check_triggers(
-        self, suspected_outrefs: Optional[List["OutrefEntry"]] = None
-    ) -> List[ObjectId]:
-        """Start a back trace from each suspected outref past its threshold."""
+    def check_triggers(self) -> List[ObjectId]:
+        """Start a back trace from each suspected outref past its threshold
+        (in target order)."""
         site = self.site
         started: List[ObjectId] = []
-        if suspected_outrefs is None:
-            suspected_outrefs = site.outrefs.suspected_entries()
-        # Either way deterministically ordered by target.
-        for entry in _past_back_threshold(suspected_outrefs):
-            if self.engine.start_trace(entry.target) is not None:
-                started.append(entry.target)
+        for target in site.outrefs.past_back_threshold():
+            if self.engine.start_trace(target) is not None:
+                started.append(target)
                 if len(started) >= site.config.max_traces_per_trigger_check:
                     break
         return started
@@ -228,19 +206,10 @@ class BackTracingCollector(Collector):
     def predict_quiet(self) -> bool:
         # Conservative: a trigger ``start_trace`` would refuse (a trace
         # already in flight, a retry back-off) still reads as activity.
-        triggered = _past_back_threshold(self.site.outrefs.suspected_entries())
-        return next(triggered, None) is None
+        return not self.site.outrefs.past_back_threshold()
 
     def stats(self) -> Dict[str, int]:
         return {"active_traces": self.engine.active_trace_count}
-
-
-def _past_back_threshold(
-    entries: Iterable["OutrefEntry"],
-) -> Iterator["OutrefEntry"]:
-    """Section 4.3's trigger: the suspected outrefs whose distance exceeds
-    their back threshold, in the order given."""
-    return (entry for entry in entries if entry.distance > entry.back_threshold)
 
 
 def collector_class(name: str) -> Type[Collector]:

@@ -340,7 +340,7 @@ class TerminationCollector(Collector):
 
     # -- initiation (section 4.3 trigger timing, owner side) -----------------------
 
-    def check_triggers(self, suspected_outrefs=None) -> List[ObjectId]:
+    def check_triggers(self) -> List[ObjectId]:
         # Trials start from suspected *inrefs*; the outref list is not used.
         self._expire_member_state()
         if self._active is not None:

@@ -41,7 +41,7 @@ from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names
 from ..store.heap import Heap
 from .inrefs import InrefScan, InrefTable
-from .outrefs import OutrefEntry, OutrefTable
+from .outrefs import OutrefTable, Verdict
 from .update import UpdateDeltaPayload, UpdatePayload
 
 # The perf ledger's tracer (``benchmarks/ledger/tracer.py``) still looks this
@@ -64,15 +64,15 @@ class LocalTraceResult:
     # outref target -> (is_clean, distance); targets absent here are trimmed
     # (``removals``) unless the insert barrier pins them.
     outref_states: Dict[ObjectId, Tuple[bool, int]] = field(default_factory=dict)
+    # The change lists commit installs: the outref verdicts and the inref
+    # outsets that differ from what the tables held when compute read them.
+    outref_changes: Dict[ObjectId, Verdict] = field(default_factory=dict)
+    outset_changes: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     removals: List[ObjectId] = field(default_factory=list)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
-    # The committed table's suspected outrefs in target order (its
-    # suspected record), for the back-trace trigger check; None when commit
-    # built no updates and the check reads the table itself.
-    suspected_outrefs: Optional[List[OutrefEntry]] = None
 
 
 @dataclass
@@ -244,8 +244,9 @@ class LocalCollector:
         """Decide the outcome of a local trace without changing any state.
 
         Reads each table once: :meth:`InrefTable.scan_for_trace` yields the
-        clean roots, the suspected inrefs and the inref distances, and
-        :meth:`OutrefTable.scan_for_trace` the outref snapshot and the pins.
+        clean roots and the suspected inrefs, and
+        :meth:`OutrefTable.scan_for_trace` the outref snapshot and the pins;
+        then diffs the verdicts against the tables into the change lists.
         """
         self._epochs_at_compute = self._current_epochs()
         scan = self.inrefs.scan_for_trace()
@@ -259,16 +260,21 @@ class LocalCollector:
         # Phase 3: reconcile outrefs.  A suspected outref sits one past the
         # nearest inref of its inset.
         states = result.outref_states
-        inref_distance = scan.distances
-        for target, inset in result.insets.items():
-            distances = [inref_distance.get(i, 0) for i in inset]
-            states[target] = (False, 1 + (min(distances) if distances else 0))
+        for target, nearest in self.inrefs.nearest(result.insets).items():
+            states[target] = (False, 1 + nearest)
         result.removals = [
             target
             for target in snapshot_outref_order
             if target not in states and target not in pinned
         ]
+        self._diff_against_tables(result)
         return result
+
+    def _diff_against_tables(self, result: LocalTraceResult) -> None:
+        result.outref_changes = self.outrefs.diff_verdicts(
+            result.outref_states, result.insets
+        )
+        result.outset_changes = self.inrefs.diff_outsets(result.outsets)
 
     def _trace_heap(
         self,
@@ -312,17 +318,6 @@ class LocalCollector:
             target: (True, distance) for target, distance in clean_outrefs.items()
         }
         self._record_trace(result)
-
-    def _assert_update_order(self) -> None:
-        """Debug-mode check of the maintained-sorted iteration invariant.
-
-        ``_build_updates`` used to ``sorted()`` the table (and the removal
-        list) on every full trace; both now rely on the tables keeping
-        deterministic target order on mutation, so a regression here would
-        silently reorder wire messages.  Compiled out under ``-O``.
-        """
-        targets = self.outrefs.targets()
-        assert targets == sorted(targets), "outref iteration order invariant broken"
 
     def _build_updates(self, result: LocalTraceResult) -> None:
         """Batch per-target-site update payloads at *commit* time.
@@ -371,9 +366,6 @@ class LocalCollector:
         outrefs gets the complete list (the receiver-side prune replaces
         explicit removals, and the payload re-anchors a desynced peer)."""
         current = self.outrefs.distances_by_site()
-        if __debug__:
-            self._assert_update_order()
-        result.suspected_outrefs = self.outrefs.suspected_entries()
         for site in sorted(set(current) | set(self._shipped) | set(explicit_removals)):
             cur = current.get(site, {})
             if not cur and site not in self._shipped and site not in explicit_removals:
@@ -391,7 +383,7 @@ class LocalCollector:
     ) -> None:
         """A delta to each peer whose shipped view differs from the table,
         diffed over the outref table's changed set only."""
-        changes, result.suspected_outrefs = self.outrefs.scan_committed()
+        changes = self.outrefs.scan_committed()
         shipped_by_site = self._shipped
         for site in sorted(changes.keys() | explicit_removals.keys()):
             shipped = shipped_by_site.get(site)
@@ -441,14 +433,7 @@ class LocalCollector:
         and refresh requests.  The shipped state is re-based on the transfer
         so subsequent deltas diff against what the peer now holds.
         """
-        entries = list(self.outrefs.entries())
-        if __debug__:
-            self._assert_update_order()
-        distances = tuple(
-            (entry.target, entry.distance)
-            for entry in entries
-            if entry.target.site == dst
-        )
+        distances = self.outrefs.distances_to(dst)
         if distances:
             self._shipped[dst] = dict(distances)
         else:
@@ -499,26 +484,27 @@ class LocalCollector:
                 # Pinned since computation started: retain (insert barrier).
                 continue
             outrefs.remove(target)
-        outrefs.install_trace_states(result.outref_states, result.insets)
+        if interleaved:
+            # The tables moved since compute diffed against them.
+            self._diff_against_tables(result)
+        outrefs.install_trace_states(result.outref_changes, result.outref_states)
         # Entries created after the snapshot (insert protocol) keep their
         # clean birth state; nothing to do for them.
 
         # Refresh per-inref outsets (the dual view the transfer barrier uses).
         outsets = result.outsets
         no_outset: FrozenSet[ObjectId] = frozenset()
-        inrefs.install_outsets(outsets)
+        inrefs.install_outsets(result.outset_changes)
 
         # Inref barrier flags expire with this trace...
         inrefs.reset_barrier_cleans()
         # ...except those that must be replayed onto the new copy.
         for inref_target in replay_barrier_inrefs:
-            entry = inrefs.get(inref_target)
-            if entry is not None:
-                entry.barrier_clean = True
+            if inref_target in inrefs:
+                inrefs.set_barrier_clean(inref_target, True)
             for outref_target in outsets.get(inref_target, no_outset):
-                out_entry = outrefs.get(outref_target)
-                if out_entry is not None:
-                    out_entry.barrier_clean = True
+                if outref_target in outrefs:
+                    outrefs.set_barrier_clean(outref_target, True)
 
         # Sweep the heap: the objects neither phase reached.  The clean
         # phase listed the unmarked ones when the trace computed, so objects

@@ -13,133 +13,89 @@ back traces consume when taking local steps.  Insets are computed by
 Cleanliness: an outref is clean when the last local trace reached it from a
 clean root/inref, when the transfer barrier cleaned it since then, or while
 the insert barrier pins it (section 6.1.2).
+
+An outref is a slot of the columns of :mod:`.columns`; its flags byte holds
+the trace's clean verdict and the barrier flag, and pin counts live in
+``_pins``, holding the pinned entries only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import GcInvariantError
-from ..ids import ObjectId, SiteId, TraceId
+from ..ids import ObjectId, SiteId
+from .columns import NO_SET, IorefColumns, IorefEntry, new_handle
+
+TRACED_CLEAN = 1
+
+#: A verdict of a local trace on one outref: (clean, distance, inset).
+Verdict = Tuple[bool, int, FrozenSet[ObjectId]]
 
 
-@dataclass(slots=True)
-class OutrefEntry:
-    """One outgoing reference: a remote object id plus collector state.
+class OutrefEntry(IorefEntry):
+    """A handle on one outgoing reference: a remote id plus collector state."""
 
-    ``barrier_clean`` and ``traced_clean`` are properties and pin/unpin
-    notify the owning table (through ``_table``; a free-standing entry
-    notifies nobody), so the table's records of pinned, barrier-cleaned and
-    suspected entries stay exact, and every semantically relevant change
-    bumps its mutation epoch for the incremental local trace (a bare
-    ``traced_clean`` write, which only tests make, bumps nothing).
-    ``distance``/``inset`` are written only by the local trace commit
-    itself (:meth:`OutrefTable.install_trace_states`) and stay plain fields.
-    """
-
-    target: ObjectId
-    distance: int = 1
-    _traced_clean: bool = field(default=True, repr=False)
-    pin_count: int = 0
-    inset: FrozenSet[ObjectId] = frozenset()
-    visited: Set[TraceId] = field(default_factory=set)
-    back_threshold: int = 0
-    _barrier_clean: bool = field(default=False, repr=False)
-    _table: Optional["OutrefTable"] = field(default=None, repr=False, compare=False)
-
-    def _changed(self) -> None:
-        table = self._table
-        if table is not None:
-            table._mutation_epoch += 1
-            table._restate(self)
+    __slots__ = ()
 
     @property
     def traced_clean(self) -> bool:
         """Whether the last local trace reached this outref from a clean
         root."""
-        return self._traced_clean
+        return bool(self.table._flags[self.at()] & TRACED_CLEAN)
 
     @traced_clean.setter
     def traced_clean(self, value: bool) -> None:
-        self._traced_clean = value
-        table = self._table
-        if table is not None:
-            table._installed[self.target] = self.distance if value else ~self.distance
-            table._restate(self)
+        self.table.set_traced_clean(self.target, value)
 
     @property
-    def barrier_clean(self) -> bool:
-        return self._barrier_clean
+    def pin_count(self) -> int:
+        self.at()
+        return self.table._pins.get(self.target, 0)
 
-    @barrier_clean.setter
-    def barrier_clean(self, value: bool) -> None:
-        if value != self._barrier_clean:
-            self._barrier_clean = value
-            table = self._table
-            if table is not None:
-                if value:
-                    table._barrier_flagged.add(self.target)
-                else:
-                    table._barrier_flagged.discard(self.target)
-            self._changed()
+    @property
+    def inset(self) -> FrozenSet[ObjectId]:
+        return self.table._sets[self.at()]
 
     @property
     def is_clean(self) -> bool:
         """Clean outrefs stop back traces with a Live verdict."""
-        return self._traced_clean or self._barrier_clean or self.pin_count > 0
+        self.at()
+        return self.table.is_clean(self.target)
 
     @property
     def is_suspected(self) -> bool:
         return not self.is_clean
 
     def pin(self) -> None:
-        """Insert barrier: retain this outref, clean, until the owner has
-        received the insert message (section 6.1.2)."""
-        self.pin_count += 1
-        if self.pin_count == 1 and self._table is not None:
-            self._table._pinned.add(self.target)
-        self._changed()
+        self.table.pin(self.target)
 
     def unpin(self) -> None:
-        if self.pin_count <= 0:
-            raise GcInvariantError(f"unbalanced unpin on outref {self.target}")
-        self.pin_count -= 1
-        if self.pin_count == 0 and self._table is not None:
-            self._table._pinned.discard(self.target)
-        self._changed()
+        self.table.unpin(self.target)
 
 
-class OutrefTable:
+class OutrefTable(IorefColumns):
     """All outrefs of one site, keyed by the remote object id.
 
-    Beside the entries the table keeps what the local trace's passes would
+    Beside the columns the table keeps what the local trace's passes would
     otherwise walk the whole table for, each exact at every instant:
 
-    - ``_pinned`` / ``_barrier_flagged``: the pinned and the
-      barrier-cleaned targets;
-    - ``_suspected``: the suspected entries (sorted lazily, like
-      ``_entries``);
-    - ``_installed`` / ``_insets``: each entry's distance (bit-inverted
-      when not traced clean) and its inset when not empty, as the trace
-      commit compares them;
+    - ``_pins``: the pinned targets, with their pin counts;
+    - ``_suspected``: the suspected targets (sorted lazily, like ``_slot``);
     - ``_changed``: the *changed set* -- every target created, removed or
       given a new distance since the last :meth:`scan_committed`, which the
       update diff reads instead of the table.
     """
 
+    handle = OutrefEntry
+    kind = "outref"
+
     def __init__(self, site_id: SiteId, initial_back_threshold: int):
-        self.site_id = site_id
-        self.initial_back_threshold = initial_back_threshold
-        self._entries: Dict[ObjectId, OutrefEntry] = {}
+        super().__init__(site_id, initial_back_threshold)
         self._mutation_epoch = 0
-        self._order_dirty = False
-        self._pinned: Set[ObjectId] = set()
-        self._barrier_flagged: Set[ObjectId] = set()
-        self._suspected: Dict[ObjectId, OutrefEntry] = {}
+        self._pins: Dict[ObjectId, int] = {}
+        self._suspected: Dict[ObjectId, None] = {}
         self._suspected_order_dirty = False
-        self._installed: Dict[ObjectId, int] = {}
-        self._insets: Dict[ObjectId, FrozenSet[ObjectId]] = {}
         self._changed: Set[ObjectId] = set()
 
     # -- mutation epoch ----------------------------------------------------------
@@ -147,42 +103,6 @@ class OutrefTable:
     @property
     def mutation_epoch(self) -> int:
         return self._mutation_epoch
-
-    def bump(self) -> None:
-        self._mutation_epoch += 1
-
-    # -- basic access -----------------------------------------------------------
-
-    def get(self, target: ObjectId) -> Optional[OutrefEntry]:
-        return self._entries.get(target)
-
-    def require(self, target: ObjectId) -> OutrefEntry:
-        entry = self._entries.get(target)
-        if entry is None:
-            raise GcInvariantError(f"site {self.site_id} has no outref for {target}")
-        return entry
-
-    def __contains__(self, target: ObjectId) -> bool:
-        return target in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> Iterator[OutrefEntry]:
-        """All entries in deterministic (target) order.
-
-        The sorted order is an invariant maintained on mutation (lazily: the
-        first read after an insert re-sorts, deletions preserve order), so
-        per-trace consumers -- update building, the back-trace trigger check
-        -- never pay a ``sorted()`` of their own.
-        """
-        self._ensure_order()
-        return iter(self._entries.values())
-
-    def targets(self) -> List[ObjectId]:
-        """All targets, same deterministic (target) order as :meth:`entries`."""
-        self._ensure_order()
-        return list(self._entries)
 
     # -- mutation -----------------------------------------------------------------
 
@@ -192,129 +112,146 @@ class OutrefTable:
             raise GcInvariantError(
                 f"outref target {target} is local to site {self.site_id}"
             )
-        entry = self._entries.get(target)
-        if entry is None:
-            entry = self._entries[target] = OutrefEntry(
-                target, distance, clean, back_threshold=self.initial_back_threshold, _table=self
-            )
-            self._order_dirty = True
-            self._installed[target] = distance if clean else ~distance
+        slot = self._slot.get(target)
+        if slot is None:
+            slot = self._take_slot(target, distance, TRACED_CLEAN if clean else 0)
             self._changed.add(target)
             if not clean:  # a new entry is neither pinned nor barrier-cleaned
-                self._suspected[target] = entry
+                self._suspected[target] = None
                 self._suspected_order_dirty = True
             self._mutation_epoch += 1
-        return entry
+        return new_handle(OutrefEntry, (self, slot, self._targets[slot]))
 
     def remove(self, target: ObjectId) -> None:
-        if self._entries.pop(target, None) is not None:
-            self._pinned.discard(target)
-            self._barrier_flagged.discard(target)
+        if target in self._slot:
+            self._free_slot(target)
+            self._pins.pop(target, None)
             self._suspected.pop(target, None)
-            self._installed.pop(target, None)
-            self._insets.pop(target, None)
             self._changed.add(target)
-            self.bump()
+            self._mutation_epoch += 1
 
-    def _restate(self, entry: OutrefEntry) -> None:
-        """File ``entry`` as suspected or not, after its state moved."""
-        target = entry.target
-        if entry._traced_clean or entry._barrier_clean or entry.pin_count > 0:
+    def _restate(self, target: ObjectId, slot: int) -> None:
+        """File ``target`` as suspected or not, after its state moved."""
+        if self._flags[slot] or target in self._pins:
             self._suspected.pop(target, None)
         elif target not in self._suspected:
-            self._suspected[target] = entry
+            self._suspected[target] = None
             self._suspected_order_dirty = True
+
+    def set_barrier_clean(self, target: ObjectId, value: bool) -> None:
+        slot = self._flip_barrier(target, value)
+        if slot is not None:
+            self._mutation_epoch += 1
+            self._restate(target, slot)
+
+    def set_traced_clean(self, target: ObjectId, value: bool) -> None:
+        """Overwrite the trace's clean verdict outside a trace commit, which
+        moves no epoch (tests stage suspected outrefs this way)."""
+        slot = self._slot[target]
+        flags = self._flags[slot]
+        self._flags[slot] = flags | TRACED_CLEAN if value else flags & ~TRACED_CLEAN
+        self._restate(target, slot)
+
+    def pin(self, target: ObjectId) -> None:
+        """Insert barrier: retain this outref, clean, until the owner has
+        received the insert message (section 6.1.2)."""
+        slot = self._slot[target]
+        self._pins[target] = self._pins.get(target, 0) + 1
+        self._mutation_epoch += 1
+        self._restate(target, slot)
+
+    def unpin(self, target: ObjectId) -> None:
+        slot = self._slot[target]
+        count = self._pins.get(target, 0)
+        if count <= 0:
+            raise GcInvariantError(f"unbalanced unpin on outref {target}")
+        if count == 1:
+            del self._pins[target]
+        else:
+            self._pins[target] = count - 1
+        self._mutation_epoch += 1
+        self._restate(target, slot)
 
     # -- the local trace's passes over the table --------------------------------
     #
-    # One pass per phase: compute reads the table once, commit installs the
-    # trace's verdicts on the entries it names and then walks the table once
-    # for everything that wants the committed state.
+    # Compute reads the table once and diffs its verdicts against the
+    # columns; commit installs the verdicts that moved and reads the changed
+    # set for everything that wants the committed state.
 
     def scan_for_trace(self) -> Tuple[List[ObjectId], Set[ObjectId]]:
         """All targets in (sorted) table order, and the pinned ones."""
         self._ensure_order()
-        return list(self._entries), set(self._pinned)
+        return list(self._slot), set(self._pins)
 
-    def install_trace_states(
+    def diff_verdicts(
         self,
         states: Dict[ObjectId, Tuple[bool, int]],
         insets: Dict[ObjectId, FrozenSet[ObjectId]],
-    ) -> None:
-        """Install a local trace's verdict on every outref it reached.
+    ) -> Dict[ObjectId, Verdict]:
+        """A local trace's verdicts that differ from the installed ones.
 
-        ``states`` maps target -> (clean, distance); suspected outrefs find
-        their inset in ``insets``.  Only the entries whose verdict differs
-        from what they hold are visited, found by comparing ``states`` and
-        ``insets`` with ``_installed`` and ``_insets``; the table's
-        mutation epoch moves once per such entry, so a quiescent site's
-        periodic full traces leave the next incremental tick free to skip.
-        Barrier cleans on the reached outrefs expire.
+        ``states`` maps each reached target to (clean, distance); suspected
+        outrefs find their inset in ``insets``, and every other one has an
+        empty inset.  A target without an entry always differs.  Changes
+        nothing.
         """
-        entries = self._entries
-        installed, held_insets = self._installed, self._insets
-        suspected = self._suspected
-        no_inset: FrozenSet[ObjectId] = frozenset()
-        installed_get, held_get = installed.get, held_insets.get
-        moved = [
-            target
-            for target, (clean, distance) in states.items()
-            if installed_get(target) != (distance if clean else ~distance)
-        ]
-        moved += [t for t, inset in insets.items() if held_get(t) != inset]
-        moved += [t for t in held_insets if t not in insets and t in states]
+        slot_of, distances, flags, held = self._slot.get, self._distance, self._flags, self._sets
+        changes: Dict[ObjectId, Verdict] = {}
+        for target, (clean, distance) in states.items():
+            inset = NO_SET if clean else insets.get(target, NO_SET)
+            slot = slot_of(target)
+            if (
+                slot is None
+                or distances[slot] != distance
+                or (flags[slot] & TRACED_CLEAN) != clean
+                or held[slot] != inset
+            ):
+                changes[target] = (clean, distance, inset)
+        return changes
+
+    def install_trace_states(
+        self, changes: Dict[ObjectId, Verdict], reached: Dict[ObjectId, object]
+    ) -> None:
+        """Install the verdicts of :meth:`diff_verdicts` (an entry yet to
+        be created is created), and expire the barrier cleans on the outrefs
+        the trace ``reached``.  The mutation epoch moves once per entry that
+        moves, so a quiescent site's periodic full traces leave the next
+        incremental tick free to skip."""
+        slot_of, distances, flags = self._slot.get, self._distance, self._flags
         installs = 0
-        for target in set(moved):
-            clean, distance = states[target]
-            inset = insets.get(target, no_inset)
-            entry = entries.get(target)
-            if entry is None:
-                # Trimmed concurrently is impossible (the trace is the only
-                # remover); but the trace may have reached a reference whose
-                # entry is yet to be created.
-                entry = self.ensure(target, clean=clean, distance=distance)
+        for target, (clean, distance, inset) in changes.items():
+            slot = slot_of(target)
+            if slot is None:
+                self.ensure(target, clean=clean, distance=distance)
                 if not inset:
                     continue  # born with the verdict
-            # The records are exact, so a target named here really moves.
+                slot = self._slot[target]
             installs += 1
-            if distance != entry.distance:
-                entry.distance = distance
+            if distance != distances[slot]:
+                distances[slot] = distance
                 self._changed.add(target)
-            entry._traced_clean = clean
-            entry.inset = inset
-            installed[target] = distance if clean else ~distance
-            if inset:
-                held_insets[target] = inset
-            else:
-                held_insets.pop(target, None)
-            if clean or entry._barrier_clean or entry.pin_count > 0:
-                suspected.pop(target, None)
-            elif target not in suspected:
-                suspected[target] = entry
-                self._suspected_order_dirty = True
+            flag = flags[slot]
+            flags[slot] = flag | TRACED_CLEAN if clean else flag & ~TRACED_CLEAN
+            self._put_set(target, slot, inset)
+            self._restate(target, slot)
         self._mutation_epoch += installs
-        for target in [t for t in self._barrier_flagged if t in states]:
-            entries[target].barrier_clean = False
+        for target in [t for t in self._barrier_flagged if t in reached]:
+            self.set_barrier_clean(target, False)
 
-    def scan_committed(
-        self,
-    ) -> Tuple[Dict[SiteId, List[Tuple[ObjectId, Optional[int]]]], List[OutrefEntry]]:
-        """What changed since the last call, and the suspected entries.
-
-        The first is, per target site, each target of the changed set with
-        its distance now (``None`` once removed); the second the suspected
-        entries.  Both in deterministic (target) order, and neither walks
-        the table.  Empties the changed set.
-        """
+    def scan_committed(self) -> Dict[SiteId, List[Tuple[ObjectId, Optional[int]]]]:
+        """What changed since the last call, without walking the table:
+        per target site, each target of the changed set with its distance
+        now (``None`` once removed), in target order.  Empties the changed
+        set."""
         changed, self._changed = self._changed, set()
         by_site: Dict[SiteId, List[Tuple[ObjectId, Optional[int]]]] = {}
-        entries = self._entries
+        slot_of, distances = self._slot.get, self._distance
         for target in sorted(changed):
-            entry = entries.get(target)
+            slot = slot_of(target)
             by_site.setdefault(target.site, []).append(
-                (target, None if entry is None else entry.distance)
+                (target, None if slot is None else distances[slot])
             )
-        return by_site, self.suspected_entries()
+        return by_site
 
     def distances_by_site(self) -> Dict[SiteId, Dict[ObjectId, int]]:
         """Per target site, target -> distance over the whole table, in
@@ -322,74 +259,70 @@ class OutrefTable:
         since a full update leaves nothing to diff."""
         self._ensure_order()
         self._changed = set()
+        distances = self._distance
         by_site: Dict[SiteId, Dict[ObjectId, int]] = {}
-        for target, entry in self._entries.items():
+        for target, slot in self._slot.items():
             per_site = by_site.get(target.site)
             if per_site is None:
                 per_site = by_site[target.site] = {}
-            per_site[target] = entry.distance
+            per_site[target] = distances[slot]
         return by_site
 
+    def distances_to(self, site: SiteId) -> Tuple[Tuple[ObjectId, int], ...]:
+        """``(target, distance)`` for every outref into ``site``, in target
+        order: what a full update to it ships."""
+        self._ensure_order()
+        distances = self._distance
+        return tuple((t, distances[s]) for t, s in self._slot.items() if t.site == site)
+
     def check_changed(self, shipped: Dict[SiteId, Dict[ObjectId, int]]) -> None:
-        """Assert the records beside the entries: pinned, barrier-cleaned,
-        suspected and installed state are exact, and every target whose
-        distance differs from ``shipped`` (what the last update diff left
-        each peer holding) is in the changed set (test/debug support; O(n))."""
-        entries = self._entries
-        assert self._pinned == {t for t, e in entries.items() if e.pin_count > 0}, (
-            "pinned record drift"
-        )
-        assert self._barrier_flagged == {
-            t for t, e in entries.items() if e._barrier_clean
-        }, "barrier record drift"
+        """Assert the records beside the columns (see also
+        :meth:`check_slots`): pinned and suspected targets are exact, and every target
+        whose distance differs from ``shipped`` (what the last update diff
+        left each peer holding) is in the changed set (test/debug support;
+        O(n))."""
+        self.check_slots()
+        slots, flags = self._slot, self._flags
+        assert self._pins.keys() <= slots.keys() and all(
+            count > 0 for count in self._pins.values()
+        ), "pinned record drift"
         assert self._suspected.keys() == {
-            t for t, e in entries.items() if e.is_suspected
+            t for t, s in slots.items() if not flags[s] and t not in self._pins
         }, "suspected record drift"
-        assert all(self._suspected[t] is entries[t] for t in self._suspected)
-        assert self._installed == {
-            t: e.distance if e._traced_clean else ~e.distance for t, e in entries.items()
-        }, "installed record drift"
-        assert self._insets == {t: e.inset for t, e in entries.items() if e.inset}, (
-            "inset record drift"
-        )
-        for site in {t.site for t in entries} | set(shipped):
+        for site in {t.site for t in slots} | set(shipped):
             held = shipped.get(site, {})
-            for target in held.keys() | {t for t in entries if t.site == site}:
-                entry = entries.get(target)
-                now = None if entry is None else entry.distance
+            for target in held.keys() | {t for t in slots if t.site == site}:
+                slot = slots.get(target)
+                now = None if slot is None else self._distance[slot]
                 assert now == held.get(target) or target in self._changed, (
                     f"outref {target} changed unrecorded"
                 )
 
     # -- views ---------------------------------------------------------------------
 
-    def _ensure_order(self) -> None:
-        """Keep ``_entries`` sorted by target, re-sorting only after inserts.
-
-        Deletions preserve order, so in steady state the views below iterate
-        an already-ordered dict and callers (the per-tick back-trace trigger
-        check in particular) never pay a per-call ``sorted()``.
-        """
-        if self._order_dirty:
-            self._entries = dict(sorted(self._entries.items()))
-            self._order_dirty = False
+    def _suspected_in_order(self) -> Dict[ObjectId, None]:
+        if self._suspected_order_dirty:
+            self._suspected = dict.fromkeys(sorted(self._suspected))
+            self._suspected_order_dirty = False
+        return self._suspected
 
     def suspected_entries(self) -> List[OutrefEntry]:
         """Suspected entries in deterministic (target) order, off the
         suspected record rather than the table."""
-        if self._suspected_order_dirty:
-            self._suspected = dict(sorted(self._suspected.items()))
-            self._suspected_order_dirty = False
-        return list(self._suspected.values())
+        slots = self._slot
+        return [new_handle(OutrefEntry, (self, slots[t], t)) for t in self._suspected_in_order()]
 
-    def clean_entries(self) -> List[OutrefEntry]:
-        self._ensure_order()
-        return [entry for entry in self._entries.values() if entry.is_clean]
+    def past_back_threshold(self) -> List[ObjectId]:
+        """Section 4.3's trigger: the suspected outrefs whose distance
+        exceeds their back threshold, in target order."""
+        slots, distances, back = self._slot, self._distance, self._back
+        return [t for t in self._suspected_in_order() if distances[s := slots[t]] > back[s]]
 
     def is_clean(self, target: ObjectId) -> bool:
-        entry = self._entries.get(target)
-        return entry is not None and entry.is_clean
+        slot = self._slot.get(target)
+        return slot is not None and bool(self._flags[slot] or target in self._pins)
 
     def inset_storage_units(self) -> int:
         """Total inset cardinality: the O(n_i * n_o) space of section 5.2."""
-        return sum(len(entry.inset) for entry in self._entries.values())
+        slots, held = self._slot, self._sets
+        return sum(len(held[slots[t]]) for t in self._nonempty)

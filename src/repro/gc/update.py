@@ -127,48 +127,23 @@ class UpdateAck(Payload):
     seq: int
 
 
-def _set_distances(
-    inrefs: InrefTable, source: SiteId, distances: Tuple[Tuple[ObjectId, int], ...]
-) -> bool:
-    """Fold ``source``'s distance estimates into the matching inrefs.
-
-    News about an inref the receiver does not hold, or does not list
-    ``source`` for, is stale (the reference was already dropped): ignored.
-    """
-    changed = False
-    get = inrefs.get
-    for target, distance in distances:
-        entry = get(target)
-        if entry is None:
-            continue
-        # ``InrefEntry.set_source_distance`` inline: most listed distances
-        # are unchanged, and a check costs no call.
-        current = entry.sources.get(source)
-        if current is not None and current != distance:
-            entry.move_source(source, current, distance)
-            changed = True
-    return changed
-
-
 def apply_update_delta(
     inrefs: InrefTable, source: SiteId, payload: UpdateDeltaPayload
 ) -> bool:
     """Apply one in-order delta at the target site.
 
     The caller (the site's gap check) guarantees ordering.  Adds and changed
-    distances both fold into the per-source distance of the matching inref;
-    removals empty source lists.  No prune: a delta never claims to be the
-    complete list.  Returns True if any inref distance changed or any source
-    was removed, which tells the caller whether suspicion states may have
-    shifted.
+    distances both fold into the per-source distance of the matching inref
+    (news about an inref not held, or not listing ``source``, is stale and
+    ignored); removals empty source lists.  No prune: a delta never claims
+    to be the complete list.  Returns True if any inref distance changed or
+    any source was removed, which tells the caller whether suspicion states
+    may have shifted.
     """
-    changed = _set_distances(inrefs, source, payload.adds)
-    changed |= _set_distances(inrefs, source, payload.distances)
+    changed = inrefs.set_source_distances(source, payload.adds)
+    changed |= inrefs.set_source_distances(source, payload.distances)
     for target in payload.removals:
-        entry = inrefs.get(target)
-        if entry is not None and source in entry.sources:
-            inrefs.remove_source(target, source)
-            changed = True
+        changed |= inrefs.remove_source(target, source)
     return changed
 
 
@@ -178,15 +153,11 @@ def apply_update(inrefs: InrefTable, source: SiteId, payload: UpdatePayload) -> 
 
     Returns True if anything changed, as :func:`apply_update_delta` does.
     """
-    changed = _set_distances(inrefs, source, payload.distances)
+    changed = inrefs.set_source_distances(source, payload.distances)
     listed = {target for target, _ in payload.distances}
     # The per-source index makes this prune proportional to the inrefs
     # actually sourced from the sender, not the whole table.
     for target in inrefs.targets_from_source(source):
-        if target in listed:
-            continue
-        entry = inrefs.get(target)
-        if entry is not None and source in entry.sources:
-            inrefs.remove_source(target, source)
-            changed = True
+        if target not in listed:
+            changed |= inrefs.remove_source(target, source)
     return changed

@@ -426,7 +426,7 @@ class Site:
         self._flush_desynced_peers(
             skip={dst for dst, p in result.updates_by_site.items() if p.full}
         )
-        self.check_backtrace_triggers(result.suspected_outrefs)
+        self.check_backtrace_triggers()
 
     # -- reliable update channel (at-least-once, section 4.6 hardening) ----------------
 
@@ -511,17 +511,16 @@ class Site:
 
     # -- suspicion triggering (section 4.3) -----------------------------------------------
 
-    def check_backtrace_triggers(self, suspected_outrefs=None) -> List[ObjectId]:
+    def check_backtrace_triggers(self) -> List[ObjectId]:
         """Run the cycle collector's suspicion-trigger scan.
 
         For the default back tracer this starts a back trace from each
         suspected outref past its threshold; other backends start their own
         collection activity.  The historical name is kept -- this is the
-        section 4.3 trigger placement, called after every local trace (which
-        passes on the suspected outrefs its commit just listed) or skipped
-        tick.
+        section 4.3 trigger placement, called after every local trace or
+        skipped tick.
         """
-        return self.cycle_collector.check_triggers(suspected_outrefs)
+        return self.cycle_collector.check_triggers()
 
     def quiet_gc_ticks(self) -> int:
         """Lower bound on upcoming gc ticks that provably send nothing.
@@ -598,8 +597,8 @@ class Site:
         insert roots the object through the new inref.
         """
         if target.site != self.site_id and target not in self.outrefs:
-            entry = self.outrefs.ensure(target, clean=True)
-            entry.pin()
+            self.outrefs.ensure(target, clean=True)
+            self.outrefs.pin(target)
             self.metrics.incr("barrier.insert_pins")
             self.send(
                 target.site,
@@ -650,10 +649,8 @@ class Site:
             self.cycle_collector.on_reference_arrival(ref)
             self.barrier.on_reference_arrival(ref)
         else:
-            entry = self.outrefs.get(ref)
-            if entry is None:
-                entry = self.outrefs.ensure(ref, clean=True)
-            entry.pin()
+            self.outrefs.ensure(ref, clean=True)
+            self.outrefs.pin(ref)
         pin_holder = self.site_id
         self.metrics.incr("barrier.insert_pins")
         self.send(dst, RemoteCopy(ref=ref, dest_holder=dest_holder, pin_holder=pin_holder))
@@ -797,7 +794,7 @@ class Site:
             return
         entry = self.outrefs.get(target)
         if entry is not None and entry.pin_count > 0:
-            entry.unpin()
+            self.outrefs.unpin(target)
 
     def _on_mutator_hop(self, message: Message) -> None:
         payload: MutatorHop = message.payload
@@ -820,10 +817,9 @@ class Site:
                 self.inrefs.ensure(ref, source=message.src, distance=1)
             self._maybe_unpin_sender(payload)
         else:
-            entry = self.outrefs.get(ref)
-            if entry is not None:
+            if ref in self.outrefs:
                 # Cases 2 and 3: clean a suspected outref; nothing otherwise.
-                if not entry.is_clean:
+                if not self.outrefs.is_clean(ref):
                     self.cycle_collector.on_outref_cleaned(ref)
                     self.barrier.clean_outref(ref)
                 self._maybe_unpin_sender(payload)

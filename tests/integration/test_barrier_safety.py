@@ -56,10 +56,9 @@ def build_race_topology(gc: GcConfig, seed: int = 0):
 
 def prepare_stale_suspicion(sim, b):
     """Make the f/z/x/g cycle suspected with computed (soon stale) insets."""
-    sim.site("Q").inrefs.require(b["f"]).sources.update(
-        {site: SUSPECT for site in sim.site("Q").inrefs.require(b["f"]).sources}
-    )
-    sim.site("P").inrefs.require(b["g"]).sources["Q"] = SUSPECT
+    for site in sim.site("Q").inrefs.require(b["f"]).sources:
+        sim.site("Q").inrefs.set_source(b["f"], site, SUSPECT)
+    sim.site("P").inrefs.set_source(b["g"], "Q", SUSPECT)
     sim.site("Q").run_local_trace()
     sim.site("P").run_local_trace()
     sim.settle()
@@ -67,7 +66,7 @@ def prepare_stale_suspicion(sim, b):
     for site_id, label in (("Q", "f"), ("P", "g")):
         entry = sim.sites[site_id].inrefs.require(b[label])
         for source in entry.sources:
-            entry.sources[source] = SUSPECT
+            entry.table.set_source(entry.target, source, SUSPECT)
     assert sim.site("Q").outrefs.require(b["g"]).inset == {b["f"]}
     assert sim.site("P").outrefs.require(b["f"]).inset == {b["g"]}
 

@@ -161,7 +161,7 @@ class TestMigration:
         holder = b.obj("a", "h", root=True)
         b.link(holder, target)
         # Stale suspicion: force a big distance.
-        sim.site("b").inrefs.require(target).sources["a"] = 99
+        sim.site("b").inrefs.set_source(target, "a", 99)
         collector = MigrationCollector(sim)
         collector.check_migrations("b")
         sim.settle()

@@ -150,9 +150,9 @@ def test_quiet_prediction_never_hides_a_trigger(collector):
     for site in sim.sites.values():
         backend = site.cycle_collector
 
-        def check(suspected_outrefs=None, backend=backend):
+        def check(backend=backend):
             quiet = backend.predict_quiet()
-            started = type(backend).check_triggers(backend, suspected_outrefs)
+            started = type(backend).check_triggers(backend)
             if quiet:
                 assert started == []
                 checks["quiet"] += 1

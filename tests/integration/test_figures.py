@@ -95,7 +95,7 @@ class TestFigure2:
         # Force suspicion and compute back info at Q.
         for entry in sim.site("Q").inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = 9
+                entry.table.set_source(entry.target, source, 9)
         sim.site("Q").run_local_trace()
         entry = sim.site("Q").outrefs.require(scenario["c"])
         assert entry.inset == {scenario["a"], scenario["b"]}

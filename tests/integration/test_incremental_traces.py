@@ -164,12 +164,12 @@ def test_a_distance_only_tick_runs_the_one_trace():
             sim.run_gc_round()
         site, collector = sim.site("s2"), sim.site("s2").collector
         entry = site.inrefs.require(builder["chain_s2"])
-        entry.sources["s1"] = gc.suspicion_threshold + 2
+        entry.table.set_source(entry.target, "s1", gc.suspicion_threshold + 2)
         sim.run_gc_round()  # the now suspected inref is traced and shipped
         assert entry.is_suspected(gc.suspicion_threshold)
         assert site.run_local_trace() is None  # settled: the tick skips
         # The only change since the last trace: one inref's minimum.
-        entry.sources["s1"] += 1
+        entry.table.set_source(entry.target, "s1", entry.sources["s1"] + 1)
         budget, fulls = collector._ticks_since_full, collector._full_traces_run
         before = sim.metrics.snapshot()
         result = site.run_local_trace(force_full=force_full)

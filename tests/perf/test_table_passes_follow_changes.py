@@ -14,16 +14,19 @@ exact on every host:
   over the whole table would visit: inrefs re-filed by
   ``InrefTable.scan_for_trace``, outrefs diffed by
   ``OutrefTable.scan_committed`` and outrefs given a new verdict by
-  ``OutrefTable.install_trace_states`` (one mutation-epoch step each),
-  against the entries the table held at each of those passes.  Passes
-  that walked their tables would read 1.0.
+  ``OutrefTable.install_trace_states`` from the trace's change list (one
+  mutation-epoch step each), against the entries the table held at each
+  of those passes.  Passes that walked their tables would read 1.0.
 
 The smoke tables are small (about 5 inrefs and 7 outrefs a site per
 trace), so a change of two entries is a large share; at full size the same
 passes visit 0.10 of the entries.  Recorded at introduction past warm-up,
 seed 3: 1,107 of 1,337 outsets re-used (0.828); 3,413 entries visited of
-8,398 (0.406).  Wall clocks stay in the ledger (``python -m
-benchmarks.ledger``, EXPERIMENTS E42).
+8,398 (0.406).  Since the tables became columns with change lists
+(EXPERIMENTS E48) it reads 3,233 of 8,398 (0.385): a removed inref leaves
+the trace order when it goes instead of being re-filed by the next scan.
+Wall clocks stay in the ledger (``python -m benchmarks.ledger``,
+EXPERIMENTS E42).
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ def test_cycle_waves_traces_reuse_outsets_and_visit_few_entries(monkeypatch):
         totals["held"] += len(table)
         return scan_committed(table)
 
-    def counted_install(table, states, insets):
+    def counted_install(table, changes, reached):
         totals["held"] += len(table)
         epoch = table.mutation_epoch
-        install(table, states, insets)
+        install(table, changes, reached)
         totals["visited"] += table.mutation_epoch - epoch
 
     monkeypatch.setattr(localtrace, "compute_outsets_bottom_up", counted_bottom_up)

@@ -3,12 +3,12 @@
 A local trace keeps three things between runs: the clean phase's regions
 (``Heap.clean_memo``), the suspected phase's regions
 (``Heap.suspected_memo``) and the tables' records and changed sets
-(``InrefTable.scan_for_trace``'s filed order, ``OutrefTable``'s installed
-states, suspected record and changed set).  Two worlds replay the same
+(``InrefTable.scan_for_trace``'s filed order, the records beside both
+tables' columns and the outref changed set).  Two worlds replay the same
 random alloc / link / unlink / cut / inref-distance / pin / barrier script
 on one to three sites; before every trace the twin world forgets all of it
 (:func:`drop_memos`: the memos emptied, the records rebuilt from the
-entries, every target named changed), so the twin runs what a from-scratch
+columns, every target named changed), so the twin runs what a from-scratch
 trace runs.  After every trace the two must agree on every field of the
 trace result, on the counters and on the tables, and the memoised world's
 invariants must hold.  A ledger scenario closes the loop end to end: smoke
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from benchmarks.ledger import worker
 from repro.config import GcConfig
-from repro.gc.inrefs import InrefTable
+from repro.gc.inrefs import FILED, InrefTable
 from repro.gc.localtrace import LocalCollector
 from repro.gc.outrefs import OutrefTable
 from repro.gc.update import apply_update, apply_update_delta
@@ -40,27 +40,24 @@ SITES = ("P", "Q", "R")
 
 def drop_memos(collector: LocalCollector) -> None:
     """Make the next trace of ``collector`` run from scratch: no region is
-    remembered, every inref is filed anew, and the outref table's records
-    are rebuilt from its entries with every held or shipped target changed."""
+    remembered, every inref is filed anew, and the records beside both
+    tables' columns are rebuilt from the columns with every held or shipped
+    outref changed."""
     heap, inrefs, outrefs = collector.heap, collector.inrefs, collector.outrefs
     heap.clean_memo = RegionMemo()
     heap.suspected_memo = RegionMemo(sparse=True)
-    inrefs._filed.clear()
-    inrefs._clean_keys.clear()
     inrefs._clean_roots.clear()
     inrefs._suspected_keys.clear()
-    inrefs._distances.clear()
-    inrefs._changed.update(inrefs._entries)
-    inrefs._outsets = {t: e.outset for t, e in inrefs._entries.items() if e.outset}
-    entries = outrefs._entries
-    outrefs._installed = {
-        t: e.distance if e._traced_clean else ~e.distance for t, e in entries.items()
-    }
-    outrefs._insets = {t: e.inset for t, e in entries.items() if e.inset}
-    outrefs._suspected = {t: e for t, e in sorted(entries.items()) if e.is_suspected}
-    outrefs._pinned = {t for t, e in entries.items() if e.pin_count > 0}
-    outrefs._barrier_flagged = {t for t, e in entries.items() if e._barrier_clean}
-    outrefs._changed = set(entries).union(*collector._shipped.values())
+    for slot in inrefs._slot.values():
+        inrefs._flags[slot] &= ~FILED
+    inrefs._changed.update(inrefs._slot)
+    inrefs._nonempty = {e.target for e in inrefs.entries() if e.outset}
+    entries = list(outrefs.entries())
+    outrefs._nonempty = {e.target for e in entries if e.inset}
+    outrefs._suspected = dict.fromkeys(e.target for e in entries if e.is_suspected)
+    outrefs._pins = {e.target: e.pin_count for e in entries if e.pin_count > 0}
+    outrefs._barrier_flagged = {e.target for e in entries if e.barrier_clean}
+    outrefs._changed = {e.target for e in entries}.union(*collector._shipped.values())
 
 
 class World:
@@ -157,12 +154,13 @@ def trace_fields(result):
         result.outref_states,
         result.outsets,
         result.insets,
+        result.outref_changes,
+        result.outset_changes,
         result.suspected_objects,
         result.clean_phase.unmarked,
         result.removals,
         result.swept,
         result.updates_by_site,
-        [entry.target for entry in result.suspected_outrefs or ()],
         result.clean_phase.objects_scanned,
         result.clean_phase.edges_examined,
         result.backinfo.objects_scanned,

@@ -6,9 +6,10 @@ estimate is the new minimum outright, and only raising or removing the
 current minimum recomputes.  A local trace reads only the minimum, so the
 table's distance epoch moves, and the target enters the changed set, exactly
 when the minimum moves.  Hypothesis drives one entry through random add /
-raise / lower / remove sequences, through every writer (the table, the
-entry's methods, and direct writes into its source map), and compares each
-step with a plain-dict model that recomputes the minimum every time.
+raise / lower / remove sequences, through every writer (the table's
+methods, and the entry handle's, which call them), and compares each step
+with a plain-dict model that recomputes the minimum every time; an entry
+whose last source goes leaves the table.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ def _apply(table, model, op, site, d):
         if held is not None:
             model[site] = new
     elif op == "poke":
-        entry.sources[site] = d
+        table.set_source(TARGET, site, d)
         model[site] = d
     elif op == "remove":
         entry.remove_source(site)
         model.pop(site, None)
     elif held is not None:
-        del entry.sources[site]
+        assert table.remove_source(TARGET, site)
         del model[site]
 
 
@@ -75,11 +76,14 @@ def test_the_kept_minimum_matches_a_recompute(script):
         before = min(model.values(), default=INFINITE_DISTANCE)
         _apply(table, model, op, site, d)
         after = min(model.values(), default=INFINITE_DISTANCE)
-        entry = table.require(TARGET)
-        assert dict(entry.sources) == model
-        assert entry.distance == after
+        entry = table.get(TARGET)
+        assert (entry is None) == (not model)
+        if entry is not None:
+            assert dict(entry.sources) == model
+            assert entry.distance == after
         assert table.distance_epoch - epoch == (after != before)
-        assert (TARGET in table._changed) == (after != before)
+        # An entry that left the table is no longer named changed.
+        assert (TARGET in table._changed) == (after != before and bool(model))
         for source in SOURCES:
             assert table.targets_from_source(source) == ([TARGET] if source in model else [])
     table.check_changed()

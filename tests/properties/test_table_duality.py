@@ -57,7 +57,7 @@ def test_inset_outset_duality_after_trace(world):
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = distances[cursor % len(distances)]
+                entry.table.set_source(entry.target, source, distances[cursor % len(distances)])
                 cursor += 1
     for site_id in sites:
         sim.sites[site_id].run_local_trace()

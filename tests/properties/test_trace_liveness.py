@@ -39,7 +39,7 @@ def test_every_started_trace_terminates_and_cleans_up(n_sites, drop, seed):
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = 9
+                entry.table.set_source(entry.target, source, 9)
     for site_id in sites:
         sim.sites[site_id].run_local_trace()
     sim.settle()

@@ -21,7 +21,7 @@ def suspect_all_inrefs(sim):
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
 
 
 def prepare(sim):
@@ -154,7 +154,7 @@ def test_figure3_branching_visited_marks():
     # inref a has sources S (clean path) and Q; the S source distance was
     # forced suspect too, so instead keep S's source clean:
     entry = sim.site("P").inrefs.require(b["a"])
-    entry.sources["S"] = 1
+    entry.table.set_source(entry.target, "S", 1)
     trace_id = sim.site("R").engine.start_trace(b["d"]) if False else None
     # d is an object at R, not an outref; the back trace starts from R's
     # *outref*... d has no outrefs; start instead from Q's outref for c? The
@@ -361,7 +361,7 @@ def test_clean_inref_in_inset_answers_live_before_any_back_call():
     # last local trace gave it, so a trace may still start there.
     z_entry = sim.site("Q").inrefs.require(b["z"])
     for source in z_entry.sources:
-        z_entry.sources[source] = 1
+        z_entry.table.set_source(z_entry.target, source, 1)
     assert z_entry.is_clean(sim.site("Q").inrefs.suspicion_threshold)
     outref = sim.site("Q").outrefs.require(b["p"])
     threshold_before = outref.back_threshold

@@ -21,7 +21,7 @@ def suspect_and_trace(sim, only=None):
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
     for site_id in sorted(sim.sites) if only is None else only:
         sim.sites[site_id].run_local_trace()
     sim.settle()
@@ -266,7 +266,7 @@ def test_nonatomic_trace_replays_barrier_on_new_copy():
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
     q = sim.site("Q")
     q.run_local_trace()
     sim.run_for(20.0)  # commit

@@ -19,7 +19,7 @@ def prepare_cycle(sim):
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
     for site_id in sorted(sim.sites):
         sim.sites[site_id].run_local_trace()
     sim.settle()
@@ -70,7 +70,7 @@ def test_outref_with_empty_inset_answers_garbage():
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
     for site_id in sorted(sim.sites):
         sim.sites[site_id].run_local_trace()
     sim.settle()
@@ -93,7 +93,7 @@ def test_self_cycle_object_with_remote_holder():
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = SUSPECT
+                entry.table.set_source(entry.target, source, SUSPECT)
     for site_id in sorted(sim.sites):
         sim.sites[site_id].run_local_trace()
     sim.settle()

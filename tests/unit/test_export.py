@@ -65,7 +65,7 @@ def test_dot_output_structure():
 def test_dot_marks_suspected_and_garbage():
     sim, b = build_world()
     entry = sim.site("Q").inrefs.require(b["q"])
-    entry.sources["P"] = 99
+    entry.table.set_source(entry.target, "P", 99)
     dot = to_dot(sim)
     assert "orange" in dot
     entry.garbage = True
@@ -80,7 +80,7 @@ def test_dot_includes_inset_overlay():
     for site in sim.sites.values():
         for entry in site.inrefs.entries():
             for source in entry.sources:
-                entry.sources[source] = 9
+                entry.table.set_source(entry.target, source, 9)
         site.run_local_trace()
     sim.settle()
     dot = to_dot(sim)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GcInvariantError
-from repro.gc.inrefs import INFINITE_DISTANCE, InrefTable
+from repro.gc.inrefs import InrefTable
 from repro.gc.outrefs import OutrefTable
 from repro.ids import ObjectId, TraceId
 
@@ -61,20 +61,38 @@ def test_set_source_distance_ignores_unknown_source():
     assert "Q" not in entry.sources
 
 
-def test_empty_inref_has_infinite_distance():
-    table = make_inrefs()
-    entry = table.ensure(ObjectId("R", 0), source="P")
-    entry.remove_source("P")
-    assert entry.distance == INFINITE_DISTANCE
-    assert entry.empty
-
-
 def test_remove_source_drops_empty_entry():
     table = make_inrefs()
     target = ObjectId("R", 0)
-    table.ensure(target, source="P")
-    table.remove_source(target, "P")
+    entry = table.ensure(target, source="P")
+    table.ensure(target, source="Q")
+    entry.remove_source("Q")
+    assert entry.sources == {"P": 1}
+    assert table.remove_source(target, "P")
     assert target not in table
+    assert not table.remove_source(target, "P")
+    with pytest.raises(GcInvariantError):
+        entry.distance  # the handle's entry is gone
+
+
+def test_handle_never_reads_a_reused_slot():
+    """Guard: a removed entry's slot goes to the next new entry, and a
+    handle on the removed one raises rather than read the newcomer."""
+    inrefs, outrefs = make_inrefs(), make_outrefs()
+    old_in = inrefs.ensure(ObjectId("R", 0), source="P", distance=3)
+    old_out = outrefs.ensure(ObjectId("R", 0), clean=False, distance=3)
+    inrefs.remove(ObjectId("R", 0))
+    outrefs.remove(ObjectId("R", 0))
+    new_in = inrefs.ensure(ObjectId("R", 1), source="Q", distance=5)
+    new_out = outrefs.ensure(ObjectId("R", 1), distance=5)
+    assert (new_in.slot, new_out.slot) == (old_in.slot, old_out.slot)
+    for read in ("distance", "sources", "back_threshold", "visited", "garbage"):
+        with pytest.raises(GcInvariantError):
+            getattr(old_in, read)
+    for read in ("distance", "is_clean", "inset", "pin_count", "traced_clean"):
+        with pytest.raises(GcInvariantError):
+            getattr(old_out, read)
+    assert (new_in.distance, new_out.distance) == (5, 5)
 
 
 def test_clean_vs_suspected_by_threshold():
@@ -83,7 +101,7 @@ def test_clean_vs_suspected_by_threshold():
     far = table.ensure(ObjectId("R", 1), source="P", distance=5)
     assert near.is_clean(4) and not near.is_suspected(4)
     assert far.is_suspected(4) and not far.is_clean(4)
-    assert {e.target for e in table.suspected_entries()} == {far.target}
+    assert {e.target for e in table.entries() if e.is_suspected(4)} == {far.target}
 
 
 def test_barrier_clean_overrides_distance():
@@ -100,7 +118,7 @@ def test_garbage_flag_is_never_clean():
     entry = table.ensure(ObjectId("R", 0), source="P", distance=1)
     entry.garbage = True
     assert not entry.is_clean(4)
-    assert entry.target not in set(table.root_targets())
+    assert entry.target not in {t for t, _ in table.scan_for_trace().clean_roots}
     assert table.garbage_targets() == [entry.target]
 
 
@@ -121,7 +139,7 @@ def test_trace_scan_orders_roots_by_distance():
         (ObjectId("R", 5), 7),
     ]
     assert scan.suspected_targets == [ObjectId("R", 2), ObjectId("R", 0)]
-    assert scan.distances == {ObjectId("R", n): d for n, d in enumerate([9, 2, 5, 1, 1, 7])}
+    assert [e.distance for e in table.entries()] == [9, 2, 5, 1, 1, 7]
 
 
 def test_scan_refiles_exactly_the_changed_inrefs():
@@ -135,14 +153,16 @@ def test_scan_refiles_exactly_the_changed_inrefs():
     table.ensure(gone, source="P", distance=3)
     table.scan_for_trace()
     assert table._changed == set()
-    table.get(near).sources["P"] = 6  # crosses the threshold
+    table.set_source(near, "P", 6)  # crosses the threshold
     table.get(far).barrier_clean = True
-    table.remove(gone)
-    assert table._changed == {near, far, gone}
+    table.remove(gone)  # leaves the trace order at once
+    assert table._changed == {near, far}
     scan = table.scan_for_trace()
     assert scan.clean_roots == [(far, 7)]
     assert scan.suspected_targets == [near]
-    assert scan.distances == {near: 6, far: 7}
+    assert table.nearest({near: [near], far: [near, far], gone: []}) == {
+        near: 6, far: 6, gone: 0
+    }
     table.get(near).garbage = True
     assert table.scan_for_trace().suspected_targets == []
     table.check_changed()
@@ -150,9 +170,10 @@ def test_scan_refiles_exactly_the_changed_inrefs():
 
 # -- source-list mutators ---------------------------------------------------------
 #
-# Every way of changing ``entry.sources`` must refresh ``entry.distance``,
-# advance the table's distance epoch when that minimum moves, and keep the
-# per-source index (``targets_from_source``) in step.
+# Every table method that changes a source list must refresh the entry's
+# distance, advance the table's distance epoch when that minimum moves, and
+# keep the per-source index (``targets_from_source``) in step.  The entry's
+# ``sources`` is a read-only view.
 
 
 def _sourced_entry():
@@ -165,57 +186,25 @@ def _sourced_entry():
 def test_sources_update_notifies():
     table, target, entry = _sourced_entry()
     before = table.distance_epoch
-    entry.sources.update({"Q": 2}, S=9)
+    table.set_source(target, "Q", 2)
+    table.set_source(target, "S", 9)
     assert entry.distance == 2
     assert table.distance_epoch > before
     assert table.targets_from_source("Q") == [target]
     assert table.targets_from_source("S") == [target]
-
-
-def test_sources_ior_notifies():
-    table, target, entry = _sourced_entry()
-    before = table.distance_epoch
-    entry.sources |= {"Q": 1}
-    assert entry.sources == {"P": 5, "Q": 1} and entry.sources.entry is entry
-    assert entry.distance == 1
-    assert table.distance_epoch > before
-    assert table.targets_from_source("Q") == [target]
-
-
-def test_sources_setdefault_notifies_only_when_it_adds():
-    table, target, entry = _sourced_entry()
-    before = table.distance_epoch
-    assert entry.sources.setdefault("P", 1) == 5
-    assert table.distance_epoch == before
-    assert entry.sources.setdefault("Q", 3) == 3
-    assert entry.distance == 3
-    assert table.distance_epoch > before
-    assert table.targets_from_source("Q") == [target]
     with pytest.raises(TypeError):
-        entry.sources.setdefault("S")  # a source needs a distance
+        entry.sources["P"] = 1  # the view is read-only
 
 
 def test_sources_clear_notifies():
     table, target, entry = _sourced_entry()
     entry.add_source("Q", 2)
     before = table.distance_epoch
-    entry.sources.clear()
-    assert entry.empty and entry.distance == INFINITE_DISTANCE
+    for source in entry.sources:
+        table.remove_source(target, source)
+    assert target not in table  # an inref whose source list empties goes
     assert table.distance_epoch > before
     assert table.targets_from_source("P") == table.targets_from_source("Q") == []
-
-
-def test_sources_popitem_notifies():
-    table, target, entry = _sourced_entry()
-    entry.add_source("Q", 2)
-    before = table.distance_epoch
-    assert entry.sources.popitem() == ("Q", 2)
-    assert entry.distance == 5
-    assert table.distance_epoch > before
-    assert table.targets_from_source("Q") == []
-    entry.sources.popitem()
-    with pytest.raises(KeyError):
-        entry.sources.popitem()
 
 
 def test_sources_pop_and_del_notify():
@@ -223,9 +212,9 @@ def test_sources_pop_and_del_notify():
     entry.add_source("Q", 2)
     entry.add_source("S", 1)
     before = table.distance_epoch
-    assert entry.sources.pop("S") == 1
-    assert entry.sources.pop("S", None) is None
-    del entry.sources["Q"]
+    assert table.remove_source(target, "S")
+    assert not table.remove_source(target, "S")
+    entry.remove_source("Q")
     assert entry.distance == 5
     assert table.distance_epoch > before
     assert table.targets_from_source("Q") == table.targets_from_source("S") == []
@@ -234,8 +223,8 @@ def test_sources_pop_and_del_notify():
 def test_rewriting_a_source_with_its_own_distance_is_silent():
     table, target, entry = _sourced_entry()
     before = table.distance_epoch
-    entry.sources["P"] = 5
-    entry.sources.update(P=5)
+    table.set_source(target, "P", 5)
+    entry.set_source_distance("P", 5)
     assert table.distance_epoch == before
 
 
@@ -244,7 +233,7 @@ def test_source_changes_that_keep_the_minimum_leave_the_distance_epoch():
     entry.add_source("Q", 2)
     before = table.distance_epoch
     entry.add_source("S", 9)  # a farther source
-    entry.sources["P"] = 7  # re-set a non-minimal source
+    table.set_source(target, "P", 7)  # re-set a non-minimal source
     entry.remove_source("S")  # remove a non-minimal source
     assert entry.distance == 2
     assert table.distance_epoch == before
@@ -257,7 +246,7 @@ def test_moving_the_minimum_advances_the_distance_epoch():
     table, target, entry = _sourced_entry()
     entry.add_source("Q", 2)
     before = table.distance_epoch
-    entry.sources["Q"] = 3  # the minimum source moves
+    table.set_source(target, "Q", 3)  # the minimum source moves
     assert (entry.distance, table.distance_epoch) == (3, before + 1)
     entry.add_source("S", 1)  # a nearer source
     assert (entry.distance, table.distance_epoch) == (1, before + 2)
@@ -320,18 +309,24 @@ def test_unbalanced_unpin_raises():
 
 def test_visited_marks_are_per_trace():
     table = make_outrefs()
-    entry = table.ensure(ObjectId("R", 0), clean=False)
+    target = ObjectId("R", 0)
+    entry = table.ensure(target, clean=False)
     t1, t2 = TraceId("P", 0), TraceId("Q", 0)
-    entry.visited.add(t1)
+    table.visit(target, t1, increment=4)
     assert t1 in entry.visited and t2 not in entry.visited
+    assert table.has_visited(target, t1) and not table.has_visited(target, t2)
+    assert entry.back_threshold == 16
+    table.unvisit(target, t2)
+    table.unvisit(target, t1)
+    assert not entry.visited and table._visited == {}  # marks are sparse
 
 
 def test_inset_storage_units():
     table = make_outrefs()
-    e1 = table.ensure(ObjectId("R", 0), clean=False)
-    e2 = table.ensure(ObjectId("R", 1), clean=False)
-    e1.inset = frozenset({ObjectId("P", 1), ObjectId("P", 2)})
-    e2.inset = frozenset({ObjectId("P", 1)})
+    r0, r1 = ObjectId("R", 0), ObjectId("R", 1)
+    insets = {r0: frozenset({ObjectId("P", 1), ObjectId("P", 2)}), r1: frozenset({ObjectId("P", 1)})}
+    states = {r0: (False, 2), r1: (False, 2)}
+    table.install_trace_states(table.diff_verdicts(states, insets), states)
     assert table.inset_storage_units() == 3
 
 
@@ -340,7 +335,7 @@ def test_suspected_entries_view():
     table.ensure(ObjectId("R", 0), clean=False)
     table.ensure(ObjectId("R", 1), clean=True)
     assert [e.target for e in table.suspected_entries()] == [ObjectId("R", 0)]
-    assert [e.target for e in table.clean_entries()] == [ObjectId("R", 1)]
+    assert [e.target for e in table.entries() if e.is_clean] == [ObjectId("R", 1)]
 
 
 # -- the local trace's passes over the outref table -----------------------------
@@ -352,16 +347,18 @@ def test_install_trace_states_moves_epochs_only_on_change():
     table.ensure(near)
     table.ensure(far).barrier_clean = True
     inset = frozenset({ObjectId("P", 7)})
-    table.install_trace_states({near: (True, 2), far: (False, 6)}, {far: inset})
+    states, insets = {near: (True, 2), far: (False, 6)}, {far: inset}
+    changes = table.diff_verdicts(states, insets)
+    assert changes == {near: (True, 2, frozenset()), far: (False, 6, inset)}
+    table.install_trace_states(changes, states)
     assert (table.get(near).traced_clean, table.get(near).distance) == (True, 2)
     assert (table.get(far).traced_clean, table.get(far).distance) == (False, 6)
     assert table.get(far).inset == inset and not table.get(far).barrier_clean
     epoch = table.mutation_epoch
-    table.install_trace_states({near: (True, 2), far: (False, 6)}, {far: inset})
-    assert table.mutation_epoch == epoch
+    assert table.diff_verdicts(states, insets) == {}  # nothing moves again
     # A reference the trace reached before its entry existed is created.
     new = ObjectId("R", 2)
-    table.install_trace_states({new: (True, 1)}, {})
+    table.install_trace_states(table.diff_verdicts({new: (True, 1)}, {}), {new: (True, 1)})
     assert table.get(new).traced_clean and table.mutation_epoch > epoch
 
 
@@ -386,19 +383,19 @@ def test_scan_committed_reads_the_changed_set_only():
     for serial in (3, 1, 2):
         table.ensure(ObjectId("R", serial), clean=False, distance=serial)
     table.ensure(ObjectId("Q", 9), distance=4)
-    changes, suspected = table.scan_committed()
-    assert changes == {
+    assert table.scan_committed() == {
         "Q": [(ObjectId("Q", 9), 4)],
         "R": [(ObjectId("R", 1), 1), (ObjectId("R", 2), 2), (ObjectId("R", 3), 3)],
     }
+    suspected = table.suspected_entries()
     assert [e.target for e in suspected] == [ObjectId("R", s) for s in (1, 2, 3)]
     # Nothing since: an empty diff, whatever the table holds.
-    assert table.scan_committed()[0] == {}
-    table.install_trace_states(
-        {ObjectId("R", 2): (True, 5), ObjectId("R", 3): (False, 3)}, {}
-    )
+    assert table.scan_committed() == {}
+    states = {ObjectId("R", 2): (True, 5), ObjectId("R", 3): (False, 3)}
+    table.install_trace_states(table.diff_verdicts(states, {}), states)
     table.remove(ObjectId("Q", 9))
     table.get(ObjectId("R", 1)).pin()  # no distance moved: not a change
-    changes, suspected = table.scan_committed()
-    assert changes == {"Q": [(ObjectId("Q", 9), None)], "R": [(ObjectId("R", 2), 5)]}
-    assert [e.target for e in suspected] == [ObjectId("R", 3)]
+    assert table.scan_committed() == {
+        "Q": [(ObjectId("Q", 9), None)], "R": [(ObjectId("R", 2), 5)]
+    }
+    assert [e.target for e in table.suspected_entries()] == [ObjectId("R", 3)]

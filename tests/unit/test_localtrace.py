@@ -272,9 +272,9 @@ def test_plan_reads_only_the_epochs():
     assert c.plan_trace() == "skip"
     c.inrefs.require(far.oid).add_source("Q", 12)  # no new minimum
     assert c.plan_trace() == "skip"
-    c.inrefs.require(far.oid).sources["P"] = 8
+    c.inrefs.set_source(far.oid, "P", 8)
     assert c.plan_trace() == "distance"
-    c.inrefs.require(near.oid).sources["P"] = 6  # crosses the threshold
+    c.inrefs.set_source(near.oid, "P", 6)  # crosses the threshold
     assert c.plan_trace() == "distance"
     c.heap.alloc()
     assert c.plan_trace() == "full"
@@ -284,7 +284,7 @@ def test_interleaved_commit_caches_nothing():
     c = make_collector(threshold=4)
     near, far, flagged, dead = _inref_mix(c)
     result = c.compute()
-    c.inrefs.require(far.oid).sources["P"] = 1  # lands in the trace window
+    c.inrefs.set_source(far.oid, "P", 1)  # lands in the trace window
     c.commit(result)
     assert c._cached is None
     assert c.plan_trace() == "full"

@@ -52,7 +52,7 @@ def test_remote_traverse_is_asynchronous():
 def test_remote_traverse_fires_transfer_barrier():
     sim, b = setup_two_sites()
     entry = sim.site("Q").inrefs.require(b["remote"])
-    entry.sources["P"] = 9  # suspected
+    entry.table.set_source(entry.target, "P", 9)  # suspected
     m = Mutator(sim, "m", b["home"])
     m.traverse(b["remote"])
     sim.settle()

@@ -240,9 +240,9 @@ def test_moved_epochs_answer_zero_without_scanning_the_outref_table(monkeypatch)
     site = sim.site("P")
     site.run_local_trace()
     scans = []
-    scan = site.outrefs.suspected_entries
+    scan = site.outrefs.past_back_threshold
     monkeypatch.setattr(
-        site.outrefs, "suspected_entries", lambda: scans.append(1) or scan()
+        site.outrefs, "past_back_threshold", lambda: scans.append(1) or scan()
     )
     assert site.quiet_gc_ticks() > 0
     assert scans  # epochs current: the table is what is left to ask

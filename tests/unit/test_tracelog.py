@@ -104,7 +104,7 @@ def test_barrier_events_logged():
     holder = b.obj("P", "h", root=True)
     b.link(holder, target)
     entry = sim.site("Q").inrefs.require(target)
-    entry.sources["P"] = 9
+    entry.table.set_source(entry.target, "P", 9)
     sim.site("Q").barrier.on_reference_arrival(target)
     events = log.of_kind("transfer-barrier")
     assert len(events) == 1
