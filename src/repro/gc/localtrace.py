@@ -429,9 +429,9 @@ class LocalCollector:
     def build_full_update(self, dst: SiteId) -> UpdatePayload:
         """The complete current outref list toward ``dst`` (idempotent).
 
-        The site layer sends these for retransmissions, desynced-peer repair,
-        and refresh requests.  The shipped state is re-based on the transfer
-        so subsequent deltas diff against what the peer now holds.
+        The update channel sends these for retransmissions, desynced-peer
+        repair and refresh requests.  The shipped state is re-based on the
+        transfer so subsequent deltas diff against what the peer holds.
         """
         distances = self.outrefs.distances_to(dst)
         if distances:

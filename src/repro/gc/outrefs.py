@@ -321,8 +321,3 @@ class OutrefTable(IorefColumns):
     def is_clean(self, target: ObjectId) -> bool:
         slot = self._slot.get(target)
         return slot is not None and bool(self._flags[slot] or target in self._pins)
-
-    def inset_storage_units(self) -> int:
-        """Total inset cardinality: the O(n_i * n_o) space of section 5.2."""
-        slots, held = self._slot, self._sets
-        return sum(len(held[slots[t]]) for t in self._nonempty)

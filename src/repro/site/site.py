@@ -11,9 +11,9 @@ system.  It also owns the site-local policies the paper describes:
 - the suspicion-trigger check after each local trace (section 4.3),
   delegated to the cycle-collector strategy;
 - the insert barrier on every outgoing reference transfer (section 6.1.2);
-- the at-least-once update channel (section 4.6 hardening): per peer, the
-  receiver keeps one anchor (the last update applied in order) and acks it
-  cumulatively, and the sender keeps one retransmission timer;
+- the at-least-once channel (section 4.6 hardening,
+  :class:`repro.gc.channel.UpdateChannel`): sequenced, acked and
+  retransmitted updates, and stamped, deduplicated mutation messages;
 - deferral of mutator heap writes while a non-atomic local trace is
   in progress (section 6.2) -- incoming *messages* are still handled
   immediately against the old copy of the back information.
@@ -33,37 +33,21 @@ from ..core.backtrace.messages import (
 )
 from ..core.barriers import TransferBarrier
 from ..core.collector import Collector, collector_class
+from ..gc.channel import UpdateChannel
 from ..gc.insert import InsertDone, InsertRequest, UnpinRequest
 from ..gc.inrefs import InrefTable
 from ..gc.localtrace import LocalCollector, LocalTraceResult
 from ..gc.outrefs import OutrefTable
-from ..gc.update import (
-    UpdateAck,
-    UpdateDeltaPayload,
-    UpdatePayload,
-    UpdateRefreshRequest,
-    apply_update,
-    apply_update_delta,
-)
 from ..ids import ObjectId, SiteId, TraceId
 from ..metrics import MetricsRecorder, names
 from ..mutator.ops import MutatorHop, RemoteCopy
 from ..net.message import Message, Payload
 from ..net.network import Network
-from ..net.reliability import DedupWindow
-from ..sim.scheduler import EventHandle, Scheduler
+from ..sim.scheduler import Scheduler
 from ..store.heap import Heap
 
 HopCallback = Callable[[str, ObjectId], None]
 OutcomeCallback = Callable[[SiteId, TraceId, TraceOutcome], None]
-
-#: The update channel's retransmission timeout: an update left unacked this
-#: long is replaced by a fresh full update.  It doubles per consecutive
-#: retransmission (capped at 8x), and after ``UPDATE_RETRANSMIT_LIMIT`` of
-#: them the sender gives up and marks the peer desynced; the next GC tick
-#: starts the repair over (section 4.6 hardening).
-UPDATE_RETRANSMIT_TIMEOUT = 40.0
-UPDATE_RETRANSMIT_LIMIT = 5
 
 
 class SiteAudit(NamedTuple):
@@ -86,9 +70,9 @@ class SiteAudit(NamedTuple):
     desynced_peers: Set[SiteId]
 
 
-#: Mutation-protocol payloads stamped with a per-(sender, receiver) sequence
-#: number by :meth:`Site.send` and deduplicated by :meth:`Site.receive`.  A
-#: replayed delivery of any of these is *not* idempotent on its own: inserts
+#: Mutation-protocol payloads :meth:`Site.send` stamps with a per-peer seq and
+#: :meth:`Site.receive` deduplicates, both through the channel's peer record.
+#: A replayed delivery of any of these is *not* idempotent on its own: inserts
 #: re-run the transfer barrier and double-release pins, remote copies
 #: double-store references, hops fork phantom mutators.  Like everything
 #: :meth:`Site.send` may stamp, each has a ``seq`` field and ``with_seq()``.
@@ -155,6 +139,7 @@ class Site:
                 metrics=self.metrics,
             )
 
+        self.channel = UpdateChannel(self)
         self._sender = None
         if config.defer_messages:
             from ..net.batching import DeferringSender
@@ -167,10 +152,7 @@ class Site:
                     BackCall,
                     BackReply,
                     BackOutcome,
-                    UpdatePayload,
-                    UpdateDeltaPayload,
-                    UpdateRefreshRequest,
-                    UpdateAck,
+                    *self.channel.handlers(),  # the update channel's messages
                     InsertRequest,
                     InsertDone,
                     UnpinRequest,
@@ -190,30 +172,8 @@ class Site:
         self._pending_writes: List[tuple] = []
         self._variable_outrefs: Dict[ObjectId, int] = {}
         self._gc_timer = None
-        # At-least-once protocol state (section 4.6 hardening): per-peer
-        # sequence counters for outgoing traffic, per-peer dedup windows for
-        # incoming mutations, and per peer the one update retransmission
-        # timer, running while the last update sent is unacked.
-        self._mutation_seq: Dict[SiteId, int] = {}
-        self._update_seq: Dict[SiteId, int] = {}
-        self._update_timers: Dict[SiteId, EventHandle] = {}
-        self._mutation_dedup: Dict[SiteId, DedupWindow] = {}
-        # Peers whose retransmission chain was abandoned: their view of our
-        # outref distances may be arbitrarily stale, which can freeze distance
-        # propagation system-wide (each side waits for the other to change).
-        # The next GC tick pushes them a fresh full update -- even a tick
-        # whose local trace is skipped by the incremental planner.
-        self._desynced_peers: Set[SiteId] = set()
-        # The whole receive side of the update channel: per peer, the
-        # sequence number of the last update applied in order.  A delta
-        # applies only exactly one past it, a full update anywhere past it;
-        # anything at or below it is a duplicate.  Acks carry it.
-        self._update_anchor: Dict[SiteId, int] = {}
         self._handlers = {
-            UpdatePayload: self._on_update,
-            UpdateDeltaPayload: self._on_update_delta,
-            UpdateRefreshRequest: self._on_update_refresh_request,
-            UpdateAck: self._on_update_ack,
+            **self.channel.handlers(),
             InsertRequest: self._on_insert_request,
             InsertDone: self._on_insert_done,
             UnpinRequest: self._on_unpin,
@@ -268,9 +228,7 @@ class Site:
         if entry is None:
             entry = self._resolve_dispatch(payload.__class__)
         if entry[1] and payload.seq < 0:
-            seq = self._mutation_seq.get(dst, 0) + 1
-            self._mutation_seq[dst] = seq
-            payload = payload.with_seq(seq)
+            payload = self.channel.stamp(dst, payload)
         if self._sender is not None:
             self._sender.send(dst, payload)
         else:
@@ -294,8 +252,7 @@ class Site:
                 self.receive(Message(message.src, message.dst, inner))
             return
         if is_sequenced and payload.seq > 0:
-            window = self._mutation_dedup.setdefault(message.src, DedupWindow())
-            if window.seen(payload.seq):
+            if self.channel.peers[message.src].seen(payload.seq):
                 self.metrics.incr(names.dup_suppressed(message.kind))
                 return
         if handler is None:
@@ -389,7 +346,7 @@ class Site:
             # A skipped trace sends no updates, so peers that lost our
             # earlier ones must still be repaired here or the system can
             # deadlock with every site skipping and no one resyncing.
-            self._flush_desynced_peers()
+            self.channel.flush_desynced()
             # Triggers still run: the previous check may have been capped by
             # max_traces_per_trigger_check, and back thresholds only ratchet
             # when traces actually visit -- eligibility can persist unchanged.
@@ -419,91 +376,8 @@ class Site:
 
     def _finalize_trace(self, result: LocalTraceResult, replay) -> None:
         self.collector.commit(result, replay_barrier_inrefs=replay)
-        for dst, payload in sorted(result.updates_by_site.items()):
-            self._send_update(dst, payload)
-        # Only a *full* update this tick repairs a desynced peer; a delta is
-        # computed against state the peer may not have.
-        self._flush_desynced_peers(
-            skip={dst for dst, p in result.updates_by_site.items() if p.full}
-        )
+        self.channel.send_updates(result.updates_by_site)
         self.check_backtrace_triggers()
-
-    # -- reliable update channel (at-least-once, section 4.6 hardening) ----------------
-
-    def _send_update(self, dst: SiteId, payload: UpdatePayload, attempts: int = 0) -> None:
-        """Send one post-trace update, retransmitted until acknowledged.
-
-        The payload is stamped with the next per-destination sequence number.
-        A full update (re)arms the peer's retransmission timer: it supersedes
-        everything sent before it.  A delta arms the timer only when none is
-        running, since the running one already covers it.  ``attempts``
-        counts retransmissions already spent on this repair and doubles the
-        timeout (capped at 8x).
-        """
-        seq = self._update_seq.get(dst, 0) + 1
-        self._update_seq[dst] = seq
-        timer = self._update_timers.get(dst)
-        if payload.full or timer is None:
-            if timer is not None:
-                timer.cancel()
-            self._update_timers[dst] = self.scheduler.schedule(
-                UPDATE_RETRANSMIT_TIMEOUT * (2 ** min(attempts, 3)),
-                self._retransmit_update,
-                label=f"update-retransmit:{self.site_id}->{dst}",
-                site=self.site_id,
-                arg=(dst, attempts),
-            )
-        self.send(dst, payload.with_seq(seq))
-
-    def _retransmit_update(self, chain: Tuple[SiteId, int]) -> None:
-        dst, attempts = chain
-        del self._update_timers[dst]
-        if self.crashed:
-            # Nothing is sent while crashed, and after recovery no timer is
-            # left to resend: the next GC tick repairs the peer instead.
-            self._desynced_peers.add(dst)
-            return
-        attempts += 1
-        if attempts > UPDATE_RETRANSMIT_LIMIT:
-            # Give up on *this chain*: the peer is gone or the partition
-            # outlives our patience.  Safe -- a missed update only delays
-            # collection -- but the peer is now marked desynced so the next
-            # GC tick restarts the repair with a fresh full update (and a
-            # fresh retransmission budget).
-            self.metrics.incr(names.UPDATE_RETRANSMITS_ABANDONED)
-            self._desynced_peers.add(dst)
-            return
-        self.metrics.incr(names.UPDATE_RETRANSMITS)
-        # Resending the original delta would be wrong: newer deltas may have
-        # been delivered ahead of the retransmission (FIFO places it *after*
-        # them), so its content is folded into a fresh full state transfer.
-        self._send_update(dst, self._build_full_update(dst), attempts=attempts)
-
-    def _flush_desynced_peers(self, skip: Optional[Set[SiteId]] = None) -> None:
-        """Resend a full update to every peer whose repair chain gave up.
-
-        ``skip`` names destinations this tick already updated through the
-        normal trace path (a second full would be redundant traffic).  Peers
-        still unreachable will abandon again and re-enter the set, so the
-        retry cadence is one chain per GC tick -- bounded, and it stops the
-        moment an ack arrives.
-        """
-        if not self._desynced_peers:
-            return
-        peers = sorted(self._desynced_peers)
-        self._desynced_peers.clear()
-        for dst in peers:
-            if skip is not None and dst in skip:
-                continue
-            self._send_update(dst, self._build_full_update(dst))
-
-    def _build_full_update(self, dst: SiteId) -> UpdatePayload:
-        """The complete current outref list toward ``dst`` (idempotent).
-
-        Delegates to the collector, which owns the per-destination shipped
-        state that every full state transfer must re-base.
-        """
-        return self.collector.build_full_update(dst)
 
     @property
     def is_tracing(self) -> bool:
@@ -530,13 +404,13 @@ class Site:
         would skip it (delegated to
         :meth:`LocalCollector.predict_quiet_ticks`) AND its skip-path side
         channels are inert -- no desynced peer to repair in
-        ``_flush_desynced_peers`` and no trigger-eligible suspect (the
+        the channel's ``flush_desynced`` and no trigger-eligible suspect (the
         cycle collector's side-effect-free prediction).  Zero whenever in
         doubt; under-prediction costs a window, never correctness.  Both
         predictions are free of side effects, so the O(1) epoch compare goes
         first and the outref-table scan runs only when it answers non-zero.
         """
-        if self.crashed or self._tracing or self._desynced_peers:
+        if self.crashed or self._tracing or self.channel.desynced_peers():
             return 0
         quiet = self.collector.predict_quiet_ticks(self._variable_outrefs)
         if quiet and not self.cycle_collector.predict_quiet():
@@ -699,61 +573,6 @@ class Site:
 
     # -- handlers ------------------------------------------------------------------------------------
 
-    def _is_duplicate_update(self, message: Message) -> bool:
-        """True (and the anchor re-acked) if ``message`` is at or below the
-        sender's anchor: state already applied or superseded.  Re-acking is
-        what stops the sender's retransmissions when an earlier ack was lost.
-        """
-        anchor = self._update_anchor.get(message.src, 0)
-        if message.payload.seq > anchor:
-            return False
-        self.send(message.src, UpdateAck(seq=anchor))
-        self.metrics.incr(names.dup_suppressed(message.kind))
-        return True
-
-    def _on_update(self, message: Message) -> None:
-        payload: UpdatePayload = message.payload
-        if payload.seq > 0:
-            if self._is_duplicate_update(message):
-                return
-            # A full update is self-contained state: it re-anchors the delta
-            # chain regardless of what was missed before it.
-            self.send(message.src, UpdateAck(seq=payload.seq))
-            self._update_anchor[message.src] = payload.seq
-        apply_update(self.inrefs, message.src, payload)
-
-    def _on_update_delta(self, message: Message) -> None:
-        payload: UpdateDeltaPayload = message.payload
-        if payload.seq > 0:
-            if self._is_duplicate_update(message):
-                return
-            if payload.seq != self._update_anchor.get(message.src, 0) + 1:
-                # Gap: this delta was diffed against state we never applied.
-                # Discard it and ask for a state transfer.  Deliberately NOT
-                # acked: if the refresh request is lost, the sender's
-                # retransmission timer (which resends a *full* update) is the
-                # backstop that re-anchors us, and it runs until an ack
-                # covers the last update sent.
-                self.metrics.incr(names.UPDATE_GAPS_DETECTED)
-                self.metrics.incr(names.UPDATE_REFRESHES_REQUESTED)
-                self.send(message.src, UpdateRefreshRequest())
-                return
-            self.send(message.src, UpdateAck(seq=payload.seq))
-            self._update_anchor[message.src] = payload.seq
-        apply_update_delta(self.inrefs, message.src, payload)
-
-    def _on_update_refresh_request(self, message: Message) -> None:
-        self.metrics.incr(names.UPDATE_REFRESHES_SERVED)
-        self._send_update(message.src, self._build_full_update(message.src))
-
-    def _on_update_ack(self, message: Message) -> None:
-        # Acks are cumulative: one covering the last update sent stops the
-        # timer; an older one says nothing about the updates after it.
-        timer = self._update_timers.get(message.src)
-        if timer is not None and message.payload.seq >= self._update_seq[message.src]:
-            timer.cancel()
-            del self._update_timers[message.src]
-
     def _on_insert_request(self, message: Message) -> None:
         payload: InsertRequest = message.payload
         if not self.heap.contains(payload.target):
@@ -855,10 +674,7 @@ class Site:
             objects,
             roots,
             set(self.inrefs.garbage_targets()),
-            dict(self._update_anchor),
-            dict(self._update_seq),
-            set(self._update_timers),
-            set(self._desynced_peers),
+            *self.channel.audit(),
         )
 
     def check_flat_mirror(self) -> Optional[str]:

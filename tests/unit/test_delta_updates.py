@@ -104,7 +104,7 @@ def _anchored_pair():
     b.link(root, target)
     sim.site("A").run_local_trace()
     sim.settle()
-    assert sim.site("B")._update_anchor["A"] == 1
+    assert sim.site("B").channel.peers["A"].anchor == 1
     return sim, b
 
 
@@ -150,7 +150,7 @@ def test_duplicate_of_applied_delta_is_reacked_not_reapplied():
     receiver.receive(dup)  # replay: suppressed, graph untouched
     assert receiver.inrefs.require(target).sources["A"] == 4
     assert sim.metrics.count(names.dup_suppressed("UpdateDeltaPayload")) == 1
-    assert receiver._update_anchor["A"] == 2
+    assert receiver.channel.peers["A"].anchor == 2
 
 
 def test_gapped_delta_is_never_recorded_as_seen():

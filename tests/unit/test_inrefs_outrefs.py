@@ -321,15 +321,6 @@ def test_visited_marks_are_per_trace():
     assert not entry.visited and table._visited == {}  # marks are sparse
 
 
-def test_inset_storage_units():
-    table = make_outrefs()
-    r0, r1 = ObjectId("R", 0), ObjectId("R", 1)
-    insets = {r0: frozenset({ObjectId("P", 1), ObjectId("P", 2)}), r1: frozenset({ObjectId("P", 1)})}
-    states = {r0: (False, 2), r1: (False, 2)}
-    table.install_trace_states(table.diff_verdicts(states, insets), states)
-    assert table.inset_storage_units() == 3
-
-
 def test_suspected_entries_view():
     table = make_outrefs()
     table.ensure(ObjectId("R", 0), clean=False)

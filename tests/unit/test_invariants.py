@@ -80,15 +80,15 @@ def _sweep_a_live_object(site, victim):
 def _forge_an_update_anchor(site, victim):
     """The anchor a sender's seq restarting below it would leave behind:
     one past every update the sender has sent."""
-    sender = min(site._update_anchor)
-    site._update_anchor[sender] += 1
+    sender = min(peer for peer, record in site.channel.peers.items() if record.anchor)
+    site.channel.peers[sender].anchor += 1
 
 
 def _lose_an_update_untimed(site, victim):
     """An update counted as sent with no timer to resend it and the peer
     not marked desynced: what a crash used to leave behind."""
-    receiver = min(site._update_seq)
-    site._update_seq[receiver] += 1
+    receiver = min(peer for peer, record in site.channel.peers.items() if record.update_seq)
+    site.channel.peers[receiver].update_seq += 1
 
 
 FORGERIES = [

@@ -99,6 +99,25 @@ def test_suspected_outref_gets_inset_and_distance():
     assert inref_entry.outset == {remote}
 
 
+def test_trace_observes_inset_storage_units():
+    """Section 5.2's O(n_i * n_o) inset space, as the trace records it:
+    two suspected inrefs reach r0 and one reaches r1."""
+    c = make_collector(threshold=4)
+    p1, p2 = c.heap.alloc(), c.heap.alloc()
+    r0, r1 = ObjectId("R", 0), ObjectId("R", 1)
+    p1.add_ref(r0)
+    p1.add_ref(r1)
+    p2.add_ref(r0)
+    for held in (p1, p2):
+        c.inrefs.ensure(held.oid, source="P", distance=7)  # suspected
+    for remote in (r0, r1):
+        c.outrefs.ensure(remote)
+    c.run()
+    assert c.outrefs.require(r0).inset == {p1.oid, p2.oid}
+    assert c.outrefs.require(r1).inset == {p1.oid}
+    assert c.metrics.observations("backinfo.inset_storage_units") == [3]
+
+
 def test_untraced_outref_is_trimmed_and_reported():
     c = make_collector()
     remote = ObjectId("R", 0)
