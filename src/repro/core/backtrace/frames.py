@@ -2,10 +2,12 @@
 
 A *frame* is created for each back-step call: it remembers who to answer
 (a local parent frame or a remote caller), how many inner calls are pending,
-the accumulated participant set, and whether the clean rule forced the result
-to Live.  Frames are owned by the site, not by the ioref, so the deletion of
-an ioref while a trace is active there never orphans a call -- the fix the
-paper credits to Boyapati.
+which sites already replied, and the accumulated participant set.  Frames are
+owned by the site, not by the ioref, so the deletion of an ioref while a
+trace is active there never orphans a call -- the fix the paper credits to
+Boyapati.  A frame answers for its own trace only: two traces at one ioref
+each hold a frame there, and the engine indexes them by ioref so the clean
+rule can complete every one of them Live.
 
 A *trace record* is a site's memory of one trace: which iorefs it marked
 visited (so the report phase can flag or unflag them) and a liveness timeout
@@ -16,7 +18,7 @@ arrives (section 4.6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ...ids import FrameId, ObjectId, SiteId, TraceId
 from ...sim.scheduler import EventHandle
@@ -26,11 +28,6 @@ IorefKey = Tuple[str, ObjectId]
 
 INREF = "inref"
 OUTREF = "outref"
-
-Waiter = Tuple[TraceId, Optional[FrameId], Optional[Tuple[SiteId, FrameId]]]
-"""A coalesced step parked on another trace's frame: (trace, local parent,
-remote caller).  Resolved when the host frame completes -- Live is forwarded,
-anything else re-dispatches the step (Garbage is trace-relative)."""
 
 
 @dataclass(slots=True)
@@ -44,11 +41,9 @@ class Frame:
     parent_local: Optional[FrameId] = None
     parent_remote: Optional[Tuple[SiteId, FrameId]] = None
     pending: int = 0
-    forced_live: bool = False
     completed: bool = False
     participants: Set[SiteId] = field(default_factory=set)
     timeout: Optional[EventHandle] = None
-    waiters: List[Waiter] = field(default_factory=list)
     # Sites whose BackReply for this frame already arrived: a remote frame
     # sends exactly one call per source site, so a second reply from the
     # same site is a duplicate delivery and must not decrement ``pending``

@@ -14,9 +14,12 @@ one GC round at a time, until the plan heals and ``horizon`` has passed;
 the drain, GC rounds until the oracle's garbage set is empty or
 ``drain_rounds`` have run; and a settle, so abandoned retransmissions and
 straggling copies die.  ``check_invariants()`` is audited after every GC
-round and after the settle.  A broken invariant or a missed collection is a
-violation on the returned :class:`CaseRun`; nothing raises, so a matrix
-surveys every cell, and ``python -m repro replay case.json`` re-runs one.
+round and after the settle.  A fault-free case (an empty plan) must also
+end no back trace Live on a timeout: with nothing lost and no site down,
+every verdict is grounded.  A broken invariant, a missed collection or a
+timeout-assumed Live without faults is a violation on the returned
+:class:`CaseRun`; nothing raises, so a matrix surveys every cell, and
+``python -m repro replay case.json`` re-runs one.
 
 The chaos matrix is seed x fault plan over rings cut loose inside the fault
 window.  It performs **no remote-copy traffic inside fault windows**: a lost
@@ -39,6 +42,7 @@ from ..analysis.oracle import Oracle
 from ..config import GcConfig, NetworkConfig, SimulationConfig
 from ..errors import ConfigError, OracleError
 from ..ids import ObjectId, SiteId
+from ..metrics import names
 from ..metrics.counters import MetricsRecorder
 from ..net.faults import FaultPlan
 from ..sim.simulation import Simulation
@@ -303,6 +307,11 @@ def run_case(case: Case, backend: Optional[str] = None) -> CaseRun:
             run.safety_ok = False
             run.violations.append(str(error))
         run.metrics = sim.merged_metrics()
+        timeout_lives = run.metrics.count(names.BACKTRACE_COMPLETED_TIMEOUT_LIVE)
+        if case.plan.is_empty and timeout_lives:
+            run.violations.append(
+                f"{timeout_lives} back traces ended Live on a timeout in a fault-free run"
+            )
     finally:
         # The sharded engine's workers; a sequential run has nothing to close.
         getattr(sim, "close", lambda: None)()

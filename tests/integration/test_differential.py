@@ -20,6 +20,7 @@ from repro.harness.cases import (
     compare_backends,
     diff_case,
     diff_cases,
+    run_case,
     standard_plans,
 )
 
@@ -97,3 +98,12 @@ def test_backends_agree_on_a_faulty_case_with_timed_cuts():
     assert not comparison.failures, comparison.failures
     bt, tm = (comparison.runs[name] for name in BACKENDS)
     assert len(bt.garbage) == 18 and bt.reclaimed == tm.reclaimed == bt.garbage
+
+
+def test_fault_free_timeout_live_is_a_violation():
+    # A back-trace timeout under one network round trip ends traces Live on
+    # their timers alone, with nothing lost: the runner must say so.
+    case = diff_case(0, "rings")
+    gc = replace(case.config.gc, backtrace_timeout=1.5)
+    run = run_case(replace(case, config=replace(case.config, gc=gc)), "backtrace")
+    assert any("ended Live on a timeout in a fault-free run" in v for v in run.violations)

@@ -33,6 +33,7 @@ class Mutant(NamedTuple):
 
 
 _CHANNEL = "gc/channel.py"
+_ENGINE = "core/backtrace/engine.py"
 
 MUTANTS: List[Mutant] = [
     Mutant(
@@ -72,6 +73,35 @@ MUTANTS: List[Mutant] = [
         "        if seq <= self.high_water or seq in self.pending:\n",
         "        if seq <= self.high_water:\n",
         "tests/unit/test_reliable_updates.py::test_dedup_window_exact_with_gaps",
+    ),
+    Mutant(
+        "duplicate-back-reply-counted",
+        _ENGINE,
+        "        if src in frame.replied:\n",
+        "        if False:\n",
+        "tests/unit/test_engine_edge_cases.py::test_duplicated_back_reply_counts_once",
+    ),
+    Mutant(
+        "duplicate-back-call-restepped",
+        _ENGINE,
+        "        if key in record.seen_calls:\n",
+        "        if False:\n",
+        "tests/unit/test_engine_edge_cases.py::test_duplicated_back_call_is_stepped_once",
+    ),
+    Mutant(
+        "late-call-resurrects-finished-trace",
+        _ENGINE,
+        "            if self.scheduler.now < expiry:\n",
+        "            if False:\n",
+        "tests/unit/test_engine_edge_cases.py::test_late_back_call_does_not_resurrect_a_finished_trace",
+    ),
+    Mutant(
+        "clean-rule-not-forcing-live",
+        _ENGINE,
+        '            self.metrics.incr("backtrace.clean_rule_hits")\n'
+        "            self._complete(frame, TraceOutcome.LIVE)\n",
+        '            self.metrics.incr("backtrace.clean_rule_hits")\n',
+        "tests/unit/test_barriers_site.py::test_clean_rule_forces_live_where_a_visited_mark_answers_garbage",
     ),
 ]
 

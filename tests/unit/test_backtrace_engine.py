@@ -253,7 +253,7 @@ def test_concurrent_traces_same_cycle_both_complete():
     assert TraceOutcome.GARBAGE in verdicts
 
 
-# -- coalescing, fan-out, the outcome timeout -----------------------------------
+# -- concurrent traces, fan-out, the outcome timeout ----------------------------
 
 
 def fixed_latency_network():
@@ -272,9 +272,10 @@ def prepare_resuspected(sim):
     suspect_all_inrefs(sim)
 
 
-def test_coalesced_trace_receives_live_from_older_trace():
+def test_concurrent_traces_meeting_at_one_ioref_each_answer_live():
     """p(P) <-> q(Q) anchored by a root at R: two traces started together
-    meet at P, and the younger parks on the older's frame."""
+    meet at P, and each walks on with its own visited marks to R's clean
+    outref."""
     sim = make_sim(network=fixed_latency_network())
     b = build_two_site_cycle(sim)
     root = b.obj("R", "root", root=True)
@@ -287,7 +288,38 @@ def test_coalesced_trace_receives_live_from_older_trace():
     verdicts = {outcome[2]: outcome[3] for outcome in sim.trace_outcomes}
     assert verdicts[t1] is TraceOutcome.LIVE
     assert verdicts[t2] is TraceOutcome.LIVE
-    assert sim.metrics.count("backtrace.coalesced") >= 1
+
+
+def test_trace_meeting_an_orphaned_frame_ends_with_a_grounded_verdict():
+    """q(Q, rooted) -> p(P) <-> r(R).  The first trace, from P's outref for
+    r, asks Q and R about p; Q's clean outref answers Live first, so the
+    trace ends before R's BackCall back to P arrives, and R (never a
+    participant) keeps an orphaned frame at its outref for p until that
+    frame's timeout.  A second trace started there meanwhile walks on by
+    itself and comes back grounded Live, not timeout-assumed."""
+    cfg = GcConfig(backtrace_timeout=30.0)
+    sim = make_sim(network=fixed_latency_network(), gc=cfg)
+    b = GraphBuilder(sim)
+    p, q, r = b.obj("P", "p"), b.obj("Q", "q", root=True), b.obj("R", "r")
+    b.link(q, p)
+    b.link(p, r)
+    b.link(r, p)
+    prepare_resuspected(sim)
+    first = sim.site("P").engine.start_trace(r)
+    assert first is not None
+    sim.run_for(3.0)
+    assert [outcome[2:] for outcome in sim.trace_outcomes] == [
+        (first, TraceOutcome.LIVE)
+    ]
+    engine = sim.site("R").engine
+    assert engine._active_by_ioref.get(("outref", p))
+    second = engine.start_trace(p)
+    assert second is not None and first < second
+    # Past every timer: the orphan's frame and outcome timeouts fire too.
+    sim.run_for(10 * cfg.backtrace_timeout)
+    assert sim.trace_outcomes[-1][2:] == (second, TraceOutcome.LIVE)
+    assert sim.metrics.count(names.BACKTRACE_COMPLETED_TIMEOUT_LIVE) == 0
+    assert p not in engine._retry_state
 
 
 def test_initiator_crash_leaves_participants_assuming_live():
