@@ -2,8 +2,9 @@
 
 A case file is what ``python -m repro replay`` takes (CI replays every file
 in ``tests/cases/``).  ``diff-4-hypertext.json`` is differential cell
-``4/hypertext``, where the back tracer needs 9 rounds to the termination
-backend's 4 because fault-free back traces time out (ROADMAP item 19).
+``4/hypertext``: both backends clear it in 4 rounds, but a trace answered
+Live there still leaves frames waiting at sites that never replied, and
+their timers fire in a fault-free run (ROADMAP item 19).
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ def test_diff_4_hypertext_replays_its_golden_row():
     assert case == diff_case(4, "hypertext")
     row = diff_row(compare_backends(case))
     assert row == golden()["differential"]["4/hypertext"]
-    assert (row["bt_rounds"], row["term_rounds"]) == (9, 4)
+    assert (row["bt_rounds"], row["term_rounds"]) == (4, 4)
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 19: a trace answered Live leaves frames waiting at "
-    "sites that never replied, and they and later traces time out",
+    "sites that never replied, and their own timers fire",
 )
 def test_diff_4_hypertext_back_traces_never_time_out():
     run = run_case(load(CASES_DIR / "diff-4-hypertext.json"), "backtrace")

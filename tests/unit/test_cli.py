@@ -45,7 +45,7 @@ def test_replay_prints_the_row_of_a_committed_case(capsys):
     out = capsys.readouterr().out
     assert "Replay of 4/hypertext" in out
     [row] = [line for line in out.splitlines() if "hypertext" in line and "yes" in line]
-    assert row.split() == ["4", "hypertext", "40", "9", "4", "-4.80", "yes"]
+    assert row.split() == ["4", "hypertext", "40", "4", "4", "+0.00", "yes"]
 
 
 def test_replay_under_one_backend(capsys):
