@@ -173,15 +173,9 @@ def cmd_stress(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    from .config import NetworkConfig
-    from .sim.parallel import ParallelSimulation
     from .workloads import SiteChurn
 
-    config = SimulationConfig(
-        seed=args.seed,
-        network=NetworkConfig(pair_rng_streams=True),
-        parallel_workers=args.workers,
-    )
+    config = SimulationConfig(seed=args.seed, parallel_workers=args.workers)
     sim = Simulation.create(config)
     sites = [f"s{i:03d}" for i in range(args.sites)]
     sim.add_sites(sites, auto_gc=True)
@@ -200,8 +194,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         f"{metrics.count('messages.total')} messages, "
         f"{metrics.count('gc.objects_swept')} objects swept"
     )
-    if isinstance(sim, ParallelSimulation):
-        sim.close()
+    sim.close()
     return 0
 
 

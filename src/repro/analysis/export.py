@@ -6,7 +6,9 @@ tables believe, and which iorefs are suspected or flagged.  This module
 renders a simulation snapshot as Graphviz DOT (sites as clusters, suspicion
 as color) or as a plain JSON-able dict for programmatic diffing.
 
-Export is read-only and safe to call at any simulated time.
+Export is read-only, safe to call at any simulated time, and engine-blind:
+everything here renders :meth:`Simulation.snapshot`, which a sharded run
+answers from its workers' live heaps.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ class _Names(dict):
 def site_snapshot(site) -> Dict[str, Any]:
     """A JSON-able dump of one site's heap and ioref tables.
 
-    Shared between the whole-simulation :func:`graph_snapshot` and the parallel
-    engine's shard workers (each worker snapshots exactly its shard and the
-    coordinator merges, so a parallel snapshot is byte-comparable to a
-    sequential one).
+    The one reader of site internals behind every export: the sequential
+    :meth:`Simulation.snapshot` calls it per site, and on a sharded run each
+    worker calls it for exactly its shard and the coordinator merges, so the
+    two engines' snapshots are byte-comparable.
     """
     threshold = site.inrefs.suspicion_threshold
     heap = site.heap
@@ -71,11 +73,15 @@ def site_snapshot(site) -> Dict[str, Any]:
 
 
 def graph_snapshot(sim: Simulation) -> Dict[str, Any]:
-    """A JSON-able dump of heaps and ioref tables, keyed by site."""
-    data: Dict[str, Any] = {"time": sim.now, "sites": {}}
-    for site_id in sorted(sim.sites):
-        data["sites"][site_id] = site_snapshot(sim.sites[site_id])
-    return data
+    """A JSON-able dump of heaps and ioref tables, keyed by site, on either
+    engine (:meth:`Simulation.snapshot`)."""
+    return sim.snapshot()
+
+
+def _order(name: str):
+    """Sort key of an object name that orders like its :class:`ObjectId`."""
+    site, _, serial = name.rpartition(".")
+    return site, int(serial)
 
 
 def graph_diff(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
@@ -103,57 +109,56 @@ def to_dot(
     highlight: Optional[Set[ObjectId]] = None,
     include_iorefs: bool = True,
 ) -> str:
-    """Render the distributed heap as Graphviz DOT.
+    """Render the distributed heap as Graphviz DOT, from :func:`graph_snapshot`.
 
     Sites become clusters; persistent roots are doubled octagons; suspected
     inref targets are colored orange, garbage-flagged ones red; ``highlight``
     objects get a bold outline.
     """
-    highlight = highlight or set()
+    highlight = {str(oid) for oid in highlight or ()}
+    sites = graph_snapshot(sim)["sites"]
     lines: List[str] = [
         "digraph repro {",
         "  rankdir=LR;",
         "  node [shape=ellipse, fontsize=10];",
     ]
-    for site_id in sorted(sim.sites):
-        site = sim.sites[site_id]
-        threshold = site.inrefs.suspicion_threshold
+    for site_id, site in sites.items():
         lines.append(f'  subgraph "cluster_{site_id}" {{')
-        label = site_id + (" (CRASHED)" if site.crashed else "")
+        label = site_id + (" (CRASHED)" if site["crashed"] else "")
         lines.append(f'    label="{label}";')
-        persistent = site.heap.persistent_roots
-        for oid in site.heap.object_ids():
+        inrefs = site["inrefs"]
+        for name, obj in site["objects"].items():
             attrs = []
-            if oid in persistent:
+            if obj["persistent_root"]:
                 attrs.append("shape=doubleoctagon")
-            entry = site.inrefs.get(oid)
+            entry = inrefs.get(name)
             if entry is not None:
-                if entry.garbage:
+                if entry["garbage"]:
                     attrs.append('color=red, style=filled, fillcolor="#ffcccc"')
-                elif entry.is_suspected(threshold):
+                elif not entry["clean"]:
                     attrs.append('color=orange, style=filled, fillcolor="#ffeecc"')
-            if oid in highlight:
+            if name in highlight:
                 attrs.append("penwidth=3")
             attr_text = (" [" + ", ".join(attrs) + "]") if attrs else ""
-            lines.append(f'    "{oid}"{attr_text};')
+            lines.append(f'    "{name}"{attr_text};')
         lines.append("  }")
     # Edges after all clusters so cross-cluster references render.
-    for site_id in sorted(sim.sites):
-        site = sim.sites[site_id]
-        for oid, refs in site.heap.resident_slots():
-            for ref in refs:
-                style = "" if ref.site == site_id else ' [style=bold, color="#3355bb"]'
-                lines.append(f'  "{oid}" -> "{ref}"{style};')
+    for site_id, site in sites.items():
+        for name, obj in site["objects"].items():
+            for ref in obj["refs"]:
+                local = ref.rpartition(".")[0] == site_id
+                style = "" if local else ' [style=bold, color="#3355bb"]'
+                lines.append(f'  "{name}" -> "{ref}"{style};')
     if include_iorefs:
-        for site_id in sorted(sim.sites):
-            site = sim.sites[site_id]
-            for entry in sorted(site.outrefs.entries(), key=lambda e: e.target):
-                if entry.is_suspected and entry.inset:
-                    for inref in sorted(entry.inset):
+        for site in sites.values():
+            outrefs = site["outrefs"]
+            for target in sorted(outrefs, key=_order):
+                entry = outrefs[target]
+                if not entry["clean"] and entry["inset"]:
+                    for inref in sorted(entry["inset"], key=_order):
                         lines.append(
-                            f'  "{inref}" -> "{entry.target}"'
+                            f'  "{inref}" -> "{target}"'
                             ' [style=dashed, color=gray, label="inset"];'
                         )
     lines.append("}")
     return "\n".join(lines)
-

@@ -35,17 +35,16 @@ class NetworkConfig:
     min_latency: float = 1.0
     max_latency: float = 5.0
     fifo_per_pair: bool = True
-    # Draw latency randomness from one RNG stream *per ordered site
-    # pair* instead of the single shared "network" stream.  With the shared
-    # stream the k-th draw depends on the global interleaving of all sends;
-    # per-pair streams depend only on the sender's own send order, which is
-    # what lets a sharded parallel run reproduce the sequential engine's
-    # draws exactly.  The parallel engine forces this on; sequential runs
-    # keep the historical shared stream unless asked (a twin run that wants
-    # byte-equality with a parallel run must set it too).
-    pair_rng_streams: bool = False
+    # Every ordered site pair draws latency from its own RNG stream
+    # (repro.net.network), on every engine; this field only admits that.
+    # It survives for callers that still name it, and False raises.
+    pair_rng_streams: bool = True
 
     def __post_init__(self) -> None:
+        if not self.pair_rng_streams:
+            raise ConfigError(
+                "pair_rng_streams=False is gone: every link draws from its own stream"
+            )
         if self.min_latency < 0:
             raise ConfigError("min_latency must be >= 0")
         if self.max_latency < self.min_latency:
@@ -200,8 +199,8 @@ class SimulationConfig:
     across that many worker processes, each running its own scheduler over
     its shard's events, synchronized by conservative lookahead windows at
     least ``network.min_latency`` wide.  ``parallel_workers == 1`` (the default)
-    is the plain sequential engine, byte-identical to the historical
-    behaviour.
+    is the plain sequential engine.  The worker count changes no run: both
+    engines produce the same heaps, counters and trace outcomes.
     """
 
     seed: int = 0

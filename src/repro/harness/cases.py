@@ -39,7 +39,7 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.oracle import Oracle
-from ..config import GcConfig, NetworkConfig, SimulationConfig
+from ..config import GcConfig, SimulationConfig
 from ..errors import ConfigError, OracleError
 from ..ids import ObjectId, SiteId
 from ..metrics import names
@@ -442,9 +442,7 @@ def chaos_case(
     """Rings cut loose one by one inside the fault window, under ``plan``."""
     return Case(
         name=f"{seed}/{plan.name}",
-        config=SimulationConfig(
-            seed=seed, gc=gc or GcConfig(), network=NetworkConfig(pair_rng_streams=True)
-        ),
+        config=SimulationConfig(seed=seed, gc=gc or GcConfig()),
         sites=tuple(f"s{index}" for index in range(n_sites)),
         builder="rings",
         args={"garbage": garbage_rings, "live": live_rings, "objects_per_site": 1},
@@ -485,9 +483,7 @@ def diff_case(seed: int, workload: str, n_sites: int = 4) -> Case:
         # Low thresholds bound rounds-to-suspicion, so the drain converges
         # quickly under both backends.
         config=SimulationConfig(
-            seed=seed,
-            gc=GcConfig(suspicion_threshold=2, assumed_cycle_length=2),
-            network=NetworkConfig(pair_rng_streams=True),
+            seed=seed, gc=GcConfig(suspicion_threshold=2, assumed_cycle_length=2)
         ),
         sites=tuple(f"s{index}" for index in range(n_sites)),
         builder=workload,

@@ -19,8 +19,13 @@ is in flight.  Fault-plan duplicate copies are accounted separately
 (``messages.duplicated.{Kind}`` injected = ``messages.dup_delivered.{Kind}``
 + ``messages.dup_dropped.{Kind}``).
 
+Randomness: each ordered pair draws latencies from its own stream
+``net:{src}->{dst}`` and fault rolls from ``fault:{src}->{dst}``, so its
+k-th draw depends only on the sender's own send order -- on every engine,
+which is what lets a sharded run draw exactly the sequential run's values.
+
 Hot path: the per-send lookup chain (endpoint dict, crash set, partition
-map, per-pair RNG memo, FIFO floor dict, f-string counter names) is
+map, per-pair RNG stream, FIFO floor dict, f-string counter names) is
 collapsed into one :class:`_Link` struct per ordered pair, built on first
 use and cached in ``_links``.  A link caches everything about the pair that
 only changes at topology events -- the destination's deliver function, the
@@ -38,9 +43,9 @@ and ``Site.send`` / ``Site.receive`` to attribute time, so those seams are
 part of the contract.  Every mutation that could change
 any of that (``register``, ``crash``, ``recover``, ``partition``,
 ``heal_partition``, ``attach_shard``) drops the whole cache; links rebuild
-lazily with rule-for-rule identical behaviour.  RNG streams survive
-invalidation in the ``_pair_streams`` / ``_fault_streams`` memos, so a
-rebuilt link resumes the pair's draw sequence exactly where it left off.
+lazily with rule-for-rule identical behaviour.  The RNG registry memoises
+streams by name, so a rebuilt link resumes the pair's draw sequence exactly
+where it left off.
 """
 
 from __future__ import annotations
@@ -206,7 +211,6 @@ class Network:
     ):
         self._scheduler = scheduler
         self._rng_registry = rng
-        self._rng = rng.stream("network")
         self._metrics = metrics
         self._config = config or NetworkConfig()
         self._latency = latency_model or UniformLatency(
@@ -220,14 +224,6 @@ class Network:
         self._crashed: Set[SiteId] = set()
         self._partition: Optional[Dict[SiteId, int]] = None
         self._last_delivery: Dict[Tuple[SiteId, SiteId], float] = {}
-        # Per-ordered-pair RNG streams (see NetworkConfig.pair_rng_streams).
-        self._pair_streams: Optional[Dict[Tuple[SiteId, SiteId], random.Random]] = (
-            {} if self._config.pair_rng_streams else None
-        )
-        # Fault randomness always uses dedicated per-pair streams: a plan
-        # must neither perturb the latency draws of the clean path nor
-        # depend on the global send interleaving (shard safety).
-        self._fault_streams: Dict[Tuple[SiteId, SiteId], random.Random] = {}
         # Shard mode (set by the parallel engine inside a worker process):
         # sends to sites outside ``_shard_sites`` are not scheduled locally
         # but appended to ``_shard_outbox`` as (deliver_at, message) pairs
@@ -329,8 +325,9 @@ class Network:
         deliver = self._endpoints.get(dst)
         if deliver is None:
             raise UnknownSiteError(f"no site registered as {dst!r}")
+        streams = self._rng_registry
         if self._faults is not None:
-            fault_rng: Optional[random.Random] = self._fault_rng(src, dst)
+            fault_rng: Optional[random.Random] = streams.stream(f"fault:{src}->{dst}")
             fault_rules: Optional[tuple] = self._faults.rules_for(src, dst)
         else:
             fault_rng = None
@@ -340,7 +337,7 @@ class Network:
             dst=dst,
             deliver=deliver,
             blocked=self._blocked(src, dst),
-            rng=self._rng_for(src, dst),
+            rng=streams.stream(f"net:{src}->{dst}"),
             draw_latency=self._latency.sampler(src, dst),
             fault_rng=fault_rng,
             fault_rules=fault_rules,
@@ -354,10 +351,9 @@ class Network:
     def _invalidate_links(self) -> None:
         """Drop every cached link, flushing FIFO floors back to the dict.
 
-        RNG streams are NOT reset -- they live in the ``_pair_streams`` /
-        ``_fault_streams`` memos, so a rebuilt link resumes each pair's
-        draw sequence mid-stream, exactly as the uncached implementation
-        would.
+        RNG streams are NOT reset -- the registry keeps them by name, so a
+        rebuilt link resumes each pair's draw sequence mid-stream, exactly
+        as the uncached implementation would.
         """
         links = self._links
         if not links:
@@ -382,15 +378,9 @@ class Network:
         outside the shard are fully prepared sender-side (metrics, loss,
         latency draw, FIFO clamp) and then parked in ``outbox`` for the
         coordinator to route, instead of being scheduled on the local
-        scheduler.  Requires per-pair RNG streams, otherwise latency
-        draws would depend on the global send interleaving the shards no
-        longer share.  (Fault plans are fine: their randomness is always
-        per-pair.)
+        scheduler.  Per-pair RNG streams make the shard draw what the
+        sequential run draws.
         """
-        if self._pair_streams is None:
-            raise UnknownSiteError(
-                "shard mode requires NetworkConfig.pair_rng_streams"
-            )
         self._shard_sites = set(sites)
         self._shard_outbox = outbox
         self._invalidate_links()
@@ -443,22 +433,6 @@ class Network:
         delivery time, exactly as in the sequential engine).
         """
         self._deliver(message)
-
-    def _rng_for(self, src: SiteId, dst: SiteId) -> random.Random:
-        if self._pair_streams is None:
-            return self._rng
-        stream = self._pair_streams.get((src, dst))
-        if stream is None:
-            stream = self._rng_registry.stream(f"net:{src}->{dst}")
-            self._pair_streams[(src, dst)] = stream
-        return stream
-
-    def _fault_rng(self, src: SiteId, dst: SiteId) -> random.Random:
-        stream = self._fault_streams.get((src, dst))
-        if stream is None:
-            stream = self._rng_registry.stream(f"fault:{src}->{dst}")
-            self._fault_streams[(src, dst)] = stream
-        return stream
 
     # -- sending ------------------------------------------------------------
 

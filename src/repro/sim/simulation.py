@@ -7,12 +7,13 @@ GC (``auto_gc=False``), call :meth:`run_gc_round` to give every site exactly
 one local trace per round (the "round" of the section 3 distance theorem),
 and advance simulated time with :meth:`run_for` to deliver messages.
 :meth:`audit_state` is the one state the oracle and :meth:`check_invariants`
-read, on this engine and on the sharded one alike.
+read, and :meth:`snapshot` the one heap and ioref dump, on this engine and
+on the sharded one alike: which engine runs is invisible to callers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..config import SimulationConfig
 from ..errors import SimulationError
@@ -85,6 +86,15 @@ class Simulation:
             target = ParallelSimulation
         return target(config, latency_model=latency_model, fault_plan=fault_plan)
 
+    def close(self) -> None:
+        """Release the engine's resources; a no-op here.  Idempotent."""
+
+    def __enter__(self) -> "Simulation":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- construction ---------------------------------------------------------------
 
     def add_site(self, site_id: SiteId, auto_gc: bool = True) -> Site:
@@ -144,7 +154,7 @@ class Simulation:
         return self.scheduler.now
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
-        return self.scheduler.run_for(duration, max_events=max_events)
+        return self.run_until(self.scheduler.now + duration, max_events=max_events)
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         return self.scheduler.run_until(time, max_events=max_events)
@@ -156,11 +166,13 @@ class Simulation:
         """Advance time until no events fire for ``quiet_time`` units.
 
         Useful after manual GC rounds: lets all update/insert/back-trace
-        messages drain.  Raises if the system never goes quiet.
+        messages drain.  Raises if the system never goes quiet.  Quiet is
+        not finished: back-trace frame and outcome timers fire
+        ``backtrace_timeout`` (500) and twice that out, so a trace still
+        waiting on one can look done (the orphaned-frame entry in ROADMAP).
         """
         for _ in range(max_rounds):
-            fired = self.scheduler.run_for(quiet_time)
-            if fired == 0:
+            if self.run_for(quiet_time) == 0:
                 return
         raise SimulationError("simulation did not settle")
 
@@ -209,6 +221,18 @@ class Simulation:
             {site_id: self.sites[site_id].audit() for site_id in sorted(self.sites)},
             self.scheduler.queued_deliveries(),
         )
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-able dump of heaps and ioref tables, keyed by site
+        (:func:`repro.analysis.export.site_snapshot` per site)."""
+        from ..analysis.export import site_snapshot
+
+        return {
+            "time": self.now,
+            "sites": {
+                site_id: site_snapshot(self.sites[site_id]) for site_id in sorted(self.sites)
+            },
+        }
 
     def merged_metrics(self) -> MetricsRecorder:
         """Counter totals of the whole run (the sharded engine merges shards)."""

@@ -100,7 +100,7 @@ TWIN_GC = dict(
     full_trace_every_n=6,
     full_update_period=3,
 )
-TWIN_NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+TWIN_NETWORK = dict(min_latency=5.0, max_latency=20.0)
 TWIN_STORM = FaultPlan.loss(0.15, start=50.0, end=200.0).merge(
     FaultPlan.duplication(0.2, copies=1, lag=10.0, start=50.0, end=200.0),
     FaultPlan.reorder_burst(0.3, delay=15.0, start=50.0, end=200.0),
@@ -136,15 +136,10 @@ def run_churn_twin(workers, seed, run_time, gc_rounds, fault_plan=None):
     sim.settle(quiet_time=30.0, max_rounds=3000)
 
     outcomes = sim.trace_outcomes
-    if workers > 1:
-        snapshot = json.dumps(sim.snapshot(), sort_keys=True)
-        metrics = dict(sim.merged_metrics()._counters)
-        stats = sim.coordination_stats()
-        sim.close()
-    else:
-        snapshot = json.dumps(graph_snapshot(sim), sort_keys=True)
-        metrics = {k: v for k, v in sim.metrics._counters.items() if v}
-        stats = None
+    snapshot = json.dumps(graph_snapshot(sim), sort_keys=True)
+    metrics = {k: v for k, v in sim.merged_metrics()._counters.items() if v}
+    stats = sim.coordination_stats() if workers > 1 else None
+    sim.close()
     return snapshot, outcomes, metrics, stats
 
 

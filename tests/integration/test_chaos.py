@@ -27,7 +27,6 @@ from repro.harness.cases import (
 )
 from repro.metrics import names
 from repro.net.faults import FaultPlan
-from repro.sim.parallel import ParallelSimulation
 from repro.workloads import build_ring_cycle
 
 
@@ -128,7 +127,7 @@ GC = GcConfig(
     assumed_cycle_length=2,
     back_threshold_increment=1,
 )
-NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0)
 TWIN_PLAN = FaultPlan.loss(0.15, start=50.0, end=250.0).merge(
     FaultPlan.duplication(0.2, copies=1, lag=10.0, start=50.0, end=250.0),
     FaultPlan.reorder_burst(0.3, delay=15.0, start=50.0, end=250.0),
@@ -149,11 +148,8 @@ def _twin_run(workers, seed):
     for _ in range(10):
         sim.run_gc_round()
     sim.settle(quiet_time=30.0, max_rounds=3000)
-    if isinstance(sim, ParallelSimulation):
-        snap = sim.snapshot()
-        sim.close()
-    else:
-        snap = graph_snapshot(sim)
+    snap = graph_snapshot(sim)
+    sim.close()
     snap.pop("time", None)
     return json.dumps(snap, sort_keys=True)
 

@@ -20,16 +20,8 @@ import json
 
 import pytest
 
-from repro.analysis import Oracle
-from repro.analysis.export import graph_snapshot as export_snapshot
-from repro import (
-    FaultPlan,
-    GcConfig,
-    NetworkConfig,
-    ParallelSimulation,
-    Simulation,
-    SimulationConfig,
-)
+from repro.analysis import Oracle, graph_snapshot
+from repro import FaultPlan, GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.workloads import ChurnConfig, SiteChurn, build_ring_cycle
 
 SITES = [f"s{i}" for i in range(8)]
@@ -41,7 +33,7 @@ GC = dict(
     assumed_cycle_length=2,
     back_threshold_increment=1,
 )
-NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+NETWORK = dict(min_latency=5.0, max_latency=20.0)
 
 #: Pure network mayhem (loss + duplication + reorder): applied inside the
 #: Network identically on both engines, unlike crash/partition edges which
@@ -54,14 +46,6 @@ STORM = (
     )
     .named("storm")
 )
-
-
-def _snapshot_bytes(sim):
-    if isinstance(sim, ParallelSimulation):
-        snap = sim.snapshot()
-    else:
-        snap = export_snapshot(sim)
-    return json.dumps(snap, sort_keys=True)
 
 
 def _run(collector, workers, seed, plan=None):
@@ -95,10 +79,8 @@ def _run(collector, workers, seed, plan=None):
         state = sim.audit_state()
         for member in doomed.cycle:
             assert member not in state.sites[member.site].objects
-    result = (_snapshot_bytes(sim), sim.trace_outcomes)
-    close = getattr(sim, "close", None)
-    if close is not None:
-        close()
+    result = (json.dumps(graph_snapshot(sim), sort_keys=True), sim.trace_outcomes)
+    sim.close()
     return result
 
 

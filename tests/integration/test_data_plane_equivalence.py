@@ -17,7 +17,6 @@ from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle, graph_snapshot
 from repro.metrics import names
 from repro.net.faults import FaultPlan
-from repro.sim.parallel import ParallelSimulation
 from repro.workloads import build_ring_cycle
 
 SITES = [f"s{i:02d}" for i in range(8)]
@@ -59,7 +58,7 @@ def test_audited_run_ships_deltas_between_anchors(seed):
 
 # -- sequential vs parallel (auto GC, cycle-accurate) ------------------------
 
-NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0)
 AUTO_GC = GcConfig(
     local_trace_period=100.0,
     local_trace_period_jitter=25.0,
@@ -89,11 +88,8 @@ def _twin_run(workers, seed, plan=None):
     outcomes = sorted(
         (t, s, str(tid), str(v)) for t, s, tid, v in sim.trace_outcomes
     )
-    if isinstance(sim, ParallelSimulation):
-        snap = sim.snapshot()
-        sim.close()
-    else:
-        snap = graph_snapshot(sim)
+    snap = graph_snapshot(sim)
+    sim.close()
     snap.pop("time", None)
     return json.dumps(snap, sort_keys=True), outcomes
 

@@ -120,9 +120,7 @@ def hot_path_digests(seed, workers=1, chaos=False, defer=False) -> dict:
             assumed_cycle_length=2,
             back_threshold_increment=1,
         ),
-        network=NetworkConfig(
-            min_latency=5.0, max_latency=20.0, pair_rng_streams=True
-        ),
+        network=NetworkConfig(min_latency=5.0, max_latency=20.0),
         parallel_workers=workers,
     )
     sim = Simulation.create(config, fault_plan=HOT_PATH_STORM if chaos else None)

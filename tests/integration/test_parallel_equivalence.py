@@ -9,8 +9,8 @@ engine and once sharded across worker processes, then compare the full
 JSON-serialized snapshots for equality.  Every twin is additionally audited
 by the oracle, which reads the shards' live state through ``audit_state()``.
 
-Both twins set ``pair_rng_streams`` (the parallel engine forces it; the
-sequential twin must opt in for its network draws to line up).
+Both twins run the same config: every engine draws each pair's latencies
+from that pair's own RNG stream, so nothing opts in.
 """
 
 import json
@@ -18,8 +18,7 @@ import json
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
-from repro.analysis import Oracle
-from repro.analysis.export import graph_snapshot as export_snapshot
+from repro.analysis import Oracle, graph_snapshot, to_dot
 from repro.errors import SimulationError
 from repro.sim.parallel import ParallelSimulation
 from repro.workloads import ChurnConfig, GraphBuilder, SiteChurn, build_ring_cycle
@@ -36,7 +35,7 @@ GC = dict(
     assumed_cycle_length=2,
     back_threshold_increment=1,
 )
-NETWORK = dict(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+NETWORK = dict(min_latency=5.0, max_latency=20.0)
 
 
 def _build(workers, seed, sites=SITES, gc=GC):
@@ -51,36 +50,15 @@ def _build(workers, seed, sites=SITES, gc=GC):
     return sim
 
 
-def _crash(sim, site_id):
-    if isinstance(sim, ParallelSimulation):
-        sim.crash_site(site_id)
-    else:
-        sim.site(site_id).crash()
-
-
-def _recover(sim, site_id):
-    if isinstance(sim, ParallelSimulation):
-        sim.recover_site(site_id)
-    else:
-        sim.site(site_id).recover()
-
-
 def _snapshot_bytes(sim):
-    if isinstance(sim, ParallelSimulation):
-        snap = sim.snapshot()
-    else:
-        snap = export_snapshot(sim)
-    return json.dumps(snap, sort_keys=True)
+    return json.dumps(graph_snapshot(sim), sort_keys=True)
 
 
 def _final_state(sim):
     """(snapshot_json, sorted non-zero counters) of either engine; closes it."""
     snapshot = _snapshot_bytes(sim)
-    if isinstance(sim, ParallelSimulation):
-        counters = sim.merged_metrics()._counters
-        sim.close()
-    else:
-        counters = sim.metrics._counters
+    counters = sim.merged_metrics()._counters
+    sim.close()
     return snapshot, sorted((name, n) for name, n in counters.items() if n)
 
 
@@ -101,9 +79,9 @@ def _run_scenario(workers, seed, crash=False):
     if crash:
         # A bystander off the doomed ring: its crash drops messages (and its
         # heap) but must not change what the collector decides elsewhere.
-        _crash(sim, "s09")
+        sim.site("s09").crash()
         sim.run_for(120.0)
-        _recover(sim, "s09")
+        sim.site("s09").recover()
     sim.run_for(CHURN_UNTIL)  # churn deadline passes; queues drain
 
     sim.quiesce_auto_gc()
@@ -130,12 +108,9 @@ def _run_scenario(workers, seed, crash=False):
     result = (
         _snapshot_bytes(sim),
         sim.trace_outcomes,
-        sim.merged_metrics().count("churn.ops")
-        if isinstance(sim, ParallelSimulation)
-        else sim.metrics.count("churn.ops"),
+        sim.merged_metrics().count("churn.ops"),
     )
-    if isinstance(sim, ParallelSimulation):
-        sim.close()
+    sim.close()
     return result
 
 
@@ -244,8 +219,8 @@ def test_workers_one_is_byte_identical_to_sequential_engine():
     # class itself on the workers=1 path, which Simulation.create would
     # never hand back.
     # parallel_workers=1 must take the existing sequential path unchanged:
-    # same classes, same RNG streams (pair_rng_streams stays at its default),
-    # hence byte-identical final state against a plain Simulation.
+    # same classes, same RNG streams, hence byte-identical final state
+    # against a plain Simulation.
     def run(cls):
         sim = cls(SimulationConfig(seed=5))
         sim.add_sites(SITES[:6], auto_gc=True)
@@ -304,6 +279,27 @@ def test_coordination_stats_count_packed_traffic():
     )
     assert {key: stats[key] for key in pinned} == pinned
     assert stats["commands_sent"] == 4 * (stats["windows"] + stats["aligns"])
+
+
+def _exports(workers):
+    """``graph_snapshot`` and ``to_dot`` after a default-config churn run."""
+    sites = [f"s{i}" for i in range(4)]
+    sim = Simulation.create(SimulationConfig(seed=3, parallel_workers=workers))
+    sim.add_sites(sites, auto_gc=True)
+    SiteChurn(sim, sites).start(until=1500.0)
+    sim.run_for(2000.0)
+    exports = graph_snapshot(sim), to_dot(sim)
+    sim.close()
+    return exports
+
+
+def test_exports_of_a_forked_run_equal_the_sequential_twins():
+    # The free functions read the workers' live heaps through the engine,
+    # not the coordinator's pre-fork copies (those read 4 objects here,
+    # against 273 live).
+    sequential = _exports(1)
+    assert sum(len(site["objects"]) for site in sequential[0]["sites"].values()) > 200
+    assert _exports(2) == sequential
 
 
 def test_snapshot_results_are_independent_of_each_other():

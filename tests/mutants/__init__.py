@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 _CHANNEL = "gc/channel.py"
 _ENGINE = "core/backtrace/engine.py"
+_EXPORTS = "tests/integration/test_parallel_equivalence.py::test_exports_of_a_forked_run_equal_the_sequential_twins"
 
 MUTANTS: List[Mutant] = [
     Mutant(
@@ -102,6 +103,27 @@ MUTANTS: List[Mutant] = [
         "            self._complete(frame, TraceOutcome.LIVE)\n",
         '            self.metrics.incr("backtrace.clean_rule_hits")\n',
         "tests/unit/test_barriers_site.py::test_clean_rule_forces_live_where_a_visited_mark_answers_garbage",
+    ),
+    Mutant(
+        "links-share-one-latency-stream",
+        "net/network.py",
+        '            rng=streams.stream(f"net:{src}->{dst}"),\n',
+        '            rng=streams.stream("network"),\n',
+        _EXPORTS,
+    ),
+    Mutant(
+        "network-config-admits-a-shared-stream",
+        "config.py",
+        "        if not self.pair_rng_streams:\n",
+        "        if False:\n",
+        "tests/unit/test_ids_config.py::test_network_config_rejects_bad_values[kwargs2]",
+    ),
+    Mutant(
+        "graph-snapshot-reads-the-coordinators-heaps",
+        "analysis/export.py",
+        "    return sim.snapshot()\n",
+        "    return Simulation.snapshot(sim)\n",
+        _EXPORTS,
     ),
 ]
 

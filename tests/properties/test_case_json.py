@@ -100,7 +100,6 @@ def simulation_configs(draw):
         min_latency=min_latency,
         max_latency=min_latency + draw(st.floats(0.0, 20.0)),
         fifo_per_pair=draw(st.booleans()),
-        pair_rng_streams=draw(st.booleans()),
     )
     period = draw(st.floats(20.0, 500.0))
     gc = GcConfig(

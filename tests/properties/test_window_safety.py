@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
+from repro.analysis import graph_snapshot
 from repro.errors import SimulationError
 from repro.gc.update import UpdateRefreshRequest
 from repro.net.latency import UniformLatency, ZonedLatency
@@ -48,9 +49,7 @@ def _random_latency(rng):
 def _run(workers, model, floor, seed):
     config = SimulationConfig(
         seed=seed,
-        network=NetworkConfig(
-            min_latency=floor, max_latency=floor * 20.0, pair_rng_streams=True
-        ),
+        network=NetworkConfig(min_latency=floor, max_latency=floor * 20.0),
         gc=GcConfig(local_trace_period=60.0, local_trace_period_jitter=15.0),
         parallel_workers=workers,
     )
@@ -60,13 +59,8 @@ def _run(workers, model, floor, seed):
     churn.start(until=150.0)
     sim.run_for(400.0)
     sim.settle(quiet_time=20.0, max_rounds=2000)
-    if getattr(sim, "parallel_active", False):
-        snap = json.dumps(sim.snapshot(), sort_keys=True)
-        sim.close()
-    else:
-        from repro.analysis.export import graph_snapshot
-
-        snap = json.dumps(graph_snapshot(sim), sort_keys=True)
+    snap = json.dumps(graph_snapshot(sim), sort_keys=True)
+    sim.close()
     return snap
 
 
@@ -93,9 +87,7 @@ def test_absorb_rejects_a_message_below_the_window_floor():
     """The runtime invariant check actually fires on a forged record."""
     config = SimulationConfig(
         seed=3,
-        network=NetworkConfig(
-            min_latency=5.0, max_latency=10.0, pair_rng_streams=True
-        ),
+        network=NetworkConfig(min_latency=5.0, max_latency=10.0),
         parallel_workers=2,
     )
     sim = Simulation.create(config)

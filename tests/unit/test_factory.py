@@ -11,7 +11,7 @@ from repro import (
 )
 from repro.metrics import names
 
-PARALLEL_NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0, pair_rng_streams=True)
+PARALLEL_NETWORK = NetworkConfig(min_latency=5.0, max_latency=20.0)
 
 
 def test_create_returns_sequential_engine_for_one_worker():

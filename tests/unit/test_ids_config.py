@@ -200,6 +200,8 @@ def test_gc_config_duration_must_fit_in_period():
     [
         {"min_latency": -1.0},
         {"min_latency": 5.0, "max_latency": 1.0},
+        # One RNG discipline: every link draws from its own stream.
+        {"pair_rng_streams": False},
     ],
 )
 def test_network_config_rejects_bad_values(kwargs):

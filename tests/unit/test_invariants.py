@@ -22,7 +22,7 @@ def _build(workers):
     config = SimulationConfig(
         seed=21,
         gc=GcConfig(suspicion_threshold=2, assumed_cycle_length=2),
-        network=NetworkConfig(min_latency=5.0, max_latency=20.0, pair_rng_streams=True),
+        network=NetworkConfig(min_latency=5.0, max_latency=20.0),
         parallel_workers=workers,
     )
     sim = Simulation.create(config)

@@ -40,7 +40,6 @@ def _sim(seed=3, plan=None, **gc_overrides):
     config = SimulationConfig(
         seed=seed,
         gc=GcConfig(**{**GC, **gc_overrides}),
-        network=NetworkConfig(pair_rng_streams=True),
     )
     sim = Simulation.create(config, fault_plan=plan)
     sim.add_sites(SITES, auto_gc=True)
