@@ -92,7 +92,7 @@ def test_lost_backtrace_messages_safe_with_drops():
     """Random message loss: timeouts decide Live; safety holds; collection
     eventually succeeds in a loss-free window."""
     sites = ["a", "b", "c"]
-    loss_ends = 2500.0
+    loss_ends = 1500.0
     sim = make_sim(
         sites=sites,
         gc=fast_timeout_gc(),
