@@ -10,11 +10,11 @@ on every send.
 
 Determinism and shard safety: all fault randomness is drawn from dedicated
 per-ordered-pair RNG streams (``fault:{src}->{dst}``), never from the latency
-streams.  A run with ``fault_plan=None`` therefore draws *zero* fault
-randomness and is byte-identical to the historical behaviour, and a sharded
-parallel run draws exactly the sequential run's values (each stream depends
-only on the sender's own send order -- the same argument as
-``NetworkConfig.pair_rng_streams``).
+streams (``net:{src}->{dst}``).  A run with ``fault_plan=None`` therefore
+draws *zero* fault randomness, fault rolls never consume latency draws, and
+a sharded parallel run draws exactly the sequential run's values (each
+stream depends only on the sender's own send order, as the latency streams
+do).
 
 Reordering note: an extra delay is added *before* the per-pair FIFO clamp,
 so a reorder burst shuffles messages across different links and against
