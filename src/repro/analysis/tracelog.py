@@ -70,8 +70,8 @@ class TraceLog:
                     site.site_id,
                     "local-trace",
                     swept=len(result.swept),
-                    clean=result.clean_phase.objects_scanned,
-                    suspected=len(result.suspected_objects),
+                    clean=result.clean_objects_scanned,
+                    suspected=result.suspected_objects_scanned,
                 )
             return result
 

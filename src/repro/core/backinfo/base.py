@@ -10,7 +10,7 @@ locally reachable from it (its *outset*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...ids import ObjectId
 from ...store.heap import Heap
@@ -53,20 +53,22 @@ class BackInfoResult:
     ``outsets`` maps each suspected inref target to the frozenset of
     suspected outref targets locally reachable from it.  ``visited_objects``
     is the set of suspected objects the computation traversed (they are live
-    w.r.t. this trace and must survive the sweep).  The cost fields are the
-    counters benchmark E3/E4 report; ``outsets_reused`` says how many of the
-    outsets the bottom-up algorithm took with a region from its memo instead
-    of walking it (0 from the independent one) -- not a counter.
+    w.r.t. this trace and must survive the sweep), ``visited_rows`` their
+    heap indices.  The cost fields are the counters benchmark E3/E4 report;
+    ``charges`` splits them by the suspected inref whose walk incurred them:
+    target -> (objects scanned, edges examined, unions computed, union memo
+    hits), for each target that walked.
     """
 
     outsets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     visited_objects: Set[ObjectId] = field(default_factory=set)
+    visited_rows: List[int] = field(default_factory=list)
     objects_scanned: int = 0
     edges_examined: int = 0
     unions_computed: int = 0
     union_memo_hits: int = 0
     distinct_outsets: int = 0
-    outsets_reused: int = 0
+    charges: Dict[ObjectId, Tuple[int, int, int, int]] = field(default_factory=dict)
 
 
 def invert_outsets(

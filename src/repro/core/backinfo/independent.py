@@ -32,6 +32,7 @@ def compute_outsets_independent(
         outset: Set[ObjectId] = set()
         root = env.suspected_index(inref_target)
         visited: Set[int] = set()
+        start_edges = result.edges_examined
         stack = [] if root is None else [root]
         while stack:
             i = stack.pop()
@@ -46,8 +47,13 @@ def compute_outsets_independent(
             result.edges_examined += len(local) + len(remote)
             stack.extend(local)
         result.objects_scanned += len(visited)
+        if root is not None:
+            result.charges[inref_target] = (
+                len(visited), result.edges_examined - start_edges, 0, 0
+            )
         visited_any |= visited
         result.outsets[inref_target] = frozenset(outset)
+    result.visited_rows = list(visited_any)
     result.visited_objects = set(map(oids.__getitem__, visited_any))
     result.distinct_outsets = len(set(result.outsets.values()))
     return result

@@ -15,7 +15,7 @@ only the final insets/outsets survive, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ...ids import ObjectId
 
@@ -32,9 +32,6 @@ class OutsetStore:
         self._add_memo: Dict[Tuple[OutsetId, ObjectId], OutsetId] = {}
         self.unions_computed = 0
         self.union_memo_hits = 0
-        # When a list: every union past the trivial cases, as its operand
-        # ids, so a caller can replay the same unions (and counts) later.
-        self.log: Optional[List[Tuple[OutsetId, OutsetId]]] = None
 
     EMPTY: OutsetId = 0
 
@@ -77,8 +74,6 @@ class OutsetStore:
             return right
         if right == self.EMPTY:
             return left
-        if self.log is not None:
-            self.log.append((left, right))
         key = (left, right) if left < right else (right, left)
         cached = self._union_memo.get(key)
         if cached is not None:

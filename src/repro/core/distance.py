@@ -19,9 +19,10 @@ distance is at or below the suspicion threshold.  Objects it marks are
 
 Two kernels compute it.  :func:`trace_clean_phase` is the paper-literal
 reference over ``ObjectId`` sets; :func:`trace_clean_phase_flat` is the one
-local traces run, over the heap's flat-graph mirror, re-using each region of
-its previous run on the same heap that no mutation since has touched.  The
-kernel tests hold it to the reference on every result field.
+local traces run, over the heap's flat-graph mirror and only from the roots
+of the pieces of the heap that changed (:mod:`repro.gc.localtrace` keeps
+the outcome of the rest).  The kernel tests hold it to the reference on
+every contract field.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ids import ObjectId
-from ..store.heap import Heap, RegionMemo
+from ..store.heap import Heap
 
 
 @dataclass
@@ -43,26 +44,25 @@ class CleanPhaseResult:
       reference kernel's answer; the flat kernel leaves it empty);
     - ``marks``: the flat kernel's mark bitmap over the heap's indices, 1
       for clean, dead or free -- what the suspected phase reads;
-    - ``unmarked``: the resident objects the flat kernel did not reach --
-      what the sweep may take;
     - ``outref_distances``: for each outref reached, the minimum
       ``1 + distance(root)`` over the clean roots that reach it;
     - ``clean_variable_outrefs``: outrefs held directly in mutator variables
       (roots of distance 0, so their distance estimate is 1);
     - ``objects_scanned`` / ``edges_examined``: cost counters;
-    - ``objects_reused``: how many of the scanned objects the flat kernel
-      took from its memo instead of walking (0 from the reference).  Not a
-      counter and not part of the kernels' contract.
+    - ``regions``, ``merges``, ``holders``: how the flat kernel's regions
+      touch (see :func:`trace_clean_phase_flat`); not part of the kernels'
+      contract.
     """
 
     clean_objects: Set[ObjectId] = field(default_factory=set)
     marks: bytearray = field(default_factory=bytearray)
-    unmarked: List[ObjectId] = field(default_factory=list)
     outref_distances: Dict[ObjectId, int] = field(default_factory=dict)
     clean_variable_outrefs: Set[ObjectId] = field(default_factory=set)
     objects_scanned: int = 0
     edges_examined: int = 0
-    objects_reused: int = 0
+    regions: Dict[int, List[int]] = field(default_factory=dict)
+    merges: List[Tuple[int, int]] = field(default_factory=list)
+    holders: Dict[ObjectId, int] = field(default_factory=dict)
 
 
 def trace_clean_phase(
@@ -115,142 +115,77 @@ def trace_clean_phase(
     return result
 
 
-#: A remembered region with at least this many rows is marked as a slice
-#: of the mark bitmap; a smaller one row by row.
-WIDE_REGION = 32
-
-
 def trace_clean_phase_flat(
     heap: Heap,
     roots: Iterable[Tuple[ObjectId, int]],
     variable_outrefs: Iterable[ObjectId] = (),
+    marks: Optional[bytearray] = None,
+    owner: Optional[List[int]] = None,
 ) -> CleanPhaseResult:
     """The clean phase over the heap's flat-graph mirror.
 
     Same contract as :func:`trace_clean_phase`: identical outref distances,
-    ``objects_scanned`` and ``edges_examined``, and a clean set that is the
-    heap minus ``unmarked``, kept in index space as ``marks``.  Roots are
-    taken one at a time in trace order (ascending distance, input order
-    within a distance), each marking what no earlier root marked -- the
-    root's *region*.  A row's remote references take its region's root
-    distance plus one; the first root to reach a row is the nearest, so
-    each outref gets ``1 + min`` over the roots that reach it.
+    ``objects_scanned`` and ``edges_examined``, and a clean set that is
+    what it marks in ``marks`` (by default ``heap.fresh_marks()``: nothing
+    marked but the dead and free indices).  Roots are taken one at a time
+    in trace order (ascending distance, input order within a distance),
+    each marking what no earlier root marked -- the root's *region*.  A
+    row's remote references take its region's root distance plus one; the
+    first root to reach a row is the nearest, so each outref gets ``1 +
+    min`` over the roots that reach it.
 
-    **Memo.**  ``Heap.clean_memo`` keeps each region of the previous call
-    under its root's index: its rows (a tuple, or for a wide region the
-    window ``(lo, hi, bits)`` they span), a getter over its *boundary*
-    (the live rows an earlier root had marked that its edges led to) and
-    the remote references its rows hold.  A root takes its remembered
-    region wholesale, without walking, when no walk of this call marked
-    one of the region's rows and every boundary row is marked -- wherever
-    the root now sits in the trace order.  Sound because the marks after
-    each root are exactly what the roots so far reach: the region's rows
-    are unchanged (``Heap.take_dirty`` dropped every region holding a
-    changed row), so they lead only into the region, its boundary and
-    dead indices; its rows are reached from its root; none is reached from
-    an earlier root (re-used regions are disjoint, and a walk that marks a
-    row names the row's remembered owner as *intruded*); and all its
-    boundary is.  Otherwise the root is walked.  A wide region is marked
-    with one big-int OR over its window, no Python step per row.  Dead
-    indices stay dead while a remembered row points at them, save for the
-    memo-dropping revival in ``Heap.alloc``.  ``objects_scanned`` still
-    counts every object the clean phase marked, re-used or not;
-    ``objects_reused`` says how many of them came from the memo.
+    For the local collector's pieces the walk also reports how its regions
+    touch: ``owner`` (by default all -1) gets each marked row's region,
+    named by its root's index; a walk that meets a row another region
+    marked, and a remote reference another region holds already, add the
+    pair to ``merges``; ``holders`` maps each remote reference to the first
+    region holding it.  These ride on the steps the walk takes anyway.
     """
     result = CleanPhaseResult()
-    idx_map, succ_local, remote_rows, oids, slot_total = heap.flat_graph()
-    heap.take_dirty()
-    memo = heap.clean_memo
-    regions = memo.regions
-    seen = heap.fresh_marks()
-    owner = memo.own(len(seen))
-    index_of = idx_map.get
-    region_of = regions.get
-    remote_get = remote_rows.get
-    kept = {}
-    intruded = set()
-    walked = 0
+    idx_map, succ_local, remote_rows, _, _ = heap.flat_graph()
+    seen = heap.fresh_marks() if marks is None else marks
+    owner = [-1] * len(seen) if owner is None else owner
+    index_of, remote_get, regions = idx_map.get, remote_rows.get, result.regions
+    merge, hold = result.merges.append, result.holders.setdefault
     distances = result.outref_distances
-    nearest = distances.setdefault
-    stack: List[int] = []
-    stack_pop = stack.pop
-    stack_extend = stack.extend
+    nearest, edges, stack = distances.setdefault, 0, []
+    stack_pop, stack_extend = stack.pop, stack.extend
     for root, root_distance in sorted(roots, key=itemgetter(1)):
         ridx = index_of(root)  # only local ids are ever interned
         if ridx is None or seen[ridx]:
             continue  # an empty region: an earlier root reached it
-        region = region_of(ridx)
-        if region is not None and ridx not in intruded:
-            rows, window, boundary, expected, held = region
-            if boundary is not None and boundary(seen) != expected:
-                region = None
-            elif rows is not None:
-                for i in rows:
-                    seen[i] = 1
-            else:
-                lo, hi, bits = window
-                seen[lo:hi] = (int.from_bytes(seen[lo:hi], "little") | bits).to_bytes(
-                    hi - lo, "little"
-                )
-        else:
-            region = None
-        if region is None:
-            before = bytes(seen)
-            rows = []
-            boundary = set()
-            stack.append(ridx)
-            while stack:
-                i = stack_pop()
-                if seen[i]:
-                    if owner[i] != ridx:  # not this walk's, nor dead
-                        boundary.add(i)
-                    continue
-                seen[i] = 1
-                if owner[i] != ridx:
-                    intruded.add(owner[i])
-                    owner[i] = ridx
-                rows.append(i)
-                stack_extend(succ_local[i])
-            walked += len(rows)
-            window = None
-            if len(rows) >= WIDE_REGION:
-                lo, hi = min(rows), max(rows) + 1
-                bits = int.from_bytes(seen[lo:hi], "little") ^ int.from_bytes(
-                    before[lo:hi], "little"
-                )
-                window = (lo, hi, bits)
-            held = tuple(chain.from_iterable(filter(None, map(remote_get, rows))))
-            region = (
-                None if window else tuple(rows),
-                window,
-                *RegionMemo.probe(list(boundary), [1] * len(boundary)),
-                held,
-            )
-        kept[ridx] = region
-        # In trace order, the first distance given an outref is its least.
+        rows = []
+        stack.append(ridx)
+        while stack:
+            i = stack_pop()
+            if seen[i]:
+                other = owner[i]
+                if other != ridx and other >= 0:  # not this walk's, nor dead
+                    merge((ridx, other))
+                continue
+            seen[i] = 1
+            owner[i] = ridx
+            rows.append(i)
+            stack_extend(succ_local[i])
+        regions[ridx] = rows
+        edges += sum(map(len, map(succ_local.__getitem__, rows)))
+        held = list(chain.from_iterable(filter(None, map(remote_get, rows))))
         if held:
+            edges += len(held)
+            # In trace order, the first distance given an outref is its least.
             outref_distance = root_distance + 1
             for ref in held:
                 nearest(ref, outref_distance)
-    memo.regions = kept
+                first = hold(ref, ridx)
+                if first != ridx:
+                    merge((ridx, first))
 
     for target in variable_outrefs:
         result.clean_variable_outrefs.add(target)
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
 
-    # Few objects are left unmarked as a rule: take their rows back out.
-    unmarked = []
-    edges = slot_total
-    i = seen.find(0)
-    while i >= 0:
-        unmarked.append(oids[i])
-        edges -= len(succ_local[i]) + len(remote_get(i, ()))
-        i = seen.find(0, i + 1)
     result.marks = seen
-    result.unmarked = unmarked
     result.edges_examined = edges
-    # Re-used plus walked rows: every resident object the phase marked.
-    result.objects_scanned = len(heap) - len(unmarked)
-    result.objects_reused = result.objects_scanned - walked
+    result.objects_scanned = sum(map(len, regions.values()))
     return result

@@ -179,6 +179,18 @@ class IorefColumns:
     def __len__(self) -> int:
         return len(self._slot)
 
+    def nonempty(self) -> Set[ObjectId]:
+        """The targets whose set (outset or inset) is not empty, a copy."""
+        return set(self._nonempty)
+
+    def nonempty(self) -> Set[ObjectId]:
+        """The targets whose set (outset or inset) is not empty, a copy."""
+        return set(self._nonempty)
+
+    def present(self, targets: Set[ObjectId]) -> Set[ObjectId]:
+        """Those of ``targets`` the table holds an entry for."""
+        return self._slot.keys() & targets
+
     def entries(self) -> Iterator[IorefEntry]:
         """All entries in deterministic (target) order."""
         self._ensure_order()

@@ -18,7 +18,6 @@ and barrier flags and how the last scan filed it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
@@ -108,15 +107,14 @@ class InrefTable(IorefColumns):
         # source site -> inref targets listing it; lets the full-update prune
         # in gc.update touch only inrefs sourced from the sender.
         self._by_source: Dict[SiteId, Set[ObjectId]] = {}
-        # ``scan_for_trace`` keeps the trace order sorted across calls and
-        # re-files only the targets named in ``_changed``: every entry whose
-        # distance, garbage flag or clean state moved since, and every entry
-        # created (a removed one leaves the order at once): the clean as the
-        # ``(target, distance)`` roots a trace takes, the suspected as
-        # ``(distance, target)`` keys.
+        # ``_changed`` names every entry whose distance, garbage flag or clean
+        # state moved since the local trace last took it, and every entry
+        # created; ``_dropped`` every entry removed since, with the outset
+        # it held.  Taking them re-files the changed entries (``_filed``, the
+        # FILED flag bits): how the trace saw each entry, which
+        # ``check_changed`` audits.
         self._changed: Set[ObjectId] = set()
-        self._clean_roots: List[Tuple[ObjectId, int]] = []
-        self._suspected_keys: List[Tuple[int, ObjectId]] = []
+        self._dropped: Dict[ObjectId, FrozenSet[ObjectId]] = {}
 
     # -- mutation epochs --------------------------------------------------------
     #
@@ -321,8 +319,9 @@ class InrefTable(IorefColumns):
         and the trace order."""
         for source in self._source_dict(slot):
             self._unindex(source, target)
-        self._unfile(slot, target)
+        self._flags[slot] = 0
         self._sources[slot] = None
+        self._dropped[target] = self._sets[slot]
         self._free_slot(target)
         self._changed.discard(target)
         self.bump_structure()
@@ -346,62 +345,88 @@ class InrefTable(IorefColumns):
 
     # -- views used by the collector ----------------------------------------------
 
-    def _unfile(self, slot: int, target: ObjectId) -> None:
-        """Take ``slot``'s entry out of the trace order it was last filed in."""
-        flags = self._flags[slot]
-        if flags & FILED_CLEAN:
-            roots = self._clean_roots
-            del roots[bisect_left(roots, (self._filed[slot], target), key=_by_distance)]
-        elif flags & FILED_SUSPECTED:
-            keys = self._suspected_keys
-            del keys[bisect_left(keys, (self._filed[slot], target))]
-        self._flags[slot] = flags & ~FILED
-
-    def scan_for_trace(self) -> InrefScan:
-        """Everything a local trace reads off this table.
-
-        Re-files only the entries changed since the last call (see
-        ``_changed``); the rest of the trace order is kept from it.
-        """
-        changed = self._changed
+    def take_changed(self) -> Tuple[Set[ObjectId], Set[ObjectId]]:
+        """The entries changed or removed since the last call, leaving none
+        named, and of those the ones that were and are suspected (only their
+        distance can have moved); each changed entry is re-filed as it now
+        classifies."""
+        changed, dropped = self._changed, self._dropped
+        renumbered: Set[ObjectId] = set()
         if changed:
             self._changed = set()
             slot_of, distances, flags = self._slot, self._distance, self._flags
             threshold = self._suspicion_threshold
             for target in changed:
                 slot = slot_of[target]
-                self._unfile(slot, target)
                 flag = flags[slot]
+                filed = flag & FILED
+                flag &= ~FILED
                 if flag & GARBAGE:
                     flags[slot] = flag | FILED_GARBAGE
                     continue
                 distance = self._filed[slot] = distances[slot]
                 if distance <= threshold or flag & BARRIER:
-                    insort(self._clean_roots, (target, distance), key=_by_distance)
                     flags[slot] = flag | FILED_CLEAN
                 else:
-                    insort(self._suspected_keys, (distance, target))
                     flags[slot] = flag | FILED_SUSPECTED
+                    if filed == FILED_SUSPECTED:
+                        renumbered.add(target)
+        if dropped:
+            self._dropped = {}
+            changed = changed.union(dropped)
+        return changed, renumbered
+
+    def outset_held(self, target: ObjectId) -> FrozenSet[ObjectId]:
+        """The outset ``target``'s entry holds, or held when it was removed
+        after the last :meth:`take_changed`; empty otherwise."""
+        slot = self._slot.get(target)
+        if slot is not None:
+            return self._sets[slot]
+        return self._dropped.get(target, NO_SET)
+
+    def scan_for_trace(self, targets: Optional[Iterable[ObjectId]] = None) -> InrefScan:
+        """How a local trace takes ``targets`` (default: every entry), each
+        list in increasing ``(distance, target)`` order (section 3); targets
+        without an entry are left out."""
+        slot_of, distances, flags = self._slot.get, self._distance, self._flags
+        threshold = self._suspicion_threshold
+        clean: List[Tuple[ObjectId, int]] = []
+        suspected: List[Tuple[int, ObjectId]] = []
+        for target in self._slot if targets is None else targets:
+            slot = slot_of(target)
+            if slot is None:
+                continue
+            flag = flags[slot]
+            if flag & GARBAGE:
+                continue
+            distance = distances[slot]
+            if distance <= threshold or flag & BARRIER:
+                clean.append((target, distance))
+            else:
+                suspected.append((distance, target))
+        clean.sort(key=_by_distance)
+        suspected.sort()
         return InrefScan(
-            clean_roots=list(self._clean_roots),
-            suspected_targets=list(map(itemgetter(1), self._suspected_keys)),
+            clean_roots=clean, suspected_targets=list(map(itemgetter(1), suspected))
         )
 
     def diff_outsets(
-        self, outsets: Dict[ObjectId, FrozenSet[ObjectId]]
+        self,
+        outsets: Dict[ObjectId, FrozenSet[ObjectId]],
+        others: Iterable[ObjectId] = (),
     ) -> Dict[ObjectId, FrozenSet[ObjectId]]:
         """The outsets of a local trace that differ from the installed ones:
         each entry named in ``outsets`` whose outset moves, and each entry
-        holding an outset the trace did not name (it gets an empty one).
-        Changes nothing."""
+        in ``others`` holding an outset the trace did not name (it gets an
+        empty one).  Changes nothing."""
         slot_of, held = self._slot.get, self._sets
         changes = {
             target: outset
             for target, outset in outsets.items()
             if (slot := slot_of(target)) is not None and held[slot] != outset
         }
-        for target in self._nonempty:
-            if target not in outsets:
+        for target in others:
+            if target not in outsets and (slot := slot_of(target)) is not None and held[slot]:
                 changes[target] = NO_SET
         return changes
 
@@ -415,15 +440,14 @@ class InrefTable(IorefColumns):
                 self._put_set(target, slot, outset)
 
     def check_changed(self) -> None:
-        """Assert the premise the incremental scan rests on: every entry
-        filed otherwise than it now classifies is named in ``_changed``; the
-        kept order is sorted and holds exactly the filed entries; the
-        records beside the columns (per-source index, barrier flags,
-        outsets) and each kept minimum are exact (test/debug support)."""
+        """Assert the premise the local trace's kept outcome rests on: every
+        entry filed otherwise than it now classifies is named in
+        ``_changed``; the records beside the columns (per-source index,
+        barrier flags, outsets) and each kept minimum are exact (test/debug
+        support)."""
         self.check_slots()
         threshold, flags = self._suspicion_threshold, self._flags
         by_source: Dict[SiteId, Set[ObjectId]] = {}
-        clean, suspected = set(), set()
         for target, slot in self._slot.items():
             sources = self._source_dict(slot)
             for source in sources:
@@ -431,10 +455,6 @@ class InrefTable(IorefColumns):
             distance, flag = self._distance[slot], flags[slot]
             assert distance == min(sources.values(), default=INFINITE_DISTANCE)
             assert sources, f"inref {target} without a source"
-            if flag & FILED_CLEAN:
-                clean.add((target, self._filed[slot]))
-            elif flag & FILED_SUSPECTED:
-                suspected.add((self._filed[slot], target))
             if flag & GARBAGE:
                 filed = flag & FILED == FILED_GARBAGE
             elif distance <= threshold or flag & BARRIER:
@@ -443,9 +463,6 @@ class InrefTable(IorefColumns):
                 filed = flag & FILED == FILED_SUSPECTED and self._filed[slot] == distance
             assert filed or target in self._changed, f"inref {target} changed unrecorded"
         assert self._changed <= self._slot.keys(), "a removed inref is named changed"
-        assert set(self._clean_roots) == clean and set(self._suspected_keys) == suspected
-        assert self._clean_roots == sorted(self._clean_roots, key=_by_distance)
-        assert self._suspected_keys == sorted(self._suspected_keys), "inref trace order"
         assert self._by_source == by_source, "per-source index drift"
 
     def is_clean(self, target: ObjectId) -> bool:

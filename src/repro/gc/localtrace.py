@@ -20,12 +20,33 @@ To model the non-atomic traces of section 6.2, computation (steps 1-3 deciding
 everything) is separated from **commit** (installing new tables and sweeping).
 The site keeps serving back traces from the old tables between the two, and
 replays transfer barriers that arrived in the window onto the new tables.
+
+**Pieces.**  A trace's outcome splits along the weakly connected pieces of
+the site's resident rows, each with the outrefs its rows hold: a walk from a
+root never leaves its piece, an outref held from two pieces joins them, and
+nothing one piece decides reads another (nonempty outsets of two pieces
+share no outref, so neither do their memoised unions).  The collector keeps
+each piece's outcome (:class:`_Pieces`): its rows, marks, suspected inrefs,
+held and reached outrefs, and what it added to the counters, while the
+tables hold its verdicts.  A trace walks again only the pieces that changed
+since: one holding a changed row (``Heap.take_dirty``: edges, residency,
+root membership) or one a changed row now leads into; one holding an inref
+whose distance, flags or existence moved (``InrefTable.take_changed``, which
+a new suspicion threshold fills with every entry); one holding an outref
+created, removed, pinned, unpinned or taken into or out of a mutator
+variable (``OutrefTable.take_touched``).  The walk regroups the rows it
+visits into pieces afresh (a removed edge may split one, a new edge or
+shared outref joins two), and the diffs, the removals, the sweep and the
+counters read the walked pieces and the kept totals only.  The first trace,
+a revived index (``Heap.take_dirty`` answering None) and a computed result
+that was never committed trace everything from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
+from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -37,9 +58,11 @@ from ..core.backinfo import (
     invert_outsets,
 )
 from ..core.distance import CleanPhaseResult, trace_clean_phase_flat
+from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names
 from ..store.heap import Heap
+from .columns import NO_SET
 from .inrefs import InrefScan, InrefTable
 from .outrefs import OutrefTable, Verdict
 from .update import UpdateDeltaPayload, UpdatePayload
@@ -51,28 +74,110 @@ trace_clean_phase_vector = trace_clean_phase_flat
 
 @dataclass
 class LocalTraceResult:
-    """Everything one local trace decided, ready to be committed."""
+    """Everything one local trace decided, ready to be committed.
+
+    The trace walks only the pieces of the heap that changed (see the
+    module docstring): ``outref_states``, ``outsets`` and ``insets`` are
+    theirs, and the rest of the site keeps the verdicts its tables hold.
+    """
 
     # "full" or "distance" (see :meth:`LocalCollector.plan_trace`); both ran
     # the same trace.  Skipped ticks never produce a result at all.
     mode: str = "full"
     # The variable-held outrefs the trace was computed against (cache key).
     variable_outrefs: FrozenSet[ObjectId] = frozenset()
-    suspected_objects: Set[ObjectId] = field(default_factory=set)
     outsets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     insets: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     # outref target -> (is_clean, distance); targets absent here are trimmed
     # (``removals``) unless the insert barrier pins them.
     outref_states: Dict[ObjectId, Tuple[bool, int]] = field(default_factory=dict)
+    # Inrefs outside ``outsets`` that may hold an outset the trace clears.
+    outset_others: Iterable[ObjectId] = ()
     # The change lists commit installs: the outref verdicts and the inref
     # outsets that differ from what the tables held when compute read them.
     outref_changes: Dict[ObjectId, Verdict] = field(default_factory=dict)
     outset_changes: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     removals: List[ObjectId] = field(default_factory=list)
+    # The walked rows neither phase reached, in index order (what the sweep
+    # takes), and the walked rows the clean phase left unmarked.
+    garbage: List[ObjectId] = field(default_factory=list)
+    unmarked: List[ObjectId] = field(default_factory=list)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
+    # The kernels' results over the rows walked; None when none was.
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
+    # The objects each phase reached: site-wide (walked or kept), and walked.
+    clean_objects_scanned: int = 0
+    suspected_objects_scanned: int = 0
+    clean_objects_walked: int = 0
+    suspected_objects_walked: int = 0
+    # The pieces walked, and those the site holds after the trace.
+    pieces_walked: int = 0
+    pieces_held: int = 0
+
+
+class _Pieces:
+    """The outcome of the last trace, per weakly connected piece.
+
+    - ``piece_of``: per heap index, the id of the piece holding the row, -1
+      for none (dead, free, or garbage awaiting its sweep); a piece's id is
+      one of its rows;
+    - ``marks``: per heap index, the clean phase's mark (dead and free
+      indices marked), what the suspected phase reads;
+    - ``records``: piece id -> (rows, suspected inrefs, held outrefs,
+      reached outrefs, counts), counts as in ``totals``;
+    - ``outref_piece``: each outref a kept row holds -> its piece;
+    - ``reached``: the outrefs the kept pieces give a verdict;
+    - ``orphans``: suspected inrefs whose target is not resident;
+    - ``totals``: over all pieces, clean objects, suspected objects scanned,
+      unions computed, union memo hits, inset storage units, distinct
+      nonempty outsets and suspected inrefs with an empty outset.
+    """
+
+    __slots__ = ("piece_of", "marks", "records", "outref_piece", "reached", "orphans", "totals")
+
+    def __init__(self, heap: Heap):
+        self.marks = heap.fresh_marks()
+        self.piece_of: List[int] = [-1] * len(self.marks)
+        self.records: Dict[int, tuple] = {}
+        self.outref_piece: Dict[ObjectId, int] = {}
+        self.reached: Set[ObjectId] = set()
+        self.orphans: Set[ObjectId] = set()
+        self.totals = [0] * 7
+
+    def check(self, heap: Heap) -> None:
+        """Assert the premise re-use rests on: every unchanged resident row
+        lies in exactly one kept piece with all its successors and held
+        outrefs, and its mark is the one its piece was walked with (a dead
+        or free index marked); a kept piece's rows are resident unless
+        changed (test/debug support; O(V+E))."""
+        _, succ_local, remote_rows, oids, _ = heap.flat_graph()
+        alive, changed = heap.residency(), heap.changed_rows()
+        piece_of, marks = self.piece_of, self.marks
+        rows_held = 0
+        for piece, (rows, _, held, reached, _) in self.records.items():
+            for i in rows:
+                assert piece_of[i] == piece, f"piece drift: row {i}"
+                assert alive[i] or i in changed, f"stale piece row: {i}"
+            rows_held += len(rows)
+            for ref in held:
+                assert self.outref_piece.get(ref) == piece, f"outref piece drift: {ref}"
+            assert self.reached.issuperset(reached), "reached record drift"
+        assert rows_held == sum(1 for p in piece_of if p >= 0), "row in no kept piece"
+        for i in range(len(oids)):
+            if i in changed:
+                continue
+            if not alive[i]:
+                assert marks[i] and piece_of[i] < 0, f"dead row kept: {i}"
+                continue
+            piece = piece_of[i]
+            assert piece >= 0, f"unchanged row {i} in no piece"
+            assert all(
+                piece_of[t] in (piece, -1) or t in changed for t in succ_local[i]
+            ), f"piece leak: {i}"
+            for ref in remote_rows.get(i, ()):
+                assert self.outref_piece.get(ref) == piece, f"held outref leak: {ref}"
 
 
 @dataclass
@@ -121,6 +226,19 @@ class _TraceCells:
         self.deltas_sent = cell(names.UPDATE_DELTAS_SENT)
 
 
+class _Reached:
+    """The outrefs a trace gives a verdict: those the kept pieces reach and
+    the variable-held ones."""
+
+    __slots__ = ("pieces", "variable")
+
+    def __init__(self, pieces: Set[ObjectId], variable: FrozenSet[ObjectId]):
+        self.pieces, self.variable = pieces, variable
+
+    def __contains__(self, target: ObjectId) -> bool:
+        return target in self.pieces or target in self.variable
+
+
 class LocalCollector:
     """Runs local traces for one site."""
 
@@ -156,14 +274,19 @@ class LocalCollector:
         self._cached: Optional[_TraceCache] = None
         self._ticks_since_full = 0
         self._epochs_at_compute: Optional[Tuple[int, int, int, int]] = None
+        # The kept outcome per piece (None: trace everything next), the
+        # variable-held outrefs it was computed with, and whether a computed
+        # result awaits its commit.
+        self._pieces: Optional[_Pieces] = None
+        self._variable: FrozenSet[ObjectId] = frozenset()
+        self._pending = False
 
     # -- incremental planning ----------------------------------------------------
 
     def _current_epochs(self) -> Tuple[int, int, int, int]:
+        inrefs = self.inrefs
         return (
-            self.heap.mutation_epoch,
-            self.inrefs.structure_epoch,
-            self.inrefs.distance_epoch,
+            self.heap.mutation_epoch, inrefs.structure_epoch, inrefs.distance_epoch,
             self.outrefs.mutation_epoch,
         )
 
@@ -241,58 +364,100 @@ class LocalCollector:
     def compute(
         self, variable_outrefs: Iterable[ObjectId] = (), mode: str = "full"
     ) -> LocalTraceResult:
-        """Decide the outcome of a local trace without changing any state.
+        """Decide the outcome of a local trace without changing any table.
 
-        Reads each table once: :meth:`InrefTable.scan_for_trace` yields the
-        clean roots and the suspected inrefs, and
-        :meth:`OutrefTable.scan_for_trace` the outref snapshot and the pins;
-        then diffs the verdicts against the tables into the change lists.
+        Walks the pieces that changed since the last trace (see the module
+        docstring) and diffs their verdicts against the tables into the
+        change lists; the kept pieces are updated to the new outcome at
+        once, and a result never committed makes the next trace start over.
         """
         self._epochs_at_compute = self._current_epochs()
-        scan = self.inrefs.scan_for_trace()
-        # Sorted target order, so ``result.removals`` is sorted by construction.
-        snapshot_outref_order, pinned = self.outrefs.scan_for_trace()
-        result = LocalTraceResult(
-            mode=mode, variable_outrefs=frozenset(variable_outrefs)
-        )
-        self._trace_heap(result, scan, pinned, variable_outrefs)
-
-        # Phase 3: reconcile outrefs.  A suspected outref sits one past the
-        # nearest inref of its inset.
-        states = result.outref_states
-        for target, nearest in self.inrefs.nearest(result.insets).items():
-            states[target] = (False, 1 + nearest)
-        result.removals = [
+        variable = frozenset(variable_outrefs)
+        result = LocalTraceResult(mode=mode, variable_outrefs=variable)
+        heap, inrefs, outrefs = self.heap, self.inrefs, self.outrefs
+        graph = idx_map, _, _, oids, _ = heap.flat_graph()
+        dirty = heap.take_dirty()
+        changed_inrefs, renumbered = inrefs.take_changed()
+        touched = outrefs.take_touched()
+        touched.update(variable.symmetric_difference(self._variable))
+        self._variable = variable
+        if self._pieces is None or dirty is None or self._pending:
+            # Start over: every row, inref and outref is looked at again.
+            self._pieces = _Pieces(heap)
+            result.outset_others = inrefs.nonempty()
+            candidates: Iterable[ObjectId] = outrefs.targets()
+            self._walk(graph, result, None, heap.trace_roots(), inrefs.scan_for_trace())
+        else:
+            pieces = self._pieces
+            marks, piece_of = pieces.marks, pieces.piece_of
+            grown = len(oids) - len(marks)
+            if grown > 0:
+                marks.extend(bytes([1]) * grown)
+                piece_of.extend([-1] * grown)
+            walked, others, candidates = self._take_changed_pieces(
+                graph, dirty, changed_inrefs.difference(renumbered), touched
+            )
+            # The walked rows start unmarked (resident) or marked (dead), in
+            # no piece; their roots and inrefs are looked at again.
+            alive, resident = heap.residency(), set()
+            for i in walked:
+                piece_of[i] = -1
+                if alive[i]:
+                    marks[i] = 0
+                    resident.add(oids[i])
+                else:
+                    marks[i] = 1
+            # A suspected inref whose distance alone moved, in a piece kept,
+            # moves only the distances of its outset's outrefs.
+            index_of = idx_map.get
+            renumbered = [
+                target
+                for target in renumbered
+                if (i := index_of(target)) is not None and piece_of[i] >= 0
+            ]
+            others.update(changed_inrefs.difference(renumbered))
+            result.outset_others = others
+            if walked or others or candidates:
+                scan = inrefs.scan_for_trace(inrefs.present(resident).union(others))
+                self._walk(graph, result, walked, heap.trace_roots(resident), scan)
+            if renumbered:
+                moved = outrefs.insets_of(
+                    dict.fromkeys(chain.from_iterable(map(inrefs.outset_held, renumbered)))
+                )
+                result.insets.update(moved)
+                for target, nearest in inrefs.nearest(moved).items():
+                    result.outref_states[target] = (False, 1 + nearest)
+        states, is_pinned = result.outref_states, outrefs.is_pinned
+        result.removals = sorted(
             target
-            for target in snapshot_outref_order
-            if target not in states and target not in pinned
-        ]
+            for target in set(candidates)
+            if target not in states and target in outrefs and not is_pinned(target)
+        )
         self._diff_against_tables(result)
+        self._record_trace(result)
+        self._pending = True
         return result
 
-    def _diff_against_tables(self, result: LocalTraceResult) -> None:
-        result.outref_changes = self.outrefs.diff_verdicts(
-            result.outref_states, result.insets
-        )
-        result.outset_changes = self.inrefs.diff_outsets(result.outsets)
-
-    def _trace_heap(
+    def _walk(
         self,
+        graph: tuple,
         result: LocalTraceResult,
+        walked: Optional[Set[int]],
+        roots: Tuple[List[ObjectId], List[ObjectId]],
         scan: InrefScan,
-        pinned: Set[ObjectId],
-        variable_outrefs: Iterable[ObjectId],
     ) -> None:
-        """Phases 1 and 2: the clean and the suspected trace."""
+        """Phases 1 to 3 over the rows to walk (None: all of them), from
+        the persistent and variable ``roots`` and the inrefs of ``scan``."""
+        heap, inrefs, is_pinned = self.heap, self.inrefs, self.outrefs.is_pinned
+        marks, piece_of = self._pieces.marks, self._pieces.piece_of
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
         # clean inrefs at their estimated distances.
-        roots: List[Tuple[ObjectId, int]] = list(
-            zip(sorted(self.heap.persistent_roots), repeat(0))
-        )
-        roots += zip(sorted(self.heap.variable_roots), repeat(0))
-        roots += scan.clean_roots
+        persistent, variable_roots = roots
+        clean_roots: List[Tuple[ObjectId, int]] = list(zip(persistent, repeat(0)))
+        clean_roots += zip(variable_roots, repeat(0))
+        clean_roots += scan.clean_roots
         clean_phase = trace_clean_phase_flat(
-            self.heap, roots, variable_outrefs=variable_outrefs
+            heap, clean_roots, result.variable_outrefs, marks, piece_of
         )
         result.clean_phase = clean_phase
 
@@ -300,24 +465,199 @@ class LocalCollector:
         # phase's marks.  An outref is clean when the clean phase reached it
         # or the insert barrier pins it.
         clean_outrefs = clean_phase.outref_distances
-        clean_or_pinned = clean_outrefs.keys() | pinned if pinned else clean_outrefs
         env = TraceEnvironment(
-            heap=self.heap,
-            marks=clean_phase.marks,
-            is_clean_outref=clean_or_pinned.__contains__,
+            heap=heap,
+            marks=marks,
+            is_clean_outref=lambda ref: ref in clean_outrefs or is_pinned(ref),
         )
         if self.config.backinfo_algorithm == "independent":
             backinfo = compute_outsets_independent(env, scan.suspected_targets)
         else:
             backinfo = compute_outsets_bottom_up(env, scan.suspected_targets)
         result.backinfo = backinfo
-        result.suspected_objects = backinfo.visited_objects
         result.outsets = backinfo.outsets
-        result.insets = invert_outsets(backinfo.outsets)
-        result.outref_states = {
+        result.insets = insets = invert_outsets(backinfo.outsets)
+
+        # Phase 3: reconcile outrefs.  A suspected outref sits one past the
+        # nearest inref of its inset.
+        states = result.outref_states = {
             target: (True, distance) for target, distance in clean_outrefs.items()
         }
-        self._record_trace(result)
+        for target, nearest in inrefs.nearest(insets).items():
+            states[target] = (False, 1 + nearest)
+        self._keep_pieces(graph, result, walked, scan.suspected_targets)
+
+    def _take_changed_pieces(
+        self,
+        graph: tuple,
+        dirty: Set[int],
+        changed_inrefs: Set[ObjectId],
+        touched: Set[ObjectId],
+    ) -> Tuple[Set[int], Set[ObjectId], Set[ObjectId]]:
+        """Drop the kept pieces the changes reach: the rows to walk, the
+        suspected inrefs and the outrefs the dropped pieces held."""
+        idx_map, succ_local, remote_rows, _, _ = graph
+        alive, pieces = self.heap.residency(), self._pieces
+        piece_of, outref_piece = pieces.piece_of, pieces.outref_piece
+        hit: Set[int] = set()
+        for i in dirty:
+            hit.add(piece_of[i])
+            if alive[i]:
+                # A changed row joins whatever piece it now leads into.
+                hit.update(map(piece_of.__getitem__, succ_local[i]))
+                remote = remote_rows.get(i)
+                if remote:
+                    hit.update(map(outref_piece.get, remote, repeat(-1)))
+        for target in changed_inrefs:
+            i = idx_map.get(target)
+            if i is not None:
+                hit.add(piece_of[i])
+        if touched:
+            hit.update(map(outref_piece.get, touched, repeat(-1)))
+        hit.discard(-1)
+        walked = set(dirty)
+        others: Set[ObjectId] = set()
+        candidates = set(touched)
+        records, reached, totals = pieces.records, pieces.reached, pieces.totals
+        for piece in hit:
+            rows, suspected, held, piece_reached, counts = records.pop(piece)
+            walked.update(rows)
+            others.update(suspected)
+            if held:
+                candidates.update(held)
+                for ref in held:
+                    del outref_piece[ref]
+                reached.difference_update(piece_reached)
+            totals[:] = map(sub, totals, counts)
+        pieces.orphans.difference_update(changed_inrefs)
+        return walked, others, candidates
+
+    def _keep_pieces(
+        self,
+        graph: tuple,
+        result: LocalTraceResult,
+        walked: Optional[Set[int]],
+        suspected_targets: List[ObjectId],
+    ) -> None:
+        """Group what the trace walked into pieces, keep them, and fill in
+        the result's sweep list and site-wide counts."""
+        idx_map, succ_local, remote_rows, oids, _ = graph
+        alive, pieces = self.heap.residency(), self._pieces
+        marks, piece_of = pieces.marks, pieces.piece_of
+        clean_phase, backinfo = result.clean_phase, result.backinfo
+        # Union-find over the labels the walks gave: clean regions by their
+        # root's index, suspected rows by their own.
+        parent: Dict[int, int] = {}
+
+        def find(label: int) -> int:
+            root = label
+            while root in parent:
+                root = parent[root]
+            while label != root:
+                parent[label], label = root, parent[label]
+            return root
+
+        def join(a: int, b: int) -> None:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
+
+        for a, b in clean_phase.merges:
+            join(a, b)
+        visited = backinfo.visited_rows
+        for i in visited:
+            piece_of[i] = i
+        hold = clean_phase.holders.setdefault
+        for i in visited:
+            for t in succ_local[i]:
+                label = piece_of[t]
+                if label >= 0 and label != i:
+                    join(i, label)
+            for ref in remote_rows.get(i, ()):
+                first = hold(ref, i)
+                if first != i:
+                    join(i, first)
+        # Per new piece: rows, suspected inrefs, held and reached outrefs,
+        # and its counts (see ``_Pieces.totals``; distinct outsets as a set).
+        new: Dict[int, list] = {}
+        for label, rows in clean_phase.regions.items():
+            piece = find(label) if parent else label
+            record = new.get(piece)
+            if record is None:
+                new[piece] = [rows, [], [], [], [len(rows), 0, 0, 0, 0, set(), 0]]
+            else:
+                record[0] += rows
+                record[4][0] += len(rows)
+            if piece != label:
+                for i in rows:
+                    piece_of[i] = piece
+        for i in visited:
+            piece = piece_of[i] = find(i)
+            record = new.get(piece)
+            if record is None:
+                new[piece] = [[i], [], [], [], [0, 0, 0, 0, 0, set(), 0]]
+            else:
+                record[0].append(i)
+        states = result.outref_states
+        for ref, label in clean_phase.holders.items():
+            record = new[find(label) if parent else label]
+            record[2].append(ref)
+            if ref in states:
+                record[3].append(ref)
+        outsets, charges = backinfo.outsets, backinfo.charges
+        orphans = pieces.orphans
+        for target in suspected_targets:
+            i = idx_map.get(target)
+            if i is None or not alive[i]:
+                orphans.add(target)
+                continue
+            record = new[piece_of[i]]
+            record[1].append(target)
+            counts = record[4]
+            charge = charges.get(target)
+            if charge is not None:
+                counts[1] += charge[0]
+                counts[2] += charge[2]
+                counts[3] += charge[3]
+            outset = outsets[target]
+            if outset:
+                counts[4] += len(outset)
+                counts[5].add(outset)
+            else:
+                counts[6] += 1
+        records, outref_piece, reached = pieces.records, pieces.outref_piece, pieces.reached
+        totals = pieces.totals
+        for piece, (rows, suspected, held, piece_reached, counts) in new.items():
+            counts[5] = len(counts[5])
+            counts = tuple(counts)
+            records[piece] = (rows, suspected, held, piece_reached, counts)
+            if held:
+                outref_piece.update(zip(held, repeat(piece)))
+                reached.update(piece_reached)
+            totals[:] = map(add, totals, counts)
+        # What the walks left unmarked, and of that what neither reached.
+        if walked is None:
+            unmarked = []
+            i = marks.find(0)
+            while i >= 0:
+                unmarked.append(i)
+                i = marks.find(0, i + 1)
+        else:
+            unmarked = sorted(i for i in walked if alive[i] and not marks[i])
+        if unmarked:
+            result.unmarked = [oids[i] for i in unmarked]
+            result.garbage = [oids[i] for i in unmarked if piece_of[i] < 0]
+        result.clean_objects_walked = clean_phase.objects_scanned
+        result.suspected_objects_walked = backinfo.objects_scanned
+        result.pieces_walked = len(new)
+
+    def _diff_against_tables(self, result: LocalTraceResult) -> None:
+        result.outref_changes = self.outrefs.diff_verdicts(
+            result.outref_states, result.insets
+        )
+        result.outset_changes = self.inrefs.diff_outsets(
+            result.outsets, result.outset_others
+        )
 
     def _build_updates(self, result: LocalTraceResult) -> None:
         """Batch per-target-site update payloads at *commit* time.
@@ -419,12 +759,14 @@ class LocalCollector:
                 shipped_by_site.pop(site, None)
 
     def check_tables(self) -> None:
-        """Assert the premises of the O(changed) table passes: the inref
-        table's changed set and the outref table's records and changed set,
-        the latter against what the update diffs left each peer holding
-        (test/debug support; O(table))."""
+        """Assert the premises of the O(changed) trace: the inref table's
+        changed set, the outref table's records and changed set, the latter
+        against what the update diffs left each peer holding, and the kept
+        pieces against the heap (test/debug support; O(table + heap))."""
         self.inrefs.check_changed()
         self.outrefs.check_changed(self._shipped)
+        if self._pieces is not None and not self._pending:
+            self._pieces.check(self.heap)
 
     def build_full_update(self, dst: SiteId) -> UpdatePayload:
         """The complete current outref list toward ``dst`` (idempotent).
@@ -441,19 +783,23 @@ class LocalCollector:
         return UpdatePayload(distances)
 
     def _record_trace(self, result: LocalTraceResult) -> None:
-        cells = self._cells
-        clean_phase, backinfo = result.clean_phase, result.backinfo
+        """Count the trace as a from-scratch one would: over every piece,
+        walked or kept."""
+        cells, pieces = self._cells, self._pieces
+        clean, suspected, unions, hits, inset_units, distinct, empty = pieces.totals
+        result.clean_objects_scanned, result.suspected_objects_scanned = clean, suspected
+        result.pieces_held = len(pieces.records)
         cells.local_traces.add()
         cells.traces_full.add()
-        cells.clean_objects_scanned.add(clean_phase.objects_scanned)
-        cells.objects_scanned.add(clean_phase.objects_scanned)
-        cells.suspected_objects_scanned.add(backinfo.objects_scanned)
-        cells.objects_scanned.add(backinfo.objects_scanned)
-        cells.unions_computed.add(backinfo.unions_computed)
-        cells.union_memo_hits.add(backinfo.union_memo_hits)
+        cells.clean_objects_scanned.add(clean)
+        cells.objects_scanned.add(clean)
+        cells.suspected_objects_scanned.add(suspected)
+        cells.objects_scanned.add(suspected)
+        cells.unions_computed.add(unions)
+        cells.union_memo_hits.add(hits)
         observe = self.metrics.observe
-        observe("backinfo.distinct_outsets", backinfo.distinct_outsets)
-        observe("backinfo.inset_storage_units", sum(map(len, result.insets.values())))
+        observe("backinfo.distinct_outsets", distinct + (1 if empty or pieces.orphans else 0))
+        observe("backinfo.inset_storage_units", inset_units)
 
     # -- commit --------------------------------------------------------------------
 
@@ -487,38 +833,44 @@ class LocalCollector:
         if interleaved:
             # The tables moved since compute diffed against them.
             self._diff_against_tables(result)
-        outrefs.install_trace_states(result.outref_changes, result.outref_states)
+        variable = result.variable_outrefs
+        reached = self._pieces.reached
+        outrefs.install_trace_states(
+            result.outref_changes, _Reached(reached, variable) if variable else reached
+        )
         # Entries created after the snapshot (insert protocol) keep their
         # clean birth state; nothing to do for them.
 
-        # Refresh per-inref outsets (the dual view the transfer barrier uses).
+        # Refresh per-inref outsets (the dual view the transfer barrier uses):
+        # a walked inref's new outset is the result's, any other one's the
+        # one its entry holds (or held, if it left since compute).
         outsets = result.outsets
-        no_outset: FrozenSet[ObjectId] = frozenset()
+        replay = [
+            (target, outsets[target] if target in outsets else inrefs.outset_held(target))
+            for target in replay_barrier_inrefs
+        ]
         inrefs.install_outsets(result.outset_changes)
 
         # Inref barrier flags expire with this trace...
         inrefs.reset_barrier_cleans()
         # ...except those that must be replayed onto the new copy.
-        for inref_target in replay_barrier_inrefs:
+        for inref_target, outset in replay:
             if inref_target in inrefs:
                 inrefs.set_barrier_clean(inref_target, True)
-            for outref_target in outsets.get(inref_target, no_outset):
+            for outref_target in outset:
                 if outref_target in outrefs:
                     outrefs.set_barrier_clean(outref_target, True)
 
-        # Sweep the heap: the objects neither phase reached.  The clean
-        # phase listed the unmarked ones when the trace computed, so objects
-        # allocated during a non-atomic trace window were born reachable
-        # and survive unconditionally.
-        suspected = result.suspected_objects
-        swept = self.heap.sweep_ids(
-            [oid for oid in result.clean_phase.unmarked if oid not in suspected]
-        )
+        # Sweep the heap: the objects neither phase reached, listed when the
+        # trace computed, so objects allocated during a non-atomic trace
+        # window were born reachable and survive unconditionally.
+        swept = self.heap.sweep_ids(result.garbage)
         result.swept = swept
         self._cells.objects_swept.add(len(swept))
 
         # Build outgoing updates from the committed table state.
         self._build_updates(result)
+        self._pending = False
         self.traces_run += 1
         if result.mode == "full":
             self._ticks_since_full = 0

@@ -21,7 +21,7 @@ the trace's clean verdict and the barrier flag, and pin counts live in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId
@@ -84,7 +84,13 @@ class OutrefTable(IorefColumns):
     - ``_suspected``: the suspected targets (sorted lazily, like ``_slot``);
     - ``_changed``: the *changed set* -- every target created, removed or
       given a new distance since the last :meth:`scan_committed`, which the
-      update diff reads instead of the table.
+      update diff reads instead of the table;
+    - ``_touched``: every target removed, pinned from unpinned or unpinned
+      to unpinned, given a verdict outside a trace commit, or created in a
+      freed slot since the last :meth:`take_touched` (one created in a slot
+      past ``_taken`` is touched without being named, so creating an entry
+      costs no more) -- what the local trace must look at again beside the
+      pieces of the heap that changed.
     """
 
     handle = OutrefEntry
@@ -97,6 +103,8 @@ class OutrefTable(IorefColumns):
         self._suspected: Dict[ObjectId, None] = {}
         self._suspected_order_dirty = False
         self._changed: Set[ObjectId] = set()
+        self._touched: Set[ObjectId] = set()
+        self._taken = 0  # slots from here on were taken since take_touched
 
     # -- mutation epoch ----------------------------------------------------------
 
@@ -114,6 +122,8 @@ class OutrefTable(IorefColumns):
             )
         slot = self._slot.get(target)
         if slot is None:
+            if self._free:
+                self._touched.add(target)  # a new slot past ``_taken`` is touched
             slot = self._take_slot(target, distance, TRACED_CLEAN if clean else 0)
             self._changed.add(target)
             if not clean:  # a new entry is neither pinned nor barrier-cleaned
@@ -128,6 +138,7 @@ class OutrefTable(IorefColumns):
             self._pins.pop(target, None)
             self._suspected.pop(target, None)
             self._changed.add(target)
+            self._touched.add(target)
             self._mutation_epoch += 1
 
     def _restate(self, target: ObjectId, slot: int) -> None:
@@ -150,13 +161,17 @@ class OutrefTable(IorefColumns):
         slot = self._slot[target]
         flags = self._flags[slot]
         self._flags[slot] = flags | TRACED_CLEAN if value else flags & ~TRACED_CLEAN
+        self._touched.add(target)
         self._restate(target, slot)
 
     def pin(self, target: ObjectId) -> None:
         """Insert barrier: retain this outref, clean, until the owner has
         received the insert message (section 6.1.2)."""
         slot = self._slot[target]
-        self._pins[target] = self._pins.get(target, 0) + 1
+        count = self._pins.get(target, 0)
+        if not count:
+            self._touched.add(target)
+        self._pins[target] = count + 1
         self._mutation_epoch += 1
         self._restate(target, slot)
 
@@ -167,6 +182,7 @@ class OutrefTable(IorefColumns):
             raise GcInvariantError(f"unbalanced unpin on outref {target}")
         if count == 1:
             del self._pins[target]
+            self._touched.add(target)
         else:
             self._pins[target] = count - 1
         self._mutation_epoch += 1
@@ -178,10 +194,23 @@ class OutrefTable(IorefColumns):
     # columns; commit installs the verdicts that moved and reads the changed
     # set for everything that wants the committed state.
 
-    def scan_for_trace(self) -> Tuple[List[ObjectId], Set[ObjectId]]:
-        """All targets in (sorted) table order, and the pinned ones."""
-        self._ensure_order()
-        return list(self._slot), set(self._pins)
+    def take_touched(self) -> Set[ObjectId]:
+        """The targets touched since the last call (see the class
+        docstring), leaving none named."""
+        touched, self._touched = self._touched, set()
+        if self._taken < self._top:
+            targets = self._targets
+            touched.update(filter(None, map(targets.__getitem__, range(self._taken, self._top))))
+            self._taken = self._top
+        return touched
+
+    def insets_of(self, targets: Iterable[ObjectId]) -> Dict[ObjectId, FrozenSet[ObjectId]]:
+        """Per target, the inset its entry holds."""
+        slots, held = self._slot, self._sets
+        return {target: held[slots[target]] for target in targets}
+
+    def is_pinned(self, target: ObjectId) -> bool:
+        return target in self._pins
 
     def diff_verdicts(
         self,
@@ -210,7 +239,7 @@ class OutrefTable(IorefColumns):
         return changes
 
     def install_trace_states(
-        self, changes: Dict[ObjectId, Verdict], reached: Dict[ObjectId, object]
+        self, changes: Dict[ObjectId, Verdict], reached: Container[ObjectId]
     ) -> None:
         """Install the verdicts of :meth:`diff_verdicts` (an entry yet to
         be created is created), and expire the barrier cleans on the outrefs
@@ -222,7 +251,14 @@ class OutrefTable(IorefColumns):
         for target, (clean, distance, inset) in changes.items():
             slot = slot_of(target)
             if slot is None:
+                # Born with this trace's verdict: the trace need not look at
+                # it again for being new.
+                untaken = self._taken == self._top and not self._free
                 self.ensure(target, clean=clean, distance=distance)
+                if untaken:
+                    self._taken = self._top
+                else:
+                    self._touched.discard(target)
                 if not inset:
                     continue  # born with the verdict
                 slot = self._slot[target]

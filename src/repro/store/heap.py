@@ -40,27 +40,27 @@ itself and leaves every other slot to ``_edge_added``.  Graph builders
 call these two, so an object or a local edge costs one intern probe per
 id and one row append.
 
-Trace memos
------------
-Every row change also names the row it touched in ``_dirty``: the holder
-of an added or removed edge, a retired object, a released index.  Both
-phases of a local trace remember the regions they walked last time, keyed
-by the root each region grew from (a :class:`RegionMemo`: ``clean_memo``
-for :func:`repro.core.distance.trace_clean_phase_flat`, ``suspected_memo``
-for :func:`repro.core.backinfo.compute_outsets_bottom_up`; each kernel
-states its own re-use rule).  :meth:`Heap.take_dirty` empties the one
-dirty set and drops, from both memos, every region holding a row it
-names.  Allocating an id that was already interned -- referenced before
-it existed -- revives an index that remembered regions may point at
-without any of their rows changing, so it drops both memos instead.
+Changed rows
+------------
+Every change that can move a local trace's outcome names the row it
+touched in ``_dirty``: the holder of an added or removed edge, a retired
+object, a released index, an index the free-list hands out again, and a
+row that joins or leaves the persistent or variable roots.  A row appended
+since the last :meth:`Heap.take_dirty` is changed too, without being named
+(the insert path stays one append per column).  The local collector keeps
+its outcome per weakly connected piece of the rows
+(:mod:`repro.gc.localtrace`) and walks again only the pieces a changed row
+lies in or leads into.  Allocating an id that was already interned --
+referenced before it existed -- revives an index that kept pieces may lead
+to without any of their rows changing, so :meth:`Heap.take_dirty` answers
+None once: everything is to be traced again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import HeapError, NotLocalError, UnknownObjectError
 from ..ids import ObjectId, SiteId
@@ -73,99 +73,6 @@ _DEAD_MARKED = bytes([1, 0]) + bytes(254)
 #: Builds an :class:`ObjectId` from its field tuple without entering the
 #: named tuple's Python-level ``__new__``.
 _new_id = tuple.__new__
-
-
-class RegionMemo:
-    """The regions one trace kernel walked in its last run, by root.
-
-    ``regions`` maps a root's index to the kernel's record of the region
-    that grew from it.  A record's first two items are the region's rows:
-    a tuple or a dict keyed by them, or None and the window ``(lo, hi,
-    bits)`` they span (``bits`` one byte per index from ``lo``, 1 for a row
-    of the region).  ``owner`` maps each of those rows to its root's index.
-    Only regions of the last run are kept, so a row belongs to at most one
-    of them.  For the clean phase, whose regions cover most of the heap,
-    ``owner`` is a list over all indices (-1, or past its end, for a row
-    no remembered region holds; a row once held may keep its old root,
-    which only costs a needless drop).  For the suspected phase it is
-    *sparse*: a dict holding exactly the remembered rows, so that memo
-    stays the size of the suspected regions, not of the heap.
-    """
-
-    __slots__ = ("regions", "owner")
-
-    def __init__(self, sparse: bool = False) -> None:
-        self.regions: Dict[int, tuple] = {}
-        self.owner: Union[List[int], Dict[int, int]] = {} if sparse else []
-
-    @staticmethod
-    def probe(indices: List[int], expected: List[int]):
-        """A getter over ``indices`` (of a mark bitmap) and what it returns
-        when each holds its ``expected`` value; ``(None, None)`` for none."""
-        if not indices:
-            return None, None
-        getter = itemgetter(*indices)
-        return getter, tuple(expected) if len(expected) > 1 else expected[0]
-
-    @staticmethod
-    def rows_of(record: tuple) -> Iterable[int]:
-        rows = record[0]
-        if rows is None:
-            lo, hi, bits = record[1]
-            window = bits.to_bytes(hi - lo, "little")
-            return [lo + j for j, bit in enumerate(window) if bit]
-        return rows
-
-    def own(self, size: int) -> List[int]:
-        """A list ``owner``, grown to cover ``size`` indices."""
-        owner = self.owner
-        if len(owner) < size:
-            owner.extend(repeat(-1, size - len(owner)))
-        return owner
-
-    def drop(self, root: int) -> None:
-        """Forget the region of ``root``, and a sparse owner's rows of it."""
-        record = self.regions.pop(root, None)
-        owner = self.owner
-        if record is not None and isinstance(owner, dict):
-            for i in self.rows_of(record):
-                if owner.get(i) == root:
-                    del owner[i]
-
-    def forget_rows(self, rows: Iterable[int]) -> None:
-        """Drop every remembered region holding one of ``rows``."""
-        regions, owner = self.regions, self.owner
-        if not regions:
-            return
-        if isinstance(owner, dict):
-            for i in rows:
-                root = owner.get(i)
-                if root is not None:
-                    self.drop(root)
-            return
-        size = len(owner)
-        for i in rows:
-            if i < size:
-                regions.pop(owner[i], None)
-
-    def check(self, alive: bytearray, dirty: Set[int], name: str) -> None:
-        """Assert the premise re-use rests on: a remembered row is alive or
-        named in ``dirty``, and is owned by its region's root (and a sparse
-        owner holds nothing else)."""
-        owner = self.owner
-        held = 0
-        for root, record in self.regions.items():
-            for i in self.rows_of(record):
-                if isinstance(owner, dict):
-                    assert owner.get(i) == root, f"{name} owner drift: {i}"
-                    held += 1
-                else:
-                    assert i < len(owner) and owner[i] == root, f"{name} owner drift: {i}"
-                assert i < len(alive) and (alive[i] or i in dirty), (
-                    f"stale {name} region row: {i}"
-                )
-        if isinstance(owner, dict):
-            assert len(owner) == held, f"{name} owner holds rows of no region"
 
 
 class Heap:
@@ -191,10 +98,10 @@ class Heap:
         self._order: Dict[int, List[ObjectId]] = {}
         self._payload: Dict[int, int] = {}
         self._slot_total = 0
-        # -- trace memos (see module docstring) -----------------------------
+        # -- changed rows (see module docstring) -----------------------------
         self._dirty: Set[int] = set()
-        self.clean_memo = RegionMemo()
-        self.suspected_memo = RegionMemo(sparse=True)
+        self._taken = 0  # rows from here on were appended since take_dirty
+        self._revived = False
 
     # -- mutation epoch ---------------------------------------------------------
     #
@@ -324,31 +231,49 @@ class Heap:
         Returns ``(idx, succ_local, remote_rows, oids, slot_total)``;
         read-only by convention.  Residency comes as :meth:`fresh_marks`.
         """
-        return (
-            self._idx,
-            self._succ_local,
-            self._remote_rows,
-            self._oids,
-            self._slot_total,
-        )
+        return self._idx, self._succ_local, self._remote_rows, self._oids, self._slot_total
+
+    def residency(self) -> bytearray:
+        """The alive bitmap over the indices, no copy (read-only by
+        convention)."""
+        return self._alive
+
+    def trace_roots(
+        self, among: Optional[Set[ObjectId]] = None
+    ) -> Tuple[List[ObjectId], List[ObjectId]]:
+        """The persistent and the variable roots, each sorted, among the
+        ids ``among`` (default: all of them)."""
+        persistent, variable = self._persistent_roots, self._variable_roots
+        if among is not None:
+            persistent = among.intersection(persistent)
+            variable = among.intersection(variable)
+        return sorted(persistent), sorted(variable)
+
+    def changed_rows(self) -> Set[int]:
+        """What :meth:`take_dirty` would answer now, taking nothing
+        (test/debug support)."""
+        return self._dirty.union(range(self._taken, len(self._oids)))
 
     def fresh_marks(self) -> bytearray:
         """A new mark bitmap over the indices: dead and free ones marked."""
         return self._alive.translate(_DEAD_MARKED)
 
-    def take_dirty(self) -> Set[int]:
-        """The rows changed since the last call, leaving the set empty; the
-        remembered regions holding any of them are dropped."""
-        dirty = self._dirty
-        if dirty:
-            self._dirty = set()
-            self.clean_memo.forget_rows(dirty)
-            self.suspected_memo.forget_rows(dirty)
+    def take_dirty(self) -> Optional[Set[int]]:
+        """The rows changed or appended since the last call, leaving none
+        named; None when an index was revived meanwhile (see the module
+        docstring)."""
+        dirty, self._dirty = self._dirty, set()
+        size = len(self._oids)
+        if self._taken < size:
+            dirty.update(range(self._taken, size))
+            self._taken = size
+        if self._revived:
+            self._revived = False
+            return None
         return dirty
 
     def check_flat_mirror(self) -> None:
-        """Assert the rows' bookkeeping and the memo's premises (test/debug
-        support; O(V+E))."""
+        """Assert the rows' bookkeeping (test/debug support; O(V+E))."""
         slot_refs = Counter(t for row in self._succ_local for t in row)
         slots = 0
         for idx, oid in enumerate(self._oids):
@@ -377,13 +302,8 @@ class Heap:
             assert split == (local, self._remote_rows[idx]), f"order record drift: {idx}"
         assert all(self._alive[idx] for idx in self._payload), "dead payload kept"
         assert self._resident_count == self._alive.count(1), "resident count drift"
-        # A memo may be re-used only where ``_dirty`` names every row that
-        # changed since it was stored: a remembered row is still alive
-        # unless the dirty set says otherwise.
         size = len(self._oids)
         assert all(idx < size for idx in self._dirty), "dirty row out of range"
-        self.clean_memo.check(self._alive, self._dirty, "clean")
-        self.suspected_memo.check(self._alive, self._dirty, "suspected")
 
     # -- allocation -----------------------------------------------------------
 
@@ -417,13 +337,13 @@ class Heap:
         if oid in idx_map:
             # Referenced before it existed: the index comes alive under
             # edges no dirty row records (see the module docstring).
-            self.clean_memo = RegionMemo()
-            self.suspected_memo = RegionMemo(sparse=True)
+            self._revived = True
             self._alive[idx_map[oid]] = 1
         elif self._free:
             idx = idx_map[oid] = self._free.pop()
             self._oids[idx] = oid
             self._alive[idx] = 1
+            self._dirty.add(idx)
         else:
             idx_map[oid] = len(self._oids)
             self._oids.append(oid)
@@ -486,12 +406,20 @@ class Heap:
         self.get(oid)  # validate
         if oid not in self._persistent_roots:
             self._persistent_roots.add(oid)
-            self.bump_epoch()
+            self._root_flipped(oid)
 
     def drop_persistent_root(self, oid: ObjectId) -> None:
         if oid in self._persistent_roots:
             self._persistent_roots.discard(oid)
-            self.bump_epoch()
+            self._root_flipped(oid)
+
+    def _root_flipped(self, oid: ObjectId) -> None:
+        """``oid`` joined or left a root set: its row, if interned, is
+        changed."""
+        idx = self._idx.get(oid)
+        if idx is not None:
+            self._dirty.add(idx)
+        self.bump_epoch()
 
     @property
     def variable_roots(self) -> Set[ObjectId]:
@@ -508,13 +436,13 @@ class Heap:
         count = self._variable_roots.get(oid, 0)
         self._variable_roots[oid] = count + 1
         if count == 0:  # the root set (not just a pin count) changed
-            self.bump_epoch()
+            self._root_flipped(oid)
 
     def unpin_variable(self, oid: ObjectId) -> None:
         count = self._variable_roots.get(oid, 0)
         if count <= 1:
             if self._variable_roots.pop(oid, None) is not None:
-                self.bump_epoch()
+                self._root_flipped(oid)
         else:
             self._variable_roots[oid] = count - 1
 

@@ -146,3 +146,77 @@ def run_churn_twin(workers, seed, run_time, gc_rounds, fault_plan=None):
 def pick(stats, keys):
     """The sub-dict of ``stats`` a pinned-count assertion compares."""
     return {key: stats[key] for key in keys}
+
+
+class KeptTrace:
+    """One heap under a local collector that keeps its pieces between
+    traces, for tests that drive the local trace directly.
+
+    ``trace(roots)`` makes each ``(oid, distance)`` root a clean inref at
+    that distance (the suspicion threshold is far above any), ``suspected``
+    targets inrefs past it, and drops the inrefs no longer named; then it
+    computes and commits one trace and holds the kept outcome to the
+    reference clean phase (:func:`repro.core.distance.trace_clean_phase`,
+    from the same roots plus the heap's persistent and variable roots): the
+    clean set and every clean outref's distance.  The result tells how many
+    clean objects the trace walked (``clean_objects_walked``) and how
+    many it kept (``kept_clean``).
+    """
+
+    THRESHOLD = 100
+
+    def __init__(self, heap, backinfo_algorithm: str = "bottomup"):
+        from repro.gc.inrefs import InrefTable
+        from repro.gc.localtrace import LocalCollector
+        from repro.gc.outrefs import OutrefTable
+        from repro.metrics import MetricsRecorder
+
+        config = GcConfig(
+            suspicion_threshold=self.THRESHOLD, backinfo_algorithm=backinfo_algorithm
+        )
+        self.heap = heap
+        self.inrefs = InrefTable(heap.site_id, self.THRESHOLD, config.initial_back_threshold)
+        self.outrefs = OutrefTable(heap.site_id, config.initial_back_threshold)
+        self.collector = LocalCollector(
+            heap, self.inrefs, self.outrefs, config, metrics=MetricsRecorder()
+        )
+
+    def trace(self, roots=(), suspected=(), variable_outrefs=()):
+        from repro.core.distance import trace_clean_phase
+
+        heap, inrefs = self.heap, self.inrefs
+        want = {}
+        for oid, distance in roots:
+            if oid.site == heap.site_id:
+                want[oid] = min(distance, want.get(oid, distance))
+        for oid in suspected:
+            want[oid] = self.THRESHOLD + 1
+        for target in inrefs.targets():
+            if target not in want:
+                inrefs.remove(target)
+        for target, distance in want.items():
+            if target in inrefs:
+                inrefs.set_source(target, "R", distance)
+            else:
+                inrefs.ensure(target, source="R", distance=distance)
+        reference = trace_clean_phase(
+            heap,
+            [(oid, 0) for oid in sorted(heap.persistent_roots | heap.variable_roots)]
+            + [(oid, d) for oid, d in want.items() if d <= self.THRESHOLD],
+            variable_outrefs=variable_outrefs,
+        )
+        result = self.collector.compute(variable_outrefs=variable_outrefs)
+        self.collector.commit(result)
+        self.collector.check_tables()
+        heap.check_flat_mirror()
+        assert self.clean_set() == reference.clean_objects
+        assert self.clean_outrefs() == reference.outref_distances
+        result.kept_clean = result.clean_objects_scanned - result.clean_objects_walked
+        return result
+
+    def clean_set(self):
+        marks = self.collector._pieces.marks
+        return {oid for oid in self.heap.object_ids() if marks[self.heap.get(oid).index]}
+
+    def clean_outrefs(self):
+        return {e.target: e.distance for e in self.outrefs.entries() if e.traced_clean}

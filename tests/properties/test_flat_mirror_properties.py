@@ -1,14 +1,13 @@
-"""Property test: the flat mirror and the clean-phase memo under mutation.
+"""Property test: the flat mirror and the clean-phase kernel under mutation.
 
 The clean-phase kernel reads facts the heap keeps current in O(1) per
-change -- the rows holding remote references, the adjacency-slot total --
-and re-uses the regions of its previous run whose rows no change since has
-touched.  Hypothesis drives one heap through random interleavings of every
+change -- the rows, the rows holding remote references, the dirty set.
+Hypothesis drives one heap through random interleavings of every
 operation that touches the mirror and traces it with the production kernel
-*between* steps, so a stale memo would show: after each step the mirror
-and the memo are audited with ``check_flat_mirror`` and the kernel must
-agree with the reference on all five contract fields for adversarial root
-lists (its clean set being the heap minus the rows it left unmarked).
+*between* steps: after each step the mirror is audited with
+``check_flat_mirror`` and the kernel must agree with the reference on all
+five contract fields for adversarial root lists (its clean set being the
+resident rows its bitmap marks).
 
 The rows are the only record of an object, so slot order is theirs to keep:
 a second property holds ``iter_refs()`` to a plain-list model of each
@@ -124,10 +123,8 @@ def test_mirror_facts_hold_and_kernels_agree_under_interleaved_mutation(
         roots.append((ObjectId("P", 10_000), 1))
         flat = trace_clean_phase_flat(heap, roots, variable_outrefs)
         legacy = trace_clean_phase(heap, roots, variable_outrefs)
-        clean = set(heap.object_ids()).difference(flat.unmarked)
+        clean = {oid for oid in heap.object_ids() if flat.marks[heap.get(oid).index]}
         assert _contract(flat, clean) == _contract(legacy, legacy.clean_objects)
-        assert all(flat.marks[heap.get(oid).index] for oid in clean)
-        assert not any(flat.marks[heap.get(oid).index] for oid in flat.unmarked)
         heap.check_flat_mirror()
 
 

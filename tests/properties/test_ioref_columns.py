@@ -1,8 +1,8 @@
 """Property test: the column-stored ioref tables against plain records.
 
 Both tables keep each entry as a slot of their columns, with records beside
-them (the per-source index, the trace order ``scan_for_trace`` keeps, the
-suspected, pinned and barrier-flagged targets, sparse visited marks) and a
+them (the per-source index, the inrefs' filing, the suspected, pinned and
+barrier-flagged targets, sparse visited marks) and a
 free list that hands a removed entry's slot to the next new one.  A twin
 with none of that -- a dict of plain per-target records, recomputing
 everything on every read -- replays the same random script of table
@@ -126,7 +126,7 @@ def apply(inrefs, outrefs, model, op):
     elif kind == "outsets":
         # One entry gets an outset, or none does; every other one is reset.
         named = {target: frozenset(TARGETS[: 1 + b % 3])} if c % 2 else {}
-        inrefs.install_outsets(inrefs.diff_outsets(named))
+        inrefs.install_outsets(inrefs.diff_outsets(named, inrefs.nonempty()))
         for t, each in model.inrefs.items():
             each["outset"] = named.get(t, frozenset())
     elif kind == "visit" and record is not None:
@@ -194,7 +194,7 @@ def assert_agree(inrefs, outrefs, model):
         assert (entry.garbage, entry.barrier_clean) == (record["garbage"], record["barrier"])
         assert (entry.outset, entry.back_threshold) == (record["outset"], record["back"])
         assert entry.visited == record["visited"]
-    # The trace order, off the kept filing.
+    # The trace order.
     scan = inrefs.scan_for_trace()
     live = [(min(r["sources"].values()), t) for t, r in model.inrefs.items() if not r["garbage"]]
     clean = sorted(k for k in live if model.clean(model.inrefs[k[1]]))
@@ -209,9 +209,11 @@ def assert_agree(inrefs, outrefs, model):
     )
     assert inrefs._barrier_flagged == {t for t, r in model.inrefs.items() if r["barrier"]}
     # Outrefs: fields, records, marks.
-    order, pinned = outrefs.scan_for_trace()
+    order = outrefs.targets()
     assert order == sorted(model.outrefs)
-    assert pinned == {t for t, r in model.outrefs.items() if r["pins"]}
+    assert {t for t in order if outrefs.is_pinned(t)} == {
+        t for t, r in model.outrefs.items() if r["pins"]
+    }
     for entry in outrefs.entries():
         record = model.outrefs[entry.target]
         assert (entry.distance, entry.traced_clean, entry.inset) == (

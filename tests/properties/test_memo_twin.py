@@ -1,19 +1,24 @@
-"""The local trace's memos against a twin that keeps none.
+"""The local trace's kept outcome against a twin that keeps none.
 
-A local trace keeps three things between runs: the clean phase's regions
-(``Heap.clean_memo``), the suspected phase's regions
-(``Heap.suspected_memo``) and the tables' records and changed sets
-(``InrefTable.scan_for_trace``'s filed order, the records beside both
-tables' columns and the outref changed set).  Two worlds replay the same
-random alloc / link / unlink / cut / inref-distance / pin / barrier script
-on one to three sites; before every trace the twin world forgets all of it
-(:func:`drop_memos`: the memos emptied, the records rebuilt from the
-columns, every target named changed), so the twin runs what a from-scratch
-trace runs.  After every trace the two must agree on every field of the
-trace result, on the counters and on the tables, and the memoised world's
-invariants must hold.  A ledger scenario closes the loop end to end: smoke
-``cycle_waves`` with every memo dropped before every trace ends in the same
-``sim_digest`` as the memoised run.
+A local trace keeps two things between runs: the outcome of every weakly
+connected piece of the heap (``LocalCollector._pieces``: rows, marks,
+suspected inrefs, held and reached outrefs, counts) and the tables' records
+and changed sets (the inrefs' filing and changed set, the records beside
+both tables' columns, the outref changed and touched sets).  Two worlds
+replay the same random script on one to three sites: alloc, link, unlink,
+cut a root, move an inref distance, pin or unpin, flip a barrier clean,
+and the cases the kept pieces can get wrong -- an unlink that splits a
+piece, an inref dropped to distance 0 so that its root takes over a
+neighbour's region, one outref held from two pieces, an outref taken into
+or out of a mutator variable, and a new suspicion threshold.  Before every
+trace the twin world forgets all of it (:func:`drop_memos`: no piece kept,
+the records rebuilt from the columns, every target named changed), so the
+twin runs what a from-scratch trace runs.  After every trace the two must
+agree on the change lists, the removals, the sweep, the updates, the
+counters, the observations and the tables, and the memoised world's
+invariants (its kept pieces among them) must hold.  A ledger scenario
+closes the loop end to end: smoke ``cycle_waves`` with every piece dropped
+before every trace ends in the same ``sim_digest`` as the kept run.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from repro.gc.inrefs import FILED, InrefTable
 from repro.gc.localtrace import LocalCollector
 from repro.gc.outrefs import OutrefTable
 from repro.gc.update import apply_update, apply_update_delta
+from repro.ids import ObjectId
 from repro.metrics import MetricsRecorder
-from repro.store.heap import Heap, RegionMemo
+from repro.store.heap import Heap
 
 from ..conftest import examples
 
@@ -39,15 +45,12 @@ SITES = ("P", "Q", "R")
 
 
 def drop_memos(collector: LocalCollector) -> None:
-    """Make the next trace of ``collector`` run from scratch: no region is
-    remembered, every inref is filed anew, and the records beside both
-    tables' columns are rebuilt from the columns with every held or shipped
-    outref changed."""
-    heap, inrefs, outrefs = collector.heap, collector.inrefs, collector.outrefs
-    heap.clean_memo = RegionMemo()
-    heap.suspected_memo = RegionMemo(sparse=True)
-    inrefs._clean_roots.clear()
-    inrefs._suspected_keys.clear()
+    """Make the next trace of ``collector`` run from scratch: no piece is
+    kept, every inref is filed anew, and the records beside both tables'
+    columns are rebuilt from the columns with every held or shipped outref
+    changed."""
+    inrefs, outrefs = collector.inrefs, collector.outrefs
+    collector._pieces = None
     for slot in inrefs._slot.values():
         inrefs._flags[slot] &= ~FILED
     inrefs._changed.update(inrefs._slot)
@@ -77,6 +80,7 @@ class World:
                 heap, inrefs, outrefs, config, metrics=self.metrics
             )
         self.objects = {site: [] for site in sites}
+        self.variables = {site: set() for site in sites}
 
     def pick(self, site, n):
         objects = [o for o in self.objects[site] if self.collectors[site].heap.contains(o)]
@@ -106,6 +110,38 @@ class World:
             refs = heap.get(holder).refs
             if refs:
                 heap.remove_ref(holder, refs[b % len(refs)])
+        elif kind == "split":
+            # Cut a local edge: the piece holding it may fall in two.
+            holder = self.pick(site, a)
+            if holder is None:
+                return
+            local = [ref for ref in heap.get(holder).refs if ref.site == site]
+            if local:
+                heap.remove_ref(holder, local[b % len(local)])
+        elif kind == "overtake":
+            # An inref now nearer than every root: its region takes over
+            # what a farther root marked.
+            targets = inrefs.targets()
+            if targets:
+                entry = inrefs.get(targets[a % len(targets)])
+                entry.set_source_distance(sorted(entry.sources)[b % len(entry.sources)], 0)
+        elif kind == "share":
+            # One outref held from two rows that may lie in two pieces.
+            first, second = self.pick(site, a), self.pick(site, b)
+            peers = [peer for peer in sorted(self.collectors) if peer != site]
+            target = self.pick(peers[b % len(peers)], a // 7) if peers else None
+            if first is None or second is None or target is None:
+                return
+            for holder in (first, second):
+                heap.add_ref(holder, target)
+                outrefs.ensure(target, clean=True, distance=1)
+                self.collectors[target.site].inrefs.ensure(target, source=site, distance=1)
+        elif kind == "hold":
+            # Take an outref into a mutator variable, or out of it.
+            targets = outrefs.targets() + [ObjectId("Z", a % 3)]
+            self.variables[site] ^= {targets[b % len(targets)]}
+        elif kind == "threshold":
+            inrefs.suspicion_threshold = 1 + a % 4
         elif kind == "cut":
             roots = sorted(heap.persistent_roots)
             if roots:
@@ -138,9 +174,11 @@ class World:
         collector = self.collectors[site]
         if not self.memoised:
             drop_memos(collector)
-        result = collector.compute(mode="full")
+        result = collector.compute(variable_outrefs=self.variables[site], mode="full")
         collector.commit(result)
         for dst, payload in sorted(result.updates_by_site.items()):
+            if dst not in self.collectors:
+                continue  # a variable-held outref into no modelled site
             inrefs = self.collectors[dst].inrefs
             if payload.full:
                 apply_update(inrefs, site, payload)
@@ -151,22 +189,14 @@ class World:
 
 def trace_fields(result):
     return (
-        result.outref_states,
-        result.outsets,
-        result.insets,
         result.outref_changes,
         result.outset_changes,
-        result.suspected_objects,
-        result.clean_phase.unmarked,
         result.removals,
+        result.garbage,
         result.swept,
         result.updates_by_site,
-        result.clean_phase.objects_scanned,
-        result.clean_phase.edges_examined,
-        result.backinfo.objects_scanned,
-        result.backinfo.edges_examined,
-        result.backinfo.unions_computed,
-        result.backinfo.union_memo_hits,
+        result.clean_objects_scanned,
+        result.suspected_objects_scanned,
     )
 
 
@@ -190,6 +220,7 @@ OP_KINDS = (
     + ["unlink", "cut", "pin"] * 2
     + ["barrier"]
     + ["distance"] * 3
+    + ["split", "overtake", "share", "hold", "threshold"]
     + ["trace"] * 4
 )
 
@@ -238,6 +269,8 @@ def assert_twins_agree(n_sites, seed, script):
         assert list(memoised.metrics.snapshot().counters.items()) == list(
             twin.metrics.snapshot().counters.items()
         )
+        for name in ("backinfo.distinct_outsets", "backinfo.inset_storage_units"):
+            assert memoised.metrics.observations(name) == twin.metrics.observations(name)
         for s in sites:
             assert table_state(memoised.collectors[s]) == table_state(twin.collectors[s])
             memoised.collectors[s].heap.check_flat_mirror()

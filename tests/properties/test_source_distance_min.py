@@ -71,7 +71,7 @@ def test_the_kept_minimum_matches_a_recompute(script):
     model = {}
     for op, pick, d in script:
         site = SOURCES[pick]
-        table.scan_for_trace()  # empties the changed set
+        table.take_changed()  # empties the changed set
         epoch = table.distance_epoch
         before = min(model.values(), default=INFINITE_DISTANCE)
         _apply(table, model, op, site, d)

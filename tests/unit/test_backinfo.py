@@ -16,6 +16,8 @@ from repro.core.backinfo import (
 from repro.ids import ObjectId
 from repro.store.heap import Heap
 
+from ..conftest import KeptTrace
+
 ALGORITHMS = [compute_outsets_independent, compute_outsets_bottom_up]
 
 
@@ -209,11 +211,12 @@ def test_invert_outsets_round_trip():
     assert insets == {c: frozenset({a, b}), d: frozenset({b})}
 
 
-# -- the back-info memo (``Heap.suspected_memo``) --------------------------------
+# -- the kept suspected pieces ------------------------------------------------
 #
-# Each test traces twice: the second run may re-use the first one's regions
-# only where none of what the walk read has changed.  Each one fails when
-# the one guard it names is taken out of the memo.
+# Each test traces twice through a local collector that keeps its pieces
+# (``tests.conftest.KeptTrace``): the second trace may keep the first one's
+# outsets only where nothing its walk read has changed.  Each one fails when
+# the one guard it names is taken out.
 
 
 def test_backinfo_memo_reuses_an_unchanged_region():
@@ -221,68 +224,81 @@ def test_backinfo_memo_reuses_an_unchanged_region():
     a, b = heap.alloc(), heap.alloc()
     a.add_ref(b.oid)
     b.add_ref(ObjectId("P", 0))
-    first = compute_outsets_bottom_up(env_for(heap), [a.oid])
-    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
-    assert (first.outsets_reused, again.outsets_reused) == (0, 1)
-    assert again.outsets == first.outsets == {a.oid: {ObjectId("P", 0)}}
-    assert again.objects_scanned == first.objects_scanned == 2
-    heap.check_flat_mirror()
+    kept = KeptTrace(heap)
+    first = kept.trace(suspected=[a.oid])
+    again = kept.trace(suspected=[a.oid])
+    assert (len(first.outsets), len(again.outsets)) == (1, 0)
+    assert first.outsets == {a.oid: {ObjectId("P", 0)}}
+    assert kept.inrefs.outset_of(a.oid) == {ObjectId("P", 0)}
+    assert first.suspected_objects_scanned == again.suspected_objects_scanned == 2
+    assert again.suspected_objects_walked == 0
 
 
 def test_backinfo_memo_walks_a_region_again_after_a_row_changes():
-    """Guard: ``Heap.take_dirty`` drops a suspected region holding a
-    changed row."""
+    """Guard: a changed row's piece is walked again."""
     heap = Heap("Q")
     a, b = heap.alloc(), heap.alloc()
     a.add_ref(b.oid)
     b.add_ref(ObjectId("P", 0))
-    compute_outsets_bottom_up(env_for(heap), [a.oid])
+    kept = KeptTrace(heap)
+    kept.trace(suspected=[a.oid])
     b.add_ref(ObjectId("P", 1))
-    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    again = kept.trace(suspected=[a.oid])
     assert again.outsets[a.oid] == {ObjectId("P", 0), ObjectId("P", 1)}
-    assert again.outsets_reused == 0
+    assert again.suspected_objects_walked == 2
 
 
 def test_backinfo_memo_sees_a_clean_boundary_turn_suspected():
-    """Guard: the marks of a region's members and of the clean objects its
-    edges led to are compared before re-use."""
+    """Guard: a piece holding clean and suspected rows is walked again when
+    the root that marked the clean ones goes."""
     heap = Heap("Q")
     a, shared = heap.alloc(), heap.alloc()
     a.add_ref(shared.oid)
     shared.add_ref(ObjectId("P", 0))
-    first = compute_outsets_bottom_up(env_for(heap, clean_objects=[shared.oid]), [a.oid])
+    heap.make_persistent_root(shared.oid)
+    kept = KeptTrace(heap)
+    first = kept.trace(suspected=[a.oid])
     assert first.outsets[a.oid] == frozenset()
     # The clean root that marked ``shared`` is gone: it is suspected now.
-    again = compute_outsets_bottom_up(env_for(heap), [a.oid])
+    heap.drop_persistent_root(shared.oid)
+    again = kept.trace(suspected=[a.oid])
     assert again.outsets[a.oid] == {ObjectId("P", 0)}
-    assert again.objects_scanned == 2
+    assert again.suspected_objects_scanned == 2
 
 
 def test_backinfo_memo_sees_an_outref_turn_clean():
-    """Guard: the clean-outref status of every remote reference a region
-    holds is compared before re-use."""
-    heap = Heap("Q")
-    a = heap.alloc()
-    far, near = ObjectId("P", 0), ObjectId("P", 1)
-    a.add_ref(far)
-    a.add_ref(near)
-    first = compute_outsets_bottom_up(env_for(heap), [a.oid])
-    assert first.outsets[a.oid] == {far, near}
-    again = compute_outsets_bottom_up(env_for(heap, clean_outrefs=[near]), [a.oid])
-    assert again.outsets[a.oid] == {far}
+    """Guard: an outref pinned by the insert barrier, or taken into a
+    mutator variable, walks its piece again: it is clean now."""
+    for clean_by in ("pin", "variable"):
+        heap = Heap("Q")
+        a = heap.alloc()
+        far, near = ObjectId("P", 0), ObjectId("P", 1)
+        a.add_ref(far)
+        a.add_ref(near)
+        kept = KeptTrace(heap)
+        first = kept.trace(suspected=[a.oid])
+        assert first.outsets[a.oid] == {far, near}
+        variable = ()
+        if clean_by == "pin":
+            kept.outrefs.pin(near)
+        else:
+            variable = (near,)
+        again = kept.trace(suspected=[a.oid], variable_outrefs=variable)
+        assert again.outsets[a.oid] == {far}, clean_by
+        assert kept.inrefs.outset_of(a.oid) == {far}, clean_by
 
 
 def test_backinfo_memo_sees_an_earlier_walk_enter_a_region():
-    """Guard: a walk that visits a row of another inref's remembered region
-    names that region intruded, so it is walked rather than re-used."""
+    """Guard: a changed row that leads into another kept piece joins the
+    two, so both are walked again."""
     heap = Heap("Q")
     a, b, c = heap.alloc(), heap.alloc(), heap.alloc()
     b.add_ref(c.oid)
     c.add_ref(ObjectId("P", 0))
-    compute_outsets_bottom_up(env_for(heap), [a.oid, b.oid])
-    a.add_ref(c.oid)  # a's walk now takes c from b's region
-    again = compute_outsets_bottom_up(env_for(heap), [a.oid, b.oid])
+    kept = KeptTrace(heap)
+    kept.trace(suspected=[a.oid, b.oid])
+    a.add_ref(c.oid)  # a's row now leads into b's piece
+    again = kept.trace(suspected=[a.oid, b.oid])
     assert again.outsets == {a.oid: {ObjectId("P", 0)}, b.oid: {ObjectId("P", 0)}}
-    assert again.objects_scanned == 3
-    assert again.outsets_reused == 0
-    heap.check_flat_mirror()
+    assert again.suspected_objects_walked == 3
+    assert again.pieces_walked == 1 and again.pieces_held == 1

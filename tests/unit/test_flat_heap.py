@@ -4,10 +4,11 @@ The heap keeps a dense integer-index mirror of the local object graph:
 interned ids, append-only adjacency arrays, a free-list guarded by per-slot
 adjacency refcounts so an index is never reused while a dangling reference
 still points at it.  ``check_flat_mirror`` is the assert-based validator
-these tests lean on after every mutation batch.  The clean-phase kernel
-re-uses regions of its previous run on the same heap; the memo cases below
-make one change per invalidation cause between two traces and hold every
-trace to the reference kernel.
+these tests lean on after every mutation batch.  The local collector keeps
+its outcome per weakly connected piece of the heap between traces; the
+cases below make one change per cause that must walk a piece again between
+two traces, and hold every trace to the reference kernel
+(``tests.conftest.KeptTrace``).
 """
 
 import random
@@ -20,6 +21,8 @@ from repro.gc.outrefs import OutrefTable
 from repro.ids import ObjectId
 from repro.metrics import MetricsRecorder
 from repro.store.heap import Heap
+
+from ..conftest import KeptTrace
 
 
 def test_mirror_tracks_alloc_link_unlink():
@@ -150,7 +153,7 @@ def test_flat_kernel_is_byte_identical_to_legacy_kernel():
         heap.check_flat_mirror()
 
 
-# -- the clean-phase memo ---------------------------------------------------
+# -- the kept pieces -----------------------------------------------------------
 
 
 def _random_heap(rng):
@@ -180,14 +183,8 @@ def _random_heap(rng):
 
 
 def clean_set(heap, result):
-    """The flat kernel's clean set: the heap minus what it left unmarked,
-    checked against its mark bitmap."""
-    unmarked = set(result.unmarked)
-    assert len(unmarked) == len(result.unmarked)
-    for obj in heap.objects():
-        assert bool(result.marks[obj.index]) == (obj.oid not in unmarked)
-    assert unmarked <= set(heap.object_ids())
-    return set(heap.object_ids()) - unmarked
+    """The flat kernel's clean set: the resident objects its bitmap marks."""
+    return {obj.oid for obj in heap.objects() if result.marks[obj.index]}
 
 
 def _as_tuple(result, clean):
@@ -200,33 +197,26 @@ def _as_tuple(result, clean):
     )
 
 
-def _traced(heap, roots, variable_outrefs=()):
-    """The production kernel, held to the reference on the five contract
-    fields; the mirror and the memo audited afterwards."""
-    got = trace_clean_phase_flat(heap, roots, variable_outrefs)
-    want = trace_clean_phase(heap, roots, variable_outrefs)
-    assert _as_tuple(got, clean_set(heap, got)) == _as_tuple(
-        want, want.clean_objects
-    )
-    heap.check_flat_mirror()
-    return got
-
-
 def test_flat_kernel_matches_the_reference_before_and_after_a_mutation():
-    for seed in range(400):
+    for seed in range(200):
         rng = random.Random(seed)
         heap, roots, variable_outrefs = _random_heap(rng)
-        first = _traced(heap, roots, variable_outrefs)
-        # Nothing changed: the whole previous run is re-used.
-        again = _traced(heap, roots, variable_outrefs)
-        assert again.objects_reused == first.objects_scanned, f"seed {seed}"
+        got = trace_clean_phase_flat(heap, roots, variable_outrefs)
+        want = trace_clean_phase(heap, roots, variable_outrefs)
+        assert _as_tuple(got, clean_set(heap, got)) == _as_tuple(want, want.clean_objects)
+        kept = KeptTrace(heap)
+        first = kept.trace(roots, variable_outrefs=variable_outrefs)
+        # Nothing changed: every piece is kept, none walked.
+        again = kept.trace(roots, variable_outrefs=variable_outrefs)
+        assert again.clean_objects_walked == 0, f"seed {seed}"
+        assert again.kept_clean == first.clean_objects_scanned, f"seed {seed}"
         live = sorted(heap.object_ids())
         holder = heap.get(rng.choice(live))
         if holder.refs and rng.random() < 0.5:
             holder.remove_ref(rng.choice(holder.refs))
         else:
             holder.add_ref(rng.choice(live))
-        _traced(heap, roots, variable_outrefs)
+        kept.trace(roots, variable_outrefs=variable_outrefs)
 
 
 def _chain(heap, length):
@@ -240,41 +230,47 @@ def test_memo_sees_an_edge_added_inside_a_region():
     heap = Heap("P")
     a, _ = _chain(heap, 2)
     c, d = _chain(heap, 2)
+    kept = KeptTrace(heap)
     roots = [(a.oid, 0), (c.oid, 1)]
-    _traced(heap, roots)
+    kept.trace(roots)
     fresh = heap.alloc()
     d.add_ref(fresh.oid)
-    result = _traced(heap, roots)
-    assert fresh.oid in clean_set(heap, result)
-    assert result.objects_reused == 2  # a's region; c's was walked again
+    result = kept.trace(roots)
+    assert fresh.oid in kept.clean_set()
+    assert (result.kept_clean, result.clean_objects_walked) == (2, 3)
 
 
 def test_memo_sees_an_edge_removed_inside_a_region():
+    """An unlink that splits a piece: both halves are walked again, and the
+    half no root reaches is swept."""
     heap = Heap("P")
     a, b, c = _chain(heap, 3)
-    roots = [(a.oid, 0)]
-    _traced(heap, roots)
+    kept = KeptTrace(heap)
+    kept.trace([(a.oid, 0)])
     b.remove_ref(c.oid)
-    result = _traced(heap, roots)
-    assert c.oid not in clean_set(heap, result)
-    assert result.objects_reused == 0
+    result = kept.trace([(a.oid, 0)])
+    assert c.oid not in kept.clean_set() and result.swept == [c.oid]
+    assert result.kept_clean == 0 and result.pieces_walked == 1
 
 
 def test_memo_sees_a_region_member_swept_or_deleted():
     for kill in ("sweep_ids", "delete"):
         heap = Heap("P")
         a, b, c = _chain(heap, 3)
-        roots = [(a.oid, 0)]
-        _traced(heap, roots)
+        kept = KeptTrace(heap)
+        kept.trace([(a.oid, 0)])
         if kill == "sweep_ids":
             heap.sweep_ids([b.oid])
         else:
             heap.delete(b.oid)
-        result = _traced(heap, roots)
-        assert clean_set(heap, result) == {a.oid}, kill
+        result = kept.trace([(a.oid, 0)])
+        assert kept.clean_set() == {a.oid}, kill
+        assert result.swept == [c.oid], kill
 
 
 def test_memo_follows_root_order_and_root_distance():
+    """A root that drops below its neighbour's distance takes over the
+    region they share: the piece is walked again and the outref follows."""
     heap = Heap("P")
     a = heap.alloc()
     c = heap.alloc()
@@ -283,19 +279,19 @@ def test_memo_follows_root_order_and_root_distance():
     c.add_ref(shared.oid)
     remote = ObjectId("Q", 0)
     c.add_ref(remote)
-    _traced(heap, [(a.oid, 0), (c.oid, 1)])
-    # Another order: c's remembered boundary (shared) is not marked when c
-    # comes first, and a's region holds a row c reached: both are walked.
-    swapped = _traced(heap, [(c.oid, 0), (a.oid, 1)])
-    assert swapped.objects_reused == 0
-    assert swapped.outref_distances == {remote: 1}
-    # Same order, other distances: a region does not depend on its root's
-    # distance, so both are re-used, and the outref follows c's distance.
-    farther = _traced(heap, [(c.oid, 0), (a.oid, 3)])
-    assert farther.objects_reused == 3
-    moved = _traced(heap, [(c.oid, 2), (a.oid, 3)])
-    assert moved.objects_reused == 3
-    assert moved.outref_distances == {remote: 3}
+    kept = KeptTrace(heap)
+    kept.trace([(a.oid, 0), (c.oid, 1)])
+    swapped = kept.trace([(c.oid, 0), (a.oid, 1)])
+    assert swapped.clean_objects_walked == 3
+    assert kept.clean_outrefs() == {remote: 1}
+    farther = kept.trace([(c.oid, 0), (a.oid, 3)])
+    assert farther.clean_objects_walked == 3
+    moved = kept.trace([(c.oid, 2), (a.oid, 3)])
+    assert kept.clean_outrefs() == {remote: 3}
+    # Unchanged roots: the piece is kept whole.
+    again = kept.trace([(c.oid, 2), (a.oid, 3)])
+    assert (again.kept_clean, again.clean_objects_walked) == (3, 0)
+    assert moved.outref_changes == {remote: (True, 3, frozenset())}
 
 
 def test_memo_reuses_a_region_wherever_its_root_now_sits():
@@ -305,41 +301,46 @@ def test_memo_reuses_a_region_wherever_its_root_now_sits():
     e = heap.alloc()
     b.add_ref(ObjectId("Q", 0))
     d.add_ref(ObjectId("Q", 1))
-    _traced(heap, [(a.oid, 0), (c.oid, 1), (e.oid, 2)])
-    # c overtakes a, and e's region changes: a's and c's are re-used.
+    kept = KeptTrace(heap)
+    kept.trace([(a.oid, 0), (c.oid, 1), (e.oid, 2)])
+    # e's piece changes; a's and c's keep their roots and are kept, though
+    # the trace order between the roots moved.
     e.add_ref(heap.alloc().oid)
-    result = _traced(heap, [(c.oid, 0), (e.oid, 1), (a.oid, 3)])
-    assert result.objects_reused == 4
-    assert result.outref_distances == {ObjectId("Q", 0): 4, ObjectId("Q", 1): 1}
+    result = kept.trace([(a.oid, 0), (c.oid, 1), (e.oid, 2)])
+    assert (result.kept_clean, result.clean_objects_walked) == (4, 2)
+    assert kept.clean_outrefs() == {ObjectId("Q", 0): 1, ObjectId("Q", 1): 2}
 
 
 def test_memo_rechecks_a_region_boundary():
-    """Guard: a remembered region is re-used only while every row its
-    edges led to outside it is marked already."""
+    """Guard: a piece whose root is gone is walked again from the roots it
+    has left."""
     heap = Heap("P")
     a, c, shared = heap.alloc(), heap.alloc(), heap.alloc()
     a.add_ref(shared.oid)
     c.add_ref(shared.oid)
-    _traced(heap, [(a.oid, 0), (c.oid, 1)])  # c's region: c, boundary shared
-    result = _traced(heap, [(c.oid, 1)])  # a is no root any more
-    assert clean_set(heap, result) == {c.oid, shared.oid}
-    assert result.objects_reused == 0
+    kept = KeptTrace(heap)
+    kept.trace([(a.oid, 0), (c.oid, 1)])
+    result = kept.trace([(c.oid, 1)])  # a is no root any more
+    assert kept.clean_set() == {c.oid, shared.oid}
+    assert result.swept == [a.oid] and result.kept_clean == 0
 
 
 def test_memo_sees_an_earlier_walk_enter_a_region():
-    """Guard: a walk that marks a row of another root's remembered region
-    names that region intruded, so it is walked rather than re-used, and
-    the memo stays exact for later traces."""
+    """Guard: a changed row that now leads into a kept piece joins it, so
+    that piece is walked again, and what is kept stays exact for later
+    traces."""
     heap = Heap("P")
     a, b, x = heap.alloc(), heap.alloc(), heap.alloc()
     b.add_ref(x.oid)
-    _traced(heap, [(a.oid, 0), (b.oid, 1)])  # b's region: b, x
-    a.add_ref(x.oid)  # a's walk now takes x
-    _traced(heap, [(a.oid, 0), (b.oid, 1)])
+    kept = KeptTrace(heap)
+    kept.trace([(a.oid, 0), (b.oid, 1)])  # pieces {a} and {b, x}
+    a.add_ref(x.oid)  # a's row now leads into b's piece
+    result = kept.trace([(a.oid, 0), (b.oid, 1)])
+    assert result.pieces_walked == 1 and result.clean_objects_walked == 3
     y = heap.alloc()
     x.add_ref(y.oid)
-    result = _traced(heap, [(b.oid, 1)])
-    assert clean_set(heap, result) == {b.oid, x.oid, y.oid}
+    kept.trace([(b.oid, 1)])
+    assert kept.clean_set() == {b.oid, x.oid, y.oid}
 
 
 def test_memo_is_dropped_when_an_id_referenced_early_is_allocated():
@@ -348,52 +349,55 @@ def test_memo_is_dropped_when_an_id_referenced_early_is_allocated():
     early = ObjectId("P", 1)  # the next serial: not allocated yet
     root.add_ref(early)
     roots = [(root.oid, 0)]
-    assert clean_set(heap, _traced(heap, roots)) == {root.oid}
+    kept = KeptTrace(heap)
+    kept.trace(roots)
+    assert kept.clean_set() == {root.oid}
     revived = heap.alloc()
     assert revived.oid == early
-    # No row of root's region changed, yet the region grew.
-    result = _traced(heap, roots)
-    assert clean_set(heap, result) == {root.oid, early}
-    assert result.objects_reused == 0
+    # No row of root's piece changed, yet the piece grew.
+    result = kept.trace(roots)
+    assert kept.clean_set() == {root.oid, early}
+    assert result.kept_clean == 0
 
 
 def test_memo_rechecks_an_empty_region_whose_index_was_reused():
     heap = Heap("P")
     first = heap.alloc()
-    holder = heap.alloc()  # unreached: its row is dirty, no region is
+    holder = heap.alloc()
     gone = heap.alloc()
     holder.add_ref(gone.oid)
     gone_idx = gone.index
-    heap.sweep_ids([gone.oid])  # interned but dead: an empty region
-    _traced(heap, [(first.oid, 0), (gone.oid, 0)])
+    heap.sweep_ids([gone.oid])  # interned but dead
+    kept = KeptTrace(heap)
+    kept.trace([(first.oid, 0), (holder.oid, 0)])
     holder.remove_ref(gone.oid)  # releases the index...
-    heap.check_flat_mirror()  # (a remembered root released is dirty)
+    heap.check_flat_mirror()
     fresh = heap.alloc()  # ...and a new object takes it
     assert fresh.index == gone_idx
-    result = _traced(heap, [(first.oid, 0), (fresh.oid, 0)])
-    assert clean_set(heap, result) == {first.oid, fresh.oid}
-    assert result.objects_reused == 1
+    result = kept.trace([(first.oid, 0), (holder.oid, 0), (fresh.oid, 0)])
+    assert kept.clean_set() == {first.oid, holder.oid, fresh.oid}
+    assert result.kept_clean == 1
 
 
 def test_memo_reuses_every_unchanged_region():
-    """Regions are keyed by root, not by trace position: a change in one of
-    300 regions walks that one again and re-uses the other 299."""
+    """Pieces are kept by their rows, not by trace position: a change in
+    one of 300 pieces walks that one again and keeps the other 299."""
     heap = Heap("P")
     chains = [_chain(heap, 2) for _ in range(300)]
     roots = []
     for position, (head, tail) in enumerate(chains):
-        tail.add_ref(ObjectId("Q", position))  # one outref per region
+        tail.add_ref(ObjectId("Q", position))  # one outref per piece
         roots.append((head.oid, position // 50))
-    heap.alloc().add_ref(ObjectId("R", 0))  # unreached: its outref stays out
-    first = _traced(heap, roots)
-    assert first.objects_reused == 0
-    again = _traced(heap, roots)
-    assert again.objects_reused == 300 * 2
+    kept = KeptTrace(heap)
+    first = kept.trace(roots)
+    assert first.kept_clean == 0 and first.pieces_held == 300
+    again = kept.trace(roots)
+    assert (again.kept_clean, again.pieces_walked) == (300 * 2, 0)
     chains[280][1].add_ref(heap.alloc().oid)
-    result = _traced(heap, roots)
-    assert result.objects_scanned == 300 * 2 + 1
-    assert result.objects_reused == 299 * 2
-    assert result.outref_distances[ObjectId("Q", 280)] == 280 // 50 + 1
+    result = kept.trace(roots)
+    assert result.clean_objects_scanned == 300 * 2 + 1
+    assert (result.kept_clean, result.pieces_walked) == (299 * 2, 1)
+    assert kept.clean_outrefs()[ObjectId("Q", 280)] == 280 // 50 + 1
 
 
 def test_memo_sees_a_mutation_between_compute_and_commit():
@@ -410,13 +414,13 @@ def test_memo_sees_a_mutation_between_compute_and_commit():
     heap.make_persistent_root(a.oid)
     garbage = heap.alloc()
     result = collector.compute()  # non-atomic: commit comes later
-    assert result.clean_phase.unmarked == [garbage.oid]
+    assert result.garbage == [garbage.oid]
     b.remove_ref(c.oid)  # lands in the window
     swept = collector.commit(result)
     assert swept == [garbage.oid]
     again = collector.compute()
-    want = trace_clean_phase(heap, [(a.oid, 0)])
-    clean = clean_set(heap, again.clean_phase)
-    assert _as_tuple(again.clean_phase, clean) == _as_tuple(want, want.clean_objects)
-    assert clean == {a.oid, b.oid}
+    collector.commit(again)
+    assert again.garbage == [c.oid]
+    assert again.clean_objects_scanned == 2
+    collector.check_tables()
     heap.check_flat_mirror()

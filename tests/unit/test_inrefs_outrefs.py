@@ -144,27 +144,32 @@ def test_trace_scan_orders_roots_by_distance():
 
 def test_scan_refiles_exactly_the_changed_inrefs():
     """Guard: every change a trace reads -- a new minimum distance, a
-    garbage flag, a barrier clean, a removal -- names the inref in the
-    table's changed set, and the next scan re-files those alone."""
+    garbage flag, a barrier clean, a removal -- names the inref in what the
+    next trace takes (a removal apart from the changed set), and taking
+    re-files those alone; a suspected inref whose distance alone moved is
+    told apart."""
     table = make_inrefs(threshold=4)
-    near, far, gone = ObjectId("R", 0), ObjectId("R", 1), ObjectId("R", 2)
+    near, far, gone, farther = (ObjectId("R", k) for k in range(4))
     table.ensure(near, source="P", distance=2)
     table.ensure(far, source="P", distance=7)
     table.ensure(gone, source="P", distance=3)
-    table.scan_for_trace()
+    table.ensure(farther, source="P", distance=8)
+    assert table.take_changed() == ({near, far, gone, farther}, set())
     assert table._changed == set()
     table.set_source(near, "P", 6)  # crosses the threshold
     table.get(far).barrier_clean = True
-    table.remove(gone)  # leaves the trace order at once
-    assert table._changed == {near, far}
+    table.remove(gone)  # leaves the table at once
+    table.set_source(farther, "P", 9)  # stays suspected
+    assert table._changed == {near, far, farther}
+    assert table.take_changed() == ({near, far, gone, farther}, {farther})
     scan = table.scan_for_trace()
     assert scan.clean_roots == [(far, 7)]
-    assert scan.suspected_targets == [near]
+    assert scan.suspected_targets == [near, farther]
     assert table.nearest({near: [near], far: [near, far], gone: []}) == {
         near: 6, far: 6, gone: 0
     }
     table.get(near).garbage = True
-    assert table.scan_for_trace().suspected_targets == []
+    assert table.scan_for_trace([near, far]).suspected_targets == []
     table.check_changed()
 
 
@@ -358,9 +363,9 @@ def test_scans_are_in_target_order():
     for site, serial, clean in (("R", 1, False), ("Q", 5, True), ("R", 0, False), ("Q", 2, False)):
         table.ensure(ObjectId(site, serial), clean=clean, distance=serial + 1)
     table.get(ObjectId("Q", 2)).pin()
-    order, pinned = table.scan_for_trace()
+    order = table.targets()
     assert order == sorted(order) and len(order) == 4
-    assert pinned == {ObjectId("Q", 2)}
+    assert [t for t in order if table.is_pinned(t)] == [ObjectId("Q", 2)]
     by_site = table.distances_by_site()
     assert list(by_site) == ["Q", "R"]
     assert by_site["Q"] == {ObjectId("Q", 2): 3, ObjectId("Q", 5): 6}

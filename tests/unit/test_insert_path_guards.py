@@ -7,34 +7,23 @@ thing those lines must still do; each fails when its guard is taken out
 (EXPERIMENTS E43 records the mutants and the tests that kill them):
 
 - a swept or unknown holder raises ``UnknownObjectError`` and changes nothing;
-- an id linked before it is allocated drops both region memos on
-  allocation, so neither trace phase re-uses a region the revived row joins;
+- an id linked before it is allocated makes the next local trace start
+  over, so no kept piece misses the row the revived index joins it to;
 - a row's first remote slot after local slots records its slot order;
-- the holder of every added edge is named dirty, so a memoised region
-  holding it is walked again.
+- the holder of every added edge is named dirty, so the kept piece holding
+  it is walked again.
 """
 
 import pytest
 
-from repro.core.backinfo import TraceEnvironment, compute_outsets_bottom_up
-from repro.core.distance import trace_clean_phase, trace_clean_phase_flat
 from repro.errors import UnknownObjectError
 from repro.ids import ObjectId
 from repro.store.heap import Heap
 from repro.workloads import GraphBuilder
 
-from ..conftest import make_sim
+from ..conftest import KeptTrace, make_sim
 
 REMOTE = ObjectId("Q", 7)
-
-
-def _clean_phase_agrees(heap, roots):
-    """Trace with the memoised kernel and the reference; compare results."""
-    flat = trace_clean_phase_flat(heap, roots)
-    reference = trace_clean_phase(heap, roots)
-    assert set(heap.object_ids()).difference(flat.unmarked) == reference.clean_objects
-    assert flat.outref_distances == reference.outref_distances
-    heap.check_flat_mirror()
 
 
 def test_a_swept_or_unknown_holder_raises_and_changes_nothing():
@@ -60,21 +49,20 @@ def test_a_swept_or_unknown_holder_raises_and_changes_nothing():
 
 def test_an_id_linked_before_it_is_allocated_drops_both_memos_on_alloc():
     heap = Heap("P")
-    root = heap.alloc(persistent_root=True).oid
+    root = heap.alloc().oid
     future = ObjectId("P", 1)  # the next serial: interned dead, not resident
     heap.add_ref(root, future)
-    roots = [(root, 0)]
-    _clean_phase_agrees(heap, roots)
-    env = TraceEnvironment(heap, heap.fresh_marks(), lambda ref: False)
-    assert compute_outsets_bottom_up(env, [root]).outsets[root] == frozenset()
-    assert heap.clean_memo.regions and heap.suspected_memo.regions
-    # Alive now, under an edge no dirty row records: only the drop keeps
-    # either phase from re-using the region that left it out.
+    kept = KeptTrace(heap)
+    first = kept.trace(suspected=[root])
+    assert first.outsets[root] == frozenset() and kept.clean_set() == set()
+    assert kept.trace(suspected=[root]).pieces_walked == 0
+    # Alive now, under an edge no dirty row records: only starting over
+    # keeps either phase from keeping the piece that left it out.
     assert heap.alloc(refs=[REMOTE]).oid == future
-    assert not heap.clean_memo.regions and not heap.suspected_memo.regions
-    _clean_phase_agrees(heap, roots)
-    env = TraceEnvironment(heap, heap.fresh_marks(), lambda ref: False)
-    assert compute_outsets_bottom_up(env, [root]).outsets[root] == {REMOTE}
+    again = kept.trace(suspected=[root])
+    assert again.outsets[root] == {REMOTE}
+    assert again.suspected_objects_walked == 2
+    assert kept.trace([(root, 0)]).kept_clean == 0
 
 
 def test_a_rows_first_remote_slot_after_local_slots_records_its_slot_order():
@@ -103,8 +91,9 @@ def test_every_added_edge_names_its_holder_dirty(target):
     root = heap.alloc(persistent_root=True).oid
     holder, other = heap.alloc().oid, heap.alloc().oid
     heap.add_ref(root, holder)
-    roots = [(root, 0)]
-    _clean_phase_agrees(heap, roots)  # the memo now holds root's region
+    heap.add_ref(root, other)
+    kept = KeptTrace(heap)
+    kept.trace()  # the kept piece now holds root, holder and other
     assert not heap.take_dirty()
     if target == "local":
         heap.add_ref(holder, other)
@@ -115,4 +104,5 @@ def test_every_added_edge_names_its_holder_dirty(target):
         heap.add_ref(root, holder)
     index = heap.flat_graph()[0][holder]
     assert index in heap._dirty
-    _clean_phase_agrees(heap, roots)
+    result = kept.trace()
+    assert result.pieces_walked == 1 and result.kept_clean == 0

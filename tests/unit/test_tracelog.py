@@ -48,8 +48,8 @@ def test_local_trace_counts_are_the_traces_own_counters():
     events = log.of_kind("local-trace")
     assert len(events) == len(results)
     for event, result in zip(events, results):
-        assert event.detail["clean"] == result.clean_phase.objects_scanned
-        assert event.detail["suspected"] == result.backinfo.objects_scanned
+        assert event.detail["clean"] == result.clean_objects_scanned
+        assert event.detail["suspected"] == result.suspected_objects_scanned
     # Every trace, full or distance, adds up to the collector's counters.
     clean = sum(event.detail["clean"] for event in events)
     suspected = sum(event.detail["suspected"] for event in events)
@@ -87,7 +87,7 @@ def test_wrapped_local_trace_forwards_its_arguments():
     result = sim.site("P").run_local_trace(force_full=True)
     assert result is not None
     [event] = log.of_kind("local-trace")
-    assert event.detail["clean"] == result.clean_phase.objects_scanned
+    assert event.detail["clean"] == result.clean_objects_scanned
 
 
 def test_events_are_time_ordered():
