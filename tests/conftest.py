@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro import GcConfig, NetworkConfig, Simulation, SimulationConfig
 from repro.analysis import Oracle, graph_snapshot
+from repro.ids import ObjectId
 from repro.net.faults import FaultPlan
 from repro.workloads import (
     ChurnConfig,
@@ -154,7 +155,8 @@ class KeptTrace:
 
     ``trace(roots)`` makes each ``(oid, distance)`` root a clean inref at
     that distance (the suspicion threshold is far above any), ``suspected``
-    targets inrefs past it, and drops the inrefs no longer named; then it
+    targets inrefs past it (``(oid, distance)`` pairs past it too), and
+    drops the inrefs no longer named; then it
     computes and commits one trace and holds the kept outcome to the
     reference clean phase (:func:`repro.core.distance.trace_clean_phase`,
     from the same roots plus the heap's persistent and variable roots): the
@@ -190,7 +192,8 @@ class KeptTrace:
             if oid.site == heap.site_id:
                 want[oid] = min(distance, want.get(oid, distance))
         for oid in suspected:
-            want[oid] = self.THRESHOLD + 1
+            oid, distance = oid if isinstance(oid[0], ObjectId) else (oid, self.THRESHOLD + 1)
+            want[oid] = distance
         for target in inrefs.targets():
             if target not in want:
                 inrefs.remove(target)

@@ -33,6 +33,7 @@ class Mutant(NamedTuple):
 
 
 _CHANNEL = "gc/channel.py"
+_TRACE = "gc/localtrace.py"
 _ENGINE = "core/backtrace/engine.py"
 _EXPORTS = "tests/integration/test_parallel_equivalence.py::test_exports_of_a_forked_run_equal_the_sequential_twins"
 
@@ -117,6 +118,48 @@ MUTANTS: List[Mutant] = [
         "        if not self.pair_rng_streams:\n",
         "        if False:\n",
         "tests/unit/test_ids_config.py::test_network_config_rejects_bad_values[kwargs2]",
+    ),
+    Mutant(
+        "dirty-row-not-mapped-to-its-piece",
+        _TRACE,
+        "        for i in dirty:\n            hit.add(piece_of[i])\n",
+        "        for i in dirty:\n",
+        "tests/unit/test_flat_heap.py::test_memo_sees_an_edge_added_inside_a_region",
+    ),
+    Mutant(
+        "row-leading-into-a-kept-piece-not-walking-it",
+        _TRACE,
+        "                hit.update(map(piece_of.__getitem__, succ_local[i]))\n",
+        "",
+        "tests/unit/test_flat_heap.py::test_memo_sees_an_earlier_walk_enter_a_region",
+    ),
+    Mutant(
+        "pin-or-variable-flip-not-walking-its-piece",
+        _TRACE,
+        "            hit.update(map(outref_piece.get, touched, repeat(-1)))\n",
+        "            pass\n",
+        "tests/unit/test_backinfo.py::test_backinfo_memo_sees_an_outref_turn_clean",
+    ),
+    Mutant(
+        "shared-outref-not-joining-its-holders",
+        "core/distance.py",
+        "                if first != ridx:\n                    merge((ridx, first))\n",
+        "",
+        "tests/unit/test_flat_heap.py::test_an_outref_held_from_two_pieces_keeps_its_least_distance",
+    ),
+    Mutant(
+        "renumbered-suspected-inref-not-restating-its-outrefs",
+        _TRACE,
+        "            if renumbered:\n",
+        "            if False:\n",
+        "tests/unit/test_backinfo.py::test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked",
+    ),
+    Mutant(
+        "uncommitted-result-trusted",
+        _TRACE,
+        "        if self._pieces is None or dirty is None or self._pending:\n",
+        "        if self._pieces is None or dirty is None:\n",
+        "tests/unit/test_localtrace.py::test_a_result_never_committed_makes_the_next_trace_start_over",
     ),
     Mutant(
         "graph-snapshot-reads-the-coordinators-heaps",

@@ -302,3 +302,22 @@ def test_backinfo_memo_sees_an_earlier_walk_enter_a_region():
     assert again.outsets == {a.oid: {ObjectId("P", 0)}, b.oid: {ObjectId("P", 0)}}
     assert again.suspected_objects_walked == 3
     assert again.pieces_walked == 1 and again.pieces_held == 1
+
+
+def test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked():
+    """Guard: a suspected inref whose distance alone moved keeps its piece
+    unwalked, yet each outref of its outset takes one past the nearest
+    inref of its inset."""
+    heap = Heap("Q")
+    a, b, c = heap.alloc(), heap.alloc(), heap.alloc()
+    a.add_ref(c.oid)
+    b.add_ref(c.oid)
+    out = ObjectId("P", 0)
+    c.add_ref(out)
+    kept = KeptTrace(heap)
+    kept.trace(suspected=[(a.oid, 150), (b.oid, 160)])
+    assert kept.outrefs.get(out).distance == 151
+    again = kept.trace(suspected=[(a.oid, 170), (b.oid, 160)])
+    assert again.pieces_walked == 0 and again.suspected_objects_walked == 0
+    assert again.outref_changes == {out: (False, 161, frozenset({a.oid, b.oid}))}
+    assert kept.outrefs.get(out).distance == 161

@@ -424,3 +424,40 @@ def test_memo_sees_a_mutation_between_compute_and_commit():
     assert again.clean_objects_scanned == 2
     collector.check_tables()
     heap.check_flat_mirror()
+
+
+def test_an_outref_held_from_two_pieces_keeps_its_least_distance():
+    """Guard: an outref held from two otherwise unconnected rows joins
+    their pieces, so a change in the farther one re-minimises its distance
+    over both."""
+    heap = Heap("P")
+    near, far = heap.alloc(), heap.alloc()
+    shared = ObjectId("Q", 0)
+    near.add_ref(shared)
+    far.add_ref(shared)
+    kept = KeptTrace(heap)
+    roots = [(near.oid, 0), (far.oid, 3)]
+    first = kept.trace(roots)
+    assert first.pieces_held == 1 and kept.clean_outrefs() == {shared: 1}
+    far.add_ref(heap.alloc().oid)  # only the farther row changes
+    kept.trace(roots)
+    assert kept.clean_outrefs() == {shared: 1}
+
+
+def test_an_index_the_free_list_hands_out_again_is_walked():
+    """Guard: an object allocated in an index a trace saw released is named
+    dirty, so the next trace walks it (and sweeps it, unreached)."""
+    heap = Heap("P")
+    root = heap.alloc(persistent_root=True)
+    doomed = heap.alloc()
+    doomed_idx = doomed.index
+    root.add_ref(doomed.oid)
+    kept = KeptTrace(heap)
+    kept.trace()
+    root.remove_ref(doomed.oid)
+    assert kept.trace().swept == [doomed.oid]  # its index is released
+    kept.trace()
+    fresh = heap.alloc()
+    assert fresh.index == doomed_idx
+    result = kept.trace()
+    assert result.swept == [fresh.oid]

@@ -398,3 +398,22 @@ def test_unmarked_object_linked_by_a_deferred_write_is_swept_at_commit():
     assert result.swept == [orphan.oid]
     assert root.holds_ref(orphan.oid) and not site.heap.contains(orphan.oid)
     site.heap.check_flat_mirror()
+
+
+def test_a_result_never_committed_makes_the_next_trace_start_over():
+    """Guard: a computed result that was never committed (the site crashed
+    in its window) leaves the tables as they were, so the next trace must
+    not trust the pieces that compute already updated."""
+    c = make_collector()
+    root = c.heap.alloc(persistent_root=True)
+    held = c.heap.alloc()
+    root.add_ref(held.oid)
+    remote = ObjectId("R", 0)
+    held.add_ref(remote)
+    c.outrefs.ensure(remote)
+    c.run()
+    root.remove_ref(held.oid)
+    c.compute()  # never committed
+    result = c.run()
+    assert result.swept == [held.oid] and remote not in c.outrefs
+    c.check_tables()
