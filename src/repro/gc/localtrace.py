@@ -104,7 +104,8 @@ class LocalTraceResult:
     unmarked: List[ObjectId] = field(default_factory=list)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
-    # The kernels' results over the rows walked; None when none was.
+    # The kernels' results over the rows walked; None where a kernel had
+    # nothing to walk.
     backinfo: Optional[BackInfoResult] = None
     clean_phase: Optional[CleanPhaseResult] = None
     # The objects each phase reached: site-wide (walked or kept), and walked.
@@ -126,16 +127,20 @@ class _Pieces:
     - ``marks``: per heap index, the clean phase's mark (dead and free
       indices marked), what the suspected phase reads;
     - ``records``: piece id -> (rows, suspected inrefs, held outrefs,
-      reached outrefs, counts), counts as in ``totals``;
+      counts), counts as in ``totals``, each distinct one kept once in
+      ``counts``;
     - ``outref_piece``: each outref a kept row holds -> its piece;
-    - ``reached``: the outrefs the kept pieces give a verdict;
+    - ``reached``: the outrefs the kept pieces give a verdict (a subset of
+      those they hold);
     - ``orphans``: suspected inrefs whose target is not resident;
     - ``totals``: over all pieces, clean objects, suspected objects scanned,
       unions computed, union memo hits, inset storage units, distinct
       nonempty outsets and suspected inrefs with an empty outset.
     """
 
-    __slots__ = ("piece_of", "marks", "records", "outref_piece", "reached", "orphans", "totals")
+    __slots__ = (
+        "piece_of", "marks", "records", "outref_piece", "reached", "orphans", "totals", "counts"
+    )
 
     def __init__(self, heap: Heap):
         self.marks = heap.fresh_marks()
@@ -145,6 +150,7 @@ class _Pieces:
         self.reached: Set[ObjectId] = set()
         self.orphans: Set[ObjectId] = set()
         self.totals = [0] * 7
+        self.counts: Dict[tuple, tuple] = {}  # each distinct counts tuple once
 
     def check(self, heap: Heap) -> None:
         """Assert the premise re-use rests on: every unchanged resident row
@@ -156,14 +162,14 @@ class _Pieces:
         alive, changed = heap.residency(), heap.changed_rows()
         piece_of, marks = self.piece_of, self.marks
         rows_held = 0
-        for piece, (rows, _, held, reached, _) in self.records.items():
+        for piece, (rows, _, held, _) in self.records.items():
             for i in rows:
                 assert piece_of[i] == piece, f"piece drift: row {i}"
                 assert alive[i] or i in changed, f"stale piece row: {i}"
             rows_held += len(rows)
             for ref in held:
                 assert self.outref_piece.get(ref) == piece, f"outref piece drift: {ref}"
-            assert self.reached.issuperset(reached), "reached record drift"
+        assert self.reached <= self.outref_piece.keys(), "reached outref in no piece"
         assert rows_held == sum(1 for p in piece_of if p >= 0), "row in no kept piece"
         for i in range(len(oids)):
             if i in changed:
@@ -465,27 +471,28 @@ class LocalCollector:
         # phase's marks.  An outref is clean when the clean phase reached it
         # or the insert barrier pins it.
         clean_outrefs = clean_phase.outref_distances
-        env = TraceEnvironment(
-            heap=heap,
-            marks=marks,
-            is_clean_outref=lambda ref: ref in clean_outrefs or is_pinned(ref),
-        )
-        if self.config.backinfo_algorithm == "independent":
-            backinfo = compute_outsets_independent(env, scan.suspected_targets)
-        else:
-            backinfo = compute_outsets_bottom_up(env, scan.suspected_targets)
-        result.backinfo = backinfo
-        result.outsets = backinfo.outsets
-        result.insets = insets = invert_outsets(backinfo.outsets)
-
-        # Phase 3: reconcile outrefs.  A suspected outref sits one past the
-        # nearest inref of its inset.
         states = result.outref_states = {
             target: (True, distance) for target, distance in clean_outrefs.items()
         }
-        for target, nearest in inrefs.nearest(insets).items():
-            states[target] = (False, 1 + nearest)
-        self._keep_pieces(graph, result, walked, scan.suspected_targets)
+        suspected = scan.suspected_targets
+        if suspected:
+            env = TraceEnvironment(
+                heap=heap,
+                marks=marks,
+                is_clean_outref=lambda ref: ref in clean_outrefs or is_pinned(ref),
+            )
+            if self.config.backinfo_algorithm == "independent":
+                backinfo = compute_outsets_independent(env, suspected)
+            else:
+                backinfo = compute_outsets_bottom_up(env, suspected)
+            result.backinfo = backinfo
+            result.outsets = backinfo.outsets
+            result.insets = insets = invert_outsets(backinfo.outsets)
+            # Phase 3: reconcile outrefs.  A suspected outref sits one past
+            # the nearest inref of its inset.
+            for target, nearest in inrefs.nearest(insets).items():
+                states[target] = (False, 1 + nearest)
+        self._keep_pieces(graph, result, walked, suspected)
 
     def _take_changed_pieces(
         self,
@@ -520,14 +527,17 @@ class LocalCollector:
         candidates = set(touched)
         records, reached, totals = pieces.records, pieces.reached, pieces.totals
         for piece in hit:
-            rows, suspected, held, piece_reached, counts = records.pop(piece)
+            rows, suspected, held, counts = records.pop(piece)
             walked.update(rows)
-            others.update(suspected)
+            if suspected:
+                others.update(suspected)
             if held:
+                # The piece's reached outrefs are among those it held, and
+                # no other piece holds any of these.
                 candidates.update(held)
+                reached.difference_update(held)
                 for ref in held:
                     del outref_piece[ref]
-                reached.difference_update(piece_reached)
             totals[:] = map(sub, totals, counts)
         pieces.orphans.difference_update(changed_inrefs)
         return walked, others, candidates
@@ -564,7 +574,7 @@ class LocalCollector:
 
         for a, b in clean_phase.merges:
             join(a, b)
-        visited = backinfo.visited_rows
+        visited = backinfo.visited_rows if backinfo else ()
         for i in visited:
             piece_of[i] = i
         hold = clean_phase.holders.setdefault
@@ -577,17 +587,17 @@ class LocalCollector:
                 first = hold(ref, i)
                 if first != i:
                     join(i, first)
-        # Per new piece: rows, suspected inrefs, held and reached outrefs,
-        # and its counts (see ``_Pieces.totals``; distinct outsets as a set).
+        # Per new piece: rows, suspected inrefs, held outrefs and its counts
+        # (see ``_Pieces.totals``; distinct outsets as a set until kept).
         new: Dict[int, list] = {}
         for label, rows in clean_phase.regions.items():
             piece = find(label) if parent else label
             record = new.get(piece)
             if record is None:
-                new[piece] = [rows, [], [], [], [len(rows), 0, 0, 0, 0, set(), 0]]
+                new[piece] = [rows, [], [], [len(rows), 0, 0, 0, 0, set(), 0]]
             else:
                 record[0] += rows
-                record[4][0] += len(rows)
+                record[3][0] += len(rows)
             if piece != label:
                 for i in rows:
                     piece_of[i] = piece
@@ -595,16 +605,15 @@ class LocalCollector:
             piece = piece_of[i] = find(i)
             record = new.get(piece)
             if record is None:
-                new[piece] = [[i], [], [], [], [0, 0, 0, 0, 0, set(), 0]]
+                new[piece] = [[i], [], [], [0, 0, 0, 0, 0, set(), 0]]
             else:
                 record[0].append(i)
-        states = result.outref_states
+        states, reached = result.outref_states, pieces.reached
         for ref, label in clean_phase.holders.items():
-            record = new[find(label) if parent else label]
-            record[2].append(ref)
+            new[find(label) if parent else label][2].append(ref)
             if ref in states:
-                record[3].append(ref)
-        outsets, charges = backinfo.outsets, backinfo.charges
+                reached.add(ref)
+        outsets, charges = result.outsets, backinfo.charges if backinfo else {}
         orphans = pieces.orphans
         for target in suspected_targets:
             i = idx_map.get(target)
@@ -613,7 +622,7 @@ class LocalCollector:
                 continue
             record = new[piece_of[i]]
             record[1].append(target)
-            counts = record[4]
+            counts = record[3]
             charge = charges.get(target)
             if charge is not None:
                 counts[1] += charge[0]
@@ -625,15 +634,17 @@ class LocalCollector:
                 counts[5].add(outset)
             else:
                 counts[6] += 1
-        records, outref_piece, reached = pieces.records, pieces.outref_piece, pieces.reached
-        totals = pieces.totals
-        for piece, (rows, suspected, held, piece_reached, counts) in new.items():
+        records, outref_piece, totals = pieces.records, pieces.outref_piece, pieces.totals
+        shared = pieces.counts
+        for piece, (rows, suspected, held, counts) in new.items():
             counts[5] = len(counts[5])
             counts = tuple(counts)
-            records[piece] = (rows, suspected, held, piece_reached, counts)
+            # Kept lean: tuples, and one copy of each distinct counts tuple.
+            records[piece] = (
+                tuple(rows), tuple(suspected), tuple(held), shared.setdefault(counts, counts)
+            )
             if held:
                 outref_piece.update(zip(held, repeat(piece)))
-                reached.update(piece_reached)
             totals[:] = map(add, totals, counts)
         # What the walks left unmarked, and of that what neither reached.
         if walked is None:
@@ -648,7 +659,7 @@ class LocalCollector:
             result.unmarked = [oids[i] for i in unmarked]
             result.garbage = [oids[i] for i in unmarked if piece_of[i] < 0]
         result.clean_objects_walked = clean_phase.objects_scanned
-        result.suspected_objects_walked = backinfo.objects_scanned
+        result.suspected_objects_walked = backinfo.objects_scanned if backinfo else 0
         result.pieces_walked = len(new)
 
     def _diff_against_tables(self, result: LocalTraceResult) -> None:
