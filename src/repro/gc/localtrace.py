@@ -98,10 +98,9 @@ class LocalTraceResult:
     outref_changes: Dict[ObjectId, Verdict] = field(default_factory=dict)
     outset_changes: Dict[ObjectId, FrozenSet[ObjectId]] = field(default_factory=dict)
     removals: List[ObjectId] = field(default_factory=list)
-    # The walked rows neither phase reached, in index order (what the sweep
-    # takes), and the walked rows the clean phase left unmarked.
+    # The walked rows neither phase reached, in index order: what the sweep
+    # takes.
     garbage: List[ObjectId] = field(default_factory=list)
-    unmarked: List[ObjectId] = field(default_factory=list)
     swept: List[ObjectId] = field(default_factory=list)
     updates_by_site: Dict[SiteId, UpdatePayload] = field(default_factory=dict)
     # The kernels' results over the rows walked; None where a kernel had
@@ -153,11 +152,11 @@ class _Pieces:
         self.counts: Dict[tuple, tuple] = {}  # each distinct counts tuple once
 
     def check(self, heap: Heap) -> None:
-        """Assert the premise re-use rests on: every unchanged resident row
+        """Assert the premise keeping rests on: every unchanged resident row
         lies in exactly one kept piece with all its successors and held
-        outrefs, and its mark is the one its piece was walked with (a dead
-        or free index marked); a kept piece's rows are resident unless
-        changed (test/debug support; O(V+E))."""
+        outrefs; an unchanged dead or free index is marked and in no piece;
+        a kept piece's rows are resident unless changed (test/debug
+        support; O(V+E))."""
         _, succ_local, remote_rows, oids, _ = heap.flat_graph()
         alive, changed = heap.residency(), heap.changed_rows()
         piece_of, marks = self.piece_of, self.marks
@@ -170,7 +169,7 @@ class _Pieces:
             for ref in held:
                 assert self.outref_piece.get(ref) == piece, f"outref piece drift: {ref}"
         assert self.reached <= self.outref_piece.keys(), "reached outref in no piece"
-        assert rows_held == sum(1 for p in piece_of if p >= 0), "row in no kept piece"
+        assert rows_held == sum(1 for p in piece_of if p >= 0), "row of no kept piece"
         for i in range(len(oids)):
             if i in changed:
                 continue
@@ -646,7 +645,7 @@ class LocalCollector:
             if held:
                 outref_piece.update(zip(held, repeat(piece)))
             totals[:] = map(add, totals, counts)
-        # What the walks left unmarked, and of that what neither reached.
+        # What the walks left unmarked and in no piece: neither reached it.
         if walked is None:
             unmarked = []
             i = marks.find(0)
@@ -655,9 +654,7 @@ class LocalCollector:
                 i = marks.find(0, i + 1)
         else:
             unmarked = sorted(i for i in walked if alive[i] and not marks[i])
-        if unmarked:
-            result.unmarked = [oids[i] for i in unmarked]
-            result.garbage = [oids[i] for i in unmarked if piece_of[i] < 0]
+        result.garbage = [oids[i] for i in unmarked if piece_of[i] < 0]
         result.clean_objects_walked = clean_phase.objects_scanned
         result.suspected_objects_walked = backinfo.objects_scanned if backinfo else 0
         result.pieces_walked = len(new)

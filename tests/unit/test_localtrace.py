@@ -375,7 +375,7 @@ def test_object_born_in_the_trace_window_survives_until_the_next_trace():
     sim, site, root = _windowed_site()
     result = site.run_local_trace(force_full=True)  # commits 10 ticks later
     born = site.heap.alloc()  # no root reaches it
-    assert born.oid not in result.unmarked
+    assert born.oid not in result.garbage
     sim.run_for(10.0)
     assert result.swept == [] and site.heap.contains(born.oid)
     following = site.run_local_trace(force_full=True)
@@ -391,7 +391,7 @@ def test_unmarked_object_linked_by_a_deferred_write_is_swept_at_commit():
     sim, site, root = _windowed_site()
     orphan = site.heap.alloc()
     result = site.run_local_trace(force_full=True)
-    assert result.unmarked == [orphan.oid]
+    assert result.garbage == [orphan.oid]
     site.mutator_add_ref(root.oid, orphan.oid)  # deferred: tracing
     assert not root.holds_ref(orphan.oid)
     sim.run_for(10.0)
