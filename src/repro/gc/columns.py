@@ -6,9 +6,9 @@ its slot, and each per-entry field is one list (or the ``_flags``
 bytearray) indexed by slot.  A removed entry's slot goes on a free list for
 the next new entry; when none is free every column grows by half at once,
 so creating an entry appends to nothing.  Beside the columns each table
-keeps its barrier-cleaned targets and those whose set (the inref's outset,
-the outref's inset) is not empty, so the passes after a local trace touch
-only those; visited marks are kept only for slots a live back trace marked.
+keeps its barrier-cleaned targets, so the barrier passes after a local
+trace touch only those; visited marks are kept only for slots a live back
+trace marked.
 
 An entry is read through a transient ``(table, slot, target)`` handle
 (:class:`IorefEntry`), as a heap object is through ``HeapObject``: a read
@@ -91,7 +91,6 @@ class IorefColumns:
         self._flags = bytearray()
         self._visited: Dict[int, Set[TraceId]] = {}
         self._barrier_flagged: Set[ObjectId] = set()
-        self._nonempty: Set[ObjectId] = set()
 
     def _grow(self) -> None:
         """Give every column half as many slots again (at least eight)."""
@@ -126,16 +125,8 @@ class IorefColumns:
         self._sets[slot] = NO_SET
         self._visited.pop(slot, None)
         self._barrier_flagged.discard(target)
-        self._nonempty.discard(target)
         self._free.append(slot)
         return slot
-
-    def _put_set(self, target: ObjectId, slot: int, value: FrozenSet[ObjectId]) -> None:
-        self._sets[slot] = value
-        if value:
-            self._nonempty.add(target)
-        else:
-            self._nonempty.discard(target)
 
     def _flip_barrier(self, target: ObjectId, value: bool) -> Optional[int]:
         """Set or clear ``target``'s barrier flag; its slot if the flag moved."""
@@ -178,14 +169,6 @@ class IorefColumns:
 
     def __len__(self) -> int:
         return len(self._slot)
-
-    def nonempty(self) -> Set[ObjectId]:
-        """The targets whose set (outset or inset) is not empty, a copy."""
-        return set(self._nonempty)
-
-    def nonempty(self) -> Set[ObjectId]:
-        """The targets whose set (outset or inset) is not empty, a copy."""
-        return set(self._nonempty)
 
     def present(self, targets: Set[ObjectId]) -> Set[ObjectId]:
         """Those of ``targets`` the table holds an entry for."""
@@ -234,8 +217,7 @@ class IorefColumns:
         assert len(free) + len(live) == self._top <= self._capacity, "slot count drift"
         assert all(self._targets[s] is None and self._sets[s] is NO_SET for s in free)
         assert self._visited.keys() <= live and all(self._visited.values()), "stale marks"
-        flags, sets = self._flags, self._sets
+        flags = self._flags
         assert self._barrier_flagged == {
             t for t, s in self._slot.items() if flags[s] & BARRIER
         }, "barrier record drift"
-        assert self._nonempty == {t for t, s in self._slot.items() if sets[s]}, "set record drift"

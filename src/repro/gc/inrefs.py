@@ -437,13 +437,13 @@ class InrefTable(IorefColumns):
         for target, outset in changes.items():
             slot = slot_of(target)
             if slot is not None:
-                self._put_set(target, slot, outset)
+                self._sets[slot] = outset
 
     def check_changed(self) -> None:
         """Assert the premise the local trace's kept outcome rests on: every
         entry filed otherwise than it now classifies is named in
         ``_changed``; the records beside the columns (per-source index,
-        barrier flags, outsets) and each kept minimum are exact (test/debug
+        barrier flags) and each kept minimum are exact (test/debug
         support)."""
         self.check_slots()
         threshold, flags = self._suspicion_threshold, self._flags

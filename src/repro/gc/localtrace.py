@@ -389,7 +389,7 @@ class LocalCollector:
         if self._pieces is None or dirty is None or self._pending:
             # Start over: every row, inref and outref is looked at again.
             self._pieces = _Pieces(heap)
-            result.outset_others = inrefs.nonempty()
+            result.outset_others = inrefs.targets()
             candidates: Iterable[ObjectId] = outrefs.targets()
             self._walk(graph, result, None, heap.trace_roots(), inrefs.scan_for_trace())
         else:
@@ -432,11 +432,11 @@ class LocalCollector:
                 result.insets.update(moved)
                 for target, nearest in inrefs.nearest(moved).items():
                     result.outref_states[target] = (False, 1 + nearest)
-        states, is_pinned = result.outref_states, outrefs.is_pinned
+        is_pinned = outrefs.is_pinned
         result.removals = sorted(
             target
-            for target in set(candidates)
-            if target not in states and target in outrefs and not is_pinned(target)
+            for target in outrefs.present(set(candidates).difference(result.outref_states))
+            if not is_pinned(target)
         )
         self._diff_against_tables(result)
         self._record_trace(result)
@@ -514,10 +514,7 @@ class LocalCollector:
                 remote = remote_rows.get(i)
                 if remote:
                     hit.update(map(outref_piece.get, remote, repeat(-1)))
-        for target in changed_inrefs:
-            i = idx_map.get(target)
-            if i is not None:
-                hit.add(piece_of[i])
+        hit.update([piece_of[i] for i in map(idx_map.get, changed_inrefs) if i is not None])
         if touched:
             hit.update(map(outref_piece.get, touched, repeat(-1)))
         hit.discard(-1)

@@ -268,7 +268,7 @@ class OutrefTable(IorefColumns):
                 self._changed.add(target)
             flag = flags[slot]
             flags[slot] = flag | TRACED_CLEAN if clean else flag & ~TRACED_CLEAN
-            self._put_set(target, slot, inset)
+            self._sets[slot] = inset
             self._restate(target, slot)
         self._mutation_epoch += installs
         for target in [t for t in self._barrier_flagged if t in reached]:

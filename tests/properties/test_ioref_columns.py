@@ -126,7 +126,7 @@ def apply(inrefs, outrefs, model, op):
     elif kind == "outsets":
         # One entry gets an outset, or none does; every other one is reset.
         named = {target: frozenset(TARGETS[: 1 + b % 3])} if c % 2 else {}
-        inrefs.install_outsets(inrefs.diff_outsets(named, inrefs.nonempty()))
+        inrefs.install_outsets(inrefs.diff_outsets(named, inrefs.targets()))
         for t, each in model.inrefs.items():
             each["outset"] = named.get(t, frozenset())
     elif kind == "visit" and record is not None:

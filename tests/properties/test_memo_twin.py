@@ -54,9 +54,7 @@ def drop_memos(collector: LocalCollector) -> None:
     for slot in inrefs._slot.values():
         inrefs._flags[slot] &= ~FILED
     inrefs._changed.update(inrefs._slot)
-    inrefs._nonempty = {e.target for e in inrefs.entries() if e.outset}
     entries = list(outrefs.entries())
-    outrefs._nonempty = {e.target for e in entries if e.inset}
     outrefs._suspected = dict.fromkeys(e.target for e in entries if e.is_suspected)
     outrefs._pins = {e.target: e.pin_count for e in entries if e.pin_count > 0}
     outrefs._barrier_flagged = {e.target for e in entries if e.barrier_clean}
