@@ -28,7 +28,7 @@ every contract field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -49,9 +49,9 @@ class CleanPhaseResult:
     - ``clean_variable_outrefs``: outrefs held directly in mutator variables
       (roots of distance 0, so their distance estimate is 1);
     - ``objects_scanned`` / ``edges_examined``: cost counters;
-    - ``regions``, ``merges``, ``holders``: how the flat kernel's regions
-      touch (see :func:`trace_clean_phase_flat`); not part of the kernels'
-      contract.
+    - ``regions``, ``merges``, ``holders``, ``held``, ``absorbed``: how the
+      flat kernel's regions touch (see :func:`trace_clean_phase_flat`); not
+      part of the kernels' contract.
     """
 
     clean_objects: Set[ObjectId] = field(default_factory=set)
@@ -63,6 +63,8 @@ class CleanPhaseResult:
     regions: Dict[int, List[int]] = field(default_factory=dict)
     merges: List[Tuple[int, int]] = field(default_factory=list)
     holders: Dict[ObjectId, int] = field(default_factory=dict)
+    held: Dict[int, List[ObjectId]] = field(default_factory=dict)
+    absorbed: List[int] = field(default_factory=list)
 
 
 def trace_clean_phase(
@@ -138,22 +140,26 @@ def trace_clean_phase_flat(
     touch: ``owner`` (by default all -1) gets each marked row's region,
     named by its root's index; a walk that meets a row another region
     marked, and a remote reference another region holds already, add the
-    pair to ``merges``; ``holders`` maps each remote reference to the first
-    region holding it.  These ride on the steps the walk takes anyway.
+    pair to ``merges``; ``holders`` maps each remote reference to a region
+    holding it, ``held`` each region to the remote references its rows
+    hold, and ``absorbed`` lists the rows of the roots an earlier root's
+    region took in.  These ride on the steps the walk takes anyway.
     """
     result = CleanPhaseResult()
     idx_map, succ_local, remote_rows, _, _ = heap.flat_graph()
     seen = heap.fresh_marks() if marks is None else marks
     owner = [-1] * len(seen) if owner is None else owner
     index_of, remote_get, regions = idx_map.get, remote_rows.get, result.regions
-    merge, hold = result.merges.append, result.holders.setdefault
-    distances = result.outref_distances
-    nearest, edges, stack = distances.setdefault, 0, []
+    merges, holders, region_held = result.merges, result.holders, result.held
+    absorbed = result.absorbed
+    merge, distances, stack = merges.append, result.outref_distances, []
     stack_pop, stack_extend = stack.pop, stack.extend
     for root, root_distance in sorted(roots, key=itemgetter(1)):
         ridx = index_of(root)  # only local ids are ever interned
         if ridx is None or seen[ridx]:
-            continue  # an empty region: an earlier root reached it
+            if ridx is not None and owner[ridx] >= 0:
+                absorbed.append(ridx)  # a resident root an earlier one reached
+            continue
         rows = []
         stack.append(ridx)
         while stack:
@@ -168,24 +174,27 @@ def trace_clean_phase_flat(
             rows.append(i)
             stack_extend(succ_local[i])
         regions[ridx] = rows
-        edges += sum(map(len, map(succ_local.__getitem__, rows)))
         held = list(chain.from_iterable(filter(None, map(remote_get, rows))))
         if held:
-            edges += len(held)
-            # In trace order, the first distance given an outref is its least.
-            outref_distance = root_distance + 1
-            for ref in held:
-                nearest(ref, outref_distance)
-                first = hold(ref, ridx)
-                if first != ridx:
-                    merge((ridx, first))
+            region_held[ridx] = held
+            # An outref an earlier region holds joins the two, and keeps
+            # its distance: in trace order the first one given is the least.
+            prior = holders.keys() & held
+            if prior:
+                merges.extend([(ridx, holders[r]) for r in dict.fromkeys(held) if r in prior])
+                held = [r for r in held if r not in prior]
+            holders.update(zip(held, repeat(ridx)))
+            distances.update(zip(held, repeat(root_distance + 1)))
 
     for target in variable_outrefs:
         result.clean_variable_outrefs.add(target)
         current = distances.get(target)
         distances[target] = 1 if current is None else min(current, 1)
 
+    marked = list(chain.from_iterable(regions.values()))
     result.marks = seen
-    result.edges_examined = edges
-    result.objects_scanned = sum(map(len, regions.values()))
+    result.edges_examined = sum(map(len, map(succ_local.__getitem__, marked))) + sum(
+        map(len, region_held.values())
+    )
+    result.objects_scanned = len(marked)
     return result

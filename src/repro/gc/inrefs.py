@@ -160,6 +160,9 @@ class InrefTable(IorefColumns):
             for key, targets in sets.items()
         }
 
+    def distance_of(self, target: ObjectId) -> int:
+        return self._distance[self._slot[target]]
+
     def outset_of(self, target: ObjectId) -> FrozenSet[ObjectId]:
         return self._sets[self._slot[target]]
 
@@ -345,13 +348,14 @@ class InrefTable(IorefColumns):
 
     # -- views used by the collector ----------------------------------------------
 
-    def take_changed(self) -> Tuple[Set[ObjectId], Set[ObjectId]]:
+    def take_changed(self) -> Tuple[Set[ObjectId], Set[ObjectId], Set[ObjectId]]:
         """The entries changed or removed since the last call, leaving none
-        named, and of those the ones that were and are suspected (only their
-        distance can have moved); each changed entry is re-filed as it now
-        classifies."""
+        named, and of those the ones that were and are clean, and those
+        that were and are suspected (only their distance can have moved);
+        each changed entry is re-filed as it now classifies."""
         changed, dropped = self._changed, self._dropped
-        renumbered: Set[ObjectId] = set()
+        still_clean: Set[ObjectId] = set()
+        still_suspected: Set[ObjectId] = set()
         if changed:
             self._changed = set()
             slot_of, distances, flags = self._slot, self._distance, self._flags
@@ -367,14 +371,16 @@ class InrefTable(IorefColumns):
                 distance = self._filed[slot] = distances[slot]
                 if distance <= threshold or flag & BARRIER:
                     flags[slot] = flag | FILED_CLEAN
+                    if filed == FILED_CLEAN:
+                        still_clean.add(target)
                 else:
                     flags[slot] = flag | FILED_SUSPECTED
                     if filed == FILED_SUSPECTED:
-                        renumbered.add(target)
+                        still_suspected.add(target)
         if dropped:
             self._dropped = {}
             changed = changed.union(dropped)
-        return changed, renumbered
+        return changed, still_clean, still_suspected
 
     def outset_held(self, target: ObjectId) -> FrozenSet[ObjectId]:
         """The outset ``target``'s entry holds, or held when it was removed

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -125,31 +125,29 @@ class _Pieces:
       one of its rows;
     - ``marks``: per heap index, the clean phase's mark (dead and free
       indices marked), what the suspected phase reads;
-    - ``records``: piece id -> (rows, suspected inrefs, held outrefs,
-      counts), counts as in ``totals``, each distinct one kept once in
-      ``counts``;
+    - ``records``: piece id -> (rows, suspected inrefs, held outrefs, held
+      outrefs without a verdict, the clean inref that is the piece's only
+      root or None, counts as in ``totals`` or None for a piece with no
+      suspected inref, whose rows are all clean);
     - ``outref_piece``: each outref a kept row holds -> its piece;
-    - ``reached``: the outrefs the kept pieces give a verdict (a subset of
-      those they hold);
+    - ``unreached``: the outrefs the kept pieces hold but give no verdict
+      (pinned, and held by suspected rows only);
     - ``orphans``: suspected inrefs whose target is not resident;
     - ``totals``: over all pieces, clean objects, suspected objects scanned,
       unions computed, union memo hits, inset storage units, distinct
       nonempty outsets and suspected inrefs with an empty outset.
     """
 
-    __slots__ = (
-        "piece_of", "marks", "records", "outref_piece", "reached", "orphans", "totals", "counts"
-    )
+    __slots__ = ("piece_of", "marks", "records", "outref_piece", "unreached", "orphans", "totals")
 
     def __init__(self, heap: Heap):
         self.marks = heap.fresh_marks()
         self.piece_of: List[int] = [-1] * len(self.marks)
         self.records: Dict[int, tuple] = {}
         self.outref_piece: Dict[ObjectId, int] = {}
-        self.reached: Set[ObjectId] = set()
+        self.unreached: Set[ObjectId] = set()
         self.orphans: Set[ObjectId] = set()
         self.totals = [0] * 7
-        self.counts: Dict[tuple, tuple] = {}  # each distinct counts tuple once
 
     def check(self, heap: Heap) -> None:
         """Assert the premise keeping rests on: every unchanged resident row
@@ -160,15 +158,17 @@ class _Pieces:
         _, succ_local, remote_rows, oids, _ = heap.flat_graph()
         alive, changed = heap.residency(), heap.changed_rows()
         piece_of, marks = self.piece_of, self.marks
-        rows_held = 0
-        for piece, (rows, _, held, _) in self.records.items():
+        rows_held = refs_held = 0
+        for piece, (rows, _, held, _, _, _) in self.records.items():
             for i in rows:
                 assert piece_of[i] == piece, f"piece drift: row {i}"
                 assert alive[i] or i in changed, f"stale piece row: {i}"
             rows_held += len(rows)
             for ref in held:
                 assert self.outref_piece.get(ref) == piece, f"outref piece drift: {ref}"
-        assert self.reached <= self.outref_piece.keys(), "reached outref in no piece"
+            refs_held += len(held)
+        assert refs_held == len(self.outref_piece), "outref of no kept piece"
+        assert self.unreached <= self.outref_piece.keys(), "unreached outref in no piece"
         assert rows_held == sum(1 for p in piece_of if p >= 0), "row of no kept piece"
         for i in range(len(oids)):
             if i in changed:
@@ -232,16 +232,18 @@ class _TraceCells:
 
 
 class _Reached:
-    """The outrefs a trace gives a verdict: those the kept pieces reach and
-    the variable-held ones."""
+    """The outrefs a trace gives a verdict: the variable-held ones, and
+    those the kept pieces hold, but for the few they hold unreached."""
 
-    __slots__ = ("pieces", "variable")
+    __slots__ = ("held", "unreached", "variable")
 
-    def __init__(self, pieces: Set[ObjectId], variable: FrozenSet[ObjectId]):
-        self.pieces, self.variable = pieces, variable
+    def __init__(self, held, unreached: Set[ObjectId], variable: FrozenSet[ObjectId]):
+        self.held, self.unreached, self.variable = held, unreached, variable
 
     def __contains__(self, target: ObjectId) -> bool:
-        return target in self.pieces or target in self.variable
+        return target in self.variable or (
+            target in self.held and target not in self.unreached
+        )
 
 
 class LocalCollector:
@@ -382,7 +384,7 @@ class LocalCollector:
         heap, inrefs, outrefs = self.heap, self.inrefs, self.outrefs
         graph = idx_map, _, _, oids, _ = heap.flat_graph()
         dirty = heap.take_dirty()
-        changed_inrefs, renumbered = inrefs.take_changed()
+        changed_inrefs, still_clean, still_suspected = inrefs.take_changed()
         touched = outrefs.take_touched()
         touched.update(variable.symmetric_difference(self._variable))
         self._variable = variable
@@ -391,16 +393,27 @@ class LocalCollector:
             self._pieces = _Pieces(heap)
             result.outset_others = inrefs.targets()
             candidates: Iterable[ObjectId] = outrefs.targets()
-            self._walk(graph, result, None, heap.trace_roots(), inrefs.scan_for_trace())
+            self._walk(graph, result, None, heap.trace_roots(), inrefs.scan_for_trace(), set())
         else:
             pieces = self._pieces
-            marks, piece_of = pieces.marks, pieces.piece_of
+            marks, piece_of, records = pieces.marks, pieces.piece_of, pieces.records
             grown = len(oids) - len(marks)
             if grown > 0:
                 marks.extend(bytes([1]) * grown)
                 piece_of.extend([-1] * grown)
-            walked, others, candidates = self._take_changed_pieces(
-                graph, dirty, changed_inrefs.difference(renumbered), touched
+            # An inref whose class held walks no piece: a suspected one
+            # moves only its outset's outrefs, and a clean one that is its
+            # piece's only root only that piece's clean outrefs.
+            index_of = idx_map.get
+            sole = [
+                target
+                for target in still_clean
+                if (i := index_of(target)) is not None
+                and (piece := piece_of[i]) >= 0
+                and records[piece][4] == target
+            ]
+            walked, others, released = self._take_changed_pieces(
+                graph, dirty, changed_inrefs.difference(still_suspected, sole), touched
             )
             # The walked rows start unmarked (resident) or marked (dead), in
             # no piece; their roots and inrefs are looked at again.
@@ -412,26 +425,37 @@ class LocalCollector:
                     resident.add(oids[i])
                 else:
                     marks[i] = 1
-            # A suspected inref whose distance alone moved, in a piece kept,
-            # moves only the distances of its outset's outrefs.
-            index_of = idx_map.get
-            renumbered = [
+            # Those whose piece another change dropped are walked with it.
+            still_suspected = [
                 target
-                for target in renumbered
+                for target in still_suspected
                 if (i := index_of(target)) is not None and piece_of[i] >= 0
             ]
-            others.update(changed_inrefs.difference(renumbered))
+            sole = [target for target in sole if piece_of[index_of(target)] >= 0]
+            others.update(changed_inrefs.difference(still_suspected, sole))
             result.outset_others = others
-            if walked or others or candidates:
+            if walked or others or touched:
                 scan = inrefs.scan_for_trace(inrefs.present(resident).union(others))
-                self._walk(graph, result, walked, heap.trace_roots(resident), scan)
-            if renumbered:
+                self._walk(graph, result, walked, heap.trace_roots(resident), scan, released)
+            # What a dropped piece held and no new one does, and what was
+            # touched, may be trimmed.
+            candidates = released.union(touched)
+            states = result.outref_states
+            if still_suspected:
                 moved = outrefs.insets_of(
-                    dict.fromkeys(chain.from_iterable(map(inrefs.outset_held, renumbered)))
+                    dict.fromkeys(chain.from_iterable(map(inrefs.outset_held, still_suspected)))
                 )
                 result.insets.update(moved)
                 for target, nearest in inrefs.nearest(moved).items():
-                    result.outref_states[target] = (False, 1 + nearest)
+                    states[target] = (False, 1 + nearest)
+            for target in sole:
+                # Every clean outref of the piece sits one past its root
+                # (a variable-held one stays at 1).
+                _, _, held, unreached, _, _ = records[piece_of[index_of(target)]]
+                distance = 1 + inrefs.distance_of(target)
+                for ref in outrefs.traced_clean_among(held):
+                    if ref not in unreached and ref not in variable:
+                        states[ref] = (True, distance)
         is_pinned = outrefs.is_pinned
         result.removals = sorted(
             target
@@ -450,9 +474,11 @@ class LocalCollector:
         walked: Optional[Set[int]],
         roots: Tuple[List[ObjectId], List[ObjectId]],
         scan: InrefScan,
+        released: Set[ObjectId],
     ) -> None:
         """Phases 1 to 3 over the rows to walk (None: all of them), from
-        the persistent and variable ``roots`` and the inrefs of ``scan``."""
+        the persistent and variable ``roots`` and the inrefs of ``scan``;
+        ``released`` as for :meth:`_keep_pieces`."""
         heap, inrefs, is_pinned = self.heap, self.inrefs, self.outrefs.is_pinned
         marks, piece_of = self._pieces.marks, self._pieces.piece_of
         # Phase 1: clean trace.  Persistent and variable roots at distance 0;
@@ -491,7 +517,7 @@ class LocalCollector:
             # the nearest inref of its inset.
             for target, nearest in inrefs.nearest(insets).items():
                 states[target] = (False, 1 + nearest)
-        self._keep_pieces(graph, result, walked, suspected)
+        self._keep_pieces(graph, result, walked, suspected, released, roots, scan.clean_roots)
 
     def _take_changed_pieces(
         self,
@@ -505,38 +531,36 @@ class LocalCollector:
         idx_map, succ_local, remote_rows, _, _ = graph
         alive, pieces = self.heap.residency(), self._pieces
         piece_of, outref_piece = pieces.piece_of, pieces.outref_piece
-        hit: Set[int] = set()
-        for i in dirty:
-            hit.add(piece_of[i])
-            if alive[i]:
-                # A changed row joins whatever piece it now leads into.
-                hit.update(map(piece_of.__getitem__, succ_local[i]))
-                remote = remote_rows.get(i)
-                if remote:
-                    hit.update(map(outref_piece.get, remote, repeat(-1)))
+        hit = set(map(piece_of.__getitem__, dirty))
+        live = list(filter(alive.__getitem__, dirty))
+        if live:
+            # A changed row joins whatever piece it now leads into.
+            hit.update(map(piece_of.__getitem__, chain.from_iterable(map(succ_local.__getitem__, live))))
+            remote = chain.from_iterable(filter(None, map(remote_rows.get, live)))
+            hit.update(map(outref_piece.get, remote, repeat(-1)))
         hit.update([piece_of[i] for i in map(idx_map.get, changed_inrefs) if i is not None])
         if touched:
             hit.update(map(outref_piece.get, touched, repeat(-1)))
         hit.discard(-1)
         walked = set(dirty)
         others: Set[ObjectId] = set()
-        candidates = set(touched)
-        records, reached, totals = pieces.records, pieces.reached, pieces.totals
+        released: Set[ObjectId] = set()
+        records, unreached, totals = pieces.records, pieces.unreached, pieces.totals
         for piece in hit:
-            rows, suspected, held, counts = records.pop(piece)
+            rows, suspected, held, piece_unreached, _, counts = records.pop(piece)
             walked.update(rows)
-            if suspected:
+            # No other piece holds these; ``outref_piece`` keeps them until
+            # the walk says which are still held.
+            released.update(held)
+            if counts is None:
+                totals[0] -= len(rows)
+            else:
                 others.update(suspected)
-            if held:
-                # The piece's reached outrefs are among those it held, and
-                # no other piece holds any of these.
-                candidates.update(held)
-                reached.difference_update(held)
-                for ref in held:
-                    del outref_piece[ref]
-            totals[:] = map(sub, totals, counts)
+                totals[:] = map(sub, totals, counts)
+                if piece_unreached:
+                    unreached.difference_update(piece_unreached)
         pieces.orphans.difference_update(changed_inrefs)
-        return walked, others, candidates
+        return walked, others, released
 
     def _keep_pieces(
         self,
@@ -544,9 +568,15 @@ class LocalCollector:
         result: LocalTraceResult,
         walked: Optional[Set[int]],
         suspected_targets: List[ObjectId],
+        released: Set[ObjectId],
+        roots: Tuple[List[ObjectId], List[ObjectId]],
+        clean_inrefs: List[Tuple[ObjectId, int]],
     ) -> None:
-        """Group what the trace walked into pieces, keep them, and fill in
-        the result's sweep list and site-wide counts."""
+        """Group what the trace walked into pieces and keep them, forget the
+        outrefs of ``released`` (those the dropped pieces held) no new piece
+        holds, and fill in the result's sweep list and walked counts.
+        ``roots`` and ``clean_inrefs`` are the clean phase's roots, so each
+        piece can name its only root when that is a clean inref."""
         idx_map, succ_local, remote_rows, oids, _ = graph
         alive, pieces = self.heap.residency(), self._pieces
         marks, piece_of = pieces.marks, pieces.piece_of
@@ -583,17 +613,20 @@ class LocalCollector:
                 first = hold(ref, i)
                 if first != i:
                     join(i, first)
-        # Per new piece: rows, suspected inrefs, held outrefs and its counts
-        # (see ``_Pieces.totals``; distinct outsets as a set until kept).
+        # Per new piece: its rows, the outrefs they hold and how many of the
+        # rows are suspected.
         new: Dict[int, list] = {}
+        region_held = clean_phase.held
         for label, rows in clean_phase.regions.items():
             piece = find(label) if parent else label
             record = new.get(piece)
+            held = region_held.get(label)
             if record is None:
-                new[piece] = [rows, [], [], [len(rows), 0, 0, 0, 0, set(), 0]]
+                new[piece] = [rows, held or [], 0]
             else:
                 record[0] += rows
-                record[3][0] += len(rows)
+                if held:
+                    record[1] += held
             if piece != label:
                 for i in rows:
                     piece_of[i] = piece
@@ -601,14 +634,16 @@ class LocalCollector:
             piece = piece_of[i] = find(i)
             record = new.get(piece)
             if record is None:
-                new[piece] = [[i], [], [], [0, 0, 0, 0, 0, set(), 0]]
+                record = new[piece] = [[i], [], 1]
             else:
                 record[0].append(i)
-        states, reached = result.outref_states, pieces.reached
-        for ref, label in clean_phase.holders.items():
-            new[find(label) if parent else label][2].append(ref)
-            if ref in states:
-                reached.add(ref)
+                record[2] += 1
+            held = remote_rows.get(i)
+            if held:
+                record[1] += held
+        # Per piece with suspected inrefs: those, and the back-info counts
+        # (see ``_Pieces.totals``; distinct outsets as a set until kept).
+        back: Dict[int, list] = {}
         outsets, charges = result.outsets, backinfo.charges if backinfo else {}
         orphans = pieces.orphans
         for target in suspected_targets:
@@ -616,9 +651,10 @@ class LocalCollector:
             if i is None or not alive[i]:
                 orphans.add(target)
                 continue
-            record = new[piece_of[i]]
-            record[1].append(target)
-            counts = record[3]
+            counts = back.get(piece_of[i])
+            if counts is None:
+                counts = back[piece_of[i]] = [[], 0, 0, 0, 0, set(), 0]
+            counts[0].append(target)
             charge = charges.get(target)
             if charge is not None:
                 counts[1] += charge[0]
@@ -630,28 +666,64 @@ class LocalCollector:
                 counts[5].add(outset)
             else:
                 counts[6] += 1
+        # A piece with one clean root, a clean inref, names it: each region
+        # is one root, and so is each root a region took in.
+        root_of: Dict[int, int] = {}  # piece -> its root's row, or -1
+        for label in clean_phase.regions:
+            piece = find(label) if parent else label
+            root_of[piece] = -1 if piece in root_of else label
+        for i in clean_phase.absorbed:
+            root_of[piece_of[i]] = -1
+        inref_roots = {target for target, _ in clean_inrefs}
         records, outref_piece, totals = pieces.records, pieces.outref_piece, pieces.totals
-        shared = pieces.counts
-        for piece, (rows, suspected, held, counts) in new.items():
-            counts[5] = len(counts[5])
-            counts = tuple(counts)
-            # Kept lean: tuples, and one copy of each distinct counts tuple.
-            records[piece] = (
-                tuple(rows), tuple(suspected), tuple(held), shared.setdefault(counts, counts)
-            )
-            if held:
+        states, clean = result.outref_states, 0
+        for piece, (rows, held, suspected_rows) in new.items():
+            if len(held) > 1:
+                held = tuple(dict.fromkeys(held))
                 outref_piece.update(zip(held, repeat(piece)))
-            totals[:] = map(add, totals, counts)
-        # What the walks left unmarked and in no piece: neither reached it.
+                released.difference_update(held)
+            elif held:
+                held = (ref,) = tuple(held)
+                outref_piece[ref] = piece
+                released.discard(ref)
+            else:
+                held = ()
+            suspected, counts, unreached = (), None, ()
+            found = back.get(piece)
+            if found is None:
+                clean += len(rows)
+            else:
+                suspected = tuple(found[0])
+                counts = (len(rows) - suspected_rows, *found[1:5], len(found[5]), found[6])
+                totals[:] = map(add, totals, counts)
+                if suspected_rows and held:
+                    # Only a suspected row can hold an outref unreached.
+                    unreached = tuple([ref for ref in held if ref not in states])
+                    pieces.unreached.update(unreached)
+            root = root_of.get(piece, -1)
+            root = oids[root] if root >= 0 else None
+            records[piece] = (
+                tuple(rows),
+                suspected,
+                held,
+                unreached,
+                root if root in inref_roots else None,
+                counts,
+            )
+        totals[0] += clean
+        for ref in released:  # held by a dropped piece and by no new one
+            outref_piece.pop(ref, None)
+        # The resident rows the walks left in no piece: neither reached them.
         if walked is None:
-            unmarked = []
+            garbage = []
             i = marks.find(0)
             while i >= 0:
-                unmarked.append(i)
+                if piece_of[i] < 0:
+                    garbage.append(i)
                 i = marks.find(0, i + 1)
         else:
-            unmarked = sorted(i for i in walked if alive[i] and not marks[i])
-        result.garbage = [oids[i] for i in unmarked if piece_of[i] < 0]
+            garbage = sorted([i for i in walked if piece_of[i] < 0 and alive[i]])
+        result.garbage = [oids[i] for i in garbage]
         result.clean_objects_walked = clean_phase.objects_scanned
         result.suspected_objects_walked = backinfo.objects_scanned if backinfo else 0
         result.pieces_walked = len(new)
@@ -838,10 +910,10 @@ class LocalCollector:
         if interleaved:
             # The tables moved since compute diffed against them.
             self._diff_against_tables(result)
-        variable = result.variable_outrefs
-        reached = self._pieces.reached
+        pieces = self._pieces
         outrefs.install_trace_states(
-            result.outref_changes, _Reached(reached, variable) if variable else reached
+            result.outref_changes,
+            _Reached(pieces.outref_piece, pieces.unreached, result.variable_outrefs),
         )
         # Entries created after the snapshot (insert protocol) keep their
         # clean birth state; nothing to do for them.

@@ -150,9 +150,16 @@ MUTANTS: List[Mutant] = [
     Mutant(
         "renumbered-suspected-inref-not-restating-its-outrefs",
         _TRACE,
-        "            if renumbered:\n",
+        "            if still_suspected:\n",
         "            if False:\n",
         "tests/unit/test_backinfo.py::test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked",
+    ),
+    Mutant(
+        "sole-root-distance-not-restating-its-outrefs",
+        _TRACE,
+        "                        states[ref] = (True, distance)\n",
+        "                        pass\n",
+        "tests/unit/test_flat_heap.py::test_a_sole_roots_new_distance_moves_its_pieces_outrefs_unwalked",
     ),
     Mutant(
         "uncommitted-result-trusted",
