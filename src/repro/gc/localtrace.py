@@ -535,7 +535,8 @@ class LocalCollector:
         live = list(filter(alive.__getitem__, dirty))
         if live:
             # A changed row joins whatever piece it now leads into.
-            hit.update(map(piece_of.__getitem__, chain.from_iterable(map(succ_local.__getitem__, live))))
+            successors = chain.from_iterable(map(succ_local.__getitem__, live))
+            hit.update(map(piece_of.__getitem__, successors))
             remote = chain.from_iterable(filter(None, map(remote_rows.get, live)))
             hit.update(map(outref_piece.get, remote, repeat(-1)))
         hit.update([piece_of[i] for i in map(idx_map.get, changed_inrefs) if i is not None])

@@ -122,14 +122,14 @@ MUTANTS: List[Mutant] = [
     Mutant(
         "dirty-row-not-mapped-to-its-piece",
         _TRACE,
-        "        for i in dirty:\n            hit.add(piece_of[i])\n",
-        "        for i in dirty:\n",
+        "        hit = set(map(piece_of.__getitem__, dirty))\n",
+        "        hit = set()\n",
         "tests/unit/test_flat_heap.py::test_memo_sees_an_edge_added_inside_a_region",
     ),
     Mutant(
         "row-leading-into-a-kept-piece-not-walking-it",
         _TRACE,
-        "                hit.update(map(piece_of.__getitem__, succ_local[i]))\n",
+        "            hit.update(map(piece_of.__getitem__, successors))\n",
         "",
         "tests/unit/test_flat_heap.py::test_memo_sees_an_earlier_walk_enter_a_region",
     ),
@@ -143,7 +143,7 @@ MUTANTS: List[Mutant] = [
     Mutant(
         "shared-outref-not-joining-its-holders",
         "core/distance.py",
-        "                if first != ridx:\n                    merge((ridx, first))\n",
+        "                merges.extend([(ridx, holders[r]) for r in dict.fromkeys(held) if r in prior])\n",
         "",
         "tests/unit/test_flat_heap.py::test_an_outref_held_from_two_pieces_keeps_its_least_distance",
     ),
