@@ -198,7 +198,7 @@ def _as_tuple(result, clean):
 
 
 def test_flat_kernel_matches_the_reference_before_and_after_a_mutation():
-    for seed in range(200):
+    for seed in range(400):
         rng = random.Random(seed)
         heap, roots, variable_outrefs = _random_heap(rng)
         got = trace_clean_phase_flat(heap, roots, variable_outrefs)
