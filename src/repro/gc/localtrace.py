@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..config import GcConfig
@@ -58,11 +58,9 @@ from ..core.backinfo import (
     invert_outsets,
 )
 from ..core.distance import CleanPhaseResult, trace_clean_phase_flat
-from ..errors import GcInvariantError
 from ..ids import ObjectId, SiteId
 from ..metrics import MetricsRecorder, names
 from ..store.heap import Heap
-from .columns import NO_SET
 from .inrefs import InrefScan, InrefTable
 from .outrefs import OutrefTable, Verdict
 from .update import UpdateDeltaPayload, UpdatePayload
