@@ -49,8 +49,8 @@ class CleanPhaseResult:
     - ``clean_variable_outrefs``: outrefs held directly in mutator variables
       (roots of distance 0, so their distance estimate is 1);
     - ``objects_scanned`` / ``edges_examined``: cost counters;
-    - ``regions``, ``merges``, ``holders``, ``held``, ``absorbed``: how the
-      flat kernel's regions touch (see :func:`trace_clean_phase_flat`); not
+    - ``regions``, ``merges``, ``holders``, ``held``: how the flat kernel's
+      regions touch (see :func:`trace_clean_phase_flat`); not
       part of the kernels' contract.
     """
 
@@ -64,7 +64,6 @@ class CleanPhaseResult:
     merges: List[Tuple[int, int]] = field(default_factory=list)
     holders: Dict[ObjectId, int] = field(default_factory=dict)
     held: Dict[int, List[ObjectId]] = field(default_factory=dict)
-    absorbed: List[int] = field(default_factory=list)
 
 
 def trace_clean_phase(
@@ -141,9 +140,8 @@ def trace_clean_phase_flat(
     named by its root's index; a walk that meets a row another region
     marked, and a remote reference another region holds already, add the
     pair to ``merges``; ``holders`` maps each remote reference to a region
-    holding it, ``held`` each region to the remote references its rows
-    hold, and ``absorbed`` lists the rows of the roots an earlier root's
-    region took in.  These ride on the steps the walk takes anyway.
+    holding it, and ``held`` each region to the remote references its rows
+    hold.  These ride on the steps the walk takes anyway.
     """
     result = CleanPhaseResult()
     idx_map, succ_local, remote_rows, _, _ = heap.flat_graph()
@@ -151,14 +149,11 @@ def trace_clean_phase_flat(
     owner = [-1] * len(seen) if owner is None else owner
     index_of, remote_get, regions = idx_map.get, remote_rows.get, result.regions
     merges, holders, region_held = result.merges, result.holders, result.held
-    absorbed = result.absorbed
     merge, distances, stack = merges.append, result.outref_distances, []
     stack_pop, stack_extend = stack.pop, stack.extend
     for root, root_distance in sorted(roots, key=itemgetter(1)):
         ridx = index_of(root)  # only local ids are ever interned
         if ridx is None or seen[ridx]:
-            if ridx is not None and owner[ridx] >= 0:
-                absorbed.append(ridx)  # a resident root an earlier one reached
             continue
         rows = []
         stack.append(ridx)

@@ -160,9 +160,6 @@ class InrefTable(IorefColumns):
             for key, targets in sets.items()
         }
 
-    def distance_of(self, target: ObjectId) -> int:
-        return self._distance[self._slot[target]]
-
     def outset_of(self, target: ObjectId) -> FrozenSet[ObjectId]:
         return self._sets[self._slot[target]]
 
@@ -348,13 +345,12 @@ class InrefTable(IorefColumns):
 
     # -- views used by the collector ----------------------------------------------
 
-    def take_changed(self) -> Tuple[Set[ObjectId], Set[ObjectId], Set[ObjectId]]:
+    def take_changed(self) -> Tuple[Set[ObjectId], Set[ObjectId]]:
         """The entries changed or removed since the last call, leaving none
-        named, and of those the ones that were and are clean, and those
-        that were and are suspected (only their distance can have moved);
-        each changed entry is re-filed as it now classifies."""
+        named, and of those the ones that were and are suspected (only
+        their distance can have moved); each changed entry is re-filed as
+        it now classifies."""
         changed, dropped = self._changed, self._dropped
-        still_clean: Set[ObjectId] = set()
         still_suspected: Set[ObjectId] = set()
         if changed:
             self._changed = set()
@@ -371,8 +367,6 @@ class InrefTable(IorefColumns):
                 distance = self._filed[slot] = distances[slot]
                 if distance <= threshold or flag & BARRIER:
                     flags[slot] = flag | FILED_CLEAN
-                    if filed == FILED_CLEAN:
-                        still_clean.add(target)
                 else:
                     flags[slot] = flag | FILED_SUSPECTED
                     if filed == FILED_SUSPECTED:
@@ -380,7 +374,7 @@ class InrefTable(IorefColumns):
         if dropped:
             self._dropped = {}
             changed = changed.union(dropped)
-        return changed, still_clean, still_suspected
+        return changed, still_suspected
 
     def outset_held(self, target: ObjectId) -> FrozenSet[ObjectId]:
         """The outset ``target``'s entry holds, or held when it was removed

@@ -123,25 +123,35 @@ class _Pieces:
       one of its rows;
     - ``marks``: per heap index, the clean phase's mark (dead and free
       indices marked), what the suspected phase reads;
-    - ``records``: piece id -> (rows, suspected inrefs, held outrefs, held
-      outrefs without a verdict, the clean inref that is the piece's only
-      root or None, counts as in ``totals`` or None for a piece with no
-      suspected inref, whose rows are all clean);
+    - ``rows``: piece id -> its rows;
+    - ``held``: piece id -> the outrefs its rows hold (a row's twice, or
+      two rows', listed twice), for a piece holding any;
+    - ``back``: piece id -> (its suspected inrefs in trace order, the
+      outrefs it holds without a verdict -- pinned, and held by suspected
+      rows only --, its counts as in ``totals``), for a piece with a
+      suspected inref; every row of any other piece is clean;
     - ``outref_piece``: each outref a kept row holds -> its piece;
-    - ``unreached``: the outrefs the kept pieces hold but give no verdict
-      (pinned, and held by suspected rows only);
+    - ``unreached``: the outrefs the kept pieces hold without a verdict;
     - ``orphans``: suspected inrefs whose target is not resident;
     - ``totals``: over all pieces, clean objects, suspected objects scanned,
       unions computed, union memo hits, inset storage units, distinct
       nonempty outsets and suspected inrefs with an empty outset.
+
+    A clean region no other walk met is a piece by itself, and keeps the
+    lists the clean phase made for it.
     """
 
-    __slots__ = ("piece_of", "marks", "records", "outref_piece", "unreached", "orphans", "totals")
+    __slots__ = (
+        "piece_of", "marks", "rows", "held", "back", "outref_piece", "unreached", "orphans",
+        "totals",
+    )
 
     def __init__(self, heap: Heap):
         self.marks = heap.fresh_marks()
         self.piece_of: List[int] = [-1] * len(self.marks)
-        self.records: Dict[int, tuple] = {}
+        self.rows: Dict[int, List[int]] = {}
+        self.held: Dict[int, List[ObjectId]] = {}
+        self.back: Dict[int, tuple] = {}
         self.outref_piece: Dict[ObjectId, int] = {}
         self.unreached: Set[ObjectId] = set()
         self.orphans: Set[ObjectId] = set()
@@ -157,14 +167,17 @@ class _Pieces:
         alive, changed = heap.residency(), heap.changed_rows()
         piece_of, marks = self.piece_of, self.marks
         rows_held = refs_held = 0
-        for piece, (rows, _, held, _, _, _) in self.records.items():
+        for piece, rows in self.rows.items():
             for i in rows:
                 assert piece_of[i] == piece, f"piece drift: row {i}"
                 assert alive[i] or i in changed, f"stale piece row: {i}"
             rows_held += len(rows)
+        for piece, held in self.held.items():
+            assert piece in self.rows, f"outrefs of no piece: {piece}"
             for ref in held:
                 assert self.outref_piece.get(ref) == piece, f"outref piece drift: {ref}"
-            refs_held += len(held)
+            refs_held += len(set(held))
+        assert self.back.keys() <= self.rows.keys(), "back-info of no piece"
         assert refs_held == len(self.outref_piece), "outref of no kept piece"
         assert self.unreached <= self.outref_piece.keys(), "unreached outref in no piece"
         assert rows_held == sum(1 for p in piece_of if p >= 0), "row of no kept piece"
@@ -382,7 +395,7 @@ class LocalCollector:
         heap, inrefs, outrefs = self.heap, self.inrefs, self.outrefs
         graph = idx_map, _, _, oids, _ = heap.flat_graph()
         dirty = heap.take_dirty()
-        changed_inrefs, still_clean, still_suspected = inrefs.take_changed()
+        changed_inrefs, renumbered = inrefs.take_changed()
         touched = outrefs.take_touched()
         touched.update(variable.symmetric_difference(self._variable))
         self._variable = variable
@@ -394,24 +407,18 @@ class LocalCollector:
             self._walk(graph, result, None, heap.trace_roots(), inrefs.scan_for_trace(), set())
         else:
             pieces = self._pieces
-            marks, piece_of, records = pieces.marks, pieces.piece_of, pieces.records
+            marks, piece_of = pieces.marks, pieces.piece_of
             grown = len(oids) - len(marks)
             if grown > 0:
                 marks.extend(bytes([1]) * grown)
                 piece_of.extend([-1] * grown)
-            # An inref whose class held walks no piece: a suspected one
-            # moves only its outset's outrefs, and a clean one that is its
-            # piece's only root only that piece's clean outrefs.
-            index_of = idx_map.get
-            sole = [
-                target
-                for target in still_clean
-                if (i := index_of(target)) is not None
-                and (piece := piece_of[i]) >= 0
-                and records[piece][4] == target
-            ]
+            # A suspected inref whose distance alone moved walks no piece
+            # while its piece takes its suspected inrefs in the same order
+            # (the order the walks' unions follow): it moves only the
+            # outrefs of its outset.
+            renumbered = self._in_kept_order(idx_map.get, renumbered)
             walked, others, released = self._take_changed_pieces(
-                graph, dirty, changed_inrefs.difference(still_suspected, sole), touched
+                graph, dirty, changed_inrefs.difference(renumbered), touched
             )
             # The walked rows start unmarked (resident) or marked (dead), in
             # no piece; their roots and inrefs are looked at again.
@@ -424,13 +431,9 @@ class LocalCollector:
                 else:
                     marks[i] = 1
             # Those whose piece another change dropped are walked with it.
-            still_suspected = [
-                target
-                for target in still_suspected
-                if (i := index_of(target)) is not None and piece_of[i] >= 0
-            ]
-            sole = [target for target in sole if piece_of[index_of(target)] >= 0]
-            others.update(changed_inrefs.difference(still_suspected, sole))
+            index_of = idx_map.get
+            renumbered = [t for t in renumbered if piece_of[index_of(t)] >= 0]
+            others.update(changed_inrefs.difference(renumbered))
             result.outset_others = others
             if walked or others or touched:
                 scan = inrefs.scan_for_trace(inrefs.present(resident).union(others))
@@ -438,22 +441,15 @@ class LocalCollector:
             # What a dropped piece held and no new one does, and what was
             # touched, may be trimmed.
             candidates = released.union(touched)
-            states = result.outref_states
-            if still_suspected:
+            if renumbered:
+                # Each sits one past the nearest inref of its inset.
                 moved = outrefs.insets_of(
-                    dict.fromkeys(chain.from_iterable(map(inrefs.outset_held, still_suspected)))
+                    dict.fromkeys(chain.from_iterable(map(inrefs.outset_held, renumbered)))
                 )
                 result.insets.update(moved)
+                states = result.outref_states
                 for target, nearest in inrefs.nearest(moved).items():
                     states[target] = (False, 1 + nearest)
-            for target in sole:
-                # Every clean outref of the piece sits one past its root
-                # (a variable-held one stays at 1).
-                _, _, held, unreached, _, _ = records[piece_of[index_of(target)]]
-                distance = 1 + inrefs.distance_of(target)
-                for ref in outrefs.traced_clean_among(held):
-                    if ref not in unreached and ref not in variable:
-                        states[ref] = (True, distance)
         is_pinned = outrefs.is_pinned
         result.removals = sorted(
             target
@@ -515,7 +511,24 @@ class LocalCollector:
             # the nearest inref of its inset.
             for target, nearest in inrefs.nearest(insets).items():
                 states[target] = (False, 1 + nearest)
-        self._keep_pieces(graph, result, walked, suspected, released, roots, scan.clean_roots)
+        self._keep_pieces(graph, result, walked, suspected, released)
+
+    def _in_kept_order(self, index_of, renumbered: Set[ObjectId]) -> List[ObjectId]:
+        """Those of ``renumbered`` (suspected inrefs whose distance alone
+        moved) whose kept piece still takes its suspected inrefs in the
+        order its walk took them."""
+        piece_of, back = self._pieces.piece_of, self._pieces.back
+        by_piece: Dict[int, List[ObjectId]] = {}
+        for target in renumbered:
+            i = index_of(target)
+            if i is not None and piece_of[i] >= 0:
+                by_piece.setdefault(piece_of[i], []).append(target)
+        scan, kept = self.inrefs.scan_for_trace, []
+        for piece, targets in by_piece.items():
+            order = back[piece][0]
+            if scan(order).suspected_targets == list(order):
+                kept += targets
+        return kept
 
     def _take_changed_pieces(
         self,
@@ -544,16 +557,21 @@ class LocalCollector:
         walked = set(dirty)
         others: Set[ObjectId] = set()
         released: Set[ObjectId] = set()
-        records, unreached, totals = pieces.records, pieces.unreached, pieces.totals
+        rows_of, held_of, back_of = pieces.rows, pieces.held, pieces.back
+        unreached, totals = pieces.unreached, pieces.totals
         for piece in hit:
-            rows, suspected, held, piece_unreached, _, counts = records.pop(piece)
+            rows = rows_of.pop(piece)
             walked.update(rows)
-            # No other piece holds these; ``outref_piece`` keeps them until
-            # the walk says which are still held.
-            released.update(held)
-            if counts is None:
+            held = held_of.pop(piece, None)
+            if held:
+                # No other piece holds these; ``outref_piece`` keeps them
+                # until the walk says which are still held.
+                released.update(held)
+            back = back_of.pop(piece, None)
+            if back is None:
                 totals[0] -= len(rows)
             else:
+                suspected, piece_unreached, counts = back
                 others.update(suspected)
                 totals[:] = map(sub, totals, counts)
                 if piece_unreached:
@@ -568,14 +586,10 @@ class LocalCollector:
         walked: Optional[Set[int]],
         suspected_targets: List[ObjectId],
         released: Set[ObjectId],
-        roots: Tuple[List[ObjectId], List[ObjectId]],
-        clean_inrefs: List[Tuple[ObjectId, int]],
     ) -> None:
         """Group what the trace walked into pieces and keep them, forget the
         outrefs of ``released`` (those the dropped pieces held) no new piece
-        holds, and fill in the result's sweep list and walked counts.
-        ``roots`` and ``clean_inrefs`` are the clean phase's roots, so each
-        piece can name its only root when that is a clean inref."""
+        holds, and fill in the result's sweep list and walked counts."""
         idx_map, succ_local, remote_rows, oids, _ = graph
         alive, pieces = self.heap.residency(), self._pieces
         marks, piece_of = pieces.marks, pieces.piece_of
@@ -612,34 +626,46 @@ class LocalCollector:
                 first = hold(ref, i)
                 if first != i:
                     join(i, first)
-        # Per new piece: its rows, the outrefs they hold and how many of the
-        # rows are suspected.
-        new: Dict[int, list] = {}
-        region_held = clean_phase.held
-        for label, rows in clean_phase.regions.items():
-            piece = find(label) if parent else label
-            record = new.get(piece)
-            held = region_held.get(label)
-            if record is None:
-                new[piece] = [rows, held or [], 0]
-            else:
-                record[0] += rows
-                if held:
-                    record[1] += held
-            if piece != label:
-                for i in rows:
-                    piece_of[i] = piece
+        # Each label is a piece by itself, keeping the walks' lists, unless
+        # a join named it: those pieces are grouped anew.
+        rows_of, held_of, outref_piece = pieces.rows, pieces.held, pieces.outref_piece
+        regions, holders = clean_phase.regions, clean_phase.holders
+        rows_of.update(regions)
+        held_of.update(clean_phase.held)
+        outref_piece.update(holders)
+        released.difference_update(holders)
+        suspected_rows: Dict[int, int] = {}  # per piece with suspected rows
+        joined = set(parent).union(map(find, list(parent)))
         for i in visited:
-            piece = piece_of[i] = find(i)
-            record = new.get(piece)
-            if record is None:
-                record = new[piece] = [[i], [], 1]
-            else:
-                record[0].append(i)
-                record[2] += 1
-            held = remote_rows.get(i)
+            if i not in joined:
+                rows_of[i] = [i]
+                suspected_rows[i] = 1
+                held = remote_rows.get(i)
+                if held:
+                    held_of[i] = list(held)
+        groups: Dict[int, list] = {}
+        for label in joined:
+            piece = find(label)
+            group = groups.get(piece)
+            if group is None:
+                group = groups[piece] = [[], []]
+            rows = rows_of.pop(label, None)
+            if label in regions:
+                held = held_of.pop(label, None)
+            else:  # a suspected row
+                rows = [label]
+                held = remote_rows.get(label)
+                suspected_rows[piece] = suspected_rows.get(piece, 0) + 1
+            group[0] += rows
             if held:
-                record[1] += held
+                group[1] += held
+        for piece, (rows, held) in groups.items():
+            for i in rows:
+                piece_of[i] = piece
+            rows_of[piece] = rows
+            if held:
+                held_of[piece] = held
+                outref_piece.update(zip(held, repeat(piece)))
         # Per piece with suspected inrefs: those, and the back-info counts
         # (see ``_Pieces.totals``; distinct outsets as a set until kept).
         back: Dict[int, list] = {}
@@ -665,51 +691,21 @@ class LocalCollector:
                 counts[5].add(outset)
             else:
                 counts[6] += 1
-        # A piece with one clean root, a clean inref, names it: each region
-        # is one root, and so is each root a region took in.
-        root_of: Dict[int, int] = {}  # piece -> its root's row, or -1
-        for label in clean_phase.regions:
-            piece = find(label) if parent else label
-            root_of[piece] = -1 if piece in root_of else label
-        for i in clean_phase.absorbed:
-            root_of[piece_of[i]] = -1
-        inref_roots = {target for target, _ in clean_inrefs}
-        records, outref_piece, totals = pieces.records, pieces.outref_piece, pieces.totals
-        states, clean = result.outref_states, 0
-        for piece, (rows, held, suspected_rows) in new.items():
-            if len(held) > 1:
-                held = tuple(dict.fromkeys(held))
-                outref_piece.update(zip(held, repeat(piece)))
-                released.difference_update(held)
-            elif held:
-                held = (ref,) = tuple(held)
-                outref_piece[ref] = piece
-                released.discard(ref)
-            else:
-                held = ()
-            suspected, counts, unreached = (), None, ()
-            found = back.get(piece)
-            if found is None:
-                clean += len(rows)
-            else:
-                suspected = tuple(found[0])
-                counts = (len(rows) - suspected_rows, *found[1:5], len(found[5]), found[6])
-                totals[:] = map(add, totals, counts)
-                if suspected_rows and held:
-                    # Only a suspected row can hold an outref unreached.
-                    unreached = tuple([ref for ref in held if ref not in states])
-                    pieces.unreached.update(unreached)
-            root = root_of.get(piece, -1)
-            root = oids[root] if root >= 0 else None
-            records[piece] = (
-                tuple(rows),
-                suspected,
-                held,
-                unreached,
-                root if root in inref_roots else None,
-                counts,
-            )
-        totals[0] += clean
+        back_of, totals, states = pieces.back, pieces.totals, result.outref_states
+        totals[0] += clean_phase.objects_scanned
+        for piece, found in back.items():
+            suspected = suspected_rows.get(piece, 0)
+            clean = len(rows_of[piece]) - suspected
+            counts = (clean, *found[1:5], len(found[5]), found[6])
+            totals[:] = map(add, totals, counts)
+            totals[0] -= clean
+            unreached = ()
+            held = held_of.get(piece) if suspected else None
+            if held:
+                # Only a suspected row can hold an outref unreached.
+                unreached = tuple(dict.fromkeys([ref for ref in held if ref not in states]))
+                pieces.unreached.update(unreached)
+            back_of[piece] = (tuple(found[0]), unreached, counts)
         for ref in released:  # held by a dropped piece and by no new one
             outref_piece.pop(ref, None)
         # The resident rows the walks left in no piece: neither reached them.
@@ -725,7 +721,7 @@ class LocalCollector:
         result.garbage = [oids[i] for i in garbage]
         result.clean_objects_walked = clean_phase.objects_scanned
         result.suspected_objects_walked = backinfo.objects_scanned if backinfo else 0
-        result.pieces_walked = len(new)
+        result.pieces_walked = len(regions) + len(visited) - len(parent)
 
     def _diff_against_tables(self, result: LocalTraceResult) -> None:
         result.outref_changes = self.outrefs.diff_verdicts(
@@ -864,7 +860,7 @@ class LocalCollector:
         cells, pieces = self._cells, self._pieces
         clean, suspected, unions, hits, inset_units, distinct, empty = pieces.totals
         result.clean_objects_scanned, result.suspected_objects_scanned = clean, suspected
-        result.pieces_held = len(pieces.records)
+        result.pieces_held = len(pieces.rows)
         cells.local_traces.add()
         cells.traces_full.add()
         cells.clean_objects_scanned.add(clean)

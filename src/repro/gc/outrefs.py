@@ -209,11 +209,6 @@ class OutrefTable(IorefColumns):
         slots, held = self._slot, self._sets
         return {target: held[slots[target]] for target in targets}
 
-    def traced_clean_among(self, targets: Iterable[ObjectId]) -> List[ObjectId]:
-        """Those of ``targets`` whose last trace verdict is clean."""
-        slots, flags = self._slot, self._flags
-        return [t for t in targets if flags[slots[t]] & TRACED_CLEAN]
-
     def is_pinned(self, target: ObjectId) -> bool:
         return target in self._pins
 

@@ -150,16 +150,16 @@ MUTANTS: List[Mutant] = [
     Mutant(
         "renumbered-suspected-inref-not-restating-its-outrefs",
         _TRACE,
-        "            if still_suspected:\n",
+        "            if renumbered:\n",
         "            if False:\n",
-        "tests/unit/test_backinfo.py::test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked",
+        "tests/unit/test_backinfo.py::test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs",
     ),
     Mutant(
-        "sole-root-distance-not-restating-its-outrefs",
+        "renumbered-inref-kept-out-of-order",
         _TRACE,
-        "                        states[ref] = (True, distance)\n",
-        "                        pass\n",
-        "tests/unit/test_flat_heap.py::test_a_sole_roots_new_distance_moves_its_pieces_outrefs_unwalked",
+        "            if scan(order).suspected_targets == list(order):\n",
+        "            if True:\n",
+        "tests/properties/test_memo_twin.py::test_a_suspected_inrefs_new_order_counts_as_a_from_scratch_trace",
     ),
     Mutant(
         "uncommitted-result-trusted",

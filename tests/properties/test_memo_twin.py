@@ -39,7 +39,7 @@ from repro.ids import ObjectId
 from repro.metrics import MetricsRecorder
 from repro.store.heap import Heap
 
-from ..conftest import examples
+from ..conftest import KeptTrace, examples
 
 SITES = ("P", "Q", "R")
 
@@ -292,6 +292,40 @@ def test_memo_twin_agrees_on_fixed_scripts():
             (rng.choice(OP_KINDS), rng.choice(SITES), draw(), draw()) for _ in range(80)
         ]
         assert_twins_agree(1 + k % 3, k, script)
+
+
+def test_a_suspected_inrefs_new_order_counts_as_a_from_scratch_trace():
+    """Tarjan's unions and memo hits follow the order in which a piece's
+    suspected inrefs start their walks, so an inref whose distance alone
+    moves past another's walks its piece again.  Rows x -> y -> x, x
+    holding P0, y holding P1 and P0, w holding P3 and P1 (the shared P1
+    joins w's row to the piece), suspected inrefs at x, y and w: from x
+    first the walk computes one union and meets it again; from y first
+    it computes it once."""
+
+    def world():
+        heap = Heap("Q")
+        x, y, w = (heap.alloc() for _ in range(3))
+        x.add_ref(y.oid)
+        y.add_ref(x.oid)
+        for holder, refs in ((x, (0,)), (y, (1, 0)), (w, (3, 1))):
+            for k in refs:
+                holder.add_ref(ObjectId("P", k))
+        return KeptTrace(heap), (x.oid, y.oid, w.oid)
+
+    (kept, (x, y, w)), (twin, _) = world(), world()
+    counts = []
+    for distance in (150, 165):
+        script = [(x, distance), (y, 160), (w, 170)]
+        got = kept.trace(suspected=script)
+        drop_memos(twin.collector)
+        want = twin.trace(suspected=script)
+        assert trace_fields(got) == trace_fields(want)
+        assert got.pieces_walked == 1
+        snapshot = kept.collector.metrics.snapshot().counters
+        assert snapshot == twin.collector.metrics.snapshot().counters
+        counts.append((snapshot["backinfo.unions_computed"], snapshot["backinfo.union_memo_hits"]))
+    assert counts == [(1, 1), (2, 1)]
 
 
 def _digest(workload, forget):

@@ -304,10 +304,11 @@ def test_backinfo_memo_sees_an_earlier_walk_enter_a_region():
     assert again.pieces_walked == 1 and again.pieces_held == 1
 
 
-def test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked():
+def test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs():
     """Guard: a suspected inref whose distance alone moved keeps its piece
-    unwalked, yet each outref of its outset takes one past the nearest
-    inref of its inset."""
+    unwalked while the piece's suspected inrefs keep their order, and
+    walks it again once that order moves; either way each outref of its
+    outset takes one past the nearest inref of its inset."""
     heap = Heap("Q")
     a, b, c = heap.alloc(), heap.alloc(), heap.alloc()
     a.add_ref(c.oid)
@@ -318,6 +319,10 @@ def test_a_suspected_inrefs_new_distance_moves_its_outsets_outrefs_unwalked():
     kept.trace(suspected=[(a.oid, 150), (b.oid, 160)])
     assert kept.outrefs.get(out).distance == 151
     again = kept.trace(suspected=[(a.oid, 170), (b.oid, 160)])
-    assert again.pieces_walked == 0 and again.suspected_objects_walked == 0
+    assert again.pieces_walked == 1 and again.suspected_objects_walked == 3
     assert again.outref_changes == {out: (False, 161, frozenset({a.oid, b.oid}))}
     assert kept.outrefs.get(out).distance == 161
+    unwalked = kept.trace(suspected=[(a.oid, 170), (b.oid, 165)])  # same order
+    assert unwalked.pieces_walked == 0 and unwalked.suspected_objects_walked == 0
+    assert unwalked.outref_changes == {out: (False, 166, frozenset({a.oid, b.oid}))}
+    assert kept.outrefs.get(out).distance == 166

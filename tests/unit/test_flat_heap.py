@@ -463,11 +463,10 @@ def test_an_index_the_free_list_hands_out_again_is_walked():
     assert result.swept == [fresh.oid]
 
 
-def test_a_sole_roots_new_distance_moves_its_pieces_outrefs_unwalked():
-    """Guard: a clean inref that is its piece's only root and whose
-    distance alone moved keeps the piece unwalked, yet every clean outref
-    of the piece takes one past its new distance; a second root makes the
-    piece walk again instead."""
+def test_a_clean_roots_new_distance_walks_its_piece():
+    """Guard: a clean inref whose distance alone moved walks its piece
+    again, and every clean outref the piece reaches from it takes one past
+    its new distance, or past a nearer root's."""
     heap = Heap("P")
     a, b = _chain(heap, 2)
     out = ObjectId("Q", 0)
@@ -475,7 +474,7 @@ def test_a_sole_roots_new_distance_moves_its_pieces_outrefs_unwalked():
     kept = KeptTrace(heap)
     kept.trace([(a.oid, 1)])
     moved = kept.trace([(a.oid, 3)])
-    assert moved.pieces_walked == 0 and moved.clean_objects_walked == 0
+    assert moved.pieces_walked == 1 and moved.clean_objects_walked == 2
     assert moved.outref_changes == {out: (True, 4, frozenset())}
     assert kept.clean_outrefs() == {out: 4}
     kept.trace([(a.oid, 3), (b.oid, 2)])  # two roots now

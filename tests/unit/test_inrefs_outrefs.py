@@ -146,22 +146,22 @@ def test_scan_refiles_exactly_the_changed_inrefs():
     """Guard: every change a trace reads -- a new minimum distance, a
     garbage flag, a barrier clean, a removal -- names the inref in what the
     next trace takes (a removal apart from the changed set), and taking
-    re-files those alone; an inref that was and is clean, or was and is
-    suspected, is told apart."""
+    re-files those alone; an inref that was and is suspected is told
+    apart."""
     table = make_inrefs(threshold=4)
     near, far, gone, farther = (ObjectId("R", k) for k in range(4))
     table.ensure(near, source="P", distance=2)
     table.ensure(far, source="P", distance=7)
     table.ensure(gone, source="P", distance=3)
     table.ensure(farther, source="P", distance=8)
-    assert table.take_changed() == ({near, far, gone, farther}, set(), set())
+    assert table.take_changed() == ({near, far, gone, farther}, set())
     assert table._changed == set()
     table.set_source(near, "P", 6)  # crosses the threshold
     table.get(far).barrier_clean = True
     table.remove(gone)  # leaves the table at once
     table.set_source(farther, "P", 9)  # stays suspected
     assert table._changed == {near, far, farther}
-    assert table.take_changed() == ({near, far, gone, farther}, set(), {farther})
+    assert table.take_changed() == ({near, far, gone, farther}, {farther})
     scan = table.scan_for_trace()
     assert scan.clean_roots == [(far, 7)]
     assert scan.suspected_targets == [near, farther]
@@ -169,7 +169,7 @@ def test_scan_refiles_exactly_the_changed_inrefs():
         near: 6, far: 6, gone: 0
     }
     table.set_source(far, "P", 3)  # stays clean
-    assert table.take_changed() == ({far}, {far}, set())
+    assert table.take_changed() == ({far}, set())
     table.get(near).garbage = True
     assert table.scan_for_trace([near, far]).suspected_targets == []
     table.check_changed()
