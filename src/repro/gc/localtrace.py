@@ -32,7 +32,10 @@ tables hold its verdicts.  A trace walks again only the pieces that changed
 since: one holding a changed row (``Heap.take_dirty``: edges, residency,
 root membership) or one a changed row now leads into; one holding an inref
 whose distance, flags or existence moved (``InrefTable.take_changed``, which
-a new suspicion threshold fills with every entry); one holding an outref
+a new suspicion threshold fills with every entry), but for a suspected inref
+whose distance alone moved while its piece takes its suspected inrefs in
+the same order, which re-states only its outset's outrefs (the walks'
+unions and memo hits follow that order); one holding an outref
 created, removed, pinned, unpinned or taken into or out of a mutator
 variable (``OutrefTable.take_touched``).  The walk regroups the rows it
 visits into pieces afresh (a removed edge may split one, a new edge or
@@ -649,8 +652,8 @@ class LocalCollector:
             group = groups.get(piece)
             if group is None:
                 group = groups[piece] = [[], []]
-            rows = rows_of.pop(label, None)
             if label in regions:
+                rows = rows_of.pop(label)
                 held = held_of.pop(label, None)
             else:  # a suspected row
                 rows = [label]
@@ -695,10 +698,8 @@ class LocalCollector:
         totals[0] += clean_phase.objects_scanned
         for piece, found in back.items():
             suspected = suspected_rows.get(piece, 0)
-            clean = len(rows_of[piece]) - suspected
-            counts = (clean, *found[1:5], len(found[5]), found[6])
-            totals[:] = map(add, totals, counts)
-            totals[0] -= clean
+            counts = (len(rows_of[piece]) - suspected, *found[1:5], len(found[5]), found[6])
+            totals[1:] = map(add, totals[1:], counts[1:])
             unreached = ()
             held = held_of.get(piece) if suspected else None
             if held:

@@ -16,8 +16,9 @@ the records rebuilt from the columns, every target named changed), so the
 twin runs what a from-scratch trace runs.  After every trace the two must
 agree on the change lists, the removals, the sweep, the updates, the
 counters, the observations and the tables, and the memoised world's
-invariants (its kept pieces among them) must hold.  A ledger scenario
-closes the loop end to end: smoke ``cycle_waves`` with every piece dropped
+invariants (its kept pieces among them) must hold.  A fixed case moves a
+suspected inref behind another of its piece, which changes the walks'
+union and memo-hit counts.  A ledger scenario closes the loop end to end: smoke ``cycle_waves`` with every piece dropped
 before every trace ends in the same ``sim_digest`` as the kept run.
 """
 
